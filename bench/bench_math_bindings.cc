@@ -6,6 +6,8 @@
 // expensive operation".
 #include <benchmark/benchmark.h>
 
+#include <span>
+
 #include "bench/bench_util.h"
 #include "fft/fft.h"
 #include "math/svd.h"
@@ -80,7 +82,8 @@ void BM_SvdThroughUdf(benchmark::State& state) {
   Rng rng(9);
   OwnedArray m = CheckResult(
       OwnedArray::Zeros(DType::kFloat64, {n, n}, StorageClass::kMax), "m");
-  for (auto& v : m.MutableData<double>().value()) v = rng.Normal();
+  std::span<double> data = CheckResult(m.MutableData<double>(), "m data");
+  for (double& v : data) v = rng.Normal();
   server.session.SetVariable(
       "m", engine::Value::Bytes(
                std::vector<uint8_t>(m.blob().begin(), m.blob().end())));

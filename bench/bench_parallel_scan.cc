@@ -1,12 +1,9 @@
 // Experiment U2: parallel scan scaling under the morsel-driven engine.
 //
-// Three measurements on the Table 1 workload tables:
+// Two measurements on the Table 1 workload tables:
 //   1. Worker sweep over the cheap Q1 scan, the CPU-bound Q4 UDF aggregate,
 //      and a parallel GROUP BY — the plan shapes the morsel engine covers.
-//   2. Morsel scheduling vs the legacy static-chunk scheme on Q4, uniform
-//      and skewed (UDF work concentrated in half the key range, where
-//      static chunks strand the idle workers and stealing does not).
-//   3. The small-table guard: at 1/1000 scale the worker cap must make 8
+//   2. The small-table guard: at 1/1000 scale the worker cap must make 8
 //      requested workers cost the same as 1 (the regression EXPERIMENTS.md
 //      recorded for the old threads-per-query path).
 //
@@ -65,11 +62,6 @@ void Run() {
   const std::string qg =
       "SELECT id % 16, SUM(v1), COUNT(*) FROM Tscalar WITH (NOLOCK) "
       "GROUP BY id % 16";
-  // UDF work concentrated in the upper half of the key range: static
-  // chunking strands the workers that own the cheap half, stealing does not.
-  const std::string q4_skew =
-      "SELECT SUM(floatarray.Item_1(v, 0)) FROM Tvector WITH (NOLOCK) "
-      "WHERE id >= " + std::to_string(rows / 2);
 
   // --- 1. Worker sweep across the three parallel plan shapes. -------------
   std::printf("\n%8s | %19s | %19s | %19s\n", "workers",
@@ -100,39 +92,7 @@ void Run() {
                sg > 0 ? static_cast<double>(rows) / sg : 0);
   }
 
-  // --- 2. Morsel vs legacy static chunking, uniform and skewed Q4. --------
-  std::printf("\n%8s | %8s | %8s | %8s | %8s   (Q4 wall s)\n", "workers",
-              "morsel", "static", "m-skew", "s-skew");
-  std::printf("%s\n", std::string(66, '-').c_str());
-  double check_skew = std::nan("");
-  for (int workers : {2, 4, 8}) {
-    server.executor.set_scan_workers(workers);
-    server.executor.set_parallel_mode(engine::ParallelMode::kMorsel);
-    double morsel_s = TimedRun(&server, q4, &check_q4);
-    double morsel_skew_s = TimedRun(&server, q4_skew, &check_skew);
-    server.executor.set_parallel_mode(
-        engine::ParallelMode::kStaticChunkLegacy);
-    double static_s = TimedRun(&server, q4, nullptr);
-    double static_skew_s = TimedRun(&server, q4_skew, nullptr);
-    server.executor.set_parallel_mode(engine::ParallelMode::kMorsel);
-    std::printf("%8d | %8.3f | %8.3f | %8.3f | %8.3f\n", workers, morsel_s,
-                static_s, morsel_skew_s, static_skew_s);
-    std::string n = std::to_string(workers);
-    RecordJson("parallel_mode", "Q4_morsel_" + n, morsel_s,
-               morsel_s > 0 ? static_cast<double>(rows) / morsel_s : 0);
-    RecordJson("parallel_mode", "Q4_static_" + n, static_s,
-               static_s > 0 ? static_cast<double>(rows) / static_s : 0);
-    RecordJson("parallel_mode", "Q4skew_morsel_" + n, morsel_skew_s,
-               morsel_skew_s > 0
-                   ? static_cast<double>(rows / 2) / morsel_skew_s
-                   : 0);
-    RecordJson("parallel_mode", "Q4skew_static_" + n, static_skew_s,
-               static_skew_s > 0
-                   ? static_cast<double>(rows / 2) / static_skew_s
-                   : 0);
-  }
-
-  // --- 3. Small-table guard (the 1/1000-scale regression). ----------------
+  // --- 2. Small-table guard (the 1/1000-scale regression). ----------------
   // The worker cap (engine/parallel.h) must keep a tiny scan inline: asking
   // for 8 workers on a table of a few pages should cost what 1 does.
   BenchServer small;
@@ -151,9 +111,7 @@ void Run() {
   std::printf(
       "\nexpected shape (multicore host): Q4 and GROUP BY scale with workers "
       "(CPU-bound) while the trivial Q1 scan gains less — Table 1's "
-      "CPU-bound vs I/O-bound split. Morsel matches static chunking on the "
-      "uniform Q4 and beats it on the skewed variant, where stealing "
-      "rebalances the UDF-heavy half. On a single-core host the useful "
+      "CPU-bound vs I/O-bound split. On a single-core host the useful "
       "signal is exact result equality and near-zero overhead.\n");
 }
 

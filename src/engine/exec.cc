@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
+#include <limits>
 #include <mutex>
-#include <optional>
-#include <thread>
+#include <type_traits>
 #include <utility>
 
-#include "common/bytes.h"
 #include "common/stopwatch.h"
 #include "engine/batch.h"
 #include "engine/vec_expr.h"
@@ -152,6 +150,20 @@ bool HasAggregates(const Query& q) {
   return false;
 }
 
+bool HasUda(const Query& q) {
+  for (const SelectItem& item : q.items) {
+    if (item.agg == SelectItem::AggKind::kUda) return true;
+  }
+  return false;
+}
+
+/// int64 addition that wraps in two's complement, like the columnar fold's
+/// SUM, instead of overflowing (undefined behaviour for signed types).
+int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
 /// Accumulator for one aggregate within one group.
 struct AggState {
   int64_t count = 0;
@@ -164,12 +176,12 @@ struct AggState {
   std::unique_ptr<Uda> uda;
   std::vector<uint8_t> uda_state;
 
-  /// Combines a partial accumulator from another scan worker (native
-  /// aggregate kinds only; UDAs never take the parallel path).
+  /// Combines a partial accumulator from a later morsel (native aggregate
+  /// kinds only; a UDA query is always one morsel, so never merges).
   void Merge(const AggState& other) {
     count += other.count;
     sum += other.sum;
-    isum += other.isum;
+    isum = WrapAdd(isum, other.isum);
     mn = std::min(mn, other.mn);
     mx = std::max(mx, other.mx);
     int_only = int_only && other.int_only;
@@ -177,8 +189,8 @@ struct AggState {
 };
 
 /// Folds one evaluated aggregate argument into the accumulator. Shared by
-/// the serial, parallel, and batched paths so accumulation arithmetic (and
-/// therefore results) is identical bit for bit across them.
+/// the row and batched bodies so accumulation arithmetic (and therefore
+/// results) is identical bit for bit across them.
 Status AccumulateNative(SelectItem::AggKind agg, const Value& v,
                         AggState* st) {
   if (v.is_null()) return Status::OK();
@@ -188,7 +200,7 @@ Status AccumulateNative(SelectItem::AggKind agg, const Value& v,
   }
   SQLARRAY_ASSIGN_OR_RETURN(double d, v.AsDouble());
   if (v.kind() == Value::Kind::kInt64) {
-    st->isum += v.AsInt().value();
+    st->isum = WrapAdd(st->isum, v.AsInt().value());
   } else {
     st->int_only = false;
   }
@@ -199,8 +211,7 @@ Status AccumulateNative(SelectItem::AggKind agg, const Value& v,
   return Status::OK();
 }
 
-/// Produces the final output value of a native aggregate. Shared by every
-/// aggregation path.
+/// Produces the final output value of a native aggregate.
 Result<Value> FinishNative(SelectItem::AggKind agg, const AggState& st) {
   switch (agg) {
     case SelectItem::AggKind::kCount:
@@ -229,17 +240,6 @@ bool IsCountStar(const SelectItem& item) {
          (item.expr == nullptr || item.expr->kind == Expr::Kind::kStar);
 }
 
-/// Batch-eligibility for aggregation: table source, ungrouped, native
-/// aggregates only. Grouped queries and UDAs keep the row loop (group
-/// creation and UDA state marshaling are inherently per-row).
-bool CanBatchAggregate(const Query& q) {
-  if (q.table == nullptr || !q.group_by.empty()) return false;
-  for (const SelectItem& item : q.items) {
-    if (item.agg == SelectItem::AggKind::kUda) return false;
-  }
-  return true;
-}
-
 /// Evaluates the WHERE column for a gathered batch and fills `sel` with the
 /// indices of surviving rows (SQL truthiness: NULL is false).
 Status FilterBatch(const Query& q, BatchContext* bctx,
@@ -261,6 +261,15 @@ Status FilterBatch(const Query& q, BatchContext* bctx,
     if (truthy != 0) sel->push_back(i);
   }
   return Status::OK();
+}
+
+/// Row-at-a-time WHERE with the same truthiness.
+Result<bool> RowPasses(const Query& q, EvalContext& ctx) {
+  if (q.where == nullptr) return true;
+  SQLARRAY_ASSIGN_OR_RETURN(Value keep, Eval(*q.where, ctx));
+  if (keep.is_null()) return false;
+  SQLARRAY_ASSIGN_OR_RETURN(int64_t truthy, keep.AsInt());
+  return truthy != 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -303,7 +312,6 @@ VecQueryPlan BuildVecPlan(const Query& q,
                           const std::map<std::string, Value>* variables,
                           bool rows_mode) {
   VecQueryPlan p;
-  if (q.table == nullptr) return p;
   const storage::Schema& schema = q.table->schema();
   if (q.where != nullptr) {
     p.where_ok = vec::VecProgram::Compile(*q.where, schema, variables, &p.where);
@@ -376,8 +384,10 @@ Status VecAccumulateColumn(SelectItem::AggKind agg, const col::ColumnVec& c,
   return Status::OK();
 }
 
-/// Serializes a grouping key value into a byte string for hashing.
-void AppendGroupKey(const Value& v, std::string* out) {
+/// Serializes a grouping key value into a byte string for hashing. Binary
+/// values key by their bytes, out-of-page VARBINARY(MAX) blobs included, so
+/// distinct arrays form distinct groups; NULL is one bucket.
+Status AppendGroupKey(const Value& v, std::string* out) {
   out->push_back(static_cast<char>(v.kind()));
   switch (v.kind()) {
     case Value::Kind::kInt64: {
@@ -398,18 +408,27 @@ void AppendGroupKey(const Value& v, std::string* out) {
       out->append(reinterpret_cast<const char*>(b->data()), b->size());
       break;
     }
-    default:
-      break;  // NULL and blobs group as one bucket per kind
+    case Value::Kind::kBlob: {
+      SQLARRAY_ASSIGN_OR_RETURN(std::vector<uint8_t> b, v.MaterializeBytes());
+      out->append(reinterpret_cast<const char*>(b.data()), b.size());
+      break;
+    }
+    case Value::Kind::kNull:
+      break;
   }
   out->push_back('\x1f');
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
-// Morsel-path helpers. A morsel is one contiguous leaf-page range from the
-// deterministic grid (engine/parallel.h); each helper folds a morsel's rows
-// into a private partial result using the same accumulation arithmetic and
-// per-row cost charges as the serial loops above, so partials merged in
-// morsel-index order reproduce the serial result bit for bit.
+// The scan pipeline. Every query with a row source runs one morsel plan:
+// the leaf chain is cut into morsels (engine/parallel.h), each morsel folds
+// its rows into a private Partial with one of four chunk bodies — batched
+// aggregate, batched projection, row-at-a-time aggregate/group-by,
+// row-at-a-time projection — and the partials merge in morsel-index order.
+// Serial execution is that same plan at one worker; a query that cannot
+// split (a UDA, a reader-style UDF, a TVF source) is one morsel over its
+// whole source.
 
 /// True if any call node in the tree binds a function matching `pred`.
 template <typename Pred>
@@ -440,24 +459,31 @@ bool QueryHasBoundCall(const Query& q, const Pred& pred) {
   return false;
 }
 
-/// One group's accumulators — shared by the serial GROUP BY loop and the
-/// per-morsel partials so both sides use identical state.
+/// True when a table query may split into many morsels: no UDA items (UDA
+/// state marshaling is order-sensitive) and no reader-style UDF (those
+/// re-enter the session through the subquery runner).
+bool MorselEligible(const Query& q) {
+  return q.table != nullptr && !HasUda(q) &&
+         !QueryHasBoundCall(
+             q, [](const ScalarFunction& f) { return f.needs_subquery; });
+}
+
+/// One group's accumulators.
 struct GroupAcc {
-  std::vector<Value> keys;         // evaluated group_by exprs
   std::vector<Value> plain_items;  // first-row values of non-agg items
   std::vector<AggState> aggs;
   bool plain_filled = false;
 };
 
-/// The morsel grid and effective worker count for one scan. The grid is a
-/// pure function of the table's page count (never of the worker count) so
-/// merge order — and therefore float results — cannot depend on the degree
-/// of parallelism.
-struct MorselPlanInfo {
-  std::vector<storage::PageId> pages;
-  size_t morsel_pages = 1;
-  size_t n_morsels = 0;
-  int workers = 1;
+/// Groups keyed by serialized key; an ungrouped aggregate is the one group
+/// keyed "".
+using GroupMap = std::map<std::string, GroupAcc>;
+
+/// One morsel's partial result.
+struct Partial {
+  GroupMap groups;                       ///< aggregate plans
+  std::vector<std::vector<Value>> rows;  ///< projection plans
+  QueryStats stats;
 };
 
 /// The statement's snapshot, when one is installed (MVCC / AS OF reads).
@@ -465,15 +491,38 @@ inline storage::PageSource* SnapOf(QueryContext* qctx) {
   return qctx != nullptr ? qctx->snapshot.get() : nullptr;
 }
 
-Result<MorselPlanInfo> PlanMorselScan(const Query& q, int requested_workers,
-                                      int64_t min_pages_override,
-                                      storage::PageSource* snap) {
-  MorselPlanInfo plan;
+/// Pages ahead of the cursor each morsel keeps resident (the ScanChunk
+/// readahead hint) so a worker's disk stream stays sequential even when
+/// UDFs interleave blob reads on the same thread.
+constexpr int kMorselReadahead = 4;
+
+/// The morsel grid and worker count for one scan. A morsel-eligible
+/// table's grid is a pure function of its page count (never of the worker
+/// count) so merge order — and therefore float results — cannot depend on
+/// the degree of parallelism. Any other query is one morsel over its whole
+/// source, run inline: a table's full leaf-chain cursor or a TVF's
+/// materialized rows. Float sums and UDA state then fold in source order,
+/// and the subquery runner never runs on a pool thread (a nested statement
+/// that goes parallel would wait on the pool from inside it).
+struct ScanPlan {
+  std::vector<storage::PageId> pages;  ///< leaf pages of an eligible scan
+  size_t grid_pages = 1;               ///< 1 for a one-morsel plan
+  size_t morsel_pages = 1;
+  size_t n_morsels = 1;
+  int workers = 1;
+};
+
+Result<ScanPlan> PlanScan(const Query& q, bool eligible, int requested_workers,
+                          int64_t min_pages_override,
+                          storage::PageSource* snap) {
+  ScanPlan plan;
+  if (!eligible) return plan;
   SQLARRAY_ASSIGN_OR_RETURN(plan.pages, q.table->CollectLeafPages(snap));
   const int64_t n_pages = static_cast<int64_t>(plan.pages.size());
+  plan.grid_pages = plan.pages.size();
   plan.morsel_pages = static_cast<size_t>(MorselPages(n_pages));
   plan.n_morsels =
-      (plan.pages.size() + plan.morsel_pages - 1) / plan.morsel_pages;
+      (plan.grid_pages + plan.morsel_pages - 1) / plan.morsel_pages;
   // A CLR call anywhere in the plan makes rows expensive enough that small
   // page ranges already amortize a worker's fixed setup.
   bool cpu_heavy = QueryHasBoundCall(
@@ -486,11 +535,6 @@ Result<MorselPlanInfo> PlanMorselScan(const Query& q, int requested_workers,
                                   static_cast<int64_t>(plan.n_morsels), floor);
   return plan;
 }
-
-/// Pages ahead of the cursor each morsel keeps resident (the ScanChunk
-/// readahead hint) so a worker's disk stream stays sequential even when
-/// UDFs interleave blob reads on the same thread.
-constexpr int kMorselReadahead = 4;
 
 /// Probes the statement's cancellation token (no-op when ungoverned).
 inline Status GovCheck(const gov::QueryLimits* limits) {
@@ -525,11 +569,74 @@ void MergeStats(QueryStats* into, const QueryStats& part) {
   }
 }
 
-/// Fills `batch` from a scan cursor via CopyRows — one memcpy per
+/// What every chunk body of one statement reads; shared read-only across
+/// the morsel workers.
+struct ScanEnv {
+  const Query* q = nullptr;
+  const storage::Schema* schema = nullptr;  ///< null for a TVF source
+  std::map<std::string, Value>* variables = nullptr;
+  const FunctionRegistry* registry = nullptr;
+  const CostModel* cost = nullptr;
+  storage::BufferPool* pool = nullptr;
+  /// The session's subquery runner; set only on the inline one-morsel plan.
+  const SubqueryFn* subquery = nullptr;
+  const gov::QueryLimits* limits = nullptr;
+  bool aggregate = false;  ///< aggregate / GROUP BY plan, else projection
+  int batch_rows = 1;      ///< > 1 selects the batched bodies
+  const VecQueryPlan* vplan = nullptr;
+
+  UdfContext Udf(QueryStats* stats) const {
+    UdfContext udf;
+    udf.pool = pool;
+    udf.stats = stats;
+    udf.cost = cost;
+    udf.subquery = subquery;
+    udf.limits = limits;
+    return udf;
+  }
+
+  EvalContext RowContext(QueryStats* stats) const {
+    EvalContext ctx;
+    ctx.schema = schema;
+    ctx.variables = variables;
+    ctx.udf = Udf(stats);
+    return ctx;
+  }
+};
+
+/// Cursor over a TVF's materialized rows, shaped like the table cursors so
+/// the row bodies take any of them as a template argument.
+class ValueRowCursor {
+ public:
+  explicit ValueRowCursor(const std::vector<std::vector<Value>>* rows)
+      : rows_(rows) {}
+  bool valid() const { return pos_ < rows_->size(); }
+  const std::vector<Value>* row() const { return &(*rows_)[pos_]; }
+  Status Next() {
+    ++pos_;
+    return Status::OK();
+  }
+
+ private:
+  const std::vector<std::vector<Value>>* rows_;
+  size_t pos_ = 0;
+};
+
+/// Points the evaluation context at the cursor's current row: a table
+/// cursor's encoded row bytes, or a TVF row's values.
+template <typename TableCursor>
+void BindRow(const TableCursor& c, EvalContext* ctx) {
+  ctx->row = c.row().data();
+}
+inline void BindRow(const ValueRowCursor& c, EvalContext* ctx) {
+  ctx->value_row = c.row();
+}
+
+/// Fills `batch` from a table cursor via CopyRows — one memcpy per
 /// leaf-page run instead of a row()/Next() round trip per row. Row bytes,
 /// row order, and page-load points are identical to the per-row loop.
-template <typename Cursor>
-Status FillBatchFromCursor(Cursor& cursor, RowBatch* batch) {
+template <typename TableCursor>
+Status FillBatch(TableCursor& cursor, RowBatch* batch) {
   while (!batch->full() && cursor.valid()) {
     SQLARRAY_ASSIGN_OR_RETURN(
         int32_t got, cursor.CopyRows(batch->capacity() - batch->size(),
@@ -539,380 +646,459 @@ Status FillBatchFromCursor(Cursor& cursor, RowBatch* batch) {
   return Status::OK();
 }
 
-/// Partial result of one morsel of an ungrouped aggregation.
-struct AggPartial {
-  std::vector<AggState> states;
-  std::vector<Value> plain;  // first-surviving-row values of kNone items
-  bool plain_filled = false;
-  QueryStats stats;
+/// Returns the partial's accumulator for `key`, creating it on the first
+/// kept row that reaches it, so a group's plain items are always filled.
+/// GROUP BY charges each fresh group against the budget: the hash table is
+/// where grouped aggregation's memory grows.
+Result<GroupAcc*> GroupFor(const ScanEnv& env, std::string key,
+                           GroupMap* groups) {
+  const Query& q = *env.q;
+  auto [it, fresh] = groups->try_emplace(std::move(key));
+  if (fresh) {
+    if (!q.group_by.empty()) {
+      SQLARRAY_RETURN_IF_ERROR(GovCharge(
+          env.limits,
+          static_cast<int64_t>(it->first.size()) +
+              static_cast<int64_t>(q.items.size() * sizeof(AggState)) +
+              RowFootprint(q.group_by.size())));
+    }
+    it->second.aggs.resize(q.items.size());
+  }
+  return &it->second;
+}
+
+/// Folds one row into a UDA under SQL Server's hosting contract: the state
+/// crosses the CLR boundary (deserialize + serialize) on every row
+/// (Sec. 4.2), and the cost model charges it.
+Status AccumulateUda(const ScanEnv& env, const SelectItem& item,
+                     EvalContext& ctx, AggState* st) {
+  auto eval_args = [&]() -> Result<std::vector<Value>> {
+    std::vector<Value> args;
+    for (const ExprPtr& a : item.uda_args) {
+      SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*a, ctx));
+      args.push_back(std::move(v));
+    }
+    return args;
+  };
+  if (st->uda == nullptr) {
+    SQLARRAY_ASSIGN_OR_RETURN(
+        const UdaFactory* factory,
+        env.registry->ResolveUda(item.uda_schema, item.uda_name));
+    st->uda = (*factory)();
+    SQLARRAY_ASSIGN_OR_RETURN(std::vector<Value> init_args, eval_args());
+    SQLARRAY_ASSIGN_OR_RETURN(st->uda_state, st->uda->Init(init_args, ctx.udf));
+  }
+  SQLARRAY_ASSIGN_OR_RETURN(std::vector<Value> row_args, eval_args());
+  QueryStats& stats = *ctx.udf.stats;
+  const int64_t state_bytes = static_cast<int64_t>(st->uda_state.size());
+  stats.uda_state_bytes += 2 * state_bytes;
+  stats.udf_calls++;
+  const double charge_ns =
+      env.cost->clr_call_ns +
+      2.0 * env.cost->uda_state_byte_ns * static_cast<double>(state_bytes);
+  stats.ChargeCpuNs(charge_ns);
+  if (stats.track_udf_detail) {
+    QueryStats::UdfFnStats& d =
+        stats.udf_by_fn[item.uda_schema + "." + item.uda_name];
+    d.calls++;
+    d.bytes += 2 * state_bytes;
+    d.cpu_ns += charge_ns;
+  }
+  SQLARRAY_ASSIGN_OR_RETURN(
+      st->uda_state, st->uda->Accumulate(st->uda_state, row_args, ctx.udf));
+  return Status::OK();
+}
+
+/// The batched bodies' shared front half: gathers a morsel's rows block by
+/// block, charges each row's scan cost, and filters the block into `sel`
+/// (the compiled WHERE program when there is one, EvalBatch otherwise).
+class BatchFeed {
+ public:
+  BatchFeed(const ScanEnv& env, UdfContext* udf) : env_(env) {
+    bctx.schema = env.schema;
+    bctx.batch = &batch;
+    bctx.variables = env.variables;
+    bctx.udf = udf;
+    bctx.byte_pool = &byte_pool_;
+    bctx.arena = &arena;
+  }
+  // bctx points into this object.
+  BatchFeed(const BatchFeed&) = delete;
+  BatchFeed& operator=(const BatchFeed&) = delete;
+
+  /// Charges the gather buffer and, when a columnar plan runs, its register
+  /// file: the batched bodies' private allocations.
+  Status Reserve() const {
+    SQLARRAY_RETURN_IF_ERROR(GovCharge(
+        env_.limits,
+        env_.schema->row_size() * static_cast<int64_t>(env_.batch_rows)));
+    if (env_.vplan == nullptr) return Status::OK();
+    return GovCharge(env_.limits,
+                     VecPlanFootprint(*env_.vplan, env_.batch_rows));
+  }
+
+  /// Gathers and filters the next block; false once the cursor is drained.
+  template <typename TableCursor>
+  Result<bool> Next(TableCursor& cursor, QueryStats* stats) {
+    SQLARRAY_RETURN_IF_ERROR(GovCheck(env_.limits));
+    batch.Reset(env_.schema->row_size(), env_.batch_rows);
+    SQLARRAY_RETURN_IF_ERROR(FillBatch(cursor, &batch));
+    if (batch.size() == 0) return false;
+    stats->rows_scanned += batch.size();
+    for (int32_t i = 0; i < batch.size(); ++i) {
+      stats->ChargeCpuNs(env_.cost->row_scan_ns);
+    }
+    const VecQueryPlan* vplan = env_.vplan;
+    if (vplan != nullptr) {
+      VecBatchesCounter().Add(1);
+      VecRowsCounter().Add(batch.size());
+    }
+    if (vplan != nullptr && vplan->where_ok) {
+      SQLARRAY_RETURN_IF_ERROR(vec::VecFilter(
+          vplan->where, batch, &vscratch.regs, &vscratch.trunc, &sel));
+      bctx.sel = nullptr;
+    } else {
+      SQLARRAY_RETURN_IF_ERROR(FilterBatch(*env_.q, &bctx, &keep_col_, &sel));
+      if (vplan != nullptr && env_.q->where != nullptr) {
+        VecFallbackRowsCounter().Add(batch.size());
+      }
+    }
+    stats->rows_kept += static_cast<int64_t>(sel.size());
+    return true;
+  }
+
+  /// The compiled program for select item `i`, or null.
+  const vec::VecProgram* ItemProgram(size_t i) const {
+    return env_.vplan != nullptr ? env_.vplan->items[i].get() : nullptr;
+  }
+
+  /// Counts rows an item evaluated through EvalBatch while a columnar plan
+  /// ran (the vec.fallback_rows counter).
+  void NoteFallback(size_t rows) const {
+    if (env_.vplan != nullptr) {
+      VecFallbackRowsCounter().Add(static_cast<int64_t>(rows));
+    }
+  }
+
+  RowBatch batch;
+  EvalArena arena;
+  BatchContext bctx;
+  std::vector<int32_t> sel;
+  VecScratch vscratch;
+
+ private:
+  const ScanEnv& env_;
+  ByteBufferPool byte_pool_;
+  std::vector<Value> keep_col_;
 };
 
-/// Folds one morsel's rows into an ungrouped-aggregate partial, honoring
-/// the executor's batch setting (the inner loops mirror ExecuteAggregate /
-/// ExecuteAggregateBatched exactly).
-Status AggregateChunk(const Query& q, const CostModel& cost,
-                      std::map<std::string, Value>* variables,
-                      storage::BufferPool* pool, int batch_rows,
-                      bool udf_detail, const gov::QueryLimits* limits,
-                      const VecQueryPlan* vplan,
-                      storage::BTree::ChunkCursor cursor, AggPartial* out) {
+/// Batched aggregate body: ungrouped native aggregates over a table scan,
+/// folded block by block (compiled argument programs feed the fold kernels;
+/// the rest evaluate through EvalBatch).
+template <typename TableCursor>
+Status AggregateBatch(const ScanEnv& env, TableCursor& cursor, Partial* out) {
+  const Query& q = *env.q;
+  const CostModel& cost = *env.cost;
   const size_t n_items = q.items.size();
-  out->states.resize(n_items);
-  out->plain.resize(n_items);
-  out->stats.track_udf_detail = udf_detail;
-
-  UdfContext udf;
-  udf.pool = pool;
-  udf.stats = &out->stats;
-  udf.cost = &cost;
-  udf.limits = limits;
-
-  if (batch_rows > 1) {
-    RowBatch batch;
-    ByteBufferPool byte_pool;
-    EvalArena arena;
-    BatchContext bctx;
-    bctx.schema = &q.table->schema();
-    bctx.batch = &batch;
-    bctx.variables = variables;
-    bctx.udf = &udf;
-    bctx.byte_pool = &byte_pool;
-    bctx.arena = &arena;
-    std::vector<int32_t> sel;
-    std::vector<Value> keep_col, col;
-    VecScratch vscratch;
-    const int64_t rsz = q.table->schema().row_size();
-    // The gather buffer is the batched path's private allocation; so is the
-    // columnar register file when a vectorized plan runs.
-    SQLARRAY_RETURN_IF_ERROR(
-        GovCharge(limits, rsz * static_cast<int64_t>(batch_rows)));
-    if (vplan != nullptr) {
-      SQLARRAY_RETURN_IF_ERROR(
-          GovCharge(limits, VecPlanFootprint(*vplan, batch_rows)));
+  QueryStats& stats = out->stats;
+  UdfContext udf = env.Udf(&stats);
+  BatchFeed feed(env, &udf);
+  SQLARRAY_RETURN_IF_ERROR(feed.Reserve());
+  std::vector<Value> col;
+  GroupAcc* acc = nullptr;
+  while (true) {
+    SQLARRAY_ASSIGN_OR_RETURN(bool more, feed.Next(cursor, &stats));
+    if (!more) break;
+    const std::vector<int32_t>& sel = feed.sel;
+    if (sel.empty()) continue;
+    if (acc == nullptr) {
+      SQLARRAY_ASSIGN_OR_RETURN(acc, GroupFor(env, "", &out->groups));
     }
-    while (true) {
-      SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
-      batch.Reset(rsz, batch_rows);
-      SQLARRAY_RETURN_IF_ERROR(FillBatchFromCursor(cursor, &batch));
-      if (batch.size() == 0) break;
-      out->stats.rows_scanned += batch.size();
-      for (int32_t i = 0; i < batch.size(); ++i) {
-        out->stats.ChargeCpuNs(cost.row_scan_ns);
-      }
-      if (vplan != nullptr) {
-        VecBatchesCounter().Add(1);
-        VecRowsCounter().Add(batch.size());
-      }
-      if (vplan != nullptr && vplan->where_ok) {
-        SQLARRAY_RETURN_IF_ERROR(vec::VecFilter(vplan->where, batch,
-                                                &vscratch.regs, &vscratch.trunc,
-                                                &sel));
-        bctx.sel = nullptr;
-      } else {
-        SQLARRAY_RETURN_IF_ERROR(FilterBatch(q, &bctx, &keep_col, &sel));
-        if (vplan != nullptr && q.where != nullptr) {
-          VecFallbackRowsCounter().Add(batch.size());
+    for (size_t i = 0; i < n_items; ++i) {
+      const SelectItem& item = q.items[i];
+      AggState& st = acc->aggs[i];
+      if (item.agg == SelectItem::AggKind::kNone) {
+        // Plain items evaluate once, on the first row that survives the
+        // filter — the row body's first-kept-row semantics.
+        if (!acc->plain_filled) {
+          std::vector<int32_t> first_sel(1, sel[0]);
+          feed.bctx.sel = &first_sel;
+          SQLARRAY_RETURN_IF_ERROR(EvalBatch(*item.expr, feed.bctx, &col));
+          acc->plain_items.resize(n_items);
+          acc->plain_items[i] = std::move(col[0]);
         }
+        continue;
       }
-      if (sel.empty()) continue;
-      out->stats.rows_kept += static_cast<int64_t>(sel.size());
+      if (IsCountStar(item)) {
+        st.count += static_cast<int64_t>(sel.size());
+        continue;
+      }
+      if (const vec::VecProgram* prog = feed.ItemProgram(i)) {
+        SQLARRAY_RETURN_IF_ERROR(
+            prog->Run(feed.batch, &sel, &feed.vscratch.regs));
+        for (size_t k = 0; k < sel.size(); ++k) {
+          stats.agg_steps++;
+          stats.ChargeCpuNs(cost.native_agg_step_ns);
+        }
+        SQLARRAY_RETURN_IF_ERROR(VecAccumulateColumn(
+            item.agg, prog->Result(feed.vscratch.regs), &st));
+        continue;
+      }
+      feed.bctx.sel = &sel;
+      SQLARRAY_RETURN_IF_ERROR(EvalBatch(*item.expr, feed.bctx, &col));
+      feed.NoteFallback(sel.size());
+      for (const Value& v : col) {
+        stats.agg_steps++;
+        stats.ChargeCpuNs(cost.native_agg_step_ns);
+        SQLARRAY_RETURN_IF_ERROR(AccumulateNative(item.agg, v, &st));
+      }
+    }
+    acc->plain_filled = true;
+  }
+  return Status::OK();
+}
+
+/// Batched projection body: TOP-free projections over a table scan,
+/// evaluated column by column per block and stitched into rows.
+template <typename TableCursor>
+Status ProjectBatch(const ScanEnv& env, TableCursor& cursor, Partial* out) {
+  const Query& q = *env.q;
+  const size_t n_items = q.items.size();
+  QueryStats& stats = out->stats;
+  UdfContext udf = env.Udf(&stats);
+  BatchFeed feed(env, &udf);
+  SQLARRAY_RETURN_IF_ERROR(feed.Reserve());
+  while (true) {
+    SQLARRAY_ASSIGN_OR_RETURN(bool more, feed.Next(cursor, &stats));
+    if (!more) break;
+    const std::vector<int32_t>& sel = feed.sel;
+    if (sel.empty()) continue;
+    feed.bctx.sel = &sel;
+    ColumnGuard guard(&feed.arena);
+    std::vector<std::vector<Value>*> cols;
+    cols.reserve(n_items);
+    for (size_t i = 0; i < n_items; ++i) {
+      cols.push_back(guard.Borrow());
+      if (const vec::VecProgram* prog = feed.ItemProgram(i)) {
+        SQLARRAY_RETURN_IF_ERROR(
+            prog->Run(feed.batch, &sel, &feed.vscratch.regs));
+        vec::ColumnToValues(prog->Result(feed.vscratch.regs), cols[i]);
+        continue;
+      }
+      SQLARRAY_RETURN_IF_ERROR(EvalBatch(*q.items[i].expr, feed.bctx, cols[i]));
+      feed.NoteFallback(sel.size());
+    }
+    SQLARRAY_RETURN_IF_ERROR(GovCharge(
+        env.limits, static_cast<int64_t>(sel.size()) * RowFootprint(n_items)));
+    for (size_t k = 0; k < sel.size(); ++k) {
+      std::vector<Value> row;
+      row.reserve(n_items);
+      for (size_t i = 0; i < n_items; ++i) {
+        row.push_back(std::move((*cols[i])[k]));
+      }
+      out->rows.push_back(std::move(row));
+    }
+  }
+  return Status::OK();
+}
+
+/// Row-at-a-time aggregate body: GROUP BY, UDAs, TVF sources, and every
+/// aggregate at batch size 1. Groups appear on the first kept row that
+/// reaches them.
+template <typename Cursor>
+Status AggregateRows(const ScanEnv& env, Cursor& cursor, Partial* out) {
+  const Query& q = *env.q;
+  const CostModel& cost = *env.cost;
+  const size_t n_items = q.items.size();
+  QueryStats& stats = out->stats;
+  EvalContext ctx = env.RowContext(&stats);
+  while (cursor.valid()) {
+    SQLARRAY_RETURN_IF_ERROR(GovCheck(env.limits));
+    BindRow(cursor, &ctx);
+    stats.rows_scanned++;
+    stats.ChargeCpuNs(cost.row_scan_ns);
+    SQLARRAY_ASSIGN_OR_RETURN(bool keep, RowPasses(q, ctx));
+    if (keep) {
+      stats.rows_kept++;
+      std::string key;
+      for (const ExprPtr& g : q.group_by) {
+        SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*g, ctx));
+        SQLARRAY_RETURN_IF_ERROR(AppendGroupKey(v, &key));
+      }
+      SQLARRAY_ASSIGN_OR_RETURN(GroupAcc * group,
+                                GroupFor(env, std::move(key), &out->groups));
       for (size_t i = 0; i < n_items; ++i) {
         const SelectItem& item = q.items[i];
-        AggState& st = out->states[i];
+        AggState& st = group->aggs[i];
         if (item.agg == SelectItem::AggKind::kNone) {
-          if (!out->plain_filled) {
-            std::vector<int32_t> first_sel(1, sel[0]);
-            bctx.sel = &first_sel;
-            SQLARRAY_RETURN_IF_ERROR(EvalBatch(*item.expr, bctx, &col));
-            out->plain[i] = std::move(col[0]);
+          if (!group->plain_filled) {
+            SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
+            group->plain_items.resize(n_items);
+            group->plain_items[i] = std::move(v);
           }
-          continue;
-        }
-        if (IsCountStar(item)) {
-          st.count += static_cast<int64_t>(sel.size());
-          continue;
-        }
-        if (vplan != nullptr && vplan->items[i] != nullptr) {
-          SQLARRAY_RETURN_IF_ERROR(
-              vplan->items[i]->Run(batch, &sel, &vscratch.regs));
-          for (size_t k = 0; k < sel.size(); ++k) {
-            out->stats.agg_steps++;
-            out->stats.ChargeCpuNs(cost.native_agg_step_ns);
-          }
-          SQLARRAY_RETURN_IF_ERROR(VecAccumulateColumn(
-              item.agg, vplan->items[i]->Result(vscratch.regs), &st));
-          continue;
-        }
-        bctx.sel = &sel;
-        SQLARRAY_RETURN_IF_ERROR(EvalBatch(*item.expr, bctx, &col));
-        if (vplan != nullptr) {
-          VecFallbackRowsCounter().Add(static_cast<int64_t>(sel.size()));
-        }
-        for (const Value& v : col) {
-          out->stats.agg_steps++;
-          out->stats.ChargeCpuNs(cost.native_agg_step_ns);
+        } else if (item.agg == SelectItem::AggKind::kUda) {
+          SQLARRAY_RETURN_IF_ERROR(AccumulateUda(env, item, ctx, &st));
+        } else if (IsCountStar(item)) {
+          // COUNT(*) is a bare increment folded into the row-scan cost;
+          // COUNT(expr) pays the evaluation step.
+          st.count++;
+        } else {
+          stats.agg_steps++;
+          stats.ChargeCpuNs(cost.native_agg_step_ns);
+          SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
           SQLARRAY_RETURN_IF_ERROR(AccumulateNative(item.agg, v, &st));
         }
       }
-      out->plain_filled = true;
-    }
-    return Status::OK();
-  }
-
-  EvalContext ctx;
-  ctx.schema = &q.table->schema();
-  ctx.variables = variables;
-  ctx.udf = udf;
-  while (cursor.valid()) {
-    SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
-    ctx.row = cursor.row().data();
-    out->stats.rows_scanned++;
-    out->stats.ChargeCpuNs(cost.row_scan_ns);
-    bool keep_row = true;
-    if (q.where != nullptr) {
-      SQLARRAY_ASSIGN_OR_RETURN(Value keep, Eval(*q.where, ctx));
-      SQLARRAY_ASSIGN_OR_RETURN(int64_t truthy,
-                                keep.is_null() ? Result<int64_t>(int64_t{0})
-                                               : keep.AsInt());
-      keep_row = truthy != 0;
-    }
-    if (keep_row) {
-      out->stats.rows_kept++;
-      for (size_t i = 0; i < n_items; ++i) {
-        const SelectItem& item = q.items[i];
-        AggState& st = out->states[i];
-        if (item.agg == SelectItem::AggKind::kNone) {
-          if (!out->plain_filled) {
-            SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-            out->plain[i] = std::move(v);
-          }
-          continue;
-        }
-        if (IsCountStar(item)) {
-          st.count++;
-          continue;
-        }
-        out->stats.agg_steps++;
-        out->stats.ChargeCpuNs(cost.native_agg_step_ns);
-        SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-        SQLARRAY_RETURN_IF_ERROR(AccumulateNative(item.agg, v, &st));
-      }
-      out->plain_filled = true;
+      group->plain_filled = true;
     }
     SQLARRAY_RETURN_IF_ERROR(cursor.Next());
   }
   return Status::OK();
 }
 
-/// Folds one morsel's rows into a partial GROUP BY hash table. Always
-/// row-at-a-time, like the serial grouped loop (group creation is
-/// inherently per-row).
-Status GroupByChunk(const Query& q, const CostModel& cost,
-                    std::map<std::string, Value>* variables,
-                    storage::BufferPool* pool,
-                    const gov::QueryLimits* limits,
-                    storage::BTree::ChunkCursor cursor,
-                    std::map<std::string, GroupAcc>* groups,
-                    QueryStats* stats) {
+/// Row-at-a-time projection body: TOP, TVF sources, and every projection at
+/// batch size 1. TOP stops the morsel at `top` rows, since no later row of
+/// it can reach the output prefix.
+template <typename Cursor>
+Status ProjectRows(const ScanEnv& env, Cursor& cursor, Partial* out) {
+  const Query& q = *env.q;
   const size_t n_items = q.items.size();
-  EvalContext ctx;
-  ctx.schema = &q.table->schema();
-  ctx.variables = variables;
-  ctx.udf.pool = pool;
-  ctx.udf.stats = stats;
-  ctx.udf.cost = &cost;
-  ctx.udf.limits = limits;
-
+  QueryStats& stats = out->stats;
+  EvalContext ctx = env.RowContext(&stats);
   while (cursor.valid()) {
-    SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
-    ctx.row = cursor.row().data();
-    stats->rows_scanned++;
-    stats->ChargeCpuNs(cost.row_scan_ns);
-
-    bool keep_row = true;
-    if (q.where != nullptr) {
-      SQLARRAY_ASSIGN_OR_RETURN(Value keep, Eval(*q.where, ctx));
-      SQLARRAY_ASSIGN_OR_RETURN(int64_t truthy,
-                                keep.is_null() ? Result<int64_t>(int64_t{0})
-                                               : keep.AsInt());
-      keep_row = truthy != 0;
-    }
-    if (keep_row) {
-      stats->rows_kept++;
-      std::string key;
-      std::vector<Value> key_vals;
-      for (const ExprPtr& g : q.group_by) {
-        SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*g, ctx));
-        AppendGroupKey(v, &key);
-        key_vals.push_back(std::move(v));
-      }
-      GroupAcc& group = (*groups)[key];
-      if (group.aggs.empty()) {
-        // The hash table is where grouped aggregation's memory actually
-        // grows: charge each fresh group's key + accumulator footprint.
-        SQLARRAY_RETURN_IF_ERROR(GovCharge(
-            limits, static_cast<int64_t>(key.size()) +
-                        static_cast<int64_t>(n_items * sizeof(AggState)) +
-                        RowFootprint(q.group_by.size())));
-        group.keys = std::move(key_vals);
-        group.aggs.resize(n_items);
-      }
-      for (size_t i = 0; i < n_items; ++i) {
-        const SelectItem& item = q.items[i];
-        AggState& st = group.aggs[i];
-        if (item.agg == SelectItem::AggKind::kNone) {
-          if (!group.plain_filled) {
-            SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-            group.plain_items.resize(n_items);
-            group.plain_items[i] = std::move(v);
-          }
-          continue;
-        }
-        if (IsCountStar(item)) {
-          st.count++;
-          continue;
-        }
-        stats->agg_steps++;
-        stats->ChargeCpuNs(cost.native_agg_step_ns);
-        SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-        SQLARRAY_RETURN_IF_ERROR(AccumulateNative(item.agg, v, &st));
-      }
-      group.plain_filled = true;
-    }
-    SQLARRAY_RETURN_IF_ERROR(cursor.Next());
-  }
-  return Status::OK();
-}
-
-/// Folds one morsel's rows into a row-mode result buffer. TOP caps the
-/// buffer at q.top rows (no later morsel can contribute more than that to
-/// the output prefix) and keeps the early-exit row loop; otherwise the
-/// executor's batch setting applies, mirroring ExecuteRowsBatched.
-Status RowsChunk(const Query& q, const CostModel& cost,
-                 std::map<std::string, Value>* variables,
-                 storage::BufferPool* pool, int batch_rows,
-                 const gov::QueryLimits* limits, const VecQueryPlan* vplan,
-                 storage::BTree::ChunkCursor cursor,
-                 std::vector<std::vector<Value>>* rows, QueryStats* stats) {
-  const size_t n_items = q.items.size();
-  UdfContext udf;
-  udf.pool = pool;
-  udf.stats = stats;
-  udf.cost = &cost;
-  udf.limits = limits;
-
-  if (q.top < 0 && batch_rows > 1) {
-    RowBatch batch;
-    ByteBufferPool byte_pool;
-    EvalArena arena;
-    BatchContext bctx;
-    bctx.schema = &q.table->schema();
-    bctx.batch = &batch;
-    bctx.variables = variables;
-    bctx.udf = &udf;
-    bctx.byte_pool = &byte_pool;
-    bctx.arena = &arena;
-    std::vector<int32_t> sel;
-    std::vector<Value> keep_col;
-    VecScratch vscratch;
-    const int64_t rsz = q.table->schema().row_size();
-    SQLARRAY_RETURN_IF_ERROR(
-        GovCharge(limits, rsz * static_cast<int64_t>(batch_rows)));
-    if (vplan != nullptr) {
-      SQLARRAY_RETURN_IF_ERROR(
-          GovCharge(limits, VecPlanFootprint(*vplan, batch_rows)));
-    }
-    while (true) {
-      SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
-      batch.Reset(rsz, batch_rows);
-      SQLARRAY_RETURN_IF_ERROR(FillBatchFromCursor(cursor, &batch));
-      if (batch.size() == 0) break;
-      stats->rows_scanned += batch.size();
-      for (int32_t i = 0; i < batch.size(); ++i) {
-        stats->ChargeCpuNs(cost.row_scan_ns);
-      }
-      if (vplan != nullptr) {
-        VecBatchesCounter().Add(1);
-        VecRowsCounter().Add(batch.size());
-      }
-      if (vplan != nullptr && vplan->where_ok) {
-        SQLARRAY_RETURN_IF_ERROR(vec::VecFilter(vplan->where, batch,
-                                                &vscratch.regs, &vscratch.trunc,
-                                                &sel));
-        bctx.sel = nullptr;
-      } else {
-        SQLARRAY_RETURN_IF_ERROR(FilterBatch(q, &bctx, &keep_col, &sel));
-        if (vplan != nullptr && q.where != nullptr) {
-          VecFallbackRowsCounter().Add(batch.size());
-        }
-      }
-      if (sel.empty()) continue;
-      stats->rows_kept += static_cast<int64_t>(sel.size());
-      bctx.sel = &sel;
-      ColumnGuard guard(&arena);
-      std::vector<std::vector<Value>*> cols;
-      cols.reserve(n_items);
-      for (size_t i = 0; i < n_items; ++i) {
-        cols.push_back(guard.Borrow());
-        if (vplan != nullptr && vplan->items[i] != nullptr) {
-          SQLARRAY_RETURN_IF_ERROR(
-              vplan->items[i]->Run(batch, &sel, &vscratch.regs));
-          vec::ColumnToValues(vplan->items[i]->Result(vscratch.regs), cols[i]);
-          continue;
-        }
-        SQLARRAY_RETURN_IF_ERROR(EvalBatch(*q.items[i].expr, bctx, cols[i]));
-        if (vplan != nullptr) {
-          VecFallbackRowsCounter().Add(static_cast<int64_t>(sel.size()));
-        }
-      }
-      SQLARRAY_RETURN_IF_ERROR(GovCharge(
-          limits,
-          static_cast<int64_t>(sel.size()) * RowFootprint(n_items)));
-      for (size_t k = 0; k < sel.size(); ++k) {
-        std::vector<Value> row;
-        row.reserve(n_items);
-        for (size_t i = 0; i < n_items; ++i) {
-          row.push_back(std::move((*cols[i])[k]));
-        }
-        rows->push_back(std::move(row));
-      }
-    }
-    return Status::OK();
-  }
-
-  EvalContext ctx;
-  ctx.schema = &q.table->schema();
-  ctx.variables = variables;
-  ctx.udf = udf;
-  while (cursor.valid()) {
-    SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
-    if (q.top >= 0 && static_cast<int64_t>(rows->size()) >= q.top) break;
-    ctx.row = cursor.row().data();
-    stats->rows_scanned++;
-    stats->ChargeCpuNs(cost.row_scan_ns);
-
-    bool keep_row = true;
-    if (q.where != nullptr) {
-      SQLARRAY_ASSIGN_OR_RETURN(Value keep, Eval(*q.where, ctx));
-      SQLARRAY_ASSIGN_OR_RETURN(int64_t truthy,
-                                keep.is_null() ? Result<int64_t>(int64_t{0})
-                                               : keep.AsInt());
-      keep_row = truthy != 0;
-    }
-    if (keep_row) {
-      stats->rows_kept++;
-      SQLARRAY_RETURN_IF_ERROR(GovCharge(limits, RowFootprint(n_items)));
+    SQLARRAY_RETURN_IF_ERROR(GovCheck(env.limits));
+    if (q.top >= 0 && static_cast<int64_t>(out->rows.size()) >= q.top) break;
+    BindRow(cursor, &ctx);
+    stats.rows_scanned++;
+    stats.ChargeCpuNs(env.cost->row_scan_ns);
+    SQLARRAY_ASSIGN_OR_RETURN(bool keep, RowPasses(q, ctx));
+    if (keep) {
+      stats.rows_kept++;
+      SQLARRAY_RETURN_IF_ERROR(GovCharge(env.limits, RowFootprint(n_items)));
       std::vector<Value> row;
       row.reserve(n_items);
       for (const SelectItem& item : q.items) {
         SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
         row.push_back(std::move(v));
       }
-      rows->push_back(std::move(row));
+      out->rows.push_back(std::move(row));
     }
     SQLARRAY_RETURN_IF_ERROR(cursor.Next());
   }
   return Status::OK();
+}
+
+/// Folds one morsel into its partial with the plan's chunk body. Only table
+/// cursors can feed the batched bodies.
+template <typename Cursor>
+Status RunChunk(const ScanEnv& env, Cursor& cursor, Partial* out) {
+  if constexpr (!std::is_same_v<Cursor, ValueRowCursor>) {
+    if (env.batch_rows > 1) {
+      return env.aggregate ? AggregateBatch(env, cursor, out)
+                           : ProjectBatch(env, cursor, out);
+    }
+  }
+  return env.aggregate ? AggregateRows(env, cursor, out)
+                       : ProjectRows(env, cursor, out);
+}
+
+/// TOP short-circuit token for projection plans: `frontier_` counts
+/// consecutive completed morsels from 0 and `prefix_rows_` their surviving
+/// rows. A worker may skip an UNSTARTED morsel m once prefix_rows >= top:
+/// the frontier f <= m then, so the first `top` output rows all come from
+/// morsels before m and m's buffer can never reach the output.
+class TopFrontier {
+ public:
+  TopFrontier(int64_t top, size_t n_morsels)
+      : top_(top), morsel_rows_(top >= 0 ? n_morsels : 0, -1) {}
+
+  /// True (and the morsel marked done, empty) when morsel `index` cannot
+  /// reach the output prefix.
+  bool Skip(size_t index) {
+    if (top_ < 0 || prefix_rows_.load(std::memory_order_relaxed) < top_) {
+      return false;
+    }
+    Done(index, 0);
+    return true;
+  }
+
+  void Done(size_t index, int64_t rows) {
+    if (top_ < 0) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    morsel_rows_[index] = rows;
+    while (frontier_ < morsel_rows_.size() && morsel_rows_[frontier_] >= 0) {
+      prefix_rows_.fetch_add(morsel_rows_[frontier_],
+                             std::memory_order_relaxed);
+      ++frontier_;
+    }
+  }
+
+ private:
+  const int64_t top_;
+  std::mutex mu_;
+  std::vector<int64_t> morsel_rows_;
+  size_t frontier_ = 0;
+  std::atomic<int64_t> prefix_rows_{0};
+};
+
+/// Merges the partials' groups in morsel-index order — the deterministic
+/// merge that makes float results independent of the worker count — and
+/// finishes each group into an output row, in serialized-key order. An
+/// ungrouped aggregate over no rows still yields its one row.
+Status FinishAggregate(const ScanEnv& env, std::vector<Partial>* partials,
+                       ResultSet* rs) {
+  const Query& q = *env.q;
+  const size_t n_items = q.items.size();
+  GroupMap groups;
+  for (Partial& p : *partials) {
+    for (auto& [key, g] : p.groups) {
+      auto [it, fresh] = groups.try_emplace(key, std::move(g));
+      if (fresh) continue;
+      // Plain items keep the lowest-morsel (earliest-row) values.
+      for (size_t i = 0; i < n_items; ++i) it->second.aggs[i].Merge(g.aggs[i]);
+    }
+  }
+  if (groups.empty() && q.group_by.empty()) groups[""].aggs.resize(n_items);
+
+  UdfContext udf = env.Udf(&rs->stats);
+  for (auto& entry : groups) {
+    GroupAcc& group = entry.second;
+    std::vector<Value> row;
+    row.reserve(n_items);
+    for (size_t i = 0; i < n_items; ++i) {
+      const SelectItem& item = q.items[i];
+      AggState& st = group.aggs[i];
+      if (item.agg == SelectItem::AggKind::kNone) {
+        row.push_back(i < group.plain_items.size()
+                          ? std::move(group.plain_items[i])
+                          : Value::Null());
+      } else if (item.agg == SelectItem::AggKind::kUda) {
+        if (st.uda == nullptr) {
+          row.push_back(Value::Null());
+          continue;
+        }
+        SQLARRAY_ASSIGN_OR_RETURN(Value v,
+                                  st.uda->Terminate(st.uda_state, udf));
+        row.push_back(std::move(v));
+      } else {
+        SQLARRAY_ASSIGN_OR_RETURN(Value v, FinishNative(item.agg, st));
+        row.push_back(std::move(v));
+      }
+    }
+    rs->rows.push_back(std::move(row));
+  }
+  return Status::OK();
+}
+
+/// Concatenates the partials' row buffers in page order, truncated at TOP.
+void FinishRows(const Query& q, std::vector<Partial>* partials,
+                ResultSet* rs) {
+  for (Partial& p : *partials) {
+    for (std::vector<Value>& row : p.rows) {
+      if (q.top >= 0 && static_cast<int64_t>(rs->rows.size()) >= q.top) return;
+      rs->rows.push_back(std::move(row));
+    }
+  }
 }
 
 }  // namespace
@@ -925,7 +1111,8 @@ Result<ResultSet> Executor::Execute(const Query& q,
 Result<ResultSet> Executor::Execute(const Query& q,
                                     std::map<std::string, Value>* variables,
                                     QueryContext* qctx) {
-  if (qctx == nullptr) return ExecuteInternal(q, variables, nullptr);
+  PlanModes modes;
+  if (qctx == nullptr) return ExecuteInternal(q, variables, nullptr, &modes);
   // Bind the statement's serial lane for the whole execution; morsel bodies
   // rebind their worker thread to per-morsel lanes underneath this.
   obs::ScopedTrace serial_lane(&qctx->trace, obs::kSerialLane);
@@ -936,21 +1123,22 @@ Result<ResultSet> Executor::Execute(const Query& q,
     metrics_before = obs::MetricsRegistry::Global().Snapshot();
   }
   SQLARRAY_ASSIGN_OR_RETURN(ResultSet rs,
-                            ExecuteInternal(q, variables, qctx));
+                            ExecuteInternal(q, variables, qctx, &modes));
   qctx->stats = rs.stats;
   if (qctx->collect_profile) {
-    BuildProfile(q, rs, pool_before, metrics_before, variables, qctx);
+    BuildProfile(q, rs, modes, pool_before, metrics_before, qctx);
   }
   return rs;
 }
 
 Result<ResultSet> Executor::ExecuteInternal(
     const Query& q, std::map<std::string, Value>* variables,
-    QueryContext* qctx) {
+    QueryContext* qctx, PlanModes* modes) {
+  ResultSet rs;
+  rs.stats.track_udf_detail = qctx != nullptr && qctx->collect_profile;
+  for (const SelectItem& item : q.items) rs.columns.push_back(item.label);
   if (q.table == nullptr && q.tvf == nullptr) {
     // FROM-less SELECT: evaluate each item once.
-    ResultSet rs;
-    rs.stats.track_udf_detail = qctx != nullptr && qctx->collect_profile;
     SQLARRAY_SPAN("exec.eval");
     std::vector<Value> row;
     for (const SelectItem& item : q.items) {
@@ -960,54 +1148,106 @@ Result<ResultSet> Executor::ExecuteInternal(
       SQLARRAY_ASSIGN_OR_RETURN(
           Value v, EvalStandalone(*item.expr, variables, &rs.stats));
       row.push_back(std::move(v));
-      rs.columns.push_back(item.label);
     }
     rs.rows.push_back(std::move(row));
     return rs;
   }
-  if (HasAggregates(q) || !q.group_by.empty()) {
-    if (parallel_mode_ == ParallelMode::kStaticChunkLegacy) {
-      // The pre-morsel plan shape: ungrouped all-native aggregates only.
-      // Snapshot reads bypass it (its private per-worker pools would read
-      // the live disk, not the versioned view) and fall through to the
-      // serial path, which honors the snapshot.
-      bool parallel_ok = scan_workers_ > 1 && q.group_by.empty() &&
-                         MorselEligible(q) && SnapOf(qctx) == nullptr;
-      for (const SelectItem& item : q.items) {
-        parallel_ok = parallel_ok && item.agg != SelectItem::AggKind::kUda &&
-                      item.agg != SelectItem::AggKind::kNone;
-      }
-      if (parallel_ok) return ExecuteAggregateStaticChunk(q, variables);
-      return ExecuteAggregate(q, variables, qctx);
-    }
-    // Eligible aggregations always take the morsel plan — at 1 worker it
-    // runs inline, so results are bit-identical at every worker count.
-    if (MorselEligible(q)) {
-      if (q.group_by.empty()) {
-        return ExecuteAggregateMorsel(q, variables, qctx);
-      }
-      return ExecuteGroupByMorsel(q, variables, qctx);
-    }
-    return ExecuteAggregate(q, variables, qctx);
+
+  Stopwatch watch;
+  storage::IoStats io_before = db_->disk()->stats();
+  storage::PageSource* snap = SnapOf(qctx);
+  const bool eligible = MorselEligible(q);
+  SQLARRAY_ASSIGN_OR_RETURN(
+      ScanPlan plan,
+      PlanScan(q, eligible, scan_workers_, min_pages_per_worker_, snap));
+
+  ScanEnv env;
+  env.q = &q;
+  env.schema = q.table != nullptr ? &q.table->schema() : nullptr;
+  env.variables = variables;
+  env.registry = registry_;
+  env.cost = &cost_;
+  env.pool = db_->buffer_pool();
+  env.subquery = eligible ? nullptr : subquery_fn_.load();
+  env.limits = qctx != nullptr ? &qctx->limits : nullptr;
+  env.aggregate = HasAggregates(q) || !q.group_by.empty();
+  // The batched bodies take table scans of ungrouped native aggregates and
+  // of TOP-free projections (TOP keeps the early-exit row loop, so
+  // rows_scanned is batch-size-invariant).
+  const bool batched =
+      q.table != nullptr && batch_rows_ > 1 &&
+      (env.aggregate ? q.group_by.empty() && !HasUda(q) : q.top < 0);
+  if (batched) env.batch_rows = batch_rows_;
+  // One compiled columnar plan per statement, shared read-only by every
+  // morsel worker (each worker owns its register scratch). EXPLAIN ANALYZE
+  // reports the operator modes of exactly this plan.
+  VecQueryPlan vplan;
+  if (batched && vectorized_) {
+    vplan = BuildVecPlan(q, variables, /*rows_mode=*/!env.aggregate);
   }
-  if (parallel_mode_ == ParallelMode::kMorsel && MorselEligible(q)) {
-    return ExecuteRowsMorsel(q, variables, qctx);
+  if (vplan.any) env.vplan = &vplan;
+  modes->vec_filter = vplan.where_ok;
+  modes->vec_agg =
+      env.aggregate && std::any_of(vplan.items.begin(), vplan.items.end(),
+                                   [](const auto& p) { return p != nullptr; });
+
+  std::vector<Partial> partials(plan.n_morsels);
+  for (Partial& p : partials) {
+    p.stats.track_udf_detail = rs.stats.track_udf_detail;
   }
-  return ExecuteRows(q, variables, qctx);
+  TopFrontier top(q.top, plan.n_morsels);
+  SQLARRAY_RETURN_IF_ERROR(RunMorselScan(
+      plan.grid_pages, plan.morsel_pages, plan.workers, qctx,
+      [&](const Morsel& m) -> Status {
+        Partial& out = partials[m.index];
+        if (q.tvf != nullptr) {
+          SQLARRAY_ASSIGN_OR_RETURN(std::vector<std::vector<Value>> rows,
+                                    MaterializeTvf(q, variables, &out.stats));
+          ValueRowCursor cursor(&rows);
+          return RunChunk(env, cursor, &out);
+        }
+        if (!eligible) {
+          SQLARRAY_ASSIGN_OR_RETURN(storage::BTree::Cursor cursor,
+                                    q.table->Scan(snap));
+          return RunChunk(env, cursor, &out);
+        }
+        if (top.Skip(m.index)) return Status::OK();
+        std::vector<storage::PageId> chunk(plan.pages.begin() + m.page_begin,
+                                           plan.pages.begin() + m.page_end);
+        SQLARRAY_ASSIGN_OR_RETURN(
+            storage::BTree::ChunkCursor cursor,
+            snap != nullptr
+                ? q.table->ScanChunk(snap, std::move(chunk))
+                : q.table->ScanChunk(db_->buffer_pool(), std::move(chunk),
+                                     kMorselReadahead));
+        SQLARRAY_RETURN_IF_ERROR(RunChunk(env, cursor, &out));
+        top.Done(m.index, static_cast<int64_t>(out.rows.size()));
+        return Status::OK();
+      }));
+
+  SQLARRAY_SPAN("exec.merge");
+  for (const Partial& p : partials) MergeStats(&rs.stats, p.stats);
+  if (env.aggregate) {
+    SQLARRAY_RETURN_IF_ERROR(FinishAggregate(env, &partials, &rs));
+  } else {
+    FinishRows(q, &partials, &rs);
+  }
+  rs.stats.io = db_->disk()->stats() - io_before;
+  rs.stats.wall_seconds = watch.ElapsedSeconds();
+  return rs;
 }
 
 void Executor::BuildProfile(const Query& q, const ResultSet& rs,
+                            const PlanModes& modes,
                             const storage::BufferPool::Stats& pool_before,
                             const obs::MetricsSnapshot& metrics_before,
-                            std::map<std::string, Value>* variables,
                             QueryContext* qctx) {
   const QueryStats& stats = rs.stats;
   obs::MetricsSnapshot now = obs::MetricsRegistry::Global().Snapshot();
   storage::BufferPool::Stats pool_now = db_->buffer_pool()->Snapshot();
 
-  // The plan label is derived from the query shape alone — never from which
-  // code path happened to run — so the tree is identical at every worker
-  // count and batch size.
+  // The plan label is derived from the query shape alone, so the tree is
+  // identical at every worker count and batch size.
   const bool from_less = q.table == nullptr && q.tvf == nullptr;
   const bool has_agg = HasAggregates(q) || !q.group_by.empty();
   const char* plan = from_less ? "values"
@@ -1028,51 +1268,12 @@ void Executor::BuildProfile(const Query& q, const ResultSet& rs,
   root->counters.modeled_seconds = stats.ModeledSeconds(cost_);
   root->counters.wall_seconds = stats.wall_seconds;
 
-  // Per-operator vectorized-vs-row mode, re-derived from the dispatch rules
-  // and a compile probe — a pure function of the query shape, the bound
-  // variables, and executor settings, so the tree stays deterministic at
-  // every worker count. An operator reads "vectorized" when the batched
-  // branch runs AND its expression compiles to a columnar program.
-  bool batched_eval = vectorized_ && batch_rows_ > 1 && q.table != nullptr;
-  if (has_agg) {
-    batched_eval = batched_eval && q.group_by.empty() && CanBatchAggregate(q);
-    if (parallel_mode_ == ParallelMode::kStaticChunkLegacy) {
-      // The legacy static-chunk plan captures eligible ungrouped all-native
-      // aggregations ahead of the batched path and stays row-mode.
-      bool legacy_ok =
-          scan_workers_ > 1 && q.group_by.empty() && MorselEligible(q);
-      for (const SelectItem& item : q.items) {
-        legacy_ok = legacy_ok && item.agg != SelectItem::AggKind::kUda &&
-                    item.agg != SelectItem::AggKind::kNone;
-      }
-      batched_eval = batched_eval && !legacy_ok;
-    }
-  } else {
-    batched_eval = batched_eval && q.top < 0;
-  }
-
   obs::ProfileNode* parent = root;
   if (!from_less) {
     if (has_agg) {
-      bool vec_agg = false;
-      if (batched_eval) {
-        vec::VecProgram probe;
-        for (const SelectItem& item : q.items) {
-          if (item.agg == SelectItem::AggKind::kNone ||
-              item.agg == SelectItem::AggKind::kUda || IsCountStar(item) ||
-              item.expr == nullptr) {
-            continue;
-          }
-          if (vec::VecProgram::Compile(*item.expr, q.table->schema(),
-                                       variables, &probe)) {
-            vec_agg = true;
-            break;
-          }
-        }
-      }
       obs::ProfileNode* agg =
           parent->AddChild(q.group_by.empty() ? "aggregate" : "group-by",
-                           vec_agg ? "vectorized" : "row");
+                           modes.vec_agg ? "vectorized" : "row");
       agg->counters.rows_in = stats.rows_kept;
       agg->counters.rows_out = static_cast<int64_t>(rs.rows.size());
       agg->counters.modeled_seconds = static_cast<double>(stats.agg_steps) *
@@ -1082,14 +1283,8 @@ void Executor::BuildProfile(const Query& q, const ResultSet& rs,
       parent = agg;
     }
     if (q.where != nullptr) {
-      bool vec_filter = false;
-      if (batched_eval) {
-        vec::VecProgram probe;
-        vec_filter = vec::VecProgram::Compile(*q.where, q.table->schema(),
-                                              variables, &probe);
-      }
-      obs::ProfileNode* filter =
-          parent->AddChild("filter", vec_filter ? "vectorized" : "row");
+      obs::ProfileNode* filter = parent->AddChild(
+          "filter", modes.vec_filter ? "vectorized" : "row");
       filter->counters.rows_in = stats.rows_scanned;
       filter->counters.rows_out = stats.rows_kept;
       parent = filter;
@@ -1105,8 +1300,7 @@ void Executor::BuildProfile(const Query& q, const ResultSet& rs,
     scan->counters.modeled_seconds =
         static_cast<double>(stats.rows_scanned) * cost_.row_scan_ns * 1e-9;
     scan->counters.wall_seconds =
-        static_cast<double>(qctx->trace.TotalWallNs("exec.scan") +
-                            qctx->trace.TotalWallNs("exec.scan.morsel")) *
+        static_cast<double>(qctx->trace.TotalWallNs("exec.scan.morsel")) *
         1e-9;
   }
 
@@ -1133,563 +1327,6 @@ void Executor::BuildProfile(const Query& q, const ResultSet& rs,
     vn->counters.rows_in = vec_rows;
     vn->counters.rows_out = vec_rows;
   }
-}
-
-bool Executor::MorselEligible(const Query& q) const {
-  if (q.table == nullptr) return false;
-  for (const SelectItem& item : q.items) {
-    // UDA state marshaling is inherently serial (and order-sensitive).
-    if (item.agg == SelectItem::AggKind::kUda) return false;
-  }
-  // Reader-style UDFs re-enter the session through the subquery runner;
-  // any query calling one stays on the serial path.
-  return !QueryHasBoundCall(
-      q, [](const ScalarFunction& f) { return f.needs_subquery; });
-}
-
-Result<ResultSet> Executor::ExecuteAggregate(
-    const Query& q, std::map<std::string, Value>* variables,
-    QueryContext* qctx) {
-  if (batch_rows_ > 1 && CanBatchAggregate(q)) {
-    return ExecuteAggregateBatched(q, variables, qctx);
-  }
-  ResultSet rs;
-  rs.stats.track_udf_detail = qctx != nullptr && qctx->collect_profile;
-  Stopwatch watch;
-  SQLARRAY_SPAN("exec.scan");
-  storage::IoStats io_before = db_->disk()->stats();
-
-  // Validate: plain items must appear in GROUP BY position-wise (we accept
-  // any plain expression and evaluate it per group via the first row seen).
-  for (const SelectItem& item : q.items) {
-    rs.columns.push_back(item.label);
-  }
-
-  const gov::QueryLimits* limits = qctx != nullptr ? &qctx->limits : nullptr;
-  EvalContext ctx;
-  ctx.schema = q.table != nullptr ? &q.table->schema() : nullptr;
-  ctx.variables = variables;
-  ctx.udf.pool = db_->buffer_pool();
-  ctx.udf.subquery = subquery_fn_;
-  ctx.udf.stats = &rs.stats;
-  ctx.udf.cost = &cost_;
-  ctx.udf.limits = limits;
-
-  std::map<std::string, GroupAcc> groups;
-  // Aggregate-free GROUP BY still needs agg slots sized to items.
-  const size_t n_items = q.items.size();
-
-  // Row source: clustered index scan or materialized TVF output.
-  std::vector<std::vector<Value>> tvf_rows;
-  std::optional<storage::BTree::Cursor> cursor;
-  size_t tvf_pos = 0;
-  bool first_row = true;
-  if (q.tvf != nullptr) {
-    SQLARRAY_ASSIGN_OR_RETURN(tvf_rows,
-                              MaterializeTvf(q, variables, &rs.stats));
-  } else {
-    SQLARRAY_ASSIGN_OR_RETURN(storage::BTree::Cursor c,
-                              q.table->Scan(SnapOf(qctx)));
-    cursor = std::move(c);
-  }
-  auto next_row = [&](EvalContext* c) -> Result<bool> {
-    if (q.tvf != nullptr) {
-      if (tvf_pos >= tvf_rows.size()) return false;
-      c->value_row = &tvf_rows[tvf_pos++];
-      return true;
-    }
-    if (!first_row) SQLARRAY_RETURN_IF_ERROR(cursor->Next());
-    first_row = false;
-    if (!cursor->valid()) return false;
-    c->row = cursor->row().data();
-    return true;
-  };
-
-  while (true) {
-    SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
-    SQLARRAY_ASSIGN_OR_RETURN(bool has_row, next_row(&ctx));
-    if (!has_row) break;
-    rs.stats.rows_scanned++;
-    rs.stats.ChargeCpuNs(cost_.row_scan_ns);
-
-    if (q.where != nullptr) {
-      SQLARRAY_ASSIGN_OR_RETURN(Value keep, Eval(*q.where, ctx));
-      SQLARRAY_ASSIGN_OR_RETURN(int64_t truthy,
-                                keep.is_null() ? Result<int64_t>(int64_t{0})
-                                               : keep.AsInt());
-      if (truthy == 0) {
-        continue;
-      }
-    }
-    rs.stats.rows_kept++;
-
-    // Group key.
-    std::string key;
-    std::vector<Value> key_vals;
-    for (const ExprPtr& g : q.group_by) {
-      SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*g, ctx));
-      AppendGroupKey(v, &key);
-      key_vals.push_back(std::move(v));
-    }
-    GroupAcc& group = groups[key];
-    if (group.aggs.empty()) {
-      SQLARRAY_RETURN_IF_ERROR(GovCharge(
-          limits, static_cast<int64_t>(key.size()) +
-                      static_cast<int64_t>(n_items * sizeof(AggState)) +
-                      RowFootprint(q.group_by.size())));
-      group.keys = std::move(key_vals);
-      group.aggs.resize(n_items);
-    }
-
-    for (size_t i = 0; i < n_items; ++i) {
-      const SelectItem& item = q.items[i];
-      AggState& st = group.aggs[i];
-      switch (item.agg) {
-        case SelectItem::AggKind::kNone: {
-          if (!group.plain_filled) {
-            SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-            group.plain_items.resize(n_items);
-            group.plain_items[i] = std::move(v);
-          }
-          break;
-        }
-        case SelectItem::AggKind::kCount: {
-          // COUNT(*) is a bare increment folded into the row-scan cost;
-          // COUNT(expr) pays the evaluation step.
-          if (IsCountStar(item)) {
-            st.count++;
-            break;
-          }
-          [[fallthrough]];
-        }
-        case SelectItem::AggKind::kSum:
-        case SelectItem::AggKind::kMin:
-        case SelectItem::AggKind::kMax:
-        case SelectItem::AggKind::kAvg: {
-          rs.stats.agg_steps++;
-          rs.stats.ChargeCpuNs(cost_.native_agg_step_ns);
-          SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-          SQLARRAY_RETURN_IF_ERROR(AccumulateNative(item.agg, v, &st));
-          break;
-        }
-        case SelectItem::AggKind::kUda: {
-          if (st.uda == nullptr) {
-            SQLARRAY_ASSIGN_OR_RETURN(
-                const UdaFactory* factory,
-                registry_->ResolveUda(item.uda_schema, item.uda_name));
-            st.uda = (*factory)();
-            std::vector<Value> init_args;
-            for (const ExprPtr& a : item.uda_args) {
-              SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*a, ctx));
-              init_args.push_back(std::move(v));
-            }
-            SQLARRAY_ASSIGN_OR_RETURN(st.uda_state,
-                                      st.uda->Init(init_args, ctx.udf));
-          }
-          std::vector<Value> row_args;
-          for (const ExprPtr& a : item.uda_args) {
-            SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*a, ctx));
-            row_args.push_back(std::move(v));
-          }
-          // SQL Server's hosting contract: the state crosses the CLR
-          // boundary (deserialize + serialize) on EVERY row (Sec. 4.2).
-          int64_t state_bytes = static_cast<int64_t>(st.uda_state.size());
-          rs.stats.uda_state_bytes += 2 * state_bytes;
-          rs.stats.udf_calls++;
-          double uda_charge_ns = cost_.clr_call_ns +
-                                 2.0 * cost_.uda_state_byte_ns *
-                                     static_cast<double>(state_bytes);
-          rs.stats.ChargeCpuNs(uda_charge_ns);
-          if (rs.stats.track_udf_detail) {
-            QueryStats::UdfFnStats& d =
-                rs.stats.udf_by_fn[item.uda_schema + "." + item.uda_name];
-            d.calls++;
-            d.bytes += 2 * state_bytes;
-            d.cpu_ns += uda_charge_ns;
-          }
-          SQLARRAY_ASSIGN_OR_RETURN(
-              st.uda_state,
-              st.uda->Accumulate(st.uda_state, row_args, ctx.udf));
-          break;
-        }
-      }
-    }
-    group.plain_filled = true;
-  }
-
-  // Aggregate-only queries over empty inputs still yield one row.
-  if (groups.empty() && q.group_by.empty()) {
-    GroupAcc g;
-    g.aggs.resize(n_items);
-    groups.emplace("", std::move(g));
-  }
-
-  for (auto& [key, group] : groups) {
-    (void)key;
-    std::vector<Value> row;
-    for (size_t i = 0; i < n_items; ++i) {
-      const SelectItem& item = q.items[i];
-      AggState& st = group.aggs[i];
-      switch (item.agg) {
-        case SelectItem::AggKind::kNone:
-          row.push_back(i < group.plain_items.size() ? group.plain_items[i]
-                                                     : Value::Null());
-          break;
-        case SelectItem::AggKind::kUda: {
-          if (st.uda == nullptr) {
-            row.push_back(Value::Null());
-            break;
-          }
-          SQLARRAY_ASSIGN_OR_RETURN(Value v,
-                                    st.uda->Terminate(st.uda_state, ctx.udf));
-          row.push_back(std::move(v));
-          break;
-        }
-        default: {
-          SQLARRAY_ASSIGN_OR_RETURN(Value v, FinishNative(item.agg, st));
-          row.push_back(std::move(v));
-          break;
-        }
-      }
-    }
-    rs.rows.push_back(std::move(row));
-  }
-
-  rs.stats.io = db_->disk()->stats() - io_before;
-  rs.stats.wall_seconds = watch.ElapsedSeconds();
-  return rs;
-}
-
-
-Result<ResultSet> Executor::ExecuteAggregateBatched(
-    const Query& q, std::map<std::string, Value>* variables,
-    QueryContext* qctx) {
-  ResultSet rs;
-  rs.stats.track_udf_detail = qctx != nullptr && qctx->collect_profile;
-  Stopwatch watch;
-  SQLARRAY_SPAN("exec.scan");
-  storage::IoStats io_before = db_->disk()->stats();
-  for (const SelectItem& item : q.items) rs.columns.push_back(item.label);
-  const size_t n_items = q.items.size();
-
-  const gov::QueryLimits* limits = qctx != nullptr ? &qctx->limits : nullptr;
-  UdfContext udf;
-  udf.pool = db_->buffer_pool();
-  udf.subquery = subquery_fn_;
-  udf.stats = &rs.stats;
-  udf.cost = &cost_;
-  udf.limits = limits;
-
-  std::vector<AggState> states(n_items);
-  std::vector<Value> plain_items(n_items);
-  bool plain_filled = false;
-
-  SQLARRAY_ASSIGN_OR_RETURN(storage::BTree::Cursor cursor,
-                            q.table->Scan(SnapOf(qctx)));
-
-  RowBatch batch;
-  ByteBufferPool byte_pool;
-  EvalArena arena;
-  BatchContext bctx;
-  bctx.schema = &q.table->schema();
-  bctx.batch = &batch;
-  bctx.variables = variables;
-  bctx.udf = &udf;
-  bctx.byte_pool = &byte_pool;
-  bctx.arena = &arena;
-
-  std::vector<int32_t> sel;
-  std::vector<Value> keep_col, col;
-  VecScratch vscratch;
-  const int64_t rsz = q.table->schema().row_size();
-
-  VecQueryPlan vplan_store;
-  const VecQueryPlan* vplan = nullptr;
-  if (vectorized_) {
-    vplan_store = BuildVecPlan(q, variables, /*rows_mode=*/false);
-    if (vplan_store.any) vplan = &vplan_store;
-  }
-
-  SQLARRAY_RETURN_IF_ERROR(
-      GovCharge(limits, rsz * static_cast<int64_t>(batch_rows_)));
-  if (vplan != nullptr) {
-    SQLARRAY_RETURN_IF_ERROR(
-        GovCharge(limits, VecPlanFootprint(*vplan, batch_rows_)));
-  }
-  while (true) {
-    SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
-    batch.Reset(rsz, batch_rows_);
-    SQLARRAY_RETURN_IF_ERROR(FillBatchFromCursor(cursor, &batch));
-    if (batch.size() == 0) break;
-    rs.stats.rows_scanned += batch.size();
-    for (int32_t i = 0; i < batch.size(); ++i) {
-      rs.stats.ChargeCpuNs(cost_.row_scan_ns);
-    }
-
-    if (vplan != nullptr) {
-      VecBatchesCounter().Add(1);
-      VecRowsCounter().Add(batch.size());
-    }
-    if (vplan != nullptr && vplan->where_ok) {
-      SQLARRAY_RETURN_IF_ERROR(vec::VecFilter(
-          vplan->where, batch, &vscratch.regs, &vscratch.trunc, &sel));
-      bctx.sel = nullptr;
-    } else {
-      SQLARRAY_RETURN_IF_ERROR(FilterBatch(q, &bctx, &keep_col, &sel));
-      if (vplan != nullptr && q.where != nullptr) {
-        VecFallbackRowsCounter().Add(batch.size());
-      }
-    }
-    if (sel.empty()) continue;
-    rs.stats.rows_kept += static_cast<int64_t>(sel.size());
-
-    for (size_t i = 0; i < n_items; ++i) {
-      const SelectItem& item = q.items[i];
-      AggState& st = states[i];
-      if (item.agg == SelectItem::AggKind::kNone) {
-        // Plain items evaluate once, on the first row that survives the
-        // filter — same as the row loop's first-kept-row semantics.
-        if (!plain_filled) {
-          std::vector<int32_t> first_sel(1, sel[0]);
-          bctx.sel = &first_sel;
-          SQLARRAY_RETURN_IF_ERROR(EvalBatch(*item.expr, bctx, &col));
-          plain_items[i] = std::move(col[0]);
-        }
-        continue;
-      }
-      if (IsCountStar(item)) {
-        st.count += static_cast<int64_t>(sel.size());
-        continue;
-      }
-      if (vplan != nullptr && vplan->items[i] != nullptr) {
-        SQLARRAY_RETURN_IF_ERROR(
-            vplan->items[i]->Run(batch, &sel, &vscratch.regs));
-        for (size_t k = 0; k < sel.size(); ++k) {
-          rs.stats.agg_steps++;
-          rs.stats.ChargeCpuNs(cost_.native_agg_step_ns);
-        }
-        SQLARRAY_RETURN_IF_ERROR(VecAccumulateColumn(
-            item.agg, vplan->items[i]->Result(vscratch.regs), &st));
-        continue;
-      }
-      bctx.sel = &sel;
-      SQLARRAY_RETURN_IF_ERROR(EvalBatch(*item.expr, bctx, &col));
-      if (vplan != nullptr) {
-        VecFallbackRowsCounter().Add(static_cast<int64_t>(sel.size()));
-      }
-      for (const Value& v : col) {
-        rs.stats.agg_steps++;
-        rs.stats.ChargeCpuNs(cost_.native_agg_step_ns);
-        SQLARRAY_RETURN_IF_ERROR(AccumulateNative(item.agg, v, &st));
-      }
-    }
-    plain_filled = true;
-  }
-
-  std::vector<Value> row;
-  for (size_t i = 0; i < n_items; ++i) {
-    const SelectItem& item = q.items[i];
-    if (item.agg == SelectItem::AggKind::kNone) {
-      row.push_back(plain_filled ? plain_items[i] : Value::Null());
-      continue;
-    }
-    SQLARRAY_ASSIGN_OR_RETURN(Value v, FinishNative(item.agg, states[i]));
-    row.push_back(std::move(v));
-  }
-  rs.rows.push_back(std::move(row));
-
-  rs.stats.io = db_->disk()->stats() - io_before;
-  rs.stats.wall_seconds = watch.ElapsedSeconds();
-  return rs;
-}
-
-// Retained only as ParallelMode::kStaticChunkLegacy, the bench baseline the
-// morsel scheduler is measured against: fresh threads per query, one static
-// leaf-chain chunk per worker, private per-worker buffer pools.
-Result<ResultSet> Executor::ExecuteAggregateStaticChunk(
-    const Query& q, std::map<std::string, Value>* variables) {
-  ResultSet rs;
-  Stopwatch watch;
-  storage::IoStats io_before = db_->disk()->stats();
-  for (const SelectItem& item : q.items) rs.columns.push_back(item.label);
-  const size_t n_items = q.items.size();
-
-  SQLARRAY_ASSIGN_OR_RETURN(std::vector<storage::PageId> pages,
-                            q.table->CollectLeafPages());
-  const int workers = std::max(
-      1, std::min<int>(scan_workers_, static_cast<int>(pages.size())));
-
-  struct WorkerResult {
-    std::vector<AggState> states;
-    QueryStats stats;
-    Status status;
-  };
-  std::vector<WorkerResult> results(workers);
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-
-  for (int w = 0; w < workers; ++w) {
-    // Contiguous chunk of the leaf chain for this worker.
-    size_t begin = pages.size() * w / workers;
-    size_t end = pages.size() * (w + 1) / workers;
-    std::vector<storage::PageId> chunk(pages.begin() + begin,
-                                       pages.begin() + end);
-    threads.emplace_back([this, &q, variables, &results, w,
-                          chunk = std::move(chunk), n_items]() mutable {
-      WorkerResult& out = results[w];
-      out.states.resize(n_items);
-      // One read-ahead stream per worker: a private buffer pool over the
-      // shared (thread-safe) disk.
-      storage::BufferPool pool(db_->disk(), 1024);
-
-      EvalContext ctx;
-      ctx.schema = &q.table->schema();
-      ctx.variables = variables;
-      ctx.udf.pool = &pool;
-      ctx.udf.stats = &out.stats;
-      ctx.udf.cost = &cost_;
-      ctx.udf.subquery = nullptr;  // reader UDFs are not parallel-eligible
-
-      auto cursor_or = q.table->ScanChunk(&pool, std::move(chunk));
-      if (!cursor_or.ok()) {
-        out.status = cursor_or.status();
-        return;
-      }
-      storage::BTree::ChunkCursor cursor = std::move(cursor_or).value();
-
-      if (batch_rows_ > 1) {
-        // Batched worker: gather a block of rows, filter it, then fold each
-        // aggregate column-wise (same accumulation order as the row loop).
-        RowBatch batch;
-        ByteBufferPool byte_pool;
-        EvalArena arena;
-        BatchContext bctx;
-        bctx.schema = &q.table->schema();
-        bctx.batch = &batch;
-        bctx.variables = variables;
-        bctx.udf = &ctx.udf;
-        bctx.byte_pool = &byte_pool;
-        bctx.arena = &arena;
-        std::vector<int32_t> sel;
-        std::vector<Value> keep_col, col;
-        const int64_t rsz = q.table->schema().row_size();
-        while (true) {
-          batch.Reset(rsz, batch_rows_);
-          Status fill = FillBatchFromCursor(cursor, &batch);
-          if (!fill.ok()) {
-            out.status = fill;
-            return;
-          }
-          if (batch.size() == 0) break;
-          out.stats.rows_scanned += batch.size();
-          for (int32_t i = 0; i < batch.size(); ++i) {
-            out.stats.ChargeCpuNs(cost_.row_scan_ns);
-          }
-          Status fst = FilterBatch(q, &bctx, &keep_col, &sel);
-          if (!fst.ok()) {
-            out.status = fst;
-            return;
-          }
-          if (sel.empty()) continue;
-          bctx.sel = &sel;
-          for (size_t i = 0; i < n_items; ++i) {
-            const SelectItem& item = q.items[i];
-            AggState& st = out.states[i];
-            if (IsCountStar(item)) {
-              st.count += static_cast<int64_t>(sel.size());
-              continue;
-            }
-            Status est = EvalBatch(*item.expr, bctx, &col);
-            if (!est.ok()) {
-              out.status = est;
-              return;
-            }
-            for (const Value& v : col) {
-              out.stats.ChargeCpuNs(cost_.native_agg_step_ns);
-              Status ast = AccumulateNative(item.agg, v, &st);
-              if (!ast.ok()) {
-                out.status = ast;
-                return;
-              }
-            }
-          }
-        }
-        return;
-      }
-
-      while (cursor.valid()) {
-        ctx.row = cursor.row().data();
-        out.stats.rows_scanned++;
-        out.stats.ChargeCpuNs(cost_.row_scan_ns);
-
-        bool keep_row = true;
-        if (q.where != nullptr) {
-          auto keep = Eval(*q.where, ctx);
-          if (!keep.ok()) {
-            out.status = keep.status();
-            return;
-          }
-          auto truthy = keep->is_null() ? Result<int64_t>(int64_t{0})
-                                        : keep->AsInt();
-          if (!truthy.ok()) {
-            out.status = truthy.status();
-            return;
-          }
-          keep_row = *truthy != 0;
-        }
-        if (keep_row) {
-          for (size_t i = 0; i < n_items; ++i) {
-            const SelectItem& item = q.items[i];
-            AggState& st = out.states[i];
-            if (IsCountStar(item)) {
-              st.count++;
-              continue;
-            }
-            out.stats.ChargeCpuNs(cost_.native_agg_step_ns);
-            auto v = Eval(*item.expr, ctx);
-            if (!v.ok()) {
-              out.status = v.status();
-              return;
-            }
-            Status ast = AccumulateNative(item.agg, *v, &st);
-            if (!ast.ok()) {
-              out.status = ast;
-              return;
-            }
-          }
-        }
-        Status st = cursor.Next();
-        if (!st.ok()) {
-          out.status = st;
-          return;
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  // Merge partials (and surface the first worker error).
-  std::vector<AggState> merged(n_items);
-  for (WorkerResult& wr : results) {
-    SQLARRAY_RETURN_IF_ERROR(wr.status);
-    for (size_t i = 0; i < n_items; ++i) merged[i].Merge(wr.states[i]);
-    rs.stats.rows_scanned += wr.stats.rows_scanned;
-    rs.stats.udf_calls += wr.stats.udf_calls;
-    rs.stats.udf_bytes_marshaled += wr.stats.udf_bytes_marshaled;
-    rs.stats.cpu_core_seconds += wr.stats.cpu_core_seconds;
-  }
-
-  std::vector<Value> row;
-  for (size_t i = 0; i < n_items; ++i) {
-    const SelectItem& item = q.items[i];
-    SQLARRAY_ASSIGN_OR_RETURN(Value v, FinishNative(item.agg, merged[i]));
-    row.push_back(std::move(v));
-  }
-  rs.rows.push_back(std::move(row));
-
-  rs.stats.io = db_->disk()->stats() - io_before;
-  rs.stats.wall_seconds = watch.ElapsedSeconds();
-  return rs;
 }
 
 void Executor::RunOnWorkers(int workers, const std::function<void(int)>& fn) {
@@ -1749,452 +1386,6 @@ Status Executor::RunMorselScan(
     SQLARRAY_RETURN_IF_ERROR(st);
   }
   return Status::OK();
-}
-
-Result<ResultSet> Executor::ExecuteAggregateMorsel(
-    const Query& q, std::map<std::string, Value>* variables,
-    QueryContext* qctx) {
-  ResultSet rs;
-  rs.stats.track_udf_detail = qctx != nullptr && qctx->collect_profile;
-  Stopwatch watch;
-  storage::IoStats io_before = db_->disk()->stats();
-  for (const SelectItem& item : q.items) rs.columns.push_back(item.label);
-  const size_t n_items = q.items.size();
-  const bool udf_detail = rs.stats.track_udf_detail;
-
-  SQLARRAY_ASSIGN_OR_RETURN(
-      MorselPlanInfo plan,
-      PlanMorselScan(q, scan_workers_, min_pages_per_worker_, SnapOf(qctx)));
-  std::vector<AggPartial> partials(plan.n_morsels);
-
-  // One compiled columnar plan per statement, shared read-only by every
-  // morsel worker (each worker owns its register scratch).
-  VecQueryPlan vplan_store;
-  const VecQueryPlan* vplan = nullptr;
-  if (vectorized_ && batch_rows_ > 1) {
-    vplan_store = BuildVecPlan(q, variables, /*rows_mode=*/false);
-    if (vplan_store.any) vplan = &vplan_store;
-  }
-
-  SQLARRAY_RETURN_IF_ERROR(RunMorselScan(
-      plan.pages.size(), plan.morsel_pages, plan.workers, qctx,
-      [&](const Morsel& m) -> Status {
-        std::vector<storage::PageId> chunk(plan.pages.begin() + m.page_begin,
-                                           plan.pages.begin() + m.page_end);
-        SQLARRAY_ASSIGN_OR_RETURN(
-            storage::BTree::ChunkCursor cursor,
-            SnapOf(qctx) != nullptr
-                ? q.table->ScanChunk(SnapOf(qctx), std::move(chunk))
-                : q.table->ScanChunk(db_->buffer_pool(), std::move(chunk),
-                                     kMorselReadahead));
-        return AggregateChunk(q, cost_, variables, db_->buffer_pool(),
-                              batch_rows_, udf_detail,
-                              qctx != nullptr ? &qctx->limits : nullptr, vplan,
-                              std::move(cursor), &partials[m.index]);
-      }));
-
-  // Fold partials in morsel-index order — the deterministic merge that
-  // makes results (float sums included) independent of the worker count.
-  SQLARRAY_SPAN("exec.merge");
-  std::vector<AggState> merged(n_items);
-  std::vector<Value> plain(n_items);
-  bool plain_filled = false;
-  for (AggPartial& p : partials) {
-    if (p.states.size() == n_items) {
-      for (size_t i = 0; i < n_items; ++i) merged[i].Merge(p.states[i]);
-    }
-    if (!plain_filled && p.plain_filled) {
-      plain = std::move(p.plain);
-      plain_filled = true;
-    }
-    MergeStats(&rs.stats, p.stats);
-  }
-
-  std::vector<Value> row;
-  for (size_t i = 0; i < n_items; ++i) {
-    const SelectItem& item = q.items[i];
-    if (item.agg == SelectItem::AggKind::kNone) {
-      row.push_back(plain_filled ? std::move(plain[i]) : Value::Null());
-      continue;
-    }
-    SQLARRAY_ASSIGN_OR_RETURN(Value v, FinishNative(item.agg, merged[i]));
-    row.push_back(std::move(v));
-  }
-  rs.rows.push_back(std::move(row));
-
-  rs.stats.io = db_->disk()->stats() - io_before;
-  rs.stats.wall_seconds = watch.ElapsedSeconds();
-  return rs;
-}
-
-Result<ResultSet> Executor::ExecuteGroupByMorsel(
-    const Query& q, std::map<std::string, Value>* variables,
-    QueryContext* qctx) {
-  ResultSet rs;
-  rs.stats.track_udf_detail = qctx != nullptr && qctx->collect_profile;
-  Stopwatch watch;
-  storage::IoStats io_before = db_->disk()->stats();
-  for (const SelectItem& item : q.items) rs.columns.push_back(item.label);
-  const size_t n_items = q.items.size();
-
-  SQLARRAY_ASSIGN_OR_RETURN(
-      MorselPlanInfo plan,
-      PlanMorselScan(q, scan_workers_, min_pages_per_worker_, SnapOf(qctx)));
-  struct GroupPartial {
-    std::map<std::string, GroupAcc> groups;
-    QueryStats stats;
-  };
-  std::vector<GroupPartial> partials(plan.n_morsels);
-  for (GroupPartial& p : partials) {
-    p.stats.track_udf_detail = rs.stats.track_udf_detail;
-  }
-
-  SQLARRAY_RETURN_IF_ERROR(RunMorselScan(
-      plan.pages.size(), plan.morsel_pages, plan.workers, qctx,
-      [&](const Morsel& m) -> Status {
-        std::vector<storage::PageId> chunk(plan.pages.begin() + m.page_begin,
-                                           plan.pages.begin() + m.page_end);
-        SQLARRAY_ASSIGN_OR_RETURN(
-            storage::BTree::ChunkCursor cursor,
-            SnapOf(qctx) != nullptr
-                ? q.table->ScanChunk(SnapOf(qctx), std::move(chunk))
-                : q.table->ScanChunk(db_->buffer_pool(), std::move(chunk),
-                                     kMorselReadahead));
-        return GroupByChunk(q, cost_, variables, db_->buffer_pool(),
-                            qctx != nullptr ? &qctx->limits : nullptr,
-                            std::move(cursor), &partials[m.index].groups,
-                            &partials[m.index].stats);
-      }));
-
-  // Merge the per-morsel partial hash tables in morsel-index order. The
-  // final std::map iterates groups in serialized-key order — exactly the
-  // serial path's output order.
-  SQLARRAY_SPAN("exec.merge");
-  std::map<std::string, GroupAcc> groups;
-  for (GroupPartial& p : partials) {
-    for (auto& [key, g] : p.groups) {
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        groups.emplace(key, std::move(g));
-        continue;
-      }
-      for (size_t i = 0; i < n_items; ++i) {
-        it->second.aggs[i].Merge(g.aggs[i]);
-      }
-      // Plain items keep the lowest-morsel (earliest-row) values.
-    }
-    MergeStats(&rs.stats, p.stats);
-  }
-
-  for (auto& [key, group] : groups) {
-    (void)key;
-    std::vector<Value> row;
-    for (size_t i = 0; i < n_items; ++i) {
-      const SelectItem& item = q.items[i];
-      if (item.agg == SelectItem::AggKind::kNone) {
-        row.push_back(i < group.plain_items.size()
-                          ? std::move(group.plain_items[i])
-                          : Value::Null());
-        continue;
-      }
-      SQLARRAY_ASSIGN_OR_RETURN(Value v, FinishNative(item.agg, group.aggs[i]));
-      row.push_back(std::move(v));
-    }
-    rs.rows.push_back(std::move(row));
-  }
-
-  rs.stats.io = db_->disk()->stats() - io_before;
-  rs.stats.wall_seconds = watch.ElapsedSeconds();
-  return rs;
-}
-
-Result<ResultSet> Executor::ExecuteRowsMorsel(
-    const Query& q, std::map<std::string, Value>* variables,
-    QueryContext* qctx) {
-  ResultSet rs;
-  rs.stats.track_udf_detail = qctx != nullptr && qctx->collect_profile;
-  Stopwatch watch;
-  storage::IoStats io_before = db_->disk()->stats();
-  for (const SelectItem& item : q.items) rs.columns.push_back(item.label);
-
-  SQLARRAY_ASSIGN_OR_RETURN(
-      MorselPlanInfo plan,
-      PlanMorselScan(q, scan_workers_, min_pages_per_worker_, SnapOf(qctx)));
-  struct RowsPartial {
-    std::vector<std::vector<Value>> rows;
-    QueryStats stats;
-  };
-  std::vector<RowsPartial> partials(plan.n_morsels);
-  for (RowsPartial& p : partials) {
-    p.stats.track_udf_detail = rs.stats.track_udf_detail;
-  }
-
-  // TOP queries stay on the early-exit row loop, so the columnar plan only
-  // builds when the batched branch of RowsChunk can actually run.
-  VecQueryPlan vplan_store;
-  const VecQueryPlan* vplan = nullptr;
-  if (vectorized_ && batch_rows_ > 1 && q.top < 0) {
-    vplan_store = BuildVecPlan(q, variables, /*rows_mode=*/true);
-    if (vplan_store.any) vplan = &vplan_store;
-  }
-
-  // TOP short-circuit token: `frontier` counts consecutive completed
-  // morsels from 0 and `prefix_rows` their surviving rows. A worker may
-  // skip an UNSTARTED morsel m once prefix_rows >= top: the frontier
-  // f <= m then, so the first `top` output rows all come from morsels
-  // before m and m's buffer can never reach the output.
-  std::mutex top_mu;
-  std::vector<int64_t> morsel_rows(plan.n_morsels, -1);
-  size_t frontier = 0;
-  std::atomic<int64_t> prefix_rows{0};
-  auto mark_done = [&](size_t index, int64_t rows) {
-    if (q.top < 0) return;
-    std::lock_guard<std::mutex> lock(top_mu);
-    morsel_rows[index] = rows;
-    while (frontier < plan.n_morsels && morsel_rows[frontier] >= 0) {
-      prefix_rows.fetch_add(morsel_rows[frontier], std::memory_order_relaxed);
-      ++frontier;
-    }
-  };
-
-  SQLARRAY_RETURN_IF_ERROR(RunMorselScan(
-      plan.pages.size(), plan.morsel_pages, plan.workers, qctx,
-      [&](const Morsel& m) -> Status {
-        RowsPartial& out = partials[m.index];
-        if (q.top >= 0 &&
-            prefix_rows.load(std::memory_order_relaxed) >= q.top) {
-          mark_done(m.index, 0);  // skipped: cannot reach the output prefix
-          return Status::OK();
-        }
-        std::vector<storage::PageId> chunk(plan.pages.begin() + m.page_begin,
-                                           plan.pages.begin() + m.page_end);
-        SQLARRAY_ASSIGN_OR_RETURN(
-            storage::BTree::ChunkCursor cursor,
-            SnapOf(qctx) != nullptr
-                ? q.table->ScanChunk(SnapOf(qctx), std::move(chunk))
-                : q.table->ScanChunk(db_->buffer_pool(), std::move(chunk),
-                                     kMorselReadahead));
-        Status st = RowsChunk(q, cost_, variables, db_->buffer_pool(),
-                              batch_rows_,
-                              qctx != nullptr ? &qctx->limits : nullptr, vplan,
-                              std::move(cursor), &out.rows, &out.stats);
-        if (st.ok()) {
-          mark_done(m.index, static_cast<int64_t>(out.rows.size()));
-        }
-        return st;
-      }));
-
-  // Gather per-morsel buffers in page order, truncated at TOP.
-  SQLARRAY_SPAN("exec.merge");
-  for (RowsPartial& p : partials) {
-    for (std::vector<Value>& row : p.rows) {
-      if (q.top >= 0 && static_cast<int64_t>(rs.rows.size()) >= q.top) break;
-      rs.rows.push_back(std::move(row));
-    }
-    MergeStats(&rs.stats, p.stats);
-  }
-
-  rs.stats.io = db_->disk()->stats() - io_before;
-  rs.stats.wall_seconds = watch.ElapsedSeconds();
-  return rs;
-}
-
-Result<ResultSet> Executor::ExecuteRows(const Query& q,
-                                        std::map<std::string, Value>* variables,
-                                        QueryContext* qctx) {
-  // TOP queries stay row-at-a-time: gathering a whole batch past the limit
-  // would inflate rows_scanned relative to the early-exit row loop.
-  if (batch_rows_ > 1 && q.table != nullptr && q.top < 0) {
-    return ExecuteRowsBatched(q, variables, qctx);
-  }
-  ResultSet rs;
-  rs.stats.track_udf_detail = qctx != nullptr && qctx->collect_profile;
-  Stopwatch watch;
-  SQLARRAY_SPAN("exec.scan");
-  storage::IoStats io_before = db_->disk()->stats();
-
-  for (const SelectItem& item : q.items) rs.columns.push_back(item.label);
-
-  const gov::QueryLimits* limits = qctx != nullptr ? &qctx->limits : nullptr;
-  EvalContext ctx;
-  ctx.schema = q.table != nullptr ? &q.table->schema() : nullptr;
-  ctx.variables = variables;
-  ctx.udf.pool = db_->buffer_pool();
-  ctx.udf.subquery = subquery_fn_;
-  ctx.udf.stats = &rs.stats;
-  ctx.udf.cost = &cost_;
-  ctx.udf.limits = limits;
-
-  std::vector<std::vector<Value>> tvf_rows;
-  std::optional<storage::BTree::Cursor> cursor;
-  size_t tvf_pos = 0;
-  bool first_row = true;
-  if (q.tvf != nullptr) {
-    SQLARRAY_ASSIGN_OR_RETURN(tvf_rows,
-                              MaterializeTvf(q, variables, &rs.stats));
-  } else {
-    SQLARRAY_ASSIGN_OR_RETURN(storage::BTree::Cursor c,
-                              q.table->Scan(SnapOf(qctx)));
-    cursor = std::move(c);
-  }
-  auto next_row = [&](EvalContext* c) -> Result<bool> {
-    if (q.tvf != nullptr) {
-      if (tvf_pos >= tvf_rows.size()) return false;
-      c->value_row = &tvf_rows[tvf_pos++];
-      return true;
-    }
-    if (!first_row) SQLARRAY_RETURN_IF_ERROR(cursor->Next());
-    first_row = false;
-    if (!cursor->valid()) return false;
-    c->row = cursor->row().data();
-    return true;
-  };
-
-  while (true) {
-    SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
-    if (q.top >= 0 && static_cast<int64_t>(rs.rows.size()) >= q.top) break;
-    SQLARRAY_ASSIGN_OR_RETURN(bool has_row, next_row(&ctx));
-    if (!has_row) break;
-    rs.stats.rows_scanned++;
-    rs.stats.ChargeCpuNs(cost_.row_scan_ns);
-
-    if (q.where != nullptr) {
-      SQLARRAY_ASSIGN_OR_RETURN(Value keep, Eval(*q.where, ctx));
-      SQLARRAY_ASSIGN_OR_RETURN(int64_t truthy,
-                                keep.is_null() ? Result<int64_t>(int64_t{0})
-                                               : keep.AsInt());
-      if (truthy == 0) {
-        continue;
-      }
-    }
-    rs.stats.rows_kept++;
-    SQLARRAY_RETURN_IF_ERROR(GovCharge(limits, RowFootprint(q.items.size())));
-
-    std::vector<Value> row;
-    row.reserve(q.items.size());
-    for (const SelectItem& item : q.items) {
-      SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-      row.push_back(std::move(v));
-    }
-    rs.rows.push_back(std::move(row));
-  }
-
-  rs.stats.io = db_->disk()->stats() - io_before;
-  rs.stats.wall_seconds = watch.ElapsedSeconds();
-  return rs;
-}
-
-Result<ResultSet> Executor::ExecuteRowsBatched(
-    const Query& q, std::map<std::string, Value>* variables,
-    QueryContext* qctx) {
-  ResultSet rs;
-  rs.stats.track_udf_detail = qctx != nullptr && qctx->collect_profile;
-  Stopwatch watch;
-  SQLARRAY_SPAN("exec.scan");
-  storage::IoStats io_before = db_->disk()->stats();
-  for (const SelectItem& item : q.items) rs.columns.push_back(item.label);
-  const size_t n_items = q.items.size();
-
-  const gov::QueryLimits* limits = qctx != nullptr ? &qctx->limits : nullptr;
-  UdfContext udf;
-  udf.pool = db_->buffer_pool();
-  udf.subquery = subquery_fn_;
-  udf.stats = &rs.stats;
-  udf.cost = &cost_;
-  udf.limits = limits;
-
-  SQLARRAY_ASSIGN_OR_RETURN(storage::BTree::Cursor cursor,
-                            q.table->Scan(SnapOf(qctx)));
-
-  RowBatch batch;
-  ByteBufferPool byte_pool;
-  EvalArena arena;
-  BatchContext bctx;
-  bctx.schema = &q.table->schema();
-  bctx.batch = &batch;
-  bctx.variables = variables;
-  bctx.udf = &udf;
-  bctx.byte_pool = &byte_pool;
-  bctx.arena = &arena;
-
-  std::vector<int32_t> sel;
-  std::vector<Value> keep_col;
-  VecScratch vscratch;
-  const int64_t rsz = q.table->schema().row_size();
-
-  VecQueryPlan vplan_store;
-  const VecQueryPlan* vplan = nullptr;
-  if (vectorized_) {
-    vplan_store = BuildVecPlan(q, variables, /*rows_mode=*/true);
-    if (vplan_store.any) vplan = &vplan_store;
-  }
-
-  SQLARRAY_RETURN_IF_ERROR(
-      GovCharge(limits, rsz * static_cast<int64_t>(batch_rows_)));
-  if (vplan != nullptr) {
-    SQLARRAY_RETURN_IF_ERROR(
-        GovCharge(limits, VecPlanFootprint(*vplan, batch_rows_)));
-  }
-  while (true) {
-    SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
-    batch.Reset(rsz, batch_rows_);
-    SQLARRAY_RETURN_IF_ERROR(FillBatchFromCursor(cursor, &batch));
-    if (batch.size() == 0) break;
-    rs.stats.rows_scanned += batch.size();
-    for (int32_t i = 0; i < batch.size(); ++i) {
-      rs.stats.ChargeCpuNs(cost_.row_scan_ns);
-    }
-
-    if (vplan != nullptr) {
-      VecBatchesCounter().Add(1);
-      VecRowsCounter().Add(batch.size());
-    }
-    if (vplan != nullptr && vplan->where_ok) {
-      SQLARRAY_RETURN_IF_ERROR(vec::VecFilter(
-          vplan->where, batch, &vscratch.regs, &vscratch.trunc, &sel));
-      bctx.sel = nullptr;
-    } else {
-      SQLARRAY_RETURN_IF_ERROR(FilterBatch(q, &bctx, &keep_col, &sel));
-      if (vplan != nullptr && q.where != nullptr) {
-        VecFallbackRowsCounter().Add(batch.size());
-      }
-    }
-    if (sel.empty()) continue;
-    rs.stats.rows_kept += static_cast<int64_t>(sel.size());
-    SQLARRAY_RETURN_IF_ERROR(GovCharge(
-        limits, static_cast<int64_t>(sel.size()) * RowFootprint(n_items)));
-    bctx.sel = &sel;
-
-    // Evaluate every item column, then stitch output rows together.
-    ColumnGuard guard(&arena);
-    std::vector<std::vector<Value>*> cols;
-    cols.reserve(n_items);
-    for (size_t i = 0; i < n_items; ++i) {
-      cols.push_back(guard.Borrow());
-      if (vplan != nullptr && vplan->items[i] != nullptr) {
-        SQLARRAY_RETURN_IF_ERROR(
-            vplan->items[i]->Run(batch, &sel, &vscratch.regs));
-        vec::ColumnToValues(vplan->items[i]->Result(vscratch.regs), cols[i]);
-        continue;
-      }
-      SQLARRAY_RETURN_IF_ERROR(EvalBatch(*q.items[i].expr, bctx, cols[i]));
-      if (vplan != nullptr) {
-        VecFallbackRowsCounter().Add(static_cast<int64_t>(sel.size()));
-      }
-    }
-    for (size_t k = 0; k < sel.size(); ++k) {
-      std::vector<Value> row;
-      row.reserve(n_items);
-      for (size_t i = 0; i < n_items; ++i) {
-        row.push_back(std::move((*cols[i])[k]));
-      }
-      rs.rows.push_back(std::move(row));
-    }
-  }
-
-  rs.stats.io = db_->disk()->stats() - io_before;
-  rs.stats.wall_seconds = watch.ElapsedSeconds();
-  return rs;
 }
 
 }  // namespace sqlarray::engine

@@ -3,10 +3,11 @@
 //
 // Execution is real (results are actually computed); virtual time is
 // accounted against the CostModel so benches can report the modeled testbed
-// numbers next to measured wall time. Eligible scans run morsel-driven
-// parallel plans over a persistent worker pool (engine/parallel.h), with
-// partial results merged in deterministic morsel-index order so any worker
-// count produces bit-identical results.
+// numbers next to measured wall time. Every query with a row source runs
+// one morsel-driven plan (engine/parallel.h): per-morsel partial results
+// merged in deterministic morsel-index order, on a persistent worker pool
+// when the scan is parallel and inline when it is not, so any worker count
+// produces bit-identical results.
 #pragma once
 
 #include <atomic>
@@ -99,18 +100,6 @@ struct ResultSet {
   Result<Value> ScalarResult() const;
 };
 
-/// How eligible scans are divided across workers.
-enum class ParallelMode {
-  /// Morsel-driven (default): a work-stealing queue of small leaf-page
-  /// ranges served by the persistent worker pool, all sharing the
-  /// database's buffer pool; partial results merge in morsel-index order.
-  kMorsel,
-  /// The pre-morsel scheme, kept for bench comparison: fresh threads per
-  /// query, one static leaf-chain chunk and a private buffer pool per
-  /// worker, ungrouped native aggregates only.
-  kStaticChunkLegacy,
-};
-
 /// Executes bound queries against a Database.
 class Executor {
  public:
@@ -128,19 +117,16 @@ class Executor {
   /// is active at a time; installing another displaces the previous scope.
   [[nodiscard]] SubqueryScope InstallSubqueryRunner(SubqueryFn fn);
 
-  /// Degree of parallelism for eligible scans (table source, no UDA, no
-  /// reader-style UDF): ungrouped aggregates, GROUP BY, and row-mode
-  /// filters/TOP. The effective worker count is additionally capped by the
-  /// table's page count so tiny scans skip the fixed per-worker setup.
-  /// Results are bit-identical at any worker count: eligible queries run
-  /// the morsel plan even at 1 worker (inline, no thread dispatch), and
-  /// partials always merge in morsel-index order.
+  /// Degree of parallelism for morsel-eligible scans (table source, no UDA,
+  /// no reader-style UDF): ungrouped aggregates, GROUP BY, and projections
+  /// with or without TOP. The effective worker count is additionally capped
+  /// by the table's page count so tiny scans skip the fixed per-worker
+  /// setup. Every other query runs the same plan as one morsel spanning the
+  /// whole source, inline on the calling thread. Results are bit-identical
+  /// at any worker count: one worker runs the morsel plan inline (no thread
+  /// dispatch), and partials always merge in morsel-index order.
   void set_scan_workers(int workers) { scan_workers_ = workers; }
   int scan_workers() const { return scan_workers_; }
-
-  /// Selects the parallel scheduling scheme (bench comparison hook).
-  void set_parallel_mode(ParallelMode mode) { parallel_mode_ = mode; }
-  ParallelMode parallel_mode() const { return parallel_mode_; }
 
   /// Overrides the leaf-pages-per-worker amortization floor (tests force
   /// real multi-threading on tiny tables with 0); negative restores the
@@ -153,19 +139,21 @@ class Executor {
   /// reused after that; test/introspection access).
   WorkerPool* worker_pool() { return worker_pool_.get(); }
 
-  /// Rows gathered per evaluation batch on eligible scans (table source, no
-  /// GROUP BY, no UDA, no TOP). Values <= 1 force row-at-a-time execution;
-  /// results are identical either way (engine/batch.h documents the
-  /// contract), which tests/test_engine.cc exercises differentially.
+  /// Rows gathered per evaluation batch. Table scans of ungrouped native
+  /// aggregates and of projections without TOP run the batched chunk
+  /// bodies; GROUP BY, UDAs, TOP and TVF sources run the row-at-a-time
+  /// bodies at any setting. Values <= 1 force row-at-a-time execution
+  /// everywhere; results are identical either way (engine/batch.h documents
+  /// the contract), which tests/test_engine.cc exercises differentially.
   void set_batch_rows(int rows) { batch_rows_ = rows; }
   int batch_rows() const { return batch_rows_; }
 
   /// Toggles the fused columnar pipeline (engine/vec_expr.h) inside the
-  /// batched paths. On (the default), WHERE and eligible select items
-  /// compile to column-kernel programs; expressions outside the columnar
-  /// domain fall back to the batched row evaluator per item. Off forces
-  /// every batched evaluation through EvalBatch. Results are bit-identical
-  /// either way at any batch size and worker count
+  /// batched chunk bodies. On (the default), WHERE and eligible select
+  /// items compile to column-kernel programs; expressions outside the
+  /// columnar domain fall back to the batched row evaluator per item. Off
+  /// forces every batched evaluation through EvalBatch. Results are
+  /// bit-identical either way at any batch size and worker count
   /// (tests/test_vec.cc exercises this differentially).
   void set_vectorized(bool on) { vectorized_ = on; }
   bool vectorized() const { return vectorized_; }
@@ -196,56 +184,32 @@ class Executor {
  private:
   friend class SubqueryScope;
 
-  /// The Execute dispatch (plan selection); qctx may be null.
+  /// Evaluation mode of each operator in the plan that ran, as EXPLAIN
+  /// ANALYZE reports it.
+  struct PlanModes {
+    bool vec_filter = false;  ///< WHERE ran as a columnar program
+    bool vec_agg = false;     ///< an aggregate argument ran as one
+  };
+
+  /// Runs the query (qctx may be null): a FROM-less SELECT evaluates its
+  /// items once; any other source runs the morsel plan and records its
+  /// operator modes in `modes`.
   Result<ResultSet> ExecuteInternal(const Query& q,
                                     std::map<std::string, Value>* variables,
-                                    QueryContext* qctx);
-  /// Builds qctx->profile from the executed query, the result's stats, the
-  /// buffer-pool and registry deltas spanning the execution, and the trace.
+                                    QueryContext* qctx, PlanModes* modes);
+  /// Builds qctx->profile from the executed query, its plan's operator
+  /// modes, the result's stats, the buffer-pool and registry deltas
+  /// spanning the execution, and the trace.
   void BuildProfile(const Query& q, const ResultSet& rs,
+                    const PlanModes& modes,
                     const storage::BufferPool::Stats& pool_before,
                     const obs::MetricsSnapshot& metrics_before,
-                    std::map<std::string, Value>* variables,
                     QueryContext* qctx);
-  Result<ResultSet> ExecuteAggregate(const Query& q,
-                                     std::map<std::string, Value>* variables,
-                                     QueryContext* qctx);
-  /// Batched ungrouped aggregation (no UDAs): gathers row blocks and
-  /// evaluates WHERE / aggregate arguments column-wise.
-  Result<ResultSet> ExecuteAggregateBatched(
-      const Query& q, std::map<std::string, Value>* variables,
-      QueryContext* qctx);
-  Result<ResultSet> ExecuteRows(const Query& q,
-                                std::map<std::string, Value>* variables,
-                                QueryContext* qctx);
-  /// Batched row-mode scan (no TOP limit).
-  Result<ResultSet> ExecuteRowsBatched(
-      const Query& q, std::map<std::string, Value>* variables,
-      QueryContext* qctx);
   /// Evaluates a TVF source's arguments and materializes its rows, charging
   /// the boundary costs.
   Result<std::vector<std::vector<Value>>> MaterializeTvf(
       const Query& q, std::map<std::string, Value>* variables,
       QueryStats* stats);
-
-  /// True when the query can take a morsel-driven plan: table source, no
-  /// UDA items, no reader-style (subquery-reentrant) UDF anywhere.
-  bool MorselEligible(const Query& q) const;
-  /// Morsel-driven ungrouped native aggregation (plain items allowed,
-  /// first-surviving-row semantics).
-  Result<ResultSet> ExecuteAggregateMorsel(
-      const Query& q, std::map<std::string, Value>* variables,
-      QueryContext* qctx);
-  /// Morsel-driven GROUP BY: per-morsel partial hash aggregation merged in
-  /// morsel-index order.
-  Result<ResultSet> ExecuteGroupByMorsel(
-      const Query& q, std::map<std::string, Value>* variables,
-      QueryContext* qctx);
-  /// Morsel-driven row-mode scan: per-morsel result buffers gathered in
-  /// page order; TOP short-circuits through a shared row-count token.
-  Result<ResultSet> ExecuteRowsMorsel(const Query& q,
-                                      std::map<std::string, Value>* variables,
-                                      QueryContext* qctx);
   /// Runs `body` over every morsel of the grid on `workers` pool threads
   /// (inline when workers == 1); returns the first failure in morsel order.
   /// Each body invocation runs under a trace lane equal to its morsel index
@@ -255,9 +219,6 @@ class Executor {
                        const std::function<Status(const Morsel&)>& body);
   /// Dispatches fn to the persistent pool (inline at 1 worker).
   void RunOnWorkers(int workers, const std::function<void(int)>& fn);
-  /// Legacy static-chunk ungrouped aggregation (ParallelMode comparison).
-  Result<ResultSet> ExecuteAggregateStaticChunk(
-      const Query& q, std::map<std::string, Value>* variables);
 
   storage::Database* db_;
   FunctionRegistry* registry_;
@@ -269,7 +230,6 @@ class Executor {
   int scan_workers_ = 1;
   int batch_rows_ = 1024;
   bool vectorized_ = true;
-  ParallelMode parallel_mode_ = ParallelMode::kMorsel;
   int64_t min_pages_per_worker_ = -1;
   /// Serializes pool creation and Run: the WorkerPool accepts one job at a
   /// time, and the multi-session front-end can race parallel scans.

@@ -59,8 +59,8 @@ struct ScalarFunction {
   /// Modeled managed-work nanoseconds per call (0 for the empty function).
   double managed_work_ns = 0;
   /// Reader-style UDFs re-enter the session through ctx.subquery; they are
-  /// not safe on parallel scan workers, so the planner keeps any query
-  /// calling one on the serial path.
+  /// not safe on parallel scan workers, so a query calling one runs as a
+  /// single morsel on the calling thread.
   bool needs_subquery = false;
   ScalarFn fn;
 };

@@ -138,6 +138,29 @@ std::string DefaultLabel(const Expr& e, size_t index) {
   }
 }
 
+/// Expands a bare `*` select item into one column reference per column of
+/// the query's source: the table schema or the TVF's output columns.
+Status AppendStarColumns(engine::Query* q) {
+  std::vector<std::string> names;
+  if (q->tvf != nullptr) {
+    names = q->tvf->columns;
+  } else if (q->table != nullptr) {
+    const storage::Schema& schema = q->table->schema();
+    for (int c = 0; c < schema.num_columns(); ++c) {
+      names.push_back(schema.column(c).name);
+    }
+  } else {
+    return Status::InvalidArgument("SELECT * requires a FROM clause");
+  }
+  for (std::string& name : names) {
+    SelectItem item;
+    item.expr = engine::Col(name);
+    item.label = std::move(name);
+    q->items.push_back(std::move(item));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::vector<engine::ResultSet>> Session::ExecuteScript(
@@ -404,10 +427,19 @@ Result<engine::ResultSet> Session::ExecuteSelect(SelectStmt& sel,
   }
   q.top = sel.top;
 
-  bool has_assignment = false;
+  const bool has_assignment =
+      std::any_of(sel.items.begin(), sel.items.end(),
+                  [](const SelectListItem& s) { return !s.assign_var.empty(); });
   for (size_t i = 0; i < sel.items.size(); ++i) {
     SelectListItem& src = sel.items[i];
-    if (!src.assign_var.empty()) has_assignment = true;
+    if (src.expr->kind == Expr::Kind::kStar) {
+      // Assignments map select items to result columns one to one.
+      if (has_assignment) {
+        return Status::InvalidArgument("SELECT * cannot assign variables");
+      }
+      SQLARRAY_RETURN_IF_ERROR(AppendStarColumns(&q));
+      continue;
+    }
 
     SelectItem item;
     item.label = !src.label.empty() ? src.label : DefaultLabel(*src.expr, i);

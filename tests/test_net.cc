@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -579,7 +580,7 @@ class NetFuzzTest : public NetTest {
                                        uint8_t type, uint16_t flags,
                                        uint32_t len, uint32_t crc,
                                        std::vector<uint8_t> payload = {}) {
-    std::vector<uint8_t> out(16);
+    std::vector<uint8_t> out(16 + payload.size());
     auto put32 = [&](size_t at, uint32_t v) {
       out[at] = v & 0xFF;
       out[at + 1] = (v >> 8) & 0xFF;
@@ -593,7 +594,7 @@ class NetFuzzTest : public NetTest {
     out[7] = flags >> 8;
     put32(8, len);
     put32(12, crc);
-    out.insert(out.end(), payload.begin(), payload.end());
+    std::copy(payload.begin(), payload.end(), out.begin() + 16);
     return out;
   }
 };

@@ -293,43 +293,6 @@ TEST_F(ParallelTest, WorkerPoolPersistsAcrossQueries) {
   EXPECT_EQ(pool->thread_count(), threads_after_first);
 }
 
-TEST_F(ParallelTest, LegacyStaticChunkModeStillMatches) {
-  storage::Table* t = MakeTable("legacy", 25000);
-  auto make_query = [&] {
-    Query q;
-    q.table = t;
-    SelectItem sum;
-    sum.agg = SelectItem::AggKind::kSum;
-    sum.expr = Col("id");
-    sum.label = "s";
-    q.items.push_back(std::move(sum));
-    SelectItem cnt;
-    cnt.agg = SelectItem::AggKind::kCount;
-    cnt.expr = Star();
-    cnt.label = "n";
-    q.items.push_back(std::move(cnt));
-    return q;
-  };
-  Query morsel_q = make_query();
-  ASSERT_TRUE(executor_.Bind(&morsel_q).ok());
-  executor_.set_scan_workers(4);
-  ResultSet morsel = executor_.Execute(morsel_q, nullptr).value();
-
-  executor_.set_parallel_mode(ParallelMode::kStaticChunkLegacy);
-  Query legacy_q = make_query();
-  ASSERT_TRUE(executor_.Bind(&legacy_q).ok());
-  ResultSet legacy = executor_.Execute(legacy_q, nullptr).value();
-  executor_.set_parallel_mode(ParallelMode::kMorsel);
-  executor_.set_scan_workers(1);
-
-  ASSERT_EQ(morsel.rows.size(), 1u);
-  ASSERT_EQ(legacy.rows.size(), 1u);
-  EXPECT_EQ(morsel.rows[0][0].AsInt().value(),
-            legacy.rows[0][0].AsInt().value());
-  EXPECT_EQ(morsel.rows[0][1].AsInt().value(),
-            legacy.rows[0][1].AsInt().value());
-}
-
 // ---------------------------------------------------------------------------
 // Scheduler primitives.
 

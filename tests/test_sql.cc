@@ -2,6 +2,8 @@
 // paper's exact Sec. 5.1 statements and the Sec. 8 subscript sugar.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/array.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
@@ -462,6 +464,228 @@ TEST_F(SessionTest, StorageCorruptionSurfacesAsSessionError) {
   auto ok = session_.Execute("SELECT SUM(v) FROM rot");
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok.value()[0].ScalarResult().value().AsDouble().value(), 60.0);
+}
+
+TEST_F(SessionTest, GroupByMaxArrayKeysByValue) {
+  // Out-of-page VARBINARY(MAX) keys group by their bytes, exactly like
+  // inline VARBINARY keys: two equal arrays share a group, distinct arrays
+  // do not.
+  Run("CREATE TABLE mx (id BIGINT, m VARBINARY(MAX))");
+  Run("INSERT INTO mx VALUES (1, FloatArrayMax.Vector_3(1, 2, 3)), "
+      "(2, FloatArrayMax.Vector_3(4, 5, 6)), "
+      "(3, FloatArrayMax.Vector_3(1, 2, 3)), "
+      "(4, FloatArrayMax.Vector_3(7, 8, 9))");
+  auto results = Run("SELECT COUNT(*) FROM mx GROUP BY m");
+  ASSERT_EQ(results.size(), 1u);
+  std::vector<int64_t> counts;
+  for (const auto& row : results[0].rows) {
+    counts.push_back(row[0].AsInt().value());
+  }
+  std::sort(counts.begin(), counts.end());
+  EXPECT_EQ(counts, (std::vector<int64_t>{1, 1, 2}));
+
+  // Each group's key column reads back the group's own array.
+  auto keyed = Run(
+      "SELECT FloatArrayMax.Item_1(m, 0), COUNT(*) FROM mx GROUP BY m "
+      "ORDER BY 1");
+  ASSERT_EQ(keyed[0].rows.size(), 3u);
+  EXPECT_EQ(keyed[0].rows[0][0].AsDouble().value(), 1.0);
+  EXPECT_EQ(keyed[0].rows[0][1].AsInt().value(), 2);
+  EXPECT_EQ(keyed[0].rows[2][0].AsDouble().value(), 7.0);
+}
+
+TEST_F(SessionTest, SelectStarExpandsTableColumns) {
+  Run("CREATE TABLE st (id BIGINT, v FLOAT)");
+  Run("INSERT INTO st VALUES (1, 1.5), (2, 2.5)");
+  auto results = Run("SELECT * FROM st WHERE id >= 1");
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].columns, (std::vector<std::string>{"id", "v"}));
+  ASSERT_EQ(results[0].rows.size(), 2u);
+  EXPECT_EQ(results[0].rows[1][0].AsInt().value(), 2);
+  EXPECT_EQ(results[0].rows[1][1].AsDouble().value(), 2.5);
+
+  // A FROM-less SELECT has no columns to expand, and an assignment SELECT
+  // binds each item to one variable.
+  auto bare = session_.Execute("SELECT *");
+  ASSERT_FALSE(bare.ok());
+  EXPECT_EQ(bare.status().code(), StatusCode::kInvalidArgument);
+  Run("DECLARE @x BIGINT");
+  auto assign = session_.Execute("SELECT @x = * FROM st");
+  ASSERT_FALSE(assign.ok());
+  EXPECT_EQ(assign.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(SessionTest, SelectStarExpandsTvfColumns) {
+  Run("DECLARE @a VARBINARY(100) = FloatArray.Vector_5(10, 20, 30, 40, 50)");
+  auto results = Run("SELECT * FROM FloatArray.ToTable(@a)");
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].columns, (std::vector<std::string>{"ix", "v"}));
+  ASSERT_EQ(results[0].rows.size(), 5u);
+  EXPECT_EQ(results[0].rows[3][0].AsInt().value(), 3);
+  EXPECT_EQ(results[0].rows[3][1].AsDouble().value(), 40.0);
+}
+
+// ---------------------------------------------------------------------------
+// Scan-pipeline differentials for the shapes outside the morsel-eligible
+// set: a reader-style UDF called per row, the Concat UDA, and a TVF source.
+// Every (batch, workers) configuration must reproduce the batch-1 /
+// 1-worker run: the result bit for bit, rows_scanned, and the modeled CPU.
+// ---------------------------------------------------------------------------
+
+class ScanShapeTest : public SessionTest {
+ protected:
+  ScanShapeTest() {
+    // Let small tables really fan out at 8 workers (the pages-per-worker
+    // floor would otherwise keep every scan here inline).
+    executor_.set_min_pages_per_worker(0);
+  }
+
+  /// Column labels plus kind tag and exact payload bytes of every value.
+  static std::string Fingerprint(const engine::ResultSet& rs) {
+    std::string out;
+    for (const std::string& c : rs.columns) out += c + ";";
+    for (const auto& row : rs.rows) {
+      for (const Value& v : row) {
+        out.push_back(static_cast<char>(v.kind()));
+        if (v.kind() == Value::Kind::kInt64) {
+          const int64_t x = v.AsInt().value();
+          out.append(reinterpret_cast<const char*>(&x), sizeof(x));
+        } else if (v.kind() == Value::Kind::kFloat64) {
+          const double d = v.AsDouble().value();
+          out.append(reinterpret_cast<const char*>(&d), sizeof(d));
+        } else if (v.kind() == Value::Kind::kString) {
+          out += v.AsString().value();
+        } else if (!v.is_null()) {
+          const std::vector<uint8_t> b = v.MaterializeBytes().value();
+          out.append(reinterpret_cast<const char*>(b.data()), b.size());
+        }
+        out.push_back('|');
+      }
+      out.push_back('\n');
+    }
+    return out;
+  }
+
+  struct Outcome {
+    std::string fingerprint;
+    int64_t rows_scanned = 0;
+    double cpu_core_seconds = 0;
+  };
+
+  Outcome RunAt(const std::string& sqltext, int batch, int workers) {
+    executor_.set_batch_rows(batch);
+    executor_.set_scan_workers(workers);
+    auto results = Run(sqltext);
+    executor_.set_batch_rows(1024);
+    executor_.set_scan_workers(1);
+    Outcome o;
+    if (results.size() != 1) return o;
+    o.fingerprint = Fingerprint(results[0]);
+    o.rows_scanned = results[0].stats.rows_scanned;
+    o.cpu_core_seconds = results[0].stats.cpu_core_seconds;
+    return o;
+  }
+
+  /// Runs `sqltext` at batch {1, 1024} x workers {1, 8} against the
+  /// batch-1 / 1-worker reference and returns that reference. Modeled CPU
+  /// must match exactly unless `cpu_rel_tol` allows for the batched body
+  /// summing UDF boundary charges in a different order than the row body
+  /// (ulps, never a real amount).
+  Outcome ExpectConfigsMatch(const std::string& sqltext,
+                             double cpu_rel_tol = 0) {
+    const Outcome base = RunAt(sqltext, 1, 1);
+    EXPECT_FALSE(base.fingerprint.empty()) << sqltext;
+    for (int batch : {1, 1024}) {
+      for (int workers : {1, 8}) {
+        const Outcome got = RunAt(sqltext, batch, workers);
+        EXPECT_EQ(got.fingerprint, base.fingerprint)
+            << sqltext << " batch=" << batch << " workers=" << workers;
+        EXPECT_EQ(got.rows_scanned, base.rows_scanned)
+            << sqltext << " batch=" << batch << " workers=" << workers;
+        EXPECT_NEAR(got.cpu_core_seconds, base.cpu_core_seconds,
+                    cpu_rel_tol * base.cpu_core_seconds)
+            << sqltext << " batch=" << batch << " workers=" << workers;
+      }
+    }
+    return base;
+  }
+
+  /// Creates `name (id BIGINT, ix BIGINT, v FLOAT)` with rows
+  /// (i, i, i + 5) for i in [0, rows).
+  void MakeCells(const std::string& name, int64_t rows) {
+    Run("CREATE TABLE " + name + " (id BIGINT, ix BIGINT, v FLOAT)");
+    for (int64_t start = 0; start < rows; start += 1000) {
+      std::string values;
+      for (int64_t i = start; i < std::min(rows, start + 1000); ++i) {
+        if (!values.empty()) values += ", ";
+        const std::string s = std::to_string(i);
+        values += "(" + s + ", " + s + ", " + std::to_string(i + 5) + ".0)";
+      }
+      Run("INSERT INTO " + name + " VALUES " + values);
+    }
+  }
+};
+
+TEST_F(ScanShapeTest, ReaderUdfPerRowAggregateAndProjection) {
+  // The outer scan calls ConcatQuery on every row, so it runs inline; the
+  // nested statement scans a table of several morsels and may itself fan
+  // out to the worker pool.
+  MakeCells("cells", 6000);
+  Run("CREATE TABLE outer3 (id BIGINT)");
+  Run("INSERT INTO outer3 VALUES (0), (1), (2)");
+  Run("DECLARE @l VARBINARY(100) = IntArray.Vector_1(6000)");
+  const std::string concat =
+      "FloatArrayMax.ConcatQuery(@l, 'SELECT ix, v FROM cells')";
+
+  const Outcome agg = ExpectConfigsMatch(
+      "SELECT SUM(FloatArrayMax.Item_1(" + concat + ", 1)), COUNT(*) "
+      "FROM outer3",
+      1e-12);
+  auto check = Run("SELECT SUM(FloatArrayMax.Item_1(" + concat +
+                   ", 1)), COUNT(*) FROM outer3");
+  ASSERT_EQ(check[0].rows.size(), 1u);
+  EXPECT_EQ(check[0].rows[0][0].AsDouble().value(), 18.0);
+  EXPECT_EQ(check[0].rows[0][1].AsInt().value(), 3);
+  // Three outer rows plus three nested scans of the cell table.
+  EXPECT_EQ(agg.rows_scanned, 3 + 3 * 6000);
+
+  ExpectConfigsMatch("SELECT id, FloatArrayMax.Item_1(" + concat +
+                         ", id) FROM outer3 WHERE id >= 1",
+                     1e-12);
+}
+
+TEST_F(ScanShapeTest, ConcatUdaUngroupedGroupedAndEmpty) {
+  MakeCells("ucells", 500);
+  Run("DECLARE @l VARBINARY(100) = IntArray.Vector_1(500)");
+  ExpectConfigsMatch(
+      "SELECT FloatArrayMax.Concat(@l, ix, v) FROM ucells WHERE id % 7 <> 3");
+  ExpectConfigsMatch(
+      "SELECT id % 3, FloatArrayMax.Concat(@l, ix, v), COUNT(*) FROM ucells "
+      "GROUP BY id % 3");
+
+  // An empty input still yields the aggregate's one row, NULL.
+  Run("CREATE TABLE ucells_empty (id BIGINT, ix BIGINT, v FLOAT)");
+  const std::string empty =
+      "SELECT FloatArrayMax.Concat(@l, ix, v) FROM ucells_empty";
+  ExpectConfigsMatch(empty);
+  auto rs = Run(empty);
+  ASSERT_EQ(rs[0].rows.size(), 1u);
+  EXPECT_TRUE(rs[0].rows[0][0].is_null());
+}
+
+TEST_F(ScanShapeTest, ToTableSourceWithFilterAggregateGroupByAndTop) {
+  Run("DECLARE @a VARBINARY(100) = "
+      "FloatArray.Vector_6(1.5, 2.25, 3.0, 4.125, 5.0, 0.1)");
+  const std::string src = " FROM FloatArray.ToTable(@a)";
+  ExpectConfigsMatch("SELECT ix, v" + src + " WHERE v > 2");
+  ExpectConfigsMatch("SELECT SUM(v), COUNT(*), MIN(ix)" + src +
+                     " WHERE ix >= 1");
+  ExpectConfigsMatch("SELECT ix % 2, SUM(v), COUNT(*)" + src +
+                     " GROUP BY ix % 2");
+  const Outcome top = ExpectConfigsMatch("SELECT TOP 2 ix, v" + src +
+                                         " WHERE ix > 0");
+  // TOP stops the scan once it has its rows.
+  EXPECT_EQ(top.rows_scanned, 3);
 }
 
 }  // namespace

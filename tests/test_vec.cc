@@ -9,9 +9,11 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "core/array.h"
 #include "core/column.h"
 #include "core/vec_kernels.h"
 #include "engine/exec.h"
@@ -728,6 +730,97 @@ TEST_F(VecEngineTest, VecCountersAndProfileMode) {
     EXPECT_NE(c.op, "vec");
   }
   executor_.set_vectorized(true);
+}
+
+TEST_F(VecEngineTest, ProfileModesForMixedPlans) {
+  // Mixed plans at the default settings: each operator reports the mode its
+  // own expressions ran in, independent of its neighbours.
+  storage::Schema schema =
+      storage::Schema::Create({{"id", storage::ColumnType::kInt64, 0},
+                               {"x", storage::ColumnType::kFloat64, 0},
+                               {"v", storage::ColumnType::kBinary, 64}})
+          .value();
+  storage::Table* t = db_.CreateTable("modes", std::move(schema)).value();
+  OwnedArray vec = OwnedArray::Zeros(DType::kFloat64, Dims{5}).value();
+  for (int64_t i = 0; i < 64; ++i) {
+    ASSERT_TRUE(vec.SetDouble(0, static_cast<double>(i) * 0.5).ok());
+    ASSERT_TRUE(t->Insert({i, static_cast<double>(i) * 0.25,
+                           std::vector<uint8_t>(vec.blob().begin(),
+                                                vec.blob().end())})
+                    .ok());
+  }
+  executor_.set_vectorized(true);
+  executor_.set_batch_rows(1024);
+  executor_.set_scan_workers(1);
+
+  // Runs q under EXPLAIN ANALYZE collection and maps each operator name in
+  // the profile tree to its mode.
+  auto modes = [&](Query q) {
+    std::map<std::string, std::string> out;
+    EXPECT_TRUE(executor_.Bind(&q).ok());
+    QueryContext qctx;
+    qctx.collect_profile = true;
+    EXPECT_TRUE(executor_.Execute(q, nullptr, &qctx).ok());
+    std::vector<const obs::ProfileNode*> stack{&qctx.profile.root()};
+    while (!stack.empty()) {
+      const obs::ProfileNode* n = stack.back();
+      stack.pop_back();
+      if (n->op == "aggregate" || n->op == "group-by" || n->op == "filter") {
+        out[n->op] = n->detail;
+      }
+      for (const obs::ProfileNode& c : n->children) stack.push_back(&c);
+    }
+    return out;
+  };
+  auto id_gt_5 = [] {
+    return Bin(BinaryOp::kGt, Col("id"), Lit(Value::Int(5)));
+  };
+
+  // A UDF argument keeps the aggregate on the row evaluator while the
+  // WHERE still compiles to a columnar program.
+  Query udf_sum;
+  udf_sum.table = t;
+  std::vector<ExprPtr> args;
+  args.push_back(Col("v"));
+  args.push_back(Lit(Value::Int(0)));
+  udf_sum.items.push_back(Item(Call("FloatArray", "Item_1", std::move(args)),
+                               SelectItem::AggKind::kSum, "s"));
+  udf_sum.where = id_gt_5();
+  EXPECT_EQ(modes(std::move(udf_sum)),
+            (std::map<std::string, std::string>{{"aggregate", "row"},
+                                                {"filter", "vectorized"}}));
+
+  // TOP keeps the early-exit row loop.
+  Query top;
+  top.table = t;
+  top.items.push_back(Item(Col("id"), SelectItem::AggKind::kNone, "id"));
+  top.where = id_gt_5();
+  top.top = 3;
+  EXPECT_EQ(modes(std::move(top)),
+            (std::map<std::string, std::string>{{"filter", "row"}}));
+
+  // GROUP BY runs row at a time, filter included.
+  Query grouped;
+  grouped.table = t;
+  grouped.items.push_back(
+      Item(Bin(BinaryOp::kMod, Col("id"), Lit(Value::Int(4))),
+           SelectItem::AggKind::kNone, "k"));
+  grouped.items.push_back(Item(Col("x"), SelectItem::AggKind::kSum, "s"));
+  grouped.where = id_gt_5();
+  grouped.group_by.push_back(
+      Bin(BinaryOp::kMod, Col("id"), Lit(Value::Int(4))));
+  EXPECT_EQ(modes(std::move(grouped)),
+            (std::map<std::string, std::string>{{"group-by", "row"},
+                                                {"filter", "row"}}));
+
+  // A plain projection filters in the columnar pipeline.
+  Query project;
+  project.table = t;
+  project.items.push_back(Item(Col("id"), SelectItem::AggKind::kNone, "id"));
+  project.items.push_back(Item(Col("x"), SelectItem::AggKind::kNone, "x"));
+  project.where = id_gt_5();
+  EXPECT_EQ(modes(std::move(project)),
+            (std::map<std::string, std::string>{{"filter", "vectorized"}}));
 }
 
 TEST_F(VecEngineTest, GovernanceCancelAndBudgetInColumnarPath) {
