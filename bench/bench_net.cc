@@ -13,8 +13,8 @@
 // per-statement worker thread. Loopback numbers are a floor for real
 // networks, but catching a serialization regression is the point.
 //
-// --json output carries the standard {"records", "metrics"} shape plus a
-// top-level "net" object with both paths' numbers
+// --json output carries the standard {"records", "host", "metrics"} shape
+// plus a top-level "net" object with both paths' numbers
 // (cmake/bench_json_smoke.cmake validates the shape).
 #include <algorithm>
 #include <chrono>
@@ -145,46 +145,16 @@ void AppendPathJson(std::FILE* f, const char* key, const PathResult& r,
                r.Percentile(0.99), r.Qps(), r.wall_s, last ? "" : ",");
 }
 
-/// FlushJson with an extra top-level "net" object. Mirrors bench_util's
-/// writer so the smoke harness's shape check keeps passing.
+/// FlushJson with an extra top-level "net" object holding both paths.
 void FlushNetJson(int connections, int ops, const PathResult& inproc,
                   const PathResult& net) {
-  JsonSink& sink = GlobalJsonSink();
-  if (sink.path.empty()) return;
-  std::FILE* f = std::fopen(sink.path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "FATAL: cannot open %s for writing\n",
-                 sink.path.c_str());
-    std::abort();
-  }
-  std::fprintf(f, "{\n  \"records\": [\n");
-  for (size_t i = 0; i < sink.records.size(); ++i) {
-    const JsonRecord& r = sink.records[i];
+  FlushJson("net", [&](std::FILE* f) {
     std::fprintf(f,
-                 "    {\"bench\": \"%s\", \"case\": \"%s\", \"wall_s\": "
-                 "%.9g, \"throughput\": %.9g}%s\n",
-                 JsonEscape(r.bench).c_str(), JsonEscape(r.case_name).c_str(),
-                 r.wall_s, r.throughput,
-                 i + 1 < sink.records.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"net\": {\n");
-  std::fprintf(f, "    \"connections\": %d,\n    \"ops_per_connection\": %d,\n",
-               connections, ops);
-  AppendPathJson(f, "in_process", inproc, /*last=*/false);
-  AppendPathJson(f, "networked", net, /*last=*/true);
-  std::fprintf(f, "  },\n  \"metrics\": {\n");
-  const std::map<std::string, int64_t> metrics =
-      obs::MetricsRegistry::Global().Snapshot().values();
-  size_t emitted = 0;
-  for (const auto& [name, value] : metrics) {
-    std::fprintf(f, "    \"%s\": %lld%s\n", JsonEscape(name).c_str(),
-                 static_cast<long long>(value),
-                 ++emitted < metrics.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("wrote %zu JSON records to %s\n", sink.records.size(),
-              sink.path.c_str());
+                 "    \"connections\": %d,\n    \"ops_per_connection\": %d,\n",
+                 connections, ops);
+    AppendPathJson(f, "in_process", inproc, /*last=*/false);
+    AppendPathJson(f, "networked", net, /*last=*/true);
+  });
 }
 
 void RunBench() {

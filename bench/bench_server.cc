@@ -14,8 +14,8 @@
 // comparison is the point: admission keeps tail latency bounded and sheds
 // load by rejecting, instead of letting everything pile up.
 //
-// --json output carries the standard {"records", "metrics"} shape plus a
-// top-level "server" object with both configs' numbers
+// --json output carries the standard {"records", "host", "metrics"} shape
+// plus a top-level "server" object with both configs' numbers
 // (cmake/bench_json_smoke.cmake validates the shape).
 #include <algorithm>
 #include <atomic>
@@ -307,46 +307,15 @@ void AppendServerJson(std::FILE* f, const char* key, const LoadResult& r,
                static_cast<long long>(r.peak_queue_depth), last ? "" : ",");
 }
 
-/// FlushJson with an extra top-level "server" object. Mirrors bench_util's
-/// writer so the smoke harness's shape check keeps passing.
+/// FlushJson with an extra top-level "server" object holding both configs.
 void FlushServerJson(int sessions, int ops, const LoadResult& on,
                      const LoadResult& off) {
-  JsonSink& sink = GlobalJsonSink();
-  if (sink.path.empty()) return;
-  std::FILE* f = std::fopen(sink.path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "FATAL: cannot open %s for writing\n",
-                 sink.path.c_str());
-    std::abort();
-  }
-  std::fprintf(f, "{\n  \"records\": [\n");
-  for (size_t i = 0; i < sink.records.size(); ++i) {
-    const JsonRecord& r = sink.records[i];
-    std::fprintf(f,
-                 "    {\"bench\": \"%s\", \"case\": \"%s\", \"wall_s\": "
-                 "%.9g, \"throughput\": %.9g}%s\n",
-                 JsonEscape(r.bench).c_str(), JsonEscape(r.case_name).c_str(),
-                 r.wall_s, r.throughput,
-                 i + 1 < sink.records.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"server\": {\n");
-  std::fprintf(f, "    \"sessions\": %d,\n    \"ops_per_session\": %d,\n",
-               sessions, ops);
-  AppendServerJson(f, "admission_on", on, /*last=*/false);
-  AppendServerJson(f, "admission_off", off, /*last=*/true);
-  std::fprintf(f, "  },\n  \"metrics\": {\n");
-  const std::map<std::string, int64_t> metrics =
-      obs::MetricsRegistry::Global().Snapshot().values();
-  size_t emitted = 0;
-  for (const auto& [name, value] : metrics) {
-    std::fprintf(f, "    \"%s\": %lld%s\n", JsonEscape(name).c_str(),
-                 static_cast<long long>(value),
-                 ++emitted < metrics.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("wrote %zu JSON records to %s\n", sink.records.size(),
-              sink.path.c_str());
+  FlushJson("server", [&](std::FILE* f) {
+    std::fprintf(f, "    \"sessions\": %d,\n    \"ops_per_session\": %d,\n",
+                 sessions, ops);
+    AppendServerJson(f, "admission_on", on, /*last=*/false);
+    AppendServerJson(f, "admission_off", off, /*last=*/true);
+  });
 }
 
 void RunBench() {

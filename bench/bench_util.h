@@ -10,10 +10,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/array.h"
@@ -124,18 +128,26 @@ inline void Banner(const char* id, const char* title) {
 
 // ---------------------------------------------------------------------------
 // Machine-readable results: pass `--json out.json` to any bench and FlushJson
-// writes {"records": [...], "metrics": {...}} — every RecordJson call as a
-// {"bench": ..., "case": ..., "wall_s": ..., "throughput": ...} record, plus
-// a final MetricsRegistry snapshot (engine-wide counters such as
-// storage.disk.pages_read and core.dispatch.kernel). Throughput units are
-// bench-specific (rows/s or elements/s); wall_s is measured wall time.
+// writes {"records": [...], "host": {...}, "metrics": {...}} — every
+// RecordJson call as a {"bench": ..., "case": ..., "wall_s": ...,
+// "throughput": ...} record (plus any bench-specific named values), the
+// machine and build the numbers came from, and a final MetricsRegistry
+// snapshot (engine-wide counters such as storage.disk.pages_read and
+// core.dispatch.kernel). Throughput units are bench-specific (rows/s or
+// elements/s); wall_s is measured wall time.
 // ---------------------------------------------------------------------------
+
+#ifndef SQLARRAY_BUILD_TYPE
+#define SQLARRAY_BUILD_TYPE "unknown"
+#endif
 
 struct JsonRecord {
   std::string bench;
   std::string case_name;
   double wall_s = 0;
   double throughput = 0;
+  /// Bench-specific named values, written after the standard members.
+  std::vector<std::pair<std::string, double>> extra;
 };
 
 struct JsonSink {
@@ -163,9 +175,12 @@ inline void ParseBenchArgs(int argc, char** argv) {
 }
 
 /// Records one case's result; written out by FlushJson when --json was given.
-inline void RecordJson(const std::string& bench, const std::string& case_name,
-                       double wall_s, double throughput) {
-  GlobalJsonSink().records.push_back({bench, case_name, wall_s, throughput});
+inline void RecordJson(
+    const std::string& bench, const std::string& case_name, double wall_s,
+    double throughput,
+    std::vector<std::pair<std::string, double>> extra = {}) {
+  GlobalJsonSink().records.push_back(
+      {bench, case_name, wall_s, throughput, std::move(extra)});
 }
 
 inline std::string JsonEscape(const std::string& s) {
@@ -182,9 +197,32 @@ inline std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+/// Writes the "host" member: hardware threads, the SIMD flags the kernels
+/// dispatch on, the build type, and the CRC32C implementation every page
+/// read, WAL record and wire frame runs through.
+inline void WriteHostJson(std::FILE* f) {
+  bool sse42 = false;
+  bool avx2 = false;
+#if defined(__x86_64__)
+  sse42 = __builtin_cpu_supports("sse4.2") != 0;
+  avx2 = __builtin_cpu_supports("avx2") != 0;
+#endif
+  std::fprintf(f,
+               "  \"host\": {\"nproc\": %u, \"sse4_2\": %s, \"avx2\": %s, "
+               "\"build_type\": \"%s\", \"crc32c\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), sse42 ? "true" : "false",
+               avx2 ? "true" : "false", SQLARRAY_BUILD_TYPE,
+               Crc32cImplementation());
+}
+
 /// Writes the recorded cases to the --json path (no-op without the flag).
-/// Call once at the end of main.
-inline void FlushJson() {
+/// Call once at the end of main. A bench with results that do not fit the
+/// record shape passes `section`, the name of an extra top-level object, and
+/// `write_section`, which prints its members (four-space indent, comma
+/// separated).
+inline void FlushJson(
+    const char* section = nullptr,
+    const std::function<void(std::FILE*)>& write_section = nullptr) {
   JsonSink& sink = GlobalJsonSink();
   if (sink.path.empty()) return;
   std::FILE* f = std::fopen(sink.path.c_str(), "w");
@@ -198,11 +236,22 @@ inline void FlushJson() {
     const JsonRecord& r = sink.records[i];
     std::fprintf(f,
                  "    {\"bench\": \"%s\", \"case\": \"%s\", \"wall_s\": %.9g, "
-                 "\"throughput\": %.9g}%s\n",
+                 "\"throughput\": %.9g",
                  JsonEscape(r.bench).c_str(), JsonEscape(r.case_name).c_str(),
-                 r.wall_s, r.throughput, i + 1 < sink.records.size() ? "," : "");
+                 r.wall_s, r.throughput);
+    for (const auto& [name, value] : r.extra) {
+      std::fprintf(f, ", \"%s\": %.9g", JsonEscape(name).c_str(), value);
+    }
+    std::fprintf(f, "}%s\n", i + 1 < sink.records.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"metrics\": {\n");
+  std::fprintf(f, "  ],\n");
+  WriteHostJson(f);
+  if (section != nullptr) {
+    std::fprintf(f, "  \"%s\": {\n", section);
+    write_section(f);
+    std::fprintf(f, "  },\n");
+  }
+  std::fprintf(f, "  \"metrics\": {\n");
   const std::map<std::string, int64_t> metrics =
       obs::MetricsRegistry::Global().Snapshot().values();
   size_t emitted = 0;

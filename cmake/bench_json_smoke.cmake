@@ -1,5 +1,6 @@
 # Runs one bench with --json and asserts the output is valid JSON with the
-# expected top-level shape: {"records": [...], "metrics": {...}}. Invoked as
+# expected top-level shape: {"records": [...], "host": {...}, "metrics": {...}}.
+# Invoked as
 #   cmake -DBENCH_EXE=... -DJSON_OUT=... [-DEXTRA_ARGS=...] -P bench_json_smoke.cmake
 # Uses cmake's string(JSON) (3.19+), so the shape check runs without any
 # external JSON tooling in the image.
@@ -35,6 +36,30 @@ endif()
 if(NOT metrics_type STREQUAL "OBJECT")
   message(FATAL_ERROR "${JSON_OUT}: 'metrics' is ${metrics_type}, expected OBJECT")
 endif()
+
+# Every bench records the machine and build its numbers came from
+# (bench_util.h WriteHostJson): a result without them cannot be compared.
+string(JSON host_type ERROR_VARIABLE json_err TYPE "${json_text}" host)
+if(json_err)
+  message(FATAL_ERROR "${JSON_OUT}: no 'host' member: ${json_err}")
+endif()
+if(NOT host_type STREQUAL "OBJECT")
+  message(FATAL_ERROR "${JSON_OUT}: 'host' is ${host_type}, expected OBJECT")
+endif()
+foreach(member_and_type nproc:NUMBER sse4_2:BOOLEAN avx2:BOOLEAN
+                        build_type:STRING crc32c:STRING)
+  string(REPLACE ":" ";" member_and_type "${member_and_type}")
+  list(GET member_and_type 0 member)
+  list(GET member_and_type 1 expected_type)
+  string(JSON member_type ERROR_VARIABLE json_err TYPE "${json_text}"
+         host ${member})
+  if(json_err)
+    message(FATAL_ERROR "${JSON_OUT}: host.${member} missing: ${json_err}")
+  endif()
+  if(NOT member_type STREQUAL expected_type)
+    message(FATAL_ERROR "${JSON_OUT}: host.${member} is ${member_type}, expected ${expected_type}")
+  endif()
+endforeach()
 
 # Benches that report multi-session results (bench_server) additionally
 # carry a top-level "server" object; -DEXPECT_SERVER=ON makes its shape

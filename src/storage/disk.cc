@@ -164,7 +164,14 @@ Status SimulatedDisk::WritePage(PageId id, const Page& page) {
   }
   if (stored) *pages_[id - 1] = page;
 
-  if (checksums_enabled_) checksums_[id] = PageChecksum(page);
+  // An unverified write (PAGE_VERIFY NONE) leaves the page without a
+  // checksum until it is rewritten with verification on; keeping the old
+  // one would fail the next verified read of an intact page.
+  if (checksums_enabled_) {
+    checksums_[id] = PageChecksum(page);
+  } else {
+    checksums_.erase(id);
+  }
   stats_.pages_written++;
   stats_.bytes_written += kPageSize;
   reg_pages_written_->Add(1);

@@ -153,6 +153,9 @@ class SimulatedDisk {
   Status CorruptPageByte(PageId id, int64_t offset);
 
   /// Page checksum verification (on by default, like PAGE_VERIFY CHECKSUM).
+  /// A page written while verification is off carries no checksum until it
+  /// is rewritten with verification on, as after SQL Server switches from
+  /// PAGE_VERIFY NONE to CHECKSUM.
   void set_checksums_enabled(bool enabled) { checksums_enabled_ = enabled; }
   bool checksums_enabled() const { return checksums_enabled_; }
 

@@ -1,6 +1,9 @@
 // Tests for Status/Result, dimension math, and byte codecs.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <initializer_list>
 #include <vector>
 
 #include "common/bytes.h"
@@ -122,14 +125,24 @@ TEST(Result, MovedFromValueResultIsReusable) {
 }
 
 TEST(Crc32c, KnownAnswerVectors) {
-  // RFC 3720 appendix test vector for CRC32C (Castagnoli).
+  // RFC 3720 appendix test vectors for CRC32C (Castagnoli), through both
+  // implementations.
   const char* check = "123456789";
-  EXPECT_EQ(Crc32c(reinterpret_cast<const uint8_t*>(check), 9), 0xE3069283u);
-  // Empty input is the seed itself.
-  EXPECT_EQ(Crc32c(nullptr, 0), 0u);
-  // 32 zero bytes (iSCSI test vector).
-  std::vector<uint8_t> zeros(32, 0);
-  EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
+  std::vector<uint8_t> zeros(32, 0), ones(32, 0xFF), up(32), down(32);
+  for (int i = 0; i < 32; ++i) {
+    up[i] = static_cast<uint8_t>(i);
+    down[i] = static_cast<uint8_t>(31 - i);
+  }
+  using CrcFn = uint32_t (*)(const void*, size_t, uint32_t);
+  for (CrcFn crc : std::initializer_list<CrcFn>{&Crc32c, &Crc32cPortable}) {
+    EXPECT_EQ(crc(check, 9, 0), 0xE3069283u);
+    // Empty input is the seed itself.
+    EXPECT_EQ(crc(nullptr, 0, 0), 0u);
+    EXPECT_EQ(crc(zeros.data(), zeros.size(), 0), 0x8A9136AAu);
+    EXPECT_EQ(crc(ones.data(), ones.size(), 0), 0x62A8AB43u);
+    EXPECT_EQ(crc(up.data(), up.size(), 0), 0x46DD794Eu);
+    EXPECT_EQ(crc(down.data(), down.size(), 0), 0x113FDB5Cu);
+  }
   // Incremental computation matches one-shot.
   std::vector<uint8_t> data(1000);
   for (size_t i = 0; i < data.size(); ++i) {
@@ -142,6 +155,58 @@ TEST(Crc32c, KnownAnswerVectors) {
   // Sensitivity: any single-bit difference changes the sum.
   data[500] ^= 0x10;
   EXPECT_NE(Crc32c(data.data(), data.size()), oneshot);
+}
+
+// Differential suite: the dispatched Crc32c against slicing-by-8. The
+// hardware kernel switches to three interleaved streams of kStripe bytes
+// (crc32c.cc) at 3 * kStripe, so lengths and splits straddle every stripe
+// boundary. On a CPU or build without the kernel both sides are portable
+// and the suite still runs.
+constexpr size_t kStripe = 2728;
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.NextU64());
+  return bytes;
+}
+
+TEST(Crc32c, MatchesPortableAtEveryLengthAndOffset) {
+  std::printf("Crc32c dispatches to %s%s\n", Crc32cImplementation(),
+              std::strcmp(Crc32cImplementation(), "slicing-by-8") == 0
+                  ? " (both sides portable)"
+                  : "");
+  const size_t max_len = 3 * kStripe + 64;
+  const std::vector<uint8_t> buf = RandomBytes(max_len + 8, 1);
+  Rng seeds(2);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= max_len; ++len) {
+      const uint32_t seed = static_cast<uint32_t>(seeds.NextU64());
+      const uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(Crc32c(p, len, seed), Crc32cPortable(p, len, seed))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32c, IncrementalSplitsAtStripeBoundaries) {
+  const size_t total = 7 * kStripe + 13;
+  const std::vector<uint8_t> buf = RandomBytes(total, 3);
+  const uint32_t whole = Crc32cPortable(buf.data(), buf.size(), 0x5EEDu);
+  for (size_t k = 1; k <= 6; ++k) {
+    for (size_t split : {k * kStripe - 1, k * kStripe, k * kStripe + 1}) {
+      const uint32_t head = Crc32c(buf.data(), split, 0x5EEDu);
+      EXPECT_EQ(Crc32c(buf.data() + split, total - split, head), whole)
+          << "split at " << split;
+    }
+  }
+}
+
+TEST(Crc32c, SixteenMebibyteBufferMatchesPortable) {
+  // The cap on WAL records and wire frames.
+  const std::vector<uint8_t> buf = RandomBytes(size_t{16} << 20, 4);
+  EXPECT_EQ(Crc32c(buf.data(), buf.size()),
+            Crc32cPortable(buf.data(), buf.size()));
 }
 
 TEST(Dims, ElementCountAndStrides) {

@@ -525,6 +525,36 @@ TEST(PageChecksums, DetectMediaCorruption) {
   EXPECT_FALSE(disk.CorruptPageByte(id, 99999).ok());
 }
 
+TEST(PageChecksums, UncheckedWriteDropsTheStaleChecksum) {
+  SimulatedDisk disk;
+  PageId id = disk.AllocatePage();
+  Page a;
+  a.data()[100] = 1;
+  Page b;
+  b.data()[100] = 2;
+  ASSERT_TRUE(disk.WritePage(id, a).ok());
+
+  // B is written under PAGE_VERIFY NONE; turning verification back on must
+  // not hold the intact page to A's checksum.
+  disk.set_checksums_enabled(false);
+  ASSERT_TRUE(disk.WritePage(id, b).ok());
+  disk.set_checksums_enabled(true);
+  Page out;
+  ASSERT_TRUE(disk.ReadPage(id, &out).ok());
+  EXPECT_EQ(out.data()[100], 2);
+  EXPECT_EQ(disk.stats().checksum_failures, 0);
+
+  // The page carries no checksum until it is rewritten, so damage to it
+  // goes unnoticed, as on a page last written under PAGE_VERIFY NONE.
+  ASSERT_TRUE(disk.CorruptPageByte(id, 7).ok());
+  EXPECT_TRUE(disk.ReadPage(id, &out).ok());
+
+  // A verified rewrite stamps it again.
+  ASSERT_TRUE(disk.WritePage(id, b).ok());
+  ASSERT_TRUE(disk.CorruptPageByte(id, 7).ok());
+  EXPECT_EQ(disk.ReadPage(id, &out).code(), StatusCode::kCorruption);
+}
+
 TEST(PageChecksums, CorruptBlobSurfacesThroughTheStack) {
   Database db;
   Schema schema = Schema::Create({{"id", ColumnType::kInt64, 0},
