@@ -688,5 +688,67 @@ TEST_F(ScanShapeTest, ToTableSourceWithFilterAggregateGroupByAndTop) {
   EXPECT_EQ(top.rows_scanned, 3);
 }
 
+TEST_F(ScanShapeTest, NonLaneExpressionsInBatchedBodies) {
+  // Expressions no columnar program covers (UDF calls, binary and
+  // VARBINARY(MAX) columns) run through the row evaluator inside the
+  // batched bodies: in a WHERE, an aggregate argument, a first-kept-row
+  // plain item and a projection item. Each must reproduce batch 1.
+  MakeCells("lane_src", 5000);
+  Run("CREATE TABLE arr (id BIGINT, x FLOAT, v VARBINARY(64))");
+  Run("INSERT INTO arr SELECT id, (id % 7) * 0.5, "
+      "FloatArray.Vector_2((id % 7) * 0.5, id) FROM lane_src");
+  Run("CREATE TABLE marr (id BIGINT, m VARBINARY(MAX))");
+  Run("INSERT INTO marr SELECT id, FloatArrayMax.Vector_2(v, ix) "
+      "FROM lane_src WHERE id < 1300");
+  constexpr double kUdfTol = 1e-12;
+
+  // A WHERE that is only a call keeps the rows with id % 7 == 6.
+  const std::string only_call =
+      "SELECT id, x FROM arr WHERE FloatArray.Item_1(v, 0) > 2.5";
+  ExpectConfigsMatch(only_call, kUdfTol);
+  EXPECT_EQ(Run(only_call)[0].rows.size(), 5000u / 7);
+
+  // A mixed WHERE: a lane comparison ANDed with a call.
+  const std::string mixed =
+      "SELECT id, FloatArray.Item_1(v, 0) FROM arr "
+      "WHERE id >= 10 AND FloatArray.Item_1(v, 1) < 40";
+  ExpectConfigsMatch(mixed, kUdfTol);
+  EXPECT_EQ(Run(mixed)[0].rows.size(), 30u);
+
+  // An ungrouped aggregate whose plain item is a call takes it from the
+  // first kept row (id 2000, in the middle of the second 1024-row batch).
+  const std::string agg =
+      "SELECT FloatArray.Item_1(v, 1), SUM(FloatArray.Item_1(v, 0)), "
+      "COUNT(*) FROM arr WHERE id >= 2000";
+  ExpectConfigsMatch(agg, kUdfTol);
+  auto agg_rs = Run(agg);
+  ASSERT_EQ(agg_rs[0].rows.size(), 1u);
+  EXPECT_EQ(agg_rs[0].rows[0][0].AsDouble().value(), 2000.0);
+  EXPECT_EQ(agg_rs[0].rows[0][2].AsInt().value(), 3000);
+
+  // Projections of the binary column, of a call returning bytes, and of a
+  // VARBINARY(MAX) column.
+  ExpectConfigsMatch(
+      "SELECT v, FloatArray.Scale(v, 2), x FROM arr WHERE id % 3 = 0",
+      kUdfTol);
+  ExpectConfigsMatch("SELECT id, m FROM marr WHERE id % 2 = 1");
+  ExpectConfigsMatch("SELECT m, FloatArrayMax.Item_1(m, 1) FROM marr",
+                     kUdfTol);
+
+  // A call filter that keeps no rows in the middle batches, feeding a
+  // projection and an aggregate.
+  const std::string gaps =
+      " FROM arr WHERE FloatArray.Item_1(v, 1) < 100 OR id >= 4900";
+  ExpectConfigsMatch("SELECT id, FloatArray.Item_1(v, 0)" + gaps, kUdfTol);
+  auto gap_rs = Run("SELECT SUM(x), COUNT(*), MAX(FloatArray.Item_1(v, 1))" +
+                    gaps);
+  ASSERT_EQ(gap_rs[0].rows.size(), 1u);
+  EXPECT_EQ(gap_rs[0].rows[0][1].AsInt().value(), 200);
+  EXPECT_EQ(gap_rs[0].rows[0][2].AsDouble().value(), 4999.0);
+  ExpectConfigsMatch(
+      "SELECT SUM(x), COUNT(*), MAX(FloatArray.Item_1(v, 1))" + gaps,
+      kUdfTol);
+}
+
 }  // namespace
 }  // namespace sqlarray::sql
