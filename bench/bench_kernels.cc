@@ -229,18 +229,15 @@ void TimeVecVsRow(BenchServer* server, engine::Query* q,
   Check(ex.Bind(q), "bind");
 
   ex.set_scan_workers(1);
-  ex.set_vectorized(true);
   ex.set_batch_rows(batch);
   size_t vec_rows = CheckResult(ex.Execute(*q, nullptr), "vec").rows.size();
   double vec_s = TimePerCall(
       [&] { CheckResult(ex.Execute(*q, nullptr), "vec"); });
 
-  ex.set_vectorized(false);
   ex.set_batch_rows(1);
   size_t row_rows = CheckResult(ex.Execute(*q, nullptr), "row").rows.size();
   double row_s = TimePerCall(
       [&] { CheckResult(ex.Execute(*q, nullptr), "row"); });
-  ex.set_vectorized(true);
   ex.set_batch_rows(1024);
 
   if (vec_rows != row_rows) {

@@ -140,6 +140,9 @@ inline void Banner(const char* id, const char* title) {
 #ifndef SQLARRAY_BUILD_TYPE
 #define SQLARRAY_BUILD_TYPE "unknown"
 #endif
+#ifndef SQLARRAY_SOURCE_DIR
+#define SQLARRAY_SOURCE_DIR "."
+#endif
 
 struct JsonRecord {
   std::string bench;
@@ -197,9 +200,27 @@ inline std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+/// The source checkout's HEAD commit, or "unknown" outside a git checkout.
+/// Read when the bench runs: a sha taken at configure time would go stale
+/// after the next commit.
+inline std::string GitSha() {
+  const std::string cmd = std::string("git -C \"") + SQLARRAY_SOURCE_DIR +
+                          "\" rev-parse HEAD 2>/dev/null";
+  std::FILE* p = popen(cmd.c_str(), "r");
+  if (p == nullptr) return "unknown";
+  char line[128] = {};
+  const bool got = std::fgets(line, sizeof(line), p) != nullptr;
+  const bool ok = pclose(p) == 0 && got;
+  std::string sha = ok ? line : "";
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
+    sha.pop_back();
+  }
+  return sha.empty() ? "unknown" : sha;
+}
+
 /// Writes the "host" member: hardware threads, the SIMD flags the kernels
-/// dispatch on, the build type, and the CRC32C implementation every page
-/// read, WAL record and wire frame runs through.
+/// dispatch on, the build type, the CRC32C implementation every page read,
+/// WAL record and wire frame runs through, and the git sha of the source.
 inline void WriteHostJson(std::FILE* f) {
   bool sse42 = false;
   bool avx2 = false;
@@ -209,10 +230,11 @@ inline void WriteHostJson(std::FILE* f) {
 #endif
   std::fprintf(f,
                "  \"host\": {\"nproc\": %u, \"sse4_2\": %s, \"avx2\": %s, "
-               "\"build_type\": \"%s\", \"crc32c\": \"%s\"},\n",
+               "\"build_type\": \"%s\", \"crc32c\": \"%s\", "
+               "\"git_sha\": \"%s\"},\n",
                std::thread::hardware_concurrency(), sse42 ? "true" : "false",
                avx2 ? "true" : "false", SQLARRAY_BUILD_TYPE,
-               Crc32cImplementation());
+               Crc32cImplementation(), JsonEscape(GitSha()).c_str());
 }
 
 /// Writes the recorded cases to the --json path (no-op without the flag).

@@ -47,7 +47,7 @@ if(NOT host_type STREQUAL "OBJECT")
   message(FATAL_ERROR "${JSON_OUT}: 'host' is ${host_type}, expected OBJECT")
 endif()
 foreach(member_and_type nproc:NUMBER sse4_2:BOOLEAN avx2:BOOLEAN
-                        build_type:STRING crc32c:STRING)
+                        build_type:STRING crc32c:STRING git_sha:STRING)
   string(REPLACE ":" ";" member_and_type "${member_and_type}")
   list(GET member_and_type 0 member)
   list(GET member_and_type 1 expected_type)

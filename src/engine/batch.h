@@ -1,94 +1,16 @@
-// Batched expression evaluation for scan loops.
+// Gathered row blocks for the batched scan bodies.
 //
-// Row-at-a-time execution pays a fresh heap allocation per row for every
-// binary-column decode (Item_N's array argument is an 8 KB copy), plus a
-// per-row argument vector for every UDF call. The batch evaluator gathers a
-// block of rows (Executor::set_batch_rows, default 1024), then walks each
-// expression tree ONCE per batch, evaluating node-by-node over Value
-// columns drawn from a reusable arena:
-//
-//   * ByteBufferPool recycles the byte buffers behind kBinary column
-//     Values: a buffer whose refcount has dropped back to 1 (the pool's
-//     own reference) is reused for the next decode instead of reallocated.
-//   * EvalArena recycles the per-node Value columns and the per-row UDF
-//     argument scratch across batches.
-//
-// Contract: for any expression and row set, EvalBatch produces exactly the
-// Values row-at-a-time Eval produces (it reuses EvalBinaryOp/EvalUnaryOp
-// and the same column decode and UDF invocation), and evaluates rows of a
-// column in batch order, so order-sensitive consumers (aggregate
-// accumulation) see the same sequence. Only the order in which *different
-// subexpressions* run changes (column-wise instead of row-wise), so a
-// failing query may surface a different row's error than the row-at-a-time
-// loop — the success/failure outcome and all success results are
-// identical. Cost accounting: per-row charges still run per row, so charge
-// totals match row-at-a-time execution exactly for native queries; when UDF
-// boundary charges interleave differently (they are charged per column
-// instead of per row), the double-summed total can reassociate by ulps.
+// The batched bodies (engine/exec.cc) gather a block of rows
+// (Executor::set_batch_rows, default 1024) and evaluate each expression
+// over it: a compiled columnar program (engine/vec_expr.h) when the
+// expression has one, the row evaluator (Eval) once per selected row
+// otherwise.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <vector>
 
-#include "common/status.h"
-#include "engine/expr.h"
-
 namespace sqlarray::engine {
-
-/// Recycles the heap buffers behind inline-bytes Values. Get() hands out a
-/// buffer with no other owners; once the Value(s) holding it are dropped,
-/// the buffer becomes reusable again (use_count back to 1).
-class ByteBufferPool {
- public:
-  std::shared_ptr<std::vector<uint8_t>> Get();
-
- private:
-  /// Bounded probe per Get: keeps Get O(1) even when every tracked buffer
-  /// escaped into long-lived results.
-  static constexpr size_t kMaxProbe = 8;
-  /// Tracking cap; beyond it Get falls back to untracked allocations.
-  static constexpr size_t kMaxTracked = 4096;
-
-  std::vector<std::shared_ptr<std::vector<uint8_t>>> slots_;
-  size_t cursor_ = 0;
-};
-
-/// Recycles Value column vectors (one per live expression node) and the
-/// per-row UDF argument scratch across batches.
-class EvalArena {
- public:
-  std::vector<Value>* Borrow();
-  void Return(std::vector<Value>* col);
-  std::vector<Value>* arg_scratch() { return &arg_scratch_; }
-
- private:
-  std::vector<std::unique_ptr<std::vector<Value>>> owned_;
-  std::vector<std::vector<Value>*> free_;
-  std::vector<Value> arg_scratch_;
-};
-
-/// Scope guard that returns every column it lends to the arena, so early
-/// error returns don't strand borrowed columns.
-class ColumnGuard {
- public:
-  explicit ColumnGuard(EvalArena* arena) : arena_(arena) {}
-  ~ColumnGuard() {
-    for (std::vector<Value>* col : cols_) arena_->Return(col);
-  }
-  ColumnGuard(const ColumnGuard&) = delete;
-  ColumnGuard& operator=(const ColumnGuard&) = delete;
-
-  std::vector<Value>* Borrow() {
-    cols_.push_back(arena_->Borrow());
-    return cols_.back();
-  }
-
- private:
-  EvalArena* arena_;
-  std::vector<std::vector<Value>*> cols_;
-};
 
 /// A gathered block of fixed-width rows. Rows are copied out of the cursor
 /// (cursor row pointers die on Next), so the batch stays valid while the
@@ -97,15 +19,19 @@ class RowBatch {
  public:
   /// Clears the batch and (re)shapes it for `capacity` rows of
   /// `row_size` bytes. The backing store is allocated once.
-  void Reset(int64_t row_size, int32_t capacity);
+  void Reset(int64_t row_size, int32_t capacity) {
+    row_size_ = row_size;
+    cap_ = capacity;
+    n_ = 0;
+    data_.resize(static_cast<size_t>(row_size) * capacity);
+  }
   bool full() const { return n_ == cap_; }
   int32_t size() const { return n_; }
   int32_t capacity() const { return cap_; }
-  void Push(const uint8_t* row);
   /// Bulk append: writable space for the next capacity() - size() rows;
   /// after filling the first `n` of them, CommitAppend(n) makes them part
-  /// of the batch. The cursor CopyRows fill path (one memcpy per leaf-page
-  /// run) goes through this instead of a Push per row.
+  /// of the batch. The cursor CopyRows fill path writes one memcpy per
+  /// leaf-page run through this.
   uint8_t* AppendSlots() {
     return data_.data() + static_cast<size_t>(n_) * row_size_;
   }
@@ -120,28 +46,5 @@ class RowBatch {
   int32_t cap_ = 0;
   std::vector<uint8_t> data_;
 };
-
-/// Evaluation environment for one batch. `sel` restricts evaluation to a
-/// subset of batch rows (post-WHERE); null means every row.
-struct BatchContext {
-  const storage::Schema* schema = nullptr;
-  const RowBatch* batch = nullptr;
-  const std::vector<int32_t>* sel = nullptr;
-  std::map<std::string, Value>* variables = nullptr;
-  UdfContext* udf = nullptr;
-  ByteBufferPool* byte_pool = nullptr;
-  EvalArena* arena = nullptr;
-
-  int32_t NumRows() const {
-    return sel != nullptr ? static_cast<int32_t>(sel->size())
-                          : batch->size();
-  }
-  int32_t RowAt(int32_t k) const { return sel != nullptr ? (*sel)[k] : k; }
-};
-
-/// Evaluates `expr` once per (selected) row into `out` (resized to
-/// NumRows()). out[k] corresponds to batch row RowAt(k).
-Status EvalBatch(const Expr& expr, BatchContext& ctx,
-                 std::vector<Value>* out);
 
 }  // namespace sqlarray::engine

@@ -240,30 +240,8 @@ bool IsCountStar(const SelectItem& item) {
          (item.expr == nullptr || item.expr->kind == Expr::Kind::kStar);
 }
 
-/// Evaluates the WHERE column for a gathered batch and fills `sel` with the
-/// indices of surviving rows (SQL truthiness: NULL is false).
-Status FilterBatch(const Query& q, BatchContext* bctx,
-                   std::vector<Value>* keep_col, std::vector<int32_t>* sel) {
-  const int32_t nrows = bctx->batch->size();
-  sel->clear();
-  bctx->sel = nullptr;
-  if (q.where == nullptr) {
-    for (int32_t i = 0; i < nrows; ++i) sel->push_back(i);
-    return Status::OK();
-  }
-  SQLARRAY_RETURN_IF_ERROR(EvalBatch(*q.where, *bctx, keep_col));
-  for (int32_t i = 0; i < nrows; ++i) {
-    const Value& keep = (*keep_col)[i];
-    int64_t truthy = 0;
-    if (!keep.is_null()) {
-      SQLARRAY_ASSIGN_OR_RETURN(truthy, keep.AsInt());
-    }
-    if (truthy != 0) sel->push_back(i);
-  }
-  return Status::OK();
-}
-
-/// Row-at-a-time WHERE with the same truthiness.
+/// Evaluates the WHERE for the context's row with SQL truthiness: NULL is
+/// false.
 Result<bool> RowPasses(const Query& q, EvalContext& ctx) {
   if (q.where == nullptr) return true;
   SQLARRAY_ASSIGN_OR_RETURN(Value keep, Eval(*q.where, ctx));
@@ -295,7 +273,7 @@ obs::Counter& VecFallbackRowsCounter() {
 }
 
 /// Per-query compiled columnar programs: one for WHERE, one per select item
-/// that the columnar domain covers. Null slots fall back to EvalBatch.
+/// that the columnar domain covers. Null slots evaluate through Eval.
 /// Built once per statement and shared read-only across morsel workers
 /// (Run writes only the caller's scratch).
 struct VecQueryPlan {
@@ -711,20 +689,13 @@ Status AccumulateUda(const ScanEnv& env, const SelectItem& item,
 
 /// The batched bodies' shared front half: gathers a morsel's rows block by
 /// block, charges each row's scan cost, and filters the block into `sel`
-/// (the compiled WHERE program when there is one, EvalBatch otherwise).
+/// (the compiled WHERE program when there is one, RowPasses per row
+/// otherwise). An expression without a compiled program runs through Eval
+/// once per batch row, with `ctx` pointed at that row.
 class BatchFeed {
  public:
-  BatchFeed(const ScanEnv& env, UdfContext* udf) : env_(env) {
-    bctx.schema = env.schema;
-    bctx.batch = &batch;
-    bctx.variables = env.variables;
-    bctx.udf = udf;
-    bctx.byte_pool = &byte_pool_;
-    bctx.arena = &arena;
-  }
-  // bctx points into this object.
-  BatchFeed(const BatchFeed&) = delete;
-  BatchFeed& operator=(const BatchFeed&) = delete;
+  BatchFeed(const ScanEnv& env, QueryStats* stats)
+      : ctx(env.RowContext(stats)), env_(env) {}
 
   /// Charges the gather buffer and, when a columnar plan runs, its register
   /// file: the batched bodies' private allocations.
@@ -753,18 +724,44 @@ class BatchFeed {
       VecBatchesCounter().Add(1);
       VecRowsCounter().Add(batch.size());
     }
-    if (vplan != nullptr && vplan->where_ok) {
+    sel.clear();
+    if (env_.q->where == nullptr) {
+      for (int32_t r = 0; r < batch.size(); ++r) sel.push_back(r);
+    } else if (vplan != nullptr && vplan->where_ok) {
       SQLARRAY_RETURN_IF_ERROR(vec::VecFilter(
           vplan->where, batch, &vscratch.regs, &vscratch.trunc, &sel));
-      bctx.sel = nullptr;
     } else {
-      SQLARRAY_RETURN_IF_ERROR(FilterBatch(*env_.q, &bctx, &keep_col_, &sel));
-      if (vplan != nullptr && env_.q->where != nullptr) {
-        VecFallbackRowsCounter().Add(batch.size());
+      for (int32_t r = 0; r < batch.size(); ++r) {
+        SQLARRAY_ASSIGN_OR_RETURN(bool keep, RowPasses(*env_.q, At(r)));
+        if (keep) sel.push_back(r);
       }
+      if (vplan != nullptr) VecFallbackRowsCounter().Add(batch.size());
     }
     stats->rows_kept += static_cast<int64_t>(sel.size());
     return true;
+  }
+
+  /// The row context pointed at batch row `r`.
+  EvalContext& At(int32_t r) {
+    ctx.row = batch.row(r);
+    return ctx;
+  }
+
+  /// Evaluates select item `i`, which has no compiled program, through Eval
+  /// once per selected row into `out` (the caller's reused column), in
+  /// selection order.
+  Status EvalSelected(size_t i, std::vector<Value>* out) {
+    out->clear();
+    for (int32_t r : sel) {
+      SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*env_.q->items[i].expr, At(r)));
+      out->push_back(std::move(v));
+    }
+    // Rows an item evaluated through Eval while a columnar plan ran (the
+    // vec.fallback_rows counter).
+    if (env_.vplan != nullptr) {
+      VecFallbackRowsCounter().Add(static_cast<int64_t>(sel.size()));
+    }
+    return Status::OK();
   }
 
   /// The compiled program for select item `i`, or null.
@@ -772,37 +769,25 @@ class BatchFeed {
     return env_.vplan != nullptr ? env_.vplan->items[i].get() : nullptr;
   }
 
-  /// Counts rows an item evaluated through EvalBatch while a columnar plan
-  /// ran (the vec.fallback_rows counter).
-  void NoteFallback(size_t rows) const {
-    if (env_.vplan != nullptr) {
-      VecFallbackRowsCounter().Add(static_cast<int64_t>(rows));
-    }
-  }
-
   RowBatch batch;
-  EvalArena arena;
-  BatchContext bctx;
   std::vector<int32_t> sel;
   VecScratch vscratch;
+  EvalContext ctx;
 
  private:
   const ScanEnv& env_;
-  ByteBufferPool byte_pool_;
-  std::vector<Value> keep_col_;
 };
 
 /// Batched aggregate body: ungrouped native aggregates over a table scan,
 /// folded block by block (compiled argument programs feed the fold kernels;
-/// the rest evaluate through EvalBatch).
+/// the rest evaluate through Eval into a reused column).
 template <typename TableCursor>
 Status AggregateBatch(const ScanEnv& env, TableCursor& cursor, Partial* out) {
   const Query& q = *env.q;
   const CostModel& cost = *env.cost;
   const size_t n_items = q.items.size();
   QueryStats& stats = out->stats;
-  UdfContext udf = env.Udf(&stats);
-  BatchFeed feed(env, &udf);
+  BatchFeed feed(env, &stats);
   SQLARRAY_RETURN_IF_ERROR(feed.Reserve());
   std::vector<Value> col;
   GroupAcc* acc = nullptr;
@@ -821,11 +806,9 @@ Status AggregateBatch(const ScanEnv& env, TableCursor& cursor, Partial* out) {
         // Plain items evaluate once, on the first row that survives the
         // filter — the row body's first-kept-row semantics.
         if (!acc->plain_filled) {
-          std::vector<int32_t> first_sel(1, sel[0]);
-          feed.bctx.sel = &first_sel;
-          SQLARRAY_RETURN_IF_ERROR(EvalBatch(*item.expr, feed.bctx, &col));
+          SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, feed.At(sel[0])));
           acc->plain_items.resize(n_items);
-          acc->plain_items[i] = std::move(col[0]);
+          acc->plain_items[i] = std::move(v);
         }
         continue;
       }
@@ -844,9 +827,7 @@ Status AggregateBatch(const ScanEnv& env, TableCursor& cursor, Partial* out) {
             item.agg, prog->Result(feed.vscratch.regs), &st));
         continue;
       }
-      feed.bctx.sel = &sel;
-      SQLARRAY_RETURN_IF_ERROR(EvalBatch(*item.expr, feed.bctx, &col));
-      feed.NoteFallback(sel.size());
+      SQLARRAY_RETURN_IF_ERROR(feed.EvalSelected(i, &col));
       for (const Value& v : col) {
         stats.agg_steps++;
         stats.ChargeCpuNs(cost.native_agg_step_ns);
@@ -865,28 +846,22 @@ Status ProjectBatch(const ScanEnv& env, TableCursor& cursor, Partial* out) {
   const Query& q = *env.q;
   const size_t n_items = q.items.size();
   QueryStats& stats = out->stats;
-  UdfContext udf = env.Udf(&stats);
-  BatchFeed feed(env, &udf);
+  BatchFeed feed(env, &stats);
   SQLARRAY_RETURN_IF_ERROR(feed.Reserve());
+  std::vector<std::vector<Value>> cols(n_items);
   while (true) {
     SQLARRAY_ASSIGN_OR_RETURN(bool more, feed.Next(cursor, &stats));
     if (!more) break;
     const std::vector<int32_t>& sel = feed.sel;
     if (sel.empty()) continue;
-    feed.bctx.sel = &sel;
-    ColumnGuard guard(&feed.arena);
-    std::vector<std::vector<Value>*> cols;
-    cols.reserve(n_items);
     for (size_t i = 0; i < n_items; ++i) {
-      cols.push_back(guard.Borrow());
       if (const vec::VecProgram* prog = feed.ItemProgram(i)) {
         SQLARRAY_RETURN_IF_ERROR(
             prog->Run(feed.batch, &sel, &feed.vscratch.regs));
-        vec::ColumnToValues(prog->Result(feed.vscratch.regs), cols[i]);
+        vec::ColumnToValues(prog->Result(feed.vscratch.regs), &cols[i]);
         continue;
       }
-      SQLARRAY_RETURN_IF_ERROR(EvalBatch(*q.items[i].expr, feed.bctx, cols[i]));
-      feed.NoteFallback(sel.size());
+      SQLARRAY_RETURN_IF_ERROR(feed.EvalSelected(i, &cols[i]));
     }
     SQLARRAY_RETURN_IF_ERROR(GovCharge(
         env.limits, static_cast<int64_t>(sel.size()) * RowFootprint(n_items)));
@@ -894,7 +869,7 @@ Status ProjectBatch(const ScanEnv& env, TableCursor& cursor, Partial* out) {
       std::vector<Value> row;
       row.reserve(n_items);
       for (size_t i = 0; i < n_items; ++i) {
-        row.push_back(std::move((*cols[i])[k]));
+        row.push_back(std::move(cols[i][k]));
       }
       out->rows.push_back(std::move(row));
     }
@@ -1182,7 +1157,7 @@ Result<ResultSet> Executor::ExecuteInternal(
   // morsel worker (each worker owns its register scratch). EXPLAIN ANALYZE
   // reports the operator modes of exactly this plan.
   VecQueryPlan vplan;
-  if (batched && vectorized_) {
+  if (batched) {
     vplan = BuildVecPlan(q, variables, /*rows_mode=*/!env.aggregate);
   }
   if (vplan.any) env.vplan = &vplan;
@@ -1315,8 +1290,8 @@ void Executor::BuildProfile(const Query& q, const ResultSet& rs,
 
   // Columnar-pipeline summary: one root child when any vectorized batches
   // ran during this statement (registry deltas, like the dispatch
-  // counters). fallback_rows counts per-expression drops to the batched
-  // row evaluator, so it can exceed rows when several items fall back.
+  // counters). fallback_rows counts per-expression drops to the row
+  // evaluator, so it can exceed rows when several items fall back.
   const int64_t vec_batches = now.Delta(metrics_before, "vec.batches");
   if (vec_batches > 0) {
     const int64_t vec_rows = now.Delta(metrics_before, "vec.rows");

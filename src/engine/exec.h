@@ -141,22 +141,15 @@ class Executor {
 
   /// Rows gathered per evaluation batch. Table scans of ungrouped native
   /// aggregates and of projections without TOP run the batched chunk
-  /// bodies; GROUP BY, UDAs, TOP and TVF sources run the row-at-a-time
-  /// bodies at any setting. Values <= 1 force row-at-a-time execution
-  /// everywhere; results are identical either way (engine/batch.h documents
-  /// the contract), which tests/test_engine.cc exercises differentially.
+  /// bodies: WHERE and select items compile to columnar programs
+  /// (engine/vec_expr.h) where they can, and any other expression runs
+  /// through Eval once per selected row. GROUP BY, UDAs, TOP and TVF
+  /// sources run the row-at-a-time bodies at any setting. Values <= 1 force
+  /// row-at-a-time Eval everywhere, the oracle that tests/test_engine.cc
+  /// and tests/test_vec.cc compare every batch size and worker count
+  /// against; results are bit-identical either way.
   void set_batch_rows(int rows) { batch_rows_ = rows; }
   int batch_rows() const { return batch_rows_; }
-
-  /// Toggles the fused columnar pipeline (engine/vec_expr.h) inside the
-  /// batched chunk bodies. On (the default), WHERE and eligible select
-  /// items compile to column-kernel programs; expressions outside the
-  /// columnar domain fall back to the batched row evaluator per item. Off
-  /// forces every batched evaluation through EvalBatch. Results are
-  /// bit-identical either way at any batch size and worker count
-  /// (tests/test_vec.cc exercises this differentially).
-  void set_vectorized(bool on) { vectorized_ = on; }
-  bool vectorized() const { return vectorized_; }
 
   /// Evaluates a standalone (FROM-less) expression. When `stats` is given,
   /// UDF boundary costs (and any nested-subquery work merged by reader-style
@@ -229,7 +222,6 @@ class Executor {
   std::atomic<const SubqueryFn*> subquery_fn_{nullptr};
   int scan_workers_ = 1;
   int batch_rows_ = 1024;
-  bool vectorized_ = true;
   int64_t min_pages_per_worker_ = -1;
   /// Serializes pool creation and Run: the WorkerPool accepts one job at a
   /// time, and the multi-session front-end can race parallel scans.

@@ -80,6 +80,9 @@ ExprPtr CloneExpr(const Expr& e) {
   return out;
 }
 
+namespace {
+
+/// Decodes one column of a serialized row into a Value.
 Result<Value> ReadRowColumn(const storage::Schema& schema, const uint8_t* row,
                             int col, UdfContext& udf) {
   auto rv_or = schema.DecodeColumn(row, col);
@@ -186,6 +189,8 @@ Result<Value> EvalUnaryOp(UnaryOp op, const Value& v) {
   SQLARRAY_ASSIGN_OR_RETURN(int64_t b, v.AsInt());
   return Value::Int(b == 0 ? 1 : 0);
 }
+
+}  // namespace
 
 Result<Value> Eval(const Expr& expr, EvalContext& ctx) {
   switch (expr.kind) {

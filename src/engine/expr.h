@@ -2,6 +2,12 @@
 //
 // Shared between the T-SQL frontend (which builds them by parsing + binding)
 // and direct C++ callers (benches build them with the helper constructors).
+//
+// The engine has two evaluators. Eval (below) computes one Value per row;
+// it runs every row body, every expression a batched body cannot compile,
+// and it is the oracle the differential tests compare against at
+// Executor::set_batch_rows(1). The other is the columnar VecProgram
+// (engine/vec_expr.h), which runs numeric expressions over lanes.
 #pragma once
 
 #include <map>
@@ -90,19 +96,10 @@ struct EvalContext {
 };
 
 /// Evaluates an expression. Column references require a bound column_index
-/// and a row in the context.
+/// and a row in the context. Binary columns decode into fresh buffers;
+/// VARBINARY(MAX) columns become blob refs on the context's buffer pool.
+/// NULL operands yield NULL.
 Result<Value> Eval(const Expr& expr, EvalContext& ctx);
-
-/// Value-level operator semantics shared by row-at-a-time Eval and the
-/// batched evaluator (engine/batch.h). NULL operands yield NULL.
-Result<Value> EvalBinaryOp(BinaryOp op, const Value& l, const Value& r);
-Result<Value> EvalUnaryOp(UnaryOp op, const Value& v);
-
-/// Decodes one column of a serialized row into a Value (binary columns are
-/// copied into fresh buffers; VARBINARY(MAX) columns become blob refs using
-/// the context's buffer pool).
-Result<Value> ReadRowColumn(const storage::Schema& schema, const uint8_t* row,
-                            int col, UdfContext& udf);
 
 /// Resolves column names to indices against a schema and function calls
 /// against a registry, in place. Standalone (row-free) expressions pass a

@@ -63,7 +63,7 @@ int32_t VecProgram::CompileNode(const Expr& e, const storage::Schema& schema,
 
     case Expr::Kind::kVariable: {
       // Variables are statement constants: bake the value in. An undeclared
-      // variable falls back so EvalBatch raises the row path's NotFound.
+      // variable falls back so Eval raises the row path's NotFound.
       if (variables == nullptr) return -1;
       auto it = variables->find(e.var_name);
       if (it == variables->end()) return -1;

@@ -11,8 +11,9 @@
 // Compilation is best-effort: Compile returns false for any tree the
 // columnar domain does not cover (UDF calls, COUNT(*) stars, binary /
 // VARBINARY(MAX) columns, non-numeric literals or variables), and the
-// executor falls back to the batched row evaluator (engine/batch.h) for
-// that expression — per query, per select item.
+// executor evaluates that whole expression with the row evaluator (Eval,
+// engine/expr.h) once per selected row instead — per query, per select
+// item. Lanes and Values are the engine's only two evaluators.
 //
 // Semantics contract: Run produces, for every selected row, exactly the
 // Value the row-at-a-time evaluator produces (see the numeric contracts in
@@ -23,9 +24,9 @@
 // from NULL literals and variables — so nullability flows from kConstNull
 // leaves through validity-bitmap intersection; division/modulo kernels take
 // the intersected result validity as their error mask, which reproduces the
-// row path's "NULL before the zero check" ordering. Like the batched row
-// evaluator, instruction-major order may surface a different failing row's
-// error than row-major order — outcome and success results are identical.
+// row path's "NULL before the zero check" ordering. Instruction-major order
+// may surface a different failing row's error than row-major order —
+// outcome and success results are identical.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +47,7 @@ class VecProgram {
  public:
   /// Compiles `expr` (bound against `schema`) into `out`. Returns false if
   /// any node falls outside the columnar domain; `out` is then unusable and
-  /// the caller must evaluate that expression via EvalBatch. Variables are
+  /// the caller must evaluate that expression through Eval. Variables are
   /// baked in as constants (they cannot change mid-statement).
   static bool Compile(const Expr& expr, const storage::Schema& schema,
                       const std::map<std::string, Value>* variables,

@@ -67,12 +67,12 @@ Result<storage::Table*> LoadBucketed(const Snapshot& snap,
       vel_d[2 + 3 * j] = p.velocity.z;
     }
 
-    storage::Row row;
-    row.push_back(BucketKey(snap.step, cell));
-    row.push_back(static_cast<int32_t>(n));
-    row.push_back(std::move(ids).TakeBlob());
-    row.push_back(std::move(pos).TakeBlob());
-    row.push_back(std::move(vel).TakeBlob());
+    storage::Row row(5);
+    row[0] = BucketKey(snap.step, cell);
+    row[1] = static_cast<int32_t>(n);
+    row[2] = std::move(ids).TakeBlob();
+    row[3] = std::move(pos).TakeBlob();
+    row[4] = std::move(vel).TakeBlob();
     SQLARRAY_RETURN_IF_ERROR(table->Insert(std::move(row)));
   }
   return table;
@@ -97,15 +97,10 @@ Result<storage::Table*> LoadPerPoint(const Snapshot& snap,
 
   // Ascending keys (step, id) for dense append inserts.
   for (const Particle& p : snap.particles) {
-    storage::Row row;
-    row.push_back((static_cast<int64_t>(snap.step) << 40) | p.id);
-    row.push_back(p.position.x);
-    row.push_back(p.position.y);
-    row.push_back(p.position.z);
-    row.push_back(p.velocity.x);
-    row.push_back(p.velocity.y);
-    row.push_back(p.velocity.z);
-    SQLARRAY_RETURN_IF_ERROR(table->Insert(std::move(row)));
+    SQLARRAY_RETURN_IF_ERROR(table->Insert(
+        {(static_cast<int64_t>(snap.step) << 40) | p.id, p.position.x,
+         p.position.y, p.position.z, p.velocity.x, p.velocity.y,
+         p.velocity.z}));
   }
   return table;
 }

@@ -153,14 +153,14 @@ Result<storage::Table*> LoadSpectraTable(storage::Database* db,
                 s.flags.size()),
             StorageClass::kMax)));
 
-    storage::Row row;
-    row.push_back(id++);
-    row.push_back(s.redshift);
-    row.push_back(zbin);
-    row.push_back(std::move(wl));
-    row.push_back(std::move(flux));
-    row.push_back(std::move(err));
-    row.push_back(std::move(flag_arr).TakeBlob());
+    storage::Row row(7);
+    row[0] = id++;
+    row[1] = s.redshift;
+    row[2] = zbin;
+    row[3] = std::move(wl);
+    row[4] = std::move(flux);
+    row[5] = std::move(err);
+    row[6] = std::move(flag_arr).TakeBlob();
     SQLARRAY_RETURN_IF_ERROR(table->Insert(std::move(row)));
   }
   return table;

@@ -64,16 +64,13 @@ Status SimulatedDisk::ReadPage(PageId id, Page* out) {
     return Status::InvalidArgument("read of unallocated page " +
                                    std::to_string(id));
   }
-  if (fault_countdown_ == 0) {
-    fault_countdown_ = -1;  // one-shot fault
-    ++stats_.read_errors;
-    reg_read_errors_->Add(1);
-    return Status::Corruption("injected read fault on page " +
-                              std::to_string(id));
-  }
-  if (fault_countdown_ > 0) --fault_countdown_;
-
   if (injector_) {
+    if (injector_->ShouldFailArmedRead()) {
+      ++stats_.read_errors;
+      reg_read_errors_->Add(1);
+      return Status::Corruption("injected read fault on page " +
+                                std::to_string(id));
+    }
     if (injector_->ShouldFailRead(id)) {
       ++stats_.read_errors;
       reg_read_errors_->Add(1);

@@ -134,11 +134,6 @@ class SimulatedDisk {
   }
   const DiskConfig& config() const { return config_; }
 
-  /// Fault injection for error-path testing: after `reads` further
-  /// successful reads, the next read fails with kCorruption (one-shot).
-  /// Pass a negative value to disarm.
-  void InjectReadFaultAfter(int64_t reads) { fault_countdown_ = reads; }
-
   /// Installs a seeded fault injector (replacing any previous one); pass a
   /// default-constructed config with all rates zero to disarm. Returns the
   /// injector for targeted arming and stats access; owned by the disk.
@@ -175,7 +170,6 @@ class SimulatedDisk {
   /// CRC32C of each written page (PAGE_VERIFY CHECKSUM stand-in).
   std::unordered_map<PageId, uint32_t> checksums_;
   bool checksums_enabled_ = true;
-  int64_t fault_countdown_ = -1;
   std::unique_ptr<FaultInjector> injector_;
   mutable std::mutex mutex_;
 

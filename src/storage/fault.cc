@@ -2,6 +2,15 @@
 
 namespace sqlarray::storage {
 
+bool FaultInjector::ShouldFailArmedRead() {
+  if (read_fault_countdown_ == 0) {
+    read_fault_countdown_ = -1;
+    return true;
+  }
+  if (read_fault_countdown_ > 0) --read_fault_countdown_;
+  return false;
+}
+
 bool FaultInjector::ShouldFailRead(PageId id) {
   auto it = targeted_transient_.find(id);
   if (it != targeted_transient_.end()) {

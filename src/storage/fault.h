@@ -21,7 +21,8 @@
 //     a lying controller). Detected on next read as a checksum mismatch.
 //
 // Probabilistic faults are drawn per read/write; targeted faults are armed
-// per page id and fire deterministically.
+// per page id, or as a one-shot corruption N reads ahead, and fire
+// deterministically.
 #pragma once
 
 #include <cstdint>
@@ -74,6 +75,14 @@ class FaultInjector {
     targeted_transient_[id] = count;
   }
 
+  /// Arms a one-shot read fault: after `reads` further reads of any page,
+  /// the next read fails with kCorruption. A negative count disarms.
+  void ArmReadFaultAfter(int64_t reads) { read_fault_countdown_ = reads; }
+
+  /// Counts this read against the armed one-shot fault; true (and disarmed)
+  /// when it is the read that fails. Checked before every other read fault.
+  bool ShouldFailArmedRead();
+
   /// Draws whether this read fails transiently (targeted faults fire first).
   bool ShouldFailRead(PageId id);
 
@@ -98,6 +107,8 @@ class FaultInjector {
   std::mt19937_64 rng_;
   /// Page id -> remaining targeted transient read errors.
   std::unordered_map<PageId, int> targeted_transient_;
+  /// Reads left before the armed one-shot fault; -1 when disarmed.
+  int64_t read_fault_countdown_ = -1;
 };
 
 }  // namespace sqlarray::storage

@@ -146,27 +146,36 @@ Result<RowValue> Schema::DecodeColumn(const uint8_t* src, int col) const {
   }
   const uint8_t* p = src + offsets_[col];
   const ColumnDef& c = columns_[col];
+  // Each case assigns a named value and returns it: returning a RowValue
+  // temporary makes GCC 12 report -Wmaybe-uninitialized under sanitizers.
+  RowValue out;
   switch (c.type) {
     case ColumnType::kInt32:
-      return RowValue(DecodeLE<int32_t>(p));
+      out = DecodeLE<int32_t>(p);
+      return out;
     case ColumnType::kInt64:
-      return RowValue(DecodeLE<int64_t>(p));
+      out = DecodeLE<int64_t>(p);
+      return out;
     case ColumnType::kFloat32:
-      return RowValue(DecodeLE<float>(p));
+      out = DecodeLE<float>(p);
+      return out;
     case ColumnType::kFloat64:
-      return RowValue(DecodeLE<double>(p));
+      out = DecodeLE<double>(p);
+      return out;
     case ColumnType::kBinary: {
       uint16_t len = DecodeLE<uint16_t>(p);
       if (len > c.capacity) {
         return Status::Corruption("binary column length exceeds capacity");
       }
-      return RowValue(std::vector<uint8_t>(p + 2, p + 2 + len));
+      out = std::vector<uint8_t>(p + 2, p + 2 + len);
+      return out;
     }
     case ColumnType::kVarBinaryMax: {
       BlobId blob;
       blob.root = DecodeLE<uint32_t>(p);
       blob.size = DecodeLE<int64_t>(p + 4);
-      return RowValue(blob);
+      out = blob;
+      return out;
     }
   }
   return Status::Internal("unreachable column type");

@@ -446,7 +446,7 @@ TEST(FaultInjection, ReadErrorSurfacesFromEveryLayer) {
   Page page;
   ASSERT_TRUE(pool.WritePage(p, page).ok());
   pool.ClearCache();
-  disk.InjectReadFaultAfter(0);
+  disk.EnableFaults({})->ArmReadFaultAfter(0);
   EXPECT_EQ(pool.GetPage(p).status().code(), StatusCode::kCorruption);
   // Retry succeeds (fault is one-shot and the bad entry was not cached).
   EXPECT_TRUE(pool.GetPage(p).ok());
@@ -463,7 +463,7 @@ TEST(FaultInjection, ReadErrorSurfacesFromEveryLayer) {
     ASSERT_TRUE(loader.Finish().ok());
   }
   pool.ClearCache();
-  disk.InjectReadFaultAfter(3);
+  disk.EnableFaults({})->ArmReadFaultAfter(3);
   auto cursor_or = tree.ScanAll();
   Status scan_status = cursor_or.status();
   if (cursor_or.ok()) {
@@ -480,7 +480,7 @@ TEST(FaultInjection, ReadErrorSurfacesFromEveryLayer) {
   std::vector<uint8_t> blob(100000, 0x5A);
   BlobId id = store.Write(blob).value();
   pool.ClearCache();
-  disk.InjectReadFaultAfter(2);
+  disk.EnableFaults({})->ArmReadFaultAfter(2);
   EXPECT_FALSE(store.ReadAll(id).ok());
   // And the store recovers afterwards.
   EXPECT_TRUE(store.ReadAll(id).ok());
@@ -497,7 +497,7 @@ TEST(FaultInjection, TableLookupPropagatesFault) {
   }
   db.ClearCache();
   db.buffer_pool()->set_max_read_attempts(1);  // assert raw propagation
-  db.disk()->InjectReadFaultAfter(0);
+  db.disk()->EnableFaults({})->ArmReadFaultAfter(0);
   EXPECT_FALSE(table->Lookup(1500).ok());
   EXPECT_TRUE(table->Lookup(1500).ok());  // one-shot
 }

@@ -415,10 +415,9 @@ class VecEngineTest : public ::testing::Test {
     int64_t rows_kept = 0;
   };
 
-  Outcome Run(const Query& q, std::map<std::string, Value>* vars,
-              bool vectorized, int batch, int workers, bool force_scalar) {
+  Outcome Run(const Query& q, std::map<std::string, Value>* vars, int batch,
+              int workers, bool force_scalar) {
     col::SetForceScalar(force_scalar);
-    executor_.set_vectorized(vectorized);
     executor_.set_batch_rows(batch);
     executor_.set_scan_workers(workers);
     Result<ResultSet> r = executor_.Execute(q, vars);
@@ -440,14 +439,14 @@ class VecEngineTest : public ::testing::Test {
   /// stats, and failure outcomes alike.
   void ExpectAllConfigsMatchRowBaseline(const Query& q,
                                         std::map<std::string, Value>* vars) {
-    const Outcome base = Run(q, vars, /*vectorized=*/false, /*batch=*/1,
-                             /*workers=*/1, /*force_scalar=*/true);
+    const Outcome base = Run(q, vars, /*batch=*/1, /*workers=*/1,
+                             /*force_scalar=*/true);
     const int batches[] = {1, 3, 1024, static_cast<int>(kRows)};
     const int workers[] = {1, 2, 8};
     for (int b : batches) {
       for (int w : workers) {
         for (bool scalar : {false, true}) {
-          const Outcome got = Run(q, vars, true, b, w, scalar);
+          const Outcome got = Run(q, vars, b, w, scalar);
           EXPECT_EQ(got.ok, base.ok)
               << "batch=" << b << " workers=" << w << " scalar=" << scalar;
           if (base.ok) {
@@ -656,8 +655,8 @@ TEST_F(VecEngineTest, SelectionVectorBoundaries) {
   single.table = one;
   single.items.push_back(Item(Col("y"), SelectItem::AggKind::kSum, "s"));
   ASSERT_TRUE(executor_.Bind(&single).ok());
-  const Outcome base = Run(single, nullptr, false, 1, 1, true);
-  const Outcome vec = Run(single, nullptr, true, 1024, 8, false);
+  const Outcome base = Run(single, nullptr, 1, 1, true);
+  const Outcome vec = Run(single, nullptr, 1024, 8, false);
   EXPECT_EQ(vec.payload, base.payload);
 }
 
@@ -688,7 +687,6 @@ TEST_F(VecEngineTest, VecCountersAndProfileMode) {
   q.items.push_back(Item(Col("y"), SelectItem::AggKind::kSum, "s"));
   ASSERT_TRUE(executor_.Bind(&q).ok());
 
-  executor_.set_vectorized(true);
   executor_.set_batch_rows(256);
   executor_.set_scan_workers(2);
   obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
@@ -718,18 +716,6 @@ TEST_F(VecEngineTest, VecCountersAndProfileMode) {
   EXPECT_EQ(last.counters.rows_in, kRows);
   EXPECT_NE(last.detail.find("batches="), std::string::npos);
   EXPECT_NE(last.detail.find("fallback_rows=0"), std::string::npos);
-
-  // Vectorization off: operators read "row" and no vec node appears.
-  executor_.set_vectorized(false);
-  QueryContext qctx2;
-  qctx2.collect_profile = true;
-  ASSERT_TRUE(executor_.Execute(q, nullptr, &qctx2).ok());
-  const obs::ProfileNode& root2 = qctx2.profile.root();
-  EXPECT_EQ(root2.children[0].detail, "row");
-  for (const obs::ProfileNode& c : root2.children) {
-    EXPECT_NE(c.op, "vec");
-  }
-  executor_.set_vectorized(true);
 }
 
 TEST_F(VecEngineTest, ProfileModesForMixedPlans) {
@@ -749,7 +735,6 @@ TEST_F(VecEngineTest, ProfileModesForMixedPlans) {
                                                 vec.blob().end())})
                     .ok());
   }
-  executor_.set_vectorized(true);
   executor_.set_batch_rows(1024);
   executor_.set_scan_workers(1);
 
@@ -829,7 +814,6 @@ TEST_F(VecEngineTest, GovernanceCancelAndBudgetInColumnarPath) {
   q.table = t;
   q.items.push_back(Item(Col("y"), SelectItem::AggKind::kSum, "s"));
   ASSERT_TRUE(executor_.Bind(&q).ok());
-  executor_.set_vectorized(true);
   executor_.set_batch_rows(128);
   executor_.set_scan_workers(2);
 
@@ -866,9 +850,9 @@ TEST_F(VecEngineTest, ConcurrentMorselVectorizedStress) {
   q.items.push_back(Item(Col("b"), SelectItem::AggKind::kMin, "m"));
   q.items.push_back(Item(Star(), SelectItem::AggKind::kCount, "n"));
   ASSERT_TRUE(executor_.Bind(&q).ok());
-  const Outcome base = Run(q, nullptr, false, 1, 1, true);
+  const Outcome base = Run(q, nullptr, 1, 1, true);
   for (int rep = 0; rep < 4; ++rep) {
-    const Outcome got = Run(q, nullptr, true, 256, 8, false);
+    const Outcome got = Run(q, nullptr, 256, 8, false);
     EXPECT_EQ(got.ok, base.ok);
     EXPECT_EQ(got.payload, base.payload) << "rep=" << rep;
   }
