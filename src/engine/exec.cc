@@ -691,11 +691,11 @@ Status AccumulateUda(const ScanEnv& env, const SelectItem& item,
 /// block, charges each row's scan cost, and filters the block into `sel`
 /// (the compiled WHERE program when there is one, RowPasses per row
 /// otherwise). An expression without a compiled program runs through Eval
-/// once per batch row, with `ctx` pointed at that row.
+/// once per batch row, on the row context At() points at that row.
 class BatchFeed {
  public:
   BatchFeed(const ScanEnv& env, QueryStats* stats)
-      : ctx(env.RowContext(stats)), env_(env) {}
+      : env_(env), ctx_(env.RowContext(stats)) {}
 
   /// Charges the gather buffer and, when a columnar plan runs, its register
   /// file: the batched bodies' private allocations.
@@ -743,8 +743,8 @@ class BatchFeed {
 
   /// The row context pointed at batch row `r`.
   EvalContext& At(int32_t r) {
-    ctx.row = batch.row(r);
-    return ctx;
+    ctx_.row = batch.row(r);
+    return ctx_;
   }
 
   /// Evaluates select item `i`, which has no compiled program, through Eval
@@ -772,10 +772,10 @@ class BatchFeed {
   RowBatch batch;
   std::vector<int32_t> sel;
   VecScratch vscratch;
-  EvalContext ctx;
 
  private:
   const ScanEnv& env_;
+  EvalContext ctx_;
 };
 
 /// Batched aggregate body: ungrouped native aggregates over a table scan,

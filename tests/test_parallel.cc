@@ -2,7 +2,8 @@
 // parallel-eligible query shape across worker counts and repeated runs,
 // the small-table worker cap, worker-pool lifecycle, work stealing, and
 // thread-safety of the shared sharded buffer pool (run this file under
-// -DSQLARRAY_SANITIZE=thread; see SQLARRAY_TSAN_TESTS in CMakeLists.txt).
+// -DSQLARRAY_SANITIZE=thread; see SQLARRAY_SANITIZER_TESTS in
+// CMakeLists.txt).
 #include <gtest/gtest.h>
 
 #include <atomic>
