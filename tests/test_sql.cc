@@ -5,10 +5,12 @@
 #include <algorithm>
 
 #include "core/array.h"
+#include "mvcc/mvcc.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
 #include "sql/session.h"
 #include "udfs/register.h"
+#include "wal/wal.h"
 
 namespace sqlarray::sql {
 namespace {
@@ -748,6 +750,185 @@ TEST_F(ScanShapeTest, NonLaneExpressionsInBatchedBodies) {
   ExpectConfigsMatch(
       "SELECT SUM(x), COUNT(*), MAX(FloatArray.Item_1(v, 1))" + gaps,
       kUdfTol);
+}
+
+// ---------------------------------------------------------------------------
+// Key predicates: every WHERE runs as written and with `(id + 0)` in place of
+// the key column. No access path can use the second form, so it reads every
+// row; both must give the same answer on every read path the engine has.
+// ---------------------------------------------------------------------------
+
+/// Replaces each `$` in `pred` with `key`.
+std::string WithKey(const std::string& pred, const std::string& key) {
+  std::string out;
+  for (char c : pred) {
+    if (c == '$') {
+      out += key;
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+TEST_F(ScanShapeTest, KeySeekMatchesForcedScan) {
+  // 518-byte rows, 15 to a leaf: 1,000 keys (multiples of 3) fill 67
+  // leaves, five morsels of 16 pages. Then the float-boundary keys 2^53,
+  // 2^53 + 1 and 2^53 + 2, and both ends of the int64 range.
+  std::vector<std::string> load = {
+      "CREATE TABLE kt (id BIGINT, v FLOAT, pad VARBINARY(500))"};
+  std::string values;
+  for (int64_t i = 0; i < 1000; ++i) {
+    if (!values.empty()) values += ", ";
+    values += "(" + std::to_string(3 * i) + ", " +
+              std::to_string((i * 37) % 101) + ".37, 0x00)";
+  }
+  load.push_back("INSERT INTO kt VALUES " + values);
+  load.push_back(
+      "INSERT INTO kt VALUES (9007199254740992, 0.5, 0x01), "
+      "(9007199254740993, 1.5, 0x02), (9007199254740994, 2.5, 0x03), "
+      "(9223372036854775807, 3.5, 0x04), (-9223372036854775807, 4.5, 0x05)");
+  const std::string declare =
+      "DECLARE @kbig BIGINT = 9007199254740993; "
+      "DECLARE @kfloat FLOAT = 1234.5; DECLARE @kbase BIGINT = 900; "
+      "DECLARE @kunset BIGINT";
+
+  // db_ stays single-version for live reads. A second database serves
+  // snapshot, transaction, AS OF and DELETE reads: loaded first, then WAL +
+  // MVCC attached, so an AS OF view replays a short log over the data disk.
+  storage::Database mdb;
+  engine::Executor mexec(&mdb, &registry_);
+  mexec.set_min_pages_per_worker(0);
+  Session loader(&mexec);
+  for (Session* s : {&session_, &loader}) {
+    for (const std::string& stmt : load) {
+      ASSERT_TRUE(s->Execute(stmt).ok()) << stmt;
+    }
+  }
+  wal::WalManager wal(&mdb);
+  mvcc::MvccManager mvcc(&mdb, &wal);
+  Session msession(&mexec);
+  ASSERT_TRUE(session_.Execute(declare).ok());
+  ASSERT_TRUE(msession.Execute(declare).ok());
+  const storage::Table* live_table = db_.GetTable("kt").value();
+  ASSERT_GE(live_table->clustered_index().leaf_page_count(), 4 * 16);
+  // One logged commit before the AS OF point, two after it that the AS OF
+  // reads must not see.
+  ASSERT_TRUE(msession.Execute("INSERT INTO kt VALUES (3000, 8.5, 0x06)").ok());
+  const std::string as_of =
+      " FROM kt AS OF " + std::to_string(mvcc.visible_lsn());
+  ASSERT_TRUE(msession.Execute("INSERT INTO kt VALUES (301, 9.25, 0x07)").ok());
+  ASSERT_TRUE(msession.Execute("DELETE FROM kt WHERE id + 0 = 600").ok());
+
+  const std::vector<std::string> preds = {
+      "$ = 300",                     // present
+      "$ = 302",                     // absent
+      "$ = 1.5",                     // no int64 equals it
+      "$ < 2.5",
+      "3 >= $",
+      "$ >= 300 AND $ < 1500",       // several morsels
+      "$ >= 1500 AND $ < 300",       // inverted
+      "$ >= @kbase AND $ < @kbase + 300",
+      "$ = 9007199254740993",        // rounds to 2^53: keys 2^53, 2^53 + 1
+      "$ = 9007199254740993.0",
+      "$ = 9223372036854775807",
+      "$ < -9223372036854775807 + 1",
+      "$ = NULL",
+      "$ = @kbig",
+      "$ <= @kfloat",
+      "$ = @kunset",                 // declared, never set: NULL
+      "$ = @knone",                  // undeclared: the residual's error
+      "$ > 1.0E300",
+      "$ = 30 OR $ = 1500",          // OR is not extracted
+      "$ >= 30 AND v > 50",
+  };
+  const std::vector<std::string> shapes = {
+      "SELECT SUM(v), COUNT(*), MIN(v), MAX(v)",
+      "SELECT id, v",
+      "SELECT TOP 7 id, v",
+  };
+
+  // The outcome of one batch: its result fingerprints, or its error.
+  auto outcome = [](Session* s, const std::string& sqltext) {
+    auto r = s->Execute(sqltext);
+    if (!r.ok()) return "error: " + r.status().ToString();
+    std::string out;
+    for (const engine::ResultSet& rs : *r) out += Fingerprint(rs);
+    return out;
+  };
+  auto configure = [&](int batch, int workers) {
+    for (engine::Executor* e : {&executor_, &mexec}) {
+      e->set_batch_rows(batch);
+      e->set_scan_workers(workers);
+    }
+  };
+  auto expect_same = [&](Session* s, const std::string& from,
+                         const std::string& label) {
+    for (const std::string& pred : preds) {
+      for (const std::string& shape : shapes) {
+        for (int batch : {1, 1024}) {
+          for (int workers : {1, 8}) {
+            configure(batch, workers);
+            const std::string head = shape + from + " WHERE ";
+            EXPECT_EQ(outcome(s, head + WithKey(pred, "id")),
+                      outcome(s, head + WithKey(pred, "(id + 0)")))
+                << label << ": " << head << pred << " batch=" << batch
+                << " workers=" << workers;
+          }
+        }
+      }
+    }
+    configure(1024, 1);
+  };
+
+  expect_same(&session_, " FROM kt", "live");
+  expect_same(&msession, " FROM kt", "snapshot");
+  expect_same(&msession, as_of, "as of");
+  // Inside a transaction, after inserts that split leaves of its shadow tree.
+  ASSERT_TRUE(msession.Execute("BEGIN TRANSACTION").ok());
+  ASSERT_TRUE(msession
+                  .Execute("INSERT INTO kt VALUES (1, 0.125, 0x08), "
+                           "(302, 0.25, 0x09), (304, 0.375, 0x0A), "
+                           "(307, 0.5, 0x0B), (1000, 0.625, 0x0C)")
+                  .ok());
+  expect_same(&msession, " FROM kt", "transaction");
+  ASSERT_TRUE(msession.Execute("ROLLBACK").ok());
+
+  // DELETE: the same rows go, so the same rows remain.
+  for (const std::string& pred : preds) {
+    for (int batch : {1, 1024}) {
+      for (int workers : {1, 8}) {
+        configure(batch, workers);
+        std::string got[2];
+        for (int form = 0; form < 2; ++form) {
+          EXPECT_TRUE(msession.Execute("BEGIN TRANSACTION").ok());
+          got[form] = outcome(&msession, "DELETE FROM kt WHERE " +
+                                             WithKey(pred, form == 0
+                                                               ? "id"
+                                                               : "(id + 0)"));
+          got[form] += outcome(&msession, "SELECT COUNT(*) FROM kt");
+          got[form] += outcome(&msession, "SELECT id, v FROM kt");
+          (void)msession.Execute("ROLLBACK");
+        }
+        EXPECT_EQ(got[0], got[1]) << "delete: " << pred << " batch=" << batch
+                                  << " workers=" << workers;
+      }
+    }
+  }
+  configure(1024, 1);
+
+  // Spot checks that the predicates mean what their comments say.
+  auto count = [&](const std::string& pred) {
+    auto rs = Run("SELECT COUNT(*) FROM kt WHERE " + WithKey(pred, "id"));
+    return rs.empty() ? -1 : rs[0].rows[0][0].AsInt().value();
+  };
+  EXPECT_EQ(count("$ = 9007199254740993"), 2);
+  EXPECT_EQ(count("$ = 1.5"), 0);
+  EXPECT_EQ(count("$ < 2.5"), 2);  // -INT64_MAX and 0
+  EXPECT_EQ(count("3 >= $"), 3);
+  EXPECT_EQ(count("$ = 9223372036854775807"), 1);
+  EXPECT_EQ(count("$ < -9223372036854775807 + 1"), 0);
+  EXPECT_EQ(count("$ >= 300 AND $ < 1500"), 400);
 }
 
 }  // namespace
