@@ -9,8 +9,8 @@
 // aggregates, chunk-streamed wide SELECTs, and per-connection INSERTs.
 //
 // Reported per path: p50/p99 statement latency and saturation qps; the
-// delta is the cost of framing + CRC + socket hops + the extra
-// per-statement worker thread. Loopback numbers are a floor for real
+// delta is the cost of framing + CRC + socket hops + the hand-off to the
+// connection's statement worker. Loopback numbers are a floor for real
 // networks, but catching a serialization regression is the point.
 //
 // --json output carries the standard {"records", "host", "metrics"} shape

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <type_traits>
 #include <utility>
 
@@ -474,28 +476,209 @@ inline storage::PageSource* SnapOf(QueryContext* qctx) {
 /// UDFs interleave blob reads on the same thread.
 constexpr int kMorselReadahead = 4;
 
+// ---------------------------------------------------------------------------
+// Key ranges. A top-level AND term `id OP e` or `e OP id` (id = column 0,
+// the clustered key; OP one of = < <= > >=; e free of columns, `*` and
+// calls) bounds the keys the WHERE can keep. The bounds narrow which leaves
+// the morsels read; the whole WHERE still runs on every row read.
+// ---------------------------------------------------------------------------
+
+/// The closed interval of clustered keys a WHERE can keep.
+struct KeyRange {
+  bool seek = false;  ///< some conjunct bounds the key
+  bool empty = false;
+  int64_t lo = std::numeric_limits<int64_t>::min();
+  int64_t hi = std::numeric_limits<int64_t>::max();
+};
+
+/// True for literals, @variables and operators over them.
+bool IsPlanConstant(const Expr& e) {
+  switch (e.kind) {
+    case Expr::Kind::kLiteral:
+    case Expr::Kind::kVariable:
+      return true;
+    case Expr::Kind::kUnary:
+    case Expr::Kind::kBinary:
+      return std::all_of(e.args.begin(), e.args.end(),
+                         [](const ExprPtr& a) { return IsPlanConstant(*a); });
+    default:
+      return false;
+  }
+}
+
+bool IsKeyColumn(const Expr& e) {
+  return e.kind == Expr::Kind::kColumn && e.column_index == 0;
+}
+
+/// The comparison that reads `e OP id` as `id OP' e`.
+BinaryOp Mirror(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kLt: return BinaryOp::kGt;
+    case BinaryOp::kLe: return BinaryOp::kGe;
+    case BinaryOp::kGt: return BinaryOp::kLt;
+    case BinaryOp::kGe: return BinaryOp::kLe;
+    default: return op;
+  }
+}
+
+/// The smallest int64 k with double(k) > c (`strict`) or >= c: the way
+/// EvalBinaryOp and the vec kernels compare a BIGINT with anything.
+/// nullopt when no int64 qualifies. double(k) is monotone in k, so a binary
+/// search over the whole int64 range finds it.
+std::optional<int64_t> FirstKeyAbove(double c, bool strict) {
+  auto above = [&](int64_t k) {
+    const double d = static_cast<double>(k);
+    return strict ? d > c : d >= c;
+  };
+  int64_t lo = std::numeric_limits<int64_t>::min();
+  int64_t hi = std::numeric_limits<int64_t>::max();
+  if (!above(hi)) return std::nullopt;
+  while (lo < hi) {
+    const int64_t mid =
+        lo + static_cast<int64_t>(
+                 (static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo)) / 2);
+    if (above(mid)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+/// Intersects `r` with the keys k for which `double(k) OP c` holds.
+void NarrowKeyRange(BinaryOp op, double c, KeyRange* r) {
+  if (std::isnan(c)) {
+    r->empty = true;
+    return;
+  }
+  auto raise_lo = [&](bool strict) {
+    std::optional<int64_t> k = FirstKeyAbove(c, strict);
+    if (!k.has_value()) {
+      r->empty = true;
+    } else {
+      r->lo = std::max(r->lo, *k);
+    }
+  };
+  auto lower_hi = [&](bool strict) {
+    std::optional<int64_t> k = FirstKeyAbove(c, strict);
+    if (!k.has_value()) return;  // every key qualifies
+    if (*k == std::numeric_limits<int64_t>::min()) {
+      r->empty = true;
+    } else {
+      r->hi = std::min(r->hi, *k - 1);
+    }
+  };
+  switch (op) {
+    case BinaryOp::kGe: raise_lo(false); break;
+    case BinaryOp::kGt: raise_lo(true); break;
+    case BinaryOp::kLe: lower_hi(true); break;
+    case BinaryOp::kLt: lower_hi(false); break;
+    default:  // kEq
+      raise_lo(false);
+      lower_hi(true);
+      break;
+  }
+}
+
+void CollectConjuncts(const Expr* e, std::vector<const Expr*>* out) {
+  if (e->kind == Expr::Kind::kBinary && e->binary_op == BinaryOp::kAnd) {
+    CollectConjuncts(e->args[0].get(), out);
+    CollectConjuncts(e->args[1].get(), out);
+    return;
+  }
+  out->push_back(e);
+}
+
+/// The key interval of the WHERE's sargable conjuncts. Each bound is
+/// evaluated once, here, with the statement's variables. A bound that fails
+/// to evaluate or is not numeric is skipped, so the residual reports its
+/// error per row as before; NULL or NaN empties the interval.
+KeyRange ExtractKeyRange(const Expr* where,
+                         std::map<std::string, Value>* variables) {
+  KeyRange r;
+  if (where == nullptr) return r;
+  std::vector<const Expr*> conjuncts;
+  CollectConjuncts(where, &conjuncts);
+  for (const Expr* c : conjuncts) {
+    if (c->kind != Expr::Kind::kBinary) continue;
+    BinaryOp op = c->binary_op;
+    if (op != BinaryOp::kEq && op != BinaryOp::kLt && op != BinaryOp::kLe &&
+        op != BinaryOp::kGt && op != BinaryOp::kGe) {
+      continue;
+    }
+    const Expr* bound = nullptr;
+    if (IsKeyColumn(*c->args[0]) && IsPlanConstant(*c->args[1])) {
+      bound = c->args[1].get();
+    } else if (IsKeyColumn(*c->args[1]) && IsPlanConstant(*c->args[0])) {
+      bound = c->args[0].get();
+      op = Mirror(op);
+    } else {
+      continue;
+    }
+    EvalContext ctx;
+    ctx.variables = variables;
+    Result<Value> v = Eval(*bound, ctx);
+    if (!v.ok()) continue;
+    if (v->is_null()) {
+      r.seek = true;
+      r.empty = true;
+      continue;
+    }
+    if (v->kind() != Value::Kind::kInt64 &&
+        v->kind() != Value::Kind::kFloat64) {
+      continue;
+    }
+    r.seek = true;
+    NarrowKeyRange(op, v->AsDouble().value(), &r);
+  }
+  if (r.lo > r.hi) r.empty = true;
+  return r;
+}
+
 /// The morsel grid and worker count for one scan. A morsel-eligible
 /// table's grid is a pure function of its page count (never of the worker
 /// count) so merge order — and therefore float results — cannot depend on
-/// the degree of parallelism. Any other query is one morsel over its whole
-/// source, run inline: a table's full leaf-chain cursor or a TVF's
-/// materialized rows. Float sums and UDA state then fold in source order,
-/// and the subquery runner never runs on a pool thread (a nested statement
-/// that goes parallel would wait on the pool from inside it).
+/// the degree of parallelism. A key range narrows only the leaves the
+/// morsels read, [read_begin, read_end), never the grid. Any other query is
+/// one morsel over its whole source, run inline: a table's full leaf-chain
+/// cursor or a TVF's materialized rows. Float sums and UDA state then fold
+/// in source order, and the subquery runner never runs on a pool thread (a
+/// nested statement that goes parallel would wait on the pool from inside
+/// it).
 struct ScanPlan {
   std::vector<storage::PageId> pages;  ///< leaf pages of an eligible scan
   size_t grid_pages = 1;               ///< 1 for a one-morsel plan
   size_t morsel_pages = 1;
   size_t n_morsels = 1;
   int workers = 1;
+  size_t read_begin = 0;
+  size_t read_end = 0;
 };
 
-Result<ScanPlan> PlanScan(const Query& q, bool eligible, int requested_workers,
-                          int64_t min_pages_override,
+Result<ScanPlan> PlanScan(const Query& q, bool eligible, const KeyRange& keys,
+                          int requested_workers, int64_t min_pages_override,
                           storage::PageSource* snap) {
   ScanPlan plan;
   if (!eligible) return plan;
-  SQLARRAY_ASSIGN_OR_RETURN(plan.pages, q.table->CollectLeafPages(snap));
+  std::pair<size_t, size_t> read;
+  if (snap == nullptr) {
+    SQLARRAY_ASSIGN_OR_RETURN(plan.pages, q.table->CollectLeafPages());
+    read = {0, plan.pages.size()};
+    if (keys.seek && !keys.empty) {
+      SQLARRAY_ASSIGN_OR_RETURN(read, q.table->SeekLeaves(keys.lo, keys.hi));
+    }
+  } else {
+    SQLARRAY_ASSIGN_OR_RETURN(storage::BTree::LeafMap map,
+                              q.table->ReadLeafMap(snap));
+    read = {0, map.pages.size()};
+    if (keys.seek && !keys.empty) read = map.Span(keys.lo, keys.hi);
+    plan.pages = std::move(map.pages);
+  }
+  if (keys.empty) read = {0, 0};
+  plan.read_begin = read.first;
+  plan.read_end = read.second;
+
   const int64_t n_pages = static_cast<int64_t>(plan.pages.size());
   plan.grid_pages = plan.pages.size();
   plan.morsel_pages = static_cast<size_t>(MorselPages(n_pages));
@@ -509,9 +692,29 @@ Result<ScanPlan> PlanScan(const Query& q, bool eligible, int requested_workers,
                       ? min_pages_override
                       : (cpu_heavy ? kClrPagesPerWorker
                                    : kNativePagesPerWorker);
-  plan.workers = EffectiveWorkers(requested_workers, n_pages,
-                                  static_cast<int64_t>(plan.n_morsels), floor);
+  // Workers are sized from the pages the morsels read, so a point seek
+  // runs inline.
+  const size_t read_pages = plan.read_end - plan.read_begin;
+  const size_t read_morsels =
+      read_pages == 0 ? 0
+                      : (plan.read_end - 1) / plan.morsel_pages -
+                            plan.read_begin / plan.morsel_pages + 1;
+  plan.workers = EffectiveWorkers(requested_workers,
+                                  static_cast<int64_t>(read_pages),
+                                  static_cast<int64_t>(read_morsels), floor);
   return plan;
+}
+
+/// The EXPLAIN ANALYZE detail of a seek: its interval and the leaves it
+/// reads out of the table's.
+std::string SeekDetail(const KeyRange& keys, const ScanPlan& plan) {
+  std::string out = "seek ";
+  out += keys.empty ? std::string("empty")
+                    : "[" + std::to_string(keys.lo) + ", " +
+                          std::to_string(keys.hi) + "]";
+  out += " leaves=" + std::to_string(plan.read_end - plan.read_begin) + "/" +
+         std::to_string(plan.pages.size());
+  return out;
 }
 
 /// Probes the statement's cancellation token (no-op when ungoverned).
@@ -1132,9 +1335,12 @@ Result<ResultSet> Executor::ExecuteInternal(
   storage::IoStats io_before = db_->disk()->stats();
   storage::PageSource* snap = SnapOf(qctx);
   const bool eligible = MorselEligible(q);
-  SQLARRAY_ASSIGN_OR_RETURN(
-      ScanPlan plan,
-      PlanScan(q, eligible, scan_workers_, min_pages_per_worker_, snap));
+  const KeyRange keys =
+      eligible ? ExtractKeyRange(q.where.get(), variables) : KeyRange{};
+  SQLARRAY_ASSIGN_OR_RETURN(ScanPlan plan,
+                            PlanScan(q, eligible, keys, scan_workers_,
+                                     min_pages_per_worker_, snap));
+  if (keys.seek) modes->seek = SeekDetail(keys, plan);
 
   ScanEnv env;
   env.q = &q;
@@ -1187,8 +1393,15 @@ Result<ResultSet> Executor::ExecuteInternal(
           return RunChunk(env, cursor, &out);
         }
         if (top.Skip(m.index)) return Status::OK();
-        std::vector<storage::PageId> chunk(plan.pages.begin() + m.page_begin,
-                                           plan.pages.begin() + m.page_end);
+        const size_t begin = std::max(m.page_begin, plan.read_begin);
+        const size_t end = std::min(m.page_end, plan.read_end);
+        if (begin >= end) {
+          // Wholly outside the seek's leaves: an empty partial, no fetch.
+          top.Done(m.index, 0);
+          return Status::OK();
+        }
+        std::vector<storage::PageId> chunk(plan.pages.begin() + begin,
+                                           plan.pages.begin() + end);
         SQLARRAY_ASSIGN_OR_RETURN(
             storage::BTree::ChunkCursor cursor,
             snap != nullptr
@@ -1264,10 +1477,11 @@ void Executor::BuildProfile(const Query& q, const ResultSet& rs,
       filter->counters.rows_out = stats.rows_kept;
       parent = filter;
     }
-    obs::ProfileNode* scan = parent->AddChild(
-        "scan", q.table != nullptr
-                    ? q.table->name()
-                    : "tvf " + q.tvf->schema + "." + q.tvf->name);
+    std::string source =
+        q.table != nullptr ? q.table->name()
+                           : "tvf " + q.tvf->schema + "." + q.tvf->name;
+    if (!modes.seek.empty()) source += " " + modes.seek;
+    obs::ProfileNode* scan = parent->AddChild("scan", source);
     scan->counters.rows_out = stats.rows_scanned;
     scan->counters.pages_read = stats.io.pages_read;
     scan->counters.cache_hits = pool_now.hits - pool_before.hits;

@@ -182,6 +182,8 @@ class Executor {
   struct PlanModes {
     bool vec_filter = false;  ///< WHERE ran as a columnar program
     bool vec_agg = false;     ///< an aggregate argument ran as one
+    /// The key-range seek's interval and leaves; empty for a full scan.
+    std::string seek;
   };
 
   /// Runs the query (qctx may be null): a FROM-less SELECT evaluates its

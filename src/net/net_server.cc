@@ -218,14 +218,9 @@ void NetServer::HandleConnection(std::shared_ptr<Connection> conn) {
                           "connection"));
             break;
           }
-          if (conn->query_thread.joinable()) conn->query_thread.join();
           ServerCounters::Get().queries->Add(1);
           conn->query_running.store(true, std::memory_order_release);
-          Connection* raw = conn.get();
-          std::string sql_text = std::move(sql).value();
-          conn->query_thread = std::thread([this, raw, sql_text] {
-            RunStatement(raw, sql_text);
-          });
+          SubmitStatement(conn.get(), std::move(sql).value());
           break;
         }
         case FrameType::kCancel:
@@ -359,6 +354,33 @@ bool NetServer::Handshake(Connection* conn) {
   return false;
 }
 
+void NetServer::SubmitStatement(Connection* conn, std::string sql) {
+  {
+    std::lock_guard<std::mutex> lock(conn->worker_mu);
+    conn->next = std::move(sql);
+  }
+  conn->worker_cv.notify_one();
+  // Only the handler thread starts and joins the worker.
+  if (!conn->worker.joinable()) {
+    conn->worker = std::thread([this, conn] { StatementLoop(conn); });
+  }
+}
+
+void NetServer::StatementLoop(Connection* conn) {
+  std::unique_lock<std::mutex> lock(conn->worker_mu);
+  for (;;) {
+    conn->worker_cv.wait(
+        lock, [conn] { return conn->stopping || conn->next.has_value(); });
+    // A statement still in the slot at teardown never started: drop it.
+    if (conn->stopping) return;
+    std::string sql = std::move(*conn->next);
+    conn->next.reset();
+    lock.unlock();
+    RunStatement(conn, std::move(sql));
+    lock.lock();
+  }
+}
+
 void NetServer::RunStatement(Connection* conn, std::string sql) {
   server::StatementOutcome outcome = server_->Execute(conn->session_id, sql);
   // query_running flips false under the write lock, before the statement's
@@ -373,10 +395,12 @@ void NetServer::RunStatement(Connection* conn, std::string sql) {
     if (conn->fd >= 0) {
       (void)WriteFrame(conn->fd, FrameType::kError, payload);
     }
-  } else {
-    // Write failures mean the client vanished mid-stream; the handler
-    // thread notices the disconnect and tears the connection down.
-    (void)StreamOutcome(conn, outcome);
+  } else if (!StreamOutcome(conn, outcome).ok()) {
+    // The client vanished mid-stream (the handler thread notices the
+    // disconnect and tears the connection down), or a value did not encode.
+    // Either way no final frame went out, so nothing cleared the flag. On
+    // success the final frame's send cleared it, and the client may already
+    // have sent its next statement, so it must not be touched again.
     conn->query_running.store(false, std::memory_order_release);
   }
 }
@@ -465,7 +489,12 @@ void NetServer::TeardownConnection(Connection* conn) {
   if (conn->query_running.load(std::memory_order_acquire)) {
     (void)server_->KillQuery(conn->session_id);
   }
-  if (conn->query_thread.joinable()) conn->query_thread.join();
+  {
+    std::lock_guard<std::mutex> lock(conn->worker_mu);
+    conn->stopping = true;
+  }
+  conn->worker_cv.notify_one();
+  if (conn->worker.joinable()) conn->worker.join();
   if (conn->session_id >= 0) {
     // Idempotent: a GOODBYE teardown racing a disconnect teardown may pass
     // through here twice.

@@ -2,14 +2,17 @@
 //
 // Threading model: one listener thread accepts connections; each connection
 // gets a dedicated handler thread that owns the socket's read side and the
-// connection state machine (HELLO → AUTH → query loop). A QUERY runs on a
-// per-statement worker thread so the handler keeps reading while the
-// statement executes — that is what makes CANCEL frames and client
-// disconnects effective mid-query: both fire ArrayServer::KillQuery, the
-// cooperative cancellation machinery unwinds the statement, and the WAL
-// rolls back whatever transaction the kill left open. Socket writes are
-// serialized per connection (the worker streams ROWS chunks while the
-// handler may answer PING).
+// connection state machine (HELLO → AUTH → query loop), and one statement
+// worker thread, started on its first QUERY. The handler hands each QUERY
+// to the worker through a one-statement slot (mutex + condition variable)
+// and keeps reading while the statement executes — that is what makes
+// CANCEL frames and client disconnects effective mid-query: both fire
+// ArrayServer::KillQuery, the cooperative cancellation machinery unwinds
+// the statement, and the WAL rolls back whatever transaction the kill left
+// open. The worker lives as long as the connection, so a statement costs a
+// wake-up rather than a thread create + join; teardown stops and joins it.
+// Socket writes are serialized per connection (the worker streams ROWS
+// chunks while the handler may answer PING).
 //
 // Admission control, per-session deadlines, memory budgets, KillQuery, and
 // the slow-query watchdog all apply unchanged — the NetServer adds no
@@ -20,10 +23,12 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -84,7 +89,15 @@ class NetServer {
     /// errors) and the statement worker (ROWS streaming).
     std::mutex write_mu;
     std::atomic<bool> query_running{false};
-    std::thread query_thread;
+    /// The statement worker's slot: `next` holds a statement the worker
+    /// has not taken yet; `stopping` tells it to exit. Both are guarded by
+    /// worker_mu.
+    std::mutex worker_mu;
+    std::condition_variable worker_cv;
+    std::optional<std::string> next;
+    bool stopping = false;
+    /// Declared after everything the worker uses.
+    std::thread worker;
   };
 
   void AcceptLoop();
@@ -93,13 +106,19 @@ class NetServer {
   /// ArrayServer session. Fails closed: any protocol violation gets a
   /// typed ERROR frame and a false return (caller drops the connection).
   bool Handshake(Connection* conn);
-  /// Executes one QUERY and streams the outcome (worker thread body).
+  /// Hands `sql` to the connection's statement worker, starting the worker
+  /// on the first call.
+  void SubmitStatement(Connection* conn, std::string sql);
+  /// The statement worker's body: runs each submitted statement until
+  /// teardown sets `stopping`.
+  void StatementLoop(Connection* conn);
+  /// Executes one QUERY and streams the outcome.
   void RunStatement(Connection* conn, std::string sql);
   Status StreamOutcome(Connection* conn,
                        const server::StatementOutcome& outcome);
   void SendError(Connection* conn, const Status& st);
-  /// Kills any in-flight statement, joins the worker, closes the session
-  /// (idempotent), releases the auth lease, and closes the socket.
+  /// Kills any in-flight statement, stops and joins the worker, closes the
+  /// session (idempotent), releases the auth lease, and closes the socket.
   void TeardownConnection(Connection* conn);
 
   server::ArrayServer* const server_;

@@ -540,18 +540,7 @@ Result<int32_t> BTree::Cursor::CopyRows(int32_t max_rows, uint8_t* out) {
 
 Status BTree::ChunkCursor::LoadNextPage() {
   while (page_idx_ < pages_.size()) {
-    if (fetch_) {
-      SQLARRAY_ASSIGN_OR_RETURN(PinnedPage page, fetch_(pages_[page_idx_++]));
-      page_ = *page;
-      count_ = PageCount(page_);
-      pos_ = 0;
-      if (count_ > 0) {
-        valid_ = true;
-        return Status::OK();
-      }
-      continue;
-    }
-    if (readahead_ > 0) {
+    if (!fetch_ && readahead_ > 0) {
       // Best-effort readahead: issue the upcoming reads contiguously. The
       // authoritative (error-checked, retried) read is the GetPage below.
       size_t until = page_idx_ + static_cast<size_t>(readahead_);
@@ -561,9 +550,16 @@ Status BTree::ChunkCursor::LoadNextPage() {
         (void)pool_->Prefetch(pages_[prefetched_until_++]);
       }
     }
+    const PageId id = pages_[page_idx_++];
     SQLARRAY_ASSIGN_OR_RETURN(PinnedPage page,
-                              pool_->GetPage(pages_[page_idx_++]));
+                              fetch_ ? fetch_(id) : pool_->GetPage(id));
     page_ = *page;
+    // The page list comes from the allocation map or the internal levels,
+    // never from a leaf's own chain pointer: check what it names.
+    if (!IsLeaf(page_)) {
+      return Status::Corruption("scan: page " + std::to_string(id) +
+                                " in the leaf list is not a leaf");
+    }
     count_ = PageCount(page_);
     pos_ = 0;
     if (count_ > 0) {
@@ -653,23 +649,90 @@ Result<BTree::Cursor> BTree::ScanAllVia(PageFetcher fetch, PageId root,
   return c;
 }
 
-Result<std::vector<PageId>> BTree::CollectLeafPagesVia(
-    const PageFetcher& fetch, PageId root) {
-  SQLARRAY_ASSIGN_OR_RETURN(PageId leaf, FirstLeafVia(fetch, root));
-  std::vector<PageId> out;
-  while (leaf != kNullPage) {
-    SQLARRAY_ASSIGN_OR_RETURN(PinnedPage page, fetch(leaf));
-    if (!IsLeaf(*page)) {
-      return Status::Corruption("snapshot walk: non-leaf page " +
-                                std::to_string(leaf) + " in the leaf chain");
+Result<BTree::LeafMap> BTree::LeafMapVia(const PageFetcher& fetch,
+                                         PageId root) {
+  // Level by level from the root. Only the first page of a level is
+  // fetched before the level is known to be internal, so the one leaf read
+  // is the first leaf.
+  LeafMap level;
+  level.pages.push_back(root);
+  level.low_keys.push_back(std::numeric_limits<int64_t>::min());
+  for (int depth = 0; depth < 64; ++depth) {
+    SQLARRAY_ASSIGN_OR_RETURN(PinnedPage page, fetch(level.pages[0]));
+    if (IsLeaf(*page)) return level;
+    LeafMap next;
+    for (size_t i = 0; i < level.pages.size(); ++i) {
+      if (i > 0) {
+        SQLARRAY_ASSIGN_OR_RETURN(page, fetch(level.pages[i]));
+      }
+      if (page->data()[0] != static_cast<uint8_t>(PageType::kBTreeInternal)) {
+        return Status::Corruption(
+            "leaf map: page " + std::to_string(level.pages[i]) +
+            " on an internal level is not an internal page");
+      }
+      const uint32_t n = PageCount(*page);
+      if (n == 0) {
+        return Status::Corruption("leaf map: empty internal page " +
+                                  std::to_string(level.pages[i]));
+      }
+      // Child c > 0 receives the keys >= its separator that reached this
+      // node; child 0 inherits the node's own bound.
+      const int64_t low = level.low_keys[i];
+      for (uint32_t c = 0; c < n; ++c) {
+        next.pages.push_back(InternalChildAt(*page, c));
+        next.low_keys.push_back(c == 0 ? low
+                                       : std::max(low, InternalKeyAt(*page, c)));
+      }
     }
-    out.push_back(leaf);
-    if (out.size() > (static_cast<size_t>(1) << 32)) {
-      return Status::Corruption("snapshot walk: leaf chain does not terminate");
-    }
-    leaf = LeafNext(*page);
+    level = std::move(next);
   }
-  return out;
+  return Status::Corruption("leaf map: tree height exceeds sanity bound");
+}
+
+std::pair<size_t, size_t> BTree::LeafMap::Span(int64_t lo, int64_t hi) const {
+  // A key lands on the last leaf whose low key is <= it.
+  auto last_at_or_below = [&](int64_t key) {
+    auto it = std::upper_bound(low_keys.begin(), low_keys.end(), key);
+    return it == low_keys.begin()
+               ? size_t{0}
+               : static_cast<size_t>(it - low_keys.begin()) - 1;
+  };
+  if (pages.empty()) return {0, 0};
+  return {last_at_or_below(lo), last_at_or_below(hi) + 1};
+}
+
+Result<std::pair<size_t, size_t>> BTree::SeekLeaves(int64_t lo,
+                                                    int64_t hi) const {
+  auto get_internal = [this](PageId node) -> Result<PinnedPage> {
+    SQLARRAY_ASSIGN_OR_RETURN(PinnedPage page, GetP(node));
+    if (IsLeaf(*page)) {
+      return Status::Corruption("seek: page " + std::to_string(node) +
+                                " above the leaf level is a leaf");
+    }
+    return page;
+  };
+  PageId lo_node = root_;
+  PageId hi_node = root_;
+  for (int level = height_ - 1; level > 0; --level) {
+    SQLARRAY_ASSIGN_OR_RETURN(PinnedPage lo_page, get_internal(lo_node));
+    // Until the two paths part, one fetch routes both bounds.
+    PinnedPage hi_page;
+    if (hi_node != lo_node) {
+      SQLARRAY_ASSIGN_OR_RETURN(hi_page, get_internal(hi_node));
+    }
+    const Page& hp = hi_node == lo_node ? *lo_page : *hi_page;
+    hi_node = InternalChildAt(hp, ChildIndexFor(hp, hi));
+    lo_node = InternalChildAt(*lo_page, ChildIndexFor(*lo_page, lo));
+  }
+  auto b = std::find(leaf_ids_.begin(), leaf_ids_.end(), lo_node);
+  auto e = std::find(b, leaf_ids_.end(), hi_node);
+  if (e == leaf_ids_.end()) {
+    return Status::Corruption("seek: leaf " + std::to_string(hi_node) +
+                              " is not in the allocation map");
+  }
+  return std::pair<size_t, size_t>(
+      static_cast<size_t>(b - leaf_ids_.begin()),
+      static_cast<size_t>(e - leaf_ids_.begin()) + 1);
 }
 
 Result<BTree::ChunkCursor> BTree::ScanChunkVia(PageFetcher fetch,

@@ -192,12 +192,25 @@ class BTree {
   static Result<Cursor> ScanAllVia(PageFetcher fetch, PageId root,
                                    int64_t row_size);
 
-  /// Collects the leaf chain of the tree rooted at `root` as seen through
-  /// `fetch`: leftmost descent, then the sibling chain. The snapshot
-  /// equivalent of CollectLeafPages() — a pure function of the page view,
-  /// so morsel planning is deterministic at any worker count.
-  static Result<std::vector<PageId>> CollectLeafPagesVia(
-      const PageFetcher& fetch, PageId root);
+  /// The leaf level as the internal pages list it: leaf ids in chain order,
+  /// each with the lowest key the descent can route to it (INT64_MIN for
+  /// the first leaf).
+  struct LeafMap {
+    std::vector<PageId> pages;
+    std::vector<int64_t> low_keys;
+
+    /// The half-open index range of the leaves that can hold a key in
+    /// [lo, hi] (lo <= hi): the leaves Lookup(lo) through Lookup(hi) land
+    /// on.
+    std::pair<size_t, size_t> Span(int64_t lo, int64_t hi) const;
+  };
+
+  /// Reads the leaf map of the tree rooted at `root` as seen through
+  /// `fetch`: every internal page, plus the first leaf to find the leaf
+  /// level. The snapshot equivalent of CollectLeafPages(), a pure function
+  /// of the page view, so morsel planning is deterministic at any worker
+  /// count.
+  static Result<LeafMap> LeafMapVia(const PageFetcher& fetch, PageId root);
 
   /// Returns the leaf page ids in chain order from the in-memory
   /// allocation map — the work-division step of a parallel scan. (A real
@@ -206,6 +219,12 @@ class BTree {
   Result<std::vector<PageId>> CollectLeafPages() const {
     return leaf_ids_;
   }
+
+  /// The half-open range of positions in CollectLeafPages() of the leaves
+  /// that can hold a key in [lo, hi] (lo <= hi). One descent serves both
+  /// bounds until their paths part, so a point seek reads `height - 1`
+  /// internal pages and no leaf.
+  Result<std::pair<size_t, size_t>> SeekLeaves(int64_t lo, int64_t hi) const;
 
   /// A cursor over an explicit list of leaf pages, reading through a
   /// caller-supplied buffer pool. Parallel scan workers each run one

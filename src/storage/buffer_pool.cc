@@ -26,6 +26,7 @@ BufferPool::BufferPool(SimulatedDisk* disk, int64_t capacity_pages,
   reg_hits_ = reg.GetCounter("storage.buffer_pool.hits");
   reg_misses_ = reg.GetCounter("storage.buffer_pool.misses");
   reg_evictions_ = reg.GetCounter("storage.buffer_pool.evictions");
+  reg_prefetch_hits_ = reg.GetCounter("storage.buffer_pool.prefetch_hits");
 }
 
 void PinnedPage::Release() {
@@ -116,8 +117,15 @@ Result<PinnedPage> BufferPool::GetPage(PageId id) {
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.cache.find(id);
   if (it != shard.cache.end()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    reg_hits_->Add(1);
+    if (it->second.prefetched) {
+      // The Prefetch that loaded this page already counted its read.
+      it->second.prefetched = false;
+      prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
+      reg_prefetch_hits_->Add(1);
+    } else {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      reg_hits_->Add(1);
+    }
     shard.lru.erase(it->second.lru_it);
     shard.lru.push_front(id);
     it->second.lru_it = shard.lru.begin();
@@ -165,6 +173,7 @@ Status BufferPool::Prefetch(PageId id) {
   entry.page = std::move(image);
   entry.lru_it = shard.lru.begin();
   entry.pins = 0;
+  entry.prefetched = true;
   shard.cache.emplace(id, std::move(entry));
   return Status::OK();
 }

@@ -143,7 +143,9 @@ class BufferPool {
   /// back-to-back before row processing starts, so the worker's disk stream
   /// stays contiguous (the seq/random classifier never sees expression or
   /// blob reads interleaved into the leaf stream). A no-op on resident
-  /// pages; counts a miss (it is a real disk read) when it loads.
+  /// pages; counts a miss (it is a real disk read) when it loads, and the
+  /// first GetPage that then finds the page counts under `prefetch_hits`,
+  /// not `hits`, so each page read counts once.
   Status Prefetch(PageId id);
 
   /// Writes a page. In the default write-through mode this updates the
@@ -219,6 +221,9 @@ class BufferPool {
     int64_t misses = 0;
     int64_t evictions = 0;
     int64_t prefetches = 0;
+    /// GetPage calls served by an earlier Prefetch's read (in neither hits
+    /// nor misses).
+    int64_t prefetch_hits = 0;
     /// Currently pinned entries (a level, not a monotone counter).
     int64_t pinned_pages = 0;
     /// Currently dirty entries (write-back mode; a level).
@@ -232,6 +237,7 @@ class BufferPool {
     s.misses = misses_.load(std::memory_order_relaxed);
     s.evictions = evictions_.load(std::memory_order_relaxed);
     s.prefetches = prefetches_.load(std::memory_order_relaxed);
+    s.prefetch_hits = prefetch_hits_.load(std::memory_order_relaxed);
     s.pinned_pages = pinned_pages_.load(std::memory_order_relaxed);
     s.dirty_pages = dirty_pages_.load(std::memory_order_relaxed);
     s.dirty_flushes = dirty_flushes_.load(std::memory_order_relaxed);
@@ -256,6 +262,8 @@ class BufferPool {
     std::list<PageId>::iterator lru_it;
     int pins = 0;
     bool dirty = false;
+    /// Loaded by Prefetch and not yet fetched by GetPage.
+    bool prefetched = false;
     Lsn rec_lsn = 0;
     Lsn last_lsn = 0;
   };
@@ -292,6 +300,7 @@ class BufferPool {
   std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> evictions_{0};
   std::atomic<int64_t> prefetches_{0};
+  std::atomic<int64_t> prefetch_hits_{0};
   std::atomic<int64_t> pinned_pages_{0};
   std::atomic<int64_t> dirty_pages_{0};
   std::atomic<int64_t> dirty_flushes_{0};
@@ -301,6 +310,7 @@ class BufferPool {
   obs::Counter* reg_hits_;
   obs::Counter* reg_misses_;
   obs::Counter* reg_evictions_;
+  obs::Counter* reg_prefetch_hits_;
 };
 
 }  // namespace sqlarray::storage

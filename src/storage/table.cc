@@ -64,11 +64,10 @@ Result<BTree::Cursor> Table::Scan(PageSource* snap) const {
                            root, schema_.row_size());
 }
 
-Result<std::vector<PageId>> Table::CollectLeafPages(PageSource* snap) const {
-  if (snap == nullptr) return CollectLeafPages();
+Result<BTree::LeafMap> Table::ReadLeafMap(PageSource* snap) const {
   SQLARRAY_ASSIGN_OR_RETURN(PageId root, snap->TableRoot(name_));
-  return BTree::CollectLeafPagesVia(
-      [snap](PageId id) { return snap->Fetch(id); }, root);
+  return BTree::LeafMapVia([snap](PageId id) { return snap->Fetch(id); },
+                           root);
 }
 
 Result<BTree::ChunkCursor> Table::ScanChunk(PageSource* snap,

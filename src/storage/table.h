@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "common/status.h"
 #include "storage/blob.h"
@@ -106,10 +107,16 @@ class Table {
     return tree_.CollectLeafPages();
   }
 
-  /// Leaf pages in chain order as of `snap` — a pure function of the
-  /// snapshot's page view, so morsel planning is deterministic at any
-  /// worker count. Null falls back to the live allocation map.
-  Result<std::vector<PageId>> CollectLeafPages(PageSource* snap) const;
+  /// The positions in CollectLeafPages() of the leaves that can hold a key
+  /// in [lo, hi] (lo <= hi): a descent of the live tree.
+  Result<std::pair<size_t, size_t>> SeekLeaves(int64_t lo, int64_t hi) const {
+    return tree_.SeekLeaves(lo, hi);
+  }
+
+  /// The leaf map as of `snap` (not null), read from the snapshot's
+  /// internal pages: a pure function of its page view, so morsel planning
+  /// is deterministic at any worker count.
+  Result<BTree::LeafMap> ReadLeafMap(PageSource* snap) const;
 
   /// Opens a cursor over a slice of the leaf pages through `pool` — one
   /// morsel of a parallel scan, usually against the shared pool with a

@@ -929,6 +929,56 @@ TEST_F(ScanShapeTest, KeySeekMatchesForcedScan) {
   EXPECT_EQ(count("$ = 9223372036854775807"), 1);
   EXPECT_EQ(count("$ < -9223372036854775807 + 1"), 0);
   EXPECT_EQ(count("$ >= 300 AND $ < 1500"), 400);
+
+  // A point read touches at most height + 1 pages: the descent (live) or
+  // the internal levels plus one leaf (snapshot), then the key's leaf.
+  auto scan_row = [&](Session* s, const std::string& sqltext) {
+    auto r = s->Execute("EXPLAIN ANALYZE " + sqltext);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::vector<Value> row;
+    if (!r.ok()) return row;
+    for (const std::vector<Value>& op : (*r)[0].rows) {
+      std::string name = op[0].AsString().value();
+      name.erase(0, name.find_first_not_of(' '));
+      if (name == "scan") row = op;
+    }
+    return row;
+  };
+  const int64_t height = live_table->clustered_index().height();
+  const int64_t leaves = live_table->clustered_index().leaf_page_count();
+  const std::string point = "SELECT v FROM kt WHERE id = 300";
+  db_.ClearCache();
+  std::vector<Value> live = scan_row(&session_, point);
+  ASSERT_EQ(live.size(), 13u);
+  EXPECT_EQ(live[1].AsString().value(),
+            "kt seek [300, 300] leaves=1/" + std::to_string(leaves));
+  EXPECT_LE(live[4].AsInt().value(), height + 1);  // pages_read, cold
+  EXPECT_LE(live[5].AsInt().value() + live[6].AsInt().value(), height + 1);
+  std::vector<Value> snap = scan_row(&msession, point);
+  ASSERT_EQ(snap.size(), 13u);
+  EXPECT_LE(snap[5].AsInt().value() + snap[6].AsInt().value(), height + 1);
+  // A forced scan reads every leaf.
+  db_.ClearCache();
+  std::vector<Value> forced =
+      scan_row(&session_, "SELECT v FROM kt WHERE id + 0 = 300");
+  ASSERT_EQ(forced.size(), 13u);
+  EXPECT_EQ(forced[1].AsString().value(), "kt");
+  EXPECT_GE(forced[4].AsInt().value(), leaves);
+
+  // The one semantic change: a conjunct that fails only on rows outside
+  // the key interval no longer fails the statement, because those rows are
+  // never read. Key 2997 sits on the last leaf, far from key 300's.
+  const std::string guarded =
+      "SELECT COUNT(*) FROM kt WHERE $ = 300 AND 10.0 / ($ - 2997) <> 0";
+  for (Session* s : {&session_, &msession}) {
+    auto seek = s->Execute(WithKey(guarded, "id"));
+    ASSERT_TRUE(seek.ok()) << seek.status().ToString();
+    EXPECT_EQ((*seek)[0].rows[0][0].AsInt().value(), 1);
+    auto scan = s->Execute(WithKey(guarded, "(id + 0)"));
+    ASSERT_FALSE(scan.ok());
+    EXPECT_NE(scan.status().message().find("division by zero"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 // blob store, B+-tree, tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
+#include <utility>
 
 #include "common/bytes.h"
 #include "common/rng.h"
@@ -87,6 +90,25 @@ TEST(BufferPool, CachesAndEvicts) {
   EXPECT_EQ(stats.misses, 4);
   EXPECT_EQ(stats.evictions, 2);
   EXPECT_EQ(disk.stats().pages_read, 4);
+}
+
+TEST(BufferPool, PrefetchedPageCountsOneMiss) {
+  SimulatedDisk disk;
+  BufferPool pool(&disk, 16);
+  PageId a = pool.AllocatePage();
+  Page page;
+  ASSERT_TRUE(pool.WritePage(a, page).ok());
+  pool.ClearCache();
+  disk.ResetStats();
+  ASSERT_TRUE(pool.Prefetch(a).ok());  // the read: a miss
+  ASSERT_TRUE(pool.Prefetch(a).ok());  // resident: nothing
+  ASSERT_TRUE(pool.GetPage(a).ok());   // served by the prefetch
+  ASSERT_TRUE(pool.GetPage(a).ok());   // a hit
+  BufferPool::Stats stats = pool.Snapshot();
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.prefetch_hits, 1);
+  EXPECT_EQ(stats.hits, 1);
+  EXPECT_EQ(disk.stats().pages_read, 1);
 }
 
 TEST(BufferPool, ClearCacheForcesColdReads) {
@@ -328,6 +350,74 @@ TEST(BTree, GrowsMultipleLevels) {
   EXPECT_GE(tree.height(), 3);
   std::vector<uint8_t> found;
   EXPECT_TRUE(tree.Lookup(7919 % 100003, &found).value());
+}
+
+TEST(BTree, LeafMapAndSeekFindEveryKeysLeaf) {
+  // Scattered inserts build a three-level tree with every split shape, so
+  // the two bounds of a wide seek part at the root.
+  SimulatedDisk disk;
+  BufferPool pool(&disk, 1 << 15);
+  BTree tree = BTree::Create(&pool, 1000).value();
+  std::vector<uint8_t> row(1000);
+  for (int64_t k = 0; k < 8000; ++k) {
+    EncodeLE<int64_t>(row.data(), k * 7919 % 100003);
+    ASSERT_TRUE(tree.Insert(row).ok());
+  }
+  ASSERT_GE(tree.height(), 3);
+  const std::vector<PageId> chain = tree.CollectLeafPages().value();
+
+  // The leaf map lists the chain from the internal pages plus one leaf.
+  int64_t fetches = 0;
+  const BTree::LeafMap map =
+      BTree::LeafMapVia(
+          [&](PageId id) {
+            ++fetches;
+            return pool.GetPage(id);
+          },
+          tree.root_page())
+          .value();
+  EXPECT_EQ(map.pages, chain);
+  EXPECT_EQ(fetches, tree.total_page_count() - tree.leaf_page_count() + 1);
+  ASSERT_EQ(map.low_keys.size(), chain.size());
+  EXPECT_TRUE(std::is_sorted(map.low_keys.begin(), map.low_keys.end()));
+
+  // Which leaf holds each key, read leaf by leaf.
+  std::map<int64_t, size_t> leaf_of;
+  for (size_t i = 0; i < chain.size(); ++i) {
+    BTree::ChunkCursor c = tree.ScanChunk(&pool, {chain[i]}).value();
+    while (c.valid()) {
+      leaf_of[DecodeLE<int64_t>(c.row().data())] = i;
+      ASSERT_TRUE(c.Next().ok());
+    }
+  }
+  ASSERT_EQ(leaf_of.size(), 8000u);
+
+  Rng rng(11);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int64_t lo = rng.UniformInt(-10, 100010);
+    const int64_t hi = lo + rng.UniformInt(0, trial % 2 == 0 ? 40 : 30000);
+    const std::pair<size_t, size_t> span = map.Span(lo, hi);
+    EXPECT_EQ(tree.SeekLeaves(lo, hi).value(), span) << lo << ", " << hi;
+    for (auto it = leaf_of.lower_bound(lo);
+         it != leaf_of.end() && it->first <= hi; ++it) {
+      EXPECT_GE(it->second, span.first) << it->first;
+      EXPECT_LT(it->second, span.second) << it->first;
+    }
+  }
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::pair<size_t, size_t> all(0, chain.size());
+  EXPECT_EQ(tree.SeekLeaves(kMin, kMax).value(), all);
+  EXPECT_EQ(map.Span(kMin, kMax), all);
+
+  // A point seek reads the internal pages on one path and no leaf.
+  const BufferPool::Stats before = pool.Snapshot();
+  const std::pair<size_t, size_t> point = tree.SeekLeaves(7919, 7919).value();
+  const BufferPool::Stats after = pool.Snapshot();
+  EXPECT_EQ(point.second - point.first, 1u);
+  EXPECT_EQ(point.first, leaf_of.at(7919));
+  EXPECT_EQ((after.hits + after.misses) - (before.hits + before.misses),
+            tree.height() - 1);
 }
 
 TEST(BTree, Validation) {
