@@ -483,12 +483,18 @@ constexpr int kMorselReadahead = 4;
 // the morsels read; the whole WHERE still runs on every row read.
 // ---------------------------------------------------------------------------
 
-/// The closed interval of clustered keys a WHERE can keep.
+/// The closed interval of clustered keys a WHERE can keep; lo > hi when
+/// no key can match.
 struct KeyRange {
   bool seek = false;  ///< some conjunct bounds the key
-  bool empty = false;
   int64_t lo = std::numeric_limits<int64_t>::min();
   int64_t hi = std::numeric_limits<int64_t>::max();
+
+  bool empty() const { return lo > hi; }
+  void SetEmpty() {
+    lo = std::numeric_limits<int64_t>::max();
+    hi = std::numeric_limits<int64_t>::min();
+  }
 };
 
 /// True for literals, @variables and operators over them.
@@ -549,13 +555,13 @@ std::optional<int64_t> FirstKeyAbove(double c, bool strict) {
 /// Intersects `r` with the keys k for which `double(k) OP c` holds.
 void NarrowKeyRange(BinaryOp op, double c, KeyRange* r) {
   if (std::isnan(c)) {
-    r->empty = true;
+    r->SetEmpty();
     return;
   }
   auto raise_lo = [&](bool strict) {
     std::optional<int64_t> k = FirstKeyAbove(c, strict);
     if (!k.has_value()) {
-      r->empty = true;
+      r->SetEmpty();
     } else {
       r->lo = std::max(r->lo, *k);
     }
@@ -564,7 +570,7 @@ void NarrowKeyRange(BinaryOp op, double c, KeyRange* r) {
     std::optional<int64_t> k = FirstKeyAbove(c, strict);
     if (!k.has_value()) return;  // every key qualifies
     if (*k == std::numeric_limits<int64_t>::min()) {
-      r->empty = true;
+      r->SetEmpty();
     } else {
       r->hi = std::min(r->hi, *k - 1);
     }
@@ -622,7 +628,7 @@ KeyRange ExtractKeyRange(const Expr* where,
     if (!v.ok()) continue;
     if (v->is_null()) {
       r.seek = true;
-      r.empty = true;
+      r.SetEmpty();
       continue;
     }
     if (v->kind() != Value::Kind::kInt64 &&
@@ -632,7 +638,6 @@ KeyRange ExtractKeyRange(const Expr* where,
     r.seek = true;
     NarrowKeyRange(op, v->AsDouble().value(), &r);
   }
-  if (r.lo > r.hi) r.empty = true;
   return r;
 }
 
@@ -665,17 +670,17 @@ Result<ScanPlan> PlanScan(const Query& q, bool eligible, const KeyRange& keys,
   if (snap == nullptr) {
     SQLARRAY_ASSIGN_OR_RETURN(plan.pages, q.table->CollectLeafPages());
     read = {0, plan.pages.size()};
-    if (keys.seek && !keys.empty) {
+    if (keys.seek && !keys.empty()) {
       SQLARRAY_ASSIGN_OR_RETURN(read, q.table->SeekLeaves(keys.lo, keys.hi));
     }
   } else {
     SQLARRAY_ASSIGN_OR_RETURN(storage::BTree::LeafMap map,
                               q.table->ReadLeafMap(snap));
     read = {0, map.pages.size()};
-    if (keys.seek && !keys.empty) read = map.Span(keys.lo, keys.hi);
+    if (keys.seek && !keys.empty()) read = map.Span(keys.lo, keys.hi);
     plan.pages = std::move(map.pages);
   }
-  if (keys.empty) read = {0, 0};
+  if (keys.empty()) read = {0, 0};
   plan.read_begin = read.first;
   plan.read_end = read.second;
 
@@ -709,7 +714,7 @@ Result<ScanPlan> PlanScan(const Query& q, bool eligible, const KeyRange& keys,
 /// reads out of the table's.
 std::string SeekDetail(const KeyRange& keys, const ScanPlan& plan) {
   std::string out = "seek ";
-  out += keys.empty ? std::string("empty")
+  out += keys.empty() ? std::string("empty")
                     : "[" + std::to_string(keys.lo) + ", " +
                           std::to_string(keys.hi) + "]";
   out += " leaves=" + std::to_string(plan.read_end - plan.read_begin) + "/" +
