@@ -788,10 +788,14 @@ TEST_F(ScanShapeTest, KeySeekMatchesForcedScan) {
       "INSERT INTO kt VALUES (9007199254740992, 0.5, 0x01), "
       "(9007199254740993, 1.5, 0x02), (9007199254740994, 2.5, 0x03), "
       "(9223372036854775807, 3.5, 0x04), (-9223372036854775807, 4.5, 0x05)");
+  // The two cells a reader-style UDF pulls per row.
+  load.push_back("CREATE TABLE kq (ix BIGINT, v FLOAT)");
+  load.push_back("INSERT INTO kq VALUES (0, 1.25), (1, 2.5)");
   const std::string declare =
       "DECLARE @kbig BIGINT = 9007199254740993; "
       "DECLARE @kfloat FLOAT = 1234.5; DECLARE @kbase BIGINT = 900; "
-      "DECLARE @kunset BIGINT";
+      "DECLARE @kunset BIGINT; DECLARE @lq VARBINARY(100) = "
+      "IntArray.Vector_1(2)";
 
   // db_ stays single-version for live reads. A second database serves
   // snapshot, transaction, AS OF and DELETE reads: loaded first, then WAL +
@@ -846,6 +850,10 @@ TEST_F(ScanShapeTest, KeySeekMatchesForcedScan) {
       "SELECT SUM(v), COUNT(*), MIN(v), MAX(v)",
       "SELECT id, v",
       "SELECT TOP 7 id, v",
+      "SELECT FloatArrayMax.AvgVector(FloatArray.Vector_2(v, v))",  // a UDA
+      // A reader-style UDF: one nested statement per kept row.
+      "SELECT id, FloatArray.Item_1(FloatArrayMax.ConcatQuery(@lq, "
+      "'SELECT ix, v FROM kq'), 1)",
   };
 
   // The outcome of one batch: its result fingerprints, or its error.
@@ -929,6 +937,36 @@ TEST_F(ScanShapeTest, KeySeekMatchesForcedScan) {
   EXPECT_EQ(count("$ = 9223372036854775807"), 1);
   EXPECT_EQ(count("$ < -9223372036854775807 + 1"), 0);
   EXPECT_EQ(count("$ >= 300 AND $ < 1500"), 400);
+  auto reader = Run(shapes[4] + " FROM kt WHERE id >= 300 AND id < 1500");
+  ASSERT_EQ(reader.size(), 1u);
+  ASSERT_EQ(reader[0].rows.size(), 400u);
+  EXPECT_EQ(reader[0].rows[0][1].AsDouble().value(), 2.5);
+  auto uda = Run(shapes[3] + " FROM kt WHERE id >= 300 AND id < 1500");
+  ASSERT_EQ(uda.size(), 1u);
+  EXPECT_FALSE(uda[0].rows[0][0].is_null());
+
+  // TOP stops on the row that completes it. Key 9, the fifth row of the
+  // first morsel, fails this WHERE with a division by zero, so TOP 2 must
+  // never evaluate it. (9.0 - id is a double: the key -INT64_MAX cannot
+  // overflow it.)
+  const std::string guard_top = " FROM kt WHERE 10.0 / (9.0 - id) <> 0";
+  for (int batch : {1, 1024}) {
+    for (int workers : {1, 8}) {
+      configure(batch, workers);
+      auto top = session_.Execute("SELECT TOP 2 id, v" + guard_top);
+      ASSERT_TRUE(top.ok()) << top.status().ToString() << " batch=" << batch
+                            << " workers=" << workers;
+      EXPECT_EQ((*top)[0].rows.size(), 2u);
+      if (workers == 1) {
+        EXPECT_EQ((*top)[0].stats.rows_scanned, 2) << "batch=" << batch;
+      }
+    }
+  }
+  configure(1024, 1);
+  auto no_top = session_.Execute("SELECT id, v" + guard_top);
+  ASSERT_FALSE(no_top.ok());
+  EXPECT_NE(no_top.status().message().find("division by zero"),
+            std::string::npos);
 
   // A point read touches at most height + 1 pages: the descent (live) or
   // the internal levels plus one leaf (snapshot), then the key's leaf.
