@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstring>
 
+#include "common/wrap_int.h"
 #include "gov/gov.h"
 
 // The AVX2 variants are compiled whenever the target is x86-64 (function-
@@ -26,24 +27,6 @@ std::atomic<bool> g_force_scalar{false};
 
 inline bool BitAt(const uint64_t* words, int32_t i) {
   return (words[i >> 6] >> (static_cast<uint32_t>(i) & 63)) & 1;
-}
-
-// Signed wrap-around arithmetic without UB: the row path's int64 +,-,*
-// wrap on this target, and the unsigned round-trip produces the same bits.
-inline int64_t WrapAdd(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) +
-                              static_cast<uint64_t>(b));
-}
-inline int64_t WrapSub(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) -
-                              static_cast<uint64_t>(b));
-}
-inline int64_t WrapMul(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) *
-                              static_cast<uint64_t>(b));
-}
-inline int64_t WrapNeg(int64_t a) {
-  return static_cast<int64_t>(uint64_t{0} - static_cast<uint64_t>(a));
 }
 
 /// Runs `fn(offset, len)` over n elements in kCancelBlock chunks with a
@@ -434,7 +417,7 @@ Status DivI64(const int64_t* a, const int64_t* b, const uint64_t* valid,
         continue;
       }
       if (b[i] == 0) return Status::InvalidArgument("division by zero");
-      out[i] = a[i] / b[i];
+      out[i] = WrapDiv(a[i], b[i]);
     }
   }
   return Status::OK();
@@ -451,7 +434,7 @@ Status ModI64(const int64_t* a, const int64_t* b, const uint64_t* valid,
         continue;
       }
       if (b[i] == 0) return Status::InvalidArgument("modulo by zero");
-      out[i] = a[i] % b[i];
+      out[i] = WrapMod(a[i], b[i]);
     }
   }
   return Status::OK();

@@ -20,8 +20,10 @@
 //
 // Numeric contracts (must mirror engine::EvalBinaryOp / EvalUnaryOp and
 // AccumulateNative exactly — the row path is the oracle):
-//   * int64 +,-,* wrap; int64 / and % raise InvalidArgument on a zero
-//     divisor AT A VALID LANE ("division by zero" / "modulo by zero");
+//   * int64 +,-,* and unary - wrap, INT64_MIN / -1 is INT64_MIN and
+//     x % -1 is 0 (common/wrap_int.h); int64 / and % raise InvalidArgument
+//     on a zero divisor AT A VALID LANE ("division by zero" / "modulo by
+//     zero");
 //     float64 / raises on a divisor that compares equal to 0.0.
 //   * comparisons run in the double domain (int64 operands are converted
 //     first, matching Value::AsDouble coercion) and yield int64 0/1;

@@ -1,10 +1,10 @@
-// Gathered row blocks for the batched scan bodies.
+// Gathered row blocks for the scan's chunk bodies.
 //
-// The batched bodies (engine/exec.cc) gather a block of rows
-// (Executor::set_batch_rows, default 1024) and evaluate each expression
-// over it: a compiled columnar program (engine/vec_expr.h) when the
-// expression has one, the row evaluator (Eval) once per selected row
-// otherwise.
+// The chunk bodies (engine/exec.cc) gather a block of rows out of the leaf
+// cursor — Executor::set_batch_rows rows (default 1024) for the shapes with
+// lanes, one row for every other shape — and evaluate each expression over
+// it: a compiled columnar program (engine/vec_expr.h) when the expression
+// has one, the row evaluator (Eval) once per selected row otherwise.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +30,8 @@ class RowBatch {
   int32_t capacity() const { return cap_; }
   /// Bulk append: writable space for the next capacity() - size() rows;
   /// after filling the first `n` of them, CommitAppend(n) makes them part
-  /// of the batch. The cursor CopyRows fill path writes one memcpy per
-  /// leaf-page run through this.
+  /// of the batch. ChunkCursor::CopyRows writes one memcpy per leaf-page
+  /// run through this.
   uint8_t* AppendSlots() {
     return data_.data() + static_cast<size_t>(n_) * row_size_;
   }

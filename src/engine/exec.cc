@@ -6,10 +6,10 @@
 #include <limits>
 #include <mutex>
 #include <optional>
-#include <type_traits>
 #include <utility>
 
 #include "common/stopwatch.h"
+#include "common/wrap_int.h"
 #include "engine/batch.h"
 #include "engine/vec_expr.h"
 #include "obs/metrics.h"
@@ -159,13 +159,6 @@ bool HasUda(const Query& q) {
   return false;
 }
 
-/// int64 addition that wraps in two's complement, like the columnar fold's
-/// SUM, instead of overflowing (undefined behaviour for signed types).
-int64_t WrapAdd(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) +
-                              static_cast<uint64_t>(b));
-}
-
 /// Accumulator for one aggregate within one group.
 struct AggState {
   int64_t count = 0;
@@ -190,9 +183,10 @@ struct AggState {
   }
 };
 
-/// Folds one evaluated aggregate argument into the accumulator. Shared by
-/// the row and batched bodies so accumulation arithmetic (and therefore
-/// results) is identical bit for bit across them.
+/// Folds one evaluated aggregate argument into the accumulator: the
+/// oracle's fold, and what every argument without a lane program runs, so
+/// accumulation arithmetic (and therefore results) is identical bit for bit
+/// with the columnar fold.
 Status AccumulateNative(SelectItem::AggKind agg, const Value& v,
                         AggState* st) {
   if (v.is_null()) return Status::OK();
@@ -402,13 +396,12 @@ Status AppendGroupKey(const Value& v, std::string* out) {
 
 // ---------------------------------------------------------------------------
 // The scan pipeline. Every query with a row source runs one morsel plan:
-// the leaf chain is cut into morsels (engine/parallel.h), each morsel folds
-// its rows into a private Partial with one of four chunk bodies — batched
-// aggregate, batched projection, row-at-a-time aggregate/group-by,
-// row-at-a-time projection — and the partials merge in morsel-index order.
-// Serial execution is that same plan at one worker; a query that cannot
-// split (a UDA, a reader-style UDF, a TVF source) is one morsel over its
-// whole source.
+// the planned leaf list is cut into morsels (engine/parallel.h), each morsel
+// folds its rows into a private Partial with one of two chunk bodies —
+// aggregate or projection, fed a block of rows at a time — and the partials
+// merge in morsel-index order. Serial execution is that same plan at one
+// worker; a query that cannot split (a UDA, a reader-style UDF, a TVF
+// source) is one morsel over its whole source.
 
 /// True if any call node in the tree binds a function matching `pred`.
 template <typename Pred>
@@ -470,11 +463,6 @@ struct Partial {
 inline storage::PageSource* SnapOf(QueryContext* qctx) {
   return qctx != nullptr ? qctx->snapshot.get() : nullptr;
 }
-
-/// Pages ahead of the cursor each morsel keeps resident (the ScanChunk
-/// readahead hint) so a worker's disk stream stays sequential even when
-/// UDFs interleave blob reads on the same thread.
-constexpr int kMorselReadahead = 4;
 
 // ---------------------------------------------------------------------------
 // Key ranges. A top-level AND term `id OP e` or `e OP id` (id = column 0,
@@ -641,19 +629,19 @@ KeyRange ExtractKeyRange(const Expr* where,
   return r;
 }
 
-/// The morsel grid and worker count for one scan. A morsel-eligible
-/// table's grid is a pure function of its page count (never of the worker
-/// count) so merge order — and therefore float results — cannot depend on
-/// the degree of parallelism. A key range narrows only the leaves the
-/// morsels read, [read_begin, read_end), never the grid. Any other query is
-/// one morsel over its whole source, run inline: a table's full leaf-chain
-/// cursor or a TVF's materialized rows. Float sums and UDA state then fold
-/// in source order, and the subquery runner never runs on a pool thread (a
-/// nested statement that goes parallel would wait on the pool from inside
-/// it).
+/// The morsel grid and worker count for one scan. Every table plan reads
+/// its leaf list, and a key range narrows only the leaves the morsels read,
+/// [read_begin, read_end), never the grid. A morsel-eligible table's grid
+/// is a pure function of its page count (never of the worker count) so
+/// merge order — and therefore float results — cannot depend on the degree
+/// of parallelism. Any other table query is one morsel over the whole list,
+/// run inline, and a TVF source is one morsel over its materialized rows.
+/// Float sums and UDA state then fold in source order, and the subquery
+/// runner never runs on a pool thread (a nested statement that goes
+/// parallel would wait on the pool from inside it).
 struct ScanPlan {
-  std::vector<storage::PageId> pages;  ///< leaf pages of an eligible scan
-  size_t grid_pages = 1;               ///< 1 for a one-morsel plan
+  std::vector<storage::PageId> pages;  ///< the table's leaf pages
+  size_t grid_pages = 1;               ///< 1 for a TVF source
   size_t morsel_pages = 1;
   size_t n_morsels = 1;
   int workers = 1;
@@ -665,7 +653,7 @@ Result<ScanPlan> PlanScan(const Query& q, bool eligible, const KeyRange& keys,
                           int requested_workers, int64_t min_pages_override,
                           storage::PageSource* snap) {
   ScanPlan plan;
-  if (!eligible) return plan;
+  if (q.table == nullptr) return plan;
   std::pair<size_t, size_t> read;
   if (snap == nullptr) {
     SQLARRAY_ASSIGN_OR_RETURN(plan.pages, q.table->CollectLeafPages());
@@ -686,9 +674,11 @@ Result<ScanPlan> PlanScan(const Query& q, bool eligible, const KeyRange& keys,
 
   const int64_t n_pages = static_cast<int64_t>(plan.pages.size());
   plan.grid_pages = plan.pages.size();
-  plan.morsel_pages = static_cast<size_t>(MorselPages(n_pages));
+  plan.morsel_pages = eligible ? static_cast<size_t>(MorselPages(n_pages))
+                               : std::max<size_t>(1, plan.grid_pages);
   plan.n_morsels =
       (plan.grid_pages + plan.morsel_pages - 1) / plan.morsel_pages;
+  if (!eligible) return plan;
   // A CLR call anywhere in the plan makes rows expensive enough that small
   // page ranges already amortize a worker's fixed setup.
   bool cpu_heavy = QueryHasBoundCall(
@@ -768,7 +758,7 @@ struct ScanEnv {
   const SubqueryFn* subquery = nullptr;
   const gov::QueryLimits* limits = nullptr;
   bool aggregate = false;  ///< aggregate / GROUP BY plan, else projection
-  int batch_rows = 1;      ///< > 1 selects the batched bodies
+  int batch_rows = 1;      ///< rows per block the chunk bodies read
   const VecQueryPlan* vplan = nullptr;
 
   UdfContext Udf(QueryStats* stats) const {
@@ -789,48 +779,6 @@ struct ScanEnv {
     return ctx;
   }
 };
-
-/// Cursor over a TVF's materialized rows, shaped like the table cursors so
-/// the row bodies take any of them as a template argument.
-class ValueRowCursor {
- public:
-  explicit ValueRowCursor(const std::vector<std::vector<Value>>* rows)
-      : rows_(rows) {}
-  bool valid() const { return pos_ < rows_->size(); }
-  const std::vector<Value>* row() const { return &(*rows_)[pos_]; }
-  Status Next() {
-    ++pos_;
-    return Status::OK();
-  }
-
- private:
-  const std::vector<std::vector<Value>>* rows_;
-  size_t pos_ = 0;
-};
-
-/// Points the evaluation context at the cursor's current row: a table
-/// cursor's encoded row bytes, or a TVF row's values.
-template <typename TableCursor>
-void BindRow(const TableCursor& c, EvalContext* ctx) {
-  ctx->row = c.row().data();
-}
-inline void BindRow(const ValueRowCursor& c, EvalContext* ctx) {
-  ctx->value_row = c.row();
-}
-
-/// Fills `batch` from a table cursor via CopyRows — one memcpy per
-/// leaf-page run instead of a row()/Next() round trip per row. Row bytes,
-/// row order, and page-load points are identical to the per-row loop.
-template <typename TableCursor>
-Status FillBatch(TableCursor& cursor, RowBatch* batch) {
-  while (!batch->full() && cursor.valid()) {
-    SQLARRAY_ASSIGN_OR_RETURN(
-        int32_t got, cursor.CopyRows(batch->capacity() - batch->size(),
-                                     batch->AppendSlots()));
-    batch->CommitAppend(got);
-  }
-  return Status::OK();
-}
 
 /// Returns the partial's accumulator for `key`, creating it on the first
 /// kept row that reaches it, so a group's plain items are always filled.
@@ -855,26 +803,23 @@ Result<GroupAcc*> GroupFor(const ScanEnv& env, std::string key,
 
 /// Folds one row into a UDA under SQL Server's hosting contract: the state
 /// crosses the CLR boundary (deserialize + serialize) on every row
-/// (Sec. 4.2), and the cost model charges it.
+/// (Sec. 4.2), and the cost model charges it. The arguments evaluate once
+/// per row; a group's first row hands the same values to Init.
 Status AccumulateUda(const ScanEnv& env, const SelectItem& item,
                      EvalContext& ctx, AggState* st) {
-  auto eval_args = [&]() -> Result<std::vector<Value>> {
-    std::vector<Value> args;
-    for (const ExprPtr& a : item.uda_args) {
-      SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*a, ctx));
-      args.push_back(std::move(v));
-    }
-    return args;
-  };
+  std::vector<Value> args;
+  args.reserve(item.uda_args.size());
+  for (const ExprPtr& a : item.uda_args) {
+    SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*a, ctx));
+    args.push_back(std::move(v));
+  }
   if (st->uda == nullptr) {
     SQLARRAY_ASSIGN_OR_RETURN(
         const UdaFactory* factory,
         env.registry->ResolveUda(item.uda_schema, item.uda_name));
     st->uda = (*factory)();
-    SQLARRAY_ASSIGN_OR_RETURN(std::vector<Value> init_args, eval_args());
-    SQLARRAY_ASSIGN_OR_RETURN(st->uda_state, st->uda->Init(init_args, ctx.udf));
+    SQLARRAY_ASSIGN_OR_RETURN(st->uda_state, st->uda->Init(args, ctx.udf));
   }
-  SQLARRAY_ASSIGN_OR_RETURN(std::vector<Value> row_args, eval_args());
   QueryStats& stats = *ctx.udf.stats;
   const int64_t state_bytes = static_cast<int64_t>(st->uda_state.size());
   stats.uda_state_bytes += 2 * state_bytes;
@@ -891,23 +836,33 @@ Status AccumulateUda(const ScanEnv& env, const SelectItem& item,
     d.cpu_ns += charge_ns;
   }
   SQLARRAY_ASSIGN_OR_RETURN(
-      st->uda_state, st->uda->Accumulate(st->uda_state, row_args, ctx.udf));
+      st->uda_state, st->uda->Accumulate(st->uda_state, args, ctx.udf));
   return Status::OK();
 }
 
-/// The batched bodies' shared front half: gathers a morsel's rows block by
-/// block, charges each row's scan cost, and filters the block into `sel`
-/// (the compiled WHERE program when there is one, RowPasses per row
-/// otherwise). An expression without a compiled program runs through Eval
-/// once per batch row, on the row context At() points at that row.
+/// The chunk bodies' shared front half: reads a morsel's rows block by block
+/// (env.batch_rows at a time), charges each row's scan cost, and filters the
+/// block into `sel` (the compiled WHERE program when there is one,
+/// RowPasses per row otherwise). A table block is gathered out of the leaf
+/// cursor into `batch`; a TVF block is a window of its materialized rows,
+/// which the row context points at in place. An expression without a
+/// compiled program runs through Eval once per selected row, on the row
+/// context At() points at that row.
 class BatchFeed {
  public:
-  BatchFeed(const ScanEnv& env, QueryStats* stats)
-      : env_(env), ctx_(env.RowContext(stats)) {}
+  BatchFeed(const ScanEnv& env, QueryStats* stats,
+            storage::BTree::ChunkCursor* cursor)
+      : env_(env), stats_(stats), ctx_(env.RowContext(stats)),
+        cursor_(cursor) {}
+  BatchFeed(const ScanEnv& env, QueryStats* stats,
+            const std::vector<std::vector<Value>>* values)
+      : env_(env), stats_(stats), ctx_(env.RowContext(stats)),
+        values_(values) {}
 
   /// Charges the gather buffer and, when a columnar plan runs, its register
-  /// file: the batched bodies' private allocations.
+  /// file: the bodies' private allocations. A TVF source gathers nothing.
   Status Reserve() const {
+    if (cursor_ == nullptr) return Status::OK();
     SQLARRAY_RETURN_IF_ERROR(GovCharge(
         env_.limits,
         env_.schema->row_size() * static_cast<int64_t>(env_.batch_rows)));
@@ -916,42 +871,59 @@ class BatchFeed {
                      VecPlanFootprint(*env_.vplan, env_.batch_rows));
   }
 
-  /// Gathers and filters the next block; false once the cursor is drained.
-  template <typename TableCursor>
-  Result<bool> Next(TableCursor& cursor, QueryStats* stats) {
+  /// Reads and filters the next block; false once the source is drained.
+  Result<bool> Next() {
     SQLARRAY_RETURN_IF_ERROR(GovCheck(env_.limits));
-    batch.Reset(env_.schema->row_size(), env_.batch_rows);
-    SQLARRAY_RETURN_IF_ERROR(FillBatch(cursor, &batch));
-    if (batch.size() == 0) return false;
-    stats->rows_scanned += batch.size();
-    for (int32_t i = 0; i < batch.size(); ++i) {
-      stats->ChargeCpuNs(env_.cost->row_scan_ns);
+    if (cursor_ != nullptr) {
+      // One memcpy per leaf-page run; page loads land where a row-by-row
+      // walk would load them.
+      batch.Reset(env_.schema->row_size(), env_.batch_rows);
+      while (!batch.full() && cursor_->valid()) {
+        SQLARRAY_ASSIGN_OR_RETURN(
+            int32_t got, cursor_->CopyRows(batch.capacity() - batch.size(),
+                                           batch.AppendSlots()));
+        batch.CommitAppend(got);
+      }
+      size_ = batch.size();
+    } else {
+      first_ += static_cast<size_t>(size_);
+      size_ = static_cast<int32_t>(std::min(
+          static_cast<size_t>(env_.batch_rows), values_->size() - first_));
+    }
+    if (size_ == 0) return false;
+    stats_->rows_scanned += size_;
+    for (int32_t i = 0; i < size_; ++i) {
+      stats_->ChargeCpuNs(env_.cost->row_scan_ns);
     }
     const VecQueryPlan* vplan = env_.vplan;
     if (vplan != nullptr) {
       VecBatchesCounter().Add(1);
-      VecRowsCounter().Add(batch.size());
+      VecRowsCounter().Add(size_);
     }
     sel.clear();
     if (env_.q->where == nullptr) {
-      for (int32_t r = 0; r < batch.size(); ++r) sel.push_back(r);
+      for (int32_t r = 0; r < size_; ++r) sel.push_back(r);
     } else if (vplan != nullptr && vplan->where_ok) {
       SQLARRAY_RETURN_IF_ERROR(vec::VecFilter(
           vplan->where, batch, &vscratch.regs, &vscratch.trunc, &sel));
     } else {
-      for (int32_t r = 0; r < batch.size(); ++r) {
+      for (int32_t r = 0; r < size_; ++r) {
         SQLARRAY_ASSIGN_OR_RETURN(bool keep, RowPasses(*env_.q, At(r)));
         if (keep) sel.push_back(r);
       }
-      if (vplan != nullptr) VecFallbackRowsCounter().Add(batch.size());
+      if (vplan != nullptr) VecFallbackRowsCounter().Add(size_);
     }
-    stats->rows_kept += static_cast<int64_t>(sel.size());
+    stats_->rows_kept += static_cast<int64_t>(sel.size());
     return true;
   }
 
-  /// The row context pointed at batch row `r`.
+  /// The row context pointed at block row `r`.
   EvalContext& At(int32_t r) {
-    ctx_.row = batch.row(r);
+    if (cursor_ != nullptr) {
+      ctx_.row = batch.row(r);
+    } else {
+      ctx_.value_row = &(*values_)[first_ + static_cast<size_t>(r)];
+    }
     return ctx_;
   }
 
@@ -977,32 +949,84 @@ class BatchFeed {
     return env_.vplan != nullptr ? env_.vplan->items[i].get() : nullptr;
   }
 
-  RowBatch batch;
+  RowBatch batch;  ///< the gathered table block (lane programs read it)
   std::vector<int32_t> sel;
   VecScratch vscratch;
 
  private:
   const ScanEnv& env_;
+  QueryStats* stats_;
   EvalContext ctx_;
+  storage::BTree::ChunkCursor* cursor_ = nullptr;
+  const std::vector<std::vector<Value>>* values_ = nullptr;
+  size_t first_ = 0;  ///< the TVF block's first row
+  int32_t size_ = 0;  ///< rows in the current block
 };
 
-/// Batched aggregate body: ungrouped native aggregates over a table scan,
-/// folded block by block (compiled argument programs feed the fold kernels;
-/// the rest evaluate through Eval into a reused column).
-template <typename TableCursor>
-Status AggregateBatch(const ScanEnv& env, TableCursor& cursor, Partial* out) {
+/// Folds one kept row into its group, as the oracle always has: the key,
+/// then each item in order. Groups appear on the first kept row that
+/// reaches them.
+Status AccumulateRow(const ScanEnv& env, EvalContext& ctx, Partial* out) {
+  const Query& q = *env.q;
+  const size_t n_items = q.items.size();
+  QueryStats& stats = out->stats;
+  std::string key;
+  for (const ExprPtr& g : q.group_by) {
+    SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*g, ctx));
+    SQLARRAY_RETURN_IF_ERROR(AppendGroupKey(v, &key));
+  }
+  SQLARRAY_ASSIGN_OR_RETURN(GroupAcc * group,
+                            GroupFor(env, std::move(key), &out->groups));
+  for (size_t i = 0; i < n_items; ++i) {
+    const SelectItem& item = q.items[i];
+    AggState& st = group->aggs[i];
+    if (item.agg == SelectItem::AggKind::kNone) {
+      if (!group->plain_filled) {
+        SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
+        group->plain_items.resize(n_items);
+        group->plain_items[i] = std::move(v);
+      }
+    } else if (item.agg == SelectItem::AggKind::kUda) {
+      SQLARRAY_RETURN_IF_ERROR(AccumulateUda(env, item, ctx, &st));
+    } else if (IsCountStar(item)) {
+      // COUNT(*) is a bare increment folded into the row-scan cost;
+      // COUNT(expr) pays the evaluation step.
+      st.count++;
+    } else {
+      stats.agg_steps++;
+      stats.ChargeCpuNs(env.cost->native_agg_step_ns);
+      SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
+      SQLARRAY_RETURN_IF_ERROR(AccumulateNative(item.agg, v, &st));
+    }
+  }
+  group->plain_filled = true;
+  return Status::OK();
+}
+
+/// Aggregate body. At width 1 (every GROUP BY, UDA and TVF plan, and the
+/// batch-1 oracle) each kept row folds row-major through AccumulateRow, so
+/// UDA charges stay in row order. A wider block (an ungrouped native
+/// aggregate over a table) folds item by item: compiled argument programs
+/// feed the fold kernels, the rest evaluate through Eval into a reused
+/// column.
+Status AggregateBatch(const ScanEnv& env, BatchFeed& feed, Partial* out) {
   const Query& q = *env.q;
   const CostModel& cost = *env.cost;
   const size_t n_items = q.items.size();
   QueryStats& stats = out->stats;
-  BatchFeed feed(env, &stats);
   SQLARRAY_RETURN_IF_ERROR(feed.Reserve());
   std::vector<Value> col;
   GroupAcc* acc = nullptr;
   while (true) {
-    SQLARRAY_ASSIGN_OR_RETURN(bool more, feed.Next(cursor, &stats));
+    SQLARRAY_ASSIGN_OR_RETURN(bool more, feed.Next());
     if (!more) break;
     const std::vector<int32_t>& sel = feed.sel;
+    if (env.batch_rows == 1) {
+      for (int32_t r : sel) {
+        SQLARRAY_RETURN_IF_ERROR(AccumulateRow(env, feed.At(r), out));
+      }
+      continue;
+    }
     if (sel.empty()) continue;
     if (acc == nullptr) {
       SQLARRAY_ASSIGN_OR_RETURN(acc, GroupFor(env, "", &out->groups));
@@ -1012,7 +1036,7 @@ Status AggregateBatch(const ScanEnv& env, TableCursor& cursor, Partial* out) {
       AggState& st = acc->aggs[i];
       if (item.agg == SelectItem::AggKind::kNone) {
         // Plain items evaluate once, on the first row that survives the
-        // filter — the row body's first-kept-row semantics.
+        // filter, as AccumulateRow takes them.
         if (!acc->plain_filled) {
           SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, feed.At(sel[0])));
           acc->plain_items.resize(n_items);
@@ -1047,18 +1071,17 @@ Status AggregateBatch(const ScanEnv& env, TableCursor& cursor, Partial* out) {
   return Status::OK();
 }
 
-/// Batched projection body: TOP-free projections over a table scan,
-/// evaluated column by column per block and stitched into rows.
-template <typename TableCursor>
-Status ProjectBatch(const ScanEnv& env, TableCursor& cursor, Partial* out) {
+/// Projection body: evaluates each block column by column and stitches the
+/// columns into rows. TOP stops the morsel once it holds `top` rows, since
+/// no later row of it can reach the output prefix; every TOP plan reads one
+/// row per block, so the scan stops on the row that completed it.
+Status ProjectBatch(const ScanEnv& env, BatchFeed& feed, Partial* out) {
   const Query& q = *env.q;
   const size_t n_items = q.items.size();
-  QueryStats& stats = out->stats;
-  BatchFeed feed(env, &stats);
   SQLARRAY_RETURN_IF_ERROR(feed.Reserve());
   std::vector<std::vector<Value>> cols(n_items);
-  while (true) {
-    SQLARRAY_ASSIGN_OR_RETURN(bool more, feed.Next(cursor, &stats));
+  while (q.top < 0 || static_cast<int64_t>(out->rows.size()) < q.top) {
+    SQLARRAY_ASSIGN_OR_RETURN(bool more, feed.Next());
     if (!more) break;
     const std::vector<int32_t>& sel = feed.sel;
     if (sel.empty()) continue;
@@ -1083,106 +1106,6 @@ Status ProjectBatch(const ScanEnv& env, TableCursor& cursor, Partial* out) {
     }
   }
   return Status::OK();
-}
-
-/// Row-at-a-time aggregate body: GROUP BY, UDAs, TVF sources, and every
-/// aggregate at batch size 1. Groups appear on the first kept row that
-/// reaches them.
-template <typename Cursor>
-Status AggregateRows(const ScanEnv& env, Cursor& cursor, Partial* out) {
-  const Query& q = *env.q;
-  const CostModel& cost = *env.cost;
-  const size_t n_items = q.items.size();
-  QueryStats& stats = out->stats;
-  EvalContext ctx = env.RowContext(&stats);
-  while (cursor.valid()) {
-    SQLARRAY_RETURN_IF_ERROR(GovCheck(env.limits));
-    BindRow(cursor, &ctx);
-    stats.rows_scanned++;
-    stats.ChargeCpuNs(cost.row_scan_ns);
-    SQLARRAY_ASSIGN_OR_RETURN(bool keep, RowPasses(q, ctx));
-    if (keep) {
-      stats.rows_kept++;
-      std::string key;
-      for (const ExprPtr& g : q.group_by) {
-        SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*g, ctx));
-        SQLARRAY_RETURN_IF_ERROR(AppendGroupKey(v, &key));
-      }
-      SQLARRAY_ASSIGN_OR_RETURN(GroupAcc * group,
-                                GroupFor(env, std::move(key), &out->groups));
-      for (size_t i = 0; i < n_items; ++i) {
-        const SelectItem& item = q.items[i];
-        AggState& st = group->aggs[i];
-        if (item.agg == SelectItem::AggKind::kNone) {
-          if (!group->plain_filled) {
-            SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-            group->plain_items.resize(n_items);
-            group->plain_items[i] = std::move(v);
-          }
-        } else if (item.agg == SelectItem::AggKind::kUda) {
-          SQLARRAY_RETURN_IF_ERROR(AccumulateUda(env, item, ctx, &st));
-        } else if (IsCountStar(item)) {
-          // COUNT(*) is a bare increment folded into the row-scan cost;
-          // COUNT(expr) pays the evaluation step.
-          st.count++;
-        } else {
-          stats.agg_steps++;
-          stats.ChargeCpuNs(cost.native_agg_step_ns);
-          SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-          SQLARRAY_RETURN_IF_ERROR(AccumulateNative(item.agg, v, &st));
-        }
-      }
-      group->plain_filled = true;
-    }
-    SQLARRAY_RETURN_IF_ERROR(cursor.Next());
-  }
-  return Status::OK();
-}
-
-/// Row-at-a-time projection body: TOP, TVF sources, and every projection at
-/// batch size 1. TOP stops the morsel at `top` rows, since no later row of
-/// it can reach the output prefix.
-template <typename Cursor>
-Status ProjectRows(const ScanEnv& env, Cursor& cursor, Partial* out) {
-  const Query& q = *env.q;
-  const size_t n_items = q.items.size();
-  QueryStats& stats = out->stats;
-  EvalContext ctx = env.RowContext(&stats);
-  while (cursor.valid()) {
-    SQLARRAY_RETURN_IF_ERROR(GovCheck(env.limits));
-    if (q.top >= 0 && static_cast<int64_t>(out->rows.size()) >= q.top) break;
-    BindRow(cursor, &ctx);
-    stats.rows_scanned++;
-    stats.ChargeCpuNs(env.cost->row_scan_ns);
-    SQLARRAY_ASSIGN_OR_RETURN(bool keep, RowPasses(q, ctx));
-    if (keep) {
-      stats.rows_kept++;
-      SQLARRAY_RETURN_IF_ERROR(GovCharge(env.limits, RowFootprint(n_items)));
-      std::vector<Value> row;
-      row.reserve(n_items);
-      for (const SelectItem& item : q.items) {
-        SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-        row.push_back(std::move(v));
-      }
-      out->rows.push_back(std::move(row));
-    }
-    SQLARRAY_RETURN_IF_ERROR(cursor.Next());
-  }
-  return Status::OK();
-}
-
-/// Folds one morsel into its partial with the plan's chunk body. Only table
-/// cursors can feed the batched bodies.
-template <typename Cursor>
-Status RunChunk(const ScanEnv& env, Cursor& cursor, Partial* out) {
-  if constexpr (!std::is_same_v<Cursor, ValueRowCursor>) {
-    if (env.batch_rows > 1) {
-      return env.aggregate ? AggregateBatch(env, cursor, out)
-                           : ProjectBatch(env, cursor, out);
-    }
-  }
-  return env.aggregate ? AggregateRows(env, cursor, out)
-                       : ProjectRows(env, cursor, out);
 }
 
 /// TOP short-circuit token for projection plans: `frontier_` counts
@@ -1340,8 +1263,9 @@ Result<ResultSet> Executor::ExecuteInternal(
   storage::IoStats io_before = db_->disk()->stats();
   storage::PageSource* snap = SnapOf(qctx);
   const bool eligible = MorselEligible(q);
-  const KeyRange keys =
-      eligible ? ExtractKeyRange(q.where.get(), variables) : KeyRange{};
+  const KeyRange keys = q.table != nullptr
+                            ? ExtractKeyRange(q.where.get(), variables)
+                            : KeyRange{};
   SQLARRAY_ASSIGN_OR_RETURN(ScanPlan plan,
                             PlanScan(q, eligible, keys, scan_workers_,
                                      min_pages_per_worker_, snap));
@@ -1357,18 +1281,20 @@ Result<ResultSet> Executor::ExecuteInternal(
   env.subquery = eligible ? nullptr : subquery_fn_.load();
   env.limits = qctx != nullptr ? &qctx->limits : nullptr;
   env.aggregate = HasAggregates(q) || !q.group_by.empty();
-  // The batched bodies take table scans of ungrouped native aggregates and
-  // of TOP-free projections (TOP keeps the early-exit row loop, so
-  // rows_scanned is batch-size-invariant).
-  const bool batched =
+  // The plan picks the bodies' width. Lane programs compile, and blocks
+  // widen to batch_rows_, only for table scans of ungrouped native
+  // aggregates and of TOP-free projections. Every other shape reads one row
+  // per block: TOP then stops on the row that completes it (rows_scanned is
+  // batch-size-invariant), and UDA charges stay in row order.
+  const bool lanes =
       q.table != nullptr && batch_rows_ > 1 &&
       (env.aggregate ? q.group_by.empty() && !HasUda(q) : q.top < 0);
-  if (batched) env.batch_rows = batch_rows_;
+  if (lanes) env.batch_rows = batch_rows_;
   // One compiled columnar plan per statement, shared read-only by every
   // morsel worker (each worker owns its register scratch). EXPLAIN ANALYZE
   // reports the operator modes of exactly this plan.
   VecQueryPlan vplan;
-  if (batched) {
+  if (lanes) {
     vplan = BuildVecPlan(q, variables, /*rows_mode=*/!env.aggregate);
   }
   if (vplan.any) env.vplan = &vplan;
@@ -1381,6 +1307,10 @@ Result<ResultSet> Executor::ExecuteInternal(
   for (Partial& p : partials) {
     p.stats.track_udf_detail = rs.stats.track_udf_detail;
   }
+  auto fold = [&](BatchFeed& feed, Partial* out) {
+    return env.aggregate ? AggregateBatch(env, feed, out)
+                         : ProjectBatch(env, feed, out);
+  };
   TopFrontier top(q.top, plan.n_morsels);
   SQLARRAY_RETURN_IF_ERROR(RunMorselScan(
       plan.grid_pages, plan.morsel_pages, plan.workers, qctx,
@@ -1389,13 +1319,8 @@ Result<ResultSet> Executor::ExecuteInternal(
         if (q.tvf != nullptr) {
           SQLARRAY_ASSIGN_OR_RETURN(std::vector<std::vector<Value>> rows,
                                     MaterializeTvf(q, variables, &out.stats));
-          ValueRowCursor cursor(&rows);
-          return RunChunk(env, cursor, &out);
-        }
-        if (!eligible) {
-          SQLARRAY_ASSIGN_OR_RETURN(storage::BTree::Cursor cursor,
-                                    q.table->Scan(snap));
-          return RunChunk(env, cursor, &out);
+          BatchFeed feed(env, &out.stats, &rows);
+          return fold(feed, &out);
         }
         if (top.Skip(m.index)) return Status::OK();
         const size_t begin = std::max(m.page_begin, plan.read_begin);
@@ -1411,9 +1336,9 @@ Result<ResultSet> Executor::ExecuteInternal(
             storage::BTree::ChunkCursor cursor,
             snap != nullptr
                 ? q.table->ScanChunk(snap, std::move(chunk))
-                : q.table->ScanChunk(db_->buffer_pool(), std::move(chunk),
-                                     kMorselReadahead));
-        SQLARRAY_RETURN_IF_ERROR(RunChunk(env, cursor, &out));
+                : q.table->ScanChunk(db_->buffer_pool(), std::move(chunk)));
+        BatchFeed feed(env, &out.stats, &cursor);
+        SQLARRAY_RETURN_IF_ERROR(fold(feed, &out));
         top.Done(m.index, static_cast<int64_t>(out.rows.size()));
         return Status::OK();
       }));

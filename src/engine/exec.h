@@ -120,11 +120,13 @@ class Executor {
   /// Degree of parallelism for morsel-eligible scans (table source, no UDA,
   /// no reader-style UDF): ungrouped aggregates, GROUP BY, and projections
   /// with or without TOP. The effective worker count is additionally capped
-  /// by the table's page count so tiny scans skip the fixed per-worker
-  /// setup. Every other query runs the same plan as one morsel spanning the
-  /// whole source, inline on the calling thread. Results are bit-identical
-  /// at any worker count: one worker runs the morsel plan inline (no thread
-  /// dispatch), and partials always merge in morsel-index order.
+  /// by the pages the scan reads so tiny scans skip the fixed per-worker
+  /// setup. Every other query runs the same plan as one morsel, inline on
+  /// the calling thread: a UDA or reader-style-UDF table plan over the same
+  /// planned leaf list (key seek included), a TVF source over its rows.
+  /// Results are bit-identical at any worker count: one worker runs the
+  /// morsel plan inline (no thread dispatch), and partials always merge in
+  /// morsel-index order.
   void set_scan_workers(int workers) { scan_workers_ = workers; }
   int scan_workers() const { return scan_workers_; }
 
@@ -139,15 +141,18 @@ class Executor {
   /// reused after that; test/introspection access).
   WorkerPool* worker_pool() { return worker_pool_.get(); }
 
-  /// Rows gathered per evaluation batch. Table scans of ungrouped native
-  /// aggregates and of projections without TOP run the batched chunk
-  /// bodies: WHERE and select items compile to columnar programs
-  /// (engine/vec_expr.h) where they can, and any other expression runs
-  /// through Eval once per selected row. GROUP BY, UDAs, TOP and TVF
-  /// sources run the row-at-a-time bodies at any setting. Values <= 1 force
-  /// row-at-a-time Eval everywhere, the oracle that tests/test_engine.cc
-  /// and tests/test_vec.cc compare every batch size and worker count
-  /// against; results are bit-identical either way.
+  /// Rows per block for the shapes that have lanes. Every query runs the
+  /// same two chunk bodies (aggregate and projection); the plan picks how
+  /// many rows each block holds. Table scans of ungrouped native aggregates
+  /// and of projections without TOP read `rows` at a time, and their WHERE
+  /// and select items compile to columnar programs (engine/vec_expr.h)
+  /// where they can; any other expression runs through Eval once per
+  /// selected row. GROUP BY, UDAs, TOP and TVF sources read one row per
+  /// block at any setting. Values <= 1 build no columnar program: every
+  /// expression runs through Eval and every aggregate through the row fold,
+  /// the oracle that tests/test_engine.cc and tests/test_vec.cc compare
+  /// every batch size and worker count against; results are bit-identical
+  /// either way.
   void set_batch_rows(int rows) { batch_rows_ = rows; }
   int batch_rows() const { return batch_rows_; }
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/wrap_int.h"
+
 namespace sqlarray::engine {
 
 ExprPtr Lit(Value v) {
@@ -120,19 +122,25 @@ Result<Value> EvalBinaryOp(BinaryOp op, const Value& l, const Value& r) {
 
   switch (op) {
     case BinaryOp::kAdd:
-      if (both_int) return Value::Int(l.AsInt().value() + r.AsInt().value());
+      if (both_int) {
+        return Value::Int(WrapAdd(l.AsInt().value(), r.AsInt().value()));
+      }
       return numeric([](double a, double b) { return Value::Double(a + b); });
     case BinaryOp::kSub:
-      if (both_int) return Value::Int(l.AsInt().value() - r.AsInt().value());
+      if (both_int) {
+        return Value::Int(WrapSub(l.AsInt().value(), r.AsInt().value()));
+      }
       return numeric([](double a, double b) { return Value::Double(a - b); });
     case BinaryOp::kMul:
-      if (both_int) return Value::Int(l.AsInt().value() * r.AsInt().value());
+      if (both_int) {
+        return Value::Int(WrapMul(l.AsInt().value(), r.AsInt().value()));
+      }
       return numeric([](double a, double b) { return Value::Double(a * b); });
     case BinaryOp::kDiv:
       if (both_int) {
         int64_t b = r.AsInt().value();
         if (b == 0) return Status::InvalidArgument("division by zero");
-        return Value::Int(l.AsInt().value() / b);
+        return Value::Int(WrapDiv(l.AsInt().value(), b));
       }
       return numeric([](double a, double b) -> Result<Value> {
         if (b == 0) return Status::InvalidArgument("division by zero");
@@ -142,7 +150,7 @@ Result<Value> EvalBinaryOp(BinaryOp op, const Value& l, const Value& r) {
       SQLARRAY_ASSIGN_OR_RETURN(int64_t a, l.AsInt());
       SQLARRAY_ASSIGN_OR_RETURN(int64_t b, r.AsInt());
       if (b == 0) return Status::InvalidArgument("modulo by zero");
-      return Value::Int(a % b);
+      return Value::Int(WrapMod(a, b));
     }
     case BinaryOp::kEq:
     case BinaryOp::kNe:
@@ -181,7 +189,7 @@ Result<Value> EvalUnaryOp(UnaryOp op, const Value& v) {
   if (v.is_null()) return Value::Null();
   if (op == UnaryOp::kNeg) {
     if (v.kind() == Value::Kind::kInt64) {
-      return Value::Int(-v.AsInt().value());
+      return Value::Int(WrapNeg(v.AsInt().value()));
     }
     SQLARRAY_ASSIGN_OR_RETURN(double d, v.AsDouble());
     return Value::Double(-d);

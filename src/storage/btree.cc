@@ -519,37 +519,8 @@ Status BTree::Cursor::Next() {
   return LoadLeaf(next_);
 }
 
-Result<int32_t> BTree::Cursor::CopyRows(int32_t max_rows, uint8_t* out) {
-  int32_t copied = 0;
-  while (copied < max_rows && valid_) {
-    uint32_t run = count_ - pos_;
-    if (run > static_cast<uint32_t>(max_rows - copied)) {
-      run = static_cast<uint32_t>(max_rows - copied);
-    }
-    std::memcpy(out + static_cast<size_t>(copied) * row_size_,
-                page_.data() + kBTreePageHeader + pos_ * row_size_,
-                static_cast<size_t>(run) * row_size_);
-    copied += static_cast<int32_t>(run);
-    pos_ += run;
-    // Mirror Next(): consuming a page's last row loads the next page
-    // immediately, so page I/O lands at the same points either way.
-    if (pos_ >= count_) SQLARRAY_RETURN_IF_ERROR(LoadLeaf(next_));
-  }
-  return copied;
-}
-
 Status BTree::ChunkCursor::LoadNextPage() {
   while (page_idx_ < pages_.size()) {
-    if (!fetch_ && readahead_ > 0) {
-      // Best-effort readahead: issue the upcoming reads contiguously. The
-      // authoritative (error-checked, retried) read is the GetPage below.
-      size_t until = page_idx_ + static_cast<size_t>(readahead_);
-      if (until > pages_.size()) until = pages_.size();
-      if (prefetched_until_ < page_idx_) prefetched_until_ = page_idx_;
-      while (prefetched_until_ < until) {
-        (void)pool_->Prefetch(pages_[prefetched_until_++]);
-      }
-    }
     const PageId id = pages_[page_idx_++];
     SQLARRAY_ASSIGN_OR_RETURN(PinnedPage page,
                               fetch_ ? fetch_(id) : pool_->GetPage(id));
@@ -589,19 +560,19 @@ Result<int32_t> BTree::ChunkCursor::CopyRows(int32_t max_rows, uint8_t* out) {
                 static_cast<size_t>(run) * row_size_);
     copied += static_cast<int32_t>(run);
     pos_ += run;
+    // Mirror Next(): consuming a page's last row loads the next page
+    // immediately, so page I/O lands at the same points either way.
     if (pos_ >= count_) SQLARRAY_RETURN_IF_ERROR(LoadNextPage());
   }
   return copied;
 }
 
 Result<BTree::ChunkCursor> BTree::ScanChunk(BufferPool* pool,
-                                            std::vector<PageId> pages,
-                                            int readahead_pages) const {
+                                            std::vector<PageId> pages) const {
   ChunkCursor c;
   c.pool_ = pool;
   c.row_size_ = row_size_;
   c.pages_ = std::move(pages);
-  c.readahead_ = readahead_pages < 0 ? 0 : readahead_pages;
   SQLARRAY_RETURN_IF_ERROR(c.LoadNextPage());
   return c;
 }
@@ -612,40 +583,6 @@ Result<BTree::Cursor> BTree::ScanAll() const {
   if (io_ != nullptr) c.fetch_ = io_->fetch;
   c.row_size_ = row_size_;
   SQLARRAY_RETURN_IF_ERROR(c.LoadLeaf(first_leaf_));
-  return c;
-}
-
-namespace {
-
-/// Leftmost descent from `root` through `fetch`: the first leaf of the tree
-/// as the snapshot sees it.
-Result<PageId> FirstLeafVia(const PageFetcher& fetch, PageId root) {
-  PageId node = root;
-  for (int depth = 0; depth < 64; ++depth) {
-    SQLARRAY_ASSIGN_OR_RETURN(PinnedPage page, fetch(node));
-    if (IsLeaf(*page)) return node;
-    if (page->data()[0] != static_cast<uint8_t>(PageType::kBTreeInternal)) {
-      return Status::Corruption("snapshot walk: page " + std::to_string(node) +
-                                " is neither leaf nor internal");
-    }
-    if (PageCount(*page) == 0) {
-      return Status::Corruption("snapshot walk: empty internal page " +
-                                std::to_string(node));
-    }
-    node = InternalChildAt(*page, 0);
-  }
-  return Status::Corruption("snapshot walk: tree height exceeds sanity bound");
-}
-
-}  // namespace
-
-Result<BTree::Cursor> BTree::ScanAllVia(PageFetcher fetch, PageId root,
-                                        int64_t row_size) {
-  SQLARRAY_ASSIGN_OR_RETURN(PageId first_leaf, FirstLeafVia(fetch, root));
-  Cursor c;
-  c.fetch_ = std::move(fetch);
-  c.row_size_ = row_size;
-  SQLARRAY_RETURN_IF_ERROR(c.LoadLeaf(first_leaf));
   return c;
 }
 

@@ -159,18 +159,11 @@ class BTree {
     std::span<const uint8_t> row() const;
     /// Advances; clears valid() at the end.
     Status Next();
-    /// Copies up to `max_rows` consecutive rows into `out` (row-major,
-    /// contiguous) and advances past them — one memcpy per leaf-page run
-    /// instead of a row()/Next() pair per row, the batched scan's fill
-    /// path. Returns the number of rows copied (0 only at end of chain);
-    /// page loads happen at exactly the row positions Next() loads them.
-    Result<int32_t> CopyRows(int32_t max_rows, uint8_t* out);
 
    private:
     friend class BTree;
     BufferPool* pool_ = nullptr;
-    /// When set, pages come from here instead of pool_ (snapshot / shadow
-    /// scans); prefetch is skipped since the fetcher owns its images.
+    /// When set, pages come from here instead of pool_ (shadow-tree scans).
     PageFetcher fetch_;
     int64_t row_size_ = 0;
     Page page_;
@@ -183,14 +176,10 @@ class BTree {
   };
 
   /// Opens a scan cursor at the first row. A tree with redirected IO scans
-  /// through its fetcher (read-your-writes for shadow trees).
+  /// through its fetcher (read-your-writes for shadow trees). The executor
+  /// reads through ChunkCursor; this walk serves the structural verifier
+  /// and direct storage callers.
   Result<Cursor> ScanAll() const;
-
-  /// Opens a full-chain cursor over the tree rooted at `root` as seen
-  /// through `fetch` — the snapshot scan: the same structure walk as
-  /// ScanAll but against an arbitrary consistent page view.
-  static Result<Cursor> ScanAllVia(PageFetcher fetch, PageId root,
-                                   int64_t row_size);
 
   /// The leaf level as the internal pages list it: leaf ids in chain order,
   /// each with the lowest key the descent can route to it (INT64_MIN for
@@ -227,10 +216,9 @@ class BTree {
   Result<std::pair<size_t, size_t>> SeekLeaves(int64_t lo, int64_t hi) const;
 
   /// A cursor over an explicit list of leaf pages, reading through a
-  /// caller-supplied buffer pool. Parallel scan workers each run one
-  /// ChunkCursor per morsel (a small slice of CollectLeafPages()) against
-  /// the SHARED buffer pool; a readahead window keeps each worker's disk
-  /// stream sequential.
+  /// caller-supplied buffer pool or page fetcher. Every executor scan runs
+  /// one ChunkCursor per morsel (a slice of the planned leaf list) against
+  /// the SHARED buffer pool or the statement's snapshot.
   class ChunkCursor {
    public:
     bool valid() const { return valid_; }
@@ -240,7 +228,11 @@ class BTree {
           static_cast<size_t>(row_size_));
     }
     Status Next();
-    /// Bulk fill, identical contract to Cursor::CopyRows.
+    /// Copies up to `max_rows` consecutive rows into `out` (row-major,
+    /// contiguous) and advances past them — one memcpy per leaf-page run
+    /// instead of a row()/Next() pair per row, the scan bodies' fill path.
+    /// Returns the number of rows copied (0 only at the end of the list);
+    /// page loads happen at exactly the row positions Next() loads them.
     Result<int32_t> CopyRows(int32_t max_rows, uint8_t* out);
 
    private:
@@ -248,14 +240,11 @@ class BTree {
     Status LoadNextPage();
 
     BufferPool* pool_ = nullptr;
-    /// Snapshot fetch; when set, pool_ and readahead are unused.
+    /// Snapshot fetch; when set, pool_ is unused.
     PageFetcher fetch_;
     int64_t row_size_ = 0;
     std::vector<PageId> pages_;
     size_t page_idx_ = 0;
-    /// Pages before this index have been readahead-prefetched.
-    size_t prefetched_until_ = 0;
-    int readahead_ = 0;
     Page page_;
     uint32_t count_ = 0;
     uint32_t pos_ = 0;
@@ -263,16 +252,12 @@ class BTree {
   };
 
   /// Opens a cursor over `pages` (a slice of CollectLeafPages()).
-  /// `readahead_pages` > 0 issues that many Prefetch reads ahead of the
-  /// cursor position, back-to-back in page order, so the per-thread
-  /// sequential classifier in the disk model is not broken by expression
-  /// or blob reads interleaving into the leaf stream.
-  Result<ChunkCursor> ScanChunk(BufferPool* pool, std::vector<PageId> pages,
-                                int readahead_pages = 0) const;
+  Result<ChunkCursor> ScanChunk(BufferPool* pool,
+                                std::vector<PageId> pages) const;
 
   /// Opens a cursor over `pages` reading every page through `fetch` — the
-  /// morsel-worker path of a snapshot scan. No readahead: the fetcher owns
-  /// its images (chain entries, overlays, log-replay maps).
+  /// morsel-worker path of a snapshot scan (the fetcher owns its images:
+  /// chain entries, overlays, log-replay maps).
   static Result<ChunkCursor> ScanChunkVia(PageFetcher fetch,
                                           std::vector<PageId> pages,
                                           int64_t row_size);

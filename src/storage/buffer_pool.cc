@@ -26,7 +26,6 @@ BufferPool::BufferPool(SimulatedDisk* disk, int64_t capacity_pages,
   reg_hits_ = reg.GetCounter("storage.buffer_pool.hits");
   reg_misses_ = reg.GetCounter("storage.buffer_pool.misses");
   reg_evictions_ = reg.GetCounter("storage.buffer_pool.evictions");
-  reg_prefetch_hits_ = reg.GetCounter("storage.buffer_pool.prefetch_hits");
 }
 
 void PinnedPage::Release() {
@@ -117,15 +116,8 @@ Result<PinnedPage> BufferPool::GetPage(PageId id) {
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.cache.find(id);
   if (it != shard.cache.end()) {
-    if (it->second.prefetched) {
-      // The Prefetch that loaded this page already counted its read.
-      it->second.prefetched = false;
-      prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
-      reg_prefetch_hits_->Add(1);
-    } else {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      reg_hits_->Add(1);
-    }
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    reg_hits_->Add(1);
     shard.lru.erase(it->second.lru_it);
     shard.lru.push_front(id);
     it->second.lru_it = shard.lru.begin();
@@ -154,28 +146,6 @@ Result<PinnedPage> BufferPool::GetPage(PageId id) {
   shard.cache.emplace(id, std::move(entry));
   pinned_pages_.fetch_add(1, std::memory_order_relaxed);
   return PinnedPage(this, id, std::move(image));
-}
-
-Status BufferPool::Prefetch(PageId id) {
-  Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.cache.find(id) != shard.cache.end()) return Status::OK();
-
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  reg_misses_->Add(1);
-  prefetches_.fetch_add(1, std::memory_order_relaxed);
-  auto image = std::make_shared<Page>();
-  SQLARRAY_RETURN_IF_ERROR(ReadWithRetry(id, image.get()));
-
-  EvictDownTo(&shard, shard_capacity_ - 1);
-  shard.lru.push_front(id);
-  Entry entry;
-  entry.page = std::move(image);
-  entry.lru_it = shard.lru.begin();
-  entry.pins = 0;
-  entry.prefetched = true;
-  shard.cache.emplace(id, std::move(entry));
-  return Status::OK();
 }
 
 Status BufferPool::WritePage(PageId id, const Page& page) {

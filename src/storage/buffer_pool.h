@@ -138,16 +138,6 @@ class BufferPool {
   /// to kCorruption naming the page id.
   Result<PinnedPage> GetPage(PageId id);
 
-  /// Sequential readahead hint: loads `id` into the cache UNPINNED if it is
-  /// not already resident. Scan cursors prefetch a morsel's pages
-  /// back-to-back before row processing starts, so the worker's disk stream
-  /// stays contiguous (the seq/random classifier never sees expression or
-  /// blob reads interleaved into the leaf stream). A no-op on resident
-  /// pages; counts a miss (it is a real disk read) when it loads, and the
-  /// first GetPage that then finds the page counts under `prefetch_hits`,
-  /// not `hits`, so each page read counts once.
-  Status Prefetch(PageId id);
-
   /// Writes a page. In the default write-through mode this updates the
   /// cache entry (if resident) and the disk. In write-back mode the image
   /// is logged via the WAL hook (when installed), cached DIRTY, and only
@@ -220,10 +210,6 @@ class BufferPool {
     int64_t hits = 0;
     int64_t misses = 0;
     int64_t evictions = 0;
-    int64_t prefetches = 0;
-    /// GetPage calls served by an earlier Prefetch's read (in neither hits
-    /// nor misses).
-    int64_t prefetch_hits = 0;
     /// Currently pinned entries (a level, not a monotone counter).
     int64_t pinned_pages = 0;
     /// Currently dirty entries (write-back mode; a level).
@@ -236,8 +222,6 @@ class BufferPool {
     s.hits = hits_.load(std::memory_order_relaxed);
     s.misses = misses_.load(std::memory_order_relaxed);
     s.evictions = evictions_.load(std::memory_order_relaxed);
-    s.prefetches = prefetches_.load(std::memory_order_relaxed);
-    s.prefetch_hits = prefetch_hits_.load(std::memory_order_relaxed);
     s.pinned_pages = pinned_pages_.load(std::memory_order_relaxed);
     s.dirty_pages = dirty_pages_.load(std::memory_order_relaxed);
     s.dirty_flushes = dirty_flushes_.load(std::memory_order_relaxed);
@@ -262,8 +246,6 @@ class BufferPool {
     std::list<PageId>::iterator lru_it;
     int pins = 0;
     bool dirty = false;
-    /// Loaded by Prefetch and not yet fetched by GetPage.
-    bool prefetched = false;
     Lsn rec_lsn = 0;
     Lsn last_lsn = 0;
   };
@@ -299,8 +281,6 @@ class BufferPool {
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> evictions_{0};
-  std::atomic<int64_t> prefetches_{0};
-  std::atomic<int64_t> prefetch_hits_{0};
   std::atomic<int64_t> pinned_pages_{0};
   std::atomic<int64_t> dirty_pages_{0};
   std::atomic<int64_t> dirty_flushes_{0};
@@ -310,7 +290,6 @@ class BufferPool {
   obs::Counter* reg_hits_;
   obs::Counter* reg_misses_;
   obs::Counter* reg_evictions_;
-  obs::Counter* reg_prefetch_hits_;
 };
 
 }  // namespace sqlarray::storage

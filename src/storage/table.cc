@@ -57,13 +57,6 @@ Status Table::Insert(Row row) {
   return tree_.Insert(encoded);
 }
 
-Result<BTree::Cursor> Table::Scan(PageSource* snap) const {
-  if (snap == nullptr) return Scan();
-  SQLARRAY_ASSIGN_OR_RETURN(PageId root, snap->TableRoot(name_));
-  return BTree::ScanAllVia([snap](PageId id) { return snap->Fetch(id); },
-                           root, schema_.row_size());
-}
-
 Result<BTree::LeafMap> Table::ReadLeafMap(PageSource* snap) const {
   SQLARRAY_ASSIGN_OR_RETURN(PageId root, snap->TableRoot(name_));
   return BTree::LeafMapVia([snap](PageId id) { return snap->Fetch(id); },

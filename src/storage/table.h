@@ -93,14 +93,8 @@ class Table {
     tree_.RestoreMeta(std::move(meta));
   }
 
-  /// Opens a full clustered index scan.
+  /// Opens a full clustered index scan (the leaf-chain walk).
   Result<BTree::Cursor> Scan() const { return tree_.ScanAll(); }
-
-  /// Opens a full scan through a snapshot: the root is resolved by the
-  /// snapshot (not the live tree) and every page comes from its Fetch, so
-  /// the walk sees one consistent historical version. A null snapshot falls
-  /// back to Scan().
-  Result<BTree::Cursor> Scan(PageSource* snap) const;
 
   /// Leaf pages in chain order (work division for parallel scans).
   Result<std::vector<PageId>> CollectLeafPages() const {
@@ -119,17 +113,14 @@ class Table {
   Result<BTree::LeafMap> ReadLeafMap(PageSource* snap) const;
 
   /// Opens a cursor over a slice of the leaf pages through `pool` — one
-  /// morsel of a parallel scan, usually against the shared pool with a
-  /// sequential readahead window.
+  /// morsel of a scan, against the shared pool.
   Result<BTree::ChunkCursor> ScanChunk(BufferPool* pool,
-                                       std::vector<PageId> pages,
-                                       int readahead_pages = 0) const {
-    return tree_.ScanChunk(pool, std::move(pages), readahead_pages);
+                                       std::vector<PageId> pages) const {
+    return tree_.ScanChunk(pool, std::move(pages));
   }
 
-  /// Opens a morsel cursor whose pages come from `snap` (no readahead; the
-  /// snapshot owns its images). `snap` must not be null and must outlive
-  /// the cursor.
+  /// Opens a morsel cursor whose pages come from `snap` (the snapshot owns
+  /// its images). `snap` must not be null and must outlive the cursor.
   Result<BTree::ChunkCursor> ScanChunk(PageSource* snap,
                                        std::vector<PageId> pages) const;
 

@@ -343,10 +343,11 @@ TEST_F(EngineTest, ParallelFallsBackForGroupByAndUda) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched execution differential tests: batch sizes <= 1 force the
-// row-at-a-time loop, where Eval is the oracle; results (and exact
-// cpu_core_seconds accounting) must be identical at any batch size, whether
-// an expression runs as a lane program or through Eval per batch row.
+// Batched execution differential tests: batch sizes <= 1 feed the chunk
+// bodies one row at a time with no lanes, where Eval is the oracle; results
+// (and exact cpu_core_seconds accounting) must be identical at any batch
+// size, whether an expression runs as a lane program or through Eval per
+// batch row.
 // DESIGN.md §8 documents the contract.
 // ---------------------------------------------------------------------------
 

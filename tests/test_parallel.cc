@@ -381,10 +381,6 @@ TEST(BufferPoolConcurrencyTest, ManyThreadsPinUnpinAndClear) {
       for (int i = 0; i < kIters && !failed.load(); ++i) {
         // Allocated ids are 1..kPages (page 0 is the reserved null page).
         auto id = static_cast<storage::PageId>(1 + (t * 31 + i * 7) % kPages);
-        if (i % 11 == 0) {
-          (void)pool.Prefetch(
-              static_cast<storage::PageId>(1 + (t + i) % kPages));
-        }
         auto pinned = pool.GetPage(id);
         if (!pinned.ok()) {
           failed.store(true);

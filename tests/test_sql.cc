@@ -194,6 +194,37 @@ TEST_F(SessionTest, NolockScanAndWhere) {
   EXPECT_EQ(results[0].ScalarResult().value().AsDouble().value(), 50.0);
 }
 
+TEST_F(SessionTest, UdaArgumentsEvaluateOncePerRow) {
+  // Init and Accumulate share one evaluation of the UDA's arguments, so a
+  // CLR call inside them is charged once per row, a group's first row too.
+  Run("CREATE TABLE ut (id BIGINT, x FLOAT)");
+  std::string values;
+  for (int i = 0; i < 30; ++i) {
+    if (!values.empty()) values += ", ";
+    values += "(" + std::to_string(i) + ", " + std::to_string(i) + ".0)";
+  }
+  Run("INSERT INTO ut VALUES " + values);
+  const std::string avg =
+      "SELECT FloatArrayMax.AvgVector(FloatArray.Vector_2(x, x)) FROM ut";
+  for (const std::string& sqltext : {avg, avg + " GROUP BY id % 3"}) {
+    for (int batch : {1, 1024}) {
+      executor_.set_batch_rows(batch);
+      auto rs = Run(sqltext);
+      ASSERT_EQ(rs.size(), 1u);
+      // 30 AvgVector calls plus 30 Vector_2 calls.
+      EXPECT_EQ(rs[0].stats.udf_calls, 60) << sqltext << " batch=" << batch;
+    }
+  }
+  executor_.set_batch_rows(1024);
+  auto rs = Run(avg);
+  ASSERT_EQ(rs.size(), 1u);
+  OwnedArray mean =
+      OwnedArray::FromBlob(rs[0].rows[0][0].MaterializeBytes().value())
+          .value();
+  EXPECT_EQ(mean.ref().GetDouble(0).value(), 14.5);
+  EXPECT_EQ(mean.ref().GetDouble(1).value(), 14.5);
+}
+
 TEST_F(SessionTest, PaperExampleConcatAggregate) {
   // Sec. 5.1: assemble an array from rows with the Concat UDA.
   Run("CREATE TABLE cells (id BIGINT, ix BIGINT, v FLOAT)");
@@ -590,8 +621,8 @@ class ScanShapeTest : public SessionTest {
 
   /// Runs `sqltext` at batch {1, 1024} x workers {1, 8} against the
   /// batch-1 / 1-worker reference and returns that reference. Modeled CPU
-  /// must match exactly unless `cpu_rel_tol` allows for the batched body
-  /// summing UDF boundary charges in a different order than the row body
+  /// must match exactly unless `cpu_rel_tol` allows for a wide block summing
+  /// UDF boundary charges in a different order than one row per block
   /// (ulps, never a real amount).
   Outcome ExpectConfigsMatch(const std::string& sqltext,
                              double cpu_rel_tol = 0) {
@@ -995,6 +1026,24 @@ TEST_F(ScanShapeTest, KeySeekMatchesForcedScan) {
   std::vector<Value> snap = scan_row(&msession, point);
   ASSERT_EQ(snap.size(), 13u);
   EXPECT_LE(snap[5].AsInt().value() + snap[6].AsInt().value(), height + 1);
+  // A UDA plan is one morsel over the same leaf list, so it seeks as well.
+  const std::string uda_point = shapes[3] + " FROM kt WHERE id = 300";
+  db_.ClearCache();
+  std::vector<Value> uda_live = scan_row(&session_, uda_point);
+  ASSERT_EQ(uda_live.size(), 13u);
+  EXPECT_EQ(uda_live[1].AsString().value(),
+            "kt seek [300, 300] leaves=1/" + std::to_string(leaves));
+  EXPECT_LE(uda_live[4].AsInt().value(), height + 1);
+  EXPECT_LE(uda_live[5].AsInt().value() + uda_live[6].AsInt().value(),
+            height + 1);
+  std::vector<Value> uda_snap = scan_row(&msession, uda_point);
+  ASSERT_EQ(uda_snap.size(), 13u);
+  EXPECT_EQ(uda_snap[1].AsString().value().rfind("kt seek [300, 300] leaves=1/",
+                                                 0),
+            0u)
+      << uda_snap[1].AsString().value();
+  EXPECT_LE(uda_snap[5].AsInt().value() + uda_snap[6].AsInt().value(),
+            height + 1);
   // A forced scan reads every leaf.
   db_.ClearCache();
   std::vector<Value> forced =
@@ -1013,6 +1062,18 @@ TEST_F(ScanShapeTest, KeySeekMatchesForcedScan) {
     ASSERT_TRUE(seek.ok()) << seek.status().ToString();
     EXPECT_EQ((*seek)[0].rows[0][0].AsInt().value(), 1);
     auto scan = s->Execute(WithKey(guarded, "(id + 0)"));
+    ASSERT_FALSE(scan.ok());
+    EXPECT_NE(scan.status().message().find("division by zero"),
+              std::string::npos);
+  }
+  // The UDA plan reads the same leaves, so the note covers it too.
+  const std::string uda_guarded =
+      shapes[3] + " FROM kt WHERE $ = 300 AND 10.0 / ($ - 2997) <> 0";
+  for (Session* s : {&session_, &msession}) {
+    auto seek = s->Execute(WithKey(uda_guarded, "id"));
+    ASSERT_TRUE(seek.ok()) << seek.status().ToString();
+    EXPECT_FALSE((*seek)[0].rows[0][0].is_null());
+    auto scan = s->Execute(WithKey(uda_guarded, "(id + 0)"));
     ASSERT_FALSE(scan.ok());
     EXPECT_NE(scan.status().message().find("division by zero"),
               std::string::npos);

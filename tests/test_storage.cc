@@ -92,25 +92,6 @@ TEST(BufferPool, CachesAndEvicts) {
   EXPECT_EQ(disk.stats().pages_read, 4);
 }
 
-TEST(BufferPool, PrefetchedPageCountsOneMiss) {
-  SimulatedDisk disk;
-  BufferPool pool(&disk, 16);
-  PageId a = pool.AllocatePage();
-  Page page;
-  ASSERT_TRUE(pool.WritePage(a, page).ok());
-  pool.ClearCache();
-  disk.ResetStats();
-  ASSERT_TRUE(pool.Prefetch(a).ok());  // the read: a miss
-  ASSERT_TRUE(pool.Prefetch(a).ok());  // resident: nothing
-  ASSERT_TRUE(pool.GetPage(a).ok());   // served by the prefetch
-  ASSERT_TRUE(pool.GetPage(a).ok());   // a hit
-  BufferPool::Stats stats = pool.Snapshot();
-  EXPECT_EQ(stats.misses, 1);
-  EXPECT_EQ(stats.prefetch_hits, 1);
-  EXPECT_EQ(stats.hits, 1);
-  EXPECT_EQ(disk.stats().pages_read, 1);
-}
-
 TEST(BufferPool, ClearCacheForcesColdReads) {
   SimulatedDisk disk;
   BufferPool pool(&disk, 16);

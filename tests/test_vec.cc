@@ -622,6 +622,90 @@ TEST_F(VecEngineTest, DivisionAndModuloByZeroOutcomes) {
   ExpectAllConfigsMatchRowBaseline(q4, &vars);
 }
 
+TEST_F(VecEngineTest, BigintWrapAndDivisionByMinusOne) {
+  // BIGINT +, -, * and unary - wrap in both evaluators; INT64_MIN / -1 is
+  // INT64_MIN and x % -1 is 0 (the hardware traps on both).
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t edges[] = {kMin, kMax, -1, 7, -7, kMin + 1};
+  storage::Schema schema =
+      storage::Schema::Create({{"id", storage::ColumnType::kInt64, 0},
+                               {"b", storage::ColumnType::kInt64, 0}})
+          .value();
+  storage::Table* t = db_.CreateTable("w1", std::move(schema)).value();
+  for (int64_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(t->Insert({i, edges[i % 6]}).ok());
+  }
+  auto minus_one = [] { return Lit(Value::Int(-1)); };
+  auto one = [] { return Lit(Value::Int(1)); };
+  auto exprs = [&] {
+    std::vector<ExprPtr> e;
+    e.push_back(Bin(BinaryOp::kDiv, Col("b"), minus_one()));
+    e.push_back(Bin(BinaryOp::kMod, Col("b"), minus_one()));
+    e.push_back(Bin(BinaryOp::kAdd, Col("b"), one()));
+    e.push_back(Bin(BinaryOp::kSub, Col("b"), one()));
+    e.push_back(Un(UnaryOp::kNeg, Col("b")));
+    e.push_back(Bin(BinaryOp::kMul, Col("b"), minus_one()));
+    return e;
+  };
+
+  Query project;
+  project.table = t;
+  project.items.push_back(Item(Col("b"), SelectItem::AggKind::kNone, "b"));
+  for (ExprPtr& e : exprs()) {
+    project.items.push_back(Item(std::move(e), SelectItem::AggKind::kNone, ""));
+  }
+  ASSERT_TRUE(executor_.Bind(&project).ok());
+  ExpectAllConfigsMatchRowBaseline(project, nullptr);
+
+  Query sums;
+  sums.table = t;
+  for (ExprPtr& e : exprs()) {
+    sums.items.push_back(Item(std::move(e), SelectItem::AggKind::kSum, ""));
+  }
+  ASSERT_TRUE(executor_.Bind(&sums).ok());
+  ExpectAllConfigsMatchRowBaseline(sums, nullptr);
+
+  // The lanes compute every item (no row falls back to Eval), and their
+  // values are the defined ones.
+  const std::vector<int64_t> at_min = {kMin, 0, kMin + 1, kMax, kMin, kMin};
+  const std::vector<int64_t> at_max = {-kMax, 0, kMin, kMax - 1, -kMax, -kMax};
+  for (int batch : {1, 1024}) {
+    executor_.set_batch_rows(batch);
+    executor_.set_scan_workers(1);
+    obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
+    Result<ResultSet> r = executor_.Execute(project, nullptr);
+    obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(after.Delta(before, "vec.rows"), batch > 1 ? kRows : 0);
+    EXPECT_EQ(after.Delta(before, "vec.fallback_rows"), 0);
+    for (int row = 0; row < 2; ++row) {
+      const std::vector<int64_t>& want = row == 0 ? at_min : at_max;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(r->rows[row][i + 1].AsInt().value(), want[i])
+            << "batch=" << batch << " row=" << row << " item=" << i;
+      }
+    }
+  }
+
+  // FROM-less: the same expressions over literals, through Eval.
+  Query bare;
+  for (ExprPtr& e : exprs()) {
+    // Rebind each expression to a literal edge value in place of column b.
+    ExprPtr& operand = e->args[0];
+    operand = Lit(Value::Int(kMin));
+    bare.items.push_back(Item(std::move(e), SelectItem::AggKind::kNone, ""));
+  }
+  bare.items[2].expr->args[0] = Lit(Value::Int(kMax));  // kMax + 1
+  ASSERT_TRUE(executor_.Bind(&bare).ok());
+  Result<ResultSet> r = executor_.Execute(bare, nullptr);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const std::vector<int64_t> bare_want = {kMin, 0, kMin, kMax, kMin, kMin};
+  for (size_t i = 0; i < bare_want.size(); ++i) {
+    EXPECT_EQ(r->rows[0][i].AsInt().value(), bare_want[i]) << "item=" << i;
+  }
+}
+
 TEST_F(VecEngineTest, SelectionVectorBoundaries) {
   storage::Table* t = MakeMixedTable("m6", kRows);
   // Constant-false predicate: empty selection in every batch.
@@ -775,7 +859,8 @@ TEST_F(VecEngineTest, ProfileModesForMixedPlans) {
             (std::map<std::string, std::string>{{"aggregate", "row"},
                                                 {"filter", "vectorized"}}));
 
-  // TOP keeps the early-exit row loop.
+  // TOP reads one row per block, with no lanes, so it stops on the row
+  // that completes it.
   Query top;
   top.table = t;
   top.items.push_back(Item(Col("id"), SelectItem::AggKind::kNone, "id"));
@@ -784,7 +869,7 @@ TEST_F(VecEngineTest, ProfileModesForMixedPlans) {
   EXPECT_EQ(modes(std::move(top)),
             (std::map<std::string, std::string>{{"filter", "row"}}));
 
-  // GROUP BY runs row at a time, filter included.
+  // GROUP BY reads one row per block, with no lanes, filter included.
   Query grouped;
   grouped.table = t;
   grouped.items.push_back(
