@@ -11,8 +11,9 @@
 // Experiment K2: the fused columnar expression pipeline vs row-at-a-time
 // evaluation. Runs predicate/aggregate and predicate/projection queries
 // through the executor twice per case — vectorized batches (engine/vec_expr)
-// against the row-mode evaluator (batch_rows=1) — sweeping expression shape
-// and batch size over the Table 1 scalar table. Both modes produce
+// against one-row blocks with no lane program, every expression through
+// Eval (batch_rows=1) — sweeping expression shape and batch size over the
+// Table 1 scalar table. Both modes produce
 // bit-identical results (tests/test_vec.cc proves it; the bench asserts row
 // counts agree), so the ratio isolates the evaluation strategy. These
 // numbers back the PR's acceptance criteria (>= 4x float elementwise + SUM

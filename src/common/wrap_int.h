@@ -4,8 +4,8 @@
 // SUM fold (engine/exec.cc) must agree bit for bit, and signed overflow is
 // undefined behaviour in C++. So +, -, * and unary - wrap through uint64_t,
 // and the one quotient that does not fit, INT64_MIN / -1, is its wrapped
-// value INT64_MIN; x % -1 is 0 (INT64_MIN % -1 traps like the division).
-// Division by zero stays an error at each call site.
+// value INT64_MIN; x % -1 is 0. (x86 raises SIGFPE on both INT64_MIN / -1
+// and INT64_MIN % -1.) Division by zero stays an error at each call site.
 #pragma once
 
 #include <cstdint>

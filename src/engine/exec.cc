@@ -963,9 +963,8 @@ class BatchFeed {
   int32_t size_ = 0;  ///< rows in the current block
 };
 
-/// Folds one kept row into its group, as the oracle always has: the key,
-/// then each item in order. Groups appear on the first kept row that
-/// reaches them.
+/// Folds one kept row into its group: the key, then each item in order.
+/// Groups appear on the first kept row that reaches them.
 Status AccumulateRow(const ScanEnv& env, EvalContext& ctx, Partial* out) {
   const Query& q = *env.q;
   const size_t n_items = q.items.size();

@@ -119,11 +119,14 @@ class AvgVectorUda : public Uda {
             "AvgVector inputs must share one length");
       }
     }
-    auto acc = sums.MutableData<double>().value();
+    // A rank-1 max array's payload is not 8-byte aligned, so the sums go
+    // through the byte-wise element accessors, not a double span.
     ArrayRef ref = v.ref();
+    ArrayRef acc = sums.ref();
     for (int64_t i = 0; i < ref.num_elements(); ++i) {
       SQLARRAY_ASSIGN_OR_RETURN(double x, ref.GetDouble(i));
-      acc[i] += x;
+      SQLARRAY_ASSIGN_OR_RETURN(double sum, acc.GetDouble(i));
+      SQLARRAY_RETURN_IF_ERROR(sums.SetDouble(i, sum + x));
     }
 
     std::vector<uint8_t> out;
@@ -141,8 +144,12 @@ class AvgVectorUda : public Uda {
         OwnedArray sums,
         OwnedArray::FromBlob(std::vector<uint8_t>(state.begin() + 8,
                                                   state.end())));
-    auto acc = sums.MutableData<double>().value();
-    for (double& x : acc) x /= static_cast<double>(count);
+    ArrayRef acc = sums.ref();
+    for (int64_t i = 0; i < acc.num_elements(); ++i) {
+      SQLARRAY_ASSIGN_OR_RETURN(double sum, acc.GetDouble(i));
+      SQLARRAY_RETURN_IF_ERROR(
+          sums.SetDouble(i, sum / static_cast<double>(count)));
+    }
     return ValueFromArray(std::move(sums));
   }
 };
