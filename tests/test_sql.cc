@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/array.h"
 #include "mvcc/mvcc.h"
@@ -223,6 +224,29 @@ TEST_F(SessionTest, UdaArgumentsEvaluateOncePerRow) {
           .value();
   EXPECT_EQ(mean.ref().GetDouble(0).value(), 14.5);
   EXPECT_EQ(mean.ref().GetDouble(1).value(), 14.5);
+}
+
+TEST_F(SessionTest, BigintDivisionByMinusOneDoesNotTrap) {
+  // The hardware traps on INT64_MIN / -1 and INT64_MIN % -1; both
+  // evaluators define them as INT64_MIN and 0.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const std::string min = "(-9223372036854775807 - 1)";
+  auto bare = Run("SELECT " + min + " / -1, " + min + " % -1");
+  ASSERT_EQ(bare.size(), 1u);
+  EXPECT_EQ(bare[0].rows[0][0].AsInt().value(), kMin);
+  EXPECT_EQ(bare[0].rows[0][1].AsInt().value(), 0);
+  Run("CREATE TABLE bt (id BIGINT, v BIGINT)");
+  Run("INSERT INTO bt VALUES (1, " + min + "), (2, 7)");
+  for (int batch : {1, 1024}) {
+    executor_.set_batch_rows(batch);
+    auto rs = Run("SELECT v / -1, v % -1 FROM bt");
+    ASSERT_EQ(rs.size(), 1u);
+    ASSERT_EQ(rs[0].rows.size(), 2u);
+    EXPECT_EQ(rs[0].rows[0][0].AsInt().value(), kMin) << "batch=" << batch;
+    EXPECT_EQ(rs[0].rows[0][1].AsInt().value(), 0) << "batch=" << batch;
+    EXPECT_EQ(rs[0].rows[1][0].AsInt().value(), -7) << "batch=" << batch;
+  }
+  executor_.set_batch_rows(1024);
 }
 
 TEST_F(SessionTest, PaperExampleConcatAggregate) {
