@@ -48,13 +48,16 @@ OwnedArray MakeOperand(DType dtype, int64_t n, uint64_t seed) {
   OwnedArray a =
       CheckResult(OwnedArray::Zeros(dtype, {n}), "bench operand");
   Rng rng(seed);
+  // Filled in a plain vector and copied in: a rank-1 max operand's payload
+  // is not 8-byte aligned.
   auto fill = [&](auto tag) {
     using T = decltype(tag);
-    auto data = a.MutableData<T>().value();
+    std::vector<T> data(static_cast<size_t>(n));
     for (int64_t i = 0; i < n; ++i) {
       double v = rng.Uniform(1.0, 100.0) * (i % 2 == 0 ? 1 : -1);
       data[i] = static_cast<T>(v);
     }
+    Check(a.StoreData<T>(data), "bench operand values");
   };
   switch (dtype) {
     case DType::kInt8: fill(int8_t{}); break;

@@ -25,6 +25,7 @@
 
 #include "bench/bench_util.h"
 #include "client/net_client.h"
+#include "mvcc/mvcc.h"
 #include "net/auth.h"
 #include "net/net_server.h"
 #include "server/server.h"
@@ -169,6 +170,7 @@ void RunBench() {
 
   storage::Database db;
   wal::WalManager wal(&db);
+  mvcc::MvccManager mvcc(&db, &wal);
   engine::FunctionRegistry registry;
   engine::Executor executor(&db, &registry);
   Check(udfs::RegisterAllUdfs(&registry), "udf registration");

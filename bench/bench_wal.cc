@@ -41,7 +41,7 @@ Table* MakeLoggedTable(Database* db, WalManager* w, const char* name) {
       "schema");
   Table* table =
       CheckResult(db->CreateTable(name, std::move(schema)), "create table");
-  Check(w->NoteTableCreated(0, table), "log create");
+  Check(w->NoteTableCreated(table), "log create");
   Check(w->log_writer()->FlushAll(), "flush create");
   return table;
 }

@@ -31,9 +31,11 @@ class SqlArray {
   /// like the paper's per-type SqlXxxArray classes.
   static Result<SqlArray> FromSqlBuffer(std::span<const uint8_t> buffer) {
     SQLARRAY_ASSIGN_OR_RETURN(ArrayRef ref, ArrayRef::Parse(buffer));
-    SQLARRAY_ASSIGN_OR_RETURN(std::span<const T> data, ref.template Data<T>());
-    return SqlArray(ref.dims(),
-                    std::vector<T>(data.begin(), data.end()));
+    // A copy, not a span: the buffer's alignment is unknown, and a max
+    // array's payload starts 16 + 4 * rank bytes in.
+    SQLARRAY_ASSIGN_OR_RETURN(std::vector<T> data,
+                              ref.template CopyData<T>());
+    return SqlArray(ref.dims(), std::move(data));
   }
 
   /// Wraps a 1-D value list (the paper's `new SqlFloatArray(v)`).

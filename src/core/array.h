@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <complex>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <vector>
@@ -32,6 +33,35 @@ Status WriteScalarFromDouble(DType t, uint8_t* p, double v);
 
 /// Writes a complex value; real targets reject non-zero imaginary parts.
 Status WriteScalarFromComplex(DType t, uint8_t* p, std::complex<double> v);
+
+namespace array_internal {
+
+/// Fails unless T is `dtype`'s element type (DATETIME also reads as int64).
+template <typename T>
+Status CheckElementType(DType dtype) {
+  if (DTypeOf<T>() != dtype &&
+      !(dtype == DType::kDateTime && DTypeOf<T>() == DType::kInt64)) {
+    return Status::TypeMismatch("array holds " +
+                                std::string(DTypeName(dtype)) +
+                                ", requested a different element type");
+  }
+  return Status::OK();
+}
+
+/// Fails unless `payload` may be viewed as T elements. A max array's
+/// payload starts 16 + 4 * rank bytes into its blob, so 8-byte elements of
+/// an odd-rank max array are misaligned even in an aligned blob.
+template <typename T>
+Status CheckAligned(const uint8_t* payload) {
+  if (reinterpret_cast<uintptr_t>(payload) % alignof(T) != 0) {
+    return Status::InvalidArgument(
+        "array payload is not aligned for " + std::to_string(sizeof(T)) +
+        "-byte elements; copy them with CopyData/StoreData");
+  }
+  return Status::OK();
+}
+
+}  // namespace array_internal
 
 /// A non-owning, validated view over an array blob.
 class ArrayRef {
@@ -58,18 +88,26 @@ class ArrayRef {
     return blob_.subspan(header_.header_size(), header_.data_size());
   }
 
-  /// Typed read-only element span; fails if T does not match the dtype.
+  /// Typed read-only element span; fails if T does not match the dtype or
+  /// the payload is not aligned for T (see CopyData).
   template <typename T>
   Result<std::span<const T>> Data() const {
-    if (DTypeOf<T>() != dtype() &&
-        !(dtype() == DType::kDateTime && DTypeOf<T>() == DType::kInt64)) {
-      return Status::TypeMismatch(
-          "array holds " + std::string(DTypeName(dtype())) +
-          ", requested a different element type");
-    }
+    SQLARRAY_RETURN_IF_ERROR(array_internal::CheckElementType<T>(dtype()));
     auto pl = payload();
+    SQLARRAY_RETURN_IF_ERROR(array_internal::CheckAligned<T>(pl.data()));
     return std::span<const T>(reinterpret_cast<const T*>(pl.data()),
                               static_cast<size_t>(num_elements()));
+  }
+
+  /// Copies the elements out; works at any payload alignment. Fails only if
+  /// T does not match the dtype.
+  template <typename T>
+  Result<std::vector<T>> CopyData() const {
+    SQLARRAY_RETURN_IF_ERROR(array_internal::CheckElementType<T>(dtype()));
+    auto pl = payload();
+    std::vector<T> out(static_cast<size_t>(num_elements()));
+    if (!pl.empty()) std::memcpy(out.data(), pl.data(), pl.size());
+    return out;
   }
 
   /// Generic element read at a column-major linear offset.
@@ -106,8 +144,7 @@ class OwnedArray {
     }
     SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a,
                               Zeros(DTypeOf<T>(), std::move(dims), storage));
-    auto dst = a.MutableData<T>();
-    std::copy(values.begin(), values.end(), dst.value().begin());
+    SQLARRAY_RETURN_IF_ERROR(a.StoreData<T>(values));
     return a;
   }
 
@@ -144,18 +181,29 @@ class OwnedArray {
                               static_cast<size_t>(header_.data_size()));
   }
 
-  /// Typed mutable element span; fails on dtype mismatch.
+  /// Typed mutable element span; fails on dtype mismatch or when the
+  /// payload is not aligned for T (see StoreData).
   template <typename T>
   Result<std::span<T>> MutableData() {
-    if (DTypeOf<T>() != dtype() &&
-        !(dtype() == DType::kDateTime && DTypeOf<T>() == DType::kInt64)) {
-      return Status::TypeMismatch(
-          "array holds " + std::string(DTypeName(dtype())) +
-          ", requested a different element type");
-    }
+    SQLARRAY_RETURN_IF_ERROR(array_internal::CheckElementType<T>(dtype()));
     auto pl = mutable_payload();
+    SQLARRAY_RETURN_IF_ERROR(array_internal::CheckAligned<T>(pl.data()));
     return std::span<T>(reinterpret_cast<T*>(pl.data()),
                         static_cast<size_t>(num_elements()));
+  }
+
+  /// Copies `values` (column-major, one per element) into the payload;
+  /// works at any payload alignment.
+  template <typename T>
+  Status StoreData(std::span<const T> values) {
+    SQLARRAY_RETURN_IF_ERROR(array_internal::CheckElementType<T>(dtype()));
+    if (static_cast<int64_t>(values.size()) != num_elements()) {
+      return Status::InvalidArgument(
+          "value count does not match the array's element count");
+    }
+    auto pl = mutable_payload();
+    if (!pl.empty()) std::memcpy(pl.data(), values.data(), pl.size());
+    return Status::OK();
   }
 
   /// Generic element write at a column-major linear offset.

@@ -425,7 +425,7 @@ Status MvccManager::Commit(uint64_t txn, Lsn* commit_lsn_out) {
     return Status::Internal("simulated crash: before mvcc commit replay");
   }
 
-  // Replay the buffered ops through the legacy serialized write path. From
+  // Replay the buffered ops through the plain serialized write path. From
   // here until the WAL commit returns, this thread holds the DML lock and
   // every page it writes is logged under `txn` with its before-image
   // pinned — exactly as if the whole transaction had run under Begin().
@@ -458,7 +458,7 @@ Status MvccManager::Commit(uint64_t txn, Lsn* commit_lsn_out) {
     }
     if (!applied.ok()) {
       // The claim protocol makes this unreachable short of corruption;
-      // legacy rollback restores every touched page byte-exactly.
+      // the WAL rollback restores every touched page byte-exactly.
       (void)wal_->Rollback(txn);
       AbandonTxn(txn);
       return applied;

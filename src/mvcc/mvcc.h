@@ -10,7 +10,7 @@
 //     key detection, and to an ordered logical op list.
 //   * At commit the op list REPLAYS through the plain Table::Insert/Delete
 //     path under the WAL's existing DML lock (AcquireApply), so the bytes
-//     that reach the log and the data disk are exactly what a legacy
+//     that reach the log and the data disk are exactly what a plain
 //     serialized execution would have produced. Recovery is unchanged.
 //   * The buffer pool is copy-on-write: every page replacement hands the
 //     superseded immutable image to the manager (VersionSink), which chains
@@ -25,9 +25,12 @@
 // historical view from the log's full-page images, so they survive both
 // restart and chain GC.
 //
-// The manager is strictly opt-in: without AttachMvcc the database behaves
-// byte-identically to the legacy engine. Legacy Begin() transactions and
-// MVCC transactions must not be mixed in one process.
+// It is the only transaction manager SQL sessions use: a sql::Session runs
+// either on a bare database (no WAL, no transactions) or on WAL + MVCC, and
+// refuses every statement on a WAL without this manager. DDL is not
+// transactional: RunDdl makes it visible at once and the WAL logs it under
+// txn id 0. WalManager::Begin() is the WAL's storage-level API and must not
+// run while an MvccManager is attached.
 #pragma once
 
 #include <atomic>
@@ -97,7 +100,7 @@ class MvccManager : public storage::VersionSink {
   /// transaction's view of the table.
   Result<bool> ApplyDelete(uint64_t txn, storage::Table* table, int64_t key);
 
-  /// Replays the transaction's ops through the legacy write path under the
+  /// Replays the transaction's ops through the plain write path under the
   /// WAL's DML lock, logs the commit, stamps the claims and version
   /// horizon with the commit LSN, and GCs history. `commit_lsn_out`
   /// (optional) receives the commit LSN. An empty transaction commits

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <vector>
 
 #include "core/array.h"
 #include "core/stream_ops.h"
@@ -44,18 +45,11 @@ Result<storage::Table*> LoadBucketed(const Snapshot& snap,
 
   for (const auto& [cell, members] : buckets) {
     const int64_t n = static_cast<int64_t>(members.size());
-    SQLARRAY_ASSIGN_OR_RETURN(
-        OwnedArray ids,
-        OwnedArray::Zeros(DType::kInt64, {n}, StorageClass::kMax));
-    SQLARRAY_ASSIGN_OR_RETURN(
-        OwnedArray pos,
-        OwnedArray::Zeros(DType::kFloat64, {3, n}, StorageClass::kMax));
-    SQLARRAY_ASSIGN_OR_RETURN(
-        OwnedArray vel,
-        OwnedArray::Zeros(DType::kFloat64, {3, n}, StorageClass::kMax));
-    auto ids_d = ids.MutableData<int64_t>().value();
-    auto pos_d = pos.MutableData<double>().value();
-    auto vel_d = vel.MutableData<double>().value();
+    // Filled in plain vectors and copied in: the rank-1 max id array's
+    // payload is not 8-byte aligned.
+    std::vector<int64_t> ids_d(members.size());
+    std::vector<double> pos_d(3 * members.size());
+    std::vector<double> vel_d(3 * members.size());
     for (int64_t j = 0; j < n; ++j) {
       const Particle& p = snap.particles[members[j]];
       ids_d[j] = p.id;
@@ -66,6 +60,15 @@ Result<storage::Table*> LoadBucketed(const Snapshot& snap,
       vel_d[1 + 3 * j] = p.velocity.y;
       vel_d[2 + 3 * j] = p.velocity.z;
     }
+    SQLARRAY_ASSIGN_OR_RETURN(
+        OwnedArray ids, OwnedArray::FromValues<int64_t>({n}, ids_d,
+                                                        StorageClass::kMax));
+    SQLARRAY_ASSIGN_OR_RETURN(
+        OwnedArray pos, OwnedArray::FromValues<double>({3, n}, pos_d,
+                                                       StorageClass::kMax));
+    SQLARRAY_ASSIGN_OR_RETURN(
+        OwnedArray vel, OwnedArray::FromValues<double>({3, n}, vel_d,
+                                                       StorageClass::kMax));
 
     storage::Row row(5);
     row[0] = BucketKey(snap.step, cell);
@@ -122,7 +125,8 @@ Result<spatial::Vec3> LookupBucketedParticle(storage::Table* table,
       table->ReadBlob(std::get<storage::BlobId>((*row)[2])));
   SQLARRAY_ASSIGN_OR_RETURN(OwnedArray ids,
                             OwnedArray::FromBlob(std::move(ids_blob)));
-  auto ids_d = ids.ref().Data<int64_t>().value();
+  SQLARRAY_ASSIGN_OR_RETURN(std::vector<int64_t> ids_d,
+                            ids.ref().CopyData<int64_t>());
   for (size_t j = 0; j < ids_d.size(); ++j) {
     if (ids_d[j] != particle_id) continue;
     // Stream just this particle's column from the position array.
@@ -133,7 +137,8 @@ Result<spatial::Vec3> LookupBucketedParticle(storage::Table* table,
     Dims sizes{3, 1};
     SQLARRAY_ASSIGN_OR_RETURN(
         OwnedArray col, StreamSubarray(&stream, offset, sizes, true));
-    auto v = col.ref().Data<double>().value();
+    SQLARRAY_ASSIGN_OR_RETURN(std::vector<double> v,
+                              col.ref().CopyData<double>());
     return spatial::Vec3{v[0], v[1], v[2]};
   }
   return Status::NotFound("particle not in its bucket");

@@ -18,10 +18,9 @@ Result<Datacube> MakeSyntheticCube(int nw, int nx, int ny, uint64_t seed) {
     cube.wavelength[w] = lo + (hi - lo) * (w + 0.5) / nw;
   }
 
-  SQLARRAY_ASSIGN_OR_RETURN(
-      cube.flux, OwnedArray::Zeros(DType::kFloat64, {nw, nx, ny},
-                                   StorageClass::kMax));
-  auto data = cube.flux.MutableData<double>().value();
+  // Filled in a plain vector and copied in: a rank-3 max array's payload is
+  // not 8-byte aligned.
+  std::vector<double> data(static_cast<size_t>(nw) * nx * ny);
 
   const double cx = (nx - 1) / 2.0, cy = (ny - 1) / 2.0;
   const double r0 = std::max(1.0, std::min(nx, ny) / 3.0);
@@ -44,6 +43,9 @@ Result<Datacube> MakeSyntheticCube(int nw, int nx, int ny, uint64_t seed) {
       }
     }
   }
+  SQLARRAY_ASSIGN_OR_RETURN(
+      cube.flux, OwnedArray::FromValues<double>({nw, nx, ny}, data,
+                                                StorageClass::kMax));
   return cube;
 }
 
@@ -55,8 +57,8 @@ Result<Spectrum> CollapseToSpectrum(const Datacube& cube) {
                             AggregateAxis(ref, 2, AggKind::kSum));
   SQLARRAY_ASSIGN_OR_RETURN(OwnedArray no_xy,
                             AggregateAxis(no_y.ref(), 1, AggKind::kSum));
-  SQLARRAY_ASSIGN_OR_RETURN(std::span<const double> flux,
-                            no_xy.ref().Data<double>());
+  SQLARRAY_ASSIGN_OR_RETURN(std::vector<double> flux,
+                            no_xy.ref().CopyData<double>());
 
   Spectrum out;
   out.wavelength = cube.wavelength;
@@ -73,8 +75,8 @@ Result<Spectrum> ExtractSpaxel(const Datacube& cube, int64_t x, int64_t y) {
   SQLARRAY_ASSIGN_OR_RETURN(
       OwnedArray vec,
       Subarray(ref, Dims{0, x, y}, Dims{dims[0], 1, 1}, /*collapse=*/true));
-  SQLARRAY_ASSIGN_OR_RETURN(std::span<const double> flux,
-                            vec.ref().Data<double>());
+  SQLARRAY_ASSIGN_OR_RETURN(std::vector<double> flux,
+                            vec.ref().CopyData<double>());
   Spectrum out;
   out.wavelength = cube.wavelength;
   out.flux.assign(flux.begin(), flux.end());

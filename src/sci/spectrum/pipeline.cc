@@ -47,10 +47,8 @@ Result<Spectrum> SpectrumFromArgs(std::span<const Value> args,
 Result<Value> VectorValue(std::span<const double> v) {
   SQLARRAY_ASSIGN_OR_RETURN(
       OwnedArray out,
-      OwnedArray::Zeros(DType::kFloat64, {static_cast<int64_t>(v.size())},
-                        StorageClass::kMax));
-  auto dst = out.MutableData<double>().value();
-  std::copy(v.begin(), v.end(), dst.begin());
+      OwnedArray::FromValues<double>({static_cast<int64_t>(v.size())}, v,
+                                     StorageClass::kMax));
   return udfs::ValueFromArray(std::move(out));
 }
 
@@ -189,9 +187,7 @@ Result<std::map<int64_t, std::vector<double>>> CompositeByRedshift(
                               row[1].MaterializeBytes());
     SQLARRAY_ASSIGN_OR_RETURN(OwnedArray arr,
                               OwnedArray::FromBlob(std::move(blob)));
-    SQLARRAY_ASSIGN_OR_RETURN(std::span<const double> data,
-                              arr.ref().Data<double>());
-    out[zbin] = std::vector<double>(data.begin(), data.end());
+    SQLARRAY_ASSIGN_OR_RETURN(out[zbin], arr.ref().CopyData<double>());
   }
   return out;
 }

@@ -227,19 +227,21 @@ Result<engine::Value> Session::GetVariable(const std::string& name) const {
 Status Session::RunStatement(Statement& stmt,
                              std::vector<engine::ResultSet>* results,
                              bool update_session_stats) {
-  // A simulated crash kills the WAL-side transaction without telling the
-  // session. Noticing here keeps the session honest: later DML autocommits
-  // instead of silently writing outside any transaction, BEGIN works again,
-  // and COMMIT/ROLLBACK report "no open transaction".
-  if (txn_open_) {
-    mvcc::MvccManager* m = mvcc_manager();
-    wal::WalManager* w = wal_manager();
-    bool alive = m != nullptr ? m->TxnActive(txn_id_)
-                              : (w != nullptr && w->TxnActive(txn_id_));
-    if (!alive) {
-      txn_open_ = false;
-      txn_id_ = 0;
-    }
+  mvcc::MvccManager* m = mvcc_manager();
+  // Transactions run only under MVCC. A WAL without it would leave DML with
+  // no transaction manager, so such a database runs no statement at all.
+  if (m == nullptr && wal_manager() != nullptr) {
+    return Status::InvalidArgument(
+        "a database with a write-ahead log needs an MvccManager attached "
+        "before sessions can run statements");
+  }
+  // A simulated crash kills the transaction without telling the session.
+  // Noticing here keeps the session honest: later DML autocommits instead of
+  // writing into a dead transaction, BEGIN works again, and COMMIT/ROLLBACK
+  // report "no open transaction".
+  if (txn_open_ && (m == nullptr || !m->TxnActive(txn_id_))) {
+    txn_open_ = false;
+    txn_id_ = 0;
   }
   switch (stmt.kind) {
     case Statement::Kind::kDeclare: {
@@ -282,12 +284,12 @@ Status Session::RunStatement(Statement& stmt,
     case Statement::Kind::kSelect:
       return RunSelect(stmt.select, results, update_session_stats);
     case Statement::Kind::kCreateTable:
-      if (mvcc::MvccManager* m = mvcc_manager(); m != nullptr) {
-        // DDL is non-transactional under MVCC: it runs serialized under the
-        // DML lock and becomes visible to snapshots taken afterwards.
+      if (m != nullptr) {
+        // DDL is non-transactional: it runs serialized under the DML lock and
+        // becomes visible to snapshots taken afterwards, even inside BEGIN.
         return m->RunDdl([&] { return RunCreateTable(stmt.create_table); });
       }
-      return AutoCommit([&] { return RunCreateTable(stmt.create_table); });
+      return RunCreateTable(stmt.create_table);
     case Statement::Kind::kInsert:
       return AutoCommit(
           [&] { return RunInsert(stmt.insert, update_session_stats); });
@@ -297,49 +299,31 @@ Status Session::RunStatement(Statement& stmt,
     case Statement::Kind::kExplain:
       return RunExplain(stmt.explain, results, update_session_stats);
     case Statement::Kind::kBegin: {
-      wal::WalManager* w = wal_manager();
-      if (w == nullptr) {
+      if (m == nullptr) {
         return Status::InvalidArgument(
-            "BEGIN TRANSACTION requires a write-ahead log "
-            "(no WalManager attached to this database)");
+            "BEGIN TRANSACTION requires a write-ahead log and an MvccManager "
+            "(none attached to this database)");
       }
       if (txn_open_) {
         return Status::InvalidArgument(
             "transaction already open (nested BEGIN is not supported)");
       }
-      uint64_t txn = 0;
-      if (mvcc::MvccManager* m = mvcc_manager(); m != nullptr) {
-        SQLARRAY_ASSIGN_OR_RETURN(txn, m->Begin());
-      } else {
-        SQLARRAY_ASSIGN_OR_RETURN(txn, w->Begin());
-      }
+      SQLARRAY_ASSIGN_OR_RETURN(txn_id_, m->Begin());
       txn_open_ = true;
-      txn_id_ = txn;
       return Status::OK();
     }
-    case Statement::Kind::kCommit: {
-      if (!txn_open_) {
-        return Status::InvalidArgument("COMMIT without an open transaction");
-      }
-      uint64_t txn = txn_id_;
-      txn_open_ = false;
-      txn_id_ = 0;
-      if (mvcc::MvccManager* m = mvcc_manager(); m != nullptr) {
-        return m->Commit(txn);
-      }
-      return wal_manager()->Commit(txn);
-    }
+    case Statement::Kind::kCommit:
     case Statement::Kind::kRollback: {
+      bool commit = stmt.kind == Statement::Kind::kCommit;
       if (!txn_open_) {
-        return Status::InvalidArgument("ROLLBACK without an open transaction");
+        return Status::InvalidArgument(
+            std::string(commit ? "COMMIT" : "ROLLBACK") +
+            " without an open transaction");
       }
       uint64_t txn = txn_id_;
       txn_open_ = false;
       txn_id_ = 0;
-      if (mvcc::MvccManager* m = mvcc_manager(); m != nullptr) {
-        return m->Rollback(txn);
-      }
-      return wal_manager()->Rollback(txn);
+      return commit ? m->Commit(txn) : m->Rollback(txn);
     }
     case Statement::Kind::kCheckpoint: {
       wal::WalManager* w = wal_manager();
@@ -369,43 +353,33 @@ mvcc::MvccManager* Session::mvcc_manager() const {
 }
 
 Status Session::AutoCommit(const std::function<Status()>& body) {
-  if (txn_open_) return body();
   mvcc::MvccManager* m = mvcc_manager();
-  wal::WalManager* w = wal_manager();
-  if (m == nullptr && w == nullptr) return body();
-  uint64_t txn = 0;
-  if (m != nullptr) {
-    SQLARRAY_ASSIGN_OR_RETURN(txn, m->Begin());
-  } else {
-    SQLARRAY_ASSIGN_OR_RETURN(txn, w->Begin());
-  }
+  if (txn_open_ || m == nullptr) return body();
+  SQLARRAY_ASSIGN_OR_RETURN(uint64_t txn, m->Begin());
   txn_open_ = true;
   txn_id_ = txn;
   Status st = body();
   txn_open_ = false;
   txn_id_ = 0;
-  if (st.ok()) return m != nullptr ? m->Commit(txn) : w->Commit(txn);
+  if (st.ok()) return m->Commit(txn);
   // Surface the original failure, not the rollback's status.
-  Status rb = m != nullptr ? m->Rollback(txn) : w->Rollback(txn);
-  (void)rb;
+  (void)m->Rollback(txn);
   return st;
 }
 
 Status Session::ForceRollback() {
   // Autocommitted statements roll back inside AutoCommit; this covers a
   // statement killed inside an explicit BEGIN, where the server must not
-  // leave the transaction dangling on a session it is about to reuse.
+  // leave the transaction dangling on a session it is about to reuse, and a
+  // session that goes away with its BEGIN still open. An MVCC rollback
+  // touches no shared state, so any thread may run it.
   if (!txn_open_) return Status::OK();
   uint64_t txn = txn_id_;
   txn_open_ = false;
   txn_id_ = 0;
-  if (mvcc::MvccManager* m = mvcc_manager(); m != nullptr) {
-    if (!m->TxnActive(txn)) return Status::OK();
-    return m->Rollback(txn);
-  }
-  wal::WalManager* w = wal_manager();
-  if (w == nullptr || !w->TxnActive(txn)) return Status::OK();
-  return w->Rollback(txn);
+  mvcc::MvccManager* m = mvcc_manager();
+  if (m == nullptr || !m->TxnActive(txn)) return Status::OK();
+  return m->Rollback(txn);
 }
 
 Result<engine::ResultSet> Session::ExecuteSelect(SelectStmt& sel,
@@ -684,11 +658,6 @@ Status Session::RunDelete(DeleteStmt& del, bool update_session_stats,
   SQLARRAY_ASSIGN_OR_RETURN(storage::Table * table,
                             executor_->db()->GetTable(del.table));
   mvcc::MvccManager* m = mvcc_manager();
-  // Under MVCC the commit-time replay notes touched tables itself.
-  if (wal::WalManager* w = wal_manager();
-      w != nullptr && txn_open_ && m == nullptr) {
-    SQLARRAY_RETURN_IF_ERROR(w->NoteTableTouched(txn_id_, table));
-  }
   // Collect matching clustered keys with a scan, then delete them — the
   // two-phase shape a real engine's DELETE plan has (no halloween problem).
   engine::Query q;
@@ -745,8 +714,10 @@ Status Session::RunCreateTable(const CreateTableStmt& ct) {
       storage::Table * table,
       executor_->db()->CreateTable(ct.name, std::move(schema)));
   if (wal::WalManager* w = wal_manager(); w != nullptr) {
-    SQLARRAY_RETURN_IF_ERROR(
-        w->NoteTableCreated(txn_open_ ? txn_id_ : 0, table));
+    // DDL is not transactional, so it is durable when it returns, as a
+    // commit is: no later commit has to carry its record to the log disk.
+    SQLARRAY_RETURN_IF_ERROR(w->NoteTableCreated(table));
+    return w->log_writer()->FlushAll();
   }
   return Status::OK();
 }
@@ -758,11 +729,6 @@ Status Session::RunInsert(InsertStmt& ins, bool update_session_stats,
                             executor_->db()->GetTable(ins.table));
   const storage::Schema& schema = table->schema();
   mvcc::MvccManager* m = mvcc_manager();
-  // Under MVCC the commit-time replay notes touched tables itself.
-  if (wal::WalManager* w = wal_manager();
-      w != nullptr && txn_open_ && m == nullptr) {
-    SQLARRAY_RETURN_IF_ERROR(w->NoteTableTouched(txn_id_, table));
-  }
   auto insert_row = [&](storage::Row row) -> Status {
     if (m != nullptr) return m->ApplyInsert(txn_id_, table, std::move(row));
     return table->Insert(std::move(row));

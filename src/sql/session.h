@@ -56,6 +56,10 @@ class Session {
         });
   }
 
+  /// Rolls back a transaction the session still holds open, so a client
+  /// that disconnects after BEGIN releases its key claims.
+  ~Session() { (void)ForceRollback(); }
+
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
@@ -103,8 +107,9 @@ class Session {
   /// as an "admission" row in the next EXPLAIN ANALYZE profile.
   void set_admission_wait(double seconds) { admission_wait_seconds_ = seconds; }
 
-  /// Server kill path: rolls back any open transaction after a statement was
-  /// cancelled mid-flight, so the session is reusable and storage is clean.
+  /// Rolls back any open transaction: the server's kill path, after a
+  /// statement was cancelled mid-flight, and the destructor. A no-op with no
+  /// transaction open; safe from any thread.
   Status ForceRollback();
 
  private:
@@ -143,16 +148,19 @@ class Session {
     qctx->limits.budget = &budget_;
   }
 
-  /// The database's WAL manager, or null when running without one.
+  /// The database's WAL manager, or null when running without one. The
+  /// session uses it only for CHECKPOINT, EXPLAIN's `wal` row and logging
+  /// CREATE TABLE; transactions go through the MVCC manager.
   wal::WalManager* wal_manager() const;
-  /// The database's MVCC manager, or null in legacy single-version mode.
-  /// When attached, transactions run as MVCC transactions (snapshot reads,
-  /// shadow writes, first-updater-wins conflicts) and every SELECT reads
-  /// through a consistent snapshot.
+  /// The database's MVCC manager: null on a bare database (no WAL, no
+  /// transactions). Every statement fails on a database with a WAL but no
+  /// MVCC manager. When attached, transactions run as MVCC transactions
+  /// (snapshot reads, shadow writes, first-updater-wins conflicts) and every
+  /// SELECT reads through a consistent snapshot.
   mvcc::MvccManager* mvcc_manager() const;
-  /// Wraps `body` in BEGIN/COMMIT when a WAL is attached and no explicit
-  /// transaction is open (statement-level atomicity: a failing statement
-  /// rolls back cleanly). Otherwise runs `body` directly.
+  /// Wraps `body` in an MVCC BEGIN/COMMIT when no explicit transaction is
+  /// open (statement-level atomicity: a failing statement rolls back
+  /// cleanly). On a bare database, or inside BEGIN, runs `body` directly.
   Status AutoCommit(const std::function<Status()>& body);
   /// Renders a profile tree into the EXPLAIN ANALYZE result-set shape.
   static engine::ResultSet RenderProfile(const engine::QueryContext& qctx);

@@ -137,11 +137,4 @@ Status Database::AdoptTable(std::unique_ptr<Table> table) {
   return Status::OK();
 }
 
-Status Database::DropTable(const std::string& name) {
-  if (tables_.erase(name) == 0) {
-    return Status::NotFound("no table named " + name);
-  }
-  return Status::OK();
-}
-
 }  // namespace sqlarray::storage

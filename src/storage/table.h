@@ -182,10 +182,6 @@ class Database {
   /// re-attach path); fails if the name is taken.
   Status AdoptTable(std::unique_ptr<Table> table);
 
-  /// Removes a table from the catalog (its pages are not reclaimed —
-  /// rollback of CREATE TABLE and recovery use this).
-  Status DropTable(const std::string& name);
-
   /// Empties the catalog without touching any pages. Crash simulation uses
   /// this: after a "crash" only the disks survive, and recovery rebuilds
   /// the catalog from the log.
@@ -200,9 +196,9 @@ class Database {
   void AttachWal(wal::WalManager* wal) { wal_ = wal; }
   wal::WalManager* wal() const { return wal_; }
 
-  /// Wires the MVCC manager, same opaque-pointer pattern as AttachWal.
-  /// When null (the default) the database runs in legacy single-version
-  /// mode and nothing in the storage layer behaves differently.
+  /// Wires the MVCC manager, same opaque-pointer pattern as AttachWal. SQL
+  /// sessions run transactions only through it, and refuse to run on a
+  /// database that has a WAL but no MVCC manager.
   void AttachMvcc(mvcc::MvccManager* mvcc) { mvcc_ = mvcc; }
   mvcc::MvccManager* mvcc() const { return mvcc_; }
 

@@ -46,9 +46,7 @@ Result<Value> StoreComplex(const Dims& dims,
                            std::span<const fft::Complex> data) {
   SQLARRAY_ASSIGN_OR_RETURN(
       OwnedArray out,
-      OwnedArray::Zeros(DType::kComplex128, dims, StorageClass::kMax));
-  auto dst = out.MutableData<std::complex<double>>();
-  std::copy(data.begin(), data.end(), dst.value().begin());
+      OwnedArray::FromValues<fft::Complex>(dims, data, StorageClass::kMax));
   return ValueFromArray(std::move(out));
 }
 
@@ -85,20 +83,18 @@ Result<std::vector<double>> LoadVector(const Value& v, UdfContext& ctx) {
 Result<Value> StoreMatrix(const math::Matrix& m) {
   SQLARRAY_ASSIGN_OR_RETURN(
       OwnedArray out,
-      OwnedArray::Zeros(DType::kFloat64, {m.rows(), m.cols()},
-                        StorageClass::kMax));
-  auto dst = out.MutableData<double>();
-  std::copy(m.data(), m.data() + m.rows() * m.cols(), dst.value().begin());
+      OwnedArray::FromValues<double>(
+          {m.rows(), m.cols()},
+          std::span<const double>(m.data(), m.rows() * m.cols()),
+          StorageClass::kMax));
   return ValueFromArray(std::move(out));
 }
 
 Result<Value> StoreVector(std::span<const double> v) {
   SQLARRAY_ASSIGN_OR_RETURN(
       OwnedArray out,
-      OwnedArray::Zeros(DType::kFloat64,
-                        {static_cast<int64_t>(v.size())}, StorageClass::kMax));
-  auto dst = out.MutableData<double>();
-  std::copy(v.begin(), v.end(), dst.value().begin());
+      OwnedArray::FromValues<double>({static_cast<int64_t>(v.size())}, v,
+                                     StorageClass::kMax));
   return ValueFromArray(std::move(out));
 }
 

@@ -31,6 +31,13 @@ WalManager::WalManager(storage::Database* db, WalConfig config)
   pool_->SetWalHook(std::move(hook));
   pool_->SetWriteBack(true);
   db_->AttachWal(this);
+  // Tables that exist already were written through to the data disk, but
+  // recovery rebuilds the catalog from the log alone: log each one, as if
+  // it had been created now. Append only buffers, and these records are far
+  // below the size cap, so nothing here touches the log device.
+  for (const std::string& name : db_->TableNames()) {
+    (void)NoteTableCreated(db_->GetTable(name).value());
+  }
 }
 
 WalManager::~WalManager() {
@@ -74,28 +81,8 @@ Result<Lsn> WalManager::LogPageWrite(storage::PageId id,
 }
 
 Result<uint64_t> WalManager::Begin() {
-  dml_mu_.lock();
-  auto txn = std::make_unique<ActiveTxn>();
-  {
-    // txn_mu_ also guards id allocation: BeginDeferred hands out ids from
-    // any thread without the DML lock.
-    std::lock_guard<std::mutex> lock(txn_mu_);
-    txn->id = next_txn_id_++;
-  }
-  txn->free_list_snapshot = db_->blob_store()->free_pages();
-  WalRecord rec;
-  rec.type = RecordType::kBegin;
-  rec.txn = txn->id;
-  Result<Lsn> appended = writer_.Append(EncodeRecord(rec));
-  if (!appended.ok()) {
-    dml_mu_.unlock();
-    return appended.status();
-  }
-  uint64_t id = txn->id;
-  {
-    std::lock_guard<std::mutex> lock(txn_mu_);
-    active_ = std::move(txn);
-  }
+  SQLARRAY_ASSIGN_OR_RETURN(uint64_t id, BeginDeferred());
+  SQLARRAY_RETURN_IF_ERROR(AcquireApply(id));
   return id;
 }
 
@@ -105,9 +92,9 @@ Result<uint64_t> WalManager::BeginDeferred() {
     std::lock_guard<std::mutex> lock(txn_mu_);
     id = next_txn_id_++;
   }
-  // The kBegin is logged eagerly, same as Begin(): a crash before commit
-  // leaves records under an uncommitted id and recovery counts one lost
-  // transaction. The log writer serializes concurrent appends itself.
+  // The kBegin is logged eagerly: a crash before commit leaves records
+  // under an uncommitted id and recovery counts one lost transaction. The
+  // log writer serializes concurrent appends itself.
   WalRecord rec;
   rec.type = RecordType::kBegin;
   rec.txn = id;
@@ -137,16 +124,6 @@ Status WalManager::WithDmlLock(const std::function<Status()>& fn) {
   return fn();
 }
 
-bool WalManager::in_txn() const {
-  std::lock_guard<std::mutex> lock(txn_mu_);
-  return active_ != nullptr;
-}
-
-bool WalManager::TxnActive(uint64_t txn) const {
-  std::lock_guard<std::mutex> lock(txn_mu_);
-  return active_ != nullptr && active_->id == txn;
-}
-
 void WalManager::FinishTxnLocked() {
   {
     std::lock_guard<std::mutex> lock(txn_mu_);
@@ -172,12 +149,9 @@ Status WalManager::Commit(uint64_t txn, Lsn* commit_lsn) {
   WalRecord rec;
   rec.type = RecordType::kCommit;
   rec.txn = txn;
-  std::set<std::string> names;
-  for (const auto& [name, meta] : active_->touched) names.insert(name);
-  for (const std::string& name : active_->created) names.insert(name);
-  for (const std::string& name : names) {
+  for (const auto& [name, meta] : active_->touched) {
     Result<storage::Table*> table = db_->GetTable(name);
-    if (!table.ok()) continue;  // dropped mid-txn: nothing to re-root
+    if (!table.ok()) continue;  // gone mid-txn: nothing to re-root
     CatalogEntry entry;
     entry.name = name;
     entry.root = (*table)->clustered_index().root_page();
@@ -215,17 +189,11 @@ Status WalManager::Rollback(uint64_t txn) {
   for (auto& [page_id, bi] : t->before) {
     pool_->RestorePage(page_id, bi.image, bi.state);
   }
-  // Restore index metadata for touched (pre-existing) tables; drop tables
-  // the transaction created.
+  // Restore index metadata for touched tables.
   for (auto& [name, meta] : t->touched) {
-    if (std::find(t->created.begin(), t->created.end(), name) !=
-        t->created.end()) {
-      continue;
-    }
     Result<storage::Table*> table = db_->GetTable(name);
     if (table.ok()) (*table)->RestoreIndexMeta(std::move(meta));
   }
-  for (const std::string& name : t->created) (void)db_->DropTable(name);
   db_->blob_store()->RestoreFreeList(std::move(t->free_list_snapshot));
   WalRecord rec;
   rec.type = RecordType::kAbort;
@@ -249,21 +217,16 @@ Status WalManager::NoteTableTouched(uint64_t txn, storage::Table* table) {
   return Status::OK();
 }
 
-Status WalManager::NoteTableCreated(uint64_t txn, storage::Table* table) {
+Status WalManager::NoteTableCreated(storage::Table* table) {
   WalRecord rec;
   rec.type = RecordType::kCreateTable;
-  rec.txn = txn;
+  rec.txn = kSystemTxn;
   CatalogEntry entry;
   entry.name = table->name();
   entry.columns = table->schema().columns();
   entry.root = table->clustered_index().root_page();
   rec.catalog.push_back(std::move(entry));
-  SQLARRAY_RETURN_IF_ERROR(writer_.Append(EncodeRecord(rec)).status());
-  std::lock_guard<std::mutex> lock(txn_mu_);
-  if (active_ != nullptr && active_->id == txn) {
-    active_->created.push_back(table->name());
-  }
-  return Status::OK();
+  return writer_.Append(EncodeRecord(rec)).status();
 }
 
 Status WalManager::Checkpoint() {

@@ -4,24 +4,32 @@
 // switches the buffer pool into write-back mode and installs the WAL hooks,
 // so from then on every page write is logged as a full-page image BEFORE it
 // can reach the data disk (the WAL-before-data invariant; the pool enforces
-// it at eviction and flush).
+// it at eviction and flush). It also logs every table that already exists,
+// so recovery finds tables loaded before the WAL attached.
+//
+// This is the storage-level API. SQL sessions never open a transaction
+// here: they run under mvcc::MvccManager, which takes an id with
+// BeginDeferred() and applies its writes through AcquireApply()/Commit().
+// Begin() is for code that drives the WAL directly (bench_wal, the WAL
+// tests) and must not run while an MvccManager is attached.
 //
 // Transaction model — redo-only ARIES, simplified by two invariants:
-//   * single writer: Begin() takes the manager's DML lock and Commit/
-//     Rollback (from the same thread) release it, so write transactions are
-//     serialized. Readers are unaffected.
+//   * single writer: AcquireApply() (and Begin(), which calls it) takes the
+//     manager's DML lock and Commit/Rollback (from the same thread) release
+//     it, so applying transactions are serialized. Readers are unaffected.
 //   * no-steal: every page a transaction touches stays PINNED (the manager
 //     holds the pin with the page's before-image), so uncommitted data can
 //     never be evicted to the data disk. Recovery therefore never needs
 //     undo — replaying committed transactions' page images is enough.
 // Rollback of a live transaction is pure in-memory undo: restore the
-// byte-exact before-images, the B-tree metadata snapshots, the blob
-// free-list snapshot, and drop tables the transaction created.
+// byte-exact before-images, the B-tree metadata snapshots and the blob
+// free-list snapshot. CREATE TABLE is not transactional: it is logged under
+// txn id 0 and survives any rollback.
 //
 // Writes made OUTSIDE any transaction (bulk loads, direct storage calls)
 // are logged under txn id 0 and always replayed: they stay durable once
 // flushed, but a crash in the middle of a multi-page txn-0 operation can
-// leave a torn structure — the documented cost of skipping Begin.
+// leave a torn structure — the documented cost of skipping a transaction.
 //
 // Checkpoints are fuzzy-free here thanks to the single-writer lock: with no
 // transaction open, flush the log, flush every dirty page (one by one, in
@@ -88,8 +96,9 @@ class WalManager {
   WalManager(const WalManager&) = delete;
   WalManager& operator=(const WalManager&) = delete;
 
-  /// Starts a transaction, taking the DML lock until Commit/Rollback (which
-  /// must run on this thread). Returns the transaction id.
+  /// BeginDeferred() then AcquireApply(): starts a transaction holding the
+  /// DML lock until Commit/Rollback (which must run on this thread). Returns
+  /// the transaction id. Storage-level callers only (see file comment).
   Result<uint64_t> Begin();
 
   /// Allocates a transaction id and logs its kBegin WITHOUT taking the DML
@@ -97,15 +106,13 @@ class WalManager {
   /// their writes live in private shadow state while other transactions
   /// commit freely; at commit, AcquireApply() turns the id into the active
   /// (applying) transaction. A deferred id that never reaches AcquireApply
-  /// simply counts as one lost transaction at recovery, exactly like a
-  /// Begin() with no Commit.
+  /// simply counts as one lost transaction at recovery.
   Result<uint64_t> BeginDeferred();
 
   /// Takes the DML lock and installs `txn` (allocated by BeginDeferred) as
   /// the active transaction — no kBegin is appended (it already was). From
-  /// here the transaction is indistinguishable from one opened by Begin():
-  /// page writes are captured/pinned under its id and Commit/Rollback on
-  /// this thread resolve it.
+  /// here page writes are captured/pinned under its id and Commit/Rollback
+  /// on this thread resolve it.
   Status AcquireApply(uint64_t txn);
 
   /// Logs the commit record, releases the transaction's pins and the DML
@@ -115,26 +122,20 @@ class WalManager {
   /// transaction's effects become visible (MVCC stamps versions with it).
   Status Commit(uint64_t txn, Lsn* commit_lsn = nullptr);
 
-  /// In-memory undo: restores before-images, index metadata, the blob
-  /// free-list, and drops created tables; releases the DML lock. Nothing
-  /// needs to be flushed — an unflushed transaction simply vanishes.
+  /// In-memory undo: restores before-images, index metadata and the blob
+  /// free-list; releases the DML lock. Nothing needs to be flushed — an
+  /// unflushed transaction simply vanishes.
   Status Rollback(uint64_t txn);
-
-  bool in_txn() const;
-
-  /// True while `txn` is the open transaction. Turns false at Commit/
-  /// Rollback and at SimulateCrash — sessions use it to notice that a
-  /// crash killed the transaction they thought was open.
-  bool TxnActive(uint64_t txn) const;
 
   /// Must be called before a transaction first mutates `table`: snapshots
   /// the index metadata for rollback. No-op outside a transaction and on
   /// repeat calls.
   Status NoteTableTouched(uint64_t txn, storage::Table* table);
 
-  /// Logs a CREATE TABLE (schema + root) so recovery can re-attach it.
-  /// Call right after Database::CreateTable, inside or outside a txn.
-  Status NoteTableCreated(uint64_t txn, storage::Table* table);
+  /// Logs a CREATE TABLE (schema + root) under txn id 0 so recovery can
+  /// re-attach it, whatever happens to any open transaction. Call right
+  /// after Database::CreateTable.
+  Status NoteTableCreated(storage::Table* table);
 
   /// Takes a checkpoint (see file comment). Must not be called with a
   /// transaction open on this thread (the DML lock would deadlock).
@@ -195,7 +196,6 @@ class WalManager {
     };
     std::map<storage::PageId, BeforeImage> before;
     std::map<std::string, storage::BTree::Meta> touched;
-    std::vector<std::string> created;
     std::vector<storage::PageId> free_list_snapshot;
   };
 
@@ -211,7 +211,8 @@ class WalManager {
   LogDevice device_;
   LogWriter writer_;
 
-  /// Serializes write transactions; held from Begin to Commit/Rollback.
+  /// Serializes applying transactions; held from AcquireApply to
+  /// Commit/Rollback.
   std::mutex dml_mu_;
   /// Guards current_txn_/active_ against the page-write hook, which can
   /// fire from any thread doing txn-0 writes.

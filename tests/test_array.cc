@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/array.h"
 #include "core/build.h"
@@ -57,6 +59,54 @@ TEST(OwnedArray, DateTimeReadsAsInt64) {
   OwnedArray a = OwnedArray::Zeros(DType::kDateTime, {2}).value();
   EXPECT_TRUE(a.MutableData<int64_t>().ok());
   EXPECT_TRUE(a.ref().Data<int64_t>().ok());
+}
+
+TEST(OwnedArray, SpanAccessorsRejectMisalignedPayload) {
+  // A rank-1 max array's payload starts 20 bytes into its blob: no 8-byte
+  // element there is aligned, so the span accessors refuse with a typed
+  // error instead of handing out a misaligned span.
+  OwnedArray a =
+      OwnedArray::Zeros(DType::kFloat64, {4}, StorageClass::kMax).value();
+  EXPECT_EQ(a.MutableData<double>().status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(a.ref().Data<double>().status().code(),
+            StatusCode::kInvalidArgument);
+  // The element type is still checked first.
+  EXPECT_EQ(a.ref().Data<float>().status().code(), StatusCode::kTypeMismatch);
+  EXPECT_EQ(a.ref().CopyData<float>().status().code(),
+            StatusCode::kTypeMismatch);
+}
+
+TEST(OwnedArray, CopyAccessorsRoundTripMaxArraysOfRankOneToThree) {
+  for (const Dims& dims : {Dims{5}, Dims{2, 3}, Dims{2, 3, 2}}) {
+    SCOPED_TRACE(dims.size());
+    const int64_t n = ElementCount(dims);
+    std::vector<double> f(static_cast<size_t>(n));
+    std::vector<int64_t> k(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      f[i] = 0.5 * static_cast<double>(i) - 1.25;
+      k[i] = (int64_t{1} << 60) + 3 * i;
+    }
+    OwnedArray fa =
+        OwnedArray::Zeros(DType::kFloat64, dims, StorageClass::kMax).value();
+    ASSERT_TRUE(fa.StoreData<double>(f).ok());
+    EXPECT_EQ(fa.ref().CopyData<double>().value(), f);
+    EXPECT_EQ(fa.ref().GetDouble(n - 1).value(), f.back());
+
+    OwnedArray ka =
+        OwnedArray::FromValues<int64_t>(dims, k, StorageClass::kMax).value();
+    EXPECT_EQ(ka.storage(), StorageClass::kMax);
+    EXPECT_EQ(ka.ref().CopyData<int64_t>().value(), k);
+    OwnedArray copy = OwnedArray::FromBlob(
+                          std::vector<uint8_t>(ka.blob().begin(),
+                                               ka.blob().end()))
+                          .value();
+    EXPECT_EQ(copy.ref().CopyData<int64_t>().value(), k);
+  }
+  OwnedArray a =
+      OwnedArray::Zeros(DType::kFloat64, {3}, StorageClass::kMax).value();
+  std::vector<double> wrong(2, 1.0);
+  EXPECT_EQ(a.StoreData<double>(wrong).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(OwnedArray, SetGetAtMultiIndex) {

@@ -15,6 +15,7 @@
 #include "engine/exec.h"
 #include "gov/admission.h"
 #include "gov/gov.h"
+#include "mvcc/mvcc.h"
 #include "obs/metrics.h"
 #include "server/server.h"
 #include "sql/parser.h"
@@ -286,7 +287,8 @@ void RegisterSlowUdf(engine::FunctionRegistry* registry) {
 
 class GovSessionTest : public ::testing::Test {
  protected:
-  GovSessionTest() : wal_(&db_), executor_(&db_, &registry_) {
+  GovSessionTest()
+      : wal_(&db_), mvcc_(&db_, &wal_), executor_(&db_, &registry_) {
     EXPECT_TRUE(udfs::RegisterAllUdfs(&registry_).ok());
     RegisterSlowUdf(&registry_);
   }
@@ -305,6 +307,7 @@ class GovSessionTest : public ::testing::Test {
 
   storage::Database db_;
   wal::WalManager wal_;
+  mvcc::MvccManager mvcc_;
   engine::FunctionRegistry registry_;
   engine::Executor executor_;
 };
@@ -472,13 +475,15 @@ TEST_F(GovSessionTest, ExplainAnalyzeShowsAdmissionWait) {
 
 class ServerTest : public ::testing::Test {
  protected:
-  ServerTest() : wal_(&db_), executor_(&db_, &registry_) {
+  ServerTest()
+      : wal_(&db_), mvcc_(&db_, &wal_), executor_(&db_, &registry_) {
     EXPECT_TRUE(udfs::RegisterAllUdfs(&registry_).ok());
     RegisterSlowUdf(&registry_);
   }
 
   storage::Database db_;
   wal::WalManager wal_;
+  mvcc::MvccManager mvcc_;
   engine::FunctionRegistry registry_;
   engine::Executor executor_;
 };

@@ -435,6 +435,85 @@ TEST(MvccCrash, CommitCrashAtEveryStepRecoversAtomically) {
 }
 
 // ---------------------------------------------------------------------------
+// DDL and session lifetime
+// ---------------------------------------------------------------------------
+
+// DDL is not transactional: CREATE TABLE inside BEGIN is logged under the
+// system transaction. A transaction with no DML commits by rolling back, so
+// under its own id the table's record would never be replayed.
+TEST(MvccDdl, CreateTableInsideTransactionSurvivesCrash) {
+  for (const char* end : {"COMMIT", "ROLLBACK"}) {
+    SCOPED_TRACE(end);
+    Rig rig;
+    sql::Session a(&rig.executor);
+    sql::Session b(&rig.executor);
+    ASSERT_TRUE(a.Execute("BEGIN TRANSACTION").ok());
+    ASSERT_TRUE(a.Execute("CREATE TABLE x (id BIGINT, v BIGINT)").ok());
+    ASSERT_TRUE(a.Execute(end).ok());
+    ASSERT_TRUE(b.Execute("INSERT INTO x VALUES (1, 10)").ok());
+
+    rig.wal.SimulateCrash();
+    ASSERT_TRUE(rig.wal.Recover().ok());
+    Status read = b.Execute("SELECT COUNT(id) FROM x").status();
+    ASSERT_TRUE(read.ok()) << read.ToString();
+    EXPECT_EQ(ScalarInt(&b, "SELECT v FROM x WHERE id = 1"), 10);
+  }
+}
+
+// CREATE TABLE is durable when it returns, with no later commit to carry
+// its log record to the log disk.
+TEST(MvccDdl, CreateTableIsDurableWhenItReturns) {
+  Rig rig;
+  sql::Session s(&rig.executor);
+  ASSERT_TRUE(s.Execute("CREATE TABLE y (id BIGINT, v BIGINT)").ok());
+  rig.wal.SimulateCrash();
+  ASSERT_TRUE(rig.wal.Recover().ok());
+  Status read = s.Execute("SELECT COUNT(id) FROM y").status();
+  ASSERT_TRUE(read.ok()) << read.ToString();
+  EXPECT_EQ(ScalarInt(&s, "SELECT COUNT(id) FROM y"), 0);
+}
+
+// A session that goes away with BEGIN open rolls its transaction back;
+// otherwise its key claims stay owned and writers of those keys conflict
+// for good.
+TEST(MvccSession, DestroyedSessionReleasesItsTransaction) {
+  Rig rig;
+  ASSERT_NO_FATAL_FAILURE(rig.LoadTable(50));
+  {
+    sql::Session a(&rig.executor);
+    ASSERT_TRUE(a.Execute("BEGIN TRANSACTION").ok());
+    ASSERT_TRUE(a.Execute("INSERT INTO t VALUES (100, 1)").ok());
+  }
+  sql::Session b(&rig.executor);
+  Status st = b.Execute("INSERT INTO t VALUES (100, 2)").status();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(ScalarInt(&b, "SELECT v FROM t WHERE id = 100"), 2);
+  EXPECT_EQ(ScalarInt(&b, "SELECT COUNT(id) FROM t"), 51);
+}
+
+// A database with a WAL runs transactions only under MVCC: without an
+// MvccManager every statement fails before anything reaches the log.
+TEST(MvccSession, WalWithoutMvccRefusesEveryStatement) {
+  storage::Database db;
+  WalManager wal(&db);
+  engine::FunctionRegistry registry;
+  engine::Executor executor(&db, &registry);
+  sql::Session s(&executor);
+  storage::Lsn before = wal.log_writer()->next_lsn();
+  for (const char* sql :
+       {"BEGIN TRANSACTION", "CREATE TABLE t (id BIGINT, v BIGINT)",
+        "INSERT INTO t VALUES (1, 1)", "DELETE FROM t WHERE id = 1",
+        "SELECT COUNT(id) FROM t"}) {
+    Status st = s.Execute(sql).status();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << sql << ": "
+                                                       << st.ToString();
+  }
+  EXPECT_FALSE(s.in_transaction());
+  EXPECT_FALSE(db.GetTable("t").ok());
+  EXPECT_EQ(wal.log_writer()->next_lsn(), before);
+}
+
+// ---------------------------------------------------------------------------
 // Reader/writer stress (the tsan_mvcc_suite workload)
 // ---------------------------------------------------------------------------
 

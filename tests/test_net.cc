@@ -22,6 +22,7 @@
 
 #include "client/net_client.h"
 #include "engine/exec.h"
+#include "mvcc/mvcc.h"
 #include "net/auth.h"
 #include "net/net_server.h"
 #include "net/wire.h"
@@ -213,7 +214,8 @@ std::string Fingerprint(const engine::ResultSet& rs) {
 
 class NetTest : public ::testing::Test {
  protected:
-  NetTest() : wal_(&db_), executor_(&db_, &registry_) {
+  NetTest()
+      : wal_(&db_), mvcc_(&db_, &wal_), executor_(&db_, &registry_) {
     EXPECT_TRUE(udfs::RegisterAllUdfs(&registry_).ok());
     RegisterSlowUdf(&registry_);
   }
@@ -258,6 +260,7 @@ class NetTest : public ::testing::Test {
 
   storage::Database db_;
   wal::WalManager wal_;
+  mvcc::MvccManager mvcc_;
   engine::FunctionRegistry registry_;
   engine::Executor executor_;
   std::unique_ptr<server::ArrayServer> srv_;
@@ -548,6 +551,46 @@ TEST_F(NetTest, DisconnectMidQueryKillsAndRollsBack) {
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs.value().at(0).rows.at(0).at(0).AsInt().value(), 2000)
       << "aborted DELETE must leave no partial effects";
+}
+
+TEST_F(NetTest, DisconnectInsideTransactionReleasesItsClaims) {
+  StartStack();
+  {
+    auto setup = ConnectAuthed();
+    ASSERT_NE(setup, nullptr);
+    ASSERT_TRUE(setup->Execute("CREATE TABLE t (id BIGINT, v BIGINT)").ok());
+  }
+  // BEGIN and an INSERT, then the client goes away between statements:
+  // no statement runs, so teardown fires no kill, and closing the session
+  // must roll the transaction back.
+  {
+    auto client = ConnectAuthed();
+    ASSERT_NE(client, nullptr);
+    ASSERT_TRUE(
+        client->Execute("BEGIN TRANSACTION; INSERT INTO t VALUES (100, 1)")
+            .ok());
+    client->Close();
+  }
+  for (int i = 0; i < 400 && srv_->open_sessions() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(srv_->open_sessions(), 0);
+
+  // The session leaves the server's map before it is destroyed, so the
+  // rollback may trail open_sessions() by a moment: retry a conflict
+  // briefly. A leaked transaction conflicts for good.
+  auto other = ConnectAuthed();
+  ASSERT_NE(other, nullptr);
+  Status st;
+  for (int i = 0; i < 200; ++i) {
+    st = other->Execute("INSERT INTO t VALUES (100, 2)").status;
+    if (st.code() != StatusCode::kWriteConflict) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  auto rs = other->Execute("SELECT v FROM t WHERE id = 100");
+  ASSERT_TRUE(rs.ok()) << rs.status.ToString();
+  EXPECT_EQ(rs.result_sets.at(0).rows.at(0).at(0).AsInt().value(), 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -275,7 +276,7 @@ TEST(WalLog, EpochResyncSkipsDeadRegionAfterResume) {
 storage::Table* CreateLoggedTable(storage::Database* db, WalManager* w,
                                   const std::string& name) {
   storage::Table* table = db->CreateTable(name, KeyValueSchema()).value();
-  EXPECT_TRUE(w->NoteTableCreated(wal::kSystemTxn, table).ok());
+  EXPECT_TRUE(w->NoteTableCreated(table).ok());
   return table;
 }
 
@@ -352,15 +353,11 @@ TEST(WalManager, RollbackRestoresPreTransactionState) {
   for (int64_t i = 0; i < 10; ++i) {
     ASSERT_TRUE(table->Delete(i).value());
   }
-  // A table created inside the transaction must vanish with it.
-  storage::Table* created = db.CreateTable("scratch", KeyValueSchema()).value();
-  ASSERT_TRUE(w.NoteTableCreated(txn, created).ok());
   ASSERT_TRUE(w.Rollback(txn).ok());
 
   std::map<int64_t, int64_t> want;
   for (int64_t i = 0; i < 30; ++i) want[i] = 1;
   ExpectTableMatches(&db, "t", want);
-  EXPECT_FALSE(db.GetTable("scratch").ok());
   EXPECT_TRUE(storage::VerifyDatabase(&db).issues.empty());
 
   // And the rollback itself survives a crash: replay must not resurrect
@@ -368,6 +365,39 @@ TEST(WalManager, RollbackRestoresPreTransactionState) {
   w.SimulateCrash();
   ASSERT_TRUE(w.Recover().ok());
   ExpectTableMatches(&db, "t", want);
+}
+
+// A table loaded before the WAL attached has its pages on the data disk
+// (the pool wrote through until write-back turned on), and the WAL logs the
+// catalog it finds at attach, so recovery re-attaches the table.
+TEST(WalManager, TableLoadedBeforeWalSurvivesCrash) {
+  for (bool with_mvcc : {false, true}) {
+    SCOPED_TRACE(with_mvcc ? "wal + mvcc" : "wal alone");
+    storage::Database db;
+    engine::FunctionRegistry registry;
+    engine::Executor executor(&db, &registry);
+    {
+      sql::Session bare(&executor);
+      ASSERT_TRUE(bare.Execute("CREATE TABLE p (id BIGINT, v BIGINT)").ok());
+      ASSERT_TRUE(bare.Execute("INSERT INTO p VALUES (1, 10), (2, 20)").ok());
+    }
+    WalManager w(&db);
+    std::optional<mvcc::MvccManager> m;
+    if (with_mvcc) {
+      m.emplace(&db, &w);
+      sql::Session s(&executor);
+      ASSERT_TRUE(s.Execute("INSERT INTO p VALUES (3, 30)").ok());
+    } else {
+      ASSERT_NO_FATAL_FAILURE(CommitInserts(&db, &w, "p", 3, 1, 30));
+    }
+
+    w.SimulateCrash();
+    ASSERT_TRUE(w.Recover().ok());
+    Result<storage::Table*> p = db.GetTable("p");
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    ExpectTableMatches(&db, "p", {{1, 10}, {2, 20}, {3, 30}});
+    EXPECT_TRUE(storage::VerifyDatabase(&db).issues.empty());
+  }
 }
 
 TEST(WalManager, RecoveryIsIdempotent) {
@@ -811,7 +841,9 @@ TEST(WalNegativeControl, WriteBackWithoutWalLosesCommittedData) {
 
 class WalSqlTest : public ::testing::Test {
  protected:
-  WalSqlTest() : wal_(&db_), executor_(&db_, &registry_), session_(&executor_) {
+  WalSqlTest()
+      : wal_(&db_), mvcc_(&db_, &wal_), executor_(&db_, &registry_),
+        session_(&executor_) {
     EXPECT_TRUE(udfs::RegisterAllUdfs(&registry_).ok());
     EXPECT_TRUE(
         session_.Execute("CREATE TABLE t (id BIGINT, v BIGINT)").ok());
@@ -824,6 +856,7 @@ class WalSqlTest : public ::testing::Test {
 
   storage::Database db_;
   WalManager wal_;
+  mvcc::MvccManager mvcc_;
   engine::FunctionRegistry registry_;
   engine::Executor executor_;
   sql::Session session_;
@@ -973,6 +1006,7 @@ TEST(WalSql, BeginWithoutWalFails) {
 uint64_t RunSqlWorkloadCrashRecoverFingerprint(int workers) {
   storage::Database db;
   WalManager w(&db);
+  mvcc::MvccManager m(&db, &w);
   engine::FunctionRegistry registry;
   engine::Executor executor(&db, &registry);
   EXPECT_TRUE(udfs::RegisterAllUdfs(&registry).ok());
