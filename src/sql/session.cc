@@ -371,8 +371,9 @@ Status Session::ForceRollback() {
   // Autocommitted statements roll back inside AutoCommit; this covers a
   // statement killed inside an explicit BEGIN, where the server must not
   // leave the transaction dangling on a session it is about to reuse, and a
-  // session that goes away with its BEGIN still open. An MVCC rollback
-  // touches no shared state, so any thread may run it.
+  // session that goes away with its BEGIN still open. An MVCC rollback only
+  // drops the transaction's private state and claims under the manager's
+  // lock, so any thread may run it.
   if (!txn_open_) return Status::OK();
   uint64_t txn = txn_id_;
   txn_open_ = false;
