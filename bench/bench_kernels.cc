@@ -20,11 +20,20 @@
 // at >= 64k elements from K1, >= 10x fused predicate at 1024-row batches
 // from K2).
 //
+// Experiment K3: hosted calls — SUM(FloatArray.Item_1(v, 0)) and
+// SUM(dbo.EmptyFunction(v, 0)) over Tvector (Table 1's Q4 and Q5) through
+// the call lane (one kernel call per 1024-row block, the blob read in place)
+// against the one-row feed (batch_rows=1: every call through Eval and
+// FunctionRegistry::Invoke with boxed Values). Both charge the same modeled
+// CLR cost; the bench asserts the sums agree bitwise and reports ns/row.
+//
 // BENCH_ELEMS limits the K1 sweep to a single element count and BENCH_ROWS
-// scales the K2 table (both used by the bench_smoke ctest target);
+// scales the K2 and K3 tables (both used by the bench_smoke ctest target);
 // --json out.json records every case.
 #include <cinttypes>
+#include <cstring>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -340,6 +349,64 @@ void RunVecExpr() {
   }
 }
 
+// ---------------------------------------------------------------------------
+// K3: hosted calls through the call lane vs the one-row feed
+// ---------------------------------------------------------------------------
+
+void RunCallLanes() {
+  Banner("K3", "hosted calls: call lane vs one-row feed");
+
+  BenchServer server;
+  const int64_t rows = BenchRows();
+  BuildTable1Tables(&server.db, rows);
+  storage::Table* t =
+      CheckResult(server.db.GetTable("Tvector"), "Tvector lookup");
+  engine::Executor& ex = server.executor;
+  ex.set_scan_workers(1);
+
+  std::printf("%-28s %9s | %12s | %12s | %7s\n", "case", "rows",
+              "lane ns/row", "row ns/row", "speedup");
+  std::printf("%s\n", std::string(80, '-').c_str());
+  for (auto [name, schema, fn] :
+       {std::tuple{"sum_item_1", "FloatArray", "Item_1"},
+        std::tuple{"sum_empty_function", "dbo", "EmptyFunction"}}) {
+    engine::Query q;
+    q.table = t;
+    std::vector<engine::ExprPtr> args;
+    args.push_back(engine::Col("v"));
+    args.push_back(engine::Lit(engine::Value::Int(0)));
+    q.items.push_back(AggItem(engine::Call(schema, fn, std::move(args)),
+                              engine::SelectItem::AggKind::kSum, "s"));
+    Check(ex.Bind(&q), "bind");
+
+    double sum[2] = {0, 0};
+    double ns_per_row[2] = {0, 0};
+    for (int mode = 0; mode < 2; ++mode) {
+      ex.set_batch_rows(mode == 0 ? 1024 : 1);
+      sum[mode] = CheckResult(ex.Execute(q, nullptr), name)
+                      .rows[0][0]
+                      .AsDouble()
+                      .value();
+      ns_per_row[mode] =
+          TimePerCall([&] { CheckResult(ex.Execute(q, nullptr), name); }) /
+          static_cast<double>(rows) * 1e9;
+    }
+    ex.set_batch_rows(1024);
+    if (std::memcmp(&sum[0], &sum[1], sizeof(double)) != 0) {
+      Check(Status::Internal(std::string("lane/row divergence in ") + name),
+            "K3");
+    }
+    std::printf("%-28s %9" PRId64 " | %12.1f | %12.1f | %6.2fx\n", name, rows,
+                ns_per_row[0], ns_per_row[1], ns_per_row[1] / ns_per_row[0]);
+    RecordJson("call_lane", std::string(name) + "/lane",
+               ns_per_row[0] * 1e-9 * static_cast<double>(rows),
+               1e9 / ns_per_row[0], {{"ns_per_row", ns_per_row[0]}});
+    RecordJson("call_lane", std::string(name) + "/row",
+               ns_per_row[1] * 1e-9 * static_cast<double>(rows),
+               1e9 / ns_per_row[1], {{"ns_per_row", ns_per_row[1]}});
+  }
+}
+
 }  // namespace
 }  // namespace sqlarray::bench
 
@@ -347,6 +414,7 @@ int main(int argc, char** argv) {
   sqlarray::bench::ParseBenchArgs(argc, argv);
   sqlarray::bench::Run();
   sqlarray::bench::RunVecExpr();
+  sqlarray::bench::RunCallLanes();
   sqlarray::bench::FlushJson();
   return 0;
 }

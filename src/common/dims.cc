@@ -1,6 +1,5 @@
 #include "common/dims.h"
 
-#include <limits>
 #include <string>
 
 namespace sqlarray {
@@ -67,11 +66,9 @@ Status ValidateDims(std::span<const int64_t> dims) {
                                      " has negative size " +
                                      std::to_string(dims[k]));
     }
-    if (dims[k] != 0 &&
-        n > std::numeric_limits<int64_t>::max() / (dims[k] == 0 ? 1 : dims[k])) {
+    if (__builtin_mul_overflow(n, dims[k], &n)) {
       return Status::InvalidArgument("element count overflows int64");
     }
-    n *= dims[k];
   }
   return Status::OK();
 }

@@ -13,19 +13,49 @@ namespace {
 /// sizes and element-count overflow, and the payload size must also fit
 /// int64 together with the header. Every failure is kCorruption — the bytes
 /// claim a shape no writer can produce.
-Status ValidateDecodedShape(const ArrayHeader& h) {
-  Status dims_ok = ValidateDims(h.dims);
+Status ValidateDecodedShape(DType dtype, std::span<const int64_t> dims,
+                            int64_t header_size) {
+  Status dims_ok = ValidateDims(dims);
   if (!dims_ok.ok()) {
     return Status::Corruption("array header has invalid dimensions: " +
                               dims_ok.message());
   }
-  const int64_t elem = DTypeSize(h.dtype);
-  const int64_t limit =
-      (std::numeric_limits<int64_t>::max() - h.header_size()) / elem;
-  if (h.num_elements() > limit) {
+  int64_t payload = 0;
+  if (__builtin_mul_overflow(ElementCount(dims), int64_t{DTypeSize(dtype)},
+                             &payload) ||
+      payload > std::numeric_limits<int64_t>::max() - header_size) {
     return Status::Corruption("array payload size overflows int64");
   }
   return Status::OK();
+}
+
+/// When the payload is present, makes sure it is not truncated. (Longer is
+/// allowed: fixed-width binary columns pad short-array blobs.)
+Status CheckPayloadLength(size_t have, int64_t header_size,
+                          int64_t blob_size) {
+  if (have > static_cast<size_t>(header_size) &&
+      have < static_cast<size_t>(blob_size)) {
+    return Status::Corruption("array blob payload truncated: have " +
+                              std::to_string(have) + " bytes, need " +
+                              std::to_string(blob_size));
+  }
+  return Status::OK();
+}
+
+/// The checks every header opens with: length, magic, flags and dtype.
+Result<DType> DecodePreamble(std::span<const uint8_t> blob) {
+  if (blob.size() < 4) {
+    return Status::Corruption("array blob shorter than minimal header");
+  }
+  if (blob[0] != kArrayMagic) {
+    return Status::Corruption("array blob has bad magic byte " +
+                              std::to_string(blob[0]));
+  }
+  if (blob[1] > 1) {
+    return Status::Corruption("array blob has unknown flags " +
+                              std::to_string(blob[1]));
+  }
+  return DTypeFromByte(blob[2]);
 }
 
 }  // namespace
@@ -120,86 +150,95 @@ Result<std::vector<uint8_t>> EncodeHeader(const ArrayHeader& header) {
   return out;
 }
 
-Result<ArrayHeader> DecodeHeader(std::span<const uint8_t> blob) {
-  if (blob.size() < 4) {
-    return Status::Corruption("array blob shorter than minimal header");
+Status DecodeShortHeader(std::span<const uint8_t> blob, ShortHeader* out) {
+  SQLARRAY_ASSIGN_OR_RETURN(DType dtype, DecodePreamble(blob));
+  if (blob[1] != 0) {
+    return Status::InvalidArgument("array blob is not of the short class");
   }
-  if (blob[0] != kArrayMagic) {
-    return Status::Corruption("array blob has bad magic byte " +
-                              std::to_string(blob[0]));
+  ShortHeader& h = *out;
+  h.dtype = dtype;
+  if (blob.size() < kShortHeaderSize) {
+    return Status::Corruption("short array blob truncated in header");
   }
-  uint8_t flags = blob[1];
-  if (flags > 1) {
-    return Status::Corruption("array blob has unknown flags " +
-                              std::to_string(flags));
+  const int rank = blob[3];
+  if (rank < 1 || rank > kMaxShortRank) {
+    return Status::Corruption("short array has invalid rank " +
+                              std::to_string(rank));
   }
-  SQLARRAY_ASSIGN_OR_RETURN(DType dtype, DTypeFromByte(blob[2]));
+  const uint32_t count = DecodeLE<uint32_t>(blob.data() + 4);
+  h.rank = rank;
+  for (int k = 0; k < rank; ++k) {
+    const int16_t d = DecodeLE<int16_t>(blob.data() + 8 + 2 * k);
+    if (d < 0) {
+      return Status::Corruption("short array has negative dimension size");
+    }
+    h.dims[k] = d;
+  }
+  SQLARRAY_RETURN_IF_ERROR(
+      ValidateDecodedShape(dtype, h.shape(), kShortHeaderSize));
+  h.num_elements = ElementCount(h.shape());
+  if (h.num_elements != static_cast<int64_t>(count)) {
+    return Status::Corruption(
+        "short array element count does not match dimension sizes");
+  }
+  return CheckPayloadLength(blob.size(), kShortHeaderSize, h.blob_size());
+}
 
+Result<ArrayHeader> DecodeHeader(std::span<const uint8_t> blob) {
+  SQLARRAY_ASSIGN_OR_RETURN(DType dtype, DecodePreamble(blob));
   ArrayHeader h;
   h.dtype = dtype;
-  if (flags == 0) {
+  if (blob[1] == 0) {
+    ShortHeader s;
+    SQLARRAY_RETURN_IF_ERROR(DecodeShortHeader(blob, &s));
     h.storage = StorageClass::kShort;
-    if (blob.size() < kShortHeaderSize) {
-      return Status::Corruption("short array blob truncated in header");
-    }
-    int rank = blob[3];
-    if (rank < 1 || rank > kMaxShortRank) {
-      return Status::Corruption("short array has invalid rank " +
-                                std::to_string(rank));
-    }
-    uint32_t count = DecodeLE<uint32_t>(blob.data() + 4);
-    h.dims.resize(rank);
-    for (int k = 0; k < rank; ++k) {
-      int16_t d = DecodeLE<int16_t>(blob.data() + 8 + 2 * k);
-      if (d < 0) {
-        return Status::Corruption("short array has negative dimension size");
-      }
-      h.dims[k] = d;
-    }
-    SQLARRAY_RETURN_IF_ERROR(ValidateDecodedShape(h));
-    if (h.num_elements() != static_cast<int64_t>(count)) {
-      return Status::Corruption(
-          "short array element count does not match dimension sizes");
-    }
-  } else {
-    h.storage = StorageClass::kMax;
-    if (blob.size() < kMaxHeaderPrefixSize) {
-      return Status::Corruption("max array blob truncated in header prefix");
-    }
-    uint32_t rank = DecodeLE<uint32_t>(blob.data() + 4);
-    if (rank < 1 || rank > (1u << 20)) {
-      return Status::Corruption("max array has implausible rank " +
-                                std::to_string(rank));
-    }
-    int64_t count = DecodeLE<int64_t>(blob.data() + 8);
-    if (blob.size() <
-        static_cast<size_t>(kMaxHeaderPrefixSize) + 4 * rank) {
-      return Status::Corruption("max array blob truncated in dim sizes");
-    }
-    h.dims.resize(rank);
-    for (uint32_t k = 0; k < rank; ++k) {
-      int32_t d = DecodeLE<int32_t>(blob.data() + kMaxHeaderPrefixSize + 4 * k);
-      if (d < 0) {
-        return Status::Corruption("max array has negative dimension size");
-      }
-      h.dims[k] = d;
-    }
-    SQLARRAY_RETURN_IF_ERROR(ValidateDecodedShape(h));
-    if (count < 0 || h.num_elements() != count) {
-      return Status::Corruption(
-          "max array element count does not match dimension sizes");
-    }
+    h.dims.assign(s.dims, s.dims + s.rank);
+    return h;
   }
-
-  // When the payload is present, make sure it is not truncated. (Longer is
-  // allowed: fixed-width binary columns pad short-array blobs.)
-  if (blob.size() > static_cast<size_t>(h.header_size()) &&
-      blob.size() < static_cast<size_t>(h.blob_size())) {
-    return Status::Corruption("array blob payload truncated: have " +
-                              std::to_string(blob.size()) + " bytes, need " +
-                              std::to_string(h.blob_size()));
+  h.storage = StorageClass::kMax;
+  if (blob.size() < kMaxHeaderPrefixSize) {
+    return Status::Corruption("max array blob truncated in header prefix");
   }
+  uint32_t rank = DecodeLE<uint32_t>(blob.data() + 4);
+  if (rank < 1 || rank > (1u << 20)) {
+    return Status::Corruption("max array has implausible rank " +
+                              std::to_string(rank));
+  }
+  int64_t count = DecodeLE<int64_t>(blob.data() + 8);
+  if (blob.size() < static_cast<size_t>(kMaxHeaderPrefixSize) + 4 * rank) {
+    return Status::Corruption("max array blob truncated in dim sizes");
+  }
+  h.dims.resize(rank);
+  for (uint32_t k = 0; k < rank; ++k) {
+    int32_t d = DecodeLE<int32_t>(blob.data() + kMaxHeaderPrefixSize + 4 * k);
+    if (d < 0) {
+      return Status::Corruption("max array has negative dimension size");
+    }
+    h.dims[k] = d;
+  }
+  SQLARRAY_RETURN_IF_ERROR(
+      ValidateDecodedShape(h.dtype, h.dims, h.header_size()));
+  if (count < 0 || h.num_elements() != count) {
+    return Status::Corruption(
+        "max array element count does not match dimension sizes");
+  }
+  SQLARRAY_RETURN_IF_ERROR(
+      CheckPayloadLength(blob.size(), h.header_size(), h.blob_size()));
   return h;
+}
+
+Status CheckSchemaMatch(DType have, StorageClass have_class, DType want,
+                        StorageClass want_class) {
+  if (have != want) {
+    return Status::TypeMismatch(
+        "array of type " + std::string(DTypeName(have)) + " passed to a " +
+        std::string(DTypeName(want)) + " schema function");
+  }
+  if (have_class != want_class) {
+    return Status::TypeMismatch(
+        "array storage class does not match the schema (short vs max)");
+  }
+  return Status::OK();
 }
 
 Result<int64_t> PeekHeaderSize(std::span<const uint8_t> prefix) {

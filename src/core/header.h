@@ -104,6 +104,38 @@ Status AppendHeader(const ArrayHeader& header, std::vector<uint8_t>* out);
 /// length is validated against the header's element count.
 Result<ArrayHeader> DecodeHeader(std::span<const uint8_t> blob);
 
+/// A short-class header decoded in place: the dimension sizes live in the
+/// struct, so decoding allocates nothing.
+struct ShortHeader {
+  DType dtype = DType::kFloat64;
+  int rank = 0;
+  int64_t dims[kMaxShortRank] = {};
+  int64_t num_elements = 0;
+
+  std::span<const int64_t> shape() const {
+    return {dims, static_cast<size_t>(rank)};
+  }
+  int64_t blob_size() const {
+    return kShortHeaderSize + num_elements * DTypeSize(dtype);
+  }
+};
+
+/// DecodeHeader for a blob whose flags byte says short class (blob[1] == 0)
+/// into `out`: the same checks in the same order with the same Status,
+/// payload length included. Fails with kInvalidArgument on a max-class blob.
+Status DecodeShortHeader(std::span<const uint8_t> blob, ShortHeader* out);
+
+/// Checks an array's dtype and storage class against what a typed schema
+/// function expects ("we can detect type mismatches at runtime when the
+/// blobs are passed to the wrong functions", Sec. 3.5): kTypeMismatch, the
+/// dtype compared first.
+Status CheckSchemaMatch(DType have, StorageClass have_class, DType want,
+                        StorageClass want_class);
+inline Status CheckSchemaMatch(const ArrayHeader& h, DType want,
+                               StorageClass want_class) {
+  return CheckSchemaMatch(h.dtype, h.storage, want, want_class);
+}
+
 /// Parses only the fixed prefix of a header to learn its total size, for
 /// streamed (partial) reads where only a few bytes are available. `prefix`
 /// must hold at least kMaxHeaderPrefixSize bytes.

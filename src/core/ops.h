@@ -22,6 +22,15 @@ namespace sqlarray {
 /// Returns the element at `index` widened to double (Item_N in T-SQL).
 Result<double> Item(const ArrayRef& a, std::span<const int64_t> index);
 
+/// Reads the element at `index` of the short `dtype` array `blob`, widened
+/// to double: the element access of the typed Item_N functions, for their
+/// row function and their column kernel alike. Fails as DecodeHeader,
+/// CheckSchemaMatch(dtype, kShort), ArrayRef::Parse and Item would, in that
+/// order and with the same Status, but reads the header once, in place, and
+/// allocates nothing on success.
+Result<double> ReadShortItem(std::span<const uint8_t> blob, DType dtype,
+                             std::span<const int64_t> index);
+
 /// Returns the element at `index` as complex (for complex arrays).
 Result<std::complex<double>> ItemComplex(const ArrayRef& a,
                                          std::span<const int64_t> index);

@@ -6,6 +6,27 @@ Result<double> Item(const ArrayRef& a, std::span<const int64_t> index) {
   return a.GetDoubleAt(index);
 }
 
+Result<double> ReadShortItem(std::span<const uint8_t> blob, DType dtype,
+                             std::span<const int64_t> index) {
+  if (blob.size() < 2 || blob[1] != 0) {
+    // Not short: DecodeHeader's own error, or the class mismatch of a
+    // well-formed max array.
+    SQLARRAY_ASSIGN_OR_RETURN(ArrayHeader h, DecodeHeader(blob));
+    SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(h, dtype, StorageClass::kShort));
+    return Status::Internal("short array decoded as max");
+  }
+  ShortHeader h;
+  SQLARRAY_RETURN_IF_ERROR(DecodeShortHeader(blob, &h));
+  SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(h.dtype, StorageClass::kShort,
+                                            dtype, StorageClass::kShort));
+  if (blob.size() < static_cast<size_t>(h.blob_size())) {
+    return Status::Corruption("array blob shorter than header promises");
+  }
+  SQLARRAY_ASSIGN_OR_RETURN(int64_t linear, LinearIndex(h.shape(), index));
+  return ReadScalarAsDouble(
+      h.dtype, blob.data() + kShortHeaderSize + linear * DTypeSize(h.dtype));
+}
+
 Result<std::complex<double>> ItemComplex(const ArrayRef& a,
                                          std::span<const int64_t> index) {
   return a.GetComplexAt(index);

@@ -558,12 +558,21 @@ Status I64ToF64(const int64_t* a, int32_t n, double* out) {
   });
 }
 
-Status F64ToI64(const double* a, int32_t n, int64_t* out) {
-  return RunBlocked(n, [&](int32_t off, int32_t len) {
-    for (int32_t i = off; i < off + len; ++i) {
+Status F64ToI64(const double* a, const uint64_t* valid, int32_t n,
+                int64_t* out) {
+  for (int32_t off = 0; off < n; off += kCancelBlock) {
+    SQLARRAY_RETURN_IF_ERROR(gov::CheckThreadCancel());
+    const int32_t end = std::min(n, off + kCancelBlock);
+    for (int32_t i = off; i < end; ++i) {
+      if (valid != nullptr && !BitAt(valid, i)) {
+        out[i] = 0;  // NULL lane: deterministic filler, no range check
+        continue;
+      }
+      if (!FitsInt64(a[i])) return Int64Overflow();
       out[i] = static_cast<int64_t>(a[i]);
     }
-  });
+  }
+  return Status::OK();
 }
 
 void FillI64(int64_t v, int32_t n, int64_t* out) { std::fill_n(out, n, v); }

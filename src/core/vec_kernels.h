@@ -37,6 +37,7 @@
 //     may vectorize freely — per-lane IEEE ops are exact.
 //   * division/modulo kernels write 0 at invalid lanes (deterministic
 //     buffers) and skip their zero checks there: NULL operands never raise.
+//     The double -> int64 conversion does the same with its range check.
 //
 // Cancellation: every kernel probes gov::CheckThreadCancel() between
 // blocks of kCancelBlock elements, so a runaway vectorized query dies at
@@ -111,9 +112,12 @@ Status NegI64(const int64_t* a, int32_t n, int64_t* out);
 Status NegF64(const double* a, int32_t n, double* out);
 
 /// Lane conversions: int64 -> double widens (static_cast), double -> int64
-/// truncates toward zero (static_cast — Value::AsInt coercion).
+/// truncates toward zero (Value::AsInt coercion) and, like it, fails with
+/// kOutOfRange at a VALID lane that has no BIGINT (NaN, +-inf,
+/// |x| >= 2^63); invalid lanes get 0 and no check.
 Status I64ToF64(const int64_t* a, int32_t n, double* out);
-Status F64ToI64(const double* a, int32_t n, int64_t* out);
+Status F64ToI64(const double* a, const uint64_t* valid, int32_t n,
+                int64_t* out);
 
 /// Broadcast fills for literal/variable operands.
 void FillI64(int64_t v, int32_t n, int64_t* out);

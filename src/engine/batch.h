@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 namespace sqlarray::engine {
 
@@ -23,7 +23,13 @@ class RowBatch {
     row_size_ = row_size;
     cap_ = capacity;
     n_ = 0;
-    data_.resize(static_cast<size_t>(row_size) * capacity);
+    const size_t bytes = static_cast<size_t>(row_size) * capacity;
+    if (bytes > bytes_) {
+      // Left uninitialized: only the rows appended are ever read, so a
+      // one-leaf seek touches its rows, not capacity() rows of zeros.
+      data_ = std::make_unique_for_overwrite<uint8_t[]>(bytes);
+      bytes_ = bytes;
+    }
   }
   bool full() const { return n_ == cap_; }
   int32_t size() const { return n_; }
@@ -33,18 +39,19 @@ class RowBatch {
   /// of the batch. ChunkCursor::CopyRows writes one memcpy per leaf-page
   /// run through this.
   uint8_t* AppendSlots() {
-    return data_.data() + static_cast<size_t>(n_) * row_size_;
+    return data_.get() + static_cast<size_t>(n_) * row_size_;
   }
   void CommitAppend(int32_t n) { n_ += n; }
   const uint8_t* row(int32_t i) const {
-    return data_.data() + static_cast<size_t>(i) * row_size_;
+    return data_.get() + static_cast<size_t>(i) * row_size_;
   }
 
  private:
   int64_t row_size_ = 0;
   int32_t n_ = 0;
   int32_t cap_ = 0;
-  std::vector<uint8_t> data_;
+  std::unique_ptr<uint8_t[]> data_;
+  size_t bytes_ = 0;  ///< allocated size of data_
 };
 
 }  // namespace sqlarray::engine

@@ -904,8 +904,9 @@ class BatchFeed {
     if (env_.q->where == nullptr) {
       for (int32_t r = 0; r < size_; ++r) sel.push_back(r);
     } else if (vplan != nullptr && vplan->where_ok) {
-      SQLARRAY_RETURN_IF_ERROR(vec::VecFilter(
-          vplan->where, batch, &vscratch.regs, &vscratch.trunc, &sel));
+      SQLARRAY_RETURN_IF_ERROR(vec::VecFilter(vplan->where, batch,
+                                              &vscratch.regs, &vscratch.trunc,
+                                              &sel, ctx_.udf));
     } else {
       for (int32_t r = 0; r < size_; ++r) {
         SQLARRAY_ASSIGN_OR_RETURN(bool keep, RowPasses(*env_.q, At(r)));
@@ -947,6 +948,12 @@ class BatchFeed {
   /// The compiled program for select item `i`, or null.
   const vec::VecProgram* ItemProgram(size_t i) const {
     return env_.vplan != nullptr ? env_.vplan->items[i].get() : nullptr;
+  }
+
+  /// Runs item `i`'s compiled program over the selected rows into the
+  /// register scratch.
+  Status RunItem(const vec::VecProgram& prog) {
+    return prog.Run(batch, &sel, &vscratch.regs, ctx_.udf);
   }
 
   RowBatch batch;  ///< the gathered table block (lane programs read it)
@@ -1048,8 +1055,7 @@ Status AggregateBatch(const ScanEnv& env, BatchFeed& feed, Partial* out) {
         continue;
       }
       if (const vec::VecProgram* prog = feed.ItemProgram(i)) {
-        SQLARRAY_RETURN_IF_ERROR(
-            prog->Run(feed.batch, &sel, &feed.vscratch.regs));
+        SQLARRAY_RETURN_IF_ERROR(feed.RunItem(*prog));
         for (size_t k = 0; k < sel.size(); ++k) {
           stats.agg_steps++;
           stats.ChargeCpuNs(cost.native_agg_step_ns);
@@ -1086,8 +1092,7 @@ Status ProjectBatch(const ScanEnv& env, BatchFeed& feed, Partial* out) {
     if (sel.empty()) continue;
     for (size_t i = 0; i < n_items; ++i) {
       if (const vec::VecProgram* prog = feed.ItemProgram(i)) {
-        SQLARRAY_RETURN_IF_ERROR(
-            prog->Run(feed.batch, &sel, &feed.vscratch.regs));
+        SQLARRAY_RETURN_IF_ERROR(feed.RunItem(*prog));
         vec::ColumnToValues(prog->Result(feed.vscratch.regs), &cols[i]);
         continue;
       }

@@ -7,8 +7,8 @@
 // it runs every expression no columnar program covers, every expression of
 // a plan without lanes, and it is the oracle the differential tests compare
 // against at Executor::set_batch_rows(1). The other is the columnar
-// VecProgram (engine/vec_expr.h), which runs numeric expressions over
-// lanes. Both wrap BIGINT +, -, * and unary -, and define INT64_MIN / -1 as
+// VecProgram (engine/vec_expr.h), which runs numeric expressions, and
+// calls to functions with a column kernel, over lanes. Both wrap BIGINT +, -, * and unary -, and define INT64_MIN / -1 as
 // INT64_MIN and x % -1 as 0 (common/wrap_int.h).
 #pragma once
 

@@ -97,41 +97,14 @@ Result<Value> FunctionRegistry::Invoke(const ScalarFunction& fn,
   if (ctx.limits != nullptr) {
     SQLARRAY_RETURN_IF_ERROR(ctx.limits->Check());
   }
-  if (fn.boundary == Boundary::kClr && ctx.stats != nullptr &&
-      ctx.cost != nullptr) {
-    // Charge the CLR boundary: flat call cost, per-byte argument
-    // marshaling, and the function's declared managed work.
+  CallCharges charges(fn, ctx);
+  if (charges.active()) {
     int64_t arg_bytes = 0;
     for (const Value& v : args) arg_bytes += v.ByteSize();
-    ctx.stats->udf_calls++;
-    ctx.stats->udf_bytes_marshaled += arg_bytes;
-    double charge_ns = ctx.cost->clr_call_ns +
-                       ctx.cost->clr_byte_ns * static_cast<double>(arg_bytes) +
-                       fn.managed_work_ns;
-    ctx.stats->ChargeCpuNs(charge_ns);
-    if (ctx.stats->track_udf_detail) {
-      QueryStats::UdfFnStats& d =
-          ctx.stats->udf_by_fn[fn.schema + "." + fn.name];
-      d.calls++;
-      d.bytes += arg_bytes;
-      d.cpu_ns += charge_ns;
-    }
+    charges.In(arg_bytes);
   }
   SQLARRAY_ASSIGN_OR_RETURN(Value out, fn.fn(args, ctx));
-  if (fn.boundary == Boundary::kClr && ctx.stats != nullptr &&
-      ctx.cost != nullptr) {
-    // Result marshaling back across the boundary.
-    int64_t out_bytes = out.ByteSize();
-    ctx.stats->udf_bytes_marshaled += out_bytes;
-    double charge_ns = ctx.cost->clr_byte_ns * static_cast<double>(out_bytes);
-    ctx.stats->ChargeCpuNs(charge_ns);
-    if (ctx.stats->track_udf_detail) {
-      QueryStats::UdfFnStats& d =
-          ctx.stats->udf_by_fn[fn.schema + "." + fn.name];
-      d.bytes += out_bytes;
-      d.cpu_ns += charge_ns;
-    }
-  }
+  if (charges.active()) charges.Out(out.ByteSize());
   return out;
 }
 

@@ -11,13 +11,17 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "common/wrap_int.h"
+#include "core/column.h"
 #include "engine/cost.h"
 #include "engine/value.h"
 #include "gov/gov.h"
+#include "storage/schema.h"
 
 namespace sqlarray::engine {
 
@@ -50,6 +54,40 @@ struct UdfContext {
 using ScalarFn =
     std::function<Result<Value>(std::span<const Value>, UdfContext&)>;
 
+/// One argument column of a column-kernel call, row k being the k-th
+/// selected row: a numeric lane, or a fixed VARBINARY(n) column read in
+/// place out of the gathered batch rows, its lengths already checked
+/// against the capacity.
+struct CallArg {
+  const col::ColumnVec* lane = nullptr;  ///< numeric argument; null: bytes
+  const uint8_t* base = nullptr;  ///< bytes: the column in batch row 0
+  int64_t stride = 0;             ///< bytes: the batch's row size
+  const int32_t* sel = nullptr;   ///< bytes: batch row of row k (null: k)
+
+  /// Bytes: row k's column in the batch.
+  const uint8_t* At(int32_t k) const {
+    return base + static_cast<int64_t>(sel != nullptr ? sel[k] : k) * stride;
+  }
+  /// Row k's stored bytes.
+  std::span<const uint8_t> Bytes(int32_t k) const {
+    return storage::BinaryColumnBytes(At(k));
+  }
+  /// Row k as BIGINT, the way a row function reads its Value through AsInt:
+  /// a FLOAT truncates (kOutOfRange past BIGINT), bytes are not numeric.
+  Result<int64_t> Int(int32_t k) const {
+    if (lane == nullptr) return Status::TypeMismatch("value is not numeric");
+    if (lane->lane() == col::Lane::kI64) return lane->i64()[k];
+    return CheckedF64ToI64(lane->f64()[k]);
+  }
+};
+
+/// A column kernel: the function over `n` rows of argument columns at once,
+/// writing n results into `out` in the function's kernel_lane. It agrees
+/// with the row function row by row: the same value, and at the first
+/// failing row the same Status. Its results are never NULL.
+using ColumnKernel = std::function<Status(std::span<const CallArg> args,
+                                          int32_t n, col::ColumnVec* out)>;
+
 /// A registered scalar function.
 struct ScalarFunction {
   std::string schema;
@@ -63,6 +101,65 @@ struct ScalarFunction {
   /// single morsel on the calling thread.
   bool needs_subquery = false;
   ScalarFn fn;
+  /// Optional column kernel, registered with the row function. A call whose
+  /// arguments are all lanes free of NULL or fixed VARBINARY(n) columns runs
+  /// it as one lane instruction per block (engine/vec_expr.h); every other
+  /// call runs `fn` once per row.
+  ColumnKernel kernel;
+  col::Lane kernel_lane = col::Lane::kF64;  ///< the kernel's result lane
+};
+
+/// The CLR boundary charges of one hosted call. Invoke and the call lanes
+/// (engine/vec_expr.h) both charge through it, so they add the same doubles
+/// in the same order. Inactive (charges nothing) for a native function or
+/// without stats and a cost model.
+class CallCharges {
+ public:
+  CallCharges(const ScalarFunction& fn, const UdfContext& ctx) : fn_(&fn) {
+    if (fn.boundary != Boundary::kClr || ctx.stats == nullptr ||
+        ctx.cost == nullptr) {
+      return;
+    }
+    stats_ = ctx.stats;
+    cost_ = ctx.cost;
+    if (stats_->track_udf_detail) {
+      detail_ = &stats_->udf_by_fn[fn.schema + "." + fn.name];
+    }
+  }
+  bool active() const { return stats_ != nullptr; }
+  /// Before the body: the flat call cost, per-byte argument marshaling and
+  /// the declared managed work.
+  void In(int64_t arg_bytes) {
+    stats_->udf_calls++;
+    stats_->udf_bytes_marshaled += arg_bytes;
+    const double charge_ns =
+        cost_->clr_call_ns +
+        cost_->clr_byte_ns * static_cast<double>(arg_bytes) +
+        fn_->managed_work_ns;
+    stats_->ChargeCpuNs(charge_ns);
+    if (detail_ != nullptr) {
+      detail_->calls++;
+      detail_->bytes += arg_bytes;
+      detail_->cpu_ns += charge_ns;
+    }
+  }
+  /// After the body: the result's marshaling back.
+  void Out(int64_t out_bytes) {
+    stats_->udf_bytes_marshaled += out_bytes;
+    const double charge_ns =
+        cost_->clr_byte_ns * static_cast<double>(out_bytes);
+    stats_->ChargeCpuNs(charge_ns);
+    if (detail_ != nullptr) {
+      detail_->bytes += out_bytes;
+      detail_->cpu_ns += charge_ns;
+    }
+  }
+
+ private:
+  const ScalarFunction* fn_;
+  QueryStats* stats_ = nullptr;
+  const CostModel* cost_ = nullptr;
+  QueryStats::UdfFnStats* detail_ = nullptr;  ///< when tracked
 };
 
 /// A user-defined aggregate. The engine emulates SQL Server's hosting

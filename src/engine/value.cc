@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "common/wrap_int.h"
+
 namespace sqlarray::engine {
 
 Result<int64_t> Value::AsInt() const {
@@ -9,7 +11,7 @@ Result<int64_t> Value::AsInt() const {
     case Kind::kInt64:
       return int_;
     case Kind::kFloat64:
-      return static_cast<int64_t>(dbl_);
+      return CheckedF64ToI64(dbl_);
     default:
       return Status::TypeMismatch("value is not numeric");
   }

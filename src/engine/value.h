@@ -71,6 +71,8 @@ class Value {
   bool is_null() const { return kind_ == Kind::kNull; }
 
   /// Numeric accessors with SQL-style coercion (int <-> float widen).
+  /// AsInt truncates a FLOAT toward zero and fails with kOutOfRange when it
+  /// has no BIGINT (NaN, +-inf, |x| >= 2^63; common/wrap_int.h).
   Result<int64_t> AsInt() const;
   Result<double> AsDouble() const;
   Result<std::string> AsString() const;

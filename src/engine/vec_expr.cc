@@ -1,11 +1,19 @@
 #include "engine/vec_expr.h"
 
+#include <array>
 #include <cstdint>
 
 namespace sqlarray::engine::vec {
 
 using col::ColumnVec;
 using col::Lane;
+
+namespace {
+
+/// Most arguments a kCall takes (Item_6 takes seven).
+constexpr int32_t kMaxCallArgs = 8;
+
+}  // namespace
 
 int32_t VecProgram::Emit(const Instr& in, Lane lane) {
   instrs_.push_back(in);
@@ -34,6 +42,8 @@ bool VecProgram::Compile(const Expr& expr, const storage::Schema& schema,
                          VecProgram* out) {
   out->instrs_.clear();
   out->lanes_.clear();
+  out->args_.clear();
+  out->calls_.clear();
   out->row_size_ = schema.row_size();
   return out->CompileNode(expr, schema, variables) >= 0;
 }
@@ -212,14 +222,110 @@ int32_t VecProgram::CompileNode(const Expr& e, const storage::Schema& schema,
     }
 
     case Expr::Kind::kCall:
+      return CompileCall(e, schema, variables);
+
     case Expr::Kind::kStar:
       return -1;
   }
   return -1;
 }
 
+int32_t VecProgram::CompileCall(const Expr& e, const storage::Schema& schema,
+                                const std::map<std::string, Value>* variables) {
+  const ScalarFunction* fn = e.bound_fn;
+  if (fn == nullptr || !fn->kernel ||
+      static_cast<int32_t>(e.args.size()) > kMaxCallArgs) {
+    return -1;
+  }
+  std::array<CallSlot, kMaxCallArgs> slots;
+  for (size_t j = 0; j < e.args.size(); ++j) {
+    const Expr& a = *e.args[j];
+    if (a.kind == Expr::Kind::kColumn && a.column_index >= 0 &&
+        schema.column(a.column_index).type == storage::ColumnType::kBinary) {
+      slots[j].offset = schema.column_offset(a.column_index);
+      slots[j].capacity = schema.column(a.column_index).capacity;
+      continue;
+    }
+    // A lane argument: NULL reaches a lane only from a NULL literal or
+    // variable, and the row function would see that NULL.
+    const size_t first = instrs_.size();
+    slots[j].reg = CompileNode(a, schema, variables);
+    if (slots[j].reg < 0) return -1;
+    for (size_t i = first; i < instrs_.size(); ++i) {
+      if (instrs_[i].op == Op::kConstNull) return -1;
+    }
+  }
+  Instr in;
+  in.op = Op::kCall;
+  in.fn = fn;
+  in.arg_begin = static_cast<int32_t>(args_.size());
+  args_.insert(args_.end(), slots.begin(), slots.begin() + e.args.size());
+  in.arg_end = static_cast<int32_t>(args_.size());
+  const int32_t r = Emit(in, fn->kernel_lane);
+  calls_.push_back(r);
+  return r;
+}
+
+Status VecProgram::RunCall(const Instr& in, const uint8_t* base,
+                           const int32_t* sel, int32_t n,
+                           std::vector<ColumnVec>* regs, ColumnVec* out,
+                           const UdfContext& udf) const {
+  if (udf.limits != nullptr) SQLARRAY_RETURN_IF_ERROR(udf.limits->Check());
+  std::array<CallArg, kMaxCallArgs> args;
+  const int32_t nargs = in.arg_end - in.arg_begin;
+  for (int32_t j = 0; j < nargs; ++j) {
+    const CallSlot& slot = args_[in.arg_begin + j];
+    CallArg& a = args[j];
+    if (slot.reg >= 0) {
+      a.lane = &(*regs)[slot.reg];
+      continue;
+    }
+    // Read in place; the length prefixes are checked first, as Eval's
+    // column decode checks them before the call.
+    a.base = base + slot.offset;
+    a.stride = row_size_;
+    a.sel = sel;
+    for (int32_t k = 0; k < n; ++k) {
+      SQLARRAY_RETURN_IF_ERROR(
+          storage::CheckBinaryColumn(a.At(k), slot.capacity));
+    }
+  }
+  SQLARRAY_RETURN_IF_ERROR(
+      in.fn->kernel(std::span<const CallArg>(args.data(), nargs), n, out));
+  out->SetAllValid();
+  return Status::OK();
+}
+
+void VecProgram::ChargeCalls(const uint8_t* base, const int32_t* sel,
+                             int32_t n, const UdfContext& udf) const {
+  if (n == 0) return;
+  std::vector<CallCharges> charges;
+  charges.reserve(calls_.size());
+  for (int32_t c : calls_) charges.emplace_back(*instrs_[c].fn, udf);
+  for (int32_t k = 0; k < n; ++k) {
+    const uint8_t* row =
+        base + static_cast<int64_t>(sel != nullptr ? sel[k] : k) * row_size_;
+    for (size_t c = 0; c < calls_.size(); ++c) {
+      if (!charges[c].active()) continue;
+      const Instr& in = instrs_[calls_[c]];
+      int64_t arg_bytes = 0;
+      for (int32_t j = in.arg_begin; j < in.arg_end; ++j) {
+        const CallSlot& slot = args_[j];
+        arg_bytes += slot.reg >= 0
+                         ? 8
+                         : static_cast<int64_t>(
+                               storage::BinaryColumnBytes(row + slot.offset)
+                                   .size());
+      }
+      charges[c].In(arg_bytes);
+      charges[c].Out(8);  // a lane result: one non-NULL number
+    }
+  }
+}
+
 Status VecProgram::Run(const RowBatch& batch, const std::vector<int32_t>* sel,
-                       std::vector<ColumnVec>* regs) const {
+                       std::vector<ColumnVec>* regs,
+                       const UdfContext& udf) const {
   const int32_t n =
       sel != nullptr ? static_cast<int32_t>(sel->size()) : batch.size();
   if (regs->size() < instrs_.size()) regs->resize(instrs_.size());
@@ -362,26 +468,35 @@ Status VecProgram::Run(const RowBatch& batch, const std::vector<int32_t>* sel,
         SQLARRAY_RETURN_IF_ERROR(col::I64ToF64(ra->i64(), n, ro.MutableF64(n)));
         ro.CopyValidity(*ra);
         break;
-      case Op::kF2I:
-        SQLARRAY_RETURN_IF_ERROR(col::F64ToI64(ra->f64(), n, ro.MutableI64(n)));
+      case Op::kF2I: {
+        int64_t* o = ro.MutableI64(n);
         ro.CopyValidity(*ra);
+        SQLARRAY_RETURN_IF_ERROR(
+            col::F64ToI64(ra->f64(), ro.valid_words(), n, o));
+        break;
+      }
+
+      case Op::kCall:
+        SQLARRAY_RETURN_IF_ERROR(RunCall(in, base, selp, n, regs, &ro, udf));
         break;
     }
   }
+  if (!calls_.empty()) ChargeCalls(base, selp, n, udf);
   return Status::OK();
 }
 
 Status VecFilter(const VecProgram& prog, const RowBatch& batch,
                  std::vector<ColumnVec>* regs, ColumnVec* trunc,
-                 std::vector<int32_t>* sel) {
-  SQLARRAY_RETURN_IF_ERROR(prog.Run(batch, nullptr, regs));
+                 std::vector<int32_t>* sel, const UdfContext& udf) {
+  SQLARRAY_RETURN_IF_ERROR(prog.Run(batch, nullptr, regs, udf));
   const ColumnVec& keep = prog.Result(*regs);
   const int32_t n = batch.size();
   const int64_t* v;
   if (keep.lane() == Lane::kF64) {
     // FilterBatch truthiness goes through Value::AsInt: doubles truncate.
     int64_t* t = trunc->MutableI64(n);
-    SQLARRAY_RETURN_IF_ERROR(col::F64ToI64(keep.f64(), n, t));
+    SQLARRAY_RETURN_IF_ERROR(
+        col::F64ToI64(keep.f64(), keep.valid_words(), n, t));
     v = t;
   } else {
     v = keep.i64();

@@ -9,11 +9,25 @@
 // runs over dense int64/float64 lanes with a validity bitmap.
 //
 // Compilation is best-effort: Compile returns false for any tree the
-// columnar domain does not cover (UDF calls, COUNT(*) stars, binary /
-// VARBINARY(MAX) columns, non-numeric literals or variables), and the
-// executor evaluates that whole expression with the row evaluator (Eval,
-// engine/expr.h) once per selected row instead — per query, per select
-// item. Lanes and Values are the engine's only two evaluators.
+// columnar domain does not cover (COUNT(*) stars, binary / VARBINARY(MAX)
+// columns outside a call, non-numeric literals or variables, and calls the
+// rule below leaves out), and the executor evaluates that whole expression
+// with the row evaluator (Eval, engine/expr.h) once per selected row
+// instead — per query, per select item. Lanes and Values are the engine's
+// only two evaluators.
+//
+// Hosted calls. A call compiles to one kCall instruction when its function
+// carries a column kernel (engine/udf.h) and every argument is either a
+// lane subprogram with no NULL literal or variable in it, or a fixed
+// VARBINARY(n) column, which the kernel reads in place out of the batch
+// rows after its length prefix is checked against the capacity. A call
+// without a kernel, with a NULL-able argument, a VARBINARY(MAX) blob, a
+// bytes or string argument, or a bytes or string result runs through Eval.
+// The instruction charges exactly what FunctionRegistry::Invoke charges
+// per call (CallCharges, summed row-major across the program's calls in
+// the order Eval makes them, arguments first), so modeled costs do not
+// move; it probes cancellation once per block where Invoke probes once per
+// call.
 //
 // Semantics contract: Run produces, for every selected row, exactly the
 // Value the row-at-a-time evaluator produces (see the numeric contracts in
@@ -56,9 +70,9 @@ class VecProgram {
   /// Evaluates over `batch` rows (restricted to `sel` when non-null, one
   /// output lane per selected row, in selection order). `regs` is the
   /// caller-owned register file, resized to num_instrs(); the result is
-  /// regs->back().
+  /// regs->back(). Hosted calls charge and probe through `udf`.
   Status Run(const RowBatch& batch, const std::vector<int32_t>* sel,
-             std::vector<col::ColumnVec>* regs) const;
+             std::vector<col::ColumnVec>* regs, const UdfContext& udf) const;
 
   col::Lane result_lane() const { return lanes_.empty() ? col::Lane::kI64 : lanes_.back(); }
   int32_t num_instrs() const { return static_cast<int32_t>(instrs_.size()); }
@@ -79,6 +93,7 @@ class VecProgram {
     kAndI, kOrI,
     kNegI, kNegF, kNotI,
     kI2F, kF2I,
+    kCall,
   };
 
   struct Instr {
@@ -89,6 +104,17 @@ class VecProgram {
     int64_t offset = 0;    ///< column byte offset within the row (loads)
     int64_t icon = 0;      ///< integer immediate (kConstI)
     double fcon = 0;       ///< float immediate (kConstF)
+    const ScalarFunction* fn = nullptr;  ///< kCall: the function
+    int32_t arg_begin = 0;  ///< kCall: its arguments, args_[begin, end)
+    int32_t arg_end = 0;
+  };
+
+  /// One argument of a kCall: a lane register, or a fixed VARBINARY(n)
+  /// column read in place.
+  struct CallSlot {
+    int32_t reg = -1;      ///< lane register; -1 for a binary column
+    int64_t offset = 0;    ///< binary column: byte offset within the row
+    int32_t capacity = 0;  ///< binary column: its VARBINARY(n) capacity
   };
 
   /// Emits one instruction; its output register index is its position.
@@ -99,9 +125,20 @@ class VecProgram {
   /// Recursive tree walk; returns the result register or -1 (unsupported).
   int32_t CompileNode(const Expr& e, const storage::Schema& schema,
                       const std::map<std::string, Value>* variables);
+  int32_t CompileCall(const Expr& e, const storage::Schema& schema,
+                      const std::map<std::string, Value>* variables);
+  /// Runs one kCall's kernel into `out`.
+  Status RunCall(const Instr& in, const uint8_t* base, const int32_t* sel,
+                 int32_t n, std::vector<col::ColumnVec>* regs,
+                 col::ColumnVec* out, const UdfContext& udf) const;
+  /// Charges every call of a successful run, row-major.
+  void ChargeCalls(const uint8_t* base, const int32_t* sel, int32_t n,
+                   const UdfContext& udf) const;
 
   std::vector<Instr> instrs_;
   std::vector<col::Lane> lanes_;  ///< output lane per register
+  std::vector<CallSlot> args_;    ///< kCall arguments
+  std::vector<int32_t> calls_;    ///< kCall instructions, in Eval's order
   int64_t row_size_ = 0;
 };
 
@@ -111,7 +148,7 @@ class VecProgram {
 /// caller-owned scratch for that truncation.
 Status VecFilter(const VecProgram& prog, const RowBatch& batch,
                  std::vector<col::ColumnVec>* regs, col::ColumnVec* trunc,
-                 std::vector<int32_t>* sel);
+                 std::vector<int32_t>* sel, const UdfContext& udf);
 
 /// Materializes a column back into engine Values (Int / Double / Null) —
 /// the bridge for consumers that still stitch Value rows.

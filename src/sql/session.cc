@@ -228,13 +228,16 @@ Status Session::RunStatement(Statement& stmt,
                              std::vector<engine::ResultSet>* results,
                              bool update_session_stats) {
   mvcc::MvccManager* m = mvcc_manager();
+  wal::WalManager* w = wal_manager();
   // Transactions run only under MVCC. A WAL without it would leave DML with
   // no transaction manager, so such a database runs no statement at all.
-  if (m == nullptr && wal_manager() != nullptr) {
+  if (m == nullptr && w != nullptr) {
     return Status::InvalidArgument(
         "a database with a write-ahead log needs an MvccManager attached "
         "before sessions can run statements");
   }
+  // Nor does a log that could not record the tables present at attach.
+  if (w != nullptr) SQLARRAY_RETURN_IF_ERROR(w->attach_status());
   // A simulated crash kills the transaction without telling the session.
   // Noticing here keeps the session honest: later DML autocommits instead of
   // writing into a dead transaction, BEGIN works again, and COMMIT/ROLLBACK

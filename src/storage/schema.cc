@@ -6,6 +6,13 @@
 
 namespace sqlarray::storage {
 
+Status CheckBinaryColumn(const uint8_t* p, int32_t capacity) {
+  if (DecodeLE<uint16_t>(p) > capacity) {
+    return Status::Corruption("binary column length exceeds capacity");
+  }
+  return Status::OK();
+}
+
 int64_t ColumnDef::Width() const {
   switch (type) {
     case ColumnType::kInt32:
@@ -163,11 +170,9 @@ Result<RowValue> Schema::DecodeColumn(const uint8_t* src, int col) const {
       out = DecodeLE<double>(p);
       return out;
     case ColumnType::kBinary: {
-      uint16_t len = DecodeLE<uint16_t>(p);
-      if (len > c.capacity) {
-        return Status::Corruption("binary column length exceeds capacity");
-      }
-      out = std::vector<uint8_t>(p + 2, p + 2 + len);
+      SQLARRAY_RETURN_IF_ERROR(CheckBinaryColumn(p, c.capacity));
+      std::span<const uint8_t> bytes = BinaryColumnBytes(p);
+      out = std::vector<uint8_t>(bytes.begin(), bytes.end());
       return out;
     }
     case ColumnType::kVarBinaryMax: {

@@ -8,10 +8,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/status.h"
 #include "storage/page.h"
 
@@ -46,6 +48,16 @@ struct ColumnDef {
   /// Serialized width of this column inside a row.
   int64_t Width() const;
 };
+
+/// A fixed VARBINARY(n) column serializes as a uint16 length, then the
+/// bytes, zero-padded to the capacity. kCorruption when the length stored
+/// at `p` (the column's first byte) exceeds `capacity`.
+Status CheckBinaryColumn(const uint8_t* p, int32_t capacity);
+/// The bytes stored at `p`, in place; the length must already have passed
+/// CheckBinaryColumn.
+inline std::span<const uint8_t> BinaryColumnBytes(const uint8_t* p) {
+  return {p + 2, DecodeLE<uint16_t>(p)};
+}
 
 /// One column's runtime value.
 using RowValue = std::variant<int32_t, int64_t, float, double,

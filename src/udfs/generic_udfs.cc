@@ -1,4 +1,5 @@
 #include "core/ops.h"
+#include "core/vec_kernels.h"
 #include "udfs/helpers.h"
 #include "udfs/register.h"
 
@@ -6,23 +7,9 @@ namespace sqlarray::udfs {
 
 namespace {
 
-using engine::Boundary;
 using engine::FunctionRegistry;
-using engine::ScalarFunction;
 using engine::UdfContext;
 using engine::Value;
-
-Status Reg(FunctionRegistry* reg, std::string schema, std::string name,
-           int arity, double work, engine::ScalarFn fn) {
-  ScalarFunction f;
-  f.schema = std::move(schema);
-  f.name = std::move(name);
-  f.arity = arity;
-  f.boundary = Boundary::kClr;
-  f.managed_work_ns = work;
-  f.fn = std::move(fn);
-  return reg->RegisterScalar(std::move(f));
-}
 
 }  // namespace
 
@@ -152,6 +139,11 @@ Status RegisterGenericUdfs(FunctionRegistry* registry) {
       registry, "dbo", "EmptyFunction", 2, 0,
       [](std::span<const Value>, UdfContext&) -> Result<Value> {
         return Value::Double(0.0);
+      },
+      [](std::span<const engine::CallArg>, int32_t rows,
+         col::ColumnVec* out) -> Status {
+        col::FillF64(0.0, rows, out->MutableF64(rows));
+        return Status::OK();
       }));
 
   return Status::OK();

@@ -1,6 +1,7 @@
 #include "udfs/helpers.h"
 
 #include "common/bytes.h"
+#include "common/wrap_int.h"
 #include "core/ops.h"
 #include "storage/blob.h"
 
@@ -50,7 +51,7 @@ Result<Dims> DimsFromValue(const Value& v, engine::UdfContext& ctx) {
   Dims out(static_cast<size_t>(ref.num_elements()));
   for (int64_t i = 0; i < ref.num_elements(); ++i) {
     SQLARRAY_ASSIGN_OR_RETURN(double d, ref.GetDouble(i));
-    out[i] = static_cast<int64_t>(d);
+    SQLARRAY_ASSIGN_OR_RETURN(out[i], CheckedF64ToI64(d));
   }
   return out;
 }
@@ -112,6 +113,21 @@ Result<std::complex<double>> DecodeComplexUdt(std::span<const uint8_t> bytes) {
                                 DecodeLE<double>(bytes.data() + 8));
   }
   return Status::InvalidArgument("complex UDT must be 8 or 16 bytes");
+}
+
+Status Reg(engine::FunctionRegistry* reg, std::string schema,
+           std::string name, int arity, double work, engine::ScalarFn fn,
+           engine::ColumnKernel kernel) {
+  engine::ScalarFunction f;
+  f.schema = std::move(schema);
+  f.name = std::move(name);
+  f.arity = arity;
+  f.boundary = engine::Boundary::kClr;
+  f.managed_work_ns = work;
+  f.fn = std::move(fn);
+  f.kernel = std::move(kernel);
+  f.kernel_lane = col::Lane::kF64;
+  return reg->RegisterScalar(std::move(f));
 }
 
 Result<Dims> IndexArgs(std::span<const engine::Value> args, size_t first,

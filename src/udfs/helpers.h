@@ -49,6 +49,12 @@ Result<OwnedArray> SubarrayFromValue(const engine::Value& v,
 std::vector<uint8_t> EncodeComplexUdt(std::complex<double> v, bool single);
 Result<std::complex<double>> DecodeComplexUdt(std::span<const uint8_t> bytes);
 
+/// Registers a hosted (CLR-boundary) scalar function: its row function
+/// and, when it has one, its column kernel, which returns FLOAT lanes.
+Status Reg(engine::FunctionRegistry* reg, std::string schema,
+           std::string name, int arity, double work, engine::ScalarFn fn,
+           engine::ColumnKernel kernel = nullptr);
+
 /// Reads the integer arguments args[first..first+count) into a Dims list.
 Result<Dims> IndexArgs(std::span<const engine::Value> args, size_t first,
                        size_t count);

@@ -10,23 +10,9 @@ namespace sqlarray::udfs {
 
 namespace {
 
-using engine::Boundary;
 using engine::FunctionRegistry;
-using engine::ScalarFunction;
 using engine::UdfContext;
 using engine::Value;
-
-Status Reg(FunctionRegistry* reg, std::string schema, std::string name,
-           int arity, double work, engine::ScalarFn fn) {
-  ScalarFunction f;
-  f.schema = std::move(schema);
-  f.name = std::move(name);
-  f.arity = arity;
-  f.boundary = Boundary::kClr;
-  f.managed_work_ns = work;
-  f.fn = std::move(fn);
-  return reg->RegisterScalar(std::move(f));
-}
 
 /// Loads any real/complex array argument into a complex128 buffer.
 Result<std::pair<Dims, std::vector<fft::Complex>>> LoadComplex(

@@ -33,10 +33,16 @@ WalManager::WalManager(storage::Database* db, WalConfig config)
   db_->AttachWal(this);
   // Tables that exist already were written through to the data disk, but
   // recovery rebuilds the catalog from the log alone: log each one, as if
-  // it had been created now. Append only buffers, and these records are far
-  // below the size cap, so nothing here touches the log device.
-  for (const std::string& name : db_->TableNames()) {
-    (void)NoteTableCreated(db_->GetTable(name).value());
+  // it had been created now, and force the records with one flush, so a
+  // crash before the first commit still recovers them.
+  const std::vector<std::string> tables = db_->TableNames();
+  for (const std::string& name : tables) {
+    if (attach_status_.ok()) {
+      attach_status_ = NoteTableCreated(db_->GetTable(name).value());
+    }
+  }
+  if (!tables.empty() && attach_status_.ok()) {
+    attach_status_ = writer_.FlushAll();
   }
 }
 

@@ -88,7 +88,9 @@ struct RecoveryStats {
 class WalManager {
  public:
   /// Attaches to `db`: installs the pool hooks, enables write-back, and
-  /// registers itself via Database::AttachWal.
+  /// registers itself via Database::AttachWal. Tables that exist already
+  /// are logged as created and forced to the log device before this
+  /// returns; attach_status() reports a failure to do so.
   explicit WalManager(storage::Database* db, WalConfig config = {});
   /// Clean shutdown: flushes the log and all dirty pages, then detaches.
   ~WalManager();
@@ -181,6 +183,10 @@ class WalManager {
   /// Installs (or clears, with `{}`) the crash/recovery observer.
   void SetObserver(WalObserver obs) { observer_ = std::move(obs); }
 
+  /// Whether the tables present at attach reached the log. Sessions refuse
+  /// to run statements on a log that failed here.
+  const Status& attach_status() const { return attach_status_; }
+
   const RecoveryStats& last_recovery() const { return last_recovery_; }
   LogDevice* log_device() { return &device_; }
   LogWriter* log_writer() { return &writer_; }
@@ -223,6 +229,7 @@ class WalManager {
   int checkpoint_crash_step_ = 0;
   int commit_crash_step_ = 0;
   RecoveryStats last_recovery_;
+  Status attach_status_;
   WalObserver observer_;
 
   obs::Counter* reg_commits_;

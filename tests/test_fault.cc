@@ -15,6 +15,7 @@
 #include "common/bytes.h"
 #include "common/crc32c.h"
 #include "core/array.h"
+#include "core/ops.h"
 #include "storage/blob.h"
 #include "storage/btree.h"
 #include "storage/table.h"
@@ -112,6 +113,85 @@ TEST(ArrayFuzz, RandomBlobsNeverCrashTheDecoder) {
       // inside the buffer — the view can never read out of bounds.
       EXPECT_LE(static_cast<size_t>(r->header().blob_size()), blob.size());
     }
+  }
+}
+
+/// The element read the typed Item_N functions made before ReadShortItem:
+/// decode the header, check the schema, parse the view, read the item.
+Result<double> ParseChainItem(std::span<const uint8_t> blob, DType dtype,
+                              std::span<const int64_t> index) {
+  SQLARRAY_ASSIGN_OR_RETURN(ArrayHeader h, DecodeHeader(blob));
+  SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(h, dtype, StorageClass::kShort));
+  SQLARRAY_ASSIGN_OR_RETURN(ArrayRef ref, ArrayRef::Parse(blob));
+  return Item(ref, index);
+}
+
+/// ReadShortItem must agree with the parse chain on every input: the same
+/// value bit for bit, or the same Status code and message.
+void ExpectReaderMatchesChain(std::span<const uint8_t> blob,
+                              const std::string& what) {
+  const int64_t indices[][2] = {{0, 0}, {3, 5}, {1, 2}, {-1, 0}, {4, 6}};
+  for (DType dtype : {DType::kFloat64, DType::kInt32, DType::kFloat32}) {
+    for (size_t rank = 1; rank <= 2; ++rank) {
+      for (const auto& idx : indices) {
+        std::span<const int64_t> index(idx, rank);
+        Result<double> got = ReadShortItem(blob, dtype, index);
+        Result<double> want = ParseChainItem(blob, dtype, index);
+        ASSERT_EQ(got.ok(), want.ok()) << what;
+        if (want.ok()) {
+          EXPECT_EQ(std::memcmp(&*got, &*want, sizeof(double)), 0) << what;
+        } else {
+          EXPECT_EQ(got.status().ToString(), want.status().ToString())
+              << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(ArrayFuzz, ShortItemReaderMatchesTheParseChain) {
+  std::vector<double> vals(24);
+  for (size_t i = 0; i < vals.size(); ++i) vals[i] = 0.25 * i - 2;
+  OwnedArray a = OwnedArray::FromValues<double>(Dims{4, 6}, vals).value();
+  std::vector<uint8_t> blob(a.blob().begin(), a.blob().end());
+  blob.resize(blob.size() + 8, 0);  // fixed binary columns pad
+  ExpectReaderMatchesChain(blob, "valid padded blob");
+  for (size_t n = 0; n <= blob.size(); ++n) {
+    ExpectReaderMatchesChain(std::span<const uint8_t>(blob).first(n),
+                             "truncated to " + std::to_string(n));
+  }
+  // Every single-bit flip of the header, the dtype and reserved bytes
+  // included.
+  for (int byte = 0; byte < kShortHeaderSize; ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<uint8_t> flipped = blob;
+      flipped[byte] ^= static_cast<uint8_t>(1u << bit);
+      ExpectReaderMatchesChain(flipped, "flip of byte " +
+                                            std::to_string(byte) + " bit " +
+                                            std::to_string(bit));
+    }
+  }
+  // Max arrays (the wrong class) and other dtypes (the wrong schema).
+  OwnedArray max =
+      OwnedArray::Zeros(DType::kFloat64, Dims{4, 6}, StorageClass::kMax)
+          .value();
+  ExpectReaderMatchesChain(max.blob(), "max array");
+  OwnedArray ints = OwnedArray::Zeros(DType::kInt32, Dims{5}).value();
+  ExpectReaderMatchesChain(ints.blob(), "int32 array");
+  // Random bytes, half of them behind a valid magic and short flag.
+  std::mt19937_64 rng(0x17E3);
+  std::uniform_int_distribution<int> len_dist(0, 96);
+  std::uniform_int_distribution<int> byte_dist(0, 255);
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::vector<uint8_t> noise(len_dist(rng));
+    for (uint8_t& b : noise) b = static_cast<uint8_t>(byte_dist(rng));
+    if (noise.size() >= 4 && iter % 2 == 0) {
+      noise[0] = kArrayMagic;
+      noise[1] = 0;
+      noise[2] = static_cast<uint8_t>(iter % kNumDTypes);
+      noise[3] = static_cast<uint8_t>(1 + iter % kMaxShortRank);
+    }
+    ExpectReaderMatchesChain(noise, "random blob " + std::to_string(iter));
   }
 }
 

@@ -8,11 +8,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "core/array.h"
 #include "core/column.h"
 #include "core/vec_kernels.h"
@@ -845,8 +847,8 @@ TEST_F(VecEngineTest, ProfileModesForMixedPlans) {
     return Bin(BinaryOp::kGt, Col("id"), Lit(Value::Int(5)));
   };
 
-  // A UDF argument keeps the aggregate on the row evaluator while the
-  // WHERE still compiles to a columnar program.
+  // A call whose function has a column kernel is a lane instruction, so
+  // the aggregate runs vectorized with the WHERE.
   Query udf_sum;
   udf_sum.table = t;
   std::vector<ExprPtr> args;
@@ -856,6 +858,20 @@ TEST_F(VecEngineTest, ProfileModesForMixedPlans) {
                                SelectItem::AggKind::kSum, "s"));
   udf_sum.where = id_gt_5();
   EXPECT_EQ(modes(std::move(udf_sum)),
+            (std::map<std::string, std::string>{{"aggregate", "vectorized"},
+                                                {"filter", "vectorized"}}));
+
+  // A call without a kernel keeps the aggregate on the row evaluator while
+  // the WHERE still compiles to a columnar program.
+  Query boxed_sum;
+  boxed_sum.table = t;
+  std::vector<ExprPtr> boxed_args;
+  boxed_args.push_back(Col("v"));
+  boxed_args.push_back(Lit(Value::Int(0)));
+  boxed_sum.items.push_back(Item(Call("Array", "Item", std::move(boxed_args)),
+                                 SelectItem::AggKind::kSum, "s"));
+  boxed_sum.where = id_gt_5();
+  EXPECT_EQ(modes(std::move(boxed_sum)),
             (std::map<std::string, std::string>{{"aggregate", "row"},
                                                 {"filter", "vectorized"}}));
 
@@ -940,6 +956,573 @@ TEST_F(VecEngineTest, ConcurrentMorselVectorizedStress) {
     const Outcome got = Run(q, nullptr, 256, 8, false);
     EXPECT_EQ(got.ok, base.ok);
     EXPECT_EQ(got.payload, base.payload) << "rep=" << rep;
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// FLOAT -> BIGINT conversion: NaN, +-inf and |x| >= 2^63 raise kOutOfRange
+// in both evaluators (SQL Server's arithmetic overflow), never the
+// undefined bare cast.
+// ---------------------------------------------------------------------------
+
+TEST_F(VecEngineTest, FloatToBigintOverflowFailsInBothEvaluators) {
+  storage::Schema schema =
+      storage::Schema::Create({{"id", storage::ColumnType::kInt64, 0},
+                               {"x", storage::ColumnType::kFloat64, 0},
+                               {"v", storage::ColumnType::kBinary, 64}})
+          .value();
+  storage::Table* t = db_.CreateTable("f2i", std::move(schema)).value();
+  OwnedArray vec = OwnedArray::Zeros(DType::kFloat64, Dims{5}).value();
+  const std::vector<uint8_t> blob(vec.blob().begin(), vec.blob().end());
+  for (int64_t i = 0; i < 300; ++i) {
+    const double x = i == 211 ? 1e300 : static_cast<double>(i % 4);
+    ASSERT_TRUE(t->Insert({i, x, blob}).ok());
+  }
+  std::map<std::string, Value> vars{{"null", Value::Null()}};
+  const std::string overflow =
+      "OUT_OF_RANGE: arithmetic overflow converting FLOAT to BIGINT";
+  auto outcome = [&](Query q, int batch) {
+    EXPECT_TRUE(executor_.Bind(&q).ok());
+    return Run(q, &vars, batch, /*workers=*/1, /*force_scalar=*/false);
+  };
+  auto call = [](double index) {
+    std::vector<ExprPtr> args;
+    args.push_back(Col("v"));
+    args.push_back(Lit(Value::Double(index)));
+    return Call("FloatArray", "Item_1", std::move(args));
+  };
+  for (int batch : {1, 1024}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    // SELECT 1e300 % 3 (a FROM-less query: Eval at every width).
+    Query mod;
+    mod.items.push_back(Item(Bin(BinaryOp::kMod, Lit(Value::Double(1e300)),
+                                 Lit(Value::Int(3))),
+                             SelectItem::AggKind::kNone, "m"));
+    EXPECT_EQ(outcome(std::move(mod), batch).payload, overflow);
+    // ... WHERE x: the row's FLOAT truthiness has no BIGINT.
+    Query where;
+    where.table = t;
+    where.where = Col("x");
+    where.items.push_back(Item(Star(), SelectItem::AggKind::kCount, "n"));
+    EXPECT_EQ(outcome(std::move(where), batch).payload, overflow);
+    // ... x % 2 in a projection, and NOT x in an aggregate.
+    Query proj;
+    proj.table = t;
+    proj.items.push_back(
+        Item(Bin(BinaryOp::kMod, Col("x"), Lit(Value::Int(2))),
+             SelectItem::AggKind::kNone, "m"));
+    EXPECT_EQ(outcome(std::move(proj), batch).payload, overflow);
+    Query neg;
+    neg.table = t;
+    neg.items.push_back(Item(Un(UnaryOp::kNot, Col("x")),
+                             SelectItem::AggKind::kSum, "s"));
+    EXPECT_EQ(outcome(std::move(neg), batch).payload, overflow);
+    // ... an Item_N index: the kernel converts its index lanes the way the
+    // row function's AsInt does.
+    for (double index : {1e300, -1e300, kInf, -kInf, kNaN, 0x1p63}) {
+      Query item;
+      item.table = t;
+      item.items.push_back(
+          Item(call(index), SelectItem::AggKind::kSum, "s"));
+      EXPECT_EQ(outcome(std::move(item), batch).payload, overflow) << index;
+    }
+    // -2^63 itself fits (and is then out of the array's bounds).
+    Query low;
+    low.table = t;
+    low.items.push_back(Item(call(-0x1p63), SelectItem::AggKind::kSum, "s"));
+    EXPECT_EQ(outcome(std::move(low), batch).payload,
+              "OUT_OF_RANGE: index -9223372036854775808 out of bounds for "
+              "dimension 0 of size 5");
+    // A NULL lane converts nothing: (x + @null) % 2 is NULL, not an error.
+    Query null_lane;
+    null_lane.table = t;
+    null_lane.items.push_back(
+        Item(Bin(BinaryOp::kMod, Bin(BinaryOp::kAdd, Col("x"), Var("null")),
+                 Lit(Value::Int(2))),
+             SelectItem::AggKind::kSum, "s"));
+    Outcome o = outcome(std::move(null_lane), batch);
+    EXPECT_TRUE(o.ok) << o.payload;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hosted calls as lanes: a call to a function with a column kernel is one
+// kCall instruction. It must return what Eval returns and charge exactly
+// what FunctionRegistry::Invoke charges.
+// ---------------------------------------------------------------------------
+
+/// The non-complex dtypes: every short schema whose Item_N has a kernel.
+constexpr DType kRealDTypes[] = {DType::kInt8,    DType::kInt16,
+                                 DType::kInt32,   DType::kInt64,
+                                 DType::kFloat32, DType::kFloat64,
+                                 DType::kDateTime};
+
+class CallLaneTest : public VecEngineTest {
+ protected:
+  static constexpr int64_t kCallRows = 301;
+  /// The rank-r column a<r> holds arrays of the first r of these sizes.
+  static constexpr int64_t kDims[kMaxShortRank] = {3, 2, 2, 1, 2, 1};
+
+  CallLaneTest() : rows_executor_(&db_, &rows_registry_) {
+    EXPECT_TRUE(udfs::RegisterAllUdfs(&rows_registry_).ok());
+    // The oracle: the same functions without their kernels, so every call
+    // runs through Eval and Invoke at every batch size.
+    for (DType dt : kRealDTypes) {
+      for (int n = 1; n <= kMaxShortRank; ++n) {
+        StripKernel(SchemaOf(dt), "Item_" + std::to_string(n), n + 1);
+      }
+    }
+    StripKernel("dbo", "EmptyFunction", 2);
+  }
+
+  void StripKernel(const std::string& schema, const std::string& name,
+                   int arity) {
+    Result<const ScalarFunction*> fn =
+        rows_registry_.Resolve(schema, name, arity);
+    ASSERT_TRUE(fn.ok());
+    ASSERT_TRUE(static_cast<bool>((*fn)->kernel)) << schema << "." << name;
+    const_cast<ScalarFunction*>(*fn)->kernel = nullptr;
+  }
+
+  static std::string SchemaOf(DType dt) {
+    return std::string(DTypeSchemaPrefix(dt)) + "Array";
+  }
+
+  /// id BIGINT, k INT (id % 3), x FLOAT (id % 2 + 0.75) and a1 .. a6:
+  /// short `dt` arrays of rank 1 .. 6 in VARBINARY(256) columns.
+  storage::Table* MakeArrayTable(DType dt) {
+    std::vector<storage::ColumnDef> cols = {
+        {"id", storage::ColumnType::kInt64, 0},
+        {"k", storage::ColumnType::kInt32, 0},
+        {"x", storage::ColumnType::kFloat64, 0}};
+    for (int r = 1; r <= kMaxShortRank; ++r) {
+      cols.push_back({"a" + std::to_string(r), storage::ColumnType::kBinary,
+                      256});
+    }
+    storage::Table* t =
+        db_.CreateTable("arrays_" + std::string(DTypeName(dt)),
+                        storage::Schema::Create(std::move(cols)).value())
+            .value();
+    for (int64_t i = 0; i < kCallRows; ++i) {
+      storage::Row row(3 + kMaxShortRank);
+      row[0] = i;
+      row[1] = static_cast<int32_t>(i % 3);
+      row[2] = static_cast<double>(i % 2) + 0.75;
+      for (int r = 1; r <= kMaxShortRank; ++r) {
+        OwnedArray a = OwnedArray::Zeros(dt, Dims(kDims, kDims + r),
+                                         StorageClass::kShort)
+                           .value();
+        for (int64_t e = 0; e < a.num_elements(); ++e) {
+          const double v = static_cast<double>((i * 7 + e * 13) % 101 - 50);
+          EXPECT_TRUE(
+              a.SetDouble(e, IsIntegerDType(dt) ? v : v * 0.375 + 0.125 * e)
+                  .ok());
+        }
+        std::vector<uint8_t> blob(a.blob().begin(), a.blob().end());
+        row[2 + r] = std::move(blob);
+      }
+      EXPECT_TRUE(t->Insert(row).ok());
+    }
+    return t;
+  }
+
+  /// Index d of a call in one of five forms — a literal, a BIGINT or FLOAT
+  /// variable, the INT column k, arithmetic over id, the FLOAT column x —
+  /// always inside [0, kDims[d]).
+  static ExprPtr Index(int d, int form) {
+    const int64_t size = kDims[d];
+    switch (form % 5) {
+      case 0:
+        return Lit(Value::Int(size - 1));
+      case 1:
+        return Var(size == 1 ? "zero" : d % 2 == 0 ? "one" : "half");
+      case 2:
+        return size == 3 ? Col("k")
+                         : Bin(BinaryOp::kMod, Col("k"), Lit(Value::Int(size)));
+      case 3:
+        return Bin(BinaryOp::kMod,
+                   Bin(BinaryOp::kAdd, Col("id"), Lit(Value::Int(d))),
+                   Lit(Value::Int(size)));
+      default:
+        return size > 1 ? Col("x")
+                        : Bin(BinaryOp::kMul, Col("x"), Lit(Value::Double(0)));
+    }
+  }
+
+  /// <dt>Array.Item_r(a<r>, ...) with index d in form `form + d`.
+  static ExprPtr ItemCall(DType dt, int r, int form) {
+    std::vector<ExprPtr> args;
+    args.push_back(Col("a" + std::to_string(r)));
+    for (int d = 0; d < r; ++d) args.push_back(Index(d, form + d));
+    return Call(SchemaOf(dt), "Item_" + std::to_string(r), std::move(args));
+  }
+
+  static ExprPtr EmptyCall(int r) {
+    std::vector<ExprPtr> args;
+    args.push_back(Col("a" + std::to_string(r)));
+    args.push_back(Col("id"));
+    return Call("dbo", "EmptyFunction", std::move(args));
+  }
+
+  /// One run's results, every QueryStats field, the EXPLAIN ANALYZE udf
+  /// rows and the rows the lane programs left to Eval.
+  struct Snap {
+    bool ok = false;
+    std::string payload;
+    QueryStats stats;
+    std::string udf_rows;
+    int64_t fallback_rows = 0;
+  };
+
+  Snap RunSnap(Executor& ex, const Query& q, std::map<std::string, Value>* vars,
+               int batch, int workers, bool force_scalar) {
+    col::SetForceScalar(force_scalar);
+    ex.set_batch_rows(batch);
+    ex.set_scan_workers(workers);
+    db_.ClearCache();
+    QueryContext qctx;
+    qctx.collect_profile = true;
+    obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
+    Result<ResultSet> r = ex.Execute(q, vars, &qctx);
+    obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
+    col::SetForceScalar(false);
+    Snap s;
+    s.ok = r.ok();
+    if (!r.ok()) {
+      s.payload = r.status().ToString();
+      return s;
+    }
+    s.payload = Fingerprint(r.value());
+    s.stats = r.value().stats;
+    s.fallback_rows = after.Delta(before, "vec.fallback_rows");
+    for (const obs::ProfileNode& n : qctx.profile.root().children) {
+      if (n.op != "udf") continue;
+      const double modeled = n.counters.modeled_seconds;
+      s.udf_rows += n.detail + " calls=" + std::to_string(n.counters.udf_calls) +
+                    " bytes=" + std::to_string(n.counters.udf_bytes) + " s=";
+      s.udf_rows.append(reinterpret_cast<const char*>(&modeled), 8);
+      s.udf_rows += ";";
+    }
+    return s;
+  }
+
+  /// The integer QueryStats fields and I/O counts must match exactly.
+  static void ExpectSameCounts(const QueryStats& a, const QueryStats& b) {
+    EXPECT_EQ(a.rows_scanned, b.rows_scanned);
+    EXPECT_EQ(a.rows_kept, b.rows_kept);
+    EXPECT_EQ(a.agg_steps, b.agg_steps);
+    EXPECT_EQ(a.udf_calls, b.udf_calls);
+    EXPECT_EQ(a.udf_bytes_marshaled, b.udf_bytes_marshaled);
+    EXPECT_EQ(a.uda_state_bytes, b.uda_state_bytes);
+    EXPECT_EQ(a.io.pages_read, b.io.pages_read);
+    EXPECT_EQ(a.io.bytes_read, b.io.bytes_read);
+    ASSERT_EQ(a.udf_by_fn.size(), b.udf_by_fn.size());
+    for (const auto& [fn, d] : a.udf_by_fn) {
+      auto it = b.udf_by_fn.find(fn);
+      ASSERT_NE(it, b.udf_by_fn.end()) << fn;
+      EXPECT_EQ(d.calls, it->second.calls) << fn;
+      EXPECT_EQ(d.bytes, it->second.bytes) << fn;
+    }
+  }
+
+  /// Every configuration of the lane executor against (a) the kernel-free
+  /// executor at the same batch size and worker count — every QueryStats
+  /// field and udf row bit for bit, as the engine produced before calls had
+  /// lanes — and (b) the one-row oracle: results bitwise, counts exact and
+  /// modeled CPU equal up to the summation order, which differs between
+  /// widths and worker counts.
+  void ExpectCallLanesMatch(const std::function<Query()>& make,
+                            std::map<std::string, Value>* vars) {
+    Query lane_q = make();
+    ASSERT_TRUE(executor_.Bind(&lane_q).ok());
+    Query row_q = make();
+    ASSERT_TRUE(rows_executor_.Bind(&row_q).ok());
+    const Snap base = RunSnap(executor_, lane_q, vars, 1, 1, true);
+    ASSERT_TRUE(base.ok) << base.payload;
+    ASSERT_GT(base.stats.udf_calls, 0);
+    for (int b : {1, 3, 1024}) {
+      for (int w : {1, 2, 8}) {
+        for (bool scalar : {false, true}) {
+          SCOPED_TRACE("batch=" + std::to_string(b) +
+                       " workers=" + std::to_string(w) +
+                       " scalar=" + std::to_string(scalar));
+          const Snap lane = RunSnap(executor_, lane_q, vars, b, w, scalar);
+          const Snap rows = RunSnap(rows_executor_, row_q, vars, b, w, scalar);
+          ASSERT_TRUE(lane.ok) << lane.payload;
+          ASSERT_TRUE(rows.ok) << rows.payload;
+          EXPECT_EQ(lane.payload, rows.payload);
+          ExpectSameCounts(lane.stats, rows.stats);
+          EXPECT_EQ(std::memcmp(&lane.stats.cpu_core_seconds,
+                                &rows.stats.cpu_core_seconds, sizeof(double)),
+                    0)
+              << lane.stats.cpu_core_seconds << " vs "
+              << rows.stats.cpu_core_seconds;
+          EXPECT_EQ(lane.udf_rows, rows.udf_rows);
+          // Every call ran as a lane instruction.
+          if (b > 1) {
+            EXPECT_EQ(lane.fallback_rows, 0);
+          }
+
+          EXPECT_EQ(lane.payload, base.payload);
+          ExpectSameCounts(lane.stats, base.stats);
+          EXPECT_NEAR(lane.stats.cpu_core_seconds, base.stats.cpu_core_seconds,
+                      1e-12 * base.stats.cpu_core_seconds);
+        }
+      }
+    }
+  }
+
+  FunctionRegistry rows_registry_;
+  Executor rows_executor_;
+};
+
+TEST_F(CallLaneTest, ItemNDifferentialAcrossDtypesAndRanks) {
+  std::map<std::string, Value> vars{{"zero", Value::Int(0)},
+                                    {"one", Value::Int(1)},
+                                    {"half", Value::Double(1.5)}};
+  for (DType dt : kRealDTypes) {
+    storage::Table* t = MakeArrayTable(dt);
+    for (int r = 1; r <= kMaxShortRank; ++r) {
+      SCOPED_TRACE(SchemaOf(dt) + ".Item_" + std::to_string(r));
+      // Calls in the WHERE (two of them, charged row-major) and in every
+      // native aggregate's argument.
+      ExpectCallLanesMatch(
+          [&] {
+            Query q;
+            q.table = t;
+            q.where = Bin(BinaryOp::kOr,
+                          Bin(BinaryOp::kLt, ItemCall(dt, r, 0),
+                              ItemCall(dt, r, 1)),
+                          Bin(BinaryOp::kEq, Col("k"), Lit(Value::Int(0))));
+            q.items.push_back(
+                Item(ItemCall(dt, r, 2), SelectItem::AggKind::kSum, "s"));
+            q.items.push_back(Item(Bin(BinaryOp::kMul, ItemCall(dt, r, 3),
+                                       Lit(Value::Double(2))),
+                                   SelectItem::AggKind::kMin, "mn"));
+            q.items.push_back(
+                Item(ItemCall(dt, r, 4), SelectItem::AggKind::kMax, "mx"));
+            q.items.push_back(
+                Item(ItemCall(dt, r, 0), SelectItem::AggKind::kCount, "c"));
+            q.items.push_back(
+                Item(EmptyCall(r), SelectItem::AggKind::kSum, "e"));
+            return q;
+          },
+          &vars);
+      // Projections, with a call nested in another call's index: Eval
+      // charges the inner call first.
+      ExpectCallLanesMatch(
+          [&] {
+            Query q;
+            q.table = t;
+            q.where = Bin(BinaryOp::kNe,
+                          Bin(BinaryOp::kMod, Col("id"), Lit(Value::Int(4))),
+                          Lit(Value::Int(0)));
+            q.items.push_back(Item(Col("id"), SelectItem::AggKind::kNone, "id"));
+            q.items.push_back(Item(Bin(BinaryOp::kAdd, ItemCall(dt, r, 1),
+                                       Col("k")),
+                                   SelectItem::AggKind::kNone, "i"));
+            ExprPtr nested = ItemCall(dt, r, 3);
+            nested->args[1] = Bin(BinaryOp::kMul, ItemCall(dt, 1, 2),
+                                  Lit(Value::Double(0)));
+            q.items.push_back(
+                Item(std::move(nested), SelectItem::AggKind::kNone, "n"));
+            q.items.push_back(
+                Item(EmptyCall(r), SelectItem::AggKind::kNone, "e"));
+            return q;
+          },
+          &vars);
+    }
+  }
+}
+
+TEST_F(CallLaneTest, NullableOrBlobArgumentsStayOnEval) {
+  storage::Table* t = MakeArrayTable(DType::kFloat64);
+  std::map<std::string, Value> vars{{"nothing", Value::Null()}};
+  // A NULL variable, a NULL literal inside arithmetic, and a bytes literal:
+  // none is a lane the kernel may see, so each call runs through Eval.
+  std::vector<ExprPtr> null_var;
+  null_var.push_back(Col("a1"));
+  null_var.push_back(Var("nothing"));
+  std::vector<ExprPtr> null_lit;
+  null_lit.push_back(Col("a1"));
+  null_lit.push_back(Bin(BinaryOp::kAdd, Col("k"), Lit(Value::Null())));
+  OwnedArray one = OwnedArray::Zeros(DType::kFloat64, Dims{3}).value();
+  std::vector<ExprPtr> bytes_lit;
+  bytes_lit.push_back(Lit(Value::Bytes(
+      std::vector<uint8_t>(one.blob().begin(), one.blob().end()))));
+  bytes_lit.push_back(Col("k"));
+  std::vector<std::vector<ExprPtr>> cases;
+  cases.push_back(std::move(null_var));
+  cases.push_back(std::move(null_lit));
+  cases.push_back(std::move(bytes_lit));
+  for (std::vector<ExprPtr>& args : cases) {
+    Query q;
+    q.table = t;
+    q.where = Bin(BinaryOp::kGe, Col("id"), Lit(Value::Int(0)));  // lanes
+    q.items.push_back(Item(Call("FloatArray", "Item_1", std::move(args)),
+                           SelectItem::AggKind::kCount, "c"));
+    ASSERT_TRUE(executor_.Bind(&q).ok());
+    const Snap base = RunSnap(executor_, q, &vars, 1, 1, false);
+    const Snap wide = RunSnap(executor_, q, &vars, 1024, 1, false);
+    EXPECT_EQ(wide.ok, base.ok);
+    EXPECT_EQ(wide.payload, base.payload);
+    if (wide.ok) {
+      EXPECT_EQ(wide.fallback_rows, kCallRows);
+    }
+  }
+}
+
+TEST_F(CallLaneTest, MalformedBlobFailsAlikeAtEveryWidth) {
+  const std::vector<double> vals = {0.5, 1.5, 2.5, 3.5, 4.5};
+  const OwnedArray good =
+      OwnedArray::FromValues<double>(Dims{5}, vals).value();
+  const std::vector<uint8_t> blob(good.blob().begin(), good.blob().end());
+  ASSERT_EQ(blob.size(), 64u);
+  auto patched = [&](size_t at, uint8_t byte) {
+    std::vector<uint8_t> b = blob;
+    b[at] = byte;
+    return b;
+  };
+  std::vector<uint8_t> count = blob;
+  EncodeLE<uint32_t>(count.data() + 4, 6);
+  const OwnedArray ints = OwnedArray::Zeros(DType::kInt32, Dims{5}).value();
+  const OwnedArray max =
+      OwnedArray::Zeros(DType::kFloat64, Dims{5}, StorageClass::kMax).value();
+
+  constexpr int64_t kBadRow = 137;
+  struct Case {
+    std::string name;
+    std::vector<uint8_t> bytes;  ///< row kBadRow's blob
+    StatusCode code;
+    bool oversize_prefix = false;  ///< corrupt the stored length prefix
+    bool bad_index = false;        ///< row kBadRow's index is out of range
+  };
+  const Case cases[] = {
+      {"bad_magic", patched(0, 0x00), StatusCode::kCorruption},
+      {"max_flag", patched(1, 1), StatusCode::kCorruption},
+      {"max_array",
+       std::vector<uint8_t>(max.blob().begin(), max.blob().end()),
+       StatusCode::kTypeMismatch},
+      {"wrong_dtype",
+       std::vector<uint8_t>(ints.blob().begin(), ints.blob().end()),
+       StatusCode::kTypeMismatch},
+      {"bad_dtype_byte", patched(2, 0x7f), StatusCode::kCorruption},
+      {"rank_0", patched(3, 0), StatusCode::kCorruption},
+      {"rank_7", patched(3, 7), StatusCode::kCorruption},
+      {"count_mismatch", count, StatusCode::kCorruption},
+      {"truncated_payload",
+       std::vector<uint8_t>(blob.begin(), blob.begin() + 40),
+       StatusCode::kCorruption},
+      {"shorter_than_header",
+       std::vector<uint8_t>(blob.begin(), blob.begin() + 10),
+       StatusCode::kCorruption},
+      {"header_only", std::vector<uint8_t>(blob.begin(), blob.begin() + 24),
+       StatusCode::kCorruption},
+      {"length_above_capacity", blob, StatusCode::kCorruption, true},
+      {"index_out_of_range", blob, StatusCode::kOutOfRange, false, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    db_.disk()->set_checksums_enabled(!c.oversize_prefix);
+    storage::Schema schema =
+        storage::Schema::Create({{"id", storage::ColumnType::kInt64, 0},
+                                 {"v", storage::ColumnType::kBinary, 64}})
+            .value();
+    storage::Table* t =
+        db_.CreateTable("bad_" + c.name, std::move(schema)).value();
+    for (int64_t i = 0; i < 500; ++i) {
+      ASSERT_TRUE(t->Insert({i, i == kBadRow ? c.bytes : blob}).ok());
+    }
+    if (c.oversize_prefix) {
+      // Raise the stored length's high byte on disk: 64 becomes 0xff40.
+      std::vector<storage::PageId> leaves = t->CollectLeafPages().value();
+      uint8_t key[8];
+      EncodeLE<int64_t>(key, kBadRow);
+      bool found = false;
+      for (storage::PageId id : leaves) {
+        storage::PinnedPage page = db_.buffer_pool()->GetPage(id).value();
+        const uint8_t* b = page->data();
+        for (int64_t off = 0; off + 11 <= storage::kPageSize && !found;
+             ++off) {
+          if (std::memcmp(b + off, key, 8) != 0 || b[off + 8] != 64 ||
+              b[off + 9] != 0) {
+            continue;
+          }
+          page = storage::PinnedPage();
+          ASSERT_TRUE(db_.disk()->CorruptPageByte(id, off + 9).ok());
+          found = true;
+        }
+        if (found) break;
+      }
+      ASSERT_TRUE(found);
+      db_.ClearCache();
+    }
+    // One call over the column, in an aggregate, a projection and a WHERE.
+    auto call = [&] {
+      std::vector<ExprPtr> args;
+      args.push_back(Col("v"));
+      args.push_back(
+          c.bad_index
+              ? Bin(BinaryOp::kMul,
+                    Bin(BinaryOp::kEq, Col("id"), Lit(Value::Int(kBadRow))),
+                    Lit(Value::Int(10)))
+              : Lit(Value::Int(2)));
+      return Call("FloatArray", "Item_1", std::move(args));
+    };
+    std::vector<Query> queries(3);
+    queries[0].items.push_back(Item(call(), SelectItem::AggKind::kSum, "s"));
+    queries[1].items.push_back(Item(call(), SelectItem::AggKind::kNone, "i"));
+    queries[2].where = Bin(BinaryOp::kGt, call(), Lit(Value::Double(0)));
+    queries[2].items.push_back(Item(Col("id"), SelectItem::AggKind::kNone, "id"));
+    for (Query& q : queries) {
+      q.table = t;
+      ASSERT_TRUE(executor_.Bind(&q).ok());
+      executor_.set_batch_rows(1);
+      executor_.set_scan_workers(1);
+      Result<ResultSet> row = executor_.Execute(q, nullptr);
+      ASSERT_FALSE(row.ok());
+      EXPECT_EQ(row.status().code(), c.code) << row.status().ToString();
+      for (int w : {1, 2}) {
+        const Outcome lane = Run(q, nullptr, 1024, w, false);
+        EXPECT_FALSE(lane.ok);
+        EXPECT_EQ(lane.payload, row.status().ToString()) << "workers=" << w;
+      }
+    }
+    db_.disk()->set_checksums_enabled(true);
+  }
+}
+
+TEST_F(CallLaneTest, KernelOnlyPlanSurfacesCancelAndBudget) {
+  storage::Table* t = MakeArrayTable(DType::kFloat64);
+  Query q;
+  q.table = t;
+  std::vector<ExprPtr> args;
+  args.push_back(Col("a1"));
+  args.push_back(Lit(Value::Int(0)));
+  q.items.push_back(Item(Call("FloatArray", "Item_1", std::move(args)),
+                         SelectItem::AggKind::kSum, "s"));
+  ASSERT_TRUE(executor_.Bind(&q).ok());
+  executor_.set_batch_rows(1024);
+  for (int workers : {1, 2}) {
+    executor_.set_scan_workers(workers);
+    {
+      QueryContext qctx;
+      qctx.limits.cancel = std::make_shared<gov::CancelSource>();
+      qctx.limits.cancel->Cancel(gov::KillReason::kUser, "test kill");
+      Result<ResultSet> r = executor_.Execute(q, nullptr, &qctx);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+    }
+    {
+      QueryContext qctx;
+      gov::MemoryBudget budget;
+      budget.Reset(1024);
+      qctx.limits.budget = &budget;
+      Result<ResultSet> r = executor_.Execute(q, nullptr, &qctx);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    }
   }
 }
 

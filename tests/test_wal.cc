@@ -400,6 +400,33 @@ TEST(WalManager, TableLoadedBeforeWalSurvivesCrash) {
   }
 }
 
+TEST(WalManager, TableLoadedBeforeWalSurvivesCrashAtAttach) {
+  // No statement runs between the attach and the crash, so nothing but the
+  // attach itself can have forced the catalog records to the log device.
+  for (bool with_mvcc : {false, true}) {
+    SCOPED_TRACE(with_mvcc ? "wal + mvcc" : "wal alone");
+    storage::Database db;
+    engine::FunctionRegistry registry;
+    engine::Executor executor(&db, &registry);
+    {
+      sql::Session bare(&executor);
+      ASSERT_TRUE(bare.Execute("CREATE TABLE p (id BIGINT, v BIGINT)").ok());
+      ASSERT_TRUE(bare.Execute("INSERT INTO p VALUES (1, 10), (2, 20)").ok());
+    }
+    WalManager w(&db);
+    ASSERT_TRUE(w.attach_status().ok()) << w.attach_status().ToString();
+    std::optional<mvcc::MvccManager> m;
+    if (with_mvcc) m.emplace(&db, &w);
+
+    w.SimulateCrash();
+    ASSERT_TRUE(w.Recover().ok());
+    Result<storage::Table*> p = db.GetTable("p");
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    ExpectTableMatches(&db, "p", {{1, 10}, {2, 20}});
+    EXPECT_TRUE(storage::VerifyDatabase(&db).issues.empty());
+  }
+}
+
 TEST(WalManager, RecoveryIsIdempotent) {
   storage::Database db;
   WalManager w(&db);
