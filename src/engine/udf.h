@@ -82,9 +82,9 @@ struct CallArg {
 };
 
 /// A column kernel: the function over `n` rows of argument columns at once,
-/// writing n results into `out` in the function's kernel_lane. It agrees
-/// with the row function row by row: the same value, and at the first
-/// failing row the same Status. Its results are never NULL.
+/// writing n FLOAT results into `out`. It agrees with the row function row
+/// by row: the same value, and at the first failing row the same Status.
+/// Its results are never NULL.
 using ColumnKernel = std::function<Status(std::span<const CallArg> args,
                                           int32_t n, col::ColumnVec* out)>;
 
@@ -106,7 +106,6 @@ struct ScalarFunction {
   /// it as one lane instruction per block (engine/vec_expr.h); every other
   /// call runs `fn` once per row.
   ColumnKernel kernel;
-  col::Lane kernel_lane = col::Lane::kF64;  ///< the kernel's result lane
 };
 
 /// The CLR boundary charges of one hosted call. Invoke and the call lanes

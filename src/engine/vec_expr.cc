@@ -243,7 +243,13 @@ int32_t VecProgram::CompileCall(const Expr& e, const storage::Schema& schema,
     if (a.kind == Expr::Kind::kColumn && a.column_index >= 0 &&
         schema.column(a.column_index).type == storage::ColumnType::kBinary) {
       slots[j].offset = schema.column_offset(a.column_index);
-      slots[j].capacity = schema.column(a.column_index).capacity;
+      // Its length prefixes are checked here, in argument order: Eval's
+      // column decode rejects a bad one before the next argument runs.
+      Instr check;
+      check.op = Op::kCheckBytes;
+      check.offset = slots[j].offset;
+      check.icon = schema.column(a.column_index).capacity;
+      Emit(check, Lane::kI64);
       continue;
     }
     // A lane argument: NULL reaches a lane only from a NULL literal or
@@ -261,7 +267,7 @@ int32_t VecProgram::CompileCall(const Expr& e, const storage::Schema& schema,
   in.arg_begin = static_cast<int32_t>(args_.size());
   args_.insert(args_.end(), slots.begin(), slots.begin() + e.args.size());
   in.arg_end = static_cast<int32_t>(args_.size());
-  const int32_t r = Emit(in, fn->kernel_lane);
+  const int32_t r = Emit(in, Lane::kF64);  // kernels write FLOAT lanes
   calls_.push_back(r);
   return r;
 }
@@ -280,15 +286,10 @@ Status VecProgram::RunCall(const Instr& in, const uint8_t* base,
       a.lane = &(*regs)[slot.reg];
       continue;
     }
-    // Read in place; the length prefixes are checked first, as Eval's
-    // column decode checks them before the call.
+    // Read in place; its kCheckBytes instruction checked the lengths.
     a.base = base + slot.offset;
     a.stride = row_size_;
     a.sel = sel;
-    for (int32_t k = 0; k < n; ++k) {
-      SQLARRAY_RETURN_IF_ERROR(
-          storage::CheckBinaryColumn(a.At(k), slot.capacity));
-    }
   }
   SQLARRAY_RETURN_IF_ERROR(
       in.fn->kernel(std::span<const CallArg>(args.data(), nargs), n, out));
@@ -476,6 +477,14 @@ Status VecProgram::Run(const RowBatch& batch, const std::vector<int32_t>* sel,
         break;
       }
 
+      case Op::kCheckBytes:
+        for (int32_t k = 0; k < n; ++k) {
+          const int64_t row = selp != nullptr ? selp[k] : k;
+          SQLARRAY_RETURN_IF_ERROR(storage::CheckBinaryColumn(
+              base + row * row_size_ + in.offset,
+              static_cast<int32_t>(in.icon)));
+        }
+        break;
       case Op::kCall:
         SQLARRAY_RETURN_IF_ERROR(RunCall(in, base, selp, n, regs, &ro, udf));
         break;

@@ -20,14 +20,16 @@
 // carries a column kernel (engine/udf.h) and every argument is either a
 // lane subprogram with no NULL literal or variable in it, or a fixed
 // VARBINARY(n) column, which the kernel reads in place out of the batch
-// rows after its length prefix is checked against the capacity. A call
-// without a kernel, with a NULL-able argument, a VARBINARY(MAX) blob, a
-// bytes or string argument, or a bytes or string result runs through Eval.
-// The instruction charges exactly what FunctionRegistry::Invoke charges
-// per call (CallCharges, summed row-major across the program's calls in
-// the order Eval makes them, arguments first), so modeled costs do not
-// move; it probes cancellation once per block where Invoke probes once per
-// call.
+// rows. A kCheckBytes instruction at that argument's place checks its
+// length prefixes against the capacity, so within one row the arguments
+// fail in Eval's left-to-right order: a corrupt length before a failing
+// index expression after it. A call without a kernel, with a NULL-able
+// argument, a VARBINARY(MAX) blob, a bytes or string argument, or a bytes
+// or string result runs through Eval. The instruction charges exactly what
+// FunctionRegistry::Invoke charges per call (CallCharges, summed row-major
+// across the program's calls in the order Eval makes them, arguments
+// first), so modeled costs do not move; it probes cancellation once per
+// block where Invoke probes once per call.
 //
 // Semantics contract: Run produces, for every selected row, exactly the
 // Value the row-at-a-time evaluator produces (see the numeric contracts in
@@ -93,7 +95,7 @@ class VecProgram {
     kAndI, kOrI,
     kNegI, kNegF, kNotI,
     kI2F, kF2I,
-    kCall,
+    kCheckBytes, kCall,
   };
 
   struct Instr {
@@ -101,8 +103,8 @@ class VecProgram {
     col::CmpOp cmp = col::CmpOp::kEq;
     int32_t a = -1;        ///< operand register indices
     int32_t b = -1;
-    int64_t offset = 0;    ///< column byte offset within the row (loads)
-    int64_t icon = 0;      ///< integer immediate (kConstI)
+    int64_t offset = 0;    ///< column byte offset (loads, kCheckBytes)
+    int64_t icon = 0;      ///< kConstI: the immediate; kCheckBytes: capacity
     double fcon = 0;       ///< float immediate (kConstF)
     const ScalarFunction* fn = nullptr;  ///< kCall: the function
     int32_t arg_begin = 0;  ///< kCall: its arguments, args_[begin, end)
@@ -112,9 +114,8 @@ class VecProgram {
   /// One argument of a kCall: a lane register, or a fixed VARBINARY(n)
   /// column read in place.
   struct CallSlot {
-    int32_t reg = -1;      ///< lane register; -1 for a binary column
-    int64_t offset = 0;    ///< binary column: byte offset within the row
-    int32_t capacity = 0;  ///< binary column: its VARBINARY(n) capacity
+    int32_t reg = -1;    ///< lane register; -1 for a binary column
+    int64_t offset = 0;  ///< binary column: byte offset within the row
   };
 
   /// Emits one instruction; its output register index is its position.

@@ -22,55 +22,29 @@ constexpr double kWorkSubarray = 1200;
 constexpr double kWorkConvert = 1500;
 constexpr double kWorkAggregate = 1000;
 
-/// The typed Item_N of a short real schema: the n indices convert first,
-/// then ReadShortItem reads the element from the blob, in place. The row
-/// function and the column kernel both follow this order, so they fail
-/// alike.
-Status RegisterShortItem(FunctionRegistry* reg, const std::string& schema,
-                         DType dtype, int n) {
-  return Reg(
-      reg, schema, "Item_" + std::to_string(n), n + 1, kWorkItem,
-      [dtype, n](std::span<const Value> args,
-                 UdfContext& ctx) -> Result<Value> {
-        int64_t idx[kMaxShortRank];
-        for (int d = 0; d < n; ++d) {
-          SQLARRAY_ASSIGN_OR_RETURN(idx[d], args[1 + d].AsInt());
-        }
-        const std::span<const int64_t> index(idx, static_cast<size_t>(n));
-        if (args[0].kind() == Value::Kind::kBlob) {
-          // Stored out of page: the header, then one element, streamed.
-          SQLARRAY_ASSIGN_OR_RETURN(ArrayHeader h,
-                                    HeaderFromValue(args[0], ctx));
-          SQLARRAY_RETURN_IF_ERROR(
-              CheckSchemaMatch(h, dtype, StorageClass::kShort));
-          SQLARRAY_ASSIGN_OR_RETURN(double v,
-                                    ItemFromValue(args[0], index, ctx));
-          return Value::Double(v);
-        }
-        if (args[0].kind() != Value::Kind::kBytes) {
-          return Status::TypeMismatch("argument is not an array blob");
-        }
-        SQLARRAY_ASSIGN_OR_RETURN(
-            double v, ReadShortItem(*args[0].AsBytes().value(), dtype, index));
-        return Value::Double(v);
-      },
-      [dtype, n](std::span<const engine::CallArg> args, int32_t rows,
-                 col::ColumnVec* out) -> Status {
-        double* o = out->MutableF64(rows);
-        int64_t idx[kMaxShortRank];
-        const std::span<const int64_t> index(idx, static_cast<size_t>(n));
-        for (int32_t k = 0; k < rows; ++k) {
-          for (int d = 0; d < n; ++d) {
-            SQLARRAY_ASSIGN_OR_RETURN(idx[d], args[1 + d].Int(k));
-          }
-          if (args[0].lane != nullptr) {
-            return Status::TypeMismatch("argument is not an array blob");
-          }
-          SQLARRAY_ASSIGN_OR_RETURN(
-              o[k], ReadShortItem(args[0].Bytes(k), dtype, index));
-        }
-        return Status::OK();
-      });
+/// The column kernel of a short real schema's Item_N: per row what the row
+/// function does with an array held in the row (the indices convert, then
+/// ReadShortItem reads the element in place), so the two fail alike.
+engine::ColumnKernel ShortItemKernel(DType dtype, int n) {
+  return [dtype, n](std::span<const engine::CallArg> args, int32_t rows,
+                    col::ColumnVec* out) -> Status {
+    if (rows > 0 && args[0].lane != nullptr) {
+      // A number where the array belongs: the row function's header read
+      // rejects it before it converts an index.
+      return Status::TypeMismatch("argument is not an array blob");
+    }
+    double* o = out->MutableF64(rows);
+    int64_t idx[kMaxShortRank];
+    const std::span<const int64_t> index(idx, static_cast<size_t>(n));
+    for (int32_t k = 0; k < rows; ++k) {
+      for (int d = 0; d < n; ++d) {
+        SQLARRAY_ASSIGN_OR_RETURN(idx[d], args[1 + d].Int(k));
+      }
+      SQLARRAY_ASSIGN_OR_RETURN(o[k],
+                                ReadShortItem(args[0].Bytes(k), dtype, index));
+    }
+    return Status::OK();
+  };
 }
 
 /// Registers every function family for one (dtype, storage class) schema.
@@ -147,31 +121,40 @@ Status RegisterSchema(FunctionRegistry* reg, DType dtype, StorageClass sc) {
   // --- element access ----------------------------------------------------
   for (int n = 1; n <= 6; ++n) {
     // Item_N: real schemas return FLOAT; complex schemas return the complex
-    // UDT as its native serialization. Short real schemas read in place
-    // and carry a column kernel.
-    if (sc == StorageClass::kShort && !cpx) {
-      SQLARRAY_RETURN_IF_ERROR(RegisterShortItem(reg, schema, dtype, n));
-    } else {
-      SQLARRAY_RETURN_IF_ERROR(Reg(
-          reg, schema, "Item_" + std::to_string(n), n + 1, kWorkItem,
-          [dtype, sc, n, cpx, single](std::span<const Value> args,
-                                      UdfContext& ctx) -> Result<Value> {
-            SQLARRAY_ASSIGN_OR_RETURN(ArrayHeader h,
-                                      HeaderFromValue(args[0], ctx));
-            SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(h, dtype, sc));
-            SQLARRAY_ASSIGN_OR_RETURN(Dims idx, IndexArgs(args, 1, n));
-            if (!cpx) {
-              SQLARRAY_ASSIGN_OR_RETURN(double v,
-                                        ItemFromValue(args[0], idx, ctx));
-              return Value::Double(v);
+    // UDT as its native serialization. A short real array held in the row
+    // is read in place, as its column kernel reads it.
+    const bool in_place = sc == StorageClass::kShort && !cpx;
+    SQLARRAY_RETURN_IF_ERROR(Reg(
+        reg, schema, "Item_" + std::to_string(n), n + 1, kWorkItem,
+        [dtype, sc, n, cpx, single, in_place](
+            std::span<const Value> args, UdfContext& ctx) -> Result<Value> {
+          if (in_place && args[0].kind() == Value::Kind::kBytes) {
+            int64_t idx[kMaxShortRank];
+            for (int d = 0; d < n; ++d) {
+              SQLARRAY_ASSIGN_OR_RETURN(idx[d], args[1 + d].AsInt());
             }
-            SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a,
-                                      ArrayFromValue(args[0], ctx));
-            SQLARRAY_ASSIGN_OR_RETURN(std::complex<double> v,
-                                      ItemComplex(a.ref(), idx));
-            return Value::Bytes(EncodeComplexUdt(v, single));
-          }));
-    }
+            SQLARRAY_ASSIGN_OR_RETURN(
+                double v,
+                ReadShortItem(*args[0].AsBytes().value(), dtype,
+                              {idx, static_cast<size_t>(n)}));
+            return Value::Double(v);
+          }
+          SQLARRAY_ASSIGN_OR_RETURN(ArrayHeader h,
+                                    HeaderFromValue(args[0], ctx));
+          SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(h, dtype, sc));
+          SQLARRAY_ASSIGN_OR_RETURN(Dims idx, IndexArgs(args, 1, n));
+          if (!cpx) {
+            SQLARRAY_ASSIGN_OR_RETURN(double v,
+                                      ItemFromValue(args[0], idx, ctx));
+            return Value::Double(v);
+          }
+          SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a,
+                                    ArrayFromValue(args[0], ctx));
+          SQLARRAY_ASSIGN_OR_RETURN(std::complex<double> v,
+                                    ItemComplex(a.ref(), idx));
+          return Value::Bytes(EncodeComplexUdt(v, single));
+        },
+        in_place ? ShortItemKernel(dtype, n) : nullptr));
 
     // UpdateItem_N: returns a copy with one element replaced.
     SQLARRAY_RETURN_IF_ERROR(Reg(

@@ -126,7 +126,6 @@ Status Reg(engine::FunctionRegistry* reg, std::string schema,
   f.managed_work_ns = work;
   f.fn = std::move(fn);
   f.kernel = std::move(kernel);
-  f.kernel_lane = col::Lane::kF64;
   return reg->RegisterScalar(std::move(f));
 }
 

@@ -1397,6 +1397,10 @@ TEST_F(CallLaneTest, MalformedBlobFailsAlikeAtEveryWidth) {
     StatusCode code;
     bool oversize_prefix = false;  ///< corrupt the stored length prefix
     bool bad_index = false;        ///< row kBadRow's index is out of range
+    /// Row kBadRow's index expression itself fails (0 / (id - kBadRow)):
+    /// Eval decodes the column before it evaluates the index, so only a
+    /// corrupt length prefix comes before the division by zero.
+    bool failing_index = false;
   };
   const Case cases[] = {
       {"bad_magic", patched(0, 0x00), StatusCode::kCorruption},
@@ -1421,6 +1425,10 @@ TEST_F(CallLaneTest, MalformedBlobFailsAlikeAtEveryWidth) {
        StatusCode::kCorruption},
       {"length_above_capacity", blob, StatusCode::kCorruption, true},
       {"index_out_of_range", blob, StatusCode::kOutOfRange, false, true},
+      {"length_above_capacity_and_failing_index", blob,
+       StatusCode::kCorruption, true, false, true},
+      {"bad_magic_and_failing_index", patched(0, 0x00),
+       StatusCode::kInvalidArgument, false, false, true},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -1462,12 +1470,18 @@ TEST_F(CallLaneTest, MalformedBlobFailsAlikeAtEveryWidth) {
     auto call = [&] {
       std::vector<ExprPtr> args;
       args.push_back(Col("v"));
-      args.push_back(
-          c.bad_index
-              ? Bin(BinaryOp::kMul,
-                    Bin(BinaryOp::kEq, Col("id"), Lit(Value::Int(kBadRow))),
-                    Lit(Value::Int(10)))
-              : Lit(Value::Int(2)));
+      if (c.bad_index) {
+        args.push_back(Bin(
+            BinaryOp::kMul,
+            Bin(BinaryOp::kEq, Col("id"), Lit(Value::Int(kBadRow))),
+            Lit(Value::Int(10))));
+      } else if (c.failing_index) {
+        args.push_back(Bin(
+            BinaryOp::kDiv, Lit(Value::Int(0)),
+            Bin(BinaryOp::kSub, Col("id"), Lit(Value::Int(kBadRow)))));
+      } else {
+        args.push_back(Lit(Value::Int(2)));
+      }
       return Call("FloatArray", "Item_1", std::move(args));
     };
     std::vector<Query> queries(3);
@@ -1490,6 +1504,29 @@ TEST_F(CallLaneTest, MalformedBlobFailsAlikeAtEveryWidth) {
       }
     }
     db_.disk()->set_checksums_enabled(true);
+  }
+}
+
+TEST_F(CallLaneTest, NumberForTheArrayFailsAlikeAtEveryWidth) {
+  // Item_1(id, 1e300): the row function's header read rejects the number
+  // before the index converts (which would be kOutOfRange); so does the
+  // kernel.
+  storage::Table* t = MakeArrayTable(DType::kFloat64);
+  std::vector<ExprPtr> args;
+  args.push_back(Col("id"));
+  args.push_back(Lit(Value::Double(1e300)));
+  Query q;
+  q.table = t;
+  q.items.push_back(Item(Call("FloatArray", "Item_1", std::move(args)),
+                         SelectItem::AggKind::kSum, "s"));
+  ASSERT_TRUE(executor_.Bind(&q).ok());
+  const Outcome row = Run(q, nullptr, 1, 1, false);
+  ASSERT_FALSE(row.ok);
+  EXPECT_EQ(row.payload,
+            Status::TypeMismatch("argument is not an array blob").ToString());
+  for (int w : {1, 2}) {
+    const Outcome lane = Run(q, nullptr, 1024, w, false);
+    EXPECT_EQ(lane.payload, row.payload) << "workers=" << w;
   }
 }
 
