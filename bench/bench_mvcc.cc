@@ -10,7 +10,9 @@
 //     design is that reader latency stays flat as M grows — readers
 //     never block on writers, they just read older page images. Each
 //     writer count reports reader p50, p90 and p99 over 1,000 samples
-//     (BENCH_MVCC_READER_OPS per reader) and the writers' commits/s.
+//     (BENCH_MVCC_READER_OPS per reader), the writers' commits/s, and the
+//     WAL bytes per commit logged inside the sweep window (registry deltas
+//     of wal.bytes and wal.commits, so the setup load is not counted).
 //
 //  2. GC-horizon curve: one snapshot is pinned while rounds of DML churn
 //     versions; after each round we record how many page versions the
@@ -20,7 +22,8 @@
 //
 // --json output uses the standard {"records", "metrics"} shape
 // (cmake/bench_json_smoke.cmake validates it); the mvcc.* counters land
-// in the metrics map.
+// in the metrics map, which is the whole process's registry: setup loads
+// and every sweep included.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -31,6 +34,7 @@
 
 #include "bench/bench_util.h"
 #include "mvcc/mvcc.h"
+#include "obs/metrics.h"
 #include "wal/wal.h"
 
 namespace sqlarray::bench {
@@ -168,7 +172,13 @@ void RunBench() {
 
   for (int writers : {0, 1, 2, 4, 8}) {
     MvccBench b(rows);
+    const obs::MetricsSnapshot before =
+        obs::MetricsRegistry::Global().Snapshot();
     SweepResult r = RunSweep(&b, readers, reader_ops, writers, rows);
+    const obs::MetricsSnapshot after =
+        obs::MetricsRegistry::Global().Snapshot();
+    const int64_t wal_bytes = after.Delta(before, "wal.bytes");
+    const int64_t wal_commits = after.Delta(before, "wal.commits");
     double p50 = Pct(r.reader_ms, 0.5);
     double p90 = Pct(r.reader_ms, 0.9);
     double p99 = Pct(r.reader_ms, 0.99);
@@ -177,15 +187,24 @@ void RunBench() {
         r.wall_s > 0 ? static_cast<double>(r.writer_commits) / r.wall_s : 0;
     std::printf(
         "writers=%d  reader p50=%.2fms p90=%.2fms p99=%.2fms qps=%.0f | "
-        "writer commits=%lld (%.0f/s) conflicts=%lld\n",
+        "writer commits=%lld (%.0f/s) conflicts=%lld | wal %lld B in %lld "
+        "commits\n",
         writers, p50, p90, p99, qps, static_cast<long long>(r.writer_commits),
-        commits_per_s, static_cast<long long>(r.writer_conflicts));
+        commits_per_s, static_cast<long long>(r.writer_conflicts),
+        static_cast<long long>(wal_bytes), static_cast<long long>(wal_commits));
     const std::string w = std::to_string(writers);
     RecordJson("bench_mvcc", "read_w" + w, r.wall_s, qps);
     RecordJson("bench_mvcc", "read_p90_ms_w" + w, r.wall_s, p90);
     RecordJson("bench_mvcc", "read_p99_ms_w" + w, r.wall_s, p99);
     RecordJson("bench_mvcc", "writer_commits_per_s_w" + w, r.wall_s,
                commits_per_s);
+    if (wal_commits > 0) {
+      RecordJson("bench_mvcc", "wal_bytes_per_commit_w" + w, r.wall_s,
+                 static_cast<double>(wal_bytes) /
+                     static_cast<double>(wal_commits),
+                 {{"wal_bytes", static_cast<double>(wal_bytes)},
+                  {"wal_commits", static_cast<double>(wal_commits)}});
+    }
   }
 
   Banner("M2", "versions retained vs GC horizon");

@@ -4,11 +4,8 @@
 #include <cstring>
 
 // The SSE4.2 kernel is compiled whenever the target is x86-64 (a function-
-// level target attribute, so the baseline ISA build still carries it) and the
-// scalar-only build flag is off — the same guard as core/vec_kernels.cc.
-// SQLARRAY_FORCE_SCALAR_KERNELS leaves slicing-by-8 as the only path, so that
-// tree runs the whole storage stack on the portable CRC.
-#if defined(__x86_64__) && !defined(SQLARRAY_FORCE_SCALAR_KERNELS)
+// level target attribute, so the baseline ISA build still carries it).
+#if defined(__x86_64__)
 #define SQLARRAY_HAVE_SSE42_CRC 1
 #include <nmmintrin.h>
 #else

@@ -12,10 +12,9 @@
 // folds them with a shift table: 19-22 GB/s against 1.4-1.6 GB/s for
 // slicing-by-8 on a 4-vCPU Xeon (RelWithDebInfo), which takes a checksummed
 // 8 KB SimulatedDisk read from 6.2-6.4 us to 1.3-1.4 us, next to ~1 us
-// unchecked (bench/bench_checksum measures both). Everywhere else — other
-// ISAs, CPUs without SSE4.2, and builds with SQLARRAY_FORCE_SCALAR_KERNELS —
-// slicing-by-8 is the only path. It stays exported as Crc32cPortable(), the
-// reference the hardware kernel is tested against.
+// unchecked (bench/bench_checksum measures both). On other ISAs and on CPUs
+// without SSE4.2, slicing-by-8 is the only path. It stays exported as
+// Crc32cPortable(), the reference the hardware kernel is tested against.
 #pragma once
 
 #include <cstddef>

@@ -3,6 +3,7 @@
 #include <cstring>
 
 namespace sqlarray::col {
+namespace {
 
 uint64_t* MutableValidity_FillAllValid(std::vector<uint64_t>* valid,
                                        int32_t n) {
@@ -15,6 +16,8 @@ uint64_t* MutableValidity_FillAllValid(std::vector<uint64_t>* valid,
   }
   return valid->data();
 }
+
+}  // namespace
 
 uint64_t* ColumnVec::MutableValidity() {
   if (valid_.empty()) {

@@ -96,22 +96,12 @@ class ColumnVec {
     return valid_.empty() ||
            (valid_[i >> 6] >> (static_cast<uint32_t>(i) & 63)) & 1;
   }
-  void SetNullAt(int32_t i) {
-    MutableValidity()[i >> 6] &= ~(uint64_t{1} << (static_cast<uint32_t>(i) & 63));
-  }
 
   /// Result-validity helper: this row count, validity = AND of the operand
   /// bitmaps (either may be all-valid). Call after Mutable*().
   void IntersectValidity(const ColumnVec& a, const ColumnVec& b);
   /// Copies `a`'s validity (unary ops and lane converts preserve nulls).
   void CopyValidity(const ColumnVec& a);
-
-  /// Owned heap footprint in bytes (budget accounting; views are free).
-  int64_t capacity_bytes() const {
-    return static_cast<int64_t>(i64_.capacity()) * 8 +
-           static_cast<int64_t>(f64_.capacity()) * 8 +
-           static_cast<int64_t>(valid_.capacity()) * 8;
-  }
 
  private:
   Lane lane_ = Lane::kI64;

@@ -1,29 +1,15 @@
 #include "core/vec_kernels.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstring>
+#include <functional>
 
 #include "common/wrap_int.h"
 #include "gov/gov.h"
 
-// The AVX2 variants are compiled whenever the target is x86-64 (function-
-// level target attributes, so the baseline ISA build still carries them) and
-// the scalar-only build flag is off. SQLARRAY_FORCE_SCALAR_KERNELS removes
-// them at compile time — the vec_scalar_suite ctest tree — while
-// SetForceScalar(true) disables them at runtime in a normal build.
-#if defined(__x86_64__) && !defined(SQLARRAY_FORCE_SCALAR_KERNELS)
-#define SQLARRAY_HAVE_AVX2_VARIANTS 1
-#include <immintrin.h>
-#else
-#define SQLARRAY_HAVE_AVX2_VARIANTS 0
-#endif
-
 namespace sqlarray::col {
 namespace {
-
-std::atomic<bool> g_force_scalar{false};
 
 inline bool BitAt(const uint64_t* words, int32_t i) {
   return (words[i >> 6] >> (static_cast<uint32_t>(i) & 63)) & 1;
@@ -41,258 +27,90 @@ Status RunBlocked(int32_t n, Fn fn) {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar reference loops. These are the semantics; the AVX2 variants below
-// must match them bit for bit (per-lane IEEE ops and int wrap do).
+// Elementwise lanes. Each kernel is one per-lane expression, run by
+// LaneLoop as out[i] = op(a[i]) or op(a[i], b[i]). The loop is inlined
+// twice: into LanesAvx2, built for AVX2 (which -O3 vectorizes four lanes
+// wide), and into Lanes at the baseline ISA (where GCC 12 vectorizes only
+// the add, subtract, negate and float multiply loops). Per-lane IEEE ops
+// and integer wraps do not depend on the vector width, so both give the
+// same bits; the CPU picks which one runs.
 // ---------------------------------------------------------------------------
 
-void AddI64Scalar(const int64_t* a, const int64_t* b, int32_t n,
-                  int64_t* out) {
-  for (int32_t i = 0; i < n; ++i) out[i] = WrapAdd(a[i], b[i]);
-}
-void SubI64Scalar(const int64_t* a, const int64_t* b, int32_t n,
-                  int64_t* out) {
-  for (int32_t i = 0; i < n; ++i) out[i] = WrapSub(a[i], b[i]);
-}
-void MulI64Scalar(const int64_t* a, const int64_t* b, int32_t n,
-                  int64_t* out) {
-  for (int32_t i = 0; i < n; ++i) out[i] = WrapMul(a[i], b[i]);
-}
-void AddF64Scalar(const double* a, const double* b, int32_t n, double* out) {
-  for (int32_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
-}
-void SubF64Scalar(const double* a, const double* b, int32_t n, double* out) {
-  for (int32_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
-}
-void MulF64Scalar(const double* a, const double* b, int32_t n, double* out) {
-  for (int32_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-}
-void AndI64Scalar(const int64_t* a, const int64_t* b, int32_t n,
-                  int64_t* out) {
-  for (int32_t i = 0; i < n; ++i) out[i] = (a[i] != 0 && b[i] != 0) ? 1 : 0;
-}
-void OrI64Scalar(const int64_t* a, const int64_t* b, int32_t n,
-                 int64_t* out) {
-  for (int32_t i = 0; i < n; ++i) out[i] = (a[i] != 0 || b[i] != 0) ? 1 : 0;
-}
-void NotI64Scalar(const int64_t* a, int32_t n, int64_t* out) {
-  for (int32_t i = 0; i < n; ++i) out[i] = (a[i] == 0) ? 1 : 0;
-}
-void NegI64Scalar(const int64_t* a, int32_t n, int64_t* out) {
-  for (int32_t i = 0; i < n; ++i) out[i] = WrapNeg(a[i]);
-}
-void NegF64Scalar(const double* a, int32_t n, double* out) {
-  for (int32_t i = 0; i < n; ++i) out[i] = -a[i];
+template <typename Op, typename R, typename... T>
+[[gnu::always_inline]] inline void LaneLoop(Op op, int32_t n, R* out,
+                                            const T*... in) {
+  for (int32_t i = 0; i < n; ++i) out[i] = op(in[i]...);
 }
 
-#define SQLARRAY_CMP_SCALAR(NAME, OP)                                      \
-  void NAME(const double* a, const double* b, int32_t n, int64_t* out) {   \
-    for (int32_t i = 0; i < n; ++i) out[i] = (a[i] OP b[i]) ? 1 : 0;       \
-  }
-SQLARRAY_CMP_SCALAR(CmpEqScalar, ==)
-SQLARRAY_CMP_SCALAR(CmpNeScalar, !=)
-SQLARRAY_CMP_SCALAR(CmpLtScalar, <)
-SQLARRAY_CMP_SCALAR(CmpLeScalar, <=)
-SQLARRAY_CMP_SCALAR(CmpGtScalar, >)
-SQLARRAY_CMP_SCALAR(CmpGeScalar, >=)
-#undef SQLARRAY_CMP_SCALAR
-
-// ---------------------------------------------------------------------------
-// AVX2 variants (x86-64 only). Tails fall back to the same scalar
-// expressions, so mixed execution stays bit-identical.
-// ---------------------------------------------------------------------------
-
-#if SQLARRAY_HAVE_AVX2_VARIANTS
-
-__attribute__((target("avx2"))) void AddI64Avx2(const int64_t* a,
-                                                const int64_t* b, int32_t n,
-                                                int64_t* out) {
-  int32_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_add_epi64(va, vb));
-  }
-  for (; i < n; ++i) out[i] = WrapAdd(a[i], b[i]);
+#if defined(__x86_64__)
+template <typename Op, typename R, typename... T>
+[[gnu::target("avx2")]] void LanesAvx2(Op op, int32_t n, R* out,
+                                       const T*... in) {
+  LaneLoop(op, n, out, in...);
 }
-
-__attribute__((target("avx2"))) void SubI64Avx2(const int64_t* a,
-                                                const int64_t* b, int32_t n,
-                                                int64_t* out) {
-  int32_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_sub_epi64(va, vb));
-  }
-  for (; i < n; ++i) out[i] = WrapSub(a[i], b[i]);
-}
-
-__attribute__((target("avx2"))) void AddF64Avx2(const double* a,
-                                                const double* b, int32_t n,
-                                                double* out) {
-  int32_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i,
-                     _mm256_add_pd(_mm256_loadu_pd(a + i),
-                                   _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-__attribute__((target("avx2"))) void SubF64Avx2(const double* a,
-                                                const double* b, int32_t n,
-                                                double* out) {
-  int32_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i,
-                     _mm256_sub_pd(_mm256_loadu_pd(a + i),
-                                   _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] - b[i];
-}
-
-__attribute__((target("avx2"))) void MulF64Avx2(const double* a,
-                                                const double* b, int32_t n,
-                                                double* out) {
-  int32_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i,
-                     _mm256_mul_pd(_mm256_loadu_pd(a + i),
-                                   _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-
-// Comparison masks are all-ones/all-zero lanes; AND with 1 yields the row
-// path's int64 0/1 encoding. The predicate constants match C++ comparison
-// semantics: ordered for ==,<,<=,>,>= (NaN -> false) and unordered-true
-// for != (NaN -> true).
-#define SQLARRAY_CMP_AVX2(NAME, IMM, OP)                                   \
-  __attribute__((target("avx2"))) void NAME(                               \
-      const double* a, const double* b, int32_t n, int64_t* out) {         \
-    const __m256i one = _mm256_set1_epi64x(1);                             \
-    int32_t i = 0;                                                         \
-    for (; i + 4 <= n; i += 4) {                                           \
-      __m256i m = _mm256_castpd_si256(_mm256_cmp_pd(                       \
-          _mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i), IMM));           \
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),             \
-                          _mm256_and_si256(m, one));                       \
-    }                                                                      \
-    for (; i < n; ++i) out[i] = (a[i] OP b[i]) ? 1 : 0;                    \
-  }
-SQLARRAY_CMP_AVX2(CmpEqAvx2, _CMP_EQ_OQ, ==)
-SQLARRAY_CMP_AVX2(CmpNeAvx2, _CMP_NEQ_UQ, !=)
-SQLARRAY_CMP_AVX2(CmpLtAvx2, _CMP_LT_OQ, <)
-SQLARRAY_CMP_AVX2(CmpLeAvx2, _CMP_LE_OQ, <=)
-SQLARRAY_CMP_AVX2(CmpGtAvx2, _CMP_GT_OQ, >)
-SQLARRAY_CMP_AVX2(CmpGeAvx2, _CMP_GE_OQ, >=)
-#undef SQLARRAY_CMP_AVX2
-
-// Truthiness combine: cmpeq-against-zero gives an all-ones mask where the
-// lane is zero (falsy); andnot folds the De Morgan complement in one op.
-__attribute__((target("avx2"))) void AndI64Avx2(const int64_t* a,
-                                                const int64_t* b, int32_t n,
-                                                int64_t* out) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i one = _mm256_set1_epi64x(1);
-  int32_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i za = _mm256_cmpeq_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)), zero);
-    __m256i zb = _mm256_cmpeq_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)), zero);
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        _mm256_andnot_si256(_mm256_or_si256(za, zb), one));
-  }
-  for (; i < n; ++i) out[i] = (a[i] != 0 && b[i] != 0) ? 1 : 0;
-}
-
-__attribute__((target("avx2"))) void OrI64Avx2(const int64_t* a,
-                                               const int64_t* b, int32_t n,
-                                               int64_t* out) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i one = _mm256_set1_epi64x(1);
-  int32_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i za = _mm256_cmpeq_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)), zero);
-    __m256i zb = _mm256_cmpeq_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)), zero);
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        _mm256_andnot_si256(_mm256_and_si256(za, zb), one));
-  }
-  for (; i < n; ++i) out[i] = (a[i] != 0 || b[i] != 0) ? 1 : 0;
-}
-
-__attribute__((target("avx2"))) void NotI64Avx2(const int64_t* a, int32_t n,
-                                                int64_t* out) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i one = _mm256_set1_epi64x(1);
-  int32_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i za = _mm256_cmpeq_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)), zero);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_and_si256(za, one));
-  }
-  for (; i < n; ++i) out[i] = (a[i] == 0) ? 1 : 0;
-}
-
-__attribute__((target("avx2"))) void NegI64Avx2(const int64_t* a, int32_t n,
-                                                int64_t* out) {
-  const __m256i zero = _mm256_setzero_si256();
-  int32_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        _mm256_sub_epi64(zero, _mm256_loadu_si256(
-                                   reinterpret_cast<const __m256i*>(a + i))));
-  }
-  for (; i < n; ++i) out[i] = WrapNeg(a[i]);
-}
-
-// -x flips only the sign bit (also on NaN), exactly what xor with -0.0 does.
-__attribute__((target("avx2"))) void NegF64Avx2(const double* a, int32_t n,
-                                                double* out) {
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  int32_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, _mm256_xor_pd(_mm256_loadu_pd(a + i), sign));
-  }
-  for (; i < n; ++i) out[i] = -a[i];
-}
-
-#endif  // SQLARRAY_HAVE_AVX2_VARIANTS
-
-inline bool UseSimd() {
-#if SQLARRAY_HAVE_AVX2_VARIANTS
-  return SimdAvailable() && !g_force_scalar.load(std::memory_order_relaxed);
-#else
-  return false;
 #endif
-}
 
-}  // namespace
-
-void SetForceScalar(bool force) {
-  g_force_scalar.store(force, std::memory_order_relaxed);
-}
-bool ForceScalarActive() {
-  return g_force_scalar.load(std::memory_order_relaxed);
-}
-
-bool SimdAvailable() {
-#if SQLARRAY_HAVE_AVX2_VARIANTS
+/// True when this CPU runs AVX2; probed once per process.
+bool Avx2() {
+#if defined(__x86_64__)
   static const bool ok = __builtin_cpu_supports("avx2") != 0;
   return ok;
 #else
   return false;
 #endif
 }
+
+/// Runs `op` over n lanes in cancellation blocks: on the AVX2 build when
+/// `avx2` is set, on the baseline build otherwise.
+template <typename Op, typename R, typename... T>
+Status Lanes([[maybe_unused]] bool avx2, Op op, int32_t n, R* out,
+             const T*... in) {
+  return RunBlocked(n, [&](int32_t off, int32_t len) {
+#if defined(__x86_64__)
+    if (avx2) return LanesAvx2(op, len, out + off, (in + off)...);
+#endif
+    LaneLoop(op, len, out + off, (in + off)...);
+  });
+}
+
+// The per-lane expressions.
+constexpr auto kAddI64 = [](int64_t x, int64_t y) { return WrapAdd(x, y); };
+constexpr auto kSubI64 = [](int64_t x, int64_t y) { return WrapSub(x, y); };
+constexpr auto kMulI64 = [](int64_t x, int64_t y) { return WrapMul(x, y); };
+constexpr auto kAddF64 = [](double x, double y) { return x + y; };
+constexpr auto kSubF64 = [](double x, double y) { return x - y; };
+constexpr auto kMulF64 = [](double x, double y) { return x * y; };
+/// C++ comparison semantics: NaN makes all but != false.
+template <typename Cmp>
+constexpr auto kCmp = [](double x, double y) -> int64_t {
+  return Cmp{}(x, y) ? 1 : 0;
+};
+constexpr auto kAndI64 = [](int64_t x, int64_t y) -> int64_t {
+  return (x != 0 && y != 0) ? 1 : 0;
+};
+constexpr auto kOrI64 = [](int64_t x, int64_t y) -> int64_t {
+  return (x != 0 || y != 0) ? 1 : 0;
+};
+constexpr auto kNotI64 = [](int64_t x) -> int64_t { return x == 0 ? 1 : 0; };
+constexpr auto kNegI64 = [](int64_t x) { return WrapNeg(x); };
+constexpr auto kNegF64 = [](double x) { return -x; };
+
+Status Cmp(bool avx2, CmpOp op, const double* a, const double* b, int32_t n,
+           int64_t* out) {
+  switch (op) {
+    case CmpOp::kEq: return Lanes(avx2, kCmp<std::equal_to<>>, n, out, a, b);
+    case CmpOp::kNe:
+      return Lanes(avx2, kCmp<std::not_equal_to<>>, n, out, a, b);
+    case CmpOp::kLt: return Lanes(avx2, kCmp<std::less<>>, n, out, a, b);
+    case CmpOp::kLe: return Lanes(avx2, kCmp<std::less_equal<>>, n, out, a, b);
+    case CmpOp::kGt: return Lanes(avx2, kCmp<std::greater<>>, n, out, a, b);
+    case CmpOp::kGe:
+      return Lanes(avx2, kCmp<std::greater_equal<>>, n, out, a, b);
+  }
+  return Status::Internal("unknown comparison");
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Gathers
@@ -335,76 +153,92 @@ void GatherF64FromF64(const uint8_t* base, int64_t stride, const int32_t* sel,
 }
 
 // ---------------------------------------------------------------------------
-// Elementwise dispatch
+// Elementwise kernels: the dispatched entries, then their baseline builds
 // ---------------------------------------------------------------------------
 
 Status AddI64(const int64_t* a, const int64_t* b, int32_t n, int64_t* out) {
-  const bool simd = UseSimd();
-  return RunBlocked(n, [&](int32_t off, int32_t len) {
-#if SQLARRAY_HAVE_AVX2_VARIANTS
-    if (simd) return AddI64Avx2(a + off, b + off, len, out + off);
-#else
-    (void)simd;
-#endif
-    AddI64Scalar(a + off, b + off, len, out + off);
-  });
+  return Lanes(Avx2(), kAddI64, n, out, a, b);
 }
-
 Status SubI64(const int64_t* a, const int64_t* b, int32_t n, int64_t* out) {
-  const bool simd = UseSimd();
-  return RunBlocked(n, [&](int32_t off, int32_t len) {
-#if SQLARRAY_HAVE_AVX2_VARIANTS
-    if (simd) return SubI64Avx2(a + off, b + off, len, out + off);
-#else
-    (void)simd;
-#endif
-    SubI64Scalar(a + off, b + off, len, out + off);
-  });
+  return Lanes(Avx2(), kSubI64, n, out, a, b);
 }
-
-// No 64-bit lane multiply below AVX-512; the scalar loop is the only
-// variant (still auto-vectorizable at -O3 via 32x32 splitting).
 Status MulI64(const int64_t* a, const int64_t* b, int32_t n, int64_t* out) {
-  return RunBlocked(n, [&](int32_t off, int32_t len) {
-    MulI64Scalar(a + off, b + off, len, out + off);
-  });
+  return Lanes(Avx2(), kMulI64, n, out, a, b);
 }
-
 Status AddF64(const double* a, const double* b, int32_t n, double* out) {
-  const bool simd = UseSimd();
-  return RunBlocked(n, [&](int32_t off, int32_t len) {
-#if SQLARRAY_HAVE_AVX2_VARIANTS
-    if (simd) return AddF64Avx2(a + off, b + off, len, out + off);
-#else
-    (void)simd;
-#endif
-    AddF64Scalar(a + off, b + off, len, out + off);
-  });
+  return Lanes(Avx2(), kAddF64, n, out, a, b);
 }
-
 Status SubF64(const double* a, const double* b, int32_t n, double* out) {
-  const bool simd = UseSimd();
-  return RunBlocked(n, [&](int32_t off, int32_t len) {
-#if SQLARRAY_HAVE_AVX2_VARIANTS
-    if (simd) return SubF64Avx2(a + off, b + off, len, out + off);
-#else
-    (void)simd;
-#endif
-    SubF64Scalar(a + off, b + off, len, out + off);
-  });
+  return Lanes(Avx2(), kSubF64, n, out, a, b);
+}
+Status MulF64(const double* a, const double* b, int32_t n, double* out) {
+  return Lanes(Avx2(), kMulF64, n, out, a, b);
+}
+Status CmpF64(CmpOp op, const double* a, const double* b, int32_t n,
+              int64_t* out) {
+  return Cmp(Avx2(), op, a, b, n, out);
+}
+Status AndI64(const int64_t* a, const int64_t* b, int32_t n, int64_t* out) {
+  return Lanes(Avx2(), kAndI64, n, out, a, b);
+}
+Status OrI64(const int64_t* a, const int64_t* b, int32_t n, int64_t* out) {
+  return Lanes(Avx2(), kOrI64, n, out, a, b);
+}
+Status NotI64(const int64_t* a, int32_t n, int64_t* out) {
+  return Lanes(Avx2(), kNotI64, n, out, a);
+}
+Status NegI64(const int64_t* a, int32_t n, int64_t* out) {
+  return Lanes(Avx2(), kNegI64, n, out, a);
+}
+Status NegF64(const double* a, int32_t n, double* out) {
+  return Lanes(Avx2(), kNegF64, n, out, a);
 }
 
-Status MulF64(const double* a, const double* b, int32_t n, double* out) {
-  const bool simd = UseSimd();
-  return RunBlocked(n, [&](int32_t off, int32_t len) {
-#if SQLARRAY_HAVE_AVX2_VARIANTS
-    if (simd) return MulF64Avx2(a + off, b + off, len, out + off);
-#else
-    (void)simd;
-#endif
-    MulF64Scalar(a + off, b + off, len, out + off);
-  });
+namespace baseline {
+
+Status AddI64(const int64_t* a, const int64_t* b, int32_t n, int64_t* out) {
+  return Lanes(false, kAddI64, n, out, a, b);
 }
+Status SubI64(const int64_t* a, const int64_t* b, int32_t n, int64_t* out) {
+  return Lanes(false, kSubI64, n, out, a, b);
+}
+Status MulI64(const int64_t* a, const int64_t* b, int32_t n, int64_t* out) {
+  return Lanes(false, kMulI64, n, out, a, b);
+}
+Status AddF64(const double* a, const double* b, int32_t n, double* out) {
+  return Lanes(false, kAddF64, n, out, a, b);
+}
+Status SubF64(const double* a, const double* b, int32_t n, double* out) {
+  return Lanes(false, kSubF64, n, out, a, b);
+}
+Status MulF64(const double* a, const double* b, int32_t n, double* out) {
+  return Lanes(false, kMulF64, n, out, a, b);
+}
+Status CmpF64(CmpOp op, const double* a, const double* b, int32_t n,
+              int64_t* out) {
+  return Cmp(false, op, a, b, n, out);
+}
+Status AndI64(const int64_t* a, const int64_t* b, int32_t n, int64_t* out) {
+  return Lanes(false, kAndI64, n, out, a, b);
+}
+Status OrI64(const int64_t* a, const int64_t* b, int32_t n, int64_t* out) {
+  return Lanes(false, kOrI64, n, out, a, b);
+}
+Status NotI64(const int64_t* a, int32_t n, int64_t* out) {
+  return Lanes(false, kNotI64, n, out, a);
+}
+Status NegI64(const int64_t* a, int32_t n, int64_t* out) {
+  return Lanes(false, kNegI64, n, out, a);
+}
+Status NegF64(const double* a, int32_t n, double* out) {
+  return Lanes(false, kNegF64, n, out, a);
+}
+
+}  // namespace baseline
+
+// ---------------------------------------------------------------------------
+// Division, modulo and conversions: checked per valid lane
+// ---------------------------------------------------------------------------
 
 Status DivI64(const int64_t* a, const int64_t* b, const uint64_t* valid,
               int32_t n, int64_t* out) {
@@ -457,97 +291,6 @@ Status DivF64(const double* a, const double* b, const uint64_t* valid,
     }
   }
   return Status::OK();
-}
-
-Status CmpF64(CmpOp op, const double* a, const double* b, int32_t n,
-              int64_t* out) {
-  using CmpFn = void (*)(const double*, const double*, int32_t, int64_t*);
-  CmpFn fn = nullptr;
-#if SQLARRAY_HAVE_AVX2_VARIANTS
-  if (UseSimd()) {
-    switch (op) {
-      case CmpOp::kEq: fn = CmpEqAvx2; break;
-      case CmpOp::kNe: fn = CmpNeAvx2; break;
-      case CmpOp::kLt: fn = CmpLtAvx2; break;
-      case CmpOp::kLe: fn = CmpLeAvx2; break;
-      case CmpOp::kGt: fn = CmpGtAvx2; break;
-      case CmpOp::kGe: fn = CmpGeAvx2; break;
-    }
-  }
-#endif
-  if (fn == nullptr) {
-    switch (op) {
-      case CmpOp::kEq: fn = CmpEqScalar; break;
-      case CmpOp::kNe: fn = CmpNeScalar; break;
-      case CmpOp::kLt: fn = CmpLtScalar; break;
-      case CmpOp::kLe: fn = CmpLeScalar; break;
-      case CmpOp::kGt: fn = CmpGtScalar; break;
-      case CmpOp::kGe: fn = CmpGeScalar; break;
-    }
-  }
-  return RunBlocked(n, [&](int32_t off, int32_t len) {
-    fn(a + off, b + off, len, out + off);
-  });
-}
-
-Status AndI64(const int64_t* a, const int64_t* b, int32_t n, int64_t* out) {
-  const bool simd = UseSimd();
-  return RunBlocked(n, [&](int32_t off, int32_t len) {
-#if SQLARRAY_HAVE_AVX2_VARIANTS
-    if (simd) return AndI64Avx2(a + off, b + off, len, out + off);
-#else
-    (void)simd;
-#endif
-    AndI64Scalar(a + off, b + off, len, out + off);
-  });
-}
-
-Status OrI64(const int64_t* a, const int64_t* b, int32_t n, int64_t* out) {
-  const bool simd = UseSimd();
-  return RunBlocked(n, [&](int32_t off, int32_t len) {
-#if SQLARRAY_HAVE_AVX2_VARIANTS
-    if (simd) return OrI64Avx2(a + off, b + off, len, out + off);
-#else
-    (void)simd;
-#endif
-    OrI64Scalar(a + off, b + off, len, out + off);
-  });
-}
-
-Status NotI64(const int64_t* a, int32_t n, int64_t* out) {
-  const bool simd = UseSimd();
-  return RunBlocked(n, [&](int32_t off, int32_t len) {
-#if SQLARRAY_HAVE_AVX2_VARIANTS
-    if (simd) return NotI64Avx2(a + off, len, out + off);
-#else
-    (void)simd;
-#endif
-    NotI64Scalar(a + off, len, out + off);
-  });
-}
-
-Status NegI64(const int64_t* a, int32_t n, int64_t* out) {
-  const bool simd = UseSimd();
-  return RunBlocked(n, [&](int32_t off, int32_t len) {
-#if SQLARRAY_HAVE_AVX2_VARIANTS
-    if (simd) return NegI64Avx2(a + off, len, out + off);
-#else
-    (void)simd;
-#endif
-    NegI64Scalar(a + off, len, out + off);
-  });
-}
-
-Status NegF64(const double* a, int32_t n, double* out) {
-  const bool simd = UseSimd();
-  return RunBlocked(n, [&](int32_t off, int32_t len) {
-#if SQLARRAY_HAVE_AVX2_VARIANTS
-    if (simd) return NegF64Avx2(a + off, len, out + off);
-#else
-    (void)simd;
-#endif
-    NegF64Scalar(a + off, len, out + off);
-  });
 }
 
 Status I64ToF64(const int64_t* a, int32_t n, double* out) {

@@ -3,20 +3,14 @@
 // These are the inner loops of the columnar expression pipeline
 // (engine/vec_expr.h): elementwise arithmetic, comparisons, boolean
 // combine, lane conversions, strided gathers out of row-major batches, and
-// the aggregate folds. Two implementations exist for the hot elementwise
-// family:
-//
-//   * explicit AVX2 intrinsics (x86-64, compiled via function-level target
-//     attributes so the baseline build still carries them), selected at
-//     runtime when the CPU supports AVX2;
-//   * a portable scalar loop — the fallback on other ISAs (NEON builds lean
-//     on -O3 auto-vectorization) and the reference the SIMD variants must
-//     match bit for bit. SetForceScalar(true) pins every call to this path
-//     so one binary tests both (tests/test_vec.cc does, differentially).
-//
-// Building with -DSQLARRAY_FORCE_SCALAR_KERNELS=ON compiles the SIMD
-// variants out entirely — the ctest vec_scalar_suite runs the differential
-// suite in such a tree.
+// the aggregate folds. The loops are plain C++ built -O3, so the compiler
+// vectorizes them. Each kernel of the hot elementwise family (+, -, * on
+// int64 and float64, the comparisons, AND/OR/NOT, unary -) is one per-lane
+// expression compiled twice from the same loop: once for AVX2, chosen at run
+// time when the CPU has it (x86-64 only), and once for the baseline ISA.
+// The baseline builds are exported under `baseline::` as the reference the
+// dispatched kernels must match bit for bit, as Crc32cPortable() backs
+// Crc32c() (tests/test_vec.cc compares them).
 //
 // Numeric contracts (must mirror engine::EvalBinaryOp / EvalUnaryOp and
 // AccumulateNative exactly — the row path is the oracle):
@@ -54,13 +48,6 @@ namespace sqlarray::col {
 
 /// Elements per cancellation probe inside the kernel loops.
 inline constexpr int32_t kCancelBlock = 8192;
-
-/// Pins every kernel to the portable scalar path (process-wide; tests).
-void SetForceScalar(bool force);
-bool ForceScalarActive();
-/// True when the AVX2 variants are compiled in and this CPU supports them
-/// (independent of the force-scalar override).
-bool SimdAvailable();
 
 // ---------------------------------------------------------------------------
 // Gathers: strided loads out of a row-major batch into a dense lane.
@@ -110,6 +97,25 @@ Status NotI64(const int64_t* a, int32_t n, int64_t* out);
 
 Status NegI64(const int64_t* a, int32_t n, int64_t* out);
 Status NegF64(const double* a, int32_t n, double* out);
+
+/// The elementwise kernels above built for the baseline ISA alone: the
+/// reference the dispatched ones match byte for byte. On a CPU without AVX2
+/// the dispatched kernels run this code.
+namespace baseline {
+Status AddI64(const int64_t* a, const int64_t* b, int32_t n, int64_t* out);
+Status SubI64(const int64_t* a, const int64_t* b, int32_t n, int64_t* out);
+Status MulI64(const int64_t* a, const int64_t* b, int32_t n, int64_t* out);
+Status AddF64(const double* a, const double* b, int32_t n, double* out);
+Status SubF64(const double* a, const double* b, int32_t n, double* out);
+Status MulF64(const double* a, const double* b, int32_t n, double* out);
+Status CmpF64(CmpOp op, const double* a, const double* b, int32_t n,
+              int64_t* out);
+Status AndI64(const int64_t* a, const int64_t* b, int32_t n, int64_t* out);
+Status OrI64(const int64_t* a, const int64_t* b, int32_t n, int64_t* out);
+Status NotI64(const int64_t* a, int32_t n, int64_t* out);
+Status NegI64(const int64_t* a, int32_t n, int64_t* out);
+Status NegF64(const double* a, int32_t n, double* out);
+}  // namespace baseline
 
 /// Lane conversions: int64 -> double widens (static_cast), double -> int64
 /// truncates toward zero (Value::AsInt coercion) and, like it, fails with

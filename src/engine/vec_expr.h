@@ -76,7 +76,6 @@ class VecProgram {
   Status Run(const RowBatch& batch, const std::vector<int32_t>* sel,
              std::vector<col::ColumnVec>* regs, const UdfContext& udf) const;
 
-  col::Lane result_lane() const { return lanes_.empty() ? col::Lane::kI64 : lanes_.back(); }
   int32_t num_instrs() const { return static_cast<int32_t>(instrs_.size()); }
 
   /// This program's result register. `regs` may be larger than

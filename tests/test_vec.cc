@@ -1,9 +1,9 @@
-// Tests for the columnar expression pipeline: kernel-level SIMD-vs-scalar
-// bit equivalence, null/NaN/selection edge cases, and differential
-// execution — the vectorized path must produce BITWISE-identical results to
-// the row path at every batch size and worker count, in both the
-// native-arch and forced-scalar builds (the ctest vec suites run this
-// binary in both trees).
+// Tests for the columnar expression pipeline: each dispatched elementwise
+// kernel against its baseline-ISA build and its per-lane C++ expression,
+// null/NaN/selection edge cases, and differential execution — the
+// vectorized path must produce BITWISE-identical results to the row path at
+// every batch size and worker count (the vec_native_suite ctest entry also
+// runs this binary in a -march=native tree).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/wrap_int.h"
 #include "core/array.h"
 #include "core/column.h"
 #include "core/vec_kernels.h"
@@ -44,12 +45,13 @@ uint64_t Mix(uint64_t* s) {
 // ---------------------------------------------------------------------------
 
 /// Builds an edge-heavy double buffer: NaN, +/-inf, +/-0, denormals, and
-/// pseudorandom values.
+/// pseudorandom values. The seed also shifts where the edges fall, so two
+/// buffers of different seeds pair each edge with other values.
 std::vector<double> EdgeDoubles(int32_t n, uint64_t seed) {
   std::vector<double> v(n);
   uint64_t s = seed;
   for (int32_t i = 0; i < n; ++i) {
-    switch (i % 11) {
+    switch ((i + seed) % 11) {
       case 0: v[i] = kNaN; break;
       case 1: v[i] = kInf; break;
       case 2: v[i] = -kInf; break;
@@ -67,7 +69,7 @@ std::vector<int64_t> EdgeInts(int32_t n, uint64_t seed) {
   std::vector<int64_t> v(n);
   uint64_t s = seed;
   for (int32_t i = 0; i < n; ++i) {
-    switch (i % 7) {
+    switch ((i + seed) % 7) {
       case 0: v[i] = std::numeric_limits<int64_t>::max(); break;
       case 1: v[i] = std::numeric_limits<int64_t>::min(); break;
       case 2: v[i] = (int64_t{1} << 53) + 1; break;
@@ -81,71 +83,113 @@ std::vector<int64_t> EdgeInts(int32_t n, uint64_t seed) {
 /// Sizes straddling SIMD widths and the cancellation block.
 const int32_t kKernelSizes[] = {1, 3, 4, 5, 31, 32, 33, 127, 128, 1000, 9000};
 
+/// Each dispatched kernel (`got`), its baseline build (`ref`) and the
+/// per-lane C++ expression (`want`) must agree byte for byte.
+template <typename R>
+void ExpectSameBytes(const std::vector<R>& got, const std::vector<R>& ref,
+                     const std::vector<R>& want, const std::string& what) {
+  const size_t bytes = got.size() * sizeof(R);
+  EXPECT_EQ(std::memcmp(got.data(), ref.data(), bytes), 0) << what;
+  EXPECT_EQ(std::memcmp(ref.data(), want.data(), bytes), 0) << what;
+}
+
 TEST(VecKernels, SimdMatchesScalarBitwiseF64) {
+  using Fn = Status (*)(const double*, const double*, int32_t, double*);
+  struct Case {
+    const char* name;
+    Fn kernel, baseline;
+    double (*lane)(double, double);
+  };
+  const Case cases[] = {
+      {"add", col::AddF64, col::baseline::AddF64,
+       [](double x, double y) { return x + y; }},
+      {"sub", col::SubF64, col::baseline::SubF64,
+       [](double x, double y) { return x - y; }},
+      {"mul", col::MulF64, col::baseline::MulF64,
+       [](double x, double y) { return x * y; }},
+  };
+  struct CmpCase {
+    col::CmpOp op;
+    int64_t (*lane)(double, double);
+  };
+  const CmpCase cmps[] = {
+      {col::CmpOp::kEq, [](double x, double y) -> int64_t { return x == y; }},
+      {col::CmpOp::kNe, [](double x, double y) -> int64_t { return x != y; }},
+      {col::CmpOp::kLt, [](double x, double y) -> int64_t { return x < y; }},
+      {col::CmpOp::kLe, [](double x, double y) -> int64_t { return x <= y; }},
+      {col::CmpOp::kGt, [](double x, double y) -> int64_t { return x > y; }},
+      {col::CmpOp::kGe, [](double x, double y) -> int64_t { return x >= y; }},
+  };
   for (int32_t n : kKernelSizes) {
-    std::vector<double> a = EdgeDoubles(n, 1), b = EdgeDoubles(n, 2);
-    std::vector<double> simd(n), scalar(n);
-    std::vector<int64_t> simd_i(n), scalar_i(n);
-    using FnF = Status (*)(const double*, const double*, int32_t, double*);
-    const FnF fns[] = {col::AddF64, col::SubF64, col::MulF64};
-    for (FnF fn : fns) {
-      col::SetForceScalar(false);
-      ASSERT_TRUE(fn(a.data(), b.data(), n, simd.data()).ok());
-      col::SetForceScalar(true);
-      ASSERT_TRUE(fn(a.data(), b.data(), n, scalar.data()).ok());
-      col::SetForceScalar(false);
-      EXPECT_EQ(std::memcmp(simd.data(), scalar.data(), n * sizeof(double)), 0)
-          << "n=" << n;
+    const std::vector<double> a = EdgeDoubles(n, 1), b = EdgeDoubles(n, 2);
+    for (const Case& c : cases) {
+      std::vector<double> got(n), ref(n), want(n);
+      ASSERT_TRUE(c.kernel(a.data(), b.data(), n, got.data()).ok());
+      ASSERT_TRUE(c.baseline(a.data(), b.data(), n, ref.data()).ok());
+      for (int32_t i = 0; i < n; ++i) want[i] = c.lane(a[i], b[i]);
+      ExpectSameBytes(got, ref, want, c.name + (" n=" + std::to_string(n)));
     }
-    const col::CmpOp cmps[] = {col::CmpOp::kEq, col::CmpOp::kNe,
-                               col::CmpOp::kLt, col::CmpOp::kLe,
-                               col::CmpOp::kGt, col::CmpOp::kGe};
-    for (col::CmpOp op : cmps) {
-      col::SetForceScalar(false);
-      ASSERT_TRUE(col::CmpF64(op, a.data(), b.data(), n, simd_i.data()).ok());
-      col::SetForceScalar(true);
-      ASSERT_TRUE(col::CmpF64(op, a.data(), b.data(), n, scalar_i.data()).ok());
-      col::SetForceScalar(false);
-      EXPECT_EQ(
-          std::memcmp(simd_i.data(), scalar_i.data(), n * sizeof(int64_t)), 0)
-          << "n=" << n << " op=" << static_cast<int>(op);
+    for (const CmpCase& c : cmps) {
+      std::vector<int64_t> got(n), ref(n), want(n);
+      ASSERT_TRUE(col::CmpF64(c.op, a.data(), b.data(), n, got.data()).ok());
+      ASSERT_TRUE(
+          col::baseline::CmpF64(c.op, a.data(), b.data(), n, ref.data()).ok());
+      for (int32_t i = 0; i < n; ++i) want[i] = c.lane(a[i], b[i]);
+      ExpectSameBytes(got, ref, want,
+                      "cmp " + std::to_string(static_cast<int>(c.op)) +
+                          " n=" + std::to_string(n));
     }
-    col::SetForceScalar(false);
-    ASSERT_TRUE(col::NegF64(a.data(), n, simd.data()).ok());
-    col::SetForceScalar(true);
-    ASSERT_TRUE(col::NegF64(a.data(), n, scalar.data()).ok());
-    col::SetForceScalar(false);
-    EXPECT_EQ(std::memcmp(simd.data(), scalar.data(), n * sizeof(double)), 0);
+    std::vector<double> got(n), ref(n), want(n);
+    ASSERT_TRUE(col::NegF64(a.data(), n, got.data()).ok());
+    ASSERT_TRUE(col::baseline::NegF64(a.data(), n, ref.data()).ok());
+    for (int32_t i = 0; i < n; ++i) want[i] = -a[i];
+    ExpectSameBytes(got, ref, want, "neg n=" + std::to_string(n));
   }
 }
 
 TEST(VecKernels, SimdMatchesScalarBitwiseI64) {
+  using Fn = Status (*)(const int64_t*, const int64_t*, int32_t, int64_t*);
+  using UnaryFn = Status (*)(const int64_t*, int32_t, int64_t*);
+  struct Case {
+    const char* name;
+    Fn kernel, baseline;
+    int64_t (*lane)(int64_t, int64_t);
+  };
+  const Case cases[] = {
+      {"add", col::AddI64, col::baseline::AddI64, WrapAdd},
+      {"sub", col::SubI64, col::baseline::SubI64, WrapSub},
+      {"mul", col::MulI64, col::baseline::MulI64, WrapMul},
+      {"and", col::AndI64, col::baseline::AndI64,
+       [](int64_t x, int64_t y) -> int64_t { return x != 0 && y != 0; }},
+      {"or", col::OrI64, col::baseline::OrI64,
+       [](int64_t x, int64_t y) -> int64_t { return x != 0 || y != 0; }},
+  };
+  struct UnaryCase {
+    const char* name;
+    UnaryFn kernel, baseline;
+    int64_t (*lane)(int64_t);
+  };
+  const UnaryCase unary[] = {
+      {"neg", col::NegI64, col::baseline::NegI64, WrapNeg},
+      {"not", col::NotI64, col::baseline::NotI64,
+       [](int64_t x) -> int64_t { return x == 0; }},
+  };
   for (int32_t n : kKernelSizes) {
-    std::vector<int64_t> a = EdgeInts(n, 3), b = EdgeInts(n, 4);
-    std::vector<int64_t> simd(n), scalar(n);
-    using FnI = Status (*)(const int64_t*, const int64_t*, int32_t, int64_t*);
-    const FnI fns[] = {col::AddI64, col::SubI64, col::MulI64, col::AndI64,
-                       col::OrI64};
-    for (FnI fn : fns) {
-      col::SetForceScalar(false);
-      ASSERT_TRUE(fn(a.data(), b.data(), n, simd.data()).ok());
-      col::SetForceScalar(true);
-      ASSERT_TRUE(fn(a.data(), b.data(), n, scalar.data()).ok());
-      col::SetForceScalar(false);
-      EXPECT_EQ(
-          std::memcmp(simd.data(), scalar.data(), n * sizeof(int64_t)), 0)
-          << "n=" << n;
+    const std::vector<int64_t> a = EdgeInts(n, 3), b = EdgeInts(n, 4);
+    for (const Case& c : cases) {
+      std::vector<int64_t> got(n), ref(n), want(n);
+      ASSERT_TRUE(c.kernel(a.data(), b.data(), n, got.data()).ok());
+      ASSERT_TRUE(c.baseline(a.data(), b.data(), n, ref.data()).ok());
+      for (int32_t i = 0; i < n; ++i) want[i] = c.lane(a[i], b[i]);
+      ExpectSameBytes(got, ref, want, c.name + (" n=" + std::to_string(n)));
     }
-    col::SetForceScalar(false);
-    ASSERT_TRUE(col::NegI64(a.data(), n, simd.data()).ok());
-    ASSERT_TRUE(col::NotI64(a.data(), n, scalar.data()).ok());
-    col::SetForceScalar(true);
-    std::vector<int64_t> neg2(n), not2(n);
-    ASSERT_TRUE(col::NegI64(a.data(), n, neg2.data()).ok());
-    ASSERT_TRUE(col::NotI64(a.data(), n, not2.data()).ok());
-    col::SetForceScalar(false);
-    EXPECT_EQ(std::memcmp(simd.data(), neg2.data(), n * sizeof(int64_t)), 0);
-    EXPECT_EQ(std::memcmp(scalar.data(), not2.data(), n * sizeof(int64_t)), 0);
+    for (const UnaryCase& c : unary) {
+      std::vector<int64_t> got(n), ref(n), want(n);
+      ASSERT_TRUE(c.kernel(a.data(), n, got.data()).ok());
+      ASSERT_TRUE(c.baseline(a.data(), n, ref.data()).ok());
+      for (int32_t i = 0; i < n; ++i) want[i] = c.lane(a[i]);
+      ExpectSameBytes(got, ref, want, c.name + (" n=" + std::to_string(n)));
+    }
   }
 }
 
@@ -230,65 +274,61 @@ TEST(VecKernels, GatherStridesSelectionAndWidening) {
 }
 
 TEST(VecKernels, FoldsMatchSerialAccumulation) {
-  for (bool force : {false, true}) {
-    col::SetForceScalar(force);
-    const int32_t n = 501;
-    std::vector<double> d = EdgeDoubles(n, 9);
-    // Reference: the row loop's serial chain.
-    double sum = 0, mn = std::numeric_limits<double>::infinity(),
-           mx = -std::numeric_limits<double>::infinity();
-    int64_t count = 0;
-    for (int32_t i = 0; i < n; ++i) {
-      count++;
-      sum += d[i];
-      mn = std::min(mn, d[i]);
-      mx = std::max(mx, d[i]);
-    }
-    col::VecAggState st;
-    st.mn = std::numeric_limits<double>::infinity();
-    st.mx = -std::numeric_limits<double>::infinity();
-    ASSERT_TRUE(col::FoldF64(d.data(), nullptr, n, &st).ok());
-    EXPECT_EQ(st.count, count);
-    // Bitwise comparison — NaN sums must match NaN sums.
-    EXPECT_EQ(std::memcmp(&st.sum, &sum, 8), 0);
-    EXPECT_EQ(std::memcmp(&st.mn, &mn, 8), 0);
-    EXPECT_EQ(std::memcmp(&st.mx, &mx, 8), 0);
-    EXPECT_FALSE(st.int_only);
-
-    // Int fold with a ragged validity mask.
-    std::vector<int64_t> iv = EdgeInts(n, 10);
-    col::ColumnVec c;
-    int64_t* p = c.MutableI64(n);
-    std::memcpy(p, iv.data(), n * 8);
-    uint64_t* words = c.MutableValidity();
-    for (int32_t i = 0; i < n; i += 5) {
-      words[i >> 6] &= ~(uint64_t{1} << (i & 63));
-    }
-    int64_t isum = 0, icount = 0;
-    double dsum = 0, dmn = std::numeric_limits<double>::infinity(),
-           dmx = -std::numeric_limits<double>::infinity();
-    for (int32_t i = 0; i < n; ++i) {
-      if (i % 5 == 0) continue;
-      isum = static_cast<int64_t>(static_cast<uint64_t>(isum) +
-                                  static_cast<uint64_t>(iv[i]));
-      icount++;
-      const double x = static_cast<double>(iv[i]);
-      dsum += x;
-      dmn = std::min(dmn, x);
-      dmx = std::max(dmx, x);
-    }
-    col::VecAggState ist;
-    ist.mn = std::numeric_limits<double>::infinity();
-    ist.mx = -std::numeric_limits<double>::infinity();
-    ASSERT_TRUE(col::FoldI64(c.i64(), c.valid_words(), n, &ist).ok());
-    EXPECT_EQ(ist.count, icount);
-    EXPECT_EQ(ist.isum, isum);
-    EXPECT_EQ(std::memcmp(&ist.sum, &dsum, 8), 0);
-    EXPECT_EQ(ist.mn, dmn);
-    EXPECT_EQ(ist.mx, dmx);
-    EXPECT_TRUE(ist.int_only);
+  const int32_t n = 501;
+  std::vector<double> d = EdgeDoubles(n, 9);
+  // Reference: the row loop's serial chain.
+  double sum = 0, mn = std::numeric_limits<double>::infinity(),
+         mx = -std::numeric_limits<double>::infinity();
+  int64_t count = 0;
+  for (int32_t i = 0; i < n; ++i) {
+    count++;
+    sum += d[i];
+    mn = std::min(mn, d[i]);
+    mx = std::max(mx, d[i]);
   }
-  col::SetForceScalar(false);
+  col::VecAggState st;
+  st.mn = std::numeric_limits<double>::infinity();
+  st.mx = -std::numeric_limits<double>::infinity();
+  ASSERT_TRUE(col::FoldF64(d.data(), nullptr, n, &st).ok());
+  EXPECT_EQ(st.count, count);
+  // Bitwise comparison — NaN sums must match NaN sums.
+  EXPECT_EQ(std::memcmp(&st.sum, &sum, 8), 0);
+  EXPECT_EQ(std::memcmp(&st.mn, &mn, 8), 0);
+  EXPECT_EQ(std::memcmp(&st.mx, &mx, 8), 0);
+  EXPECT_FALSE(st.int_only);
+
+  // Int fold with a ragged validity mask.
+  std::vector<int64_t> iv = EdgeInts(n, 10);
+  col::ColumnVec c;
+  int64_t* p = c.MutableI64(n);
+  std::memcpy(p, iv.data(), n * 8);
+  uint64_t* words = c.MutableValidity();
+  for (int32_t i = 0; i < n; i += 5) {
+    words[i >> 6] &= ~(uint64_t{1} << (i & 63));
+  }
+  int64_t isum = 0, icount = 0;
+  double dsum = 0, dmn = std::numeric_limits<double>::infinity(),
+         dmx = -std::numeric_limits<double>::infinity();
+  for (int32_t i = 0; i < n; ++i) {
+    if (i % 5 == 0) continue;
+    isum = static_cast<int64_t>(static_cast<uint64_t>(isum) +
+                                static_cast<uint64_t>(iv[i]));
+    icount++;
+    const double x = static_cast<double>(iv[i]);
+    dsum += x;
+    dmn = std::min(dmn, x);
+    dmx = std::max(dmx, x);
+  }
+  col::VecAggState ist;
+  ist.mn = std::numeric_limits<double>::infinity();
+  ist.mx = -std::numeric_limits<double>::infinity();
+  ASSERT_TRUE(col::FoldI64(c.i64(), c.valid_words(), n, &ist).ok());
+  EXPECT_EQ(ist.count, icount);
+  EXPECT_EQ(ist.isum, isum);
+  EXPECT_EQ(std::memcmp(&ist.sum, &dsum, 8), 0);
+  EXPECT_EQ(ist.mn, dmn);
+  EXPECT_EQ(ist.mx, dmx);
+  EXPECT_TRUE(ist.int_only);
 }
 
 TEST(VecKernels, DivModZeroMaskingAndMessages) {
@@ -352,7 +392,7 @@ TEST(VecKernels, ZeroCopyViewsAliasWithoutCopying) {
 
 // ---------------------------------------------------------------------------
 // Differential engine tests: vectorized vs row results must be bitwise
-// identical across batch sizes, worker counts, and SIMD/scalar kernels.
+// identical across batch sizes and worker counts.
 // ---------------------------------------------------------------------------
 
 class VecEngineTest : public ::testing::Test {
@@ -362,7 +402,6 @@ class VecEngineTest : public ::testing::Test {
   VecEngineTest() : executor_(&db_, &registry_) {
     EXPECT_TRUE(udfs::RegisterAllUdfs(&registry_).ok());
   }
-  ~VecEngineTest() override { col::SetForceScalar(false); }
 
   /// Full numeric dtype matrix with edge values: negative int32s, int64s
   /// past 2^53, NaN / +/-inf / -0.0 doubles and floats.
@@ -418,12 +457,10 @@ class VecEngineTest : public ::testing::Test {
   };
 
   Outcome Run(const Query& q, std::map<std::string, Value>* vars, int batch,
-              int workers, bool force_scalar) {
-    col::SetForceScalar(force_scalar);
+              int workers) {
     executor_.set_batch_rows(batch);
     executor_.set_scan_workers(workers);
     Result<ResultSet> r = executor_.Execute(q, vars);
-    col::SetForceScalar(false);
     Outcome o;
     o.ok = r.ok();
     if (!r.ok()) {
@@ -436,33 +473,29 @@ class VecEngineTest : public ::testing::Test {
     return o;
   }
 
-  /// Asserts every (batch, workers, scalar) configuration of the vectorized
-  /// path reproduces the row-at-a-time baseline exactly — results bitwise,
+  /// Asserts every (batch, workers) configuration of the vectorized path
+  /// reproduces the row-at-a-time baseline exactly — results bitwise,
   /// stats, and failure outcomes alike.
   void ExpectAllConfigsMatchRowBaseline(const Query& q,
                                         std::map<std::string, Value>* vars) {
-    const Outcome base = Run(q, vars, /*batch=*/1, /*workers=*/1,
-                             /*force_scalar=*/true);
+    const Outcome base = Run(q, vars, /*batch=*/1, /*workers=*/1);
     const int batches[] = {1, 3, 1024, static_cast<int>(kRows)};
     const int workers[] = {1, 2, 8};
     for (int b : batches) {
       for (int w : workers) {
-        for (bool scalar : {false, true}) {
-          const Outcome got = Run(q, vars, b, w, scalar);
-          EXPECT_EQ(got.ok, base.ok)
-              << "batch=" << b << " workers=" << w << " scalar=" << scalar;
-          if (base.ok) {
-            EXPECT_EQ(got.payload, base.payload)
-                << "batch=" << b << " workers=" << w << " scalar=" << scalar;
-            EXPECT_EQ(got.rows_scanned, base.rows_scanned);
-            EXPECT_EQ(got.rows_kept, base.rows_kept);
-          } else {
-            // Error-row freedom: batched evaluation may surface a different
-            // row's error, but the code and message here carry no row
-            // detail, so the rendering matches exactly.
-            EXPECT_EQ(got.payload, base.payload)
-                << "batch=" << b << " workers=" << w;
-          }
+        const Outcome got = Run(q, vars, b, w);
+        EXPECT_EQ(got.ok, base.ok) << "batch=" << b << " workers=" << w;
+        if (base.ok) {
+          EXPECT_EQ(got.payload, base.payload)
+              << "batch=" << b << " workers=" << w;
+          EXPECT_EQ(got.rows_scanned, base.rows_scanned);
+          EXPECT_EQ(got.rows_kept, base.rows_kept);
+        } else {
+          // Error-row freedom: batched evaluation may surface a different
+          // row's error, but the code and message here carry no row
+          // detail, so the rendering matches exactly.
+          EXPECT_EQ(got.payload, base.payload)
+              << "batch=" << b << " workers=" << w;
         }
       }
     }
@@ -741,8 +774,8 @@ TEST_F(VecEngineTest, SelectionVectorBoundaries) {
   single.table = one;
   single.items.push_back(Item(Col("y"), SelectItem::AggKind::kSum, "s"));
   ASSERT_TRUE(executor_.Bind(&single).ok());
-  const Outcome base = Run(single, nullptr, 1, 1, true);
-  const Outcome vec = Run(single, nullptr, 1024, 8, false);
+  const Outcome base = Run(single, nullptr, 1, 1);
+  const Outcome vec = Run(single, nullptr, 1024, 8);
   EXPECT_EQ(vec.payload, base.payload);
 }
 
@@ -951,9 +984,9 @@ TEST_F(VecEngineTest, ConcurrentMorselVectorizedStress) {
   q.items.push_back(Item(Col("b"), SelectItem::AggKind::kMin, "m"));
   q.items.push_back(Item(Star(), SelectItem::AggKind::kCount, "n"));
   ASSERT_TRUE(executor_.Bind(&q).ok());
-  const Outcome base = Run(q, nullptr, 1, 1, true);
+  const Outcome base = Run(q, nullptr, 1, 1);
   for (int rep = 0; rep < 4; ++rep) {
-    const Outcome got = Run(q, nullptr, 256, 8, false);
+    const Outcome got = Run(q, nullptr, 256, 8);
     EXPECT_EQ(got.ok, base.ok);
     EXPECT_EQ(got.payload, base.payload) << "rep=" << rep;
   }
@@ -984,7 +1017,7 @@ TEST_F(VecEngineTest, FloatToBigintOverflowFailsInBothEvaluators) {
       "OUT_OF_RANGE: arithmetic overflow converting FLOAT to BIGINT";
   auto outcome = [&](Query q, int batch) {
     EXPECT_TRUE(executor_.Bind(&q).ok());
-    return Run(q, &vars, batch, /*workers=*/1, /*force_scalar=*/false);
+    return Run(q, &vars, batch, /*workers=*/1);
   };
   auto call = [](double index) {
     std::vector<ExprPtr> args;
@@ -1176,8 +1209,7 @@ class CallLaneTest : public VecEngineTest {
   };
 
   Snap RunSnap(Executor& ex, const Query& q, std::map<std::string, Value>* vars,
-               int batch, int workers, bool force_scalar) {
-    col::SetForceScalar(force_scalar);
+               int batch, int workers) {
     ex.set_batch_rows(batch);
     ex.set_scan_workers(workers);
     db_.ClearCache();
@@ -1186,7 +1218,6 @@ class CallLaneTest : public VecEngineTest {
     obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
     Result<ResultSet> r = ex.Execute(q, vars, &qctx);
     obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
-    col::SetForceScalar(false);
     Snap s;
     s.ok = r.ok();
     if (!r.ok()) {
@@ -1238,37 +1269,34 @@ class CallLaneTest : public VecEngineTest {
     ASSERT_TRUE(executor_.Bind(&lane_q).ok());
     Query row_q = make();
     ASSERT_TRUE(rows_executor_.Bind(&row_q).ok());
-    const Snap base = RunSnap(executor_, lane_q, vars, 1, 1, true);
+    const Snap base = RunSnap(executor_, lane_q, vars, 1, 1);
     ASSERT_TRUE(base.ok) << base.payload;
     ASSERT_GT(base.stats.udf_calls, 0);
     for (int b : {1, 3, 1024}) {
       for (int w : {1, 2, 8}) {
-        for (bool scalar : {false, true}) {
-          SCOPED_TRACE("batch=" + std::to_string(b) +
-                       " workers=" + std::to_string(w) +
-                       " scalar=" + std::to_string(scalar));
-          const Snap lane = RunSnap(executor_, lane_q, vars, b, w, scalar);
-          const Snap rows = RunSnap(rows_executor_, row_q, vars, b, w, scalar);
-          ASSERT_TRUE(lane.ok) << lane.payload;
-          ASSERT_TRUE(rows.ok) << rows.payload;
-          EXPECT_EQ(lane.payload, rows.payload);
-          ExpectSameCounts(lane.stats, rows.stats);
-          EXPECT_EQ(std::memcmp(&lane.stats.cpu_core_seconds,
-                                &rows.stats.cpu_core_seconds, sizeof(double)),
-                    0)
-              << lane.stats.cpu_core_seconds << " vs "
-              << rows.stats.cpu_core_seconds;
-          EXPECT_EQ(lane.udf_rows, rows.udf_rows);
-          // Every call ran as a lane instruction.
-          if (b > 1) {
-            EXPECT_EQ(lane.fallback_rows, 0);
-          }
-
-          EXPECT_EQ(lane.payload, base.payload);
-          ExpectSameCounts(lane.stats, base.stats);
-          EXPECT_NEAR(lane.stats.cpu_core_seconds, base.stats.cpu_core_seconds,
-                      1e-12 * base.stats.cpu_core_seconds);
+        SCOPED_TRACE("batch=" + std::to_string(b) +
+                     " workers=" + std::to_string(w));
+        const Snap lane = RunSnap(executor_, lane_q, vars, b, w);
+        const Snap rows = RunSnap(rows_executor_, row_q, vars, b, w);
+        ASSERT_TRUE(lane.ok) << lane.payload;
+        ASSERT_TRUE(rows.ok) << rows.payload;
+        EXPECT_EQ(lane.payload, rows.payload);
+        ExpectSameCounts(lane.stats, rows.stats);
+        EXPECT_EQ(std::memcmp(&lane.stats.cpu_core_seconds,
+                              &rows.stats.cpu_core_seconds, sizeof(double)),
+                  0)
+            << lane.stats.cpu_core_seconds << " vs "
+            << rows.stats.cpu_core_seconds;
+        EXPECT_EQ(lane.udf_rows, rows.udf_rows);
+        // Every call ran as a lane instruction.
+        if (b > 1) {
+          EXPECT_EQ(lane.fallback_rows, 0);
         }
+
+        EXPECT_EQ(lane.payload, base.payload);
+        ExpectSameCounts(lane.stats, base.stats);
+        EXPECT_NEAR(lane.stats.cpu_core_seconds, base.stats.cpu_core_seconds,
+                    1e-12 * base.stats.cpu_core_seconds);
       }
     }
   }
@@ -1363,8 +1391,8 @@ TEST_F(CallLaneTest, NullableOrBlobArgumentsStayOnEval) {
     q.items.push_back(Item(Call("FloatArray", "Item_1", std::move(args)),
                            SelectItem::AggKind::kCount, "c"));
     ASSERT_TRUE(executor_.Bind(&q).ok());
-    const Snap base = RunSnap(executor_, q, &vars, 1, 1, false);
-    const Snap wide = RunSnap(executor_, q, &vars, 1024, 1, false);
+    const Snap base = RunSnap(executor_, q, &vars, 1, 1);
+    const Snap wide = RunSnap(executor_, q, &vars, 1024, 1);
     EXPECT_EQ(wide.ok, base.ok);
     EXPECT_EQ(wide.payload, base.payload);
     if (wide.ok) {
@@ -1498,7 +1526,7 @@ TEST_F(CallLaneTest, MalformedBlobFailsAlikeAtEveryWidth) {
       ASSERT_FALSE(row.ok());
       EXPECT_EQ(row.status().code(), c.code) << row.status().ToString();
       for (int w : {1, 2}) {
-        const Outcome lane = Run(q, nullptr, 1024, w, false);
+        const Outcome lane = Run(q, nullptr, 1024, w);
         EXPECT_FALSE(lane.ok);
         EXPECT_EQ(lane.payload, row.status().ToString()) << "workers=" << w;
       }
@@ -1520,12 +1548,12 @@ TEST_F(CallLaneTest, NumberForTheArrayFailsAlikeAtEveryWidth) {
   q.items.push_back(Item(Call("FloatArray", "Item_1", std::move(args)),
                          SelectItem::AggKind::kSum, "s"));
   ASSERT_TRUE(executor_.Bind(&q).ok());
-  const Outcome row = Run(q, nullptr, 1, 1, false);
+  const Outcome row = Run(q, nullptr, 1, 1);
   ASSERT_FALSE(row.ok);
   EXPECT_EQ(row.payload,
             Status::TypeMismatch("argument is not an array blob").ToString());
   for (int w : {1, 2}) {
-    const Outcome lane = Run(q, nullptr, 1024, w, false);
+    const Outcome lane = Run(q, nullptr, 1024, w);
     EXPECT_EQ(lane.payload, row.payload) << "workers=" << w;
   }
 }
