@@ -6,9 +6,11 @@
 #pragma once
 
 #include <complex>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/dims.h"
 #include "common/status.h"
 #include "core/array.h"
@@ -22,12 +24,77 @@ namespace sqlarray {
 /// Returns the element at `index` widened to double (Item_N in T-SQL).
 Result<double> Item(const ArrayRef& a, std::span<const int64_t> index);
 
-/// Reads the element at `index` of the short `dtype` array `blob`, widened
-/// to double: the element access of the typed Item_N functions, for their
-/// row function and their column kernel alike. Fails as DecodeHeader,
+/// Reads elements of short `dtype` arrays widened to double, one per call:
+/// the element access of the typed Item_N functions, for their row function
+/// and their column kernel alike. Read(blob, index) fails as DecodeHeader,
 /// CheckSchemaMatch(dtype, kShort), ArrayRef::Parse and Item would, in that
-/// order and with the same Status, but reads the header once, in place, and
+/// order and with the same Status, but reads the header in place and
 /// allocates nothing on success.
+///
+/// A reader remembers the last header that passed those checks (its 24
+/// bytes and the blob's stored length) and the last index tuple it located
+/// in that header. Every check before the element load is a pure function
+/// of those bytes, that length and the index, so a call that repeats them
+/// skips the checks and returns exactly what a fresh reader would. A call
+/// that does not runs every check in order and is remembered only once it
+/// passes. A reader belongs to one thread.
+class ShortItemReader {
+ public:
+  explicit ShortItemReader(DType dtype) : dtype_(dtype) {}
+
+  Result<double> Read(std::span<const uint8_t> blob,
+                      std::span<const int64_t> index) {
+    if (SameHeader(blob) && SameIndex(index)) return Load(blob);
+    return ReadMiss(blob, index);
+  }
+
+ private:
+  Result<double> Load(std::span<const uint8_t> blob) const {
+    const uint8_t* p = blob.data() + offset_;
+    if (dtype_ == DType::kFloat64) return DecodeLE<double>(p);
+    return ReadScalarAsDouble(dtype_, p);
+  }
+  bool SameHeader(std::span<const uint8_t> blob) const {
+    if (size_ == 0 || blob.size() != size_) return false;
+    uint64_t w[3];
+    std::memcpy(w, blob.data(), sizeof(w));
+    return ((w[0] ^ header_[0]) | (w[1] ^ header_[1]) | (w[2] ^ header_[2])) ==
+           0;
+  }
+  bool SameIndex(std::span<const int64_t> index) const {
+    if (!located_ || index.size() != static_cast<size_t>(shape_.rank)) {
+      return false;
+    }
+    for (size_t d = 0; d < index.size(); ++d) {
+      if (index[d] != index_[d]) return false;
+    }
+    return true;
+  }
+  /// Read past the memo: the checks it does not cover, then the load.
+  Result<double> ReadMiss(std::span<const uint8_t> blob,
+                          std::span<const int64_t> index);
+  /// The header checks; on success `blob`'s header becomes the remembered
+  /// one and no index is located in it yet.
+  Status CheckHeader(std::span<const uint8_t> blob);
+  /// LinearIndex in the remembered header; on success `index` becomes the
+  /// remembered tuple.
+  Status Locate(std::span<const int64_t> index);
+
+  DType dtype_;
+  /// The last header that passed, as three words, and the stored length of
+  /// its blob: 0 until one passes (a passing blob holds the whole header).
+  uint64_t header_[3] = {};
+  static_assert(sizeof(header_) == kShortHeaderSize);
+  size_t size_ = 0;
+  ShortHeader shape_;
+  /// The last index tuple located in that header, and the byte offset of
+  /// its element in the blob.
+  bool located_ = false;
+  int64_t index_[kMaxShortRank] = {};
+  int64_t offset_ = 0;
+};
+
+/// One read of a fresh ShortItemReader.
 Result<double> ReadShortItem(std::span<const uint8_t> blob, DType dtype,
                              std::span<const int64_t> index);
 

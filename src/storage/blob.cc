@@ -132,6 +132,12 @@ Result<std::vector<uint8_t>> BlobStore::ReadAll(const BlobId& id) {
 }
 
 Result<BlobStream> BlobStream::Open(BufferPool* pool, const BlobId& id) {
+  if (id.root == kNullPage) {
+    // BlobStore::Write never returns this root: it is the placeholder a
+    // transaction's shadow insert stores until commit writes the blob.
+    return Status::Unimplemented(
+        "blob inserted by an open transaction has no pages until COMMIT");
+  }
   SQLARRAY_ASSIGN_OR_RETURN(PinnedPage root, pool->GetPage(id.root));
   if (root->data()[0] != static_cast<uint8_t>(PageType::kBlobIndex)) {
     return Status::Corruption("blob root is not an index page");

@@ -24,7 +24,9 @@ constexpr double kWorkAggregate = 1000;
 
 /// The column kernel of a short real schema's Item_N: per row what the row
 /// function does with an array held in the row (the indices convert, then
-/// ReadShortItem reads the element in place), so the two fail alike.
+/// a ShortItemReader reads the element in place), so the two fail alike.
+/// One reader serves the call's rows, so each distinct header and index
+/// tuple is checked once per block.
 engine::ColumnKernel ShortItemKernel(DType dtype, int n) {
   return [dtype, n](std::span<const engine::CallArg> args, int32_t rows,
                     col::ColumnVec* out) -> Status {
@@ -34,14 +36,14 @@ engine::ColumnKernel ShortItemKernel(DType dtype, int n) {
       return Status::TypeMismatch("argument is not an array blob");
     }
     double* o = out->MutableF64(rows);
+    ShortItemReader reader(dtype);
     int64_t idx[kMaxShortRank];
     const std::span<const int64_t> index(idx, static_cast<size_t>(n));
     for (int32_t k = 0; k < rows; ++k) {
       for (int d = 0; d < n; ++d) {
         SQLARRAY_ASSIGN_OR_RETURN(idx[d], args[1 + d].Int(k));
       }
-      SQLARRAY_ASSIGN_OR_RETURN(o[k],
-                                ReadShortItem(args[0].Bytes(k), dtype, index));
+      SQLARRAY_ASSIGN_OR_RETURN(o[k], reader.Read(args[0].Bytes(k), index));
     }
     return Status::OK();
   };

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <random>
 #include <vector>
 
@@ -126,24 +127,38 @@ Result<double> ParseChainItem(std::span<const uint8_t> blob, DType dtype,
   return Item(ref, index);
 }
 
+void ExpectSameRead(const Result<double>& got, const Result<double>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.ok(), want.ok()) << what;
+  if (want.ok()) {
+    EXPECT_EQ(std::memcmp(&*got, &*want, sizeof(double)), 0) << what;
+  } else {
+    EXPECT_EQ(got.status().ToString(), want.status().ToString()) << what;
+  }
+}
+
 /// ReadShortItem must agree with the parse chain on every input: the same
-/// value bit for bit, or the same Status code and message.
+/// value bit for bit, or the same Status code and message. So must a
+/// ShortItemReader that has just read `primer` (a valid blob) at the same
+/// index, whose remembered header and index tuple then meet `blob`, and
+/// `carried`, one reader per dtype that reads every input in turn.
 void ExpectReaderMatchesChain(std::span<const uint8_t> blob,
+                              std::span<const uint8_t> primer,
+                              std::map<DType, ShortItemReader>* carried,
                               const std::string& what) {
   const int64_t indices[][2] = {{0, 0}, {3, 5}, {1, 2}, {-1, 0}, {4, 6}};
   for (DType dtype : {DType::kFloat64, DType::kInt32, DType::kFloat32}) {
+    ShortItemReader& running = carried->try_emplace(dtype, dtype).first->second;
     for (size_t rank = 1; rank <= 2; ++rank) {
       for (const auto& idx : indices) {
         std::span<const int64_t> index(idx, rank);
-        Result<double> got = ReadShortItem(blob, dtype, index);
-        Result<double> want = ParseChainItem(blob, dtype, index);
-        ASSERT_EQ(got.ok(), want.ok()) << what;
-        if (want.ok()) {
-          EXPECT_EQ(std::memcmp(&*got, &*want, sizeof(double)), 0) << what;
-        } else {
-          EXPECT_EQ(got.status().ToString(), want.status().ToString())
-              << what;
-        }
+        const Result<double> want = ParseChainItem(blob, dtype, index);
+        ExpectSameRead(ReadShortItem(blob, dtype, index), want, what);
+        ShortItemReader primed(dtype);
+        ExpectSameRead(primed.Read(primer, index),
+                       ParseChainItem(primer, dtype, index), what + " primer");
+        ExpectSameRead(primed.Read(blob, index), want, what + " after primer");
+        ExpectSameRead(running.Read(blob, index), want, what + " carried");
       }
     }
   }
@@ -155,10 +170,20 @@ TEST(ArrayFuzz, ShortItemReaderMatchesTheParseChain) {
   OwnedArray a = OwnedArray::FromValues<double>(Dims{4, 6}, vals).value();
   std::vector<uint8_t> blob(a.blob().begin(), a.blob().end());
   blob.resize(blob.size() + 8, 0);  // fixed binary columns pad
-  ExpectReaderMatchesChain(blob, "valid padded blob");
+  std::map<DType, ShortItemReader> carried;
+  const auto expect = [&](std::span<const uint8_t> input,
+                          const std::string& what) {
+    ExpectReaderMatchesChain(input, blob, &carried, what);
+  };
+  expect(blob, "valid padded blob");
+  // The same header over other elements: a remembered header must not
+  // remember the payload.
+  std::vector<uint8_t> other = blob;
+  for (size_t i = kShortHeaderSize; i < other.size(); ++i) other[i] ^= 0x5A;
+  expect(other, "valid blob with other elements");
   for (size_t n = 0; n <= blob.size(); ++n) {
-    ExpectReaderMatchesChain(std::span<const uint8_t>(blob).first(n),
-                             "truncated to " + std::to_string(n));
+    expect(std::span<const uint8_t>(blob).first(n),
+           "truncated to " + std::to_string(n));
   }
   // Every single-bit flip of the header, the dtype and reserved bytes
   // included.
@@ -166,18 +191,17 @@ TEST(ArrayFuzz, ShortItemReaderMatchesTheParseChain) {
     for (int bit = 0; bit < 8; ++bit) {
       std::vector<uint8_t> flipped = blob;
       flipped[byte] ^= static_cast<uint8_t>(1u << bit);
-      ExpectReaderMatchesChain(flipped, "flip of byte " +
-                                            std::to_string(byte) + " bit " +
-                                            std::to_string(bit));
+      expect(flipped, "flip of byte " + std::to_string(byte) + " bit " +
+                          std::to_string(bit));
     }
   }
   // Max arrays (the wrong class) and other dtypes (the wrong schema).
   OwnedArray max =
       OwnedArray::Zeros(DType::kFloat64, Dims{4, 6}, StorageClass::kMax)
           .value();
-  ExpectReaderMatchesChain(max.blob(), "max array");
+  expect(max.blob(), "max array");
   OwnedArray ints = OwnedArray::Zeros(DType::kInt32, Dims{5}).value();
-  ExpectReaderMatchesChain(ints.blob(), "int32 array");
+  expect(ints.blob(), "int32 array");
   // Random bytes, half of them behind a valid magic and short flag.
   std::mt19937_64 rng(0x17E3);
   std::uniform_int_distribution<int> len_dist(0, 96);
@@ -191,7 +215,7 @@ TEST(ArrayFuzz, ShortItemReaderMatchesTheParseChain) {
       noise[2] = static_cast<uint8_t>(iter % kNumDTypes);
       noise[3] = static_cast<uint8_t>(1 + iter % kMaxShortRank);
     }
-    ExpectReaderMatchesChain(noise, "random blob " + std::to_string(iter));
+    expect(noise, "random blob " + std::to_string(iter));
   }
 }
 

@@ -1,6 +1,8 @@
 // Tests for the serialized array header codec (Sec. 3.5 format).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/header.h"
 
 namespace sqlarray {
@@ -61,8 +63,21 @@ std::vector<RoundTripCase> RoundTripCases() {
   return cases;
 }
 
+/// "<dtype>_<class>_<d0>x<d1>...", e.g. float64_short_2x3.
+std::string RoundTripName(
+    const ::testing::TestParamInfo<RoundTripCase>& info) {
+  const RoundTripCase& c = info.param;
+  std::string name = std::string(DTypeName(c.dtype)) +
+                     (c.storage == StorageClass::kShort ? "_short_" : "_max_");
+  for (size_t k = 0; k < c.dims.size(); ++k) {
+    name += (k > 0 ? "x" : "") + std::to_string(c.dims[k]);
+  }
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllDTypesAndShapes, HeaderRoundTrip,
-                         ::testing::ValuesIn(RoundTripCases()));
+                         ::testing::ValuesIn(RoundTripCases()),
+                         RoundTripName);
 
 TEST(Header, ShortRejectsRankAbove6) {
   EXPECT_FALSE(ValidateHeader(DType::kInt8, Dims{1, 1, 1, 1, 1, 1, 1},

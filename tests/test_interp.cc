@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include "common/rng.h"
 #include "math/interp.h"
@@ -70,7 +71,12 @@ INSTANTIATE_TEST_SUITE_P(LagrangeSchemes, PolynomialReproduction,
                          ::testing::Values(InterpScheme::kLinear,
                                            InterpScheme::kLagrange4,
                                            InterpScheme::kLagrange6,
-                                           InterpScheme::kLagrange8));
+                                           InterpScheme::kLagrange8),
+                         // Linear is the 2-point stencil: lagrange2.
+                         [](const ::testing::TestParamInfo<InterpScheme>& info) {
+                           return "lagrange" +
+                                  std::to_string(StencilWidth(info.param));
+                         });
 
 TEST(Interp1D, NearestPicksClosestSample) {
   std::vector<double> y{10, 20, 30, 40};

@@ -161,6 +161,45 @@ TEST(MvccSnapshot, RolledBackTransactionLeavesNoTrace) {
   EXPECT_TRUE(storage::VerifyDatabase(&rig.db).issues.empty());
 }
 
+TEST(MvccSnapshot, UncommittedBlobReadFailsTypedUntilCommit) {
+  Rig rig;
+  sql::Session s(&rig.executor);
+  ASSERT_TRUE(s.Execute("CREATE TABLE m (id BIGINT, a VARBINARY(MAX))").ok());
+  ASSERT_TRUE(
+      s.Execute("INSERT INTO m VALUES (1, FloatArrayMax.Vector_3(1, 2, 3))")
+          .ok());
+  ASSERT_TRUE(s.Execute("BEGIN TRANSACTION").ok());
+  ASSERT_TRUE(
+      s.Execute("INSERT INTO m VALUES (2, FloatArrayMax.Vector_3(4, 5, 6))")
+          .ok());
+  const std::string point =
+      "SELECT FloatArrayMax.Item_1(a, 1) FROM m WHERE id = 2";
+  const std::string sum = "SELECT SUM(FloatArrayMax.Item_1(a, 0)) FROM m";
+  // The shadow insert holds no pages for its blob yet: a typed refusal
+  // that names the cause, not a read of page 0.
+  for (const std::string& sql : {point, sum}) {
+    Result<std::vector<engine::ResultSet>> r = s.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kUnimplemented) << sql;
+    EXPECT_NE(r.status().message().find("open transaction"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+  // The committed row's blob still reads inside the transaction.
+  engine::ResultSet first = MustQuery(
+      &s, "SELECT FloatArrayMax.Item_1(a, 1) FROM m WHERE id = 1");
+  ASSERT_EQ(first.rows.size(), 1u);
+  EXPECT_EQ(first.rows[0][0].AsDouble().value(), 2.0);
+
+  ASSERT_TRUE(s.Execute("COMMIT").ok());
+  engine::ResultSet after = MustQuery(&s, point);
+  ASSERT_EQ(after.rows.size(), 1u);
+  EXPECT_EQ(after.rows[0][0].AsDouble().value(), 5.0);
+  engine::ResultSet total = MustQuery(&s, sum);
+  ASSERT_EQ(total.rows.size(), 1u);
+  EXPECT_EQ(total.rows[0][0].AsDouble().value(), 5.0);
+}
+
 TEST(MvccSnapshot, ExplainAnalyzeReportsSnapshotLsn) {
   Rig rig;
   ASSERT_NO_FATAL_FAILURE(rig.LoadTable(10));

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -60,6 +61,15 @@ struct SubCase {
 
 class SubarrayAgainstNaive : public ::testing::TestWithParam<SubCase> {};
 
+/// "<d0>x<d1>...": one part of a case's test name.
+std::string ShapeName(const Dims& dims) {
+  std::string name;
+  for (size_t k = 0; k < dims.size(); ++k) {
+    name += (k > 0 ? "x" : "") + std::to_string(dims[k]);
+  }
+  return name;
+}
+
 TEST_P(SubarrayAgainstNaive, MatchesElementwiseCopy) {
   const SubCase& c = GetParam();
   OwnedArray a = Ramp3D(DType::kFloat64, c.dims);
@@ -88,7 +98,12 @@ INSTANTIATE_TEST_SUITE_P(
         SubCase{{5, 5, 5}, {1, 2, 3}, {3, 2, 2}},
         SubCase{{5, 5, 5}, {0, 0, 0}, {5, 5, 5}},
         SubCase{{4, 4, 4, 4}, {1, 1, 1, 1}, {2, 2, 2, 2}},
-        SubCase{{3, 4, 5}, {2, 3, 4}, {1, 1, 1}}));
+        SubCase{{3, 4, 5}, {2, 3, 4}, {1, 1, 1}}),
+    [](const ::testing::TestParamInfo<SubCase>& info) {
+      return ShapeName(info.param.dims) + "_at_" +
+             ShapeName(info.param.offset) + "_take_" +
+             ShapeName(info.param.sizes);
+    });
 
 TEST(Subarray, CollapseDropsUnitDims) {
   OwnedArray a = Ramp3D(DType::kFloat64, {4, 5});
@@ -292,7 +307,10 @@ INSTANTIATE_TEST_SUITE_P(
     AllDTypes, StringRoundTrip,
     ::testing::Values(DType::kInt8, DType::kInt16, DType::kInt32,
                       DType::kInt64, DType::kFloat32, DType::kFloat64,
-                      DType::kComplex64, DType::kComplex128));
+                      DType::kComplex64, DType::kComplex128),
+    [](const ::testing::TestParamInfo<DType>& info) {
+      return std::string(DTypeName(info.param));
+    });
 
 TEST(ArrayString, RejectsMalformed) {
   EXPECT_FALSE(FromArrayString("nope").ok());

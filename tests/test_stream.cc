@@ -1,6 +1,8 @@
 // Tests for streamed (partial-read) array operations over ByteSources.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/build.h"
 #include "core/byte_source.h"
 #include "core/ops.h"
@@ -74,6 +76,15 @@ struct StreamSubCase {
 class StreamSubarrayMatchesLocal
     : public ::testing::TestWithParam<StreamSubCase> {};
 
+/// "<d0>x<d1>...": one part of a case's test name.
+std::string ShapeName(const Dims& dims) {
+  std::string name;
+  for (size_t k = 0; k < dims.size(); ++k) {
+    name += (k > 0 ? "x" : "") + std::to_string(dims[k]);
+  }
+  return name;
+}
+
 TEST_P(StreamSubarrayMatchesLocal, SameResult) {
   const StreamSubCase& c = GetParam();
   OwnedArray a = RampMax(c.dims);
@@ -97,7 +108,12 @@ INSTANTIATE_TEST_SUITE_P(
         StreamSubCase{{8, 8, 8}, {2, 2, 2}, {3, 3, 3}},
         StreamSubCase{{8, 8, 8}, {0, 0, 2}, {8, 8, 3}},  // contiguous planes
         StreamSubCase{{8, 8, 8}, {0, 0, 0}, {8, 8, 8}},
-        StreamSubCase{{4, 4, 4, 4}, {1, 0, 2, 1}, {2, 4, 1, 3}}));
+        StreamSubCase{{4, 4, 4, 4}, {1, 0, 2, 1}, {2, 4, 1, 3}}),
+    [](const ::testing::TestParamInfo<StreamSubCase>& info) {
+      return ShapeName(info.param.dims) + "_at_" +
+             ShapeName(info.param.offset) + "_take_" +
+             ShapeName(info.param.sizes);
+    });
 
 TEST(StreamOps, PartialReadIsProportionalToSubset) {
   // A 100x100x100 float64 max array is 8 MB; a 4^3 subset should read only

@@ -6,6 +6,7 @@
 // runs this binary in a -march=native tree).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -1094,8 +1095,12 @@ constexpr DType kRealDTypes[] = {DType::kInt8,    DType::kInt16,
 class CallLaneTest : public VecEngineTest {
  protected:
   static constexpr int64_t kCallRows = 301;
-  /// The rank-r column a<r> holds arrays of the first r of these sizes.
+  /// The rank-r column a<r> holds arrays of the first r of these sizes ...
   static constexpr int64_t kDims[kMaxShortRank] = {3, 2, 2, 1, 2, 1};
+  /// ... and, every third row, of these, which contain them: every block
+  /// wider than one row meets a second header, under which the same index
+  /// tuple lands on another element.
+  static constexpr int64_t kAltDims[kMaxShortRank] = {4, 3, 2, 1, 2, 1};
 
   CallLaneTest() : rows_executor_(&db_, &rows_registry_) {
     EXPECT_TRUE(udfs::RegisterAllUdfs(&rows_registry_).ok());
@@ -1123,15 +1128,19 @@ class CallLaneTest : public VecEngineTest {
   }
 
   /// id BIGINT, k INT (id % 3), x FLOAT (id % 2 + 0.75) and a1 .. a6:
-  /// short `dt` arrays of rank 1 .. 6 in VARBINARY(256) columns.
+  /// short `dt` arrays of rank 1 .. 6 in VARBINARY columns of at least 256
+  /// bytes, shaped by kAltDims where id % 3 == 0 and by kDims elsewhere.
   storage::Table* MakeArrayTable(DType dt) {
     std::vector<storage::ColumnDef> cols = {
         {"id", storage::ColumnType::kInt64, 0},
         {"k", storage::ColumnType::kInt32, 0},
         {"x", storage::ColumnType::kFloat64, 0}};
     for (int r = 1; r <= kMaxShortRank; ++r) {
+      const int64_t widest =
+          kShortHeaderSize +
+          ElementCount(std::span<const int64_t>(kAltDims, static_cast<size_t>(r))) * 8;
       cols.push_back({"a" + std::to_string(r), storage::ColumnType::kBinary,
-                      256});
+                      static_cast<int32_t>(std::max<int64_t>(256, widest))});
     }
     storage::Table* t =
         db_.CreateTable("arrays_" + std::string(DTypeName(dt)),
@@ -1143,7 +1152,8 @@ class CallLaneTest : public VecEngineTest {
       row[1] = static_cast<int32_t>(i % 3);
       row[2] = static_cast<double>(i % 2) + 0.75;
       for (int r = 1; r <= kMaxShortRank; ++r) {
-        OwnedArray a = OwnedArray::Zeros(dt, Dims(kDims, kDims + r),
+        const int64_t* dims = i % 3 == 0 ? kAltDims : kDims;
+        OwnedArray a = OwnedArray::Zeros(dt, Dims(dims, dims + r),
                                          StorageClass::kShort)
                            .value();
         for (int64_t e = 0; e < a.num_elements(); ++e) {
