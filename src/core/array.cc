@@ -159,6 +159,9 @@ Result<OwnedArray> OwnedArray::Zeros(DType dtype, Dims dims,
                                      std::optional<StorageClass> storage) {
   StorageClass sc =
       storage.value_or(ChooseStorageClass(dtype, dims));
+  // Validate before sizing: blob_size() of an unrepresentable shape
+  // overflows.
+  SQLARRAY_RETURN_IF_ERROR(ValidateHeader(dtype, dims, sc));
   ArrayHeader h{dtype, sc, std::move(dims)};
   std::vector<uint8_t> blob;
   blob.reserve(static_cast<size_t>(h.blob_size()));

@@ -133,7 +133,8 @@ Result<OwnedArray> Reshape(const ArrayRef& a, Dims new_dims);
 /// Permutes the axes: result dimension k has size dims[perm[k]], and
 /// result[i_0, ..] = a[i_{perm^-1(0)}, ..]. perm must be a permutation of
 /// 0..rank-1. Transpose of a matrix is PermuteAxes(a, {1, 0}).
-Result<OwnedArray> PermuteAxes(const ArrayRef& a, std::span<const int> perm);
+Result<OwnedArray> PermuteAxes(const ArrayRef& a,
+                               std::span<const int64_t> perm);
 
 /// Matrix transpose / general axis reversal: PermuteAxes with the reversed
 /// axis order.
@@ -141,7 +142,8 @@ Result<OwnedArray> Transpose(const ArrayRef& a);
 
 /// Concatenates two arrays along `axis`; every other dimension must match.
 /// The result dtype is the promotion of the inputs'.
-Result<OwnedArray> ConcatAxis(const ArrayRef& a, const ArrayRef& b, int axis);
+Result<OwnedArray> ConcatAxis(const ArrayRef& a, const ArrayRef& b,
+                              int64_t axis);
 
 // ---------------------------------------------------------------------------
 // Raw binary bridging
@@ -195,7 +197,8 @@ Result<std::complex<double>> AggregateAllComplex(const ArrayRef& a,
 /// the input is rank 1: a single-element array). E.g. summing axis 0 of a
 /// [3,4] matrix yields a [4] vector. The result dtype is float64 for real
 /// inputs and complex128 for complex inputs.
-Result<OwnedArray> AggregateAxis(const ArrayRef& a, int axis, AggKind kind);
+Result<OwnedArray> AggregateAxis(const ArrayRef& a, int64_t axis,
+                                 AggKind kind);
 
 // ---------------------------------------------------------------------------
 // Element-wise arithmetic

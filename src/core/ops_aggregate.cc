@@ -156,7 +156,8 @@ Result<std::complex<double>> AggregateAllComplex(const ArrayRef& a,
   }
 }
 
-Result<OwnedArray> AggregateAxis(const ArrayRef& a, int axis, AggKind kind) {
+Result<OwnedArray> AggregateAxis(const ArrayRef& a, int64_t axis,
+                                 AggKind kind) {
   if (axis < 0 || axis >= a.rank()) {
     return Status::InvalidArgument("axis " + std::to_string(axis) +
                                    " out of range for rank " +

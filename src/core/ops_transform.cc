@@ -6,13 +6,14 @@
 
 namespace sqlarray {
 
-Result<OwnedArray> PermuteAxes(const ArrayRef& a, std::span<const int> perm) {
+Result<OwnedArray> PermuteAxes(const ArrayRef& a,
+                               std::span<const int64_t> perm) {
   const int rank = a.rank();
   if (static_cast<int>(perm.size()) != rank) {
     return Status::InvalidArgument("permutation length must equal the rank");
   }
   std::vector<bool> seen(rank, false);
-  for (int p : perm) {
+  for (int64_t p : perm) {
     if (p < 0 || p >= rank || seen[p]) {
       return Status::InvalidArgument(
           "axis permutation must mention each axis exactly once");
@@ -50,14 +51,14 @@ Result<OwnedArray> PermuteAxes(const ArrayRef& a, std::span<const int> perm) {
 }
 
 Result<OwnedArray> Transpose(const ArrayRef& a) {
-  std::vector<int> perm(a.rank());
+  Dims perm(a.rank());
   std::iota(perm.begin(), perm.end(), 0);
   std::reverse(perm.begin(), perm.end());
   return PermuteAxes(a, perm);
 }
 
 Result<OwnedArray> ConcatAxis(const ArrayRef& a, const ArrayRef& b,
-                              int axis) {
+                              int64_t axis) {
   if (a.rank() != b.rank()) {
     return Status::InvalidArgument(
         "concatenation requires arrays of equal rank");

@@ -69,6 +69,10 @@ Status RegisterSpectrumUdfs(engine::FunctionRegistry* registry) {
     SQLARRAY_ASSIGN_OR_RETURN(double lo, args[3].AsDouble());
     SQLARRAY_ASSIGN_OR_RETURN(double hi, args[4].AsDouble());
     SQLARRAY_ASSIGN_OR_RETURN(int64_t bins, args[5].AsInt());
+    if (bins < 1 || bins > INT32_MAX) {
+      return Status::OutOfRange("bin count " + std::to_string(bins) +
+                                " outside [1, 2147483647]");
+    }
     std::vector<double> grid = MakeLogGrid(lo, hi, static_cast<int>(bins));
     SQLARRAY_ASSIGN_OR_RETURN(Spectrum r, ResampleFluxConserving(s, grid));
     return VectorValue(r.flux);

@@ -295,9 +295,8 @@ Status RegisterSchema(FunctionRegistry* reg, DType dtype, StorageClass sc) {
         SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a, ArrayFromValue(args[0], ctx));
         SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(a.header(), dtype, sc));
         SQLARRAY_ASSIGN_OR_RETURN(Dims perm64, DimsFromValue(args[1], ctx));
-        std::vector<int> perm(perm64.begin(), perm64.end());
         SQLARRAY_ASSIGN_OR_RETURN(OwnedArray out,
-                                  PermuteAxes(a.ref(), perm));
+                                  PermuteAxes(a.ref(), perm64));
         return ValueFromArray(std::move(out));
       }));
   SQLARRAY_RETURN_IF_ERROR(Reg(
@@ -310,7 +309,7 @@ Status RegisterSchema(FunctionRegistry* reg, DType dtype, StorageClass sc) {
         SQLARRAY_ASSIGN_OR_RETURN(int64_t axis, args[2].AsInt());
         SQLARRAY_ASSIGN_OR_RETURN(
             OwnedArray out,
-            ConcatAxis(a.ref(), b.ref(), static_cast<int>(axis)));
+            ConcatAxis(a.ref(), b.ref(), axis));
         return ValueFromArray(std::move(out));
       }));
 
@@ -412,7 +411,7 @@ Status RegisterSchema(FunctionRegistry* reg, DType dtype, StorageClass sc) {
           SQLARRAY_ASSIGN_OR_RETURN(int64_t axis, args[1].AsInt());
           SQLARRAY_ASSIGN_OR_RETURN(
               OwnedArray out,
-              AggregateAxis(a.ref(), static_cast<int>(axis), kind));
+              AggregateAxis(a.ref(), axis, kind));
           return ValueFromArray(std::move(out));
         }));
   }

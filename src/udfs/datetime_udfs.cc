@@ -2,6 +2,7 @@
 // int64 microseconds since the Unix epoch (Sec. 3.4 lists datetime among
 // the supported base types); these UDFs convert to and from calendar form
 // so DateTimeArray columns are usable from T-SQL.
+#include <array>
 #include <cinttypes>
 #include <cstdio>
 
@@ -45,14 +46,39 @@ void CivilFromDays(int64_t z, int64_t* y, int64_t* m, int64_t* d) {
 constexpr int64_t kMicrosPerSecond = 1000000;
 constexpr int64_t kMicrosPerDay = 86400 * kMicrosPerSecond;
 
+/// Years past this bound overflow DaysFromCivil's era arithmetic.
+constexpr int64_t kMaxAbsYear = INT64_MAX / 366;
+
 Result<int64_t> MicrosFromParts(int64_t y, int64_t mo, int64_t d, int64_t h,
                                 int64_t mi, int64_t s) {
   if (mo < 1 || mo > 12 || d < 1 || d > 31 || h < 0 || h > 23 || mi < 0 ||
       mi > 59 || s < 0 || s > 59) {
     return Status::InvalidArgument("calendar field out of range");
   }
-  return DaysFromCivil(y, mo, d) * kMicrosPerDay +
-         ((h * 60 + mi) * 60 + s) * kMicrosPerSecond;
+  int64_t micros = 0;
+  if (y < -kMaxAbsYear || y > kMaxAbsYear ||
+      __builtin_mul_overflow(DaysFromCivil(y, mo, d), kMicrosPerDay,
+                             &micros) ||
+      __builtin_add_overflow(
+          micros, ((h * 60 + mi) * 60 + s) * kMicrosPerSecond, &micros)) {
+    return Status::OutOfRange("datetime out of BIGINT microsecond range");
+  }
+  return micros;
+}
+
+/// Calendar fields of `micros`: year, month, day, hour, minute, second.
+std::array<int64_t, 6> CivilFields(int64_t micros) {
+  // Floor division without the overflow of (micros - kMicrosPerDay + 1).
+  int64_t days = micros / kMicrosPerDay;
+  int64_t rem = micros % kMicrosPerDay;
+  if (rem < 0) {
+    rem += kMicrosPerDay;
+    --days;
+  }
+  int64_t y, mo, d;
+  CivilFromDays(days, &y, &mo, &d);
+  const int64_t secs = rem / kMicrosPerSecond;
+  return {y, mo, d, secs / 3600, (secs / 60) % 60, secs % 60};
 }
 
 Status Reg(FunctionRegistry* reg, std::string name, int arity,
@@ -109,18 +135,12 @@ Status RegisterDateTimeUdfs(FunctionRegistry* registry) {
       registry, "ToString", 1,
       [](std::span<const Value> args, UdfContext&) -> Result<Value> {
         SQLARRAY_ASSIGN_OR_RETURN(int64_t micros, args[0].AsInt());
-        int64_t days = micros >= 0 ? micros / kMicrosPerDay
-                                   : (micros - kMicrosPerDay + 1) /
-                                         kMicrosPerDay;
-        int64_t rem = micros - days * kMicrosPerDay;
-        int64_t y, mo, d;
-        CivilFromDays(days, &y, &mo, &d);
-        int64_t secs = rem / kMicrosPerSecond;
+        const std::array<int64_t, 6> f = CivilFields(micros);
         char buf[32];
         std::snprintf(buf, sizeof(buf),
                       "%04" PRId64 "-%02" PRId64 "-%02" PRId64
                       " %02" PRId64 ":%02" PRId64 ":%02" PRId64,
-                      y, mo, d, secs / 3600, (secs / 60) % 60, secs % 60);
+                      f[0], f[1], f[2], f[3], f[4], f[5]);
         return Value::Str(buf);
       }));
 
@@ -137,16 +157,7 @@ Status RegisterDateTimeUdfs(FunctionRegistry* registry) {
         registry, field.name, 1,
         [index](std::span<const Value> args, UdfContext&) -> Result<Value> {
           SQLARRAY_ASSIGN_OR_RETURN(int64_t micros, args[0].AsInt());
-          int64_t days = micros >= 0 ? micros / kMicrosPerDay
-                                     : (micros - kMicrosPerDay + 1) /
-                                           kMicrosPerDay;
-          int64_t rem = micros - days * kMicrosPerDay;
-          int64_t y, mo, d;
-          CivilFromDays(days, &y, &mo, &d);
-          int64_t secs = rem / kMicrosPerSecond;
-          int64_t out[6] = {y, mo, d, secs / 3600, (secs / 60) % 60,
-                            secs % 60};
-          return Value::Int(out[index]);
+          return Value::Int(CivilFields(micros)[index]);
         }));
   }
 
@@ -156,8 +167,13 @@ Status RegisterDateTimeUdfs(FunctionRegistry* registry) {
       [](std::span<const Value> args, UdfContext&) -> Result<Value> {
         SQLARRAY_ASSIGN_OR_RETURN(int64_t micros, args[0].AsInt());
         SQLARRAY_ASSIGN_OR_RETURN(double s, args[1].AsDouble());
-        return Value::Int(micros +
-                          static_cast<int64_t>(s * kMicrosPerSecond));
+        SQLARRAY_ASSIGN_OR_RETURN(
+            int64_t delta,
+            CheckedF64ToI64(s * static_cast<double>(kMicrosPerSecond)));
+        if (__builtin_add_overflow(micros, delta, &micros)) {
+          return Status::OutOfRange("datetime out of BIGINT microsecond range");
+        }
+        return Value::Int(micros);
       }));
   return Status::OK();
 }

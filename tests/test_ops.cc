@@ -170,7 +170,7 @@ TEST(Transpose, DoubleTransposeIsIdentity) {
 
 TEST(PermuteAxes, ArbitraryPermutation) {
   OwnedArray a = Ramp3D(DType::kFloat64, {2, 3, 4});
-  std::vector<int> perm{2, 0, 1};  // out[i,j,k] = a[j,k,i]
+  Dims perm{2, 0, 1};  // out[i,j,k] = a[j,k,i]
   OwnedArray p = PermuteAxes(a.ref(), perm).value();
   EXPECT_EQ(p.dims(), (Dims{4, 2, 3}));
   for (int64_t i = 0; i < 4; ++i) {
@@ -185,9 +185,9 @@ TEST(PermuteAxes, ArbitraryPermutation) {
 
 TEST(PermuteAxes, Validation) {
   OwnedArray a = Ramp3D(DType::kFloat64, {2, 3});
-  EXPECT_FALSE(PermuteAxes(a.ref(), std::vector<int>{0}).ok());
-  EXPECT_FALSE(PermuteAxes(a.ref(), std::vector<int>{0, 0}).ok());
-  EXPECT_FALSE(PermuteAxes(a.ref(), std::vector<int>{0, 2}).ok());
+  EXPECT_FALSE(PermuteAxes(a.ref(), Dims{0}).ok());
+  EXPECT_FALSE(PermuteAxes(a.ref(), Dims{0, 0}).ok());
+  EXPECT_FALSE(PermuteAxes(a.ref(), Dims{0, 2}).ok());
 }
 
 TEST(ConcatAxis, VectorsAndMatrixColumns) {

@@ -271,6 +271,28 @@ TEST_F(SpectrumDbTest, SpectrumUdfsRunInQueries) {
   }
 }
 
+TEST_F(SpectrumDbTest, ResampleRejectsBinCountsOutsideInt32) {
+  // -1 sized a vector from a negative int; 2^32 + 4 narrowed to 4 bins.
+  const std::vector<double> wl = {4000, 5000, 6000, 7000};
+  const std::vector<double> flux = {1, 2, 3, 4};
+  auto vec = [](const std::vector<double>& v) {
+    OwnedArray a = OwnedArray::FromVector<double>(v, StorageClass::kMax).value();
+    return engine::Value::Bytes(std::move(a).TakeBlob());
+  };
+  const engine::ScalarFunction* fn =
+      registry_.Resolve("Spectrum", "Resample", 6).value();
+  for (int64_t bins : {int64_t{-1}, int64_t{0}, int64_t{4294967300}}) {
+    std::vector<engine::Value> args = {
+        vec(wl),          vec(flux),
+        vec({0, 0, 0, 0}), engine::Value::Double(4500),
+        engine::Value::Double(6500), engine::Value::Int(bins)};
+    engine::UdfContext ctx;
+    auto r = engine::FunctionRegistry::Invoke(*fn, args, ctx);
+    ASSERT_FALSE(r.ok()) << bins;
+    EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange) << bins;
+  }
+}
+
 TEST(SimilarityIndex, FindsSelfAndSimilarRedshifts) {
   SyntheticSpectrumConfig config;
   config.bins = 128;

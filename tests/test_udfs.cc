@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "math/svd.h"
 #include "udfs/helpers.h"
@@ -369,6 +370,94 @@ TEST_F(UdfTest, DateTimeArrayHoldsTimestamps) {
   Value back = CallOk("DateTimeArray", "Item_1", {arr, Value::Int(1)});
   EXPECT_EQ(static_cast<int64_t>(back.AsDouble().value()),
             t2.AsInt().value());
+}
+
+TEST_F(UdfTest, CreateRejectsShapesNoHeaderHolds) {
+  // Sizing these shapes' blobs overflows int64: Create fails with the
+  // header's own status before it allocates.
+  const int64_t kBig = std::numeric_limits<int64_t>::max();
+  for (int d = 0; d < kNumDTypes; ++d) {
+    const DType t = static_cast<DType>(d);
+    for (const char* suffix : {"", "Max"}) {
+      const std::string schema =
+          std::string(DTypeSchemaPrefix(t)) + "Array" + suffix;
+      auto r = Call(schema, "Create", {Value::Int(kBig)});
+      ASSERT_FALSE(r.ok()) << schema;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << schema;
+      // A 2^31-1 square: past int16 for short arrays; past int64 bytes for
+      // max arrays of 4-byte and wider elements.
+      if (*suffix == 0 || DTypeSize(t) >= 4) {
+        auto sq = Call(schema, "Create",
+                       {Value::Int(2147483647), Value::Int(2147483647)});
+        ASSERT_FALSE(sq.ok()) << schema;
+        EXPECT_EQ(sq.status().code(), StatusCode::kInvalidArgument)
+            << schema << ": " << sq.status().ToString();
+      }
+    }
+  }
+}
+
+TEST_F(UdfTest, DateTimeArithmeticOutOfRangeFailsTyped) {
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  for (auto [name, args] :
+       {std::pair<const char*, std::vector<Value>>{
+            "AddSeconds", {Value::Int(0), Value::Double(1e300)}},
+        {"AddSeconds", {Value::Int(kMax), Value::Double(1)}},
+        {"AddSeconds", {Value::Int(kMin), Value::Double(-1)}},
+        {"FromParts",
+         {Value::Int(9223372036854775), Value::Int(1), Value::Int(1),
+          Value::Int(0), Value::Int(0), Value::Int(0)}},
+        {"FromParts",
+         {Value::Int(kMax), Value::Int(1), Value::Int(1), Value::Int(0),
+          Value::Int(0), Value::Int(0)}}}) {
+    auto r = Call("DateTime", name, args);
+    ASSERT_FALSE(r.ok()) << name;
+    EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange) << name;
+  }
+  // The extremes of BIGINT microseconds still have calendar fields.
+  EXPECT_EQ(CallOk("DateTime", "ToString", {Value::Int(kMin)})
+                .AsString()
+                .value(),
+            "-290308-12-21 19:59:05");
+  EXPECT_EQ(CallOk("DateTime", "ToString", {Value::Int(kMax)})
+                .AsString()
+                .value(),
+            "294247-01-10 04:00:54");
+  const int64_t fields[] = {-290308, 12, 21, 19, 59, 5};
+  const char* names[] = {"Year", "Month", "Day", "Hour", "Minute", "Second"};
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(CallOk("DateTime", names[i], {Value::Int(kMin)}).AsInt().value(),
+              fields[i])
+        << names[i];
+  }
+  EXPECT_EQ(CallOk("DateTime", "AddSeconds", {Value::Int(kMax - 1000000),
+                                              Value::Double(1)})
+                .AsInt()
+                .value(),
+            kMax);
+}
+
+TEST_F(UdfTest, BigintAxesAreNotNarrowed) {
+  // 2^32 and 2^32 + 1 truncate to axes 0 and 1 as int.
+  Value m = CallOk("FloatArray", "Matrix_2",
+                   {Value::Double(1), Value::Double(2), Value::Double(3),
+                    Value::Double(4)});
+  for (const char* fn : {"SumAxis", "MeanAxis", "MinAxis", "MaxAxis"}) {
+    auto r = Call("FloatArray", fn, {m, Value::Int(4294967296)});
+    ASSERT_FALSE(r.ok()) << fn;
+    EXPECT_EQ(r.status().ToString(),
+              Status::InvalidArgument("axis 4294967296 out of range for rank 2")
+                  .ToString());
+  }
+  auto cat = Call("FloatArray", "ConcatAxis", {m, m, Value::Int(4294967297)});
+  ASSERT_FALSE(cat.ok());
+  EXPECT_EQ(cat.status().code(), StatusCode::kInvalidArgument);
+  Value perm = CallOk("BigIntArray", "Vector_2",
+                      {Value::Int(4294967297), Value::Int(0)});
+  auto p = Call("FloatArray", "Permute", {m, perm});
+  ASSERT_FALSE(p.ok());
+  EXPECT_EQ(p.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(UdfTest, EmptyFunctionHasNoManagedWork) {
