@@ -89,6 +89,13 @@ bool FunctionRegistry::HasScalar(const std::string& schema,
   return it != scalars_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
 }
 
+std::vector<const ScalarFunction*> FunctionRegistry::scalars() const {
+  std::vector<const ScalarFunction*> out;
+  out.reserve(scalars_.size());
+  for (const auto& [key, fn] : scalars_) out.push_back(&fn);
+  return out;
+}
+
 Result<Value> FunctionRegistry::Invoke(const ScalarFunction& fn,
                                        std::span<const Value> args,
                                        UdfContext& ctx) {

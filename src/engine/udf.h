@@ -217,6 +217,9 @@ class FunctionRegistry {
 
   /// Number of registered scalar functions (catalog introspection).
   int64_t scalar_count() const { return static_cast<int64_t>(scalars_.size()); }
+  /// Every registered scalar function, in the order of its lower-cased
+  /// "schema.name/arity" key.
+  std::vector<const ScalarFunction*> scalars() const;
 
   /// Invokes a resolved function, charging boundary costs to ctx.stats.
   static Result<Value> Invoke(const ScalarFunction& fn,

@@ -65,17 +65,16 @@ Status RegisterSchema(FunctionRegistry* reg, DType dtype, StorageClass sc) {
         kWorkBuild + 40.0 * n,
         [dtype, sc, n, cpx](std::span<const Value> args,
                             UdfContext&) -> Result<Value> {
+          // Every argument converts before the first element is stored.
+          double v[16];
+          for (size_t i = 0; i < args.size(); ++i) {
+            SQLARRAY_ASSIGN_OR_RETURN(v[i], args[i].AsDouble());
+          }
           SQLARRAY_ASSIGN_OR_RETURN(
               OwnedArray a, OwnedArray::Zeros(dtype, {n}, sc));
           for (int i = 0; i < n; ++i) {
-            if (cpx) {
-              SQLARRAY_ASSIGN_OR_RETURN(double re, args[2 * i].AsDouble());
-              SQLARRAY_ASSIGN_OR_RETURN(double im, args[2 * i + 1].AsDouble());
-              SQLARRAY_RETURN_IF_ERROR(a.SetComplex(i, {re, im}));
-            } else {
-              SQLARRAY_ASSIGN_OR_RETURN(double v, args[i].AsDouble());
-              SQLARRAY_RETURN_IF_ERROR(a.SetDouble(i, v));
-            }
+            SQLARRAY_RETURN_IF_ERROR(cpx ? a.SetComplex(i, {v[2 * i], v[2 * i + 1]})
+                                         : a.SetDouble(i, v[i]));
           }
           return ValueFromArray(std::move(a));
         }));
@@ -90,17 +89,16 @@ Status RegisterSchema(FunctionRegistry* reg, DType dtype, StorageClass sc) {
         kWorkBuild + 40.0 * elems,
         [dtype, sc, n, elems, cpx](std::span<const Value> args,
                                    UdfContext&) -> Result<Value> {
+          // Every argument converts before the first element is stored.
+          double v[18];
+          for (size_t i = 0; i < args.size(); ++i) {
+            SQLARRAY_ASSIGN_OR_RETURN(v[i], args[i].AsDouble());
+          }
           SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a,
                                     OwnedArray::Zeros(dtype, {n, n}, sc));
           for (int i = 0; i < elems; ++i) {
-            if (cpx) {
-              SQLARRAY_ASSIGN_OR_RETURN(double re, args[2 * i].AsDouble());
-              SQLARRAY_ASSIGN_OR_RETURN(double im, args[2 * i + 1].AsDouble());
-              SQLARRAY_RETURN_IF_ERROR(a.SetComplex(i, {re, im}));
-            } else {
-              SQLARRAY_ASSIGN_OR_RETURN(double v, args[i].AsDouble());
-              SQLARRAY_RETURN_IF_ERROR(a.SetDouble(i, v));
-            }
+            SQLARRAY_RETURN_IF_ERROR(cpx ? a.SetComplex(i, {v[2 * i], v[2 * i + 1]})
+                                         : a.SetDouble(i, v[i]));
           }
           return ValueFromArray(std::move(a));
         }));

@@ -2,10 +2,18 @@
 // and storage classes, generic Array.* dispatch, math bindings, aggregates.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <limits>
+#include <sstream>
 
+#include "core/ops.h"
+#include "engine/exec.h"
 #include "math/svd.h"
+#include "sql/session.h"
+#include "storage/table.h"
 #include "udfs/helpers.h"
 #include "udfs/register.h"
 
@@ -476,6 +484,263 @@ TEST_F(UdfTest, EmptyFunctionHasNoManagedWork) {
   // Boundary cost: flat call + 64 arg bytes + 8 int bytes + 8 result bytes.
   double expect_ns = cost.clr_call_ns + cost.clr_byte_ns * (64 + 8 + 8);
   EXPECT_NEAR(stats.cpu_core_seconds, expect_ns * 1e-9, 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// The hosted scalar surface, pinned: every function RegisterAllUdfs
+// registers, called through Invoke on 64 seeded argument tuples, its
+// outcomes and charges fingerprinted against tests/udf_surface.golden.
+// ---------------------------------------------------------------------------
+
+/// A FLOAT to 8 significant digits, so that a tree whose compiler fuses
+/// multiply-adds renders the same.
+std::string Round8(double d) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.7e", d);
+  return buf;
+}
+
+/// One call's outcome: the status code and message, or the result's kind,
+/// dtype, storage class, dims and elements.
+std::string DescribeOutcome(const Result<Value>& r) {
+  if (!r.ok()) return "E " + r.status().ToString();
+  const Value& v = r.value();
+  switch (v.kind()) {
+    case Value::Kind::kNull:
+      return "NULL";
+    case Value::Kind::kInt64:
+      return "I " + std::to_string(v.AsInt().value());
+    case Value::Kind::kFloat64:
+      return "F " + Round8(v.AsDouble().value());
+    case Value::Kind::kString:
+      return "S " + v.AsString().value();
+    case Value::Kind::kBlob:
+      return "BLOB";
+    case Value::Kind::kBytes:
+      break;
+  }
+  const std::vector<uint8_t>& bytes = *v.AsBytes().value();
+  Result<ArrayRef> a = ArrayRef::Parse(bytes);
+  std::string out;
+  if (a.ok()) {
+    out = "A " + std::string(DTypeName(a->dtype())) +
+          (a->storage() == StorageClass::kMax ? " max [" : " short [");
+    for (int64_t d : a->dims()) out += std::to_string(d) + " ";
+    out += "]";
+    for (int64_t i = 0; i < a->num_elements(); ++i) {
+      std::complex<double> c = a->GetComplex(i).value();
+      out += " " + Round8(c.real());
+      if (IsComplexDType(a->dtype())) out += "," + Round8(c.imag());
+    }
+    return out;
+  }
+  if (bytes.size() == 8 || bytes.size() == 16) {
+    std::complex<double> c = DecodeComplexUdt(bytes).value();
+    return "C " + Round8(c.real()) + "," + Round8(c.imag());
+  }
+  out = "B";
+  for (uint8_t b : bytes) {
+    char hex[4];
+    std::snprintf(hex, sizeof(hex), "%02x", b);
+    out += hex;
+  }
+  return out;
+}
+
+uint64_t Fnv1a(uint64_t h, const std::string& s) {
+  for (unsigned char c : s) h = (h ^ c) * 0x100000001b3ull;
+  return h;
+}
+
+uint64_t SplitMix(uint64_t* x) {
+  uint64_t z = (*x += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+class UdfSurfaceTest : public UdfTest {
+ protected:
+  /// The schema's element type and storage class ("FloatArrayMax" names
+  /// float64 max arrays); float64 short for schemas that name none.
+  static std::pair<DType, StorageClass> SchemaArrayType(
+      const std::string& schema) {
+    for (int d = 0; d < kNumDTypes; ++d) {
+      const DType t = static_cast<DType>(d);
+      const std::string base = std::string(DTypeSchemaPrefix(t)) + "Array";
+      if (schema == base) return {t, StorageClass::kShort};
+      if (schema == base + "Max") return {t, StorageClass::kMax};
+    }
+    return {DType::kFloat64, StorageClass::kShort};
+  }
+
+  static OwnedArray Filled(DType t, Dims dims, StorageClass sc) {
+    OwnedArray a = OwnedArray::Zeros(t, std::move(dims), sc).value();
+    for (int64_t i = 0; i < a.num_elements(); ++i) {
+      const double v = static_cast<double>((i * 5) % 7) - 2.5;
+      EXPECT_TRUE((IsComplexDType(t) ? a.SetComplex(i, {v, 1.0 - i})
+                   : IsIntegerDType(t) ? a.SetDouble(i, v + 0.5)
+                                       : a.SetDouble(i, v))
+                      .ok());
+    }
+    return a;
+  }
+
+  static Value BytesOf(const OwnedArray& a) {
+    return Value::Bytes(std::vector<uint8_t>(a.blob().begin(), a.blob().end()));
+  }
+
+  /// Pool positions of 0, 1, 2 and 0.5.
+  static constexpr size_t kSmall[] = {5, 6, 8, 12};
+
+  /// The argument pool for a function of `schema`: five arrays, then
+  /// BIGINTs, FLOATs, NULL and strings.
+  const std::vector<Value>& Pool(const std::string& schema) {
+    const auto [t, sc] = SchemaArrayType(schema);
+    std::vector<Value>& pool = pools_[{t, sc}];
+    if (!pool.empty()) return pool;
+    // The other dtype's array {1, 1} also serves as a Subarray offset.
+    const DType other = t == DType::kInt64 ? DType::kInt32 : DType::kInt64;
+    const OwnedArray ones =
+        OwnedArray::FromValues<double>({2}, std::vector<double>{1, 1}).value();
+    const OwnedArray rank1 = Filled(t, {3}, sc);
+    std::vector<uint8_t> truncated(rank1.blob().begin(), rank1.blob().end());
+    truncated.pop_back();
+    const OwnedArray blob = Filled(t, {2, 3}, StorageClass::kMax);
+    const storage::BlobId id =
+        db_.blob_store()->Write(blob.blob()).value();
+    pool = {BytesOf(rank1),
+            BytesOf(Filled(t, {2, 2}, sc)),
+            BytesOf(ConvertDType(ones.ref(), other).value()),
+            Value::Blob(engine::BlobRef{id, db_.buffer_pool()}),
+            Value::Bytes(std::move(truncated)),
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(-1),
+            Value::Int(2),
+            Value::Int(int64_t{1} << 32),
+            Value::Int(std::numeric_limits<int64_t>::min()),
+            Value::Int(std::numeric_limits<int64_t>::max()),
+            Value::Double(0.5),
+            Value::Double(std::numeric_limits<double>::quiet_NaN()),
+            Value::Double(1e300),
+            Value::Double(-1e300),
+            Value::Null(),
+            Value::Str("float64[2]{0.5 1.5}"),
+            Value::Str("2011-03-22 10:30:00")};
+    return pool;
+  }
+
+  /// "<key> <fingerprint> calls=<n> bytes=<n> cpu_ns=<x>" for 64 calls of
+  /// `fn` at `arity`.
+  std::string SurfaceLine(const ScalarFunction& fn, int arity) {
+    const std::string key =
+        fn.schema + "." + fn.name + "/" + std::to_string(arity);
+    const std::vector<Value>& pool = Pool(fn.schema);
+    uint64_t seed = Fnv1a(0xcbf29ce484222325ull, key);
+    uint64_t h = 0xcbf29ce484222325ull;
+    engine::QueryStats stats;
+    engine::CostModel cost;
+    UdfContext ctx;
+    ctx.pool = db_.buffer_pool();
+    ctx.stats = &stats;
+    ctx.cost = &cost;
+    for (int call = 0; call < 64; ++call) {
+      std::vector<Value> args;
+      for (int j = 0; j < arity; ++j) {
+        // Half the draws favour what the position most often takes (an
+        // array first, a small index after it), so calls also succeed.
+        const uint64_t r = SplitMix(&seed);
+        const size_t pick = r % 2 == 0 ? (r >> 1) % pool.size()
+                            : j == 0   ? (r >> 1) % 5
+                                       : kSmall[(r >> 1) % 4];
+        args.push_back(pool[pick]);
+      }
+      try {
+        h = Fnv1a(h, DescribeOutcome(FunctionRegistry::Invoke(fn, args, ctx)));
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << key << " call " << call << " threw " << e.what();
+      }
+      h = Fnv1a(h, "|");
+    }
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), " %016" PRIx64 " calls=", h);
+    return key + buf + std::to_string(stats.udf_calls) +
+           " bytes=" + std::to_string(stats.udf_bytes_marshaled) +
+           " cpu_ns=" + Round8(stats.cpu_core_seconds * 1e9);
+  }
+
+  storage::Database db_;
+  std::map<std::pair<DType, StorageClass>, std::vector<Value>> pools_;
+};
+
+TEST_F(UdfSurfaceTest, EveryScalarMatchesTheGoldenSurface) {
+  std::string actual;
+  for (const ScalarFunction* fn : registry_.scalars()) {
+    if (fn->needs_subquery) continue;
+    if (fn->arity >= 0) {
+      actual += SurfaceLine(*fn, fn->arity) + "\n";
+    } else {
+      for (int arity = 1; arity <= 4; ++arity) {
+        actual += SurfaceLine(*fn, arity) + "\n";
+      }
+    }
+  }
+  std::ifstream in(SQLARRAY_TESTS_DIR "/udf_surface.golden");
+  std::stringstream golden;
+  golden << in.rdbuf();
+  if (golden.str() == actual) return;
+  const std::string path = SQLARRAY_TESTS_BINARY_DIR "/udf_surface.actual";
+  std::ofstream(path) << actual;
+  std::istringstream want(golden.str()), got(actual);
+  std::string w, g;
+  int shown = 0;
+  while (shown < 10 && (static_cast<bool>(std::getline(want, w)) |
+                        static_cast<bool>(std::getline(got, g)))) {
+    if (w != g) {
+      ADD_FAILURE() << "golden: " << w << "\nactual: " << g;
+      ++shown;
+    }
+    w.clear();
+    g.clear();
+  }
+  FAIL() << "the surface differs from tests/udf_surface.golden; the actual "
+            "surface is in "
+         << path;
+}
+
+TEST(UdfStreamedReads, ColdMaxItemAndSubarrayReadPinnedPages) {
+  // A cold call over a VARBINARY(MAX) column streams the header plus the
+  // range it reads, not the whole blob.
+  storage::Database db;
+  FunctionRegistry registry;
+  ASSERT_TRUE(RegisterAllUdfs(&registry).ok());
+  engine::Executor executor(&db, &registry);
+  sql::Session session(&executor);
+  ASSERT_TRUE(
+      session.Execute("CREATE TABLE m (id BIGINT, a VARBINARY(MAX))").ok());
+  std::vector<double> vals(64 * 1024);
+  for (size_t i = 0; i < vals.size(); ++i) vals[i] = 0.25 * i;
+  OwnedArray a =
+      OwnedArray::FromValues<double>(Dims{64 * 1024}, vals, StorageClass::kMax)
+          .value();
+  storage::Table* t = db.GetTable("m").value();
+  storage::Row row(2);
+  row[0] = int64_t{1};
+  row[1] = std::vector<uint8_t>(a.blob().begin(), a.blob().end());
+  ASSERT_TRUE(t->Insert(std::move(row)).ok());
+  const std::pair<const char*, int64_t> cases[] = {
+      {"SELECT FloatArrayMax.Item_1(a, 40000) FROM m", 4},
+      {"SELECT FloatArrayMax.Subarray(a, IntArray.Vector_1(30000), "
+       "IntArray.Vector_1(1500), 0) FROM m",
+       5},
+  };
+  for (const auto& [text, pages] : cases) {
+    db.ClearCache();
+    auto r = session.Execute(text);
+    ASSERT_TRUE(r.ok()) << text << ": " << r.status().ToString();
+    EXPECT_EQ((*r)[0].stats.io.pages_read, pages) << text;
+  }
 }
 
 }  // namespace
