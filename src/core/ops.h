@@ -42,8 +42,9 @@ class ShortItemReader {
  public:
   explicit ShortItemReader(DType dtype) : dtype_(dtype) {}
 
-  Result<double> Read(std::span<const uint8_t> blob,
-                      std::span<const int64_t> index) {
+  /// Always inlined: kernels read one element per row through it.
+  [[gnu::always_inline]] Result<double> Read(std::span<const uint8_t> blob,
+                                             std::span<const int64_t> index) {
     if (SameHeader(blob) && SameIndex(index)) return Load(blob);
     return ReadMiss(blob, index);
   }
@@ -93,10 +94,6 @@ class ShortItemReader {
   int64_t index_[kMaxShortRank] = {};
   int64_t offset_ = 0;
 };
-
-/// One read of a fresh ShortItemReader.
-Result<double> ReadShortItem(std::span<const uint8_t> blob, DType dtype,
-                             std::span<const int64_t> index);
 
 /// Returns the element at `index` as complex (for complex arrays).
 Result<std::complex<double>> ItemComplex(const ArrayRef& a,

@@ -46,11 +46,6 @@ Status ShortItemReader::Locate(std::span<const int64_t> index) {
   return Status::OK();
 }
 
-Result<double> ReadShortItem(std::span<const uint8_t> blob, DType dtype,
-                             std::span<const int64_t> index) {
-  return ShortItemReader(dtype).Read(blob, index);
-}
-
 Result<std::complex<double>> ItemComplex(const ArrayRef& a,
                                          std::span<const int64_t> index) {
   return a.GetComplexAt(index);

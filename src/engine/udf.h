@@ -72,13 +72,6 @@ struct CallArg {
   std::span<const uint8_t> Bytes(int32_t k) const {
     return storage::BinaryColumnBytes(At(k));
   }
-  /// Row k as BIGINT, the way a row function reads its Value through AsInt:
-  /// a FLOAT truncates (kOutOfRange past BIGINT), bytes are not numeric.
-  Result<int64_t> Int(int32_t k) const {
-    if (lane == nullptr) return Status::TypeMismatch("value is not numeric");
-    if (lane->lane() == col::Lane::kI64) return lane->i64()[k];
-    return CheckedF64ToI64(lane->f64()[k]);
-  }
 };
 
 /// A column kernel: the function over `n` rows of argument columns at once,

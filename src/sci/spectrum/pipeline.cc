@@ -5,112 +5,89 @@
 #include "core/array.h"
 #include "udfs/helpers.h"
 
+namespace sqlarray::udfs {
+
+/// A spectrum given as its (wavelength, flux, flags) vectors.
+template <>
+struct Param<spectrum::Spectrum> : ParamBase {
+  static constexpr int kArgs = 3;
+  template <typename Args>
+  static Status Read(const Args& args, Stateless&, spectrum::Spectrum* out) {
+    Param<ArrayRef>::State held[3];
+    ArrayRef a[3];
+    for (int i = 0; i < 3; ++i) {
+      SQLARRAY_RETURN_IF_ERROR(Param<ArrayRef>::Read(args[i], held[i], &a[i]));
+    }
+    return Fill(a[0], a[1], a[2], out);
+  }
+
+ private:
+  static Status Fill(const ArrayRef& wl, const ArrayRef& flux,
+                     const ArrayRef& flags, spectrum::Spectrum* s) {
+    if (wl.rank() != 1 || flux.rank() != 1 || flags.rank() != 1 ||
+        wl.num_elements() != flux.num_elements() ||
+        wl.num_elements() != flags.num_elements()) {
+      return Status::InvalidArgument(
+          "wavelength, flux and flag vectors must share one length");
+    }
+    const int64_t n = wl.num_elements();
+    s->wavelength.resize(n);
+    s->flux.resize(n);
+    s->error.assign(n, 0.0);
+    s->flags.resize(n);
+    for (int64_t i = 0; i < n; ++i) {
+      SQLARRAY_ASSIGN_OR_RETURN(s->wavelength[i], wl.GetDouble(i));
+      SQLARRAY_ASSIGN_OR_RETURN(s->flux[i], flux.GetDouble(i));
+      SQLARRAY_ASSIGN_OR_RETURN(double g, flags.GetDouble(i));
+      s->flags[i] = g != 0 ? 1 : 0;
+    }
+    return Status::OK();
+  }
+};
+
+}  // namespace sqlarray::udfs
+
 namespace sqlarray::spectrum {
 
 namespace {
 
-using engine::Boundary;
-using engine::ScalarFunction;
-using engine::UdfContext;
-using engine::Value;
-
-/// Rebuilds a Spectrum from (wl, flux, flags) array arguments.
-Result<Spectrum> SpectrumFromArgs(std::span<const Value> args,
-                                  UdfContext& ctx) {
-  SQLARRAY_ASSIGN_OR_RETURN(OwnedArray wl, udfs::ArrayFromValue(args[0], ctx));
-  SQLARRAY_ASSIGN_OR_RETURN(OwnedArray flux,
-                            udfs::ArrayFromValue(args[1], ctx));
-  SQLARRAY_ASSIGN_OR_RETURN(OwnedArray flags,
-                            udfs::ArrayFromValue(args[2], ctx));
-  if (wl.rank() != 1 || flux.rank() != 1 || flags.rank() != 1 ||
-      wl.num_elements() != flux.num_elements() ||
-      wl.num_elements() != flags.num_elements()) {
-    return Status::InvalidArgument(
-        "wavelength, flux and flag vectors must share one length");
-  }
-  Spectrum s;
-  const int64_t n = wl.num_elements();
-  s.wavelength.resize(n);
-  s.flux.resize(n);
-  s.error.assign(n, 0.0);
-  s.flags.resize(n);
-  ArrayRef wr = wl.ref(), fr = flux.ref(), gr = flags.ref();
-  for (int64_t i = 0; i < n; ++i) {
-    SQLARRAY_ASSIGN_OR_RETURN(s.wavelength[i], wr.GetDouble(i));
-    SQLARRAY_ASSIGN_OR_RETURN(s.flux[i], fr.GetDouble(i));
-    SQLARRAY_ASSIGN_OR_RETURN(double g, gr.GetDouble(i));
-    s.flags[i] = g != 0 ? 1 : 0;
-  }
-  return s;
-}
-
-Result<Value> VectorValue(std::span<const double> v) {
-  SQLARRAY_ASSIGN_OR_RETURN(
-      OwnedArray out,
-      OwnedArray::FromValues<double>({static_cast<int64_t>(v.size())}, v,
-                                     StorageClass::kMax));
-  return udfs::ValueFromArray(std::move(out));
+Result<OwnedArray> VectorOf(std::span<const double> v) {
+  return OwnedArray::FromValues<double>({static_cast<int64_t>(v.size())}, v,
+                                        StorageClass::kMax);
 }
 
 }  // namespace
 
 Status RegisterSpectrumUdfs(engine::FunctionRegistry* registry) {
+  udfs::Definer def(registry, udfs::Schema{"Spectrum"});
   // Spectrum.Resample(wl, flux, flags, lo, hi, bins) -> float64 vector of
   // flux on the common log grid (flagged output bins carry 0).
-  ScalarFunction resample;
-  resample.schema = "Spectrum";
-  resample.name = "Resample";
-  resample.arity = 6;
-  resample.boundary = Boundary::kClr;
-  resample.managed_work_ns = 5000;
-  resample.fn = [](std::span<const Value> args,
-                   UdfContext& ctx) -> Result<Value> {
-    SQLARRAY_ASSIGN_OR_RETURN(Spectrum s, SpectrumFromArgs(args, ctx));
-    SQLARRAY_ASSIGN_OR_RETURN(double lo, args[3].AsDouble());
-    SQLARRAY_ASSIGN_OR_RETURN(double hi, args[4].AsDouble());
-    SQLARRAY_ASSIGN_OR_RETURN(int64_t bins, args[5].AsInt());
-    if (bins < 1 || bins > INT32_MAX) {
-      return Status::OutOfRange("bin count " + std::to_string(bins) +
-                                " outside [1, 2147483647]");
-    }
-    std::vector<double> grid = MakeLogGrid(lo, hi, static_cast<int>(bins));
-    SQLARRAY_ASSIGN_OR_RETURN(Spectrum r, ResampleFluxConserving(s, grid));
-    return VectorValue(r.flux);
-  };
-  SQLARRAY_RETURN_IF_ERROR(registry->RegisterScalar(std::move(resample)));
+  def("Resample", 5000,
+      [](const Spectrum& s, double lo, double hi,
+         int64_t bins) -> Result<OwnedArray> {
+        if (bins < 1 || bins > INT32_MAX) {
+          return Status::OutOfRange("bin count " + std::to_string(bins) +
+                                    " outside [1, 2147483647]");
+        }
+        std::vector<double> grid =
+            MakeLogGrid(lo, hi, static_cast<int>(bins));
+        SQLARRAY_ASSIGN_OR_RETURN(Spectrum r, ResampleFluxConserving(s, grid));
+        return VectorOf(r.flux);
+      });
 
   // Spectrum.Integrate(wl, flux, flags, lo, hi) -> FLOAT.
-  ScalarFunction integrate;
-  integrate.schema = "Spectrum";
-  integrate.name = "Integrate";
-  integrate.arity = 5;
-  integrate.boundary = Boundary::kClr;
-  integrate.managed_work_ns = 3000;
-  integrate.fn = [](std::span<const Value> args,
-                    UdfContext& ctx) -> Result<Value> {
-    SQLARRAY_ASSIGN_OR_RETURN(Spectrum s, SpectrumFromArgs(args, ctx));
-    SQLARRAY_ASSIGN_OR_RETURN(double lo, args[3].AsDouble());
-    SQLARRAY_ASSIGN_OR_RETURN(double hi, args[4].AsDouble());
-    return Value::Double(IntegrateFlux(s, lo, hi));
-  };
-  SQLARRAY_RETURN_IF_ERROR(registry->RegisterScalar(std::move(integrate)));
+  def("Integrate", 3000,
+      [](const Spectrum& s, double lo, double hi) -> Result<double> {
+        return IntegrateFlux(s, lo, hi);
+      });
 
   // Spectrum.Normalize(wl, flux, flags, lo, hi) -> normalized flux vector.
-  ScalarFunction normalize;
-  normalize.schema = "Spectrum";
-  normalize.name = "Normalize";
-  normalize.arity = 5;
-  normalize.boundary = Boundary::kClr;
-  normalize.managed_work_ns = 4000;
-  normalize.fn = [](std::span<const Value> args,
-                    UdfContext& ctx) -> Result<Value> {
-    SQLARRAY_ASSIGN_OR_RETURN(Spectrum s, SpectrumFromArgs(args, ctx));
-    SQLARRAY_ASSIGN_OR_RETURN(double lo, args[3].AsDouble());
-    SQLARRAY_ASSIGN_OR_RETURN(double hi, args[4].AsDouble());
-    SQLARRAY_RETURN_IF_ERROR(NormalizeFlux(&s, lo, hi));
-    return VectorValue(s.flux);
-  };
-  return registry->RegisterScalar(std::move(normalize));
+  def("Normalize", 4000,
+      [](Spectrum s, double lo, double hi) -> Result<OwnedArray> {
+        SQLARRAY_RETURN_IF_ERROR(NormalizeFlux(&s, lo, hi));
+        return VectorOf(s.flux);
+      });
+  return def.status();
 }
 
 Result<storage::Table*> LoadSpectraTable(storage::Database* db,

@@ -10,8 +10,6 @@ namespace sqlarray::udfs {
 namespace {
 
 using engine::FunctionRegistry;
-using engine::UdfContext;
-using engine::Value;
 
 /// Rough managed-work cost constants (ns/call) for the modeled CLR host,
 /// scaled around the paper's measured Item cost.
@@ -22,396 +20,202 @@ constexpr double kWorkSubarray = 1200;
 constexpr double kWorkConvert = 1500;
 constexpr double kWorkAggregate = 1000;
 
-/// The column kernel of a short real schema's Item_N: per row what the row
-/// function does with an array held in the row (the indices convert, then
-/// a ShortItemReader reads the element in place), so the two fail alike.
-/// One reader serves the call's rows, so each distinct header and index
-/// tuple is checked once per block.
-engine::ColumnKernel ShortItemKernel(DType dtype, int n) {
-  return [dtype, n](std::span<const engine::CallArg> args, int32_t rows,
-                    col::ColumnVec* out) -> Status {
-    if (rows > 0 && args[0].lane != nullptr) {
-      // A number where the array belongs: the row function's header read
-      // rejects it before it converts an index.
-      return Status::TypeMismatch("argument is not an array blob");
-    }
-    double* o = out->MutableF64(rows);
-    ShortItemReader reader(dtype);
-    int64_t idx[kMaxShortRank];
-    const std::span<const int64_t> index(idx, static_cast<size_t>(n));
-    for (int32_t k = 0; k < rows; ++k) {
-      for (int d = 0; d < n; ++d) {
-        SQLARRAY_ASSIGN_OR_RETURN(idx[d], args[1 + d].Int(k));
-      }
-      SQLARRAY_ASSIGN_OR_RETURN(o[k], reader.Read(args[0].Bytes(k), index));
-    }
-    return Status::OK();
-  };
+/// Calls f.template operator()<N>() for N = 1 .. kCount: a family whose
+/// arity grows with N.
+template <int kCount, typename F>
+void ForEachN(F&& f) {
+  [&]<int... N>(std::integer_sequence<int, N...>) {
+    (f.template operator()<N + 1>(), ...);
+  }(std::make_integer_sequence<int, kCount>());
 }
 
 /// Registers every function family for one (dtype, storage class) schema.
 Status RegisterSchema(FunctionRegistry* reg, DType dtype, StorageClass sc) {
-  const std::string schema = std::string(DTypeSchemaPrefix(dtype)) + "Array" +
-                             (sc == StorageClass::kMax ? "Max" : "");
+  Definer def(reg, Schema{std::string(DTypeSchemaPrefix(dtype)) + "Array" +
+                              (sc == StorageClass::kMax ? "Max" : ""),
+                          dtype, sc});
   const bool cpx = IsComplexDType(dtype);
   const bool single = dtype == DType::kComplex64;
 
   // --- builders ----------------------------------------------------------
-  // Vector_N: N elements (complex schemas take re/im pairs, arity 2N).
-  for (int n = 1; n <= 8; ++n) {
-    int arity = cpx ? 2 * n + 0 : n;
-    SQLARRAY_RETURN_IF_ERROR(Reg(
-        reg, schema, "Vector_" + std::to_string(n), arity,
-        kWorkBuild + 40.0 * n,
-        [dtype, sc, n, cpx](std::span<const Value> args,
-                            UdfContext&) -> Result<Value> {
-          // Every argument converts before the first element is stored.
-          double v[16];
-          for (size_t i = 0; i < args.size(); ++i) {
-            SQLARRAY_ASSIGN_OR_RETURN(v[i], args[i].AsDouble());
-          }
-          SQLARRAY_ASSIGN_OR_RETURN(
-              OwnedArray a, OwnedArray::Zeros(dtype, {n}, sc));
-          for (int i = 0; i < n; ++i) {
-            SQLARRAY_RETURN_IF_ERROR(cpx ? a.SetComplex(i, {v[2 * i], v[2 * i + 1]})
-                                         : a.SetDouble(i, v[i]));
-          }
-          return ValueFromArray(std::move(a));
-        }));
-  }
-
-  // Matrix_N: an N-by-N matrix from N^2 values in column-major order.
-  for (int n = 2; n <= 3; ++n) {
-    int elems = n * n;
-    int arity = cpx ? 2 * elems : elems;
-    SQLARRAY_RETURN_IF_ERROR(Reg(
-        reg, schema, "Matrix_" + std::to_string(n), arity,
-        kWorkBuild + 40.0 * elems,
-        [dtype, sc, n, elems, cpx](std::span<const Value> args,
-                                   UdfContext&) -> Result<Value> {
-          // Every argument converts before the first element is stored.
-          double v[18];
-          for (size_t i = 0; i < args.size(); ++i) {
-            SQLARRAY_ASSIGN_OR_RETURN(v[i], args[i].AsDouble());
-          }
-          SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a,
-                                    OwnedArray::Zeros(dtype, {n, n}, sc));
-          for (int i = 0; i < elems; ++i) {
-            SQLARRAY_RETURN_IF_ERROR(cpx ? a.SetComplex(i, {v[2 * i], v[2 * i + 1]})
-                                         : a.SetDouble(i, v[i]));
-          }
-          return ValueFromArray(std::move(a));
-        }));
-  }
+  // Vector_N and Matrix_N: a vector of N or an N-by-N matrix (column-major)
+  // from its elements; complex schemas take re/im pairs.
+  auto builder = [&]<int kElems>(std::string name, Dims dims) {
+    auto make = [=](std::span<const double> v) -> Result<OwnedArray> {
+      SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a,
+                                OwnedArray::Zeros(dtype, dims, sc));
+      for (int i = 0; i < kElems; ++i) {
+        SQLARRAY_RETURN_IF_ERROR(cpx ? a.SetComplex(i, {v[2 * i], v[2 * i + 1]})
+                                     : a.SetDouble(i, v[i]));
+      }
+      return a;
+    };
+    const double work = kWorkBuild + 40.0 * kElems;
+    if (cpx) {
+      def(name, work,
+          [make](std::array<double, 2 * kElems> v) { return make(v); });
+    } else {
+      def(name, work, [make](std::array<double, kElems> v) { return make(v); });
+    }
+  };
+  ForEachN<8>([&]<int N>() {
+    builder.template operator()<N>("Vector_" + std::to_string(N), {N});
+  });
+  builder.template operator()<4>("Matrix_2", {2, 2});
+  builder.template operator()<9>("Matrix_3", {3, 3});
 
   // Create: zero-filled array of the given dimension sizes (variadic).
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      reg, schema, "Create", -1, kWorkBuild,
-      [dtype, sc](std::span<const Value> args,
-                  UdfContext&) -> Result<Value> {
-        if (args.empty()) {
-          return Status::InvalidArgument("Create needs dimension sizes");
-        }
-        SQLARRAY_ASSIGN_OR_RETURN(Dims dims, IndexArgs(args, 0, args.size()));
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a,
-                                  OwnedArray::Zeros(dtype, dims, sc));
-        return ValueFromArray(std::move(a));
-      }));
+  def("Create", kWorkBuild, [dtype, sc](RowArgs args) -> Result<OwnedArray> {
+    if (args.size() == 0) {
+      return Status::InvalidArgument("Create needs dimension sizes");
+    }
+    Dims dims(args.size());
+    for (size_t k = 0; k < dims.size(); ++k) {
+      SQLARRAY_ASSIGN_OR_RETURN(dims[k], args[k].AsInt());
+    }
+    return OwnedArray::Zeros(dtype, std::move(dims), sc);
+  });
 
   // --- element access ----------------------------------------------------
-  for (int n = 1; n <= 6; ++n) {
-    // Item_N: real schemas return FLOAT; complex schemas return the complex
-    // UDT as its native serialization. A short real array held in the row
-    // is read in place, as its column kernel reads it.
-    const bool in_place = sc == StorageClass::kShort && !cpx;
-    SQLARRAY_RETURN_IF_ERROR(Reg(
-        reg, schema, "Item_" + std::to_string(n), n + 1, kWorkItem,
-        [dtype, sc, n, cpx, single, in_place](
-            std::span<const Value> args, UdfContext& ctx) -> Result<Value> {
-          if (in_place && args[0].kind() == Value::Kind::kBytes) {
-            int64_t idx[kMaxShortRank];
-            for (int d = 0; d < n; ++d) {
-              SQLARRAY_ASSIGN_OR_RETURN(idx[d], args[1 + d].AsInt());
-            }
-            SQLARRAY_ASSIGN_OR_RETURN(
-                double v,
-                ReadShortItem(*args[0].AsBytes().value(), dtype,
-                              {idx, static_cast<size_t>(n)}));
-            return Value::Double(v);
-          }
-          SQLARRAY_ASSIGN_OR_RETURN(ArrayHeader h,
-                                    HeaderFromValue(args[0], ctx));
-          SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(h, dtype, sc));
-          SQLARRAY_ASSIGN_OR_RETURN(Dims idx, IndexArgs(args, 1, n));
-          if (!cpx) {
-            SQLARRAY_ASSIGN_OR_RETURN(double v,
-                                      ItemFromValue(args[0], idx, ctx));
-            return Value::Double(v);
-          }
-          SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a,
-                                    ArrayFromValue(args[0], ctx));
-          SQLARRAY_ASSIGN_OR_RETURN(std::complex<double> v,
-                                    ItemComplex(a.ref(), idx));
-          return Value::Bytes(EncodeComplexUdt(v, single));
-        },
-        in_place ? ShortItemKernel(dtype, n) : nullptr));
-
-    // UpdateItem_N: returns a copy with one element replaced.
-    SQLARRAY_RETURN_IF_ERROR(Reg(
-        reg, schema, "UpdateItem_" + std::to_string(n), n + 2, kWorkUpdate,
-        [dtype, sc, n, cpx](std::span<const Value> args,
-                            UdfContext& ctx) -> Result<Value> {
-          SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a, ArrayFromValue(args[0], ctx));
-          SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(a.header(), dtype, sc));
-          SQLARRAY_ASSIGN_OR_RETURN(Dims idx, IndexArgs(args, 1, n));
-          const Value& val = args[n + 1];
-          if (cpx && val.kind() == Value::Kind::kBytes) {
-            SQLARRAY_ASSIGN_OR_RETURN(const std::vector<uint8_t>* b,
-                                      val.AsBytes());
-            SQLARRAY_ASSIGN_OR_RETURN(std::complex<double> c,
-                                      DecodeComplexUdt(*b));
-            SQLARRAY_ASSIGN_OR_RETURN(OwnedArray out,
-                                      UpdateItemComplex(a.ref(), idx, c));
-            return ValueFromArray(std::move(out));
-          }
-          SQLARRAY_ASSIGN_OR_RETURN(double v, val.AsDouble());
-          SQLARRAY_ASSIGN_OR_RETURN(OwnedArray out,
-                                    UpdateItem(a.ref(), idx, v));
-          return ValueFromArray(std::move(out));
-        }));
-
-    if (cpx) {
+  ForEachN<kMaxShortRank>([&]<int N>() {
+    using Index = std::array<int64_t, N>;
+    const std::string n = std::to_string(N);
+    // Item_N: real schemas return FLOAT, a short array held in the row read
+    // in place; complex schemas return the complex UDT as its native
+    // serialization.
+    if (!cpx && sc == StorageClass::kShort) {
+      def("Item_" + n, kWorkItem,
+          [](ShortArray a, Index i) -> Result<double> { return a.Item(i); });
+    } else if (!cpx) {
+      def("Item_" + n, kWorkItem,
+          [](const ArrayArg& a, Index i) -> Result<double> {
+            return a.Item(i);
+          });
+    } else {
+      def("Item_" + n, kWorkItem,
+          [single](const ArrayArg& a,
+                   Index i) -> Result<std::vector<uint8_t>> {
+            SQLARRAY_ASSIGN_OR_RETURN(OwnedArray whole, a.Whole());
+            SQLARRAY_ASSIGN_OR_RETURN(std::complex<double> v,
+                                      ItemComplex(whole.ref(), i));
+            return EncodeComplexUdt(v, single);
+          });
       // ItemRe_N / ItemIm_N scalar accessors for complex arrays.
       for (bool re : {true, false}) {
-        SQLARRAY_RETURN_IF_ERROR(Reg(
-            reg, schema, std::string(re ? "ItemRe_" : "ItemIm_") +
-                             std::to_string(n),
-            n + 1, kWorkItem,
-            [dtype, sc, n, re](std::span<const Value> args,
-                               UdfContext& ctx) -> Result<Value> {
-              SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a,
-                                        ArrayFromValue(args[0], ctx));
-              SQLARRAY_RETURN_IF_ERROR(
-                  CheckSchemaMatch(a.header(), dtype, sc));
-              SQLARRAY_ASSIGN_OR_RETURN(Dims idx, IndexArgs(args, 1, n));
+        def(std::string(re ? "ItemRe_" : "ItemIm_") + n, kWorkItem,
+            [re](const SchemaArray& a, Index i) -> Result<double> {
               SQLARRAY_ASSIGN_OR_RETURN(std::complex<double> v,
-                                        ItemComplex(a.ref(), idx));
-              return Value::Double(re ? v.real() : v.imag());
-            }));
+                                        ItemComplex(a, i));
+              return re ? v.real() : v.imag();
+            });
       }
     }
-  }
+
+    // UpdateItem_N: returns a copy with one element replaced.
+    if (cpx) {
+      // The value is a complex UDT, or a number as its real part.
+      def("UpdateItem_" + n, kWorkUpdate,
+          [](const SchemaArray& a, Index i,
+             const Value& v) -> Result<OwnedArray> {
+            std::complex<double> c;
+            if (v.kind() == Value::Kind::kBytes) {
+              SQLARRAY_ASSIGN_OR_RETURN(c,
+                                        DecodeComplexUdt(*v.AsBytes().value()));
+            } else {
+              SQLARRAY_ASSIGN_OR_RETURN(c, v.AsDouble());
+            }
+            return UpdateItemComplex(a, i, c);
+          });
+    } else {
+      def("UpdateItem_" + n, kWorkUpdate,
+          [](const SchemaArray& a, Index i, double v) {
+            return UpdateItem(a, i, v);
+          });
+    }
+  });
 
   // --- shape -------------------------------------------------------------
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      reg, schema, "Rank", 1, kWorkItem,
-      [dtype, sc](std::span<const Value> args,
-                  UdfContext& ctx) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(ArrayHeader h, HeaderFromValue(args[0], ctx));
-        SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(h, dtype, sc));
-        return Value::Int(h.rank());
-      }));
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      reg, schema, "Length", 1, kWorkItem,
-      [dtype, sc](std::span<const Value> args,
-                  UdfContext& ctx) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(ArrayHeader h, HeaderFromValue(args[0], ctx));
-        SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(h, dtype, sc));
-        return Value::Int(h.num_elements());
-      }));
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      reg, schema, "DimSize", 2, kWorkItem,
-      [dtype, sc](std::span<const Value> args,
-                  UdfContext& ctx) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(ArrayHeader h, HeaderFromValue(args[0], ctx));
-        SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(h, dtype, sc));
-        SQLARRAY_ASSIGN_OR_RETURN(int64_t k, args[1].AsInt());
-        if (k < 0 || k >= h.rank()) {
-          return Status::OutOfRange("dimension index out of range");
-        }
-        return Value::Int(h.dims[k]);
-      }));
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      reg, schema, "Dims", 1, kWorkItem,
-      [dtype, sc](std::span<const Value> args,
-                  UdfContext& ctx) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(ArrayHeader h, HeaderFromValue(args[0], ctx));
-        SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(h, dtype, sc));
-        SQLARRAY_ASSIGN_OR_RETURN(
-            OwnedArray dims,
-            OwnedArray::Zeros(DType::kInt32,
-                              {static_cast<int64_t>(h.dims.size())}));
-        for (size_t i = 0; i < h.dims.size(); ++i) {
-          SQLARRAY_RETURN_IF_ERROR(dims.SetDouble(
-              static_cast<int64_t>(i), static_cast<double>(h.dims[i])));
-        }
-        return ValueFromArray(std::move(dims));
-      }));
+  DefineShape(def, kWorkItem);
+  def("Dims", kWorkItem, [](const ArrayArg& a) {
+    const std::vector<int32_t> dims(a.header.dims.begin(),
+                                    a.header.dims.end());
+    return OwnedArray::FromVector<int32_t>(dims);
+  });
 
   // --- subsetting / reshaping -------------------------------------------
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      reg, schema, "Subarray", 4, kWorkSubarray,
-      [dtype, sc](std::span<const Value> args,
-                  UdfContext& ctx) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(ArrayHeader h, HeaderFromValue(args[0], ctx));
-        SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(h, dtype, sc));
-        SQLARRAY_ASSIGN_OR_RETURN(Dims offset, DimsFromValue(args[1], ctx));
-        SQLARRAY_ASSIGN_OR_RETURN(Dims sizes, DimsFromValue(args[2], ctx));
-        SQLARRAY_ASSIGN_OR_RETURN(int64_t collapse, args[3].AsInt());
-        SQLARRAY_ASSIGN_OR_RETURN(
-            OwnedArray out,
-            SubarrayFromValue(args[0], offset, sizes, collapse != 0, ctx));
-        return ValueFromArray(std::move(out));
-      }));
-
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      reg, schema, "Reshape", 2, kWorkSubarray,
-      [dtype, sc](std::span<const Value> args,
-                  UdfContext& ctx) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a, ArrayFromValue(args[0], ctx));
-        SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(a.header(), dtype, sc));
-        SQLARRAY_ASSIGN_OR_RETURN(Dims dims, DimsFromValue(args[1], ctx));
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray out,
-                                  Reshape(a.ref(), std::move(dims)));
-        return ValueFromArray(std::move(out));
-      }));
+  def("Subarray", kWorkSubarray,
+      [](const ArrayArg& a, Dims offset, Dims sizes, int64_t collapse) {
+        return a.Subarray(offset, sizes, collapse != 0);
+      });
+  def("Reshape", kWorkSubarray, [](const SchemaArray& a, Dims dims) {
+    return Reshape(a, std::move(dims));
+  });
 
   // --- transforms ----------------------------------------------------------
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      reg, schema, "Transpose", 1, kWorkSubarray,
-      [dtype, sc](std::span<const Value> args,
-                  UdfContext& ctx) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a, ArrayFromValue(args[0], ctx));
-        SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(a.header(), dtype, sc));
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray out, Transpose(a.ref()));
-        return ValueFromArray(std::move(out));
-      }));
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      reg, schema, "Permute", 2, kWorkSubarray,
-      [dtype, sc](std::span<const Value> args,
-                  UdfContext& ctx) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a, ArrayFromValue(args[0], ctx));
-        SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(a.header(), dtype, sc));
-        SQLARRAY_ASSIGN_OR_RETURN(Dims perm64, DimsFromValue(args[1], ctx));
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray out,
-                                  PermuteAxes(a.ref(), perm64));
-        return ValueFromArray(std::move(out));
-      }));
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      reg, schema, "ConcatAxis", 3, kWorkSubarray,
-      [dtype, sc](std::span<const Value> args,
-                  UdfContext& ctx) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a, ArrayFromValue(args[0], ctx));
-        SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(a.header(), dtype, sc));
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray b, ArrayFromValue(args[1], ctx));
-        SQLARRAY_ASSIGN_OR_RETURN(int64_t axis, args[2].AsInt());
-        SQLARRAY_ASSIGN_OR_RETURN(
-            OwnedArray out,
-            ConcatAxis(a.ref(), b.ref(), axis));
-        return ValueFromArray(std::move(out));
-      }));
+  def("Transpose", kWorkSubarray,
+      [](const SchemaArray& a) { return Transpose(a); });
+  def("Permute", kWorkSubarray, [](const SchemaArray& a, Dims perm) {
+    return PermuteAxes(a, perm);
+  });
+  def("ConcatAxis", kWorkSubarray,
+      [](const SchemaArray& a, const ArrayRef& b, int64_t axis) {
+        return ConcatAxis(a, b, axis);
+      });
 
   // --- raw bridging ------------------------------------------------------
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      reg, schema, "Cast", 2, kWorkConvert,
-      [dtype](std::span<const Value> args, UdfContext& ctx) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
-                                  args[0].MaterializeBytes());
-        SQLARRAY_ASSIGN_OR_RETURN(Dims dims, DimsFromValue(args[1], ctx));
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray out,
-                                  CastFromRaw(dtype, std::move(dims), raw));
-        return ValueFromArray(std::move(out));
-      }));
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      reg, schema, "Raw", 1, kWorkConvert,
-      [dtype, sc](std::span<const Value> args,
-                  UdfContext& ctx) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a, ArrayFromValue(args[0], ctx));
-        SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(a.header(), dtype, sc));
-        SQLARRAY_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, Raw(a.ref()));
-        return Value::Bytes(std::move(raw));
-      }));
+  def("Cast", kWorkConvert, [dtype](std::vector<uint8_t> raw, Dims dims) {
+    return CastFromRaw(dtype, std::move(dims), raw);
+  });
+  def("Raw", kWorkConvert, [](const SchemaArray& a) { return Raw(a); });
 
   // --- conversions -------------------------------------------------------
   // From: converts any array (any dtype, any class) into this schema's
   // dtype and storage class.
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      reg, schema, "From", 1, kWorkConvert,
-      [dtype, sc](std::span<const Value> args,
-                  UdfContext& ctx) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a, ArrayFromValue(args[0], ctx));
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray conv,
-                                  ConvertDType(a.ref(), dtype));
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray out,
-                                  ConvertStorage(conv.ref(), sc));
-        return ValueFromArray(std::move(out));
-      }));
-
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      reg, schema, "ToString", 1, kWorkConvert,
-      [dtype, sc](std::span<const Value> args,
-                  UdfContext& ctx) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a, ArrayFromValue(args[0], ctx));
-        SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(a.header(), dtype, sc));
-        return Value::Str(ToArrayString(a.ref()));
-      }));
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      reg, schema, "FromString", 1, kWorkConvert,
-      [dtype, sc](std::span<const Value> args,
-                  UdfContext& ctx) -> Result<Value> {
-        (void)ctx;
-        SQLARRAY_ASSIGN_OR_RETURN(std::string text, args[0].AsString());
+  auto convert = [dtype, sc](const ArrayRef& a) -> Result<OwnedArray> {
+    SQLARRAY_ASSIGN_OR_RETURN(OwnedArray conv, ConvertDType(a, dtype));
+    return ConvertStorage(conv.ref(), sc);
+  };
+  def("From", kWorkConvert, convert);
+  def("ToString", kWorkConvert,
+      [](const SchemaArray& a) -> Result<std::string> {
+        return ToArrayString(a);
+      });
+  def("FromString", kWorkConvert,
+      [convert](std::string text) -> Result<OwnedArray> {
         SQLARRAY_ASSIGN_OR_RETURN(OwnedArray parsed, FromArrayString(text));
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray conv,
-                                  ConvertDType(parsed.ref(), dtype));
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray out,
-                                  ConvertStorage(conv.ref(), sc));
-        return ValueFromArray(std::move(out));
-      }));
+        return convert(parsed.ref());
+      });
 
   // --- aggregates over the array ----------------------------------------
   struct AggDef {
     const char* name;
     AggKind kind;
   };
-  for (const AggDef& def :
+  for (const AggDef& agg :
        {AggDef{"SumAll", AggKind::kSum}, AggDef{"MinAll", AggKind::kMin},
         AggDef{"MaxAll", AggKind::kMax}, AggDef{"MeanAll", AggKind::kMean},
         AggDef{"StdAll", AggKind::kStd}}) {
-    AggKind kind = def.kind;
-    SQLARRAY_RETURN_IF_ERROR(Reg(
-        reg, schema, def.name, 1, kWorkAggregate,
-        [dtype, sc, kind, cpx, single](std::span<const Value> args,
-                                       UdfContext& ctx) -> Result<Value> {
-          SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a,
-                                    ArrayFromValue(args[0], ctx));
-          SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(a.header(), dtype, sc));
-          if (cpx) {
+    const AggKind kind = agg.kind;
+    if (cpx) {
+      def(agg.name, kWorkAggregate,
+          [kind, single](const SchemaArray& a) -> Result<std::vector<uint8_t>> {
             SQLARRAY_ASSIGN_OR_RETURN(std::complex<double> v,
-                                      AggregateAllComplex(a.ref(), kind));
-            return Value::Bytes(EncodeComplexUdt(v, single));
-          }
-          SQLARRAY_ASSIGN_OR_RETURN(double v, AggregateAll(a.ref(), kind));
-          return Value::Double(v);
-        }));
+                                      AggregateAllComplex(a, kind));
+            return EncodeComplexUdt(v, single);
+          });
+    } else {
+      def(agg.name, kWorkAggregate, [kind](const SchemaArray& a) {
+        return AggregateAll(a, kind);
+      });
+    }
   }
-  for (const AggDef& def :
+  for (const AggDef& agg :
        {AggDef{"SumAxis", AggKind::kSum}, AggDef{"MeanAxis", AggKind::kMean},
         AggDef{"MinAxis", AggKind::kMin}, AggDef{"MaxAxis", AggKind::kMax}}) {
-    AggKind kind = def.kind;
-    SQLARRAY_RETURN_IF_ERROR(Reg(
-        reg, schema, def.name, 2, kWorkAggregate,
-        [dtype, sc, kind](std::span<const Value> args,
-                          UdfContext& ctx) -> Result<Value> {
-          SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a,
-                                    ArrayFromValue(args[0], ctx));
-          SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(a.header(), dtype, sc));
-          SQLARRAY_ASSIGN_OR_RETURN(int64_t axis, args[1].AsInt());
-          SQLARRAY_ASSIGN_OR_RETURN(
-              OwnedArray out,
-              AggregateAxis(a.ref(), axis, kind));
-          return ValueFromArray(std::move(out));
-        }));
+    const AggKind kind = agg.kind;
+    def(agg.name, kWorkAggregate, [kind](const SchemaArray& a, int64_t axis) {
+      return AggregateAxis(a, axis, kind);
+    });
   }
 
   // --- element-wise arithmetic ------------------------------------------
@@ -419,91 +223,50 @@ Status RegisterSchema(FunctionRegistry* reg, DType dtype, StorageClass sc) {
     const char* name;
     BinOp op;
   };
-  for (const BinDef& def : {BinDef{"Add", BinOp::kAdd},
+  for (const BinDef& bin : {BinDef{"Add", BinOp::kAdd},
                             BinDef{"Sub", BinOp::kSub},
                             BinDef{"Mul", BinOp::kMul},
                             BinDef{"Div", BinOp::kDiv}}) {
-    BinOp op = def.op;
-    SQLARRAY_RETURN_IF_ERROR(Reg(
-        reg, schema, def.name, 2, kWorkAggregate,
-        [dtype, sc, op](std::span<const Value> args,
-                        UdfContext& ctx) -> Result<Value> {
-          SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a, ArrayFromValue(args[0], ctx));
-          SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(a.header(), dtype, sc));
-          SQLARRAY_ASSIGN_OR_RETURN(OwnedArray b, ArrayFromValue(args[1], ctx));
-          SQLARRAY_ASSIGN_OR_RETURN(OwnedArray out,
-                                    ElementwiseBinary(a.ref(), b.ref(), op));
-          return ValueFromArray(std::move(out));
-        }));
+    const BinOp op = bin.op;
+    def(bin.name, kWorkAggregate,
+        [op](const SchemaArray& a, const ArrayRef& b) {
+          return ElementwiseBinary(a, b, op);
+        });
   }
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      reg, schema, "Scale", 2, kWorkAggregate,
-      [dtype, sc](std::span<const Value> args,
-                  UdfContext& ctx) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a, ArrayFromValue(args[0], ctx));
-        SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(a.header(), dtype, sc));
-        SQLARRAY_ASSIGN_OR_RETURN(double s, args[1].AsDouble());
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray out,
-                                  ElementwiseScalar(a.ref(), s, BinOp::kMul));
-        return ValueFromArray(std::move(out));
-      }));
+  def("Scale", kWorkAggregate, [](const SchemaArray& a, double s) {
+    return ElementwiseScalar(a, s, BinOp::kMul);
+  });
   if (!cpx) {
-    SQLARRAY_RETURN_IF_ERROR(Reg(
-        reg, schema, "Dot", 2, kWorkAggregate,
-        [dtype, sc](std::span<const Value> args,
-                    UdfContext& ctx) -> Result<Value> {
-          SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a, ArrayFromValue(args[0], ctx));
-          SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(a.header(), dtype, sc));
-          SQLARRAY_ASSIGN_OR_RETURN(OwnedArray b, ArrayFromValue(args[1], ctx));
-          SQLARRAY_ASSIGN_OR_RETURN(std::complex<double> v,
-                                    Dot(a.ref(), b.ref()));
-          return Value::Double(v.real());
-        }));
+    def("Dot", kWorkAggregate,
+        [](const SchemaArray& a, const ArrayRef& b) -> Result<double> {
+          SQLARRAY_ASSIGN_OR_RETURN(std::complex<double> v, Dot(a, b));
+          return v.real();
+        });
   }
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      reg, schema, "Norm", 1, kWorkAggregate,
-      [dtype, sc](std::span<const Value> args,
-                  UdfContext& ctx) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a, ArrayFromValue(args[0], ctx));
-        SQLARRAY_RETURN_IF_ERROR(CheckSchemaMatch(a.header(), dtype, sc));
-        SQLARRAY_ASSIGN_OR_RETURN(double v, Norm2(a.ref()));
-        return Value::Double(v);
-      }));
-
-  return Status::OK();
+  def("Norm", kWorkAggregate, [](const SchemaArray& a) { return Norm2(a); });
+  return def.status();
 }
 
 /// Scalar complex UDT helpers under "Complex"/"DoubleComplex" schemas.
 Status RegisterComplexUdt(FunctionRegistry* reg, bool single) {
-  const std::string schema = single ? "Complex" : "DoubleComplex";
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      reg, schema, "Make", 2, kWorkItem,
-      [single](std::span<const Value> args, UdfContext&) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(double re, args[0].AsDouble());
-        SQLARRAY_ASSIGN_OR_RETURN(double im, args[1].AsDouble());
-        return Value::Bytes(EncodeComplexUdt({re, im}, single));
-      }));
+  Definer def(reg, Schema{single ? "Complex" : "DoubleComplex"});
+  def("Make", kWorkItem,
+      [single](double re, double im) -> Result<std::vector<uint8_t>> {
+        return EncodeComplexUdt({re, im}, single);
+      });
   for (bool re : {true, false}) {
-    SQLARRAY_RETURN_IF_ERROR(Reg(
-        reg, schema, re ? "Re" : "Im", 1, kWorkItem,
-        [re](std::span<const Value> args, UdfContext&) -> Result<Value> {
-          SQLARRAY_ASSIGN_OR_RETURN(const std::vector<uint8_t>* b,
-                                    args[0].AsBytes());
+    def(re ? "Re" : "Im", kWorkItem,
+        [re](std::span<const uint8_t> b) -> Result<double> {
           SQLARRAY_ASSIGN_OR_RETURN(std::complex<double> v,
-                                    DecodeComplexUdt(*b));
-          return Value::Double(re ? v.real() : v.imag());
-        }));
+                                    DecodeComplexUdt(b));
+          return re ? v.real() : v.imag();
+        });
   }
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      reg, schema, "Abs", 1, kWorkItem,
-      [](std::span<const Value> args, UdfContext&) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(const std::vector<uint8_t>* b,
-                                  args[0].AsBytes());
-        SQLARRAY_ASSIGN_OR_RETURN(std::complex<double> v,
-                                  DecodeComplexUdt(*b));
-        return Value::Double(std::abs(v));
-      }));
-  return Status::OK();
+  def("Abs", kWorkItem, [](std::span<const uint8_t> b) -> Result<double> {
+    SQLARRAY_ASSIGN_OR_RETURN(std::complex<double> v, DecodeComplexUdt(b));
+    return std::abs(v);
+  });
+  return def.status();
 }
 
 }  // namespace

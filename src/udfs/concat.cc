@@ -16,22 +16,17 @@ namespace sqlarray::udfs {
 
 namespace {
 
-using engine::Boundary;
 using engine::FunctionRegistry;
-using engine::ScalarFunction;
 using engine::Uda;
-using engine::UdfContext;
-using engine::Value;
 
 /// Parses a row's index argument: either an integer (linear offset) or an
 /// integer-vector array blob (multi-index).
-Result<int64_t> LinearIndexFromValue(const Value& v, const ArrayHeader& h,
-                                     UdfContext& ctx) {
+Result<int64_t> LinearIndexFromValue(const Value& v, const Dims& dims) {
   if (v.kind() == Value::Kind::kInt64 || v.kind() == Value::Kind::kFloat64) {
     return v.AsInt();
   }
-  SQLARRAY_ASSIGN_OR_RETURN(Dims idx, DimsFromValue(v, ctx));
-  return LinearIndex(h.dims, idx);
+  SQLARRAY_ASSIGN_OR_RETURN(Dims idx, DimsFromValue(v));
+  return LinearIndex(dims, idx);
 }
 
 /// The Concat user-defined aggregate for one element type.
@@ -40,12 +35,12 @@ class ConcatUda : public Uda {
   explicit ConcatUda(DType dtype) : dtype_(dtype) {}
 
   Result<std::vector<uint8_t>> Init(std::span<const Value> args,
-                                    UdfContext& ctx) override {
+                                    UdfContext&) override {
     if (args.empty()) {
       return Status::InvalidArgument(
           "Concat needs (dims, index, value) arguments");
     }
-    SQLARRAY_ASSIGN_OR_RETURN(Dims dims, DimsFromValue(args[0], ctx));
+    SQLARRAY_ASSIGN_OR_RETURN(Dims dims, DimsFromValue(args[0]));
     SQLARRAY_ASSIGN_OR_RETURN(ConcatBuilder builder,
                               ConcatBuilder::Create(dtype_, std::move(dims)));
     return builder.SerializeState();
@@ -53,7 +48,7 @@ class ConcatUda : public Uda {
 
   Result<std::vector<uint8_t>> Accumulate(std::span<const uint8_t> state,
                                           std::span<const Value> args,
-                                          UdfContext& ctx) override {
+                                          UdfContext&) override {
     if (args.size() != 3) {
       return Status::InvalidArgument(
           "Concat needs (dims, index, value) arguments");
@@ -63,7 +58,7 @@ class ConcatUda : public Uda {
     SQLARRAY_ASSIGN_OR_RETURN(ConcatBuilder builder,
                               ConcatBuilder::DeserializeState(state));
     SQLARRAY_ASSIGN_OR_RETURN(
-        int64_t linear, LinearIndexFromValue(args[1], builder.header(), ctx));
+        int64_t linear, LinearIndexFromValue(args[1], builder.header().dims));
     SQLARRAY_ASSIGN_OR_RETURN(double v, args[2].AsDouble());
     SQLARRAY_RETURN_IF_ERROR(builder.AddLinear(linear, v));
     return builder.SerializeState();
@@ -74,7 +69,7 @@ class ConcatUda : public Uda {
     SQLARRAY_ASSIGN_OR_RETURN(ConcatBuilder builder,
                               ConcatBuilder::DeserializeState(state));
     SQLARRAY_ASSIGN_OR_RETURN(OwnedArray out, std::move(builder).Finish());
-    return ValueFromArray(std::move(out));
+    return Value::Bytes(std::move(out).TakeBlob());
   }
 
  private:
@@ -95,11 +90,11 @@ class AvgVectorUda : public Uda {
 
   Result<std::vector<uint8_t>> Accumulate(std::span<const uint8_t> state,
                                           std::span<const Value> args,
-                                          UdfContext& ctx) override {
+                                          UdfContext&) override {
     if (args.size() != 1) {
       return Status::InvalidArgument("AvgVector takes one vector argument");
     }
-    SQLARRAY_ASSIGN_OR_RETURN(OwnedArray v, ArrayFromValue(args[0], ctx));
+    SQLARRAY_ASSIGN_OR_RETURN(OwnedArray v, ArrayFromValue(args[0]));
     if (v.rank() != 1) {
       return Status::InvalidArgument("AvgVector input must be rank 1");
     }
@@ -150,7 +145,7 @@ class AvgVectorUda : public Uda {
       SQLARRAY_RETURN_IF_ERROR(
           sums.SetDouble(i, sum / static_cast<double>(count)));
     }
-    return ValueFromArray(std::move(sums));
+    return Value::Bytes(std::move(sums).TakeBlob());
   }
 };
 
@@ -169,46 +164,37 @@ Status RegisterAggregateUdfs(FunctionRegistry* registry) {
     // Reader-style replacement (Sec. 4.2): a scalar UDF that takes the
     // dims vector and a SQL query returning (index, value) rows, reads the
     // rows itself, and assembles the array in one call.
-    ScalarFunction f;
-    f.schema = schema;
-    f.name = "ConcatQuery";
-    f.arity = 2;
-    f.boundary = Boundary::kClr;
-    f.managed_work_ns = 2000;
+    engine::ScalarFunction f = Typed(
+        Schema{schema}, "ConcatQuery", 2000,
+        [dtype](UdfContext* ctx, Dims dims,
+                std::string sqltext) -> Result<OwnedArray> {
+          if (ctx->subquery == nullptr || !*ctx->subquery) {
+            return Status::InvalidArgument(
+                "ConcatQuery requires a session with subquery support");
+          }
+          SQLARRAY_ASSIGN_OR_RETURN(ConcatBuilder builder,
+                                    ConcatBuilder::Create(dtype, dims));
+          SQLARRAY_ASSIGN_OR_RETURN(engine::SubqueryResult sub,
+                                    (*ctx->subquery)(sqltext));
+          // The nested scan's I/O and CPU belong to this query.
+          if (ctx->stats != nullptr) {
+            ctx->stats->rows_scanned += sub.stats.rows_scanned;
+            ctx->stats->udf_calls += sub.stats.udf_calls;
+            ctx->stats->cpu_core_seconds += sub.stats.cpu_core_seconds;
+          }
+          for (const std::vector<Value>& row : sub.rows) {
+            if (row.size() != 2) {
+              return Status::InvalidArgument(
+                  "ConcatQuery subquery must return (index, value) rows");
+            }
+            SQLARRAY_ASSIGN_OR_RETURN(int64_t linear,
+                                      LinearIndexFromValue(row[0], dims));
+            SQLARRAY_ASSIGN_OR_RETURN(double v, row[1].AsDouble());
+            SQLARRAY_RETURN_IF_ERROR(builder.AddLinear(linear, v));
+          }
+          return std::move(builder).Finish();
+        });
     f.needs_subquery = true;
-    f.fn = [dtype](std::span<const Value> args,
-                   UdfContext& ctx) -> Result<Value> {
-      if (ctx.subquery == nullptr || !*ctx.subquery) {
-        return Status::InvalidArgument(
-            "ConcatQuery requires a session with subquery support");
-      }
-      SQLARRAY_ASSIGN_OR_RETURN(Dims dims, DimsFromValue(args[0], ctx));
-      SQLARRAY_ASSIGN_OR_RETURN(std::string sqltext, args[1].AsString());
-      SQLARRAY_ASSIGN_OR_RETURN(ConcatBuilder builder,
-                                ConcatBuilder::Create(dtype, dims));
-      ArrayHeader h{dtype, ChooseStorageClass(dtype, dims), dims};
-
-      SQLARRAY_ASSIGN_OR_RETURN(engine::SubqueryResult sub,
-                                (*ctx.subquery)(sqltext));
-      // The nested scan's I/O and CPU belong to this query.
-      if (ctx.stats != nullptr) {
-        ctx.stats->rows_scanned += sub.stats.rows_scanned;
-        ctx.stats->udf_calls += sub.stats.udf_calls;
-        ctx.stats->cpu_core_seconds += sub.stats.cpu_core_seconds;
-      }
-      for (const std::vector<Value>& row : sub.rows) {
-        if (row.size() != 2) {
-          return Status::InvalidArgument(
-              "ConcatQuery subquery must return (index, value) rows");
-        }
-        SQLARRAY_ASSIGN_OR_RETURN(int64_t linear,
-                                  LinearIndexFromValue(row[0], h, ctx));
-        SQLARRAY_ASSIGN_OR_RETURN(double v, row[1].AsDouble());
-        SQLARRAY_RETURN_IF_ERROR(builder.AddLinear(linear, v));
-      }
-      SQLARRAY_ASSIGN_OR_RETURN(OwnedArray out, std::move(builder).Finish());
-      return ValueFromArray(std::move(out));
-    };
     SQLARRAY_RETURN_IF_ERROR(registry->RegisterScalar(std::move(f)));
   }
 

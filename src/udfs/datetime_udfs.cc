@@ -13,12 +13,6 @@ namespace sqlarray::udfs {
 
 namespace {
 
-using engine::Boundary;
-using engine::FunctionRegistry;
-using engine::ScalarFunction;
-using engine::UdfContext;
-using engine::Value;
-
 /// Days from civil date (proleptic Gregorian), Howard Hinnant's algorithm.
 int64_t DaysFromCivil(int64_t y, int64_t m, int64_t d) {
   y -= m <= 2;
@@ -81,101 +75,61 @@ std::array<int64_t, 6> CivilFields(int64_t micros) {
   return {y, mo, d, secs / 3600, (secs / 60) % 60, secs % 60};
 }
 
-Status Reg(FunctionRegistry* reg, std::string name, int arity,
-           engine::ScalarFn fn) {
-  ScalarFunction f;
-  f.schema = "DateTime";
-  f.name = std::move(name);
-  f.arity = arity;
-  f.boundary = Boundary::kClr;
-  f.managed_work_ns = 300;
-  f.fn = std::move(fn);
-  return reg->RegisterScalar(std::move(f));
-}
-
 }  // namespace
 
-Status RegisterDateTimeUdfs(FunctionRegistry* registry) {
+Status RegisterDateTimeUdfs(engine::FunctionRegistry* registry) {
+  Definer def(registry, Schema{"DateTime"});
+  constexpr double kWork = 300;
   // DateTime.FromParts(y, m, d, h, mi, s) -> BIGINT microseconds.
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      registry, "FromParts", 6,
-      [](std::span<const Value> args, UdfContext&) -> Result<Value> {
-        int64_t parts[6];
-        for (int i = 0; i < 6; ++i) {
-          SQLARRAY_ASSIGN_OR_RETURN(parts[i], args[i].AsInt());
-        }
-        SQLARRAY_ASSIGN_OR_RETURN(
-            int64_t micros, MicrosFromParts(parts[0], parts[1], parts[2],
-                                            parts[3], parts[4], parts[5]));
-        return Value::Int(micros);
-      }));
+  def("FromParts", kWork, [](int64_t y, int64_t mo, int64_t d, int64_t h,
+                             int64_t mi, int64_t s) {
+    return MicrosFromParts(y, mo, d, h, mi, s);
+  });
 
   // DateTime.FromString('YYYY-MM-DD[ HH:MM:SS]').
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      registry, "FromString", 1,
-      [](std::span<const Value> args, UdfContext&) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(std::string text, args[0].AsString());
-        int64_t y = 0, mo = 0, d = 0, h = 0, mi = 0, s = 0;
-        int fields =
-            std::sscanf(text.c_str(),
-                        "%" SCNd64 "-%" SCNd64 "-%" SCNd64 " %" SCNd64
-                        ":%" SCNd64 ":%" SCNd64,
-                        &y, &mo, &d, &h, &mi, &s);
-        if (fields != 3 && fields != 6) {
-          return Status::InvalidArgument(
-              "datetime must be 'YYYY-MM-DD' or 'YYYY-MM-DD HH:MM:SS'");
-        }
-        SQLARRAY_ASSIGN_OR_RETURN(int64_t micros,
-                                  MicrosFromParts(y, mo, d, h, mi, s));
-        return Value::Int(micros);
-      }));
+  def("FromString", kWork, [](std::string text) -> Result<int64_t> {
+    int64_t y = 0, mo = 0, d = 0, h = 0, mi = 0, s = 0;
+    int fields = std::sscanf(text.c_str(),
+                             "%" SCNd64 "-%" SCNd64 "-%" SCNd64 " %" SCNd64
+                             ":%" SCNd64 ":%" SCNd64,
+                             &y, &mo, &d, &h, &mi, &s);
+    if (fields != 3 && fields != 6) {
+      return Status::InvalidArgument(
+          "datetime must be 'YYYY-MM-DD' or 'YYYY-MM-DD HH:MM:SS'");
+    }
+    return MicrosFromParts(y, mo, d, h, mi, s);
+  });
 
   // DateTime.ToString(micros) -> 'YYYY-MM-DD HH:MM:SS'.
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      registry, "ToString", 1,
-      [](std::span<const Value> args, UdfContext&) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(int64_t micros, args[0].AsInt());
-        const std::array<int64_t, 6> f = CivilFields(micros);
-        char buf[32];
-        std::snprintf(buf, sizeof(buf),
-                      "%04" PRId64 "-%02" PRId64 "-%02" PRId64
-                      " %02" PRId64 ":%02" PRId64 ":%02" PRId64,
-                      f[0], f[1], f[2], f[3], f[4], f[5]);
-        return Value::Str(buf);
-      }));
+  def("ToString", kWork, [](int64_t micros) -> Result<std::string> {
+    const std::array<int64_t, 6> f = CivilFields(micros);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf),
+                  "%04" PRId64 "-%02" PRId64 "-%02" PRId64 " %02" PRId64
+                  ":%02" PRId64 ":%02" PRId64,
+                  f[0], f[1], f[2], f[3], f[4], f[5]);
+    return std::string(buf);
+  });
 
   // Calendar field extractors.
-  struct Field {
-    const char* name;
-    int index;  // 0 = year, 1 = month, 2 = day, 3 = hour, 4 = min, 5 = sec
-  };
-  for (const Field& field :
-       {Field{"Year", 0}, Field{"Month", 1}, Field{"Day", 2},
-        Field{"Hour", 3}, Field{"Minute", 4}, Field{"Second", 5}}) {
-    int index = field.index;
-    SQLARRAY_RETURN_IF_ERROR(Reg(
-        registry, field.name, 1,
-        [index](std::span<const Value> args, UdfContext&) -> Result<Value> {
-          SQLARRAY_ASSIGN_OR_RETURN(int64_t micros, args[0].AsInt());
-          return Value::Int(CivilFields(micros)[index]);
-        }));
+  const char* kFields[] = {"Year", "Month", "Day", "Hour", "Minute", "Second"};
+  for (int index = 0; index < 6; ++index) {
+    def(kFields[index], kWork, [index](int64_t micros) -> Result<int64_t> {
+      return CivilFields(micros)[index];
+    });
   }
 
   // DateTime.AddSeconds(micros, s): interval arithmetic.
-  SQLARRAY_RETURN_IF_ERROR(Reg(
-      registry, "AddSeconds", 2,
-      [](std::span<const Value> args, UdfContext&) -> Result<Value> {
-        SQLARRAY_ASSIGN_OR_RETURN(int64_t micros, args[0].AsInt());
-        SQLARRAY_ASSIGN_OR_RETURN(double s, args[1].AsDouble());
-        SQLARRAY_ASSIGN_OR_RETURN(
-            int64_t delta,
-            CheckedF64ToI64(s * static_cast<double>(kMicrosPerSecond)));
-        if (__builtin_add_overflow(micros, delta, &micros)) {
-          return Status::OutOfRange("datetime out of BIGINT microsecond range");
-        }
-        return Value::Int(micros);
-      }));
-  return Status::OK();
+  def("AddSeconds", kWork, [](int64_t micros, double s) -> Result<int64_t> {
+    SQLARRAY_ASSIGN_OR_RETURN(
+        int64_t delta,
+        CheckedF64ToI64(s * static_cast<double>(kMicrosPerSecond)));
+    if (__builtin_add_overflow(micros, delta, &micros)) {
+      return Status::OutOfRange("datetime out of BIGINT microsecond range");
+    }
+    return micros;
+  });
+  return def.status();
 }
 
 }  // namespace sqlarray::udfs

@@ -2,45 +2,34 @@
 
 #include "common/bytes.h"
 #include "common/wrap_int.h"
-#include "core/ops.h"
 #include "storage/blob.h"
 
 namespace sqlarray::udfs {
 
 using engine::Value;
 
-Result<OwnedArray> ArrayFromValue(const Value& v, engine::UdfContext& ctx) {
-  (void)ctx;
+namespace {
+
+Result<storage::BlobStream> Open(const engine::BlobRef& ref) {
+  return storage::BlobStream::Open(ref.pool, ref.id);
+}
+
+}  // namespace
+
+Result<OwnedArray> ArrayFromValue(const Value& v) {
   if (v.kind() == Value::Kind::kBytes) {
-    SQLARRAY_ASSIGN_OR_RETURN(const std::vector<uint8_t>* bytes, v.AsBytes());
-    return OwnedArray::FromBlob(*bytes);
+    return OwnedArray::FromBlob(*v.AsBytes().value());
   }
   if (v.kind() == Value::Kind::kBlob) {
-    SQLARRAY_ASSIGN_OR_RETURN(engine::BlobRef ref, v.AsBlob());
     SQLARRAY_ASSIGN_OR_RETURN(storage::BlobStream stream,
-                              storage::BlobStream::Open(ref.pool, ref.id));
+                              Open(v.AsBlob().value()));
     return StreamReadAll(&stream);
   }
   return Status::TypeMismatch("argument is not an array blob");
 }
 
-Result<ArrayHeader> HeaderFromValue(const Value& v, engine::UdfContext& ctx) {
-  (void)ctx;
-  if (v.kind() == Value::Kind::kBytes) {
-    SQLARRAY_ASSIGN_OR_RETURN(const std::vector<uint8_t>* bytes, v.AsBytes());
-    return DecodeHeader(*bytes);
-  }
-  if (v.kind() == Value::Kind::kBlob) {
-    SQLARRAY_ASSIGN_OR_RETURN(engine::BlobRef ref, v.AsBlob());
-    SQLARRAY_ASSIGN_OR_RETURN(storage::BlobStream stream,
-                              storage::BlobStream::Open(ref.pool, ref.id));
-    return ReadHeaderFromSource(&stream);
-  }
-  return Status::TypeMismatch("argument is not an array blob");
-}
-
-Result<Dims> DimsFromValue(const Value& v, engine::UdfContext& ctx) {
-  SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a, ArrayFromValue(v, ctx));
+Result<Dims> DimsFromValue(const Value& v) {
+  SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a, ArrayFromValue(v));
   ArrayRef ref = a.ref();
   if (ref.rank() != 1) {
     return Status::InvalidArgument("index vector must be one-dimensional");
@@ -56,39 +45,49 @@ Result<Dims> DimsFromValue(const Value& v, engine::UdfContext& ctx) {
   return out;
 }
 
-Value ValueFromArray(OwnedArray array) {
-  return Value::Bytes(std::move(array).TakeBlob());
+Result<ArrayArg> ArrayArg::Of(Arg a) {
+  ArrayArg out;
+  if (a.value() != nullptr && a.value()->kind() == Value::Kind::kBlob) {
+    out.blob = a.value()->AsBlob().value();
+    SQLARRAY_ASSIGN_OR_RETURN(storage::BlobStream stream, Open(*out.blob));
+    SQLARRAY_ASSIGN_OR_RETURN(out.header, ReadHeaderFromSource(&stream));
+    return out;
+  }
+  std::optional<std::span<const uint8_t>> bytes = a.Bytes();
+  if (!bytes) return Status::TypeMismatch("argument is not an array blob");
+  out.bytes = *bytes;
+  SQLARRAY_ASSIGN_OR_RETURN(out.header, DecodeHeader(out.bytes));
+  return out;
 }
 
-Result<double> ItemFromValue(const Value& v, std::span<const int64_t> index,
-                             engine::UdfContext& ctx) {
-  (void)ctx;
-  if (v.kind() == Value::Kind::kBlob) {
+Result<double> ArrayArg::Item(std::span<const int64_t> index) const {
+  if (blob) {
     // Out-of-page argument: read the header plus exactly one element.
-    SQLARRAY_ASSIGN_OR_RETURN(engine::BlobRef ref, v.AsBlob());
-    SQLARRAY_ASSIGN_OR_RETURN(storage::BlobStream stream,
-                              storage::BlobStream::Open(ref.pool, ref.id));
+    SQLARRAY_ASSIGN_OR_RETURN(storage::BlobStream stream, Open(*blob));
     return StreamItem(&stream, index);
   }
-  SQLARRAY_ASSIGN_OR_RETURN(const std::vector<uint8_t>* bytes, v.AsBytes());
-  SQLARRAY_ASSIGN_OR_RETURN(ArrayRef ref, ArrayRef::Parse(*bytes));
-  return Item(ref, index);
+  SQLARRAY_ASSIGN_OR_RETURN(ArrayRef ref, ArrayRef::Parse(bytes));
+  return sqlarray::Item(ref, index);
 }
 
-Result<OwnedArray> SubarrayFromValue(const Value& v,
-                                     std::span<const int64_t> offset,
-                                     std::span<const int64_t> sizes,
-                                     bool collapse, engine::UdfContext& ctx) {
-  (void)ctx;
-  if (v.kind() == Value::Kind::kBlob) {
-    SQLARRAY_ASSIGN_OR_RETURN(engine::BlobRef ref, v.AsBlob());
-    SQLARRAY_ASSIGN_OR_RETURN(storage::BlobStream stream,
-                              storage::BlobStream::Open(ref.pool, ref.id));
+Result<OwnedArray> ArrayArg::Subarray(std::span<const int64_t> offset,
+                                      std::span<const int64_t> sizes,
+                                      bool collapse) const {
+  if (blob) {
+    SQLARRAY_ASSIGN_OR_RETURN(storage::BlobStream stream, Open(*blob));
     return StreamSubarray(&stream, offset, sizes, collapse);
   }
-  SQLARRAY_ASSIGN_OR_RETURN(const std::vector<uint8_t>* bytes, v.AsBytes());
-  SQLARRAY_ASSIGN_OR_RETURN(ArrayRef ref, ArrayRef::Parse(*bytes));
-  return Subarray(ref, offset, sizes, collapse);
+  SQLARRAY_ASSIGN_OR_RETURN(ArrayRef ref, ArrayRef::Parse(bytes));
+  return sqlarray::Subarray(ref, offset, sizes, collapse);
+}
+
+Result<OwnedArray> ArrayArg::Whole() const {
+  if (blob) {
+    SQLARRAY_ASSIGN_OR_RETURN(storage::BlobStream stream, Open(*blob));
+    return StreamReadAll(&stream);
+  }
+  SQLARRAY_ASSIGN_OR_RETURN(ArrayRef ref, ArrayRef::Parse(bytes));
+  return OwnedArray::CopyOf(ref);
 }
 
 std::vector<uint8_t> EncodeComplexUdt(std::complex<double> v, bool single) {
@@ -113,30 +112,6 @@ Result<std::complex<double>> DecodeComplexUdt(std::span<const uint8_t> bytes) {
                                 DecodeLE<double>(bytes.data() + 8));
   }
   return Status::InvalidArgument("complex UDT must be 8 or 16 bytes");
-}
-
-Status Reg(engine::FunctionRegistry* reg, std::string schema,
-           std::string name, int arity, double work, engine::ScalarFn fn,
-           engine::ColumnKernel kernel) {
-  engine::ScalarFunction f;
-  f.schema = std::move(schema);
-  f.name = std::move(name);
-  f.arity = arity;
-  f.boundary = engine::Boundary::kClr;
-  f.managed_work_ns = work;
-  f.fn = std::move(fn);
-  f.kernel = std::move(kernel);
-  return reg->RegisterScalar(std::move(f));
-}
-
-Result<Dims> IndexArgs(std::span<const engine::Value> args, size_t first,
-                       size_t count) {
-  Dims out(count);
-  for (size_t k = 0; k < count; ++k) {
-    SQLARRAY_ASSIGN_OR_RETURN(int64_t v, args[first + k].AsInt());
-    out[k] = v;
-  }
-  return out;
 }
 
 }  // namespace sqlarray::udfs

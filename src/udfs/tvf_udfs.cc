@@ -10,8 +10,6 @@ namespace sqlarray::udfs {
 namespace {
 
 using engine::TableValuedFunction;
-using engine::UdfContext;
-using engine::Value;
 
 /// Builds the ToTable-family TVF for a fixed rank: rank index columns plus
 /// the value column.
@@ -26,10 +24,9 @@ TableValuedFunction MakeToTable(DType dtype, StorageClass sc, int rank,
   for (int k = 0; k < rank; ++k) tvf.columns.push_back(kIndexNames[k]);
   tvf.columns.push_back("v");
 
-  tvf.fn = [dtype, sc, rank](std::span<const Value> args,
-                             UdfContext& ctx)
+  tvf.fn = [dtype, sc, rank](std::span<const Value> args, UdfContext&)
       -> Result<std::vector<std::vector<Value>>> {
-    SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a, ArrayFromValue(args[0], ctx));
+    SQLARRAY_ASSIGN_OR_RETURN(OwnedArray a, ArrayFromValue(args[0]));
     if (a.dtype() != dtype || a.storage() != sc) {
       return Status::TypeMismatch(
           "array does not match the schema's element type / storage class");

@@ -127,6 +127,12 @@ Result<double> ParseChainItem(std::span<const uint8_t> blob, DType dtype,
   return Item(ref, index);
 }
 
+/// One read of a fresh ShortItemReader.
+Result<double> ReadShortItem(std::span<const uint8_t> blob, DType dtype,
+                             std::span<const int64_t> index) {
+  return ShortItemReader(dtype).Read(blob, index);
+}
+
 void ExpectSameRead(const Result<double>& got, const Result<double>& want,
                     const std::string& what) {
   ASSERT_EQ(got.ok(), want.ok()) << what;
