@@ -12,6 +12,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,8 @@
 #include "engine/query_context.h"
 #include "gov/gov.h"
 #include "obs/metrics.h"
+#include "sci/spectrum/pipeline.h"
+#include "udfs/helpers.h"
 #include "udfs/register.h"
 
 namespace sqlarray::engine {
@@ -1103,68 +1106,87 @@ class CallLaneTest : public VecEngineTest {
   static constexpr int64_t kAltDims[kMaxShortRank] = {4, 3, 2, 1, 2, 1};
 
   CallLaneTest() : rows_executor_(&db_, &rows_registry_) {
+    EXPECT_TRUE(spectrum::RegisterSpectrumUdfs(&registry_).ok());
     EXPECT_TRUE(udfs::RegisterAllUdfs(&rows_registry_).ok());
+    EXPECT_TRUE(spectrum::RegisterSpectrumUdfs(&rows_registry_).ok());
     // The oracle: the same functions without their kernels, so every call
     // runs through Eval and Invoke at every batch size.
-    for (DType dt : kRealDTypes) {
-      for (int n = 1; n <= kMaxShortRank; ++n) {
-        StripKernel(SchemaOf(dt), "Item_" + std::to_string(n), n + 1);
-      }
+    for (const ScalarFunction* fn : rows_registry_.scalars()) {
+      const_cast<ScalarFunction*>(fn)->kernel = nullptr;
     }
-    StripKernel("dbo", "EmptyFunction", 2);
   }
 
-  void StripKernel(const std::string& schema, const std::string& name,
-                   int arity) {
-    Result<const ScalarFunction*> fn =
-        rows_registry_.Resolve(schema, name, arity);
-    ASSERT_TRUE(fn.ok());
-    ASSERT_TRUE(static_cast<bool>((*fn)->kernel)) << schema << "." << name;
-    const_cast<ScalarFunction*>(*fn)->kernel = nullptr;
+  static std::string SchemaOf(DType dt, StorageClass sc = StorageClass::kShort) {
+    return std::string(DTypeSchemaPrefix(dt)) + "Array" +
+           (sc == StorageClass::kMax ? "Max" : "");
   }
 
-  static std::string SchemaOf(DType dt) {
-    return std::string(DTypeSchemaPrefix(dt)) + "Array";
-  }
-
-  /// id BIGINT, k INT (id % 3), x FLOAT (id % 2 + 0.75) and a1 .. a6:
-  /// short `dt` arrays of rank 1 .. 6 in VARBINARY columns of at least 256
-  /// bytes, shaped by kAltDims where id % 3 == 0 and by kDims elsewhere.
-  storage::Table* MakeArrayTable(DType dt) {
+  /// id BIGINT, k INT (id % 3), x FLOAT (id % 2 + 0.75), then VARBINARY(n)
+  /// columns: a1 .. a6, `sc` arrays of `dt` of rank 1 .. 6, shaped by
+  /// kAltDims where id % 3 == 0 and by kDims elsewhere; c8 and c16, a
+  /// single and a double precision complex UDT; and wl, fl, fg, a six-bin
+  /// spectrum's wavelengths, flux and int8 flags.
+  storage::Table* MakeArrayTable(DType dt,
+                                 StorageClass sc = StorageClass::kShort) {
     std::vector<storage::ColumnDef> cols = {
         {"id", storage::ColumnType::kInt64, 0},
         {"k", storage::ColumnType::kInt32, 0},
         {"x", storage::ColumnType::kFloat64, 0}};
     for (int r = 1; r <= kMaxShortRank; ++r) {
-      const int64_t widest =
-          kShortHeaderSize +
-          ElementCount(std::span<const int64_t>(kAltDims, static_cast<size_t>(r))) * 8;
+      const Dims widest(kAltDims, kAltDims + r);
+      const ArrayHeader h{dt, sc, widest};
       cols.push_back({"a" + std::to_string(r), storage::ColumnType::kBinary,
-                      static_cast<int32_t>(std::max<int64_t>(256, widest))});
+                      static_cast<int32_t>(h.blob_size())});
+    }
+    for (auto [name, capacity] :
+         {std::pair<const char*, int32_t>{"c8", 8}, {"c16", 16}, {"wl", 72},
+          {"fl", 72}, {"fg", 30}}) {
+      cols.push_back({name, storage::ColumnType::kBinary, capacity});
+    }
+    // Batch rows follow one another at the row size: an odd one leaves
+    // every column's payload unaligned in every other row.
+    if (storage::Schema::Create(cols).value().row_size() % 2 == 0) {
+      ++cols.back().capacity;
     }
     storage::Table* t =
-        db_.CreateTable("arrays_" + std::string(DTypeName(dt)),
+        db_.CreateTable("arrays_" + SchemaOf(dt, sc),
                         storage::Schema::Create(std::move(cols)).value())
             .value();
+    auto bytes = [](const OwnedArray& a) {
+      return std::vector<uint8_t>(a.blob().begin(), a.blob().end());
+    };
     for (int64_t i = 0; i < kCallRows; ++i) {
-      storage::Row row(3 + kMaxShortRank);
+      storage::Row row(3 + kMaxShortRank + 5);
       row[0] = i;
       row[1] = static_cast<int32_t>(i % 3);
       row[2] = static_cast<double>(i % 2) + 0.75;
       for (int r = 1; r <= kMaxShortRank; ++r) {
         const int64_t* dims = i % 3 == 0 ? kAltDims : kDims;
-        OwnedArray a = OwnedArray::Zeros(dt, Dims(dims, dims + r),
-                                         StorageClass::kShort)
-                           .value();
+        OwnedArray a = OwnedArray::Zeros(dt, Dims(dims, dims + r), sc).value();
         for (int64_t e = 0; e < a.num_elements(); ++e) {
           const double v = static_cast<double>((i * 7 + e * 13) % 101 - 50);
-          EXPECT_TRUE(
-              a.SetDouble(e, IsIntegerDType(dt) ? v : v * 0.375 + 0.125 * e)
-                  .ok());
+          EXPECT_TRUE((IsComplexDType(dt)
+                           ? a.SetComplex(e, {v * 0.5, 0.25 * e - v})
+                       : IsIntegerDType(dt)
+                           ? a.SetDouble(e, v)
+                           : a.SetDouble(e, v * 0.375 + 0.125 * e))
+                          .ok());
         }
-        std::vector<uint8_t> blob(a.blob().begin(), a.blob().end());
-        row[2 + r] = std::move(blob);
+        row[2 + r] = bytes(a);
       }
+      const std::complex<double> c(0.5 * i - 70, 3.0 - 0.25 * i);
+      row[9] = udfs::EncodeComplexUdt(c, true);
+      row[10] = udfs::EncodeComplexUdt(c, false);
+      std::vector<double> wl(6), fl(6);
+      std::vector<int8_t> fg(6);
+      for (int b = 0; b < 6; ++b) {
+        wl[b] = 4000 + 500 * b + (i % 5);
+        fl[b] = 1.0 + 0.125 * ((i + b) % 7);
+        fg[b] = static_cast<int8_t>((i + b) % 4 == 0);
+      }
+      row[11] = bytes(OwnedArray::FromVector<double>(wl).value());
+      row[12] = bytes(OwnedArray::FromVector<double>(fl).value());
+      row[13] = bytes(OwnedArray::FromVector<int8_t>(fg).value());
       EXPECT_TRUE(t->Insert(row).ok());
     }
     return t;
@@ -1206,6 +1228,44 @@ class CallLaneTest : public VecEngineTest {
     args.push_back(Col("a" + std::to_string(r)));
     args.push_back(Col("id"));
     return Call("dbo", "EmptyFunction", std::move(args));
+  }
+
+  /// One call of each kernel family over `array` (every array argument)
+  /// and `index` (every index): the short and max real Item_1, complex
+  /// ItemRe_1 and ItemIm_1, Norm, Dot, the whole-array aggregates, the
+  /// generic Array.SumAll, the complex UDT accessors, Spectrum.Integrate
+  /// and dbo.EmptyFunction.
+  static std::vector<ExprPtr> KernelFamilyCalls(
+      const std::function<ExprPtr()>& array,
+      const std::function<ExprPtr()>& index) {
+    std::vector<ExprPtr> calls;
+    auto add = [&](const std::string& schema, const std::string& name,
+                   int arrays, bool indexed) {
+      std::vector<ExprPtr> args;
+      for (int i = 0; i < arrays; ++i) args.push_back(array());
+      if (indexed) args.push_back(index());
+      calls.push_back(Call(schema, name, std::move(args)));
+    };
+    add("FloatArray", "Item_1", 1, true);
+    add("FloatArrayMax", "Item_1", 1, true);
+    add("DoubleComplexArray", "ItemRe_1", 1, true);
+    add("ComplexArrayMax", "ItemIm_1", 1, true);
+    add("FloatArray", "Norm", 1, false);
+    add("ComplexArray", "Norm", 1, false);
+    add("FloatArray", "Dot", 2, false);
+    for (const char* agg : {"SumAll", "MinAll", "MaxAll", "MeanAll", "StdAll"}) {
+      add("FloatArray", agg, 1, false);
+    }
+    add("Array", "SumAll", 1, false);
+    add("Complex", "Re", 1, false);
+    add("DoubleComplex", "Abs", 1, false);
+    add("dbo", "EmptyFunction", 1, true);
+    std::vector<ExprPtr> spectrum;
+    for (int i = 0; i < 3; ++i) spectrum.push_back(array());
+    spectrum.push_back(index());
+    spectrum.push_back(Lit(Value::Double(6000)));
+    calls.push_back(Call("Spectrum", "Integrate", std::move(spectrum)));
+    return calls;
   }
 
   /// One run's results, every QueryStats field, the EXPLAIN ANALYZE udf
@@ -1374,6 +1434,120 @@ TEST_F(CallLaneTest, ItemNDifferentialAcrossDtypesAndRanks) {
   }
 }
 
+TEST_F(CallLaneTest, EveryKernelMatchesItsRowFunction) {
+  std::map<std::string, Value> vars{{"zero", Value::Int(0)},
+                                    {"one", Value::Int(1)},
+                                    {"half", Value::Double(1.5)}};
+  // Functions a differential here or in ItemNDifferentialAcrossDtypesAndRanks
+  // (the short real Item_N, dbo.EmptyFunction) calls.
+  std::set<std::string> covered = {"dbo.EmptyFunction/2"};
+  for (DType dt : kRealDTypes) {
+    for (int r = 1; r <= kMaxShortRank; ++r) {
+      covered.insert(SchemaOf(dt) + ".Item_" + std::to_string(r) + "/" +
+                     std::to_string(r + 1));
+    }
+  }
+  auto call = [&](const std::string& schema, const std::string& name,
+                  std::vector<ExprPtr> args) {
+    covered.insert(schema + "." + name + "/" + std::to_string(args.size()));
+    return Call(schema, name, std::move(args));
+  };
+  auto cols = [](std::initializer_list<const char*> names) {
+    std::vector<ExprPtr> args;
+    for (const char* n : names) args.push_back(Col(n));
+    return args;
+  };
+  for (int d = 0; d < kNumDTypes; ++d) {
+    const DType dt = static_cast<DType>(d);
+    const bool cpx = IsComplexDType(dt);
+    storage::Table* t = nullptr;
+    for (StorageClass sc : {StorageClass::kShort, StorageClass::kMax}) {
+      t = MakeArrayTable(dt, sc);
+      const std::string schema = SchemaOf(dt, sc);
+      const std::string p = "a";
+      SCOPED_TRACE(schema);
+      ExpectCallLanesMatch(
+          [&] {
+            Query q;
+            q.table = t;
+            q.where = Bin(
+                BinaryOp::kOr,
+                Bin(BinaryOp::kGt,
+                    call(schema, "Norm", cols({(p + "2").c_str()})),
+                    Lit(Value::Double(40))),
+                Bin(BinaryOp::kEq, Col("k"), Lit(Value::Int(0))));
+            // An element read at every rank, its index in form r.
+            for (int r = 1; r <= kMaxShortRank; ++r) {
+              if (!cpx && sc == StorageClass::kShort) continue;
+              for (const char* name :
+                   cpx ? std::vector<const char*>{"ItemRe_", "ItemIm_"}
+                       : std::vector<const char*>{"Item_"}) {
+                std::vector<ExprPtr> args = cols({(p + std::to_string(r)).c_str()});
+                for (int i = 0; i < r; ++i) args.push_back(Index(i, r + i));
+                q.items.push_back(Item(call(schema, name + std::to_string(r),
+                                            std::move(args)),
+                                       SelectItem::AggKind::kSum, "i"));
+              }
+            }
+            q.items.push_back(
+                Item(call(schema, "Norm", cols({(p + "1").c_str()})),
+                     SelectItem::AggKind::kSum, "n"));
+            if (!cpx) {
+              q.items.push_back(Item(call(schema, "Dot", cols({"a1", "a1"})),
+                                     SelectItem::AggKind::kSum, "d"));
+              for (const char* agg :
+                   {"SumAll", "MinAll", "MaxAll", "MeanAll", "StdAll"}) {
+                q.items.push_back(
+                    Item(call(schema, agg, cols({(p + "3").c_str()})),
+                         agg[1] == 'i' ? SelectItem::AggKind::kMin
+                                       : SelectItem::AggKind::kMax,
+                         agg));
+              }
+            }
+            return q;
+          },
+          &vars);
+    }
+    if (dt != DType::kFloat64) continue;
+    // The schemas that name no array type, in a projection (over the max
+    // arrays).
+    ExpectCallLanesMatch(
+        [&] {
+          Query q;
+          q.table = t;
+          q.items.push_back(Item(Col("id"), SelectItem::AggKind::kNone, "id"));
+          q.items.push_back(Item(call("Array", "SumAll", cols({"a4"})),
+                                 SelectItem::AggKind::kNone, "s"));
+          for (const char* udt : {"Complex", "DoubleComplex"}) {
+            const char* c = udt[0] == 'C' ? "c8" : "c16";
+            for (const char* name : {"Re", "Im", "Abs"}) {
+              q.items.push_back(Item(call(udt, name, cols({c})),
+                                     SelectItem::AggKind::kNone, name));
+            }
+          }
+          std::vector<ExprPtr> args = cols({"wl", "fl", "fg"});
+          args.push_back(Bin(BinaryOp::kAdd, Col("x"), Lit(Value::Int(4400))));
+          args.push_back(Lit(Value::Double(5800)));
+          q.items.push_back(Item(call("Spectrum", "Integrate", std::move(args)),
+                                 SelectItem::AggKind::kNone, "f"));
+          return q;
+        },
+        &vars);
+  }
+  // Those are the functions that carry a kernel.
+  FunctionRegistry fresh;
+  ASSERT_TRUE(udfs::RegisterAllUdfs(&fresh).ok());
+  ASSERT_TRUE(spectrum::RegisterSpectrumUdfs(&fresh).ok());
+  std::set<std::string> with_kernel;
+  for (const ScalarFunction* fn : fresh.scalars()) {
+    if (fn->kernel) {
+      with_kernel.insert(fn->schema + "." + fn->name + "/" +
+                         std::to_string(fn->arity));
+    }
+  }
+  EXPECT_EQ(with_kernel, covered);
+}
+
 TEST_F(CallLaneTest, NullableOrBlobArgumentsStayOnEval) {
   storage::Table* t = MakeArrayTable(DType::kFloat64);
   std::map<std::string, Value> vars{{"nothing", Value::Null()}};
@@ -1429,6 +1603,26 @@ TEST_F(CallLaneTest, MalformedBlobFailsAlikeAtEveryWidth) {
       OwnedArray::Zeros(DType::kFloat64, Dims{5}, StorageClass::kMax).value();
 
   constexpr int64_t kBadRow = 137;
+  // The kernel families beyond FloatArray.Item_1 (KernelFamilyCalls) that
+  // accept the good blob: where they fail, the failure is the bad row's.
+  std::vector<bool> accepts;
+  {
+    storage::Schema schema =
+        storage::Schema::Create({{"id", storage::ColumnType::kInt64, 0},
+                                 {"v", storage::ColumnType::kBinary, 64}})
+            .value();
+    storage::Table* t = db_.CreateTable("good", std::move(schema)).value();
+    for (int64_t i = 0; i < 8; ++i) ASSERT_TRUE(t->Insert({i, blob}).ok());
+    for (ExprPtr& call : KernelFamilyCalls([] { return Col("v"); },
+                                           [] { return Lit(Value::Int(2)); })) {
+      Query q;
+      q.table = t;
+      q.items.push_back(Item(std::move(call), SelectItem::AggKind::kSum, "s"));
+      ASSERT_TRUE(executor_.Bind(&q).ok());
+      accepts.push_back(Run(q, nullptr, 1, 1).ok);
+    }
+    ASSERT_TRUE(accepts[0]);
+  }
   struct Case {
     std::string name;
     std::vector<uint8_t> bytes;  ///< row kBadRow's blob
@@ -1541,6 +1735,39 @@ TEST_F(CallLaneTest, MalformedBlobFailsAlikeAtEveryWidth) {
         EXPECT_EQ(lane.payload, row.status().ToString()) << "workers=" << w;
       }
     }
+    // Every other kernel family over the same column and index fails or
+    // not alike at every width, with the same Status unless it rejects
+    // every row and an argument fails in the bad row: a block evaluates
+    // its arguments (the length check, the index) before the call.
+    for (size_t f = 1; f < accepts.size(); ++f) {
+      auto nth = [&] {
+        std::vector<ExprPtr> calls = KernelFamilyCalls(
+            [] { return Col("v"); },
+            [&] {
+              ExprPtr item = call();
+              return std::move(item->args[1]);
+            });
+        return std::move(calls[f]);
+      };
+      std::vector<Query> more(3);
+      more[0].items.push_back(Item(nth(), SelectItem::AggKind::kSum, "s"));
+      more[1].items.push_back(Item(nth(), SelectItem::AggKind::kNone, "i"));
+      more[2].where = Bin(BinaryOp::kGt, nth(), Lit(Value::Double(0)));
+      more[2].items.push_back(Item(Col("id"), SelectItem::AggKind::kNone, "id"));
+      for (Query& q : more) {
+        q.table = t;
+        ASSERT_TRUE(executor_.Bind(&q).ok());
+        const Outcome row = Run(q, nullptr, 1, 1);
+        for (int w : {1, 2}) {
+          const Outcome lane = Run(q, nullptr, 1024, w);
+          EXPECT_EQ(lane.ok, row.ok) << "family " << f << " workers=" << w;
+          if (accepts[f] || !(c.oversize_prefix || c.failing_index)) {
+            EXPECT_EQ(lane.payload, row.payload)
+                << "family " << f << " workers=" << w;
+          }
+        }
+      }
+    }
     db_.disk()->set_checksums_enabled(true);
   }
 }
@@ -1565,6 +1792,22 @@ TEST_F(CallLaneTest, NumberForTheArrayFailsAlikeAtEveryWidth) {
   for (int w : {1, 2}) {
     const Outcome lane = Run(q, nullptr, 1024, w);
     EXPECT_EQ(lane.payload, row.payload) << "workers=" << w;
+  }
+  // Every other kernel family given a number for each array fails (or,
+  // dbo.EmptyFunction, succeeds) alike at every width.
+  for (ExprPtr& call :
+       KernelFamilyCalls([] { return Col("id"); },
+                         [] { return Lit(Value::Double(1e300)); })) {
+    const std::string name = call->schema_name + "." + call->func_name;
+    Query other;
+    other.table = t;
+    other.items.push_back(Item(std::move(call), SelectItem::AggKind::kSum, "s"));
+    ASSERT_TRUE(executor_.Bind(&other).ok());
+    const Outcome first = Run(other, nullptr, 1, 1);
+    for (int w : {1, 2}) {
+      const Outcome lane = Run(other, nullptr, 1024, w);
+      EXPECT_EQ(lane.payload, first.payload) << name << " workers=" << w;
+    }
   }
 }
 
