@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/wrap_int.h"
+
 namespace sqlarray {
 
 namespace {
@@ -15,11 +17,11 @@ Status ValidateSubarray(std::span<const int64_t> dims,
         "subarray offset/size rank must match the array rank");
   }
   for (size_t k = 0; k < dims.size(); ++k) {
-    if (offset[k] < 0 || sizes[k] < 1 || offset[k] + sizes[k] > dims[k]) {
+    if (offset[k] < 0 || sizes[k] < 1 || sizes[k] > dims[k] - offset[k]) {
       return Status::OutOfRange(
           "subarray range [" + std::to_string(offset[k]) + ", " +
-          std::to_string(offset[k] + sizes[k]) + ") out of bounds for " +
-          "dimension " + std::to_string(k) + " of size " +
+          std::to_string(WrapAdd(offset[k], sizes[k])) +
+          ") out of bounds for dimension " + std::to_string(k) + " of size " +
           std::to_string(dims[k]));
     }
   }

@@ -54,7 +54,7 @@ Result<OwnedArray> StreamSubarray(ByteSource* source,
         "subarray offset/size rank must match the array rank");
   }
   for (size_t k = 0; k < dims.size(); ++k) {
-    if (offset[k] < 0 || sizes[k] < 1 || offset[k] + sizes[k] > dims[k]) {
+    if (offset[k] < 0 || sizes[k] < 1 || sizes[k] > dims[k] - offset[k]) {
       return Status::OutOfRange("subarray range out of bounds for dimension " +
                                 std::to_string(k));
     }

@@ -77,7 +77,9 @@ Status RegisterGenericUdfs(engine::FunctionRegistry* registry) {
         return Status::InvalidArgument("slice bounds must satisfy lo < hi");
       }
       offset[k] = lo;
-      sizes[k] = hi - lo;
+      // A range wider than BIGINT wraps negative; its lo < 0 fails the
+      // subarray bounds check.
+      sizes[k] = WrapSub(hi, lo);
       drop[k] = flag != 0;
     }
     // Subarray parses the header itself.
