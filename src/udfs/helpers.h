@@ -65,7 +65,9 @@ Status Assign(Result<T> r, T* out) {
 class Arg {
  public:
   Arg(const Value& v) : value_(&v) {}  // NOLINT: every Value is an Arg
-  Arg(const CallArg& a, int32_t k) : call_(&a), k_(k) {}
+  Arg(const CallArg& a, int32_t k) : lane_(a.lane), k_(k) {
+    if (lane_ == nullptr) bytes_ = a.Bytes(k);
+  }
 
   /// The boxed Value; null in a kernel.
   const Value* value() const { return value_; }
@@ -74,22 +76,22 @@ class Arg {
   /// every row.
   [[gnu::always_inline]] Status Int(int64_t* out) const {
     if (value_ != nullptr) return Assign(value_->AsInt(), out);
-    if (call_->lane == nullptr) return NotNumeric();
-    if (call_->lane->lane() == col::Lane::kI64) {
-      *out = call_->lane->i64()[k_];
+    if (lane_ == nullptr) return NotNumeric();
+    if (lane_->lane() == col::Lane::kI64) {
+      *out = lane_->i64()[k_];
       return Status::OK();
     }
-    const double d = call_->lane->f64()[k_];
+    const double d = lane_->f64()[k_];
     if (!FitsInt64(d)) return Int64Overflow();
     *out = static_cast<int64_t>(d);
     return Status::OK();
   }
   [[gnu::always_inline]] Status Double(double* out) const {
     if (value_ != nullptr) return Assign(value_->AsDouble(), out);
-    if (call_->lane == nullptr) return NotNumeric();
-    *out = call_->lane->lane() == col::Lane::kI64
-               ? static_cast<double>(call_->lane->i64()[k_])
-               : call_->lane->f64()[k_];
+    if (lane_ == nullptr) return NotNumeric();
+    *out = lane_->lane() == col::Lane::kI64
+               ? static_cast<double>(lane_->i64()[k_])
+               : lane_->f64()[k_];
     return Status::OK();
   }
   /// Inline bytes, or nothing.
@@ -99,8 +101,8 @@ class Arg {
       if (value_->kind() != Value::Kind::kBytes) return std::nullopt;
       return *value_->AsBytes().value();
     }
-    if (call_->lane != nullptr) return std::nullopt;
-    return call_->Bytes(k_);
+    if (lane_ != nullptr) return std::nullopt;
+    return bytes_;
   }
 
  private:
@@ -109,8 +111,9 @@ class Arg {
   }
 
   const Value* value_ = nullptr;
-  const CallArg* call_ = nullptr;
+  const col::ColumnVec* lane_ = nullptr;
   int32_t k_ = 0;
+  std::span<const uint8_t> bytes_;  ///< a binary column's, in a kernel
 };
 
 /// The schema a function registers under. A per-type schema names the
