@@ -358,10 +358,20 @@ Status VecAccumulateColumn(SelectItem::AggKind agg, const col::ColumnVec& c,
   return Status::OK();
 }
 
-/// Serializes a grouping key value into a byte string for hashing. Binary
-/// values key by their bytes, out-of-page VARBINARY(MAX) blobs included, so
-/// distinct arrays form distinct groups; NULL is one bucket.
+/// Serializes a grouping key value into a byte string for hashing: its
+/// kind, its bytes and a 0x1f separator. A separator byte inside a string,
+/// bytes or blob value is doubled, so distinct key tuples never serialize
+/// alike. Binary values key by their bytes, out-of-page VARBINARY(MAX)
+/// blobs included, so distinct arrays form distinct groups; NULL is one
+/// bucket, and a FLOAT zero keys as +0.0, since -0.0 = 0.0.
 Status AppendGroupKey(const Value& v, std::string* out) {
+  auto append_escaped = [out](const void* data, size_t n) {
+    const char* p = static_cast<const char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      out->push_back(p[i]);
+      if (p[i] == '\x1f') out->push_back('\x1f');
+    }
+  };
   out->push_back(static_cast<char>(v.kind()));
   switch (v.kind()) {
     case Value::Kind::kInt64: {
@@ -371,20 +381,23 @@ Status AppendGroupKey(const Value& v, std::string* out) {
     }
     case Value::Kind::kFloat64: {
       double x = v.AsDouble().value();
+      if (x == 0) x = 0;
       out->append(reinterpret_cast<const char*>(&x), 8);
       break;
     }
-    case Value::Kind::kString:
-      out->append(v.AsString().value());
+    case Value::Kind::kString: {
+      const std::string s = v.AsString().value();
+      append_escaped(s.data(), s.size());
       break;
+    }
     case Value::Kind::kBytes: {
       const auto* b = v.AsBytes().value();
-      out->append(reinterpret_cast<const char*>(b->data()), b->size());
+      append_escaped(b->data(), b->size());
       break;
     }
     case Value::Kind::kBlob: {
       SQLARRAY_ASSIGN_OR_RETURN(std::vector<uint8_t> b, v.MaterializeBytes());
-      out->append(reinterpret_cast<const char*>(b.data()), b.size());
+      append_escaped(b.data(), b.size());
       break;
     }
     case Value::Kind::kNull:

@@ -343,6 +343,30 @@ TEST_F(SessionTest, GroupByInSql) {
   EXPECT_EQ(total, 10.0);
 }
 
+TEST_F(SessionTest, GroupKeysDoNotCollide) {
+  Run("CREATE TABLE g2 (id BIGINT, a VARBINARY(8), b VARBINARY(8))");
+  // Both (a, b) pairs concatenate to the same bytes once each value is
+  // followed by the key separator 0x1f; they are still two groups.
+  Run("INSERT INTO g2 VALUES (1, 0x41, 0x421f0343), (2, 0x411f0342, 0x43)");
+  Run("CREATE TABLE gz (id BIGINT, v FLOAT)");
+  Run("INSERT INTO gz VALUES (1, -0.0), (2, 0.0), (3, 0.0)");
+  for (int batch_rows : {1, 1024}) {
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+    executor_.set_batch_rows(batch_rows);
+    auto pairs = Run("SELECT a, b, COUNT(*) FROM g2 GROUP BY a, b");
+    ASSERT_EQ(pairs[0].rows.size(), 2u);
+    for (const auto& row : pairs[0].rows) {
+      EXPECT_EQ(row[2].AsInt().value(), 1);
+    }
+    // -0.0 = 0.0, so the zeros are one group, as WHERE keeps them alike.
+    auto kept = Run("SELECT COUNT(*) FROM gz WHERE v = 0");
+    EXPECT_EQ(kept[0].ScalarResult().value().AsInt().value(), 3);
+    auto zeros = Run("SELECT COUNT(*) FROM gz GROUP BY v");
+    ASSERT_EQ(zeros[0].rows.size(), 1u);
+    EXPECT_EQ(zeros[0].rows[0][0].AsInt().value(), 3);
+  }
+}
+
 TEST_F(SessionTest, TableValuedFunctionExplodesArray) {
   // Sec. 5.1: "Arrays can be converted to tables by various table-valued
   // functions, e.g. ToTable, MatrixToTable etc."
