@@ -338,22 +338,19 @@ void BuildSel(const int64_t* v, const uint64_t* valid, int32_t n,
   }
 }
 
-int64_t CountValid(const uint64_t* valid, int32_t n) {
-  if (valid == nullptr) return n;
+int64_t CountValid(const uint64_t* valid, int32_t begin, int32_t end) {
+  if (valid == nullptr) return end - begin;
   int64_t count = 0;
-  const int32_t words = ValidityWords(n);
-  for (int32_t w = 0; w < words; ++w) {
-    count += std::popcount(valid[w]);  // tail bits are zero by contract
-  }
+  for (int32_t i = begin; i < end; ++i) count += BitAt(valid, i) ? 1 : 0;
   return count;
 }
 
-Status FoldI64(const int64_t* a, const uint64_t* valid, int32_t n,
-               VecAggState* st) {
-  for (int32_t off = 0; off < n; off += kCancelBlock) {
+Status FoldI64(const int64_t* a, const uint64_t* valid, int32_t begin,
+               int32_t end, VecAggState* st) {
+  for (int32_t off = begin; off < end; off += kCancelBlock) {
     SQLARRAY_RETURN_IF_ERROR(gov::CheckThreadCancel());
-    const int32_t end = std::min(n, off + kCancelBlock);
-    for (int32_t i = off; i < end; ++i) {
+    const int32_t stop = std::min(end, off + kCancelBlock);
+    for (int32_t i = off; i < stop; ++i) {
       if (valid != nullptr && !BitAt(valid, i)) continue;
       const int64_t v = a[i];
       const double d = static_cast<double>(v);
@@ -367,12 +364,12 @@ Status FoldI64(const int64_t* a, const uint64_t* valid, int32_t n,
   return Status::OK();
 }
 
-Status FoldF64(const double* a, const uint64_t* valid, int32_t n,
-               VecAggState* st) {
-  for (int32_t off = 0; off < n; off += kCancelBlock) {
+Status FoldF64(const double* a, const uint64_t* valid, int32_t begin,
+               int32_t end, VecAggState* st) {
+  for (int32_t off = begin; off < end; off += kCancelBlock) {
     SQLARRAY_RETURN_IF_ERROR(gov::CheckThreadCancel());
-    const int32_t end = std::min(n, off + kCancelBlock);
-    for (int32_t i = off; i < end; ++i) {
+    const int32_t stop = std::min(end, off + kCancelBlock);
+    for (int32_t i = off; i < stop; ++i) {
       if (valid != nullptr && !BitAt(valid, i)) continue;
       const double d = a[i];
       st->int_only = false;

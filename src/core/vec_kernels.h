@@ -138,8 +138,8 @@ void FillF64(double v, int32_t n, double* out);
 void BuildSel(const int64_t* v, const uint64_t* valid, int32_t n,
               std::vector<int32_t>* sel);
 
-/// Number of valid rows (whole-word popcount; nullptr = n).
-int64_t CountValid(const uint64_t* valid, int32_t n);
+/// Number of valid rows in [begin, end) (nullptr: every row).
+int64_t CountValid(const uint64_t* valid, int32_t begin, int32_t end);
 
 /// One native aggregate accumulator, mirroring engine AggState's numeric
 /// fields. Folds CONTINUE the caller's serial chain: seed the struct from
@@ -154,13 +154,15 @@ struct VecAggState {
   int64_t isum = 0;
 };
 
-/// Folds valid int64 lanes: isum += v; count++; sum += double(v);
-/// mn/mx via std::min/std::max — exactly AccumulateNative on kInt64 Values.
-Status FoldI64(const int64_t* a, const uint64_t* valid, int32_t n,
-               VecAggState* st);
-/// Folds valid float64 lanes (int_only clears per valid row) — exactly
-/// AccumulateNative on kFloat64 Values, NaN asymmetry included.
-Status FoldF64(const double* a, const uint64_t* valid, int32_t n,
-               VecAggState* st);
+/// Folds the valid int64 lanes of rows [begin, end) in row order: isum += v;
+/// count++; sum += double(v); mn/mx via std::min/std::max — exactly
+/// AccumulateNative on kInt64 Values.
+Status FoldI64(const int64_t* a, const uint64_t* valid, int32_t begin,
+               int32_t end, VecAggState* st);
+/// Folds the valid float64 lanes of rows [begin, end) (int_only clears per
+/// valid row) — exactly AccumulateNative on kFloat64 Values, NaN asymmetry
+/// included.
+Status FoldF64(const double* a, const uint64_t* valid, int32_t begin,
+               int32_t end, VecAggState* st);
 
 }  // namespace sqlarray::col

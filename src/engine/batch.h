@@ -1,10 +1,11 @@
 // Gathered row blocks for the scan's chunk bodies.
 //
 // The chunk bodies (engine/exec.cc) gather a block of rows out of the leaf
-// cursor — Executor::set_batch_rows rows (default 1024) for the shapes with
-// lanes, one row for every other shape — and evaluate each expression over
-// it: a compiled columnar program (engine/vec_expr.h) when the expression
-// has one, the row evaluator (Eval) once per selected row otherwise.
+// cursor — Executor::set_batch_rows rows (default 1024), one row for a plan
+// with a UDA, at most the rows a TOP still lacks — and evaluate each
+// expression over it: a compiled columnar program (engine/vec_expr.h) when
+// the expression has one, the row evaluator (Eval) once per selected row
+// otherwise.
 #pragma once
 
 #include <cstdint>

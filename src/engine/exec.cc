@@ -236,6 +236,13 @@ bool IsCountStar(const SelectItem& item) {
          (item.expr == nullptr || item.expr->kind == Expr::Kind::kStar);
 }
 
+/// True for a native aggregate that evaluates its argument, one
+/// native_agg_step per kept row.
+bool FoldsArgument(const SelectItem& item) {
+  return item.agg != SelectItem::AggKind::kNone &&
+         item.agg != SelectItem::AggKind::kUda && !IsCountStar(item);
+}
+
 /// Evaluates the WHERE for the context's row with SQL truthiness: NULL is
 /// false.
 Result<bool> RowPasses(const Query& q, EvalContext& ctx) {
@@ -269,19 +276,20 @@ obs::Counter& VecFallbackRowsCounter() {
 }
 
 /// Per-query compiled columnar programs: one for WHERE, one per select item
-/// that the columnar domain covers. Null slots evaluate through Eval.
-/// Built once per statement and shared read-only across morsel workers
-/// (Run writes only the caller's scratch).
+/// and then one per GROUP BY key that the columnar domain covers. Null
+/// slots evaluate through Eval. Built once per statement and shared
+/// read-only across morsel workers (Run writes only the caller's scratch).
 struct VecQueryPlan {
   bool any = false;
   bool where_ok = false;
   vec::VecProgram where;
-  std::vector<std::unique_ptr<vec::VecProgram>> items;
+  std::vector<std::unique_ptr<vec::VecProgram>> progs;
 };
 
-/// Compiles the query's expressions best-effort. In aggregate mode only
-/// native aggregate arguments compile (plain items evaluate once per query,
-/// COUNT(*) never evaluates); in rows mode every projection item does.
+/// Compiles the query's expressions best-effort. In aggregate mode the
+/// native aggregate arguments and the GROUP BY keys compile (plain items
+/// evaluate once per group, COUNT(*) never evaluates); in rows mode every
+/// projection item does.
 VecQueryPlan BuildVecPlan(const Query& q,
                           const std::map<std::string, Value>* variables,
                           bool rows_mode) {
@@ -291,20 +299,19 @@ VecQueryPlan BuildVecPlan(const Query& q,
     p.where_ok = vec::VecProgram::Compile(*q.where, schema, variables, &p.where);
     p.any = p.any || p.where_ok;
   }
-  p.items.resize(q.items.size());
-  for (size_t i = 0; i < q.items.size(); ++i) {
-    const SelectItem& item = q.items[i];
-    if (item.expr == nullptr) continue;
-    const bool wanted =
-        rows_mode ? item.agg == SelectItem::AggKind::kNone
-                  : (item.agg != SelectItem::AggKind::kNone &&
-                     item.agg != SelectItem::AggKind::kUda && !IsCountStar(item));
-    if (!wanted) continue;
+  std::vector<const Expr*> exprs;
+  for (const SelectItem& item : q.items) {
+    const bool wanted = rows_mode ? item.agg == SelectItem::AggKind::kNone
+                                  : FoldsArgument(item);
+    exprs.push_back(wanted ? item.expr.get() : nullptr);
+  }
+  for (const ExprPtr& g : q.group_by) exprs.push_back(g.get());
+  for (const Expr* e : exprs) {
     auto prog = std::make_unique<vec::VecProgram>();
-    if (vec::VecProgram::Compile(*item.expr, schema, variables, prog.get())) {
-      p.items[i] = std::move(prog);
-      p.any = true;
-    }
+    const bool ok = e != nullptr && vec::VecProgram::Compile(
+                                        *e, schema, variables, prog.get());
+    p.any = p.any || ok;
+    p.progs.push_back(ok ? std::move(prog) : nullptr);
   }
   return p;
 }
@@ -313,7 +320,7 @@ VecQueryPlan BuildVecPlan(const Query& q,
 /// owns one value lane plus a validity bitmap at batch width.
 int64_t VecPlanFootprint(const VecQueryPlan& p, int batch_rows) {
   int64_t instrs = p.where_ok ? p.where.num_instrs() : 0;
-  for (const auto& prog : p.items) {
+  for (const auto& prog : p.progs) {
     if (prog != nullptr) instrs += prog->num_instrs();
   }
   const int64_t per_reg =
@@ -322,20 +329,14 @@ int64_t VecPlanFootprint(const VecQueryPlan& p, int batch_rows) {
   return instrs * per_reg;
 }
 
-/// Per-worker columnar scratch: the shared register file (sized to the
-/// largest program that runs in it) and the filter truncation column.
-struct VecScratch {
-  std::vector<col::ColumnVec> regs;
-  col::ColumnVec trunc;
-};
-
-/// Folds an evaluated columnar aggregate argument into the live AggState.
-/// The fold continues the accumulator's serial chain (seed, fold, copy
-/// back), so results are bit-identical to AccumulateNative row by row.
+/// Folds rows [begin, end) of an evaluated columnar aggregate argument into
+/// the live AggState. The fold continues the accumulator's serial chain
+/// (seed, fold, copy back), so results are bit-identical to
+/// AccumulateNative row by row.
 Status VecAccumulateColumn(SelectItem::AggKind agg, const col::ColumnVec& c,
-                           AggState* st) {
+                           int32_t begin, int32_t end, AggState* st) {
   if (agg == SelectItem::AggKind::kCount) {
-    st->count += col::CountValid(c.valid_words(), c.size());
+    st->count += col::CountValid(c.valid_words(), begin, end);
     return Status::OK();
   }
   col::VecAggState vs;
@@ -347,8 +348,8 @@ Status VecAccumulateColumn(SelectItem::AggKind agg, const col::ColumnVec& c,
   vs.isum = st->isum;
   SQLARRAY_RETURN_IF_ERROR(
       c.lane() == col::Lane::kI64
-          ? col::FoldI64(c.i64(), c.valid_words(), c.size(), &vs)
-          : col::FoldF64(c.f64(), c.valid_words(), c.size(), &vs));
+          ? col::FoldI64(c.i64(), c.valid_words(), begin, end, &vs)
+          : col::FoldF64(c.f64(), c.valid_words(), begin, end, &vs));
   st->count = vs.count;
   st->sum = vs.sum;
   st->mn = vs.mn;
@@ -458,7 +459,6 @@ bool MorselEligible(const Query& q) {
 struct GroupAcc {
   std::vector<Value> plain_items;  // first-row values of non-agg items
   std::vector<AggState> aggs;
-  bool plain_filled = false;
 };
 
 /// Groups keyed by serialized key; an ungrouped aggregate is the one group
@@ -793,26 +793,13 @@ struct ScanEnv {
   }
 };
 
-/// Returns the partial's accumulator for `key`, creating it on the first
-/// kept row that reaches it, so a group's plain items are always filled.
-/// GROUP BY charges each fresh group against the budget: the hash table is
-/// where grouped aggregation's memory grows.
-Result<GroupAcc*> GroupFor(const ScanEnv& env, std::string key,
-                           GroupMap* groups) {
-  const Query& q = *env.q;
-  auto [it, fresh] = groups->try_emplace(std::move(key));
-  if (fresh) {
-    if (!q.group_by.empty()) {
-      SQLARRAY_RETURN_IF_ERROR(GovCharge(
-          env.limits,
-          static_cast<int64_t>(it->first.size()) +
-              static_cast<int64_t>(q.items.size() * sizeof(AggState)) +
-              RowFootprint(q.group_by.size())));
-    }
-    it->second.aggs.resize(q.items.size());
-  }
-  return &it->second;
-}
+/// Consecutive selected rows [begin, end) of one block that share a group.
+struct GroupRun {
+  int32_t begin = 0;
+  int32_t end = 0;
+  GroupAcc* group = nullptr;
+  bool created = false;  ///< the run's first row created the group
+};
 
 /// Folds one row into a UDA under SQL Server's hosting contract: the state
 /// crosses the CLR boundary (deserialize + serialize) on every row
@@ -854,11 +841,11 @@ Status AccumulateUda(const ScanEnv& env, const SelectItem& item,
 }
 
 /// The chunk bodies' shared front half: reads a morsel's rows block by block
-/// (env.batch_rows at a time), charges each row's scan cost, and filters the
-/// block into `sel` (the compiled WHERE program when there is one,
-/// RowPasses per row otherwise). A table block is gathered out of the leaf
-/// cursor into `batch`; a TVF block is a window of its materialized rows,
-/// which the row context points at in place. An expression without a
+/// (up to env.batch_rows at a time), charges each row's scan cost, and
+/// filters the block into `sel` (the compiled WHERE program when there is
+/// one, RowPasses per row otherwise). A table block is gathered out of the
+/// leaf cursor into `batch`; a TVF block is a window of its materialized
+/// rows, which the row context points at in place. An expression without a
 /// compiled program runs through Eval once per selected row, on the row
 /// context At() points at that row.
 class BatchFeed {
@@ -884,13 +871,16 @@ class BatchFeed {
                      VecPlanFootprint(*env_.vplan, env_.batch_rows));
   }
 
-  /// Reads and filters the next block; false once the source is drained.
-  Result<bool> Next() {
+  /// Reads and filters the next block of at most `max_rows` rows; false
+  /// once the source is drained.
+  Result<bool> Next(int64_t max_rows) {
     SQLARRAY_RETURN_IF_ERROR(GovCheck(env_.limits));
+    const int32_t cap = static_cast<int32_t>(
+        std::min<int64_t>(env_.batch_rows, max_rows));
     if (cursor_ != nullptr) {
       // One memcpy per leaf-page run; page loads land where a row-by-row
       // walk would load them.
-      batch.Reset(env_.schema->row_size(), env_.batch_rows);
+      batch.Reset(env_.schema->row_size(), cap);
       while (!batch.full() && cursor_->valid()) {
         SQLARRAY_ASSIGN_OR_RETURN(
             int32_t got, cursor_->CopyRows(batch.capacity() - batch.size(),
@@ -900,8 +890,8 @@ class BatchFeed {
       size_ = batch.size();
     } else {
       first_ += static_cast<size_t>(size_);
-      size_ = static_cast<int32_t>(std::min(
-          static_cast<size_t>(env_.batch_rows), values_->size() - first_));
+      size_ = static_cast<int32_t>(
+          std::min(static_cast<size_t>(cap), values_->size() - first_));
     }
     if (size_ == 0) return false;
     stats_->rows_scanned += size_;
@@ -917,9 +907,8 @@ class BatchFeed {
     if (env_.q->where == nullptr) {
       for (int32_t r = 0; r < size_; ++r) sel.push_back(r);
     } else if (vplan != nullptr && vplan->where_ok) {
-      SQLARRAY_RETURN_IF_ERROR(vec::VecFilter(vplan->where, batch,
-                                              &vscratch.regs, &vscratch.trunc,
-                                              &sel, ctx_.udf));
+      SQLARRAY_RETURN_IF_ERROR(vec::VecFilter(vplan->where, batch, &regs,
+                                              &trunc_, &sel, ctx_.udf));
     } else {
       for (int32_t r = 0; r < size_; ++r) {
         SQLARRAY_ASSIGN_OR_RETURN(bool keep, RowPasses(*env_.q, At(r)));
@@ -941,175 +930,185 @@ class BatchFeed {
     return ctx_;
   }
 
-  /// Evaluates select item `i`, which has no compiled program, through Eval
-  /// once per selected row into `out` (the caller's reused column), in
-  /// selection order.
-  Status EvalSelected(size_t i, std::vector<Value>* out) {
+  /// Evaluates `e` over the selected rows into `out` (the caller's reused
+  /// column), in selection order: its compiled program `prog` when it has
+  /// one, Eval once per selected row otherwise.
+  Status EvalColumn(const Expr& e, const vec::VecProgram* prog,
+                    std::vector<Value>* out) {
+    if (prog != nullptr) {
+      SQLARRAY_RETURN_IF_ERROR(Run(*prog));
+      vec::ColumnToValues(prog->Result(regs), out);
+      return Status::OK();
+    }
     out->clear();
     for (int32_t r : sel) {
-      SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*env_.q->items[i].expr, At(r)));
+      SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(e, At(r)));
       out->push_back(std::move(v));
     }
-    // Rows an item evaluated through Eval while a columnar plan ran (the
-    // vec.fallback_rows counter).
+    // Rows an expression evaluated through Eval while a columnar plan ran
+    // (the vec.fallback_rows counter).
     if (env_.vplan != nullptr) {
       VecFallbackRowsCounter().Add(static_cast<int64_t>(sel.size()));
     }
     return Status::OK();
   }
 
-  /// The compiled program for select item `i`, or null.
-  const vec::VecProgram* ItemProgram(size_t i) const {
-    return env_.vplan != nullptr ? env_.vplan->items[i].get() : nullptr;
+  /// The compiled program for select item `i` (GROUP BY key `i - items`),
+  /// or null.
+  const vec::VecProgram* Program(size_t i) const {
+    return env_.vplan != nullptr ? env_.vplan->progs[i].get() : nullptr;
   }
 
-  /// Runs item `i`'s compiled program over the selected rows into the
-  /// register scratch.
-  Status RunItem(const vec::VecProgram& prog) {
-    return prog.Run(batch, &sel, &vscratch.regs, ctx_.udf);
+  /// Runs a compiled program over the selected rows into the register
+  /// scratch.
+  Status Run(const vec::VecProgram& prog) {
+    return prog.Run(batch, &sel, &regs, ctx_.udf);
   }
 
   RowBatch batch;  ///< the gathered table block (lane programs read it)
   std::vector<int32_t> sel;
-  VecScratch vscratch;
+  /// The worker's register file, sized to the largest program run in it.
+  std::vector<col::ColumnVec> regs;
 
  private:
   const ScanEnv& env_;
   QueryStats* stats_;
   EvalContext ctx_;
+  col::ColumnVec trunc_;  ///< the filter's truncation column
   storage::BTree::ChunkCursor* cursor_ = nullptr;
   const std::vector<std::vector<Value>>* values_ = nullptr;
   size_t first_ = 0;  ///< the TVF block's first row
   int32_t size_ = 0;  ///< rows in the current block
 };
 
-/// Folds one kept row into its group: the key, then each item in order.
-/// Groups appear on the first kept row that reaches them.
-Status AccumulateRow(const ScanEnv& env, EvalContext& ctx, Partial* out) {
+/// Finds the groups of the block's selected rows, as runs, creating each
+/// group on the first kept row that reaches it. GROUP BY keys evaluate as
+/// projection items do: a lane program where the key has one, Eval per
+/// selected row otherwise. GROUP BY charges each fresh group against the
+/// budget: the hash table is where grouped aggregation's memory grows. An
+/// ungrouped plan keys the whole block "", one run.
+Status FindGroups(const ScanEnv& env, BatchFeed& feed, GroupMap* groups,
+                  std::vector<std::string>* keys, std::vector<Value>* col,
+                  std::vector<GroupRun>* runs) {
   const Query& q = *env.q;
-  const size_t n_items = q.items.size();
-  QueryStats& stats = out->stats;
-  std::string key;
-  for (const ExprPtr& g : q.group_by) {
-    SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*g, ctx));
-    SQLARRAY_RETURN_IF_ERROR(AppendGroupKey(v, &key));
-  }
-  SQLARRAY_ASSIGN_OR_RETURN(GroupAcc * group,
-                            GroupFor(env, std::move(key), &out->groups));
-  for (size_t i = 0; i < n_items; ++i) {
-    const SelectItem& item = q.items[i];
-    AggState& st = group->aggs[i];
-    if (item.agg == SelectItem::AggKind::kNone) {
-      if (!group->plain_filled) {
-        SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-        group->plain_items.resize(n_items);
-        group->plain_items[i] = std::move(v);
-      }
-    } else if (item.agg == SelectItem::AggKind::kUda) {
-      SQLARRAY_RETURN_IF_ERROR(AccumulateUda(env, item, ctx, &st));
-    } else if (IsCountStar(item)) {
-      // COUNT(*) is a bare increment folded into the row-scan cost;
-      // COUNT(expr) pays the evaluation step.
-      st.count++;
-    } else {
-      stats.agg_steps++;
-      stats.ChargeCpuNs(env.cost->native_agg_step_ns);
-      SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-      SQLARRAY_RETURN_IF_ERROR(AccumulateNative(item.agg, v, &st));
+  const int32_t n = static_cast<int32_t>(feed.sel.size());
+  keys->assign(q.group_by.empty() ? 1 : n, std::string());
+  for (size_t g = 0; g < q.group_by.size(); ++g) {
+    SQLARRAY_RETURN_IF_ERROR(feed.EvalColumn(
+        *q.group_by[g], feed.Program(q.items.size() + g), col));
+    for (int32_t k = 0; k < n; ++k) {
+      SQLARRAY_RETURN_IF_ERROR(AppendGroupKey((*col)[k], &(*keys)[k]));
     }
   }
-  group->plain_filled = true;
+  runs->clear();
+  for (int32_t k = 0; k < static_cast<int32_t>(keys->size()); ++k) {
+    auto [it, fresh] = groups->try_emplace(std::move((*keys)[k]));
+    if (fresh && !q.group_by.empty()) {
+      SQLARRAY_RETURN_IF_ERROR(GovCharge(
+          env.limits,
+          static_cast<int64_t>(it->first.size()) +
+              static_cast<int64_t>(q.items.size() * sizeof(AggState)) +
+              RowFootprint(q.group_by.size())));
+    }
+    if (fresh) it->second.aggs.resize(q.items.size());
+    if (!runs->empty() && runs->back().group == &it->second) {
+      runs->back().end = k + 1;
+    } else {
+      runs->push_back({k, k + 1, &it->second, fresh});
+    }
+  }
+  if (q.group_by.empty()) runs->back().end = n;
   return Status::OK();
 }
 
-/// Aggregate body. At width 1 (every GROUP BY, UDA and TVF plan, and the
-/// batch-1 oracle) each kept row folds row-major through AccumulateRow, so
-/// UDA charges stay in row order. A wider block (an ungrouped native
-/// aggregate over a table) folds item by item: compiled argument programs
-/// feed the fold kernels, the rest evaluate through Eval into a reused
-/// column.
+/// Aggregate body: one fold at every block width. Each block first finds
+/// every kept row's group, then takes each item in order: a plain item
+/// evaluates on the row that created its group; an aggregate folds its
+/// rows into their groups in row order, a run at a time. At one row per
+/// block (UDA plans, the batch-1 oracle) that is the row loop's order: the
+/// key, then each item's charge, Eval and fold. A wider block charges an
+/// argument's steps after its column, as lane programs charge their calls.
 Status AggregateBatch(const ScanEnv& env, BatchFeed& feed, Partial* out) {
   const Query& q = *env.q;
-  const CostModel& cost = *env.cost;
-  const size_t n_items = q.items.size();
   QueryStats& stats = out->stats;
   SQLARRAY_RETURN_IF_ERROR(feed.Reserve());
+  auto charge_steps = [&](size_t n) {
+    stats.agg_steps += static_cast<int64_t>(n);
+    for (size_t k = 0; k < n; ++k) {
+      stats.ChargeCpuNs(env.cost->native_agg_step_ns);
+    }
+  };
+  std::vector<std::string> keys;
   std::vector<Value> col;
-  GroupAcc* acc = nullptr;
+  std::vector<GroupRun> runs;
   while (true) {
-    SQLARRAY_ASSIGN_OR_RETURN(bool more, feed.Next());
+    SQLARRAY_ASSIGN_OR_RETURN(bool more, feed.Next(env.batch_rows));
     if (!more) break;
     const std::vector<int32_t>& sel = feed.sel;
-    if (env.batch_rows == 1) {
-      for (int32_t r : sel) {
-        SQLARRAY_RETURN_IF_ERROR(AccumulateRow(env, feed.At(r), out));
-      }
-      continue;
-    }
     if (sel.empty()) continue;
-    if (acc == nullptr) {
-      SQLARRAY_ASSIGN_OR_RETURN(acc, GroupFor(env, "", &out->groups));
-    }
-    for (size_t i = 0; i < n_items; ++i) {
+    SQLARRAY_RETURN_IF_ERROR(
+        FindGroups(env, feed, &out->groups, &keys, &col, &runs));
+    for (size_t i = 0; i < q.items.size(); ++i) {
       const SelectItem& item = q.items[i];
-      AggState& st = acc->aggs[i];
-      if (item.agg == SelectItem::AggKind::kNone) {
-        // Plain items evaluate once, on the first row that survives the
-        // filter, as AccumulateRow takes them.
-        if (!acc->plain_filled) {
-          SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, feed.At(sel[0])));
-          acc->plain_items.resize(n_items);
-          acc->plain_items[i] = std::move(v);
+      const vec::VecProgram* prog = feed.Program(i);
+      if (FoldsArgument(item)) {
+        // One row per block charges the step before its Eval.
+        const size_t first = env.batch_rows == 1 ? sel.size() : 0;
+        charge_steps(first);
+        SQLARRAY_RETURN_IF_ERROR(
+            prog != nullptr ? feed.Run(*prog)
+                            : feed.EvalColumn(*item.expr, nullptr, &col));
+        charge_steps(sel.size() - first);
+      }
+      for (const GroupRun& run : runs) {
+        AggState& st = run.group->aggs[i];
+        if (item.agg == SelectItem::AggKind::kNone) {
+          if (!run.created) continue;
+          SQLARRAY_ASSIGN_OR_RETURN(Value v,
+                                    Eval(*item.expr, feed.At(sel[run.begin])));
+          run.group->plain_items.resize(q.items.size());
+          run.group->plain_items[i] = std::move(v);
+        } else if (item.agg == SelectItem::AggKind::kUda) {
+          for (int32_t k = run.begin; k < run.end; ++k) {
+            SQLARRAY_RETURN_IF_ERROR(
+                AccumulateUda(env, item, feed.At(sel[k]), &st));
+          }
+        } else if (IsCountStar(item)) {
+          // A bare increment folded into the row-scan cost.
+          st.count += run.end - run.begin;
+        } else if (prog != nullptr) {
+          SQLARRAY_RETURN_IF_ERROR(VecAccumulateColumn(
+              item.agg, prog->Result(feed.regs), run.begin, run.end, &st));
+        } else {
+          for (int32_t k = run.begin; k < run.end; ++k) {
+            SQLARRAY_RETURN_IF_ERROR(AccumulateNative(item.agg, col[k], &st));
+          }
         }
-        continue;
-      }
-      if (IsCountStar(item)) {
-        st.count += static_cast<int64_t>(sel.size());
-        continue;
-      }
-      if (const vec::VecProgram* prog = feed.ItemProgram(i)) {
-        SQLARRAY_RETURN_IF_ERROR(feed.RunItem(*prog));
-        for (size_t k = 0; k < sel.size(); ++k) {
-          stats.agg_steps++;
-          stats.ChargeCpuNs(cost.native_agg_step_ns);
-        }
-        SQLARRAY_RETURN_IF_ERROR(VecAccumulateColumn(
-            item.agg, prog->Result(feed.vscratch.regs), &st));
-        continue;
-      }
-      SQLARRAY_RETURN_IF_ERROR(feed.EvalSelected(i, &col));
-      for (const Value& v : col) {
-        stats.agg_steps++;
-        stats.ChargeCpuNs(cost.native_agg_step_ns);
-        SQLARRAY_RETURN_IF_ERROR(AccumulateNative(item.agg, v, &st));
       }
     }
-    acc->plain_filled = true;
   }
   return Status::OK();
 }
 
 /// Projection body: evaluates each block column by column and stitches the
-/// columns into rows. TOP stops the morsel once it holds `top` rows, since
-/// no later row of it can reach the output prefix; every TOP plan reads one
-/// row per block, so the scan stops on the row that completed it.
+/// columns into rows. Under TOP each block holds at most the rows the
+/// morsel still lacks, so the scan stops on the row that completes it, and
+/// no later row of the morsel can reach the output prefix.
 Status ProjectBatch(const ScanEnv& env, BatchFeed& feed, Partial* out) {
   const Query& q = *env.q;
   const size_t n_items = q.items.size();
   SQLARRAY_RETURN_IF_ERROR(feed.Reserve());
   std::vector<std::vector<Value>> cols(n_items);
-  while (q.top < 0 || static_cast<int64_t>(out->rows.size()) < q.top) {
-    SQLARRAY_ASSIGN_OR_RETURN(bool more, feed.Next());
+  int64_t lack = q.top < 0 ? env.batch_rows : q.top;
+  while (lack > 0) {
+    SQLARRAY_ASSIGN_OR_RETURN(bool more, feed.Next(lack));
     if (!more) break;
     const std::vector<int32_t>& sel = feed.sel;
+    if (q.top >= 0) lack -= static_cast<int64_t>(sel.size());
     if (sel.empty()) continue;
     for (size_t i = 0; i < n_items; ++i) {
-      if (const vec::VecProgram* prog = feed.ItemProgram(i)) {
-        SQLARRAY_RETURN_IF_ERROR(feed.RunItem(*prog));
-        vec::ColumnToValues(prog->Result(feed.vscratch.regs), &cols[i]);
-        continue;
-      }
-      SQLARRAY_RETURN_IF_ERROR(feed.EvalSelected(i, &cols[i]));
+      SQLARRAY_RETURN_IF_ERROR(
+          feed.EvalColumn(*q.items[i].expr, feed.Program(i), &cols[i]));
     }
     SQLARRAY_RETURN_IF_ERROR(GovCharge(
         env.limits, static_cast<int64_t>(sel.size()) * RowFootprint(n_items)));
@@ -1298,26 +1297,22 @@ Result<ResultSet> Executor::ExecuteInternal(
   env.subquery = eligible ? nullptr : subquery_fn_.load();
   env.limits = qctx != nullptr ? &qctx->limits : nullptr;
   env.aggregate = HasAggregates(q) || !q.group_by.empty();
-  // The plan picks the bodies' width. Lane programs compile, and blocks
-  // widen to batch_rows_, only for table scans of ungrouped native
-  // aggregates and of TOP-free projections. Every other shape reads one row
-  // per block: TOP then stops on the row that completes it (rows_scanned is
-  // batch-size-invariant), and UDA charges stay in row order.
-  const bool lanes =
-      q.table != nullptr && batch_rows_ > 1 &&
-      (env.aggregate ? q.group_by.empty() && !HasUda(q) : q.top < 0);
-  if (lanes) env.batch_rows = batch_rows_;
+  // The plan picks the bodies' width: batch_rows_ rows per block, except
+  // that a plan with a UDA reads one row per block, so its boundary charges
+  // stay in row order. Lane programs compile for table plans wider than one
+  // row, so set_batch_rows(1) builds none: the oracle.
+  env.batch_rows = HasUda(q) ? 1 : std::max(1, batch_rows_);
   // One compiled columnar plan per statement, shared read-only by every
   // morsel worker (each worker owns its register scratch). EXPLAIN ANALYZE
   // reports the operator modes of exactly this plan.
   VecQueryPlan vplan;
-  if (lanes) {
+  if (q.table != nullptr && env.batch_rows > 1) {
     vplan = BuildVecPlan(q, variables, /*rows_mode=*/!env.aggregate);
   }
   if (vplan.any) env.vplan = &vplan;
   modes->vec_filter = vplan.where_ok;
   modes->vec_agg =
-      env.aggregate && std::any_of(vplan.items.begin(), vplan.items.end(),
+      env.aggregate && std::any_of(vplan.progs.begin(), vplan.progs.end(),
                                    [](const auto& p) { return p != nullptr; });
 
   std::vector<Partial> partials(plan.n_morsels);

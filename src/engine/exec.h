@@ -141,18 +141,13 @@ class Executor {
   /// reused after that; test/introspection access).
   WorkerPool* worker_pool() { return worker_pool_.get(); }
 
-  /// Rows per block for the shapes that have lanes. Every query runs the
-  /// same two chunk bodies (aggregate and projection); the plan picks how
-  /// many rows each block holds. Table scans of ungrouped native aggregates
-  /// and of projections without TOP read `rows` at a time, and their WHERE
-  /// and select items compile to columnar programs (engine/vec_expr.h)
-  /// where they can; any other expression runs through Eval once per
-  /// selected row. GROUP BY, UDAs, TOP and TVF sources read one row per
-  /// block at any setting. Values <= 1 build no columnar program: every
-  /// expression runs through Eval and every aggregate through the row fold,
-  /// the oracle that tests/test_engine.cc and tests/test_vec.cc compare
-  /// every batch size and worker count against; results are bit-identical
-  /// either way.
+  /// Rows per block. Every query runs the same two chunk bodies (aggregate
+  /// and projection) `rows` at a time, except that a plan with a UDA reads
+  /// one row per block. A table plan's WHERE, GROUP BY keys and items
+  /// compile to columnar programs (engine/vec_expr.h) where they can; any
+  /// other expression runs through Eval once per selected row. Values <= 1
+  /// build no program, the oracle that tests/test_engine.cc and
+  /// tests/test_vec.cc compare every batch size and worker count against.
   void set_batch_rows(int rows) { batch_rows_ = rows; }
   int batch_rows() const { return batch_rows_; }
 
@@ -186,7 +181,7 @@ class Executor {
   /// ANALYZE reports it.
   struct PlanModes {
     bool vec_filter = false;  ///< WHERE ran as a columnar program
-    bool vec_agg = false;     ///< an aggregate argument ran as one
+    bool vec_agg = false;     ///< an aggregate argument or key ran as one
     /// The key-range seek's interval and leaves; empty for a full scan.
     std::string seek;
   };

@@ -321,13 +321,15 @@ TEST_F(ObsQueryTest, ExplainAnalyzeGoldenShape) {
   EXPECT_EQ(rs.columns, obs::ProfileColumns());
   ASSERT_EQ(rs.columns.back(), "wall_ms");
   // Preorder operator chain, two-space indent per depth:
-  // select > group-by > filter > scan.
-  ASSERT_EQ(rs.rows.size(), 4u);
+  // select > group-by > filter > scan, then the root's vec summary (the
+  // key, the SUM argument and the filter run as lanes).
+  ASSERT_EQ(rs.rows.size(), 5u);
   EXPECT_EQ(rs.rows[0][0].AsString().value(), "select");
   EXPECT_EQ(rs.rows[0][1].AsString().value(), "group-by");
   EXPECT_EQ(rs.rows[1][0].AsString().value(), "  group-by");
   EXPECT_EQ(rs.rows[2][0].AsString().value(), "    filter");
   EXPECT_EQ(rs.rows[3][0].AsString().value(), "      scan");
+  EXPECT_EQ(rs.rows[4][0].AsString().value(), "  vec");
   // `id >= 100` bounds the clustered key: the scan is a seek, and key 100
   // sits on the first of the 82 leaves, so it still reads them all.
   EXPECT_EQ(rs.rows[3][1].AsString().value(),

@@ -221,14 +221,14 @@ TEST(VecKernels, BuildSelAndCountValidBoundaries) {
     col::BuildSel(c.i64(), c.valid_words(), n, &sel);
     EXPECT_EQ(static_cast<int32_t>(sel.size()), (n + 2) / 3) << "n=" << n;
     for (int32_t idx : sel) EXPECT_EQ(idx % 3, 0);
-    EXPECT_EQ(col::CountValid(c.valid_words(), n), n);
+    EXPECT_EQ(col::CountValid(c.valid_words(), 0, n), n);
 
     // Ragged validity: only even rows valid — odd truthy rows drop out.
     uint64_t* words = c.MutableValidity();
     for (int32_t i = 1; i < n; i += 2) {
       words[i >> 6] &= ~(uint64_t{1} << (i & 63));
     }
-    EXPECT_EQ(col::CountValid(c.valid_words(), n), (n + 1) / 2);
+    EXPECT_EQ(col::CountValid(c.valid_words(), 0, n), (n + 1) / 2);
     sel.clear();
     col::BuildSel(c.i64(), c.valid_words(), n, &sel);
     for (int32_t idx : sel) {
@@ -238,7 +238,7 @@ TEST(VecKernels, BuildSelAndCountValidBoundaries) {
 
     // All null: nothing selected.
     c.SetAllNull();
-    EXPECT_EQ(col::CountValid(c.valid_words(), n), 0);
+    EXPECT_EQ(col::CountValid(c.valid_words(), 0, n), 0);
     sel.clear();
     col::BuildSel(c.i64(), c.valid_words(), n, &sel);
     EXPECT_TRUE(sel.empty());
@@ -293,7 +293,7 @@ TEST(VecKernels, FoldsMatchSerialAccumulation) {
   col::VecAggState st;
   st.mn = std::numeric_limits<double>::infinity();
   st.mx = -std::numeric_limits<double>::infinity();
-  ASSERT_TRUE(col::FoldF64(d.data(), nullptr, n, &st).ok());
+  ASSERT_TRUE(col::FoldF64(d.data(), nullptr, 0, n, &st).ok());
   EXPECT_EQ(st.count, count);
   // Bitwise comparison — NaN sums must match NaN sums.
   EXPECT_EQ(std::memcmp(&st.sum, &sum, 8), 0);
@@ -326,7 +326,7 @@ TEST(VecKernels, FoldsMatchSerialAccumulation) {
   col::VecAggState ist;
   ist.mn = std::numeric_limits<double>::infinity();
   ist.mx = -std::numeric_limits<double>::infinity();
-  ASSERT_TRUE(col::FoldI64(c.i64(), c.valid_words(), n, &ist).ok());
+  ASSERT_TRUE(col::FoldI64(c.i64(), c.valid_words(), 0, n, &ist).ok());
   EXPECT_EQ(ist.count, icount);
   EXPECT_EQ(ist.isum, isum);
   EXPECT_EQ(std::memcmp(&ist.sum, &dsum, 8), 0);
@@ -912,17 +912,17 @@ TEST_F(VecEngineTest, ProfileModesForMixedPlans) {
             (std::map<std::string, std::string>{{"aggregate", "row"},
                                                 {"filter", "vectorized"}}));
 
-  // TOP reads one row per block, with no lanes, so it stops on the row
-  // that completes it.
+  // TOP runs lanes too; each block holds at most the rows it still lacks,
+  // so it stops on the row that completes it.
   Query top;
   top.table = t;
   top.items.push_back(Item(Col("id"), SelectItem::AggKind::kNone, "id"));
   top.where = id_gt_5();
   top.top = 3;
   EXPECT_EQ(modes(std::move(top)),
-            (std::map<std::string, std::string>{{"filter", "row"}}));
+            (std::map<std::string, std::string>{{"filter", "vectorized"}}));
 
-  // GROUP BY reads one row per block, with no lanes, filter included.
+  // GROUP BY runs its key, its aggregate argument and its filter as lanes.
   Query grouped;
   grouped.table = t;
   grouped.items.push_back(
@@ -933,8 +933,8 @@ TEST_F(VecEngineTest, ProfileModesForMixedPlans) {
   grouped.group_by.push_back(
       Bin(BinaryOp::kMod, Col("id"), Lit(Value::Int(4))));
   EXPECT_EQ(modes(std::move(grouped)),
-            (std::map<std::string, std::string>{{"group-by", "row"},
-                                                {"filter", "row"}}));
+            (std::map<std::string, std::string>{{"group-by", "vectorized"},
+                                                {"filter", "vectorized"}}));
 
   // A plain projection filters in the columnar pipeline.
   Query project;
