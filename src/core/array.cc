@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/bytes.h"
+#include "gov/gov.h"
 
 namespace sqlarray {
 
@@ -163,6 +164,8 @@ Result<OwnedArray> OwnedArray::Zeros(DType dtype, Dims dims,
   // overflows.
   SQLARRAY_RETURN_IF_ERROR(ValidateHeader(dtype, dims, sc));
   ArrayHeader h{dtype, sc, std::move(dims)};
+  // A shape sized by a call's arguments must fit the statement's budget.
+  SQLARRAY_RETURN_IF_ERROR(gov::CheckThreadAllocation(h.blob_size()));
   std::vector<uint8_t> blob;
   blob.reserve(static_cast<size_t>(h.blob_size()));
   SQLARRAY_RETURN_IF_ERROR(AppendHeader(h, &blob));

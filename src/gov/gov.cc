@@ -1,5 +1,8 @@
 #include "gov/gov.h"
 
+#include <algorithm>
+#include <string>
+
 #include "obs/metrics.h"
 
 namespace sqlarray::gov {
@@ -143,6 +146,17 @@ void MemoryBudget::Release(int64_t bytes) {
   used_.fetch_sub(bytes, std::memory_order_relaxed);
 }
 
+Status MemoryBudget::CheckFits(int64_t bytes) const {
+  const int64_t limit = limit_.load(std::memory_order_relaxed);
+  if (limit <= 0) return Status::OK();
+  const int64_t left = limit - used_.load(std::memory_order_relaxed);
+  if (bytes <= left) return Status::OK();
+  return Status::ResourceExhausted(
+      "allocation of " + std::to_string(bytes) + " bytes exceeds the " +
+      std::to_string(std::max<int64_t>(left, 0)) + " bytes left of a " +
+      std::to_string(limit) + " byte memory budget");
+}
+
 ScopedThreadLimits::ScopedThreadLimits(const QueryLimits* limits)
     : prev_(t_limits) {
   t_limits = limits;
@@ -156,6 +170,12 @@ Status CheckThreadCancel() {
   const QueryLimits* l = t_limits;
   if (l == nullptr || l->cancel == nullptr) return Status::OK();
   return l->cancel->Check();
+}
+
+Status CheckThreadAllocation(int64_t bytes) {
+  const QueryLimits* l = t_limits;
+  if (l == nullptr || l->budget == nullptr) return Status::OK();
+  return l->budget->CheckFits(bytes);
 }
 
 }  // namespace sqlarray::gov

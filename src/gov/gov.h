@@ -119,6 +119,10 @@ class MemoryBudget {
   /// Returns previously charged bytes (optional; Reset clears everything).
   void Release(int64_t bytes);
 
+  /// kResourceExhausted when `bytes` exceed what is left of the limit;
+  /// charges nothing. Callers check before an allocation sized by input.
+  Status CheckFits(int64_t bytes) const;
+
   int64_t used() const { return used_.load(std::memory_order_relaxed); }
   int64_t peak() const { return peak_.load(std::memory_order_relaxed); }
   int64_t limit() const { return limit_.load(std::memory_order_relaxed); }
@@ -167,5 +171,10 @@ const QueryLimits* ThreadLimits();
 /// Probes the thread-installed cancellation token (kOk when none). Long
 /// kernels call this every few thousand elements.
 Status CheckThreadCancel();
+
+/// Checks an allocation of `bytes` against the thread-installed budget
+/// (MemoryBudget::CheckFits; kOk when none is installed). Hosted functions
+/// that size memory from their arguments call this before allocating.
+Status CheckThreadAllocation(int64_t bytes);
 
 }  // namespace sqlarray::gov

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/array.h"
+#include "gov/gov.h"
 #include "udfs/helpers.h"
 
 namespace sqlarray::udfs {
@@ -69,6 +70,8 @@ Status RegisterSpectrumUdfs(engine::FunctionRegistry* registry) {
           return Status::OutOfRange("bin count " + std::to_string(bins) +
                                     " outside [1, 2147483647]");
         }
+        SQLARRAY_RETURN_IF_ERROR(gov::CheckThreadAllocation(
+            bins * static_cast<int64_t>(sizeof(double))));
         std::vector<double> grid =
             MakeLogGrid(lo, hi, static_cast<int>(bins));
         SQLARRAY_ASSIGN_OR_RETURN(Spectrum r, ResampleFluxConserving(s, grid));

@@ -106,6 +106,19 @@ TEST(MemoryBudget, ChargesAndPeaks) {
   EXPECT_EQ(b.peak(), 1);
 }
 
+TEST(MemoryBudget, CheckFitsChargesNothing) {
+  gov::MemoryBudget b;
+  b.Reset(1000);
+  EXPECT_TRUE(b.Charge(600).ok());
+  EXPECT_TRUE(b.CheckFits(400).ok());
+  EXPECT_EQ(b.CheckFits(401).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(b.used(), 600);
+  // A refused check is not an overrun: the rest of the limit still charges.
+  EXPECT_TRUE(b.Charge(400).ok());
+  b.Reset(0);
+  EXPECT_TRUE(b.CheckFits(int64_t{1} << 40).ok());
+}
+
 TEST(MemoryBudget, ZeroLimitMeansUnlimitedAccounting) {
   gov::MemoryBudget b;
   b.Reset(0);
@@ -400,6 +413,31 @@ TEST_F(GovSessionTest, MemoryBudgetAbortsQueryNotProcess) {
   auto ok = Run(&session, "SELECT v, COUNT(id) FROM m GROUP BY v");
   EXPECT_EQ(ok.at(0).rows.size(), 500u);
   EXPECT_GT(session.last_peak_memory_bytes(), 4 * 1024);
+}
+
+TEST_F(GovSessionTest, BudgetRefusesOversizedHostedAllocation) {
+  // Every statement here runs under a budget: unbudgeted, the oversized
+  // calls would ask the allocator for tens of GiB.
+  sql::Session session(&executor_);
+  Run(&session, "CREATE TABLE c (id BIGINT)");
+  std::string values;
+  for (int i = 0; i < 2000; ++i) {
+    if (i > 0) values += ", ";
+    values += "(" + std::to_string(i) + ")";
+  }
+  Run(&session, "INSERT INTO c VALUES " + values);
+  Run(&session, "SET MEMORY_BUDGET_KB = 1024");
+
+  // A 2^31 x 2 FLOAT array (32 GiB) is refused before it is allocated.
+  auto big = session.Execute("SELECT FloatArrayMax.Create(2147483647, 2)");
+  ASSERT_FALSE(big.ok());
+  EXPECT_EQ(big.status().code(), StatusCode::kResourceExhausted);
+
+  // The check charges nothing, so many small arrays fit the same budget.
+  auto small =
+      Run(&session, "SELECT COUNT(FloatArrayMax.Create(10, 10)) FROM c");
+  ASSERT_EQ(small.size(), 1u);
+  EXPECT_EQ(small[0].rows.at(0).at(0).AsInt().value(), 2000);
 }
 
 TEST_F(GovSessionTest, InBudgetSessionUnaffectedByOverBudgetNeighbor) {

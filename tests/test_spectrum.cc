@@ -293,6 +293,30 @@ TEST_F(SpectrumDbTest, ResampleRejectsBinCountsOutsideInt32) {
   }
 }
 
+TEST_F(SpectrumDbTest, ResampleGridMustFitTheBudget) {
+  // Every statement here runs under a budget: unbudgeted, the oversized
+  // grid would ask the allocator for 16 GiB.
+  ASSERT_TRUE(session_.Execute("CREATE TABLE c (id BIGINT)").ok());
+  std::string values;
+  for (int i = 0; i < 2000; ++i) {
+    values += (i > 0 ? ", (" : "(") + std::to_string(i) + ")";
+  }
+  ASSERT_TRUE(session_.Execute("INSERT INTO c VALUES " + values).ok());
+  ASSERT_TRUE(session_.Execute("SET MEMORY_BUDGET_KB = 1024").ok());
+  const std::string spectrum =
+      "FloatArray.Vector_3(4000, 5000, 6000), FloatArray.Vector_3(1, 2, 3), "
+      "FloatArray.Vector_3(0, 0, 0), 4500, 5500";
+  auto grid = session_.Execute("SELECT Spectrum.Resample(" + spectrum +
+                               ", 2147483647)");
+  ASSERT_FALSE(grid.ok());
+  EXPECT_EQ(grid.status().code(), StatusCode::kResourceExhausted);
+  // The check charges nothing, so every row's small grid fits.
+  auto small = session_.Execute("SELECT COUNT(Spectrum.Resample(" +
+                                spectrum + ", 64)) FROM c");
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  EXPECT_EQ((*small)[0].rows.at(0).at(0).AsInt().value(), 2000);
+}
+
 TEST(SimilarityIndex, FindsSelfAndSimilarRedshifts) {
   SyntheticSpectrumConfig config;
   config.bins = 128;
