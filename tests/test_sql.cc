@@ -850,6 +850,198 @@ std::string WithKey(const std::string& pred, const std::string& key) {
   return out;
 }
 
+/// GROUP BY, TOP and TVF plans read batch_rows rows per block. Each shape
+/// runs at batch {1, 3, 1024} x workers {1, 2, 8} against batch 1 at one
+/// worker: results bit for bit, every count equal, modeled CPU equal up to
+/// the order hosted-call charges sum in, and a failure with the same code
+/// and message.
+class WidePlanTest : public ScanShapeTest {
+ protected:
+  static constexpr int kRows = 2400;
+
+  /// wk(id, i, f, s, m): a BIGINT key i = id % 7, a FLOAT f holding -0.0
+  /// and 0.0, a short array s = [id % 4, id] and a max array
+  /// m = [id % 3, 7]; the wide s column spreads it over several morsels.
+  /// @big is a FLOAT vector of kRows elements for the ToTable source.
+  void SetUp() override {
+    Run("CREATE TABLE wk (id BIGINT, i BIGINT, f FLOAT, s VARBINARY(400), "
+        "m VARBINARY(MAX))");
+    for (int start = 0; start < kRows; start += 400) {
+      std::string values;
+      for (int id = start; id < start + 400; ++id) {
+        const std::string n = std::to_string(id);
+        const std::string f = id % 3 == 0   ? "-0.0"
+                              : id % 3 == 1 ? "0.0"
+                                            : std::to_string(id % 5) + ".5";
+        values += (values.empty() ? "(" : ", (") + n + ", " +
+                  std::to_string(id % 7) + ", " + f +
+                  ", FloatArray.Vector_2(" + std::to_string(id % 4) + ", " +
+                  n + "), FloatArrayMax.Vector_2(" + std::to_string(id % 3) +
+                  ", 7))";
+      }
+      Run("INSERT INTO wk VALUES " + values);
+    }
+    Run("DECLARE @l VARBINARY(100) = IntArray.Vector_1(" +
+        std::to_string(kRows) + ")");
+    Run("DECLARE @big VARBINARY(MAX) = NULL");
+    Run("SELECT @big = FloatArrayMax.Concat(@l, id, id * 0.5) FROM wk");
+  }
+
+  struct Snap {
+    bool ok = false;
+    std::string payload;  ///< the fingerprint, or the failure
+    engine::QueryStats stats;
+  };
+
+  Snap At(const std::string& sqltext, int batch, int workers) {
+    executor_.set_batch_rows(batch);
+    executor_.set_scan_workers(workers);
+    db_.ClearCache();
+    auto r = session_.Execute(sqltext);
+    executor_.set_batch_rows(1024);
+    executor_.set_scan_workers(1);
+    Snap s;
+    s.ok = r.ok();
+    if (!r.ok()) {
+      s.payload = r.status().ToString();
+      return s;
+    }
+    s.payload = Fingerprint(r.value().back());
+    s.stats = r.value().back().stats;
+    return s;
+  }
+
+  /// Compares every configuration with batch 1 at one worker and returns
+  /// that reference. A TOP plan at several workers may scan a morsel that
+  /// one worker skips, so its counts are compared at one worker only.
+  Snap ExpectWidthsMatch(const std::string& sqltext, bool top = false) {
+    SCOPED_TRACE(sqltext);
+    const Snap base = At(sqltext, 1, 1);
+    for (int batch : {1, 3, 1024}) {
+      for (int workers : {1, 2, 8}) {
+        SCOPED_TRACE("batch=" + std::to_string(batch) +
+                     " workers=" + std::to_string(workers));
+        const Snap got = At(sqltext, batch, workers);
+        EXPECT_EQ(got.ok, base.ok);
+        EXPECT_EQ(got.payload, base.payload);
+        if (!base.ok || (top && workers > 1)) continue;
+        const engine::QueryStats& a = got.stats;
+        const engine::QueryStats& b = base.stats;
+        EXPECT_EQ(a.rows_scanned, b.rows_scanned);
+        EXPECT_EQ(a.rows_kept, b.rows_kept);
+        EXPECT_EQ(a.agg_steps, b.agg_steps);
+        EXPECT_EQ(a.udf_calls, b.udf_calls);
+        EXPECT_EQ(a.udf_bytes_marshaled, b.udf_bytes_marshaled);
+        EXPECT_EQ(a.uda_state_bytes, b.uda_state_bytes);
+        EXPECT_EQ(a.io.pages_read, b.io.pages_read);
+        EXPECT_NEAR(a.cpu_core_seconds, b.cpu_core_seconds,
+                    1e-12 * b.cpu_core_seconds);
+        if (b.udf_calls == 0) {
+          EXPECT_EQ(a.cpu_core_seconds, b.cpu_core_seconds);
+        }
+      }
+    }
+    return base;
+  }
+};
+
+TEST_F(WidePlanTest, GroupByKeysOfEveryKind) {
+  const std::string aggs = "COUNT(*), SUM(f), MIN(id), MAX(f), AVG(id)";
+  for (const char* keys :
+       {"i", "f", "s", "m", "NULL", "FloatArray.Item_1(s, 0)",
+        "FloatArrayMax.Item_1(m, 0)", "i, f", "s, m", "i, NULL",
+        "FloatArray.Item_1(s, 0), FloatArrayMax.Item_1(m, 0)", "f, s"}) {
+    const Snap base = ExpectWidthsMatch("SELECT " + std::string(keys) + ", " +
+                                        aggs + " FROM wk GROUP BY " + keys);
+    ASSERT_TRUE(base.ok) << keys << ": " << base.payload;
+  }
+  // -0.0 and 0.0 are one group: 1,600 zeros and the 800 rows with id % 3
+  // == 2, whose id % 5 gives five values.
+  auto zeros = Run("SELECT f, COUNT(*) FROM wk GROUP BY f ORDER BY 2");
+  ASSERT_EQ(zeros[0].rows.size(), 6u);
+  EXPECT_EQ(zeros[0].rows.back()[1].AsInt().value(), 1600);
+  ExpectWidthsMatch("SELECT i, SUM(f) FROM wk WHERE id % 5 <> 2 GROUP BY i");
+  ExpectWidthsMatch(
+      "SELECT i, COUNT(*) FROM wk WHERE id >= 700 AND id < 1900 GROUP BY i");
+}
+
+TEST_F(WidePlanTest, HostedCallsInPlainItemsAndAggregates) {
+  // Plain items evaluate on the row that created their group.
+  const Snap base = ExpectWidthsMatch(
+      "SELECT i, id, FloatArray.Item_1(s, 1), FloatArrayMax.Item_1(m, 0), "
+      "SUM(FloatArray.Item_1(s, 1)), SUM(FloatArrayMax.Item_1(m, 0)), "
+      "COUNT(FloatArray.Item_1(s, 0)) FROM wk WHERE id > 3 GROUP BY i");
+  ASSERT_TRUE(base.ok) << base.payload;
+  auto first = Run(
+      "SELECT i, id, FloatArray.Item_1(s, 1) FROM wk WHERE id > 3 "
+      "GROUP BY i ORDER BY 1");
+  ASSERT_EQ(first[0].rows.size(), 7u);
+  for (const auto& row : first[0].rows) {
+    // Group i's first kept row is the smallest id > 3 with id % 7 == i.
+    const int64_t i = row[0].AsInt().value();
+    const int64_t id = i > 3 ? i : i + 7;
+    EXPECT_EQ(row[1].AsInt().value(), id);
+    EXPECT_EQ(row[2].AsDouble().value(), static_cast<double>(id));
+  }
+  ExpectWidthsMatch(
+      "SELECT SUM(FloatArray.Item_1(s, 1)), COUNT(*) FROM wk "
+      "GROUP BY FloatArrayMax.Item_1(m, 0), i");
+  // Consecutive rows share these groups, so a block folds runs of them.
+  ExpectWidthsMatch(
+      "SELECT id / 100, id, FloatArray.Item_1(s, 1), COUNT(*), "
+      "SUM(FloatArray.Item_1(s, 1)) FROM wk WHERE id % 3 <> 0 "
+      "GROUP BY id / 100");
+}
+
+TEST_F(WidePlanTest, FailureOnOneRowIsTheSameAtEveryWidth) {
+  for (const std::string& sqltext :
+       {std::string("SELECT i, SUM(10 / (id - 1234)) FROM wk GROUP BY i"),
+        std::string("SELECT COUNT(*) FROM wk GROUP BY 10 / (id - 1234)"),
+        std::string("SELECT COUNT(*) FROM wk "
+                    "GROUP BY FloatArray.Item_1(s, (id % 1234) / 1233 * 5)"),
+        std::string("SELECT i, SUM(FloatArrayMax.Item_1(m, "
+                    "(id % 1234) / 1233 * 5)) FROM wk GROUP BY i"),
+        std::string("SELECT TOP 2000 id, 10 / (id - 1234) FROM wk"),
+        std::string("SELECT ix, 10 / (ix - 1234) "
+                    "FROM FloatArrayMax.ToTable(@big)")}) {
+    const Snap base = ExpectWidthsMatch(sqltext);
+    EXPECT_FALSE(base.ok) << sqltext;
+  }
+}
+
+TEST_F(WidePlanTest, TopStopsOnTheRowThatCompletesIt) {
+  // Within a morsel the scan stops on the row that completes TOP: id 105.
+  const Snap first = ExpectWidthsMatch(
+      "SELECT TOP 2 id, f FROM wk WHERE id % 100 = 5", true);
+  ASSERT_TRUE(first.ok) << first.payload;
+  EXPECT_EQ(first.stats.rows_scanned, 106);
+  // wk spans at least four 16-page morsels, and the matches at ids 7, 408,
+  // 809 and 1210 lie several morsels apart: each morsel before the last
+  // reads to its end, and the morsels after it are skipped.
+  EXPECT_GE(At("SELECT COUNT(*) FROM wk", 1, 1).stats.io.pages_read, 64);
+  const Snap top =
+      ExpectWidthsMatch("SELECT TOP 4 id, f FROM wk WHERE id % 401 = 7", true);
+  ASSERT_TRUE(top.ok) << top.payload;
+  EXPECT_GT(top.stats.rows_scanned, 1210);
+  EXPECT_LT(top.stats.rows_scanned, kRows);
+  EXPECT_EQ(top.stats.rows_kept, 4);
+  ExpectWidthsMatch(
+      "SELECT TOP 3 id, FloatArray.Item_1(s, 1) FROM wk "
+      "WHERE FloatArray.Item_1(s, 0) = 3 AND id > 1000",
+      true);
+  ExpectWidthsMatch("SELECT TOP 0 id FROM wk", true);
+  ExpectWidthsMatch("SELECT TOP 5000 id FROM wk WHERE id % 2 = 0", true);
+  // Over a TVF source, one morsel of materialized rows.
+  const Snap tvf = ExpectWidthsMatch(
+      "SELECT TOP 4 ix, v FROM FloatArrayMax.ToTable(@big) "
+      "WHERE ix % 300 = 299",
+      true);
+  ASSERT_TRUE(tvf.ok) << tvf.payload;
+  EXPECT_EQ(tvf.stats.rows_scanned, 1200);
+  ExpectWidthsMatch("SELECT ix % 4, SUM(v), COUNT(*) "
+                    "FROM FloatArrayMax.ToTable(@big) GROUP BY ix % 4");
+}
+
 TEST_F(ScanShapeTest, KeySeekMatchesForcedScan) {
   // 518-byte rows, 15 to a leaf: 1,000 keys (multiples of 3) fill 67
   // leaves, five morsels of 16 pages. Then the float-boundary keys 2^53,

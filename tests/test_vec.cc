@@ -1434,6 +1434,68 @@ TEST_F(CallLaneTest, ItemNDifferentialAcrossDtypesAndRanks) {
   }
 }
 
+TEST_F(CallLaneTest, GroupByKeysAndTopRunCallLanes) {
+  std::map<std::string, Value> vars{{"zero", Value::Int(0)},
+                                    {"one", Value::Int(1)},
+                                    {"half", Value::Double(1.5)}};
+  for (DType dt : {DType::kInt32, DType::kFloat64}) {
+    storage::Table* t = MakeArrayTable(dt);
+    for (int r : {1, 2}) {
+      SCOPED_TRACE(SchemaOf(dt) + ".Item_" + std::to_string(r));
+      // A call key and a column key, a plain item and an aggregate that
+      // call, a COUNT(*) and a WHERE call: every call a lane instruction.
+      ExpectCallLanesMatch(
+          [&] {
+            Query q;
+            q.table = t;
+            q.where = Bin(BinaryOp::kGe, ItemCall(dt, r, 1),
+                          Lit(Value::Double(-40)));
+            q.group_by.push_back(ItemCall(dt, r, 0));
+            q.group_by.push_back(Col("k"));
+            q.items.push_back(
+                Item(ItemCall(dt, r, 0), SelectItem::AggKind::kNone, "g"));
+            q.items.push_back(
+                Item(ItemCall(dt, r, 2), SelectItem::AggKind::kNone, "p"));
+            q.items.push_back(
+                Item(ItemCall(dt, r, 2), SelectItem::AggKind::kSum, "s"));
+            q.items.push_back(Item(Star(), SelectItem::AggKind::kCount, "c"));
+            return q;
+          },
+          &vars);
+      // TOP, at one worker: several workers may scan a morsel that one
+      // worker skips.
+      auto top = [&] {
+        Query q;
+        q.table = t;
+        q.where =
+            Bin(BinaryOp::kGt, ItemCall(dt, r, 1), Lit(Value::Double(10)));
+        q.items.push_back(Item(Col("id"), SelectItem::AggKind::kNone, "id"));
+        q.items.push_back(
+            Item(ItemCall(dt, r, 0), SelectItem::AggKind::kNone, "v"));
+        q.top = 17;
+        return q;
+      };
+      Query lane_q = top();
+      ASSERT_TRUE(executor_.Bind(&lane_q).ok());
+      Query row_q = top();
+      ASSERT_TRUE(rows_executor_.Bind(&row_q).ok());
+      const Snap base = RunSnap(executor_, lane_q, &vars, 1, 1);
+      ASSERT_TRUE(base.ok) << base.payload;
+      ASSERT_LT(base.stats.rows_scanned, kCallRows);
+      for (int b : {3, 1024}) {
+        SCOPED_TRACE("batch=" + std::to_string(b));
+        const Snap lane = RunSnap(executor_, lane_q, &vars, b, 1);
+        const Snap rows = RunSnap(rows_executor_, row_q, &vars, b, 1);
+        EXPECT_EQ(lane.payload, base.payload);
+        EXPECT_EQ(rows.payload, base.payload);
+        ExpectSameCounts(lane.stats, base.stats);
+        ExpectSameCounts(rows.stats, base.stats);
+        EXPECT_EQ(lane.fallback_rows, 0);
+      }
+    }
+  }
+}
+
 TEST_F(CallLaneTest, EveryKernelMatchesItsRowFunction) {
   std::map<std::string, Value> vars{{"zero", Value::Int(0)},
                                     {"one", Value::Int(1)},
