@@ -13,7 +13,7 @@
 // through the executor twice per case — vectorized batches (engine/vec_expr)
 // against one-row blocks with no lane program, every expression through
 // Eval (batch_rows=1) — sweeping expression shape and batch size over the
-// Table 1 scalar table. Both modes produce
+// Table 1 scalar table, the perfbench GROUP BY included. Both modes produce
 // bit-identical results (tests/test_vec.cc proves it; the bench compares
 // every cell bitwise and aborts on divergence), so the ratio isolates the
 // evaluation strategy. These
@@ -364,6 +364,23 @@ void RunVecExpr() {
     q.items.push_back(AggItem(Col("v2"), SelectItem::AggKind::kMin, "mn"));
     q.items.push_back(AggItem(Col("v3"), SelectItem::AggKind::kMax, "mx"));
     TimeVecVsRow(&server, &q, "agg_sum_min_max_float", rows, 1024);
+  }
+
+  // The perfbench GROUP BY, SELECT id % 16, SUM(v1), COUNT(*) FROM Tscalar
+  // GROUP BY id % 16: the key and the SUM argument run as lanes and each
+  // block folds into its groups at once.
+  {
+    Query q;
+    q.table = t;
+    auto key = [] {
+      return Bin(BinaryOp::kMod, Col("id"), Lit(Value::Int(16)));
+    };
+    q.items.push_back(AggItem(key(), SelectItem::AggKind::kNone, "k"));
+    q.items.push_back(AggItem(Col("v1"), SelectItem::AggKind::kSum, "s"));
+    q.items.push_back(
+        AggItem(engine::Star(), SelectItem::AggKind::kCount, "n"));
+    q.group_by.push_back(key());
+    TimeVecVsRow(&server, &q, "group_by_mod16", rows, 1024);
   }
 
   // Predicate + projection in row mode: column materialization included.

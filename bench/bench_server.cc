@@ -7,12 +7,15 @@
 // every 8th session arms a tiny STATEMENT_TIMEOUT_MS and runs a UDF-heavy
 // scan that is guaranteed to blow it, so deadline kills happen under load.
 //
-// The same workload runs twice: admission control ON (bounded slots +
+// The same workload runs with admission control ON (bounded slots +
 // bounded FIFO queue, overflow rejected with retry-after) and OFF (every
-// statement races the engine directly). Reported per config: completed-op
-// p50/p99 latency, saturation throughput, and the kill/reject census. The
-// comparison is the point: admission keeps tail latency bounded and sheds
-// load by rejecting, instead of letting everything pile up.
+// statement races the engine directly), five times each, one run after
+// another and alternating on/off: one run's throughput moves by half
+// between runs. Reported per config: the median and quartiles over the
+// runs of throughput and of completed-op p50/p99 latency, and the
+// kill/reject census of the median-throughput run. The comparison is the
+// point: admission keeps tail latency bounded and sheds load by rejecting,
+// instead of letting everything pile up.
 //
 // --json output carries the standard {"records", "host", "metrics"} shape
 // plus a top-level "server" object with both configs' numbers
@@ -286,33 +289,78 @@ void PrintResult(const char* label, const LoadResult& r, int sessions) {
       r.Qps(), r.wall_s, static_cast<long long>(r.peak_queue_depth));
 }
 
-void AppendServerJson(std::FILE* f, const char* key, const LoadResult& r,
-                      bool last) {
+constexpr int kRuns = 5;
+
+/// The first quartile, median and third quartile of one figure over runs.
+struct Spread {
+  double q1 = 0;
+  double median = 0;
+  double q3 = 0;
+};
+
+Spread SpreadOf(const std::vector<LoadResult>& runs,
+                double (*figure)(const LoadResult&)) {
+  std::vector<double> v;
+  for (const LoadResult& r : runs) v.push_back(figure(r));
+  return {LoadResult::Pct(v, 0.25), LoadResult::Pct(v, 0.5),
+          LoadResult::Pct(v, 0.75)};
+}
+
+double Qps(const LoadResult& r) { return r.Qps(); }
+double ServiceP50(const LoadResult& r) { return r.ServicePercentile(0.5); }
+double ServiceP99(const LoadResult& r) { return r.ServicePercentile(0.99); }
+double E2eP50(const LoadResult& r) { return r.Percentile(0.5); }
+double E2eP99(const LoadResult& r) { return r.Percentile(0.99); }
+
+/// The run whose throughput is the median (kRuns is odd).
+const LoadResult& MedianRun(const std::vector<LoadResult>& runs) {
+  std::vector<const LoadResult*> by_qps;
+  for (const LoadResult& r : runs) by_qps.push_back(&r);
+  std::sort(by_qps.begin(), by_qps.end(),
+            [](const LoadResult* a, const LoadResult* b) {
+              return a->Qps() < b->Qps();
+            });
+  return *by_qps[by_qps.size() / 2];
+}
+
+void AppendServerJson(std::FILE* f, const char* key,
+                      const std::vector<LoadResult>& runs, bool last) {
+  const LoadResult& r = MedianRun(runs);
+  const Spread qps = SpreadOf(runs, Qps);
+  const Spread p50 = SpreadOf(runs, ServiceP50);
+  const Spread p99 = SpreadOf(runs, ServiceP99);
   std::fprintf(f,
                "    \"%s\": {\"ok\": %lld, \"rejected\": %lld, "
                "\"deadline_kills\": %lld, \"cancelled\": %lld, "
                "\"write_conflicts\": %lld, "
-               "\"other_errors\": %lld, \"p50_ms\": %.4f, \"p99_ms\": %.4f, "
+               "\"other_errors\": %lld, \"p50_ms\": %.4f, "
+               "\"p50_ms_q1\": %.4f, \"p50_ms_q3\": %.4f, "
+               "\"p99_ms\": %.4f, \"p99_ms_q1\": %.4f, "
+               "\"p99_ms_q3\": %.4f, "
                "\"p50_e2e_ms\": %.4f, \"p99_e2e_ms\": %.4f, "
-               "\"qps\": %.2f, \"wall_s\": %.4f, \"peak_queue_depth\": "
-               "%lld}%s\n",
+               "\"qps\": %.2f, \"qps_q1\": %.2f, \"qps_q3\": %.2f, "
+               "\"wall_s\": %.4f, \"peak_queue_depth\": %lld}%s\n",
                key, static_cast<long long>(r.ok),
                static_cast<long long>(r.rejected),
                static_cast<long long>(r.deadline_kills),
                static_cast<long long>(r.cancelled),
                static_cast<long long>(r.write_conflicts),
-               static_cast<long long>(r.other_errors),
-               r.ServicePercentile(0.5), r.ServicePercentile(0.99),
-               r.Percentile(0.5), r.Percentile(0.99), r.Qps(), r.wall_s,
+               static_cast<long long>(r.other_errors), p50.median, p50.q1,
+               p50.q3, p99.median, p99.q1, p99.q3,
+               SpreadOf(runs, E2eP50).median, SpreadOf(runs, E2eP99).median,
+               qps.median, qps.q1, qps.q3, r.wall_s,
                static_cast<long long>(r.peak_queue_depth), last ? "" : ",");
 }
 
 /// FlushJson with an extra top-level "server" object holding both configs.
-void FlushServerJson(int sessions, int ops, const LoadResult& on,
-                     const LoadResult& off) {
+void FlushServerJson(int sessions, int ops,
+                     const std::vector<LoadResult>& on,
+                     const std::vector<LoadResult>& off) {
   FlushJson("server", [&](std::FILE* f) {
-    std::fprintf(f, "    \"sessions\": %d,\n    \"ops_per_session\": %d,\n",
-                 sessions, ops);
+    std::fprintf(f,
+                 "    \"sessions\": %d,\n    \"ops_per_session\": %d,\n"
+                 "    \"runs\": %d,\n",
+                 sessions, ops, kRuns);
     AppendServerJson(f, "admission_on", on, /*last=*/false);
     AppendServerJson(f, "admission_off", off, /*last=*/true);
   });
@@ -324,24 +372,36 @@ void RunBench() {
   const int64_t rows = std::min<int64_t>(BenchRows(), 20000);
 
   Banner("S1", "overload behavior: admission control on vs off");
-  std::printf("closed loop: %d sessions x %d ops, %lld shared rows\n\n",
-              sessions, ops, static_cast<long long>(rows));
+  std::printf("closed loop: %d sessions x %d ops, %lld shared rows, %d runs "
+              "per config, alternating\n\n",
+              sessions, ops, static_cast<long long>(rows), kRuns);
 
-  LoadResult on = RunLoad(/*admission_enabled=*/true, sessions, ops, rows);
-  PrintResult("admission_on", on, sessions);
-  LoadResult off = RunLoad(/*admission_enabled=*/false, sessions, ops, rows);
-  PrintResult("admission_off", off, sessions);
+  std::vector<LoadResult> on, off;
+  for (int run = 0; run < kRuns; ++run) {
+    on.push_back(RunLoad(/*admission_enabled=*/true, sessions, ops, rows));
+    PrintResult("admission_on", on.back(), sessions);
+    off.push_back(RunLoad(/*admission_enabled=*/false, sessions, ops, rows));
+    PrintResult("admission_off", off.back(), sessions);
+  }
 
+  const Spread on_qps = SpreadOf(on, Qps), off_qps = SpreadOf(off, Qps);
+  std::printf("\nmedian (quartiles) over %d runs: qps %.0f (%.0f-%.0f) "
+              "admission on, %.0f (%.0f-%.0f) off\n",
+              kRuns, on_qps.median, on_qps.q1, on_qps.q3, off_qps.median,
+              off_qps.q1, off_qps.q3);
+  const LoadResult& mid_on = MedianRun(on);
   std::printf(
-      "\nservice p99 %.2fms (admitted) vs %.2fms (unthrottled, %d-way "
+      "service p99 %.2fms (admitted) vs %.2fms (unthrottled, %d-way "
       "contention): admission bounds the latency an accepted statement "
       "sees; the cost is %lld retry-after rejections and e2e p99 %.2fms "
-      "for sessions that kept resubmitting\n",
-      on.ServicePercentile(0.99), off.ServicePercentile(0.99), sessions,
-      static_cast<long long>(on.rejected), on.Percentile(0.99));
+      "for sessions that kept resubmitting (median-throughput run)\n",
+      SpreadOf(on, ServiceP99).median, SpreadOf(off, ServiceP99).median,
+      sessions, static_cast<long long>(mid_on.rejected),
+      mid_on.Percentile(0.99));
 
-  RecordJson("bench_server", "admission_on", on.wall_s, on.Qps());
-  RecordJson("bench_server", "admission_off", off.wall_s, off.Qps());
+  RecordJson("bench_server", "admission_on", mid_on.wall_s, mid_on.Qps());
+  const LoadResult& mid_off = MedianRun(off);
+  RecordJson("bench_server", "admission_off", mid_off.wall_s, mid_off.Qps());
   FlushServerJson(sessions, ops, on, off);
 }
 
