@@ -17,7 +17,9 @@
 
 namespace sqlarray::engine {
 
-/// Virtual CPU cost constants (nanoseconds) and machine shape.
+/// Virtual CPU cost constants (nanoseconds) and machine shape. Every
+/// constant is a whole or half nanosecond, which keeps QueryStats::cpu_ns
+/// exact; an Executor always runs these defaults.
 struct CostModel {
   /// Per-row tuple processing during a clustered index scan
   /// (Q1: 45% CPU x 8 cores x 18 s / 357M rows ~ 181 ns).
@@ -63,14 +65,24 @@ struct QueryStats {
   /// runs — so the per-call hot path stays one branch otherwise.
   std::map<std::string, UdfFnStats> udf_by_fn;
   bool track_udf_detail = false;
-  /// Modeled CPU work in core-seconds (sum across all workers).
+  /// Modeled CPU work in nanoseconds, summed across all workers: the
+  /// ledger. Every default charge is a whole or half nanosecond (each
+  /// CostModel constant and every managed_work_ns is a whole number, and a
+  /// marshaled byte costs 0.5 ns), so this sum is exact below 2^52 ns and
+  /// the same in any order: per row or per block, at any worker count.
+  double cpu_ns = 0;
+  /// The ledger in core-seconds. The engine writes it only as
+  /// cpu_ns * 1e-9; benches that project to another scale multiply it.
   double cpu_core_seconds = 0;
   /// I/O deltas attributed to this query.
   storage::IoStats io;
   /// Real (measured) wall-clock seconds of the native execution.
   double wall_seconds = 0;
 
-  void ChargeCpuNs(double ns) { cpu_core_seconds += ns * 1e-9; }
+  void ChargeCpuNs(double ns) {
+    cpu_ns += ns;
+    cpu_core_seconds = cpu_ns * 1e-9;
+  }
 
   /// Modeled elapsed time: the query is either I/O-bound or CPU-bound
   /// (perfect overlap of the scan pipeline, as in Table 1's analysis).

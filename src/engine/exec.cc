@@ -749,7 +749,7 @@ void MergeStats(QueryStats* into, const QueryStats& part) {
   into->udf_calls += part.udf_calls;
   into->udf_bytes_marshaled += part.udf_bytes_marshaled;
   into->uda_state_bytes += part.uda_state_bytes;
-  into->cpu_core_seconds += part.cpu_core_seconds;
+  into->ChargeCpuNs(part.cpu_ns);
   for (const auto& [fn, d] : part.udf_by_fn) {
     QueryStats::UdfFnStats& dst = into->udf_by_fn[fn];
     dst.calls += d.calls;
@@ -804,9 +804,12 @@ struct GroupRun {
 /// Folds one row into a UDA under SQL Server's hosting contract: the state
 /// crosses the CLR boundary (deserialize + serialize) on every row
 /// (Sec. 4.2), and the cost model charges it. The arguments evaluate once
-/// per row; a group's first row hands the same values to Init.
+/// per row; a group's first row hands the same values to Init. Like
+/// Invoke, each call is a cancellation point: a block of UDA rows stays
+/// killable between its calls.
 Status AccumulateUda(const ScanEnv& env, const SelectItem& item,
                      EvalContext& ctx, AggState* st) {
+  SQLARRAY_RETURN_IF_ERROR(GovCheck(env.limits));
   std::vector<Value> args;
   args.reserve(item.uda_args.size());
   for (const ExprPtr& a : item.uda_args) {
@@ -841,7 +844,7 @@ Status AccumulateUda(const ScanEnv& env, const SelectItem& item,
 }
 
 /// The chunk bodies' shared front half: reads a morsel's rows block by block
-/// (up to env.batch_rows at a time), charges each row's scan cost, and
+/// (up to env.batch_rows at a time), charges the block's scan cost, and
 /// filters the block into `sel` (the compiled WHERE program when there is
 /// one, RowPasses per row otherwise). A table block is gathered out of the
 /// leaf cursor into `batch`; a TVF block is a window of its materialized
@@ -895,9 +898,7 @@ class BatchFeed {
     }
     if (size_ == 0) return false;
     stats_->rows_scanned += size_;
-    for (int32_t i = 0; i < size_; ++i) {
-      stats_->ChargeCpuNs(env_.cost->row_scan_ns);
-    }
+    stats_->ChargeCpuNs(env_.cost->row_scan_ns * size_);
     const VecQueryPlan* vplan = env_.vplan;
     if (vplan != nullptr) {
       VecBatchesCounter().Add(1);
@@ -1024,20 +1025,12 @@ Status FindGroups(const ScanEnv& env, BatchFeed& feed, GroupMap* groups,
 /// Aggregate body: one fold at every block width. Each block first finds
 /// every kept row's group, then takes each item in order: a plain item
 /// evaluates on the row that created its group; an aggregate folds its
-/// rows into their groups in row order, a run at a time. At one row per
-/// block (UDA plans, the batch-1 oracle) that is the row loop's order: the
-/// key, then each item's charge, Eval and fold. A wider block charges an
-/// argument's steps after its column, as lane programs charge their calls.
+/// rows into their groups in row order, a run at a time, and a folded
+/// argument charges its block of steps once.
 Status AggregateBatch(const ScanEnv& env, BatchFeed& feed, Partial* out) {
   const Query& q = *env.q;
   QueryStats& stats = out->stats;
   SQLARRAY_RETURN_IF_ERROR(feed.Reserve());
-  auto charge_steps = [&](size_t n) {
-    stats.agg_steps += static_cast<int64_t>(n);
-    for (size_t k = 0; k < n; ++k) {
-      stats.ChargeCpuNs(env.cost->native_agg_step_ns);
-    }
-  };
   std::vector<std::string> keys;
   std::vector<Value> col;
   std::vector<GroupRun> runs;
@@ -1052,13 +1045,18 @@ Status AggregateBatch(const ScanEnv& env, BatchFeed& feed, Partial* out) {
       const SelectItem& item = q.items[i];
       const vec::VecProgram* prog = feed.Program(i);
       if (FoldsArgument(item)) {
-        // One row per block charges the step before its Eval.
-        const size_t first = env.batch_rows == 1 ? sel.size() : 0;
-        charge_steps(first);
         SQLARRAY_RETURN_IF_ERROR(
             prog != nullptr ? feed.Run(*prog)
                             : feed.EvalColumn(*item.expr, nullptr, &col));
-        charge_steps(sel.size() - first);
+        const int64_t steps = static_cast<int64_t>(sel.size());
+        stats.agg_steps += steps;
+        stats.ChargeCpuNs(env.cost->native_agg_step_ns *
+                          static_cast<double>(steps));
+      } else if (item.agg == SelectItem::AggKind::kUda &&
+                 env.vplan != nullptr) {
+        // A UDA's arguments run through Eval on every selected row.
+        VecFallbackRowsCounter().Add(
+            static_cast<int64_t>(sel.size() * item.uda_args.size()));
       }
       for (const GroupRun& run : runs) {
         AggState& st = run.group->aggs[i];
@@ -1297,11 +1295,10 @@ Result<ResultSet> Executor::ExecuteInternal(
   env.subquery = eligible ? nullptr : subquery_fn_.load();
   env.limits = qctx != nullptr ? &qctx->limits : nullptr;
   env.aggregate = HasAggregates(q) || !q.group_by.empty();
-  // The plan picks the bodies' width: batch_rows_ rows per block, except
-  // that a plan with a UDA reads one row per block, so its boundary charges
-  // stay in row order. Lane programs compile for table plans wider than one
-  // row, so set_batch_rows(1) builds none: the oracle.
-  env.batch_rows = HasUda(q) ? 1 : std::max(1, batch_rows_);
+  // Every plan reads batch_rows_ rows per block. Lane programs compile for
+  // table plans wider than one row, so set_batch_rows(1) builds none: the
+  // oracle.
+  env.batch_rows = std::max(1, batch_rows_);
   // One compiled columnar plan per statement, shared read-only by every
   // morsel worker (each worker owns its register scratch). EXPLAIN ANALYZE
   // reports the operator modes of exactly this plan.

@@ -103,14 +103,12 @@ struct ResultSet {
 /// Executes bound queries against a Database.
 class Executor {
  public:
-  Executor(storage::Database* db, FunctionRegistry* registry,
-           CostModel cost = {})
-      : db_(db), registry_(registry), cost_(cost) {}
+  Executor(storage::Database* db, FunctionRegistry* registry)
+      : db_(db), registry_(registry) {}
 
   storage::Database* db() { return db_; }
   FunctionRegistry* registry() { return registry_; }
   const CostModel& cost_model() const { return cost_; }
-  CostModel* mutable_cost_model() { return &cost_; }
 
   /// Installs the session's subquery runner so reader-style UDFs can pull
   /// rows, for exactly the lifetime of the returned scope. Only one runner
@@ -142,12 +140,12 @@ class Executor {
   WorkerPool* worker_pool() { return worker_pool_.get(); }
 
   /// Rows per block. Every query runs the same two chunk bodies (aggregate
-  /// and projection) `rows` at a time, except that a plan with a UDA reads
-  /// one row per block. A table plan's WHERE, GROUP BY keys and items
-  /// compile to columnar programs (engine/vec_expr.h) where they can; any
-  /// other expression runs through Eval once per selected row. Values <= 1
-  /// build no program, the oracle that tests/test_engine.cc and
-  /// tests/test_vec.cc compare every batch size and worker count against.
+  /// and projection) `rows` at a time. A table plan's WHERE, GROUP BY keys
+  /// and items compile to columnar programs (engine/vec_expr.h) where they
+  /// can; any other expression, and every UDA argument, runs through Eval
+  /// once per selected row. Values <= 1 read one row per block and build no
+  /// program: the oracle that the differential suites compare every batch
+  /// size and worker count against, results and modeled CPU alike.
   void set_batch_rows(int rows) { batch_rows_ = rows; }
   int batch_rows() const { return batch_rows_; }
 
@@ -217,7 +215,7 @@ class Executor {
 
   storage::Database* db_;
   FunctionRegistry* registry_;
-  CostModel cost_;
+  const CostModel cost_;
   /// Atomic because concurrent sessions sharing one executor install their
   /// runners at construction while other sessions' queries read the pointer
   /// (last install wins; scopes keep the functions alive).

@@ -104,14 +104,14 @@ Result<Value> FunctionRegistry::Invoke(const ScalarFunction& fn,
   if (ctx.limits != nullptr) {
     SQLARRAY_RETURN_IF_ERROR(ctx.limits->Check());
   }
+  Result<Value> out = fn.fn(args, ctx);
   CallCharges charges(fn, ctx);
   if (charges.active()) {
     int64_t arg_bytes = 0;
     for (const Value& v : args) arg_bytes += v.ByteSize();
-    charges.In(arg_bytes);
+    // A failing call still crossed in with its arguments.
+    charges.Charge(1, arg_bytes, out.ok() ? out->ByteSize() : 0);
   }
-  SQLARRAY_ASSIGN_OR_RETURN(Value out, fn.fn(args, ctx));
-  if (charges.active()) charges.Out(out.ByteSize());
   return out;
 }
 

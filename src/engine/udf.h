@@ -101,9 +101,10 @@ struct ScalarFunction {
   ColumnKernel kernel;
 };
 
-/// The CLR boundary charges of one hosted call. Invoke and the call lanes
-/// (engine/vec_expr.h) both charge through it, so they add the same doubles
-/// in the same order. Inactive (charges nothing) for a native function or
+/// The CLR boundary charges of hosted calls to one function. Invoke charges
+/// each call after its body; a call lane (engine/vec_expr.h) charges a
+/// block's calls at once. The ledger (QueryStats::cpu_ns) is exact, so both
+/// add the same total. Inactive (charges nothing) for a native function or
 /// without stats and a cost model.
 class CallCharges {
  public:
@@ -119,30 +120,21 @@ class CallCharges {
     }
   }
   bool active() const { return stats_ != nullptr; }
-  /// Before the body: the flat call cost, per-byte argument marshaling and
-  /// the declared managed work.
-  void In(int64_t arg_bytes) {
-    stats_->udf_calls++;
-    stats_->udf_bytes_marshaled += arg_bytes;
+  /// `calls` calls: each one's flat cost and declared managed work, plus
+  /// the per-byte marshaling of `in_bytes` argument bytes in and
+  /// `out_bytes` result bytes back.
+  void Charge(int64_t calls, int64_t in_bytes, int64_t out_bytes) {
+    const int64_t bytes = in_bytes + out_bytes;
+    stats_->udf_calls += calls;
+    stats_->udf_bytes_marshaled += bytes;
     const double charge_ns =
-        cost_->clr_call_ns +
-        cost_->clr_byte_ns * static_cast<double>(arg_bytes) +
-        fn_->managed_work_ns;
+        static_cast<double>(calls) *
+            (cost_->clr_call_ns + fn_->managed_work_ns) +
+        cost_->clr_byte_ns * static_cast<double>(bytes);
     stats_->ChargeCpuNs(charge_ns);
     if (detail_ != nullptr) {
-      detail_->calls++;
-      detail_->bytes += arg_bytes;
-      detail_->cpu_ns += charge_ns;
-    }
-  }
-  /// After the body: the result's marshaling back.
-  void Out(int64_t out_bytes) {
-    stats_->udf_bytes_marshaled += out_bytes;
-    const double charge_ns =
-        cost_->clr_byte_ns * static_cast<double>(out_bytes);
-    stats_->ChargeCpuNs(charge_ns);
-    if (detail_ != nullptr) {
-      detail_->bytes += out_bytes;
+      detail_->calls += calls;
+      detail_->bytes += bytes;
       detail_->cpu_ns += charge_ns;
     }
   }

@@ -43,7 +43,6 @@ bool VecProgram::Compile(const Expr& expr, const storage::Schema& schema,
   out->instrs_.clear();
   out->lanes_.clear();
   out->args_.clear();
-  out->calls_.clear();
   out->row_size_ = schema.row_size();
   return out->CompileNode(expr, schema, variables) >= 0;
 }
@@ -267,9 +266,7 @@ int32_t VecProgram::CompileCall(const Expr& e, const storage::Schema& schema,
   in.arg_begin = static_cast<int32_t>(args_.size());
   args_.insert(args_.end(), slots.begin(), slots.begin() + e.args.size());
   in.arg_end = static_cast<int32_t>(args_.size());
-  const int32_t r = Emit(in, Lane::kF64);  // kernels write FLOAT lanes
-  calls_.push_back(r);
-  return r;
+  return Emit(in, Lane::kF64);  // kernels write FLOAT lanes
 }
 
 Status VecProgram::RunCall(const Instr& in, const uint8_t* base,
@@ -294,34 +291,23 @@ Status VecProgram::RunCall(const Instr& in, const uint8_t* base,
   SQLARRAY_RETURN_IF_ERROR(
       in.fn->kernel(std::span<const CallArg>(args.data(), nargs), n, out));
   out->SetAllValid();
-  return Status::OK();
-}
-
-void VecProgram::ChargeCalls(const uint8_t* base, const int32_t* sel,
-                             int32_t n, const UdfContext& udf) const {
-  if (n == 0) return;
-  std::vector<CallCharges> charges;
-  charges.reserve(calls_.size());
-  for (int32_t c : calls_) charges.emplace_back(*instrs_[c].fn, udf);
-  for (int32_t k = 0; k < n; ++k) {
-    const uint8_t* row =
-        base + static_cast<int64_t>(sel != nullptr ? sel[k] : k) * row_size_;
-    for (size_t c = 0; c < calls_.size(); ++c) {
-      if (!charges[c].active()) continue;
-      const Instr& in = instrs_[calls_[c]];
-      int64_t arg_bytes = 0;
-      for (int32_t j = in.arg_begin; j < in.arg_end; ++j) {
-        const CallSlot& slot = args_[j];
-        arg_bytes += slot.reg >= 0
-                         ? 8
-                         : static_cast<int64_t>(
-                               storage::BinaryColumnBytes(row + slot.offset)
-                                   .size());
+  // The block's n calls in one charge: what Invoke charges call by call.
+  CallCharges charges(*in.fn, udf);
+  if (charges.active() && n > 0) {
+    int64_t in_bytes = 0;
+    for (int32_t j = 0; j < nargs; ++j) {
+      if (args[j].lane != nullptr) {
+        in_bytes += int64_t{8} * n;
+        continue;
       }
-      charges[c].In(arg_bytes);
-      charges[c].Out(8);  // a lane result: one non-NULL number
+      for (int32_t k = 0; k < n; ++k) {
+        in_bytes += static_cast<int64_t>(args[j].Bytes(k).size());
+      }
     }
+    // Each result is one non-NULL number.
+    charges.Charge(n, in_bytes, int64_t{8} * n);
   }
+  return Status::OK();
 }
 
 Status VecProgram::Run(const RowBatch& batch, const std::vector<int32_t>* sel,
@@ -490,7 +476,6 @@ Status VecProgram::Run(const RowBatch& batch, const std::vector<int32_t>* sel,
         break;
     }
   }
-  if (!calls_.empty()) ChargeCalls(base, selp, n, udf);
   return Status::OK();
 }
 

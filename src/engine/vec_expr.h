@@ -25,11 +25,11 @@
 // fail in Eval's left-to-right order: a corrupt length before a failing
 // index expression after it. A call without a kernel, with a NULL-able
 // argument, a VARBINARY(MAX) blob, a bytes or string argument, or a bytes
-// or string result runs through Eval. The instruction charges exactly what
-// FunctionRegistry::Invoke charges per call (CallCharges, summed row-major
-// across the program's calls in the order Eval makes them, arguments
-// first), so modeled costs do not move; it probes cancellation once per
-// block where Invoke probes once per call.
+// or string result runs through Eval. The instruction charges its block's
+// calls in one CallCharges::Charge: the calls, bytes and nanoseconds that
+// FunctionRegistry::Invoke charges call by call, and the ledger is exact
+// in any order, so modeled costs do not move. It probes cancellation once
+// per block where Invoke probes once per call.
 //
 // Semantics contract: Run produces, for every selected row, exactly the
 // Value the row-at-a-time evaluator produces (see the numeric contracts in
@@ -127,18 +127,14 @@ class VecProgram {
                       const std::map<std::string, Value>* variables);
   int32_t CompileCall(const Expr& e, const storage::Schema& schema,
                       const std::map<std::string, Value>* variables);
-  /// Runs one kCall's kernel into `out`.
+  /// Runs one kCall's kernel into `out` and charges its n calls.
   Status RunCall(const Instr& in, const uint8_t* base, const int32_t* sel,
                  int32_t n, std::vector<col::ColumnVec>* regs,
                  col::ColumnVec* out, const UdfContext& udf) const;
-  /// Charges every call of a successful run, row-major.
-  void ChargeCalls(const uint8_t* base, const int32_t* sel, int32_t n,
-                   const UdfContext& udf) const;
 
   std::vector<Instr> instrs_;
   std::vector<col::Lane> lanes_;  ///< output lane per register
   std::vector<CallSlot> args_;    ///< kCall arguments
-  std::vector<int32_t> calls_;    ///< kCall instructions, in Eval's order
   int64_t row_size_ = 0;
 };
 

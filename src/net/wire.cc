@@ -274,6 +274,7 @@ Status ReadStatsTrailer(PayloadReader* r, engine::QueryStats* stats) {
   SQLARRAY_ASSIGN_OR_RETURN(stats->agg_steps, r->GetI64());
   SQLARRAY_ASSIGN_OR_RETURN(stats->udf_calls, r->GetI64());
   SQLARRAY_ASSIGN_OR_RETURN(stats->udf_bytes_marshaled, r->GetI64());
+  // Modeled CPU arrives in seconds only; the ledger (cpu_ns) stays 0.
   SQLARRAY_ASSIGN_OR_RETURN(stats->cpu_core_seconds, r->GetF64());
   SQLARRAY_ASSIGN_OR_RETURN(stats->wall_seconds, r->GetF64());
   return Status::OK();

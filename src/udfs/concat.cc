@@ -180,7 +180,7 @@ Status RegisterAggregateUdfs(FunctionRegistry* registry) {
           if (ctx->stats != nullptr) {
             ctx->stats->rows_scanned += sub.stats.rows_scanned;
             ctx->stats->udf_calls += sub.stats.udf_calls;
-            ctx->stats->cpu_core_seconds += sub.stats.cpu_core_seconds;
+            ctx->stats->ChargeCpuNs(sub.stats.cpu_ns);
           }
           for (const std::vector<Value>& row : sub.rows) {
             if (row.size() != 2) {
