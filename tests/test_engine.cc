@@ -236,6 +236,37 @@ TEST_F(EngineTest, ModeledMetricsFollowTheCostModel) {
   EXPECT_DOUBLE_EQ(stats.ModeledCpuPct(cost), 10.0);
 }
 
+TEST(QueryStatsTest, LedgerIsTheSameInAnyChargeOrder) {
+  // One Q4-shaped statement, SUM(FloatArray.Item_1(v, 0)) over 3,000 rows:
+  // per row a scan, a hosted call in with 72 argument bytes and back with
+  // 8 result bytes, and an aggregate step. Charged row by row, kind by kind
+  // and block by block, the ledger reads the same bits.
+  const CostModel cost;
+  constexpr int kRows = 3000;
+  const double charges[] = {
+      cost.row_scan_ns,
+      cost.clr_call_ns + cost.clr_byte_ns * 72 + cost.clr_item_work_ns,
+      cost.clr_byte_ns * 8, cost.native_agg_step_ns};
+  QueryStats row_major;
+  for (int r = 0; r < kRows; ++r) {
+    for (double ns : charges) row_major.ChargeCpuNs(ns);
+  }
+  QueryStats item_major;
+  for (double ns : charges) {
+    for (int r = 0; r < kRows; ++r) item_major.ChargeCpuNs(ns);
+  }
+  QueryStats blocks;
+  for (int first = 0; first < kRows; first += 1024) {
+    const int n = std::min(1024, kRows - first);
+    for (double ns : charges) blocks.ChargeCpuNs(ns * n);
+  }
+  EXPECT_EQ(row_major.cpu_core_seconds, item_major.cpu_core_seconds);
+  EXPECT_EQ(row_major.cpu_core_seconds, blocks.cpu_core_seconds);
+  QueryStats whole;
+  whole.ChargeCpuNs(2900.0 * kRows);
+  EXPECT_EQ(row_major.cpu_core_seconds, whole.cpu_core_seconds);
+}
+
 TEST_F(EngineTest, ParallelAggregateMatchesSerial) {
   storage::Table* t = MakeScalarTable("tp", 20000);
   auto make_query = [&]() {
@@ -273,8 +304,7 @@ TEST_F(EngineTest, ParallelAggregateMatchesSerial) {
         << "column " << c;
   }
   EXPECT_EQ(parallel.stats.rows_scanned, serial.stats.rows_scanned);
-  EXPECT_NEAR(parallel.stats.cpu_core_seconds, serial.stats.cpu_core_seconds,
-              serial.stats.cpu_core_seconds * 0.01);
+  EXPECT_EQ(parallel.stats.cpu_core_seconds, serial.stats.cpu_core_seconds);
 }
 
 TEST_F(EngineTest, ParallelAggregateWithUdfExpression) {
@@ -345,7 +375,7 @@ TEST_F(EngineTest, ParallelFallsBackForGroupByAndUda) {
 // ---------------------------------------------------------------------------
 // Batched execution differential tests: batch sizes <= 1 feed the chunk
 // bodies one row at a time with no lanes, where Eval is the oracle; results
-// (and exact cpu_core_seconds accounting) must be identical at any batch
+// and the exact cpu_core_seconds ledger must be identical at any batch
 // size, whether an expression runs as a lane program or through Eval per
 // batch row.
 // DESIGN.md §8 documents the contract.
@@ -389,8 +419,7 @@ TEST_F(EngineTest, BatchedAggregateMatchesRowAtATime) {
           << "batch_rows=" << batch_rows << " column " << c;
     }
     EXPECT_EQ(batched.stats.rows_scanned, row.stats.rows_scanned);
-    // The cost charges run per row in both modes; the accounting must agree
-    // bit-for-bit, not just approximately.
+    // The accounting must agree bit for bit, not just approximately.
     EXPECT_EQ(batched.stats.cpu_core_seconds, row.stats.cpu_core_seconds)
         << "batch_rows=" << batch_rows;
   }
@@ -444,11 +473,9 @@ TEST_F(EngineTest, BatchedAggregateWithUdfMatchesRowAtATime) {
     EXPECT_EQ(row.ScalarResult().value().AsDouble().value(),
               batched.ScalarResult().value().AsDouble().value());
     EXPECT_EQ(batched.stats.udf_calls, row.stats.udf_calls);
-    // UDF boundary charges interleave differently with the scan/step charges
-    // in batch mode (per-column instead of per-row), so the double-summed
-    // cost total may reassociate — but only by ulps, never by a real amount.
-    EXPECT_NEAR(batched.stats.cpu_core_seconds, row.stats.cpu_core_seconds,
-                1e-12 * row.stats.cpu_core_seconds);
+    // A wide block charges its scan, calls and steps once each; the ledger
+    // is exact, so the total is the one-row feed's bit for bit.
+    EXPECT_EQ(batched.stats.cpu_core_seconds, row.stats.cpu_core_seconds);
   }
   // Batched parallel workers agree too (merge order is worker-ordered in
   // both modes).

@@ -298,12 +298,36 @@ void RegisterSlowUdf(engine::FunctionRegistry* registry) {
   ASSERT_TRUE(registry->RegisterScalar(std::move(slow)).ok());
 }
 
+/// Test.SlowAgg(x): an aggregate that sleeps ~1ms per row and returns
+/// NULL, the aggregate counterpart of Test.Slow.
+class SlowUda : public engine::Uda {
+ public:
+  Result<std::vector<uint8_t>> Init(std::span<const Value>,
+                                    engine::UdfContext&) override {
+    return std::vector<uint8_t>{};
+  }
+  Result<std::vector<uint8_t>> Accumulate(std::span<const uint8_t> state,
+                                          std::span<const Value>,
+                                          engine::UdfContext&) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return std::vector<uint8_t>(state.begin(), state.end());
+  }
+  Result<Value> Terminate(std::span<const uint8_t>,
+                          engine::UdfContext&) override {
+    return Value::Null();
+  }
+};
+
 class GovSessionTest : public ::testing::Test {
  protected:
   GovSessionTest()
       : wal_(&db_), mvcc_(&db_, &wal_), executor_(&db_, &registry_) {
     EXPECT_TRUE(udfs::RegisterAllUdfs(&registry_).ok());
     RegisterSlowUdf(&registry_);
+    EXPECT_TRUE(registry_
+                    .RegisterUda("Test", "SlowAgg",
+                                 [] { return std::make_unique<SlowUda>(); })
+                    .ok());
   }
 
   std::vector<engine::ResultSet> Run(sql::Session* s,
@@ -369,6 +393,36 @@ TEST_F(GovSessionTest, StatementTimeoutKillsAndRollsBack) {
   EXPECT_EQ(Count(&session, "t"), 300);
   EXPECT_TRUE(storage::VerifyDatabase(&db_).issues.empty());
   EXPECT_FALSE(session.in_transaction());
+}
+
+TEST_F(GovSessionTest, StatementTimeoutKillsAWideUdaBlock) {
+  sql::Session session(&executor_);
+  Run(&session, "CREATE TABLE t (id BIGINT, v BIGINT)");
+  std::string values;
+  for (int i = 0; i < 300; ++i) {
+    if (i > 0) values += ", ";
+    values += "(" + std::to_string(i) + ", 1)";
+  }
+  Run(&session, "INSERT INTO t VALUES " + values);
+
+  // All 300 rows fit one block, and ~1ms per row makes it take >= 300ms.
+  // Each UDA call probes the deadline, as each hosted call does, so the
+  // 25ms deadline kills the statement inside the block.
+  ASSERT_GE(executor_.batch_rows(), 300);
+  Run(&session, "SET STATEMENT_TIMEOUT_MS = 25");
+  auto start = std::chrono::steady_clock::now();
+  auto killed = session.Execute("SELECT Test.SlowAgg(v) FROM t");
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(killed.ok());
+  EXPECT_EQ(killed.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+                .count(),
+            290);
+
+  Run(&session, "SET STATEMENT_TIMEOUT_MS = 0");
+  auto done = Run(&session, "SELECT Test.SlowAgg(v) FROM t WHERE id < 3");
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_TRUE(done[0].rows.at(0).at(0).is_null());
 }
 
 TEST_F(GovSessionTest, PreCancelledStatementHasZeroSideEffects) {

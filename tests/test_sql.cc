@@ -667,24 +667,20 @@ class ScanShapeTest : public SessionTest {
     return o;
   }
 
-  /// Runs `sqltext` at batch {1, 1024} x workers {1, 8} against the
+  /// Runs `sqltext` at batch {1, 3, 1024} x workers {1, 2, 8} against the
   /// batch-1 / 1-worker reference and returns that reference. Modeled CPU
-  /// must match exactly unless `cpu_rel_tol` allows for a wide block summing
-  /// UDF boundary charges in a different order than one row per block
-  /// (ulps, never a real amount).
-  Outcome ExpectConfigsMatch(const std::string& sqltext,
-                             double cpu_rel_tol = 0) {
+  /// is an exact ledger, so it matches bit for bit.
+  Outcome ExpectConfigsMatch(const std::string& sqltext) {
     const Outcome base = RunAt(sqltext, 1, 1);
     EXPECT_FALSE(base.fingerprint.empty()) << sqltext;
-    for (int batch : {1, 1024}) {
-      for (int workers : {1, 8}) {
+    for (int batch : {1, 3, 1024}) {
+      for (int workers : {1, 2, 8}) {
         const Outcome got = RunAt(sqltext, batch, workers);
         EXPECT_EQ(got.fingerprint, base.fingerprint)
             << sqltext << " batch=" << batch << " workers=" << workers;
         EXPECT_EQ(got.rows_scanned, base.rows_scanned)
             << sqltext << " batch=" << batch << " workers=" << workers;
-        EXPECT_NEAR(got.cpu_core_seconds, base.cpu_core_seconds,
-                    cpu_rel_tol * base.cpu_core_seconds)
+        EXPECT_EQ(got.cpu_core_seconds, base.cpu_core_seconds)
             << sqltext << " batch=" << batch << " workers=" << workers;
       }
     }
@@ -720,8 +716,7 @@ TEST_F(ScanShapeTest, ReaderUdfPerRowAggregateAndProjection) {
 
   const Outcome agg = ExpectConfigsMatch(
       "SELECT SUM(FloatArrayMax.Item_1(" + concat + ", 1)), COUNT(*) "
-      "FROM outer3",
-      1e-12);
+      "FROM outer3");
   auto check = Run("SELECT SUM(FloatArrayMax.Item_1(" + concat +
                    ", 1)), COUNT(*) FROM outer3");
   ASSERT_EQ(check[0].rows.size(), 1u);
@@ -731,8 +726,7 @@ TEST_F(ScanShapeTest, ReaderUdfPerRowAggregateAndProjection) {
   EXPECT_EQ(agg.rows_scanned, 3 + 3 * 6000);
 
   ExpectConfigsMatch("SELECT id, FloatArrayMax.Item_1(" + concat +
-                         ", id) FROM outer3 WHERE id >= 1",
-                     1e-12);
+                     ", id) FROM outer3 WHERE id >= 1");
 }
 
 TEST_F(ScanShapeTest, ConcatUdaUngroupedGroupedAndEmpty) {
@@ -781,19 +775,18 @@ TEST_F(ScanShapeTest, NonLaneExpressionsInBatchedBodies) {
   Run("CREATE TABLE marr (id BIGINT, m VARBINARY(MAX))");
   Run("INSERT INTO marr SELECT id, FloatArrayMax.Vector_2(v, ix) "
       "FROM lane_src WHERE id < 1300");
-  constexpr double kUdfTol = 1e-12;
 
   // A WHERE that is only a call keeps the rows with id % 7 == 6.
   const std::string only_call =
       "SELECT id, x FROM arr WHERE FloatArray.Item_1(v, 0) > 2.5";
-  ExpectConfigsMatch(only_call, kUdfTol);
+  ExpectConfigsMatch(only_call);
   EXPECT_EQ(Run(only_call)[0].rows.size(), 5000u / 7);
 
   // A mixed WHERE: a lane comparison ANDed with a call.
   const std::string mixed =
       "SELECT id, FloatArray.Item_1(v, 0) FROM arr "
       "WHERE id >= 10 AND FloatArray.Item_1(v, 1) < 40";
-  ExpectConfigsMatch(mixed, kUdfTol);
+  ExpectConfigsMatch(mixed);
   EXPECT_EQ(Run(mixed)[0].rows.size(), 30u);
 
   // An ungrouped aggregate whose plain item is a call takes it from the
@@ -801,7 +794,7 @@ TEST_F(ScanShapeTest, NonLaneExpressionsInBatchedBodies) {
   const std::string agg =
       "SELECT FloatArray.Item_1(v, 1), SUM(FloatArray.Item_1(v, 0)), "
       "COUNT(*) FROM arr WHERE id >= 2000";
-  ExpectConfigsMatch(agg, kUdfTol);
+  ExpectConfigsMatch(agg);
   auto agg_rs = Run(agg);
   ASSERT_EQ(agg_rs[0].rows.size(), 1u);
   EXPECT_EQ(agg_rs[0].rows[0][0].AsDouble().value(), 2000.0);
@@ -810,25 +803,22 @@ TEST_F(ScanShapeTest, NonLaneExpressionsInBatchedBodies) {
   // Projections of the binary column, of a call returning bytes, and of a
   // VARBINARY(MAX) column.
   ExpectConfigsMatch(
-      "SELECT v, FloatArray.Scale(v, 2), x FROM arr WHERE id % 3 = 0",
-      kUdfTol);
+      "SELECT v, FloatArray.Scale(v, 2), x FROM arr WHERE id % 3 = 0");
   ExpectConfigsMatch("SELECT id, m FROM marr WHERE id % 2 = 1");
-  ExpectConfigsMatch("SELECT m, FloatArrayMax.Item_1(m, 1) FROM marr",
-                     kUdfTol);
+  ExpectConfigsMatch("SELECT m, FloatArrayMax.Item_1(m, 1) FROM marr");
 
   // A call filter that keeps no rows in the middle batches, feeding a
   // projection and an aggregate.
   const std::string gaps =
       " FROM arr WHERE FloatArray.Item_1(v, 1) < 100 OR id >= 4900";
-  ExpectConfigsMatch("SELECT id, FloatArray.Item_1(v, 0)" + gaps, kUdfTol);
+  ExpectConfigsMatch("SELECT id, FloatArray.Item_1(v, 0)" + gaps);
   auto gap_rs = Run("SELECT SUM(x), COUNT(*), MAX(FloatArray.Item_1(v, 1))" +
                     gaps);
   ASSERT_EQ(gap_rs[0].rows.size(), 1u);
   EXPECT_EQ(gap_rs[0].rows[0][1].AsInt().value(), 200);
   EXPECT_EQ(gap_rs[0].rows[0][2].AsDouble().value(), 4999.0);
   ExpectConfigsMatch(
-      "SELECT SUM(x), COUNT(*), MAX(FloatArray.Item_1(v, 1))" + gaps,
-      kUdfTol);
+      "SELECT SUM(x), COUNT(*), MAX(FloatArray.Item_1(v, 1))" + gaps);
 }
 
 // ---------------------------------------------------------------------------
@@ -850,11 +840,10 @@ std::string WithKey(const std::string& pred, const std::string& key) {
   return out;
 }
 
-/// GROUP BY, TOP and TVF plans read batch_rows rows per block. Each shape
-/// runs at batch {1, 3, 1024} x workers {1, 2, 8} against batch 1 at one
-/// worker: results bit for bit, every count equal, modeled CPU equal up to
-/// the order hosted-call charges sum in, and a failure with the same code
-/// and message.
+/// GROUP BY, TOP, TVF and UDA plans read batch_rows rows per block. Each
+/// shape runs at batch {1, 3, 1024} x workers {1, 2, 8} against batch 1 at
+/// one worker: results bit for bit, every count and the modeled CPU equal,
+/// and a failure with the same code and message.
 class WidePlanTest : public ScanShapeTest {
  protected:
   static constexpr int kRows = 2400;
@@ -934,11 +923,7 @@ class WidePlanTest : public ScanShapeTest {
         EXPECT_EQ(a.udf_bytes_marshaled, b.udf_bytes_marshaled);
         EXPECT_EQ(a.uda_state_bytes, b.uda_state_bytes);
         EXPECT_EQ(a.io.pages_read, b.io.pages_read);
-        EXPECT_NEAR(a.cpu_core_seconds, b.cpu_core_seconds,
-                    1e-12 * b.cpu_core_seconds);
-        if (b.udf_calls == 0) {
-          EXPECT_EQ(a.cpu_core_seconds, b.cpu_core_seconds);
-        }
+        EXPECT_EQ(a.cpu_core_seconds, b.cpu_core_seconds);
       }
     }
     return base;
@@ -1004,6 +989,35 @@ TEST_F(WidePlanTest, FailureOnOneRowIsTheSameAtEveryWidth) {
         std::string("SELECT TOP 2000 id, 10 / (id - 1234) FROM wk"),
         std::string("SELECT ix, 10 / (ix - 1234) "
                     "FROM FloatArrayMax.ToTable(@big)")}) {
+    const Snap base = ExpectWidthsMatch(sqltext);
+    EXPECT_FALSE(base.ok) << sqltext;
+  }
+}
+
+TEST_F(WidePlanTest, UdaPlansFoldWideBlocks) {
+  // A UDA folds each group's rows in row order at every width, next to a
+  // plain item and a SUM over a hosted call, under a compiled WHERE.
+  const std::string items =
+      "id, FloatArrayMax.Concat(@l, id, f), SUM(FloatArray.Item_1(s, 1))";
+  const Snap ungrouped =
+      ExpectWidthsMatch("SELECT " + items + " FROM wk WHERE id % 5 <> 2");
+  ASSERT_TRUE(ungrouped.ok) << ungrouped.payload;
+  const Snap grouped = ExpectWidthsMatch("SELECT i, " + items +
+                                         ", COUNT(*) FROM wk "
+                                         "WHERE id % 5 <> 2 GROUP BY i");
+  ASSERT_TRUE(grouped.ok) << grouped.payload;
+  // 1,920 kept rows: one Concat call and one Item_1 call each.
+  EXPECT_EQ(grouped.stats.rows_kept, 1920);
+  EXPECT_EQ(grouped.stats.udf_calls, 2 * 1920);
+  EXPECT_GT(grouped.stats.uda_state_bytes, 0);
+
+  // A UDA argument that fails on one row fails alike at every width.
+  for (const std::string& sqltext :
+       {std::string("SELECT FloatArrayMax.Concat(@l, id, 10 / (id - 1234)) "
+                    "FROM wk WHERE id % 5 <> 2"),
+        std::string("SELECT i, FloatArrayMax.Concat(@l, id, "
+                    "FloatArray.Item_1(s, (id % 1234) / 1233 * 5)), "
+                    "SUM(FloatArray.Item_1(s, 1)) FROM wk GROUP BY i")}) {
     const Snap base = ExpectWidthsMatch(sqltext);
     EXPECT_FALSE(base.ok) << sqltext;
   }

@@ -483,7 +483,24 @@ TEST_F(UdfTest, EmptyFunctionHasNoManagedWork) {
   EXPECT_EQ(stats.udf_calls, 1);
   // Boundary cost: flat call + 64 arg bytes + 8 int bytes + 8 result bytes.
   double expect_ns = cost.clr_call_ns + cost.clr_byte_ns * (64 + 8 + 8);
-  EXPECT_NEAR(stats.cpu_core_seconds, expect_ns * 1e-9, 1e-12);
+  EXPECT_EQ(stats.cpu_core_seconds, expect_ns * 1e-9);
+}
+
+TEST_F(UdfTest, EveryChargeIsAWholeOrHalfNanosecond) {
+  // The ledger (QueryStats::cpu_ns) is exact in any order only while every
+  // charge is a multiple of 0.5 ns.
+  auto half_ns = [](double ns) { return std::floor(ns * 2) == ns * 2; };
+  const engine::CostModel cost;
+  for (double ns : {cost.row_scan_ns, cost.native_agg_step_ns,
+                    cost.clr_call_ns, cost.clr_byte_ns, cost.clr_item_work_ns,
+                    cost.tvf_row_ns, cost.uda_state_byte_ns}) {
+    EXPECT_TRUE(half_ns(ns)) << ns;
+  }
+  ASSERT_GT(registry_.scalar_count(), 0);
+  for (const ScalarFunction* fn : registry_.scalars()) {
+    EXPECT_TRUE(half_ns(fn->managed_work_ns))
+        << fn->schema << "." << fn->name << " " << fn->managed_work_ns;
+  }
 }
 
 // ---------------------------------------------------------------------------

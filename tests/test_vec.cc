@@ -936,6 +936,22 @@ TEST_F(VecEngineTest, ProfileModesForMixedPlans) {
             (std::map<std::string, std::string>{{"group-by", "vectorized"},
                                                 {"filter", "vectorized"}}));
 
+  // A UDA plan reads wide blocks too: its WHERE is a lane program, while
+  // the UDA takes each kept row's arguments from Eval.
+  Query uda;
+  uda.table = t;
+  SelectItem avg;
+  avg.agg = SelectItem::AggKind::kUda;
+  avg.uda_schema = "FloatArrayMax";
+  avg.uda_name = "AvgVector";
+  avg.uda_args.push_back(Col("v"));
+  avg.label = "avg";
+  uda.items.push_back(std::move(avg));
+  uda.where = id_gt_5();
+  EXPECT_EQ(modes(std::move(uda)),
+            (std::map<std::string, std::string>{{"aggregate", "row"},
+                                                {"filter", "vectorized"}}));
+
   // A plain projection filters in the columnar pipeline.
   Query project;
   project.table = t;
@@ -1331,8 +1347,7 @@ class CallLaneTest : public VecEngineTest {
   /// executor at the same batch size and worker count — every QueryStats
   /// field and udf row bit for bit, as the engine produced before calls had
   /// lanes — and (b) the one-row oracle: results bitwise, counts exact and
-  /// modeled CPU equal up to the summation order, which differs between
-  /// widths and worker counts.
+  /// modeled CPU equal, since the ledger is exact in any charge order.
   void ExpectCallLanesMatch(const std::function<Query()>& make,
                             std::map<std::string, Value>* vars) {
     Query lane_q = make();
@@ -1365,8 +1380,7 @@ class CallLaneTest : public VecEngineTest {
 
         EXPECT_EQ(lane.payload, base.payload);
         ExpectSameCounts(lane.stats, base.stats);
-        EXPECT_NEAR(lane.stats.cpu_core_seconds, base.stats.cpu_core_seconds,
-                    1e-12 * base.stats.cpu_core_seconds);
+        EXPECT_EQ(lane.stats.cpu_core_seconds, base.stats.cpu_core_seconds);
       }
     }
   }
