@@ -94,10 +94,15 @@ StatementOutcome ArrayServer::Execute(int64_t id, std::string_view sql) {
   }
   Result<gov::AdmissionSlot> slot = admission_.Admit(entry->cancel.get());
   if (!slot.ok()) {
-    // Rejected (queue full) or killed while waiting. Nothing executed, so
-    // an open explicit transaction from an earlier batch stays open; a
-    // consumed kill is reset so the next attempt runs normally.
-    if (entry->cancel->cancelled()) entry->cancel->Reset();
+    // Rejected (queue full): nothing executed, so an open explicit
+    // transaction from an earlier batch stays open for the retry. Killed
+    // before or while waiting: the kill aborts this statement as one that
+    // strikes mid-flight does, rolling back the open transaction, and is
+    // consumed so the next attempt runs normally.
+    if (entry->cancel->cancelled()) {
+      entry->cancel->Reset();
+      (void)entry->session->ForceRollback();
+    }
     entry->busy.store(false, std::memory_order_release);
     return StatementOutcome::FromStatus(slot.status());
   }

@@ -672,6 +672,29 @@ TEST_F(ServerTest, KillQueryCancelsInFlightStatement) {
   EXPECT_TRUE(srv.CloseSession(id).ok());
 }
 
+TEST_F(ServerTest, KillBetweenStatementsRollsBackTheOpenTransaction) {
+  // A kill that lands while the session is idle aborts its next statement
+  // at admission, before anything runs. Like a kill that strikes
+  // mid-statement, it must not leave the explicit transaction open.
+  server::ArrayServer srv(&executor_, server::ServerConfig{});
+  int64_t id = srv.OpenSession();
+  ASSERT_TRUE(srv.Execute(id, "CREATE TABLE kb (id BIGINT, v BIGINT)").ok());
+  ASSERT_TRUE(
+      srv.Execute(id, "BEGIN TRANSACTION; INSERT INTO kb VALUES (1, 1)").ok());
+  ASSERT_TRUE(srv.session(id)->in_transaction());
+  EXPECT_TRUE(srv.KillQuery(id).ok());
+  auto killed = srv.Execute(id, "ROLLBACK");
+  EXPECT_EQ(killed.status.code(), StatusCode::kCancelled);
+  EXPECT_FALSE(srv.session(id)->in_transaction());
+
+  // The session starts clean: BEGIN works and the insert is gone.
+  ASSERT_TRUE(srv.Execute(id, "BEGIN TRANSACTION; COMMIT").ok());
+  auto rs = srv.Execute(id, "SELECT COUNT(id) FROM kb");
+  ASSERT_TRUE(rs.ok());
+  EXPECT_EQ(rs.result_sets.at(0).rows.at(0).at(0).AsInt().value(), 0);
+  EXPECT_TRUE(srv.CloseSession(id).ok());
+}
+
 TEST_F(ServerTest, SlowQueryWatchdogKillsRunaways) {
   // Load the table outside the watchdog server so a slow setup INSERT on a
   // busy machine can't trip the slow-query cap; only the runaway query runs
