@@ -166,8 +166,26 @@ LoadResult RunLoad(bool admission_enabled, int sessions, int ops_per_session,
       LoadResult& out = per_thread[s];
       int64_t id = ids[s];
       const bool runaway = s % 8 == 7;
+      // The session's previous outcome, reported next to an unexpected one.
+      std::string prev = "none";
+      auto execute = [&](const std::string& text) {
+        server::StatementOutcome r = srv.Execute(id, text);
+        prev = r.status.ToString() + " for \"" + text.substr(0, 40) + "\"";
+        return r;
+      };
+      // Rolls back the session's open transaction, if any (a ROLLBACK with
+      // none open fails harmlessly). Admission may reject the ROLLBACK
+      // itself; it then backs off and resubmits like any statement.
+      auto rollback = [&] {
+        for (int attempt = 0; attempt < 200; ++attempt) {
+          server::StatementOutcome r = execute("ROLLBACK");
+          if (r.status.code() != StatusCode::kResourceExhausted) return;
+          std::this_thread::sleep_for(std::chrono::milliseconds(
+              r.retry_after_ms << std::min(attempt, 4)));
+        }
+      };
       if (runaway) {
-        (void)srv.Execute(id, "SET STATEMENT_TIMEOUT_MS = 5");
+        (void)execute("SET STATEMENT_TIMEOUT_MS = 5");
       }
       for (int op = 0; op < ops_per_session; ++op) {
         std::string sql;
@@ -202,11 +220,15 @@ LoadResult RunLoad(bool admission_enabled, int sessions, int ops_per_session,
         // Closed loop with retry-after: a rejected statement backs off for
         // the controller's advertised delay and resubmits. Latency is
         // end-to-end (first submit to completion), so queueing and backoff
-        // both show up in the percentiles.
+        // both show up in the percentiles. A batch that begins a
+        // transaction is resubmitted only after a rollback, so a failed
+        // attempt never leaves the next one nested inside its transaction.
+        const bool begins_txn = sql.rfind("BEGIN", 0) == 0;
         auto q0 = std::chrono::steady_clock::now();
         for (int attempt = 0; attempt < 200; ++attempt) {
           auto a0 = std::chrono::steady_clock::now();
-          auto r = srv.Execute(id, sql);
+          const std::string before = prev;
+          auto r = execute(sql);
           if (r.ok()) {
             auto a1 = std::chrono::steady_clock::now();
             ++out.ok;
@@ -217,10 +239,10 @@ LoadResult RunLoad(bool admission_enabled, int sessions, int ops_per_session,
           StatusCode code = r.status.code();
           if (code == StatusCode::kWriteConflict) {
             // First-updater-wins loser: roll the open transaction back
-            // (best-effort — autocommitted losers already rolled back),
-            // honor the typed retry-after hint, and resubmit the batch.
+            // (autocommitted losers already rolled back), honor the typed
+            // retry-after hint, and resubmit the batch.
             ++out.write_conflicts;
-            (void)srv.Execute(id, "ROLLBACK");
+            rollback();
             std::this_thread::sleep_for(std::chrono::milliseconds(
                 std::max<int64_t>(r.retry_after_ms, 1)
                 << std::min(attempt, 4)));
@@ -231,6 +253,7 @@ LoadResult RunLoad(bool admission_enabled, int sessions, int ops_per_session,
             // Back off exponentially from the outcome's typed retry-after
             // hint so 200 rejected sessions don't resubmit in lockstep.
             ++out.rejected;
+            if (begins_txn) rollback();
             std::this_thread::sleep_for(std::chrono::milliseconds(
                 r.retry_after_ms << std::min(attempt, 4)));
             continue;
@@ -241,12 +264,12 @@ LoadResult RunLoad(bool admission_enabled, int sessions, int ops_per_session,
             ++out.cancelled;
           } else {
             ++out.other_errors;
-            std::fprintf(stderr, "unexpected: %s\n",
-                         r.status.ToString().c_str());
+            std::fprintf(stderr, "unexpected: %s (previous outcome: %s)\n",
+                         r.status.ToString().c_str(), before.c_str());
           }
-          // A kill mid-hot-batch can strand the explicit transaction;
-          // clear it so the session's next BEGIN succeeds.
-          if (sql.rfind("BEGIN", 0) == 0) (void)srv.Execute(id, "ROLLBACK");
+          // The server rolls back a killed batch's transaction; clear any
+          // other failure's so the session's next BEGIN succeeds.
+          if (begins_txn) rollback();
           break;  // kills are terminal for the op; move on
         }
       }

@@ -2,7 +2,8 @@
 // state on every row, which made it "prohibitive"; the paper replaced it
 // with a reader-style scalar UDF that takes a SQL query string. Both paths
 // are run over growing tables; the UDA's modeled per-row cost grows with the
-// array size while the reader's stays flat.
+// array size while the reader's stays flat. `--json` records each size's
+// UDA and reader case: wall_s, rows/s, and wall_ms and modeled_cpu_s.
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
 
@@ -75,6 +76,13 @@ void Run() {
                 static_cast<long long>(n), uda_wall * 1e3,
                 uda_stats.cpu_core_seconds, reader_wall * 1e3, reader_cpu,
                 ratio);
+    auto record = [&](const char* path, double wall, double cpu) {
+      RecordJson("uda_vs_reader", std::string(path) + "_" + std::to_string(n),
+                 wall, wall > 0 ? static_cast<double>(n) / wall : 0,
+                 {{"wall_ms", wall * 1e3}, {"modeled_cpu_s", cpu}});
+    };
+    record("uda", uda_wall, uda_stats.cpu_core_seconds);
+    record("reader", reader_wall, reader_cpu);
   }
   std::printf(
       "\nexpected shape: the UDA's modeled CPU grows ~quadratically (state "
