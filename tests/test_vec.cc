@@ -937,20 +937,33 @@ TEST_F(VecEngineTest, ProfileModesForMixedPlans) {
                                                 {"filter", "vectorized"}}));
 
   // A UDA plan reads wide blocks too: its WHERE is a lane program, while
-  // the UDA takes each kept row's arguments from Eval.
-  Query uda;
-  uda.table = t;
-  SelectItem avg;
-  avg.agg = SelectItem::AggKind::kUda;
-  avg.uda_schema = "FloatArrayMax";
-  avg.uda_name = "AvgVector";
-  avg.uda_args.push_back(Col("v"));
-  avg.label = "avg";
-  uda.items.push_back(std::move(avg));
-  uda.where = id_gt_5();
-  EXPECT_EQ(modes(std::move(uda)),
+  // the UDA takes each kept row's argument from Eval, a fallback row.
+  auto uda = [&] {
+    Query q;
+    q.table = t;
+    SelectItem avg;
+    avg.agg = SelectItem::AggKind::kUda;
+    avg.uda_schema = "FloatArrayMax";
+    avg.uda_name = "AvgVector";
+    avg.uda_args.push_back(Col("v"));
+    avg.label = "avg";
+    q.items.push_back(std::move(avg));
+    q.where = id_gt_5();
+    return q;
+  };
+  EXPECT_EQ(modes(uda()),
             (std::map<std::string, std::string>{{"aggregate", "row"},
                                                 {"filter", "vectorized"}}));
+  Query uda_q = uda();
+  ASSERT_TRUE(executor_.Bind(&uda_q).ok());
+  QueryContext uda_ctx;
+  uda_ctx.collect_profile = true;
+  ASSERT_TRUE(executor_.Execute(uda_q, nullptr, &uda_ctx).ok());
+  std::string vec_detail;
+  for (const obs::ProfileNode& c : uda_ctx.profile.root().children) {
+    if (c.op == "vec") vec_detail = c.detail;
+  }
+  EXPECT_EQ(vec_detail, "batches=1 fallback_rows=58");  // ids 6..63
 
   // A plain projection filters in the columnar pipeline.
   Query project;
