@@ -293,7 +293,7 @@ Status VecProgram::RunCall(const Instr& in, const uint8_t* base,
   out->SetAllValid();
   // The block's n calls in one charge: what Invoke charges call by call.
   CallCharges charges(*in.fn, udf);
-  if (charges.active() && n > 0) {
+  if (charges.active()) {
     int64_t in_bytes = 0;
     for (int32_t j = 0; j < nargs; ++j) {
       if (args[j].lane != nullptr) {
