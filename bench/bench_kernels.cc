@@ -259,6 +259,14 @@ bool SameCells(const engine::ResultSet& a, const engine::ResultSet& b) {
   return true;
 }
 
+/// Runs a bound query under a fresh statement context, as a session runs
+/// each statement, and aborts on failure.
+engine::ResultSet RunQuery(engine::Executor& ex, const engine::Query& q,
+                           const char* what) {
+  engine::QueryContext qctx;
+  return CheckResult(ex.Execute(q, &qctx), what);
+}
+
 /// Times one bound query in vectorized mode (at `batch`) and in row mode
 /// (batch_rows=1), aborts unless both modes return the same cells bit for
 /// bit, prints the pair, and records both as JSON cases.
@@ -272,20 +280,18 @@ void TimeVecVsRow(BenchServer* server, engine::Query* q,
   // so no result set is live while the other mode runs.
   {
     ex.set_batch_rows(batch);
-    const engine::ResultSet vec = CheckResult(ex.Execute(*q, nullptr), "vec");
+    const engine::ResultSet vec = RunQuery(ex, *q, "vec");
     ex.set_batch_rows(1);
-    if (!SameCells(vec, CheckResult(ex.Execute(*q, nullptr), "row"))) {
+    if (!SameCells(vec, RunQuery(ex, *q, "row"))) {
       Check(Status::Internal("vec/row result divergence in " + name), "K2");
     }
   }
 
   ex.set_batch_rows(batch);
-  double vec_s = TimePerCall(
-      [&] { CheckResult(ex.Execute(*q, nullptr), "vec"); });
+  double vec_s = TimePerCall([&] { RunQuery(ex, *q, "vec"); });
 
   ex.set_batch_rows(1);
-  double row_s = TimePerCall(
-      [&] { CheckResult(ex.Execute(*q, nullptr), "row"); });
+  double row_s = TimePerCall([&] { RunQuery(ex, *q, "row"); });
   ex.set_batch_rows(1024);
 
   const std::string case_name = name + "/" + std::to_string(batch);
@@ -431,13 +437,9 @@ void RunCallLanes() {
     double ns_per_row[2] = {0, 0};
     for (int mode = 0; mode < 2; ++mode) {
       ex.set_batch_rows(mode == 0 ? 1024 : 1);
-      sum[mode] = CheckResult(ex.Execute(q, nullptr), name)
-                      .rows[0][0]
-                      .AsDouble()
-                      .value();
-      ns_per_row[mode] =
-          TimePerCall([&] { CheckResult(ex.Execute(q, nullptr), name); }) /
-          static_cast<double>(rows) * 1e9;
+      sum[mode] = RunQuery(ex, q, name).rows[0][0].AsDouble().value();
+      ns_per_row[mode] = TimePerCall([&] { RunQuery(ex, q, name); }) /
+                         static_cast<double>(rows) * 1e9;
     }
     ex.set_batch_rows(1024);
     if (std::memcmp(&sum[0], &sum[1], sizeof(double)) != 0) {

@@ -24,53 +24,21 @@ Result<Value> ResultSet::ScalarResult() const {
   return rows[0][0];
 }
 
-SubqueryScope::SubqueryScope(Executor* executor, SubqueryFn fn)
-    : executor_(executor),
-      fn_(std::make_unique<SubqueryFn>(std::move(fn))) {
-  executor_->subquery_fn_ = fn_.get();
+Result<Value> Executor::EvalStandalone(const Expr& expr, QueryContext* qctx) {
+  return EvalCharged(expr, qctx, &qctx->stats);
 }
 
-SubqueryScope& SubqueryScope::operator=(SubqueryScope&& o) noexcept {
-  Release();
-  executor_ = std::exchange(o.executor_, nullptr);
-  fn_ = std::move(o.fn_);
-  return *this;
-}
-
-bool SubqueryScope::active() const {
-  return executor_ != nullptr && fn_ != nullptr &&
-         executor_->subquery_fn_ == fn_.get();
-}
-
-void SubqueryScope::Release() {
-  // Only uninstall if the executor still points at THIS scope's function —
-  // a scope displaced by a newer install must not tear the newer one down.
-  // CAS so a concurrent install from another session cannot be torn down
-  // between the check and the clear.
-  if (executor_ != nullptr && fn_ != nullptr) {
-    const SubqueryFn* expected = fn_.get();
-    executor_->subquery_fn_.compare_exchange_strong(expected, nullptr);
-  }
-  executor_ = nullptr;
-  fn_.reset();
-}
-
-SubqueryScope Executor::InstallSubqueryRunner(SubqueryFn fn) {
-  return SubqueryScope(this, std::move(fn));
-}
-
-Result<Value> Executor::EvalStandalone(const Expr& expr,
-                                       std::map<std::string, Value>* variables,
-                                       QueryStats* stats) {
+Result<Value> Executor::EvalCharged(const Expr& expr, QueryContext* qctx,
+                                    QueryStats* stats) {
+  // Hosted functions reach the statement's limits through the thread.
+  gov::ScopedThreadLimits thread_limits(&qctx->limits);
   EvalContext ctx;
-  ctx.variables = variables;
+  ctx.variables = qctx->variables;
   ctx.udf.pool = db_->buffer_pool();
-  ctx.udf.subquery = subquery_fn_;
+  ctx.udf.subquery = qctx->subquery;
   ctx.udf.stats = stats;
   ctx.udf.cost = &cost_;
-  // Standalone evaluation has no QueryContext; ambient thread limits (the
-  // session installs them per statement) keep UDF chains governable.
-  ctx.udf.limits = gov::ThreadLimits();
+  ctx.udf.limits = &qctx->limits;
   return Eval(expr, ctx);
 }
 
@@ -109,22 +77,19 @@ Status Executor::Bind(Query* q) const {
 }
 
 Result<std::vector<std::vector<Value>>> Executor::MaterializeTvf(
-    const Query& q, std::map<std::string, Value>* variables,
-    QueryStats* stats) {
+    const Query& q, QueryContext* qctx, QueryStats* stats) {
   std::vector<Value> args;
   for (const ExprPtr& a : q.tvf_args) {
-    SQLARRAY_ASSIGN_OR_RETURN(Value v, EvalStandalone(*a, variables, stats));
+    SQLARRAY_ASSIGN_OR_RETURN(Value v, EvalCharged(*a, qctx, stats));
     args.push_back(std::move(v));
   }
   UdfContext ctx;
   ctx.pool = db_->buffer_pool();
   ctx.stats = stats;
   ctx.cost = &cost_;
-  ctx.subquery = subquery_fn_;
-  ctx.limits = gov::ThreadLimits();
-  if (ctx.limits != nullptr) {
-    SQLARRAY_RETURN_IF_ERROR(ctx.limits->Check());
-  }
+  ctx.subquery = qctx->subquery;
+  ctx.limits = &qctx->limits;
+  SQLARRAY_RETURN_IF_ERROR(ctx.limits->Check());
   SQLARRAY_ASSIGN_OR_RETURN(std::vector<std::vector<Value>> rows,
                             q.tvf->fn(args, ctx));
   if (stats != nullptr) {
@@ -471,11 +436,6 @@ struct Partial {
   std::vector<std::vector<Value>> rows;  ///< projection plans
   QueryStats stats;
 };
-
-/// The statement's snapshot, when one is installed (MVCC / AS OF reads).
-inline storage::PageSource* SnapOf(QueryContext* qctx) {
-  return qctx != nullptr ? qctx->snapshot.get() : nullptr;
-}
 
 // ---------------------------------------------------------------------------
 // Key ranges. A top-level AND term `id OP e` or `e OP id` (id = column 0,
@@ -1223,16 +1183,8 @@ void FinishRows(const Query& q, std::vector<Partial>* partials,
 
 }  // namespace
 
-Result<ResultSet> Executor::Execute(const Query& q,
-                                    std::map<std::string, Value>* variables) {
-  return Execute(q, variables, nullptr);
-}
-
-Result<ResultSet> Executor::Execute(const Query& q,
-                                    std::map<std::string, Value>* variables,
-                                    QueryContext* qctx) {
+Result<ResultSet> Executor::Execute(const Query& q, QueryContext* qctx) {
   PlanModes modes;
-  if (qctx == nullptr) return ExecuteInternal(q, variables, nullptr, &modes);
   // Bind the statement's serial lane for the whole execution; morsel bodies
   // rebind their worker thread to per-morsel lanes underneath this.
   obs::ScopedTrace serial_lane(&qctx->trace, obs::kSerialLane);
@@ -1242,8 +1194,7 @@ Result<ResultSet> Executor::Execute(const Query& q,
   if (qctx->collect_profile) {
     metrics_before = obs::MetricsRegistry::Global().Snapshot();
   }
-  SQLARRAY_ASSIGN_OR_RETURN(ResultSet rs,
-                            ExecuteInternal(q, variables, qctx, &modes));
+  SQLARRAY_ASSIGN_OR_RETURN(ResultSet rs, ExecuteInternal(q, qctx, &modes));
   qctx->stats = rs.stats;
   if (qctx->collect_profile) {
     BuildProfile(q, rs, modes, pool_before, metrics_before, qctx);
@@ -1251,11 +1202,11 @@ Result<ResultSet> Executor::Execute(const Query& q,
   return rs;
 }
 
-Result<ResultSet> Executor::ExecuteInternal(
-    const Query& q, std::map<std::string, Value>* variables,
-    QueryContext* qctx, PlanModes* modes) {
+Result<ResultSet> Executor::ExecuteInternal(const Query& q,
+                                            QueryContext* qctx,
+                                            PlanModes* modes) {
   ResultSet rs;
-  rs.stats.track_udf_detail = qctx != nullptr && qctx->collect_profile;
+  rs.stats.track_udf_detail = qctx->collect_profile;
   for (const SelectItem& item : q.items) rs.columns.push_back(item.label);
   if (q.table == nullptr && q.tvf == nullptr) {
     // FROM-less SELECT: evaluate each item once.
@@ -1265,8 +1216,8 @@ Result<ResultSet> Executor::ExecuteInternal(
       if (item.agg != SelectItem::AggKind::kNone) {
         return Status::InvalidArgument("aggregate without a FROM clause");
       }
-      SQLARRAY_ASSIGN_OR_RETURN(
-          Value v, EvalStandalone(*item.expr, variables, &rs.stats));
+      SQLARRAY_ASSIGN_OR_RETURN(Value v,
+                                EvalCharged(*item.expr, qctx, &rs.stats));
       row.push_back(std::move(v));
     }
     rs.rows.push_back(std::move(row));
@@ -1275,10 +1226,10 @@ Result<ResultSet> Executor::ExecuteInternal(
 
   Stopwatch watch;
   storage::IoStats io_before = db_->disk()->stats();
-  storage::PageSource* snap = SnapOf(qctx);
+  storage::PageSource* snap = qctx->snapshot.get();
   const bool eligible = MorselEligible(q);
   const KeyRange keys = q.table != nullptr
-                            ? ExtractKeyRange(q.where.get(), variables)
+                            ? ExtractKeyRange(q.where.get(), qctx->variables)
                             : KeyRange{};
   SQLARRAY_ASSIGN_OR_RETURN(ScanPlan plan,
                             PlanScan(q, eligible, keys, scan_workers_,
@@ -1288,12 +1239,12 @@ Result<ResultSet> Executor::ExecuteInternal(
   ScanEnv env;
   env.q = &q;
   env.schema = q.table != nullptr ? &q.table->schema() : nullptr;
-  env.variables = variables;
+  env.variables = qctx->variables;
   env.registry = registry_;
   env.cost = &cost_;
   env.pool = db_->buffer_pool();
-  env.subquery = eligible ? nullptr : subquery_fn_.load();
-  env.limits = qctx != nullptr ? &qctx->limits : nullptr;
+  env.subquery = eligible ? nullptr : qctx->subquery;
+  env.limits = &qctx->limits;
   env.aggregate = HasAggregates(q) || !q.group_by.empty();
   // Every plan reads batch_rows_ rows per block. Lane programs compile for
   // table plans wider than one row, so set_batch_rows(1) builds none: the
@@ -1304,7 +1255,7 @@ Result<ResultSet> Executor::ExecuteInternal(
   // reports the operator modes of exactly this plan.
   VecQueryPlan vplan;
   if (q.table != nullptr && env.batch_rows > 1) {
-    vplan = BuildVecPlan(q, variables, /*rows_mode=*/!env.aggregate);
+    vplan = BuildVecPlan(q, qctx->variables, /*rows_mode=*/!env.aggregate);
   }
   if (vplan.any) env.vplan = &vplan;
   modes->vec_filter = vplan.where_ok;
@@ -1327,7 +1278,7 @@ Result<ResultSet> Executor::ExecuteInternal(
         Partial& out = partials[m.index];
         if (q.tvf != nullptr) {
           SQLARRAY_ASSIGN_OR_RETURN(std::vector<std::vector<Value>> rows,
-                                    MaterializeTvf(q, variables, &out.stats));
+                                    MaterializeTvf(q, qctx, &out.stats));
           BatchFeed feed(env, &out.stats, &rows);
           return fold(feed, &out);
         }
@@ -1478,9 +1429,9 @@ Status Executor::RunMorselScan(
   if (queue.morsel_count() == 0) return Status::OK();
   std::vector<Status> morsel_status(queue.morsel_count());
   std::atomic<bool> abort{false};
-  obs::TraceSink* trace = qctx != nullptr ? &qctx->trace : nullptr;
+  obs::TraceSink* trace = &qctx->trace;
   const gov::QueryLimits* limits =
-      qctx != nullptr && qctx->limits.governed() ? &qctx->limits : nullptr;
+      qctx->limits.governed() ? &qctx->limits : nullptr;
   RunOnWorkers(workers, [&](int w) {
     // Pool workers inherit the statement's governance for the scan so deep
     // kernels (CheckThreadCancel) see it without parameter plumbing.

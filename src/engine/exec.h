@@ -10,8 +10,6 @@
 // produces bit-identical results.
 #pragma once
 
-#include <atomic>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -27,39 +25,6 @@
 #include "storage/table.h"
 
 namespace sqlarray::engine {
-
-class Executor;
-
-/// RAII installation of the session's subquery runner (how reader-style
-/// UDFs pull rows). The scope OWNS the function; the executor only points
-/// at it while the scope (or the scope it was moved into) is alive, and the
-/// destructor uninstalls it — replacing the old raw-pointer
-/// install/uninstall pairing whose Session-destructor ordering was a
-/// use-after-free hazard. Move-only; a later install displaces an earlier
-/// one (the displaced scope's destructor then does nothing).
-class SubqueryScope {
- public:
-  SubqueryScope() = default;
-  SubqueryScope(SubqueryScope&& o) noexcept { *this = std::move(o); }
-  SubqueryScope& operator=(SubqueryScope&& o) noexcept;
-  SubqueryScope(const SubqueryScope&) = delete;
-  SubqueryScope& operator=(const SubqueryScope&) = delete;
-  ~SubqueryScope() { Release(); }
-
-  /// True while this scope's runner is (still) installed.
-  bool active() const;
-  /// Uninstalls early (no-op if displaced or never installed).
-  void Release();
-
- private:
-  friend class Executor;
-  SubqueryScope(Executor* executor, SubqueryFn fn);
-
-  Executor* executor_ = nullptr;
-  /// Heap-allocated so moving the scope never invalidates the executor's
-  /// pointer to the function.
-  std::unique_ptr<SubqueryFn> fn_;
-};
 
 /// One SELECT-list item: either a plain expression (a group key or a
 /// row-mode projection) or a single aggregate over an argument expression.
@@ -110,11 +75,6 @@ class Executor {
   FunctionRegistry* registry() { return registry_; }
   const CostModel& cost_model() const { return cost_; }
 
-  /// Installs the session's subquery runner so reader-style UDFs can pull
-  /// rows, for exactly the lifetime of the returned scope. Only one runner
-  /// is active at a time; installing another displaces the previous scope.
-  [[nodiscard]] SubqueryScope InstallSubqueryRunner(SubqueryFn fn);
-
   /// Degree of parallelism for morsel-eligible scans (table source, no UDA,
   /// no reader-style UDF): ungrouped aggregates, GROUP BY, and projections
   /// with or without TOP. The effective worker count is additionally capped
@@ -149,32 +109,24 @@ class Executor {
   void set_batch_rows(int rows) { batch_rows_ = rows; }
   int batch_rows() const { return batch_rows_; }
 
-  /// Evaluates a standalone (FROM-less) expression. When `stats` is given,
-  /// UDF boundary costs (and any nested-subquery work merged by reader-style
-  /// UDFs) are accounted there.
-  Result<Value> EvalStandalone(const Expr& expr,
-                               std::map<std::string, Value>* variables,
-                               QueryStats* stats = nullptr);
+  /// Evaluates a standalone (FROM-less) expression under the statement's
+  /// context: its variables and subquery runner, its limits (bound on the
+  /// calling thread for the kernels the expression reaches), and its stats,
+  /// which take the UDF boundary costs and any nested-subquery work merged
+  /// by reader-style UDFs.
+  Result<Value> EvalStandalone(const Expr& expr, QueryContext* qctx);
 
   /// Binds the query's expressions against the table schema + registry.
   Status Bind(Query* q) const;
 
-  /// Runs a bound query.
-  Result<ResultSet> Execute(const Query& q,
-                            std::map<std::string, Value>* variables);
-
-  /// Runs a bound query under a statement context: stats are copied into
+  /// Runs a bound query under its statement's context: variables, subquery
+  /// runner, limits and snapshot come from qctx; stats are copied into
   /// qctx->stats, trace spans are recorded into qctx->trace (with morsel
   /// work on per-morsel lanes), and — when qctx->collect_profile is set —
-  /// the operator profile tree is built into qctx->profile. Null qctx is
-  /// equivalent to the two-argument overload.
-  Result<ResultSet> Execute(const Query& q,
-                            std::map<std::string, Value>* variables,
-                            QueryContext* qctx);
+  /// the operator profile tree is built into qctx->profile.
+  Result<ResultSet> Execute(const Query& q, QueryContext* qctx);
 
  private:
-  friend class SubqueryScope;
-
   /// Evaluation mode of each operator in the plan that ran, as EXPLAIN
   /// ANALYZE reports it.
   struct PlanModes {
@@ -184,12 +136,14 @@ class Executor {
     std::string seek;
   };
 
-  /// Runs the query (qctx may be null): a FROM-less SELECT evaluates its
-  /// items once; any other source runs the morsel plan and records its
-  /// operator modes in `modes`.
-  Result<ResultSet> ExecuteInternal(const Query& q,
-                                    std::map<std::string, Value>* variables,
-                                    QueryContext* qctx, PlanModes* modes);
+  /// Runs the query: a FROM-less SELECT evaluates its items once; any other
+  /// source runs the morsel plan and records its operator modes in `modes`.
+  Result<ResultSet> ExecuteInternal(const Query& q, QueryContext* qctx,
+                                    PlanModes* modes);
+  /// EvalStandalone, charging `stats`: a FROM-less SELECT's result or a TVF
+  /// source's morsel.
+  Result<Value> EvalCharged(const Expr& expr, QueryContext* qctx,
+                            QueryStats* stats);
   /// Builds qctx->profile from the executed query, its plan's operator
   /// modes, the result's stats, the buffer-pool and registry deltas
   /// spanning the execution, and the trace.
@@ -200,13 +154,14 @@ class Executor {
                     QueryContext* qctx);
   /// Evaluates a TVF source's arguments and materializes its rows, charging
   /// the boundary costs.
-  Result<std::vector<std::vector<Value>>> MaterializeTvf(
-      const Query& q, std::map<std::string, Value>* variables,
-      QueryStats* stats);
+  Result<std::vector<std::vector<Value>>> MaterializeTvf(const Query& q,
+                                                        QueryContext* qctx,
+                                                        QueryStats* stats);
   /// Runs `body` over every morsel of the grid on `workers` pool threads
   /// (inline when workers == 1); returns the first failure in morsel order.
-  /// Each body invocation runs under a trace lane equal to its morsel index
-  /// when qctx is given, so spans stitch deterministically.
+  /// Each body invocation runs under a trace lane equal to its morsel index,
+  /// so spans stitch deterministically, and with the statement's limits
+  /// bound to the thread.
   Status RunMorselScan(size_t n_pages, size_t morsel_pages, int workers,
                        QueryContext* qctx,
                        const std::function<Status(const Morsel&)>& body);
@@ -216,10 +171,6 @@ class Executor {
   storage::Database* db_;
   FunctionRegistry* registry_;
   const CostModel cost_;
-  /// Atomic because concurrent sessions sharing one executor install their
-  /// runners at construction while other sessions' queries read the pointer
-  /// (last install wins; scopes keep the functions alive).
-  std::atomic<const SubqueryFn*> subquery_fn_{nullptr};
   int scan_workers_ = 1;
   int batch_rows_ = 1024;
   int64_t min_pages_per_worker_ = -1;

@@ -72,6 +72,13 @@ void CancelSource::ArmDeadline(std::chrono::steady_clock::time_point deadline) {
 void CancelSource::DisarmDeadline() {
   std::lock_guard<std::mutex> lock(mu_);
   deadline_armed_.store(false, std::memory_order_release);
+  // A deadline belongs to its statement: one that fired after the statement
+  // returned dies with it instead of aborting the next statement.
+  if (reason_ == KillReason::kDeadline) {
+    cancelled_.store(false, std::memory_order_release);
+    reason_ = KillReason::kNone;
+    detail_.clear();
+  }
 }
 
 Status CancelSource::StatusNow() const {
@@ -163,8 +170,6 @@ ScopedThreadLimits::ScopedThreadLimits(const QueryLimits* limits)
 }
 
 ScopedThreadLimits::~ScopedThreadLimits() { t_limits = prev_; }
-
-const QueryLimits* ThreadLimits() { return t_limits; }
 
 Status CheckThreadCancel() {
   const QueryLimits* l = t_limits;

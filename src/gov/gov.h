@@ -18,7 +18,9 @@
 //   * a user kill (ArrayServer::KillQuery), which cancels immediately.
 // The first Cancel() wins; later calls are no-ops. A consumed cancellation
 // is Reset() by the session after the failing statement returns, so one
-// kill aborts exactly one statement and the session stays usable.
+// kill aborts exactly one statement and the session stays usable; a
+// deadline kill is cleared when the statement disarms its deadline, so one
+// that fires just after the statement returned aborts nothing.
 //
 // MemoryBudget is per-statement accounting, charged at the points where
 // query-private memory actually grows (hash-aggregate groups, row-mode
@@ -67,7 +69,8 @@ class CancelSource {
   /// Arms a wall-clock deadline for the statement about to run. Replaces
   /// any previous deadline. Call from the session thread before execution.
   void ArmDeadline(std::chrono::steady_clock::time_point deadline);
-  /// Disarms the statement deadline (statement finished in time).
+  /// Disarms the statement deadline when the statement ends, and clears a
+  /// deadline kill (kDeadline) with it; a user or shutdown kill stays.
   void DisarmDeadline();
   bool deadline_armed() const {
     return deadline_armed_.load(std::memory_order_acquire);
@@ -151,9 +154,10 @@ struct QueryLimits {
 };
 
 /// Thread-local plumbing for code too deep to take a QueryLimits parameter
-/// (the typed core kernels, standalone expression evaluation). The session
-/// installs its limits for the statement's serial thread; RunMorselScan
-/// installs them on each pool worker for the duration of the scan.
+/// (the typed core kernels and the hosted functions that size memory from
+/// their arguments). The executor installs a statement's limits where it
+/// reaches them: EvalStandalone on the calling thread, RunMorselScan on
+/// each worker for the duration of the scan.
 class ScopedThreadLimits {
  public:
   explicit ScopedThreadLimits(const QueryLimits* limits);
@@ -164,9 +168,6 @@ class ScopedThreadLimits {
  private:
   const QueryLimits* prev_;
 };
-
-/// The limits installed on this thread, or null.
-const QueryLimits* ThreadLimits();
 
 /// Probes the thread-installed cancellation token (kOk when none). Long
 /// kernels call this every few thousand elements.

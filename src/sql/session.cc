@@ -163,20 +163,43 @@ Status AppendStarColumns(engine::Query* q) {
 
 }  // namespace
 
-Result<std::vector<engine::ResultSet>> Session::ExecuteScript(
-    std::string_view sqltext, bool update_session_stats) {
+Session::Session(engine::Executor* executor)
+    : executor_(executor),
+      subquery_([this](const std::string& sqltext)
+                    -> Result<engine::SubqueryResult> {
+        SQLARRAY_ASSIGN_OR_RETURN(Script script, Parse(sqltext));
+        // Reads only: a nested write would change the data, or the open
+        // transaction's overlay, under the scan of the statement calling it.
+        if (script.size() != 1 ||
+            script[0].kind != Statement::Kind::kSelect ||
+            std::any_of(script[0].select.items.begin(),
+                        script[0].select.items.end(),
+                        [](const SelectListItem& item) {
+                          return !item.assign_var.empty();
+                        })) {
+          return Status::InvalidArgument(
+              "a subquery must be exactly one SELECT that assigns no "
+              "variable");
+        }
+        engine::QueryContext qctx;
+        InitContext(&qctx);
+        SQLARRAY_ASSIGN_OR_RETURN(engine::ResultSet rs,
+                                  ExecuteSelect(script[0].select, &qctx));
+        return engine::SubqueryResult{std::move(rs.rows), qctx.stats};
+      }),
+      cancel_source_(std::make_shared<gov::CancelSource>()) {}
+
+void Session::InitContext(engine::QueryContext* qctx) {
+  qctx->variables = &variables_;
+  qctx->subquery = &subquery_;
+  qctx->limits.cancel = cancel_source_;
+  qctx->limits.budget = &budget_;
+}
+
+Result<std::vector<engine::ResultSet>> Session::Execute(
+    std::string_view sqltext) {
   SQLARRAY_ASSIGN_OR_RETURN(Script script, Parse(sqltext));
   std::vector<engine::ResultSet> results;
-  if (!update_session_stats) {
-    // Nested script (reader-style UDF subquery): runs under the outer
-    // statement's governance. It shares the ambient thread limits and must
-    // never re-arm the deadline or reset the budget mid-statement.
-    for (Statement& stmt : script) {
-      SQLARRAY_RETURN_IF_ERROR(
-          RunStatement(stmt, &results, update_session_stats));
-    }
-    return results;
-  }
   for (Statement& stmt : script) {
     // A kill delivered before the statement starts aborts it here, with
     // zero side effects — no WAL records, no table writes, no result rows.
@@ -193,17 +216,10 @@ Result<std::vector<engine::ResultSet>> Session::ExecuteScript(
           std::chrono::steady_clock::now() +
           std::chrono::milliseconds(statement_timeout_ms_));
     }
-    gov::QueryLimits limits;
-    limits.cancel = cancel_source_;
-    limits.budget = &budget_;
-    Status st;
-    {
-      // Ambient limits for code that cannot take a QueryLimits parameter:
-      // standalone expression evaluation (DECLARE/SET/VALUES) and the core
-      // kernels it reaches.
-      gov::ScopedThreadLimits ambient(&limits);
-      st = RunStatement(stmt, &results, update_session_stats);
-    }
+    engine::QueryContext qctx;
+    InitContext(&qctx);
+    Status st = RunStatement(stmt, &qctx, &results);
+    last_stats_ = qctx.stats;
     cancel_source_->DisarmDeadline();
     if (st.code() == StatusCode::kCancelled ||
         st.code() == StatusCode::kDeadlineExceeded) {
@@ -224,9 +240,8 @@ Result<engine::Value> Session::GetVariable(const std::string& name) const {
   return it->second;
 }
 
-Status Session::RunStatement(Statement& stmt,
-                             std::vector<engine::ResultSet>* results,
-                             bool update_session_stats) {
+Status Session::RunStatement(Statement& stmt, engine::QueryContext* qctx,
+                             std::vector<engine::ResultSet>* results) {
   mvcc::MvccManager* m = mvcc_manager();
   wal::WalManager* w = wal_manager();
   // Transactions run only under MVCC. A WAL without it would leave DML with
@@ -254,7 +269,7 @@ Status Session::RunStatement(Statement& stmt,
             engine::BindExpr(stmt.declare.init.get(), nullptr,
                              executor_->registry()));
         SQLARRAY_ASSIGN_OR_RETURN(
-            init, executor_->EvalStandalone(*stmt.declare.init, &variables_));
+            init, executor_->EvalStandalone(*stmt.declare.init, qctx));
       }
       variables_[stmt.declare.name] = std::move(init);
       return Status::OK();
@@ -262,11 +277,8 @@ Status Session::RunStatement(Statement& stmt,
     case Statement::Kind::kSet: {
       SQLARRAY_RETURN_IF_ERROR(engine::BindExpr(stmt.set.value.get(), nullptr,
                                                 executor_->registry()));
-      engine::QueryContext qctx;
       SQLARRAY_ASSIGN_OR_RETURN(
-          Value v, executor_->EvalStandalone(*stmt.set.value, &variables_,
-                                             &qctx.stats));
-      if (update_session_stats) last_stats_ = qctx.stats;
+          Value v, executor_->EvalStandalone(*stmt.set.value, qctx));
       if (variables_.count(stmt.set.name) == 0) {
         return Status::NotFound("undeclared variable @" + stmt.set.name);
       }
@@ -285,7 +297,7 @@ Status Session::RunStatement(Statement& stmt,
       return Status::OK();
     }
     case Statement::Kind::kSelect:
-      return RunSelect(stmt.select, results, update_session_stats);
+      return RunSelect(stmt.select, qctx, results);
     case Statement::Kind::kCreateTable:
       if (m != nullptr) {
         // DDL is non-transactional: it runs serialized under the DML lock and
@@ -294,13 +306,11 @@ Status Session::RunStatement(Statement& stmt,
       }
       return RunCreateTable(stmt.create_table);
     case Statement::Kind::kInsert:
-      return AutoCommit(
-          [&] { return RunInsert(stmt.insert, update_session_stats); });
+      return AutoCommit([&] { return RunInsert(stmt.insert, qctx); });
     case Statement::Kind::kDelete:
-      return AutoCommit(
-          [&] { return RunDelete(stmt.del, update_session_stats); });
+      return AutoCommit([&] { return RunDelete(stmt.del, qctx); });
     case Statement::Kind::kExplain:
-      return RunExplain(stmt.explain, results, update_session_stats);
+      return RunExplain(stmt.explain, qctx, results);
     case Statement::Kind::kBegin: {
       if (m == nullptr) {
         return Status::InvalidArgument(
@@ -476,8 +486,8 @@ Result<engine::ResultSet> Session::ExecuteSelect(SelectStmt& sel,
       } else {
         SQLARRAY_RETURN_IF_ERROR(engine::BindExpr(sel.as_of.get(), nullptr,
                                                   executor_->registry()));
-        SQLARRAY_ASSIGN_OR_RETURN(
-            Value v, executor_->EvalStandalone(*sel.as_of, &variables_));
+        SQLARRAY_ASSIGN_OR_RETURN(Value v,
+                                  executor_->EvalStandalone(*sel.as_of, qctx));
         SQLARRAY_ASSIGN_OR_RETURN(int64_t lsn, v.AsInt());
         SQLARRAY_ASSIGN_OR_RETURN(
             qctx->snapshot, m->OpenAsOf(static_cast<storage::Lsn>(lsn)));
@@ -495,7 +505,7 @@ Result<engine::ResultSet> Session::ExecuteSelect(SelectStmt& sel,
 
   SQLARRAY_RETURN_IF_ERROR(executor_->Bind(&q));
   SQLARRAY_ASSIGN_OR_RETURN(engine::ResultSet rs,
-                            executor_->Execute(q, &variables_, qctx));
+                            executor_->Execute(q, qctx));
 
   if (!sel.order_by.empty()) {
     std::vector<std::pair<int, bool>> keys;
@@ -542,17 +552,13 @@ Result<engine::ResultSet> Session::ExecuteSelect(SelectStmt& sel,
   return rs;
 }
 
-Status Session::RunSelect(SelectStmt& sel,
-                          std::vector<engine::ResultSet>* results,
-                          bool update_session_stats) {
+Status Session::RunSelect(SelectStmt& sel, engine::QueryContext* qctx,
+                          std::vector<engine::ResultSet>* results) {
   bool has_assignment = false;
   for (const SelectListItem& item : sel.items) {
     if (!item.assign_var.empty()) has_assignment = true;
   }
-  engine::QueryContext qctx;
-  ApplyLimits(&qctx);
-  SQLARRAY_ASSIGN_OR_RETURN(engine::ResultSet rs, ExecuteSelect(sel, &qctx));
-  if (update_session_stats) last_stats_ = qctx.stats;
+  SQLARRAY_ASSIGN_OR_RETURN(engine::ResultSet rs, ExecuteSelect(sel, qctx));
   if (!has_assignment) results->push_back(std::move(rs));
   return Status::OK();
 }
@@ -585,21 +591,11 @@ engine::ResultSet Session::RenderProfile(const engine::QueryContext& qctx) {
   return out;
 }
 
-Status Session::RunExplain(ExplainStmt& stmt,
-                           std::vector<engine::ResultSet>* results,
-                           bool update_session_stats) {
-  engine::QueryContext qctx;
-  qctx.collect_profile = true;
-  ApplyLimits(&qctx);
-
+Status Session::RunExplain(ExplainStmt& stmt, engine::QueryContext* qctx,
+                           std::vector<engine::ResultSet>* results) {
+  qctx->collect_profile = true;
   if (stmt.target == ExplainStmt::Target::kSelect) {
-    SQLARRAY_RETURN_IF_ERROR(ExecuteSelect(stmt.select, &qctx).status());
-    if (qctx.snapshot != nullptr) {
-      // Surface the statement's snapshot LSN so a profile pins down exactly
-      // which version of the data the plan read.
-      qctx.profile.mutable_root()->AddChild(
-          "snapshot", "lsn=" + std::to_string(qctx.snapshot->lsn()));
-    }
+    SQLARRAY_RETURN_IF_ERROR(ExecuteSelect(stmt.select, qctx).status());
   } else {
     // DML: execute under autocommit, attributing the statement's log
     // traffic (including the commit flush) via metric deltas. The embedded
@@ -608,38 +604,35 @@ Status Session::RunExplain(ExplainStmt& stmt,
     // detail string so the column shape stays identical to SELECT profiles.
     bool is_insert = stmt.target == ExplainStmt::Target::kInsert;
     obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
-    engine::QueryContext inner;
-    inner.collect_profile = true;
-    ApplyLimits(&inner);
     int64_t affected = 0;
     SQLARRAY_RETURN_IF_ERROR(AutoCommit([&] {
-      return is_insert ? RunInsert(stmt.insert, /*update_session_stats=*/false,
-                                   &inner, &affected)
-                       : RunDelete(stmt.del, /*update_session_stats=*/false,
-                                   &inner, &affected);
+      return is_insert ? RunInsert(stmt.insert, qctx, &affected)
+                       : RunDelete(stmt.del, qctx, &affected);
     }));
     obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
 
-    qctx.stats = inner.stats;
-    obs::ProfileNode* root = qctx.profile.mutable_root();
-    root->op = is_insert ? "insert" : "delete";
-    root->detail = is_insert ? stmt.insert.table : stmt.del.table;
-    root->counters.rows_out = affected;
-    if (!inner.profile.empty()) {
-      root->children.push_back(std::move(*inner.profile.mutable_root()));
+    obs::ProfileNode root;
+    root.op = is_insert ? "insert" : "delete";
+    root.detail = is_insert ? stmt.insert.table : stmt.del.table;
+    root.counters.rows_out = affected;
+    if (!qctx->profile.empty()) {
+      root.children.push_back(std::move(*qctx->profile.mutable_root()));
     }
     if (wal_manager() != nullptr) {
-      root->AddChild(
+      root.AddChild(
           "wal",
           "records=" + std::to_string(after.Delta(before, "wal.records")) +
               " bytes=" + std::to_string(after.Delta(before, "wal.bytes")) +
               " flushes=" +
               std::to_string(after.Delta(before, "wal.flushes")));
     }
-    if (inner.snapshot != nullptr) {
-      root->AddChild("snapshot",
-                     "lsn=" + std::to_string(inner.snapshot->lsn()));
-    }
+    *qctx->profile.mutable_root() = std::move(root);
+  }
+  if (qctx->snapshot != nullptr) {
+    // Surface the statement's snapshot LSN so a profile pins down exactly
+    // which version of the data the plan read.
+    qctx->profile.mutable_root()->AddChild(
+        "snapshot", "lsn=" + std::to_string(qctx->snapshot->lsn()));
   }
   if (admission_wait_seconds_ >= 0.0) {
     // Surface the admission-queue wait as its own profile row so EXPLAIN
@@ -648,16 +641,14 @@ Status Session::RunExplain(ExplainStmt& stmt,
     char buf[64];
     std::snprintf(buf, sizeof(buf), "wait_ms=%.3f",
                   admission_wait_seconds_ * 1e3);
-    qctx.profile.mutable_root()->AddChild("admission", buf);
+    qctx->profile.mutable_root()->AddChild("admission", buf);
     admission_wait_seconds_ = -1.0;
   }
-  if (update_session_stats) last_stats_ = qctx.stats;
-  results->push_back(RenderProfile(qctx));
+  results->push_back(RenderProfile(*qctx));
   return Status::OK();
 }
 
-Status Session::RunDelete(DeleteStmt& del, bool update_session_stats,
-                          engine::QueryContext* inner_qctx,
+Status Session::RunDelete(DeleteStmt& del, engine::QueryContext* qctx,
                           int64_t* affected) {
   SQLARRAY_ASSIGN_OR_RETURN(storage::Table * table,
                             executor_->db()->GetTable(del.table));
@@ -677,18 +668,12 @@ Status Session::RunDelete(DeleteStmt& del, bool update_session_stats,
     q.where = std::move(del.where);
   }
   SQLARRAY_RETURN_IF_ERROR(executor_->Bind(&q));
-  engine::QueryContext local_qctx;
-  engine::QueryContext* qctx =
-      inner_qctx != nullptr ? inner_qctx : &local_qctx;
-  ApplyLimits(qctx);
   if (m != nullptr) {
     // The key scan reads the transaction's own view: earlier writes in the
     // same transaction are visible, concurrent committers are not.
     SQLARRAY_ASSIGN_OR_RETURN(qctx->snapshot, m->TxnView(txn_id_));
   }
-  SQLARRAY_ASSIGN_OR_RETURN(engine::ResultSet rs,
-                            executor_->Execute(q, &variables_, qctx));
-  if (update_session_stats) last_stats_ = qctx->stats;
+  SQLARRAY_ASSIGN_OR_RETURN(engine::ResultSet rs, executor_->Execute(q, qctx));
   for (const std::vector<Value>& row : rs.rows) {
     SQLARRAY_RETURN_IF_ERROR(cancel_source_->Check());
     SQLARRAY_ASSIGN_OR_RETURN(int64_t key, row[0].AsInt());
@@ -726,8 +711,7 @@ Status Session::RunCreateTable(const CreateTableStmt& ct) {
   return Status::OK();
 }
 
-Status Session::RunInsert(InsertStmt& ins, bool update_session_stats,
-                          engine::QueryContext* inner_qctx,
+Status Session::RunInsert(InsertStmt& ins, engine::QueryContext* qctx,
                           int64_t* affected) {
   SQLARRAY_ASSIGN_OR_RETURN(storage::Table * table,
                             executor_->db()->GetTable(ins.table));
@@ -741,13 +725,8 @@ Status Session::RunInsert(InsertStmt& ins, bool update_session_stats,
   if (ins.select != nullptr) {
     // INSERT INTO ... SELECT: materialize the query, convert each output
     // row to the target schema.
-    engine::QueryContext local_qctx;
-    engine::QueryContext* qctx =
-        inner_qctx != nullptr ? inner_qctx : &local_qctx;
-    ApplyLimits(qctx);
     SQLARRAY_ASSIGN_OR_RETURN(engine::ResultSet rs,
                               ExecuteSelect(*ins.select, qctx));
-    if (update_session_stats) last_stats_ = qctx->stats;
     if (static_cast<int>(rs.columns.size()) != schema.num_columns()) {
       return Status::InvalidArgument(
           "INSERT ... SELECT arity does not match the table schema");
@@ -776,8 +755,8 @@ Status Session::RunInsert(InsertStmt& ins, bool update_session_stats,
     for (int i = 0; i < schema.num_columns(); ++i) {
       SQLARRAY_RETURN_IF_ERROR(engine::BindExpr(row_exprs[i].get(), nullptr,
                                                 executor_->registry()));
-      SQLARRAY_ASSIGN_OR_RETURN(
-          Value v, executor_->EvalStandalone(*row_exprs[i], &variables_));
+      SQLARRAY_ASSIGN_OR_RETURN(Value v,
+                                executor_->EvalStandalone(*row_exprs[i], qctx));
       SQLARRAY_ASSIGN_OR_RETURN(storage::RowValue rv,
                                 ToRowValue(v, schema.column(i)));
       row.push_back(std::move(rv));

@@ -29,32 +29,10 @@ namespace sqlarray::sql {
 /// An interactive session over one Executor.
 class Session {
  public:
-  explicit Session(engine::Executor* executor)
-      : executor_(executor),
-        cancel_source_(std::make_shared<gov::CancelSource>()) {
-    // Wire up the subquery runner so reader-style UDFs (ConcatQuery) can
-    // pull rows through this session. The RAII scope owns the runner and
-    // uninstalls it when the session dies — no manual uninstall, no
-    // destructor-ordering hazard. Nested statements run with
-    // update_session_stats=false, so a subquery never clobbers the outer
-    // statement's last_stats() (the caller merges the subquery's stats
-    // into its own context explicitly).
-    subquery_scope_ = executor_->InstallSubqueryRunner(
-        [this](const std::string& sqltext)
-            -> Result<engine::SubqueryResult> {
-          SQLARRAY_ASSIGN_OR_RETURN(
-              std::vector<engine::ResultSet> results,
-              ExecuteScript(sqltext, /*update_session_stats=*/false));
-          if (results.size() != 1) {
-            return Status::InvalidArgument(
-                "subquery must be a single result-producing SELECT");
-          }
-          engine::SubqueryResult out;
-          out.rows = std::move(results[0].rows);
-          out.stats = results[0].stats;
-          return out;
-        });
-  }
+  /// Opens a session on `executor`. Its reader-style UDF subqueries
+  /// (ConcatQuery) run through this session: its variables, its open
+  /// transaction, its cancel source and budget.
+  explicit Session(engine::Executor* executor);
 
   /// Rolls back a transaction the session still holds open, so a client
   /// that disconnects after BEGIN releases its key claims.
@@ -66,9 +44,7 @@ class Session {
   /// Parses and executes a batch. Returns one ResultSet per SELECT that
   /// produces client-visible rows (assignment SELECTs produce none;
   /// EXPLAIN ANALYZE produces its profile tree as rows).
-  Result<std::vector<engine::ResultSet>> Execute(std::string_view sql) {
-    return ExecuteScript(sql, /*update_session_stats=*/true);
-  }
+  Result<std::vector<engine::ResultSet>> Execute(std::string_view sql);
 
   /// Reads a session variable (test/bench access).
   Result<engine::Value> GetVariable(const std::string& name) const;
@@ -80,7 +56,7 @@ class Session {
   std::map<std::string, engine::Value>* variables() { return &variables_; }
   engine::Executor* executor() { return executor_; }
 
-  /// Statistics of the most recent query.
+  /// Statistics of the most recent statement.
   const engine::QueryStats& last_stats() const { return last_stats_; }
 
   /// True between BEGIN and COMMIT/ROLLBACK.
@@ -113,40 +89,31 @@ class Session {
   Status ForceRollback();
 
  private:
-  /// Statement loop. `update_session_stats` is false for nested scripts
-  /// (reader-style UDF subqueries): they own their statistics and must not
-  /// touch last_stats_.
-  Result<std::vector<engine::ResultSet>> ExecuteScript(
-      std::string_view sql, bool update_session_stats);
-  Status RunStatement(Statement& stmt, std::vector<engine::ResultSet>* results,
-                      bool update_session_stats);
-  Status RunSelect(SelectStmt& sel, std::vector<engine::ResultSet>* results,
-                   bool update_session_stats);
+  /// Fills a fresh statement context with what every statement of this
+  /// session runs under: its variables, subquery runner, cancel source and
+  /// budget.
+  void InitContext(engine::QueryContext* qctx);
+  /// Runs one top-level statement under its context `qctx`.
+  Status RunStatement(Statement& stmt, engine::QueryContext* qctx,
+                      std::vector<engine::ResultSet>* results);
+  Status RunSelect(SelectStmt& sel, engine::QueryContext* qctx,
+                   std::vector<engine::ResultSet>* results);
   /// Binds and executes one SELECT under the statement's context, applying
   /// ORDER BY and assignment semantics; assignment SELECTs return an empty
   /// result set. Statistics (and the profile, when requested) land in qctx.
   Result<engine::ResultSet> ExecuteSelect(SelectStmt& sel,
                                           engine::QueryContext* qctx);
   /// Runs the EXPLAIN ANALYZE statement and renders its profile tree.
-  Status RunExplain(ExplainStmt& stmt, std::vector<engine::ResultSet>* results,
-                    bool update_session_stats);
+  Status RunExplain(ExplainStmt& stmt, engine::QueryContext* qctx,
+                    std::vector<engine::ResultSet>* results);
   Status RunCreateTable(const CreateTableStmt& ct);
-  /// DML runners. `inner_qctx` (EXPLAIN ANALYZE) collects the profile of
-  /// the embedded query (the INSERT's SELECT source / the DELETE's key
-  /// scan); `affected` receives the row count.
-  Status RunDelete(DeleteStmt& del, bool update_session_stats,
-                   engine::QueryContext* inner_qctx = nullptr,
+  /// DML runners. The embedded query (the INSERT's SELECT source / the
+  /// DELETE's key scan) and the VALUES expressions run under `qctx`;
+  /// `affected` receives the row count.
+  Status RunDelete(DeleteStmt& del, engine::QueryContext* qctx,
                    int64_t* affected = nullptr);
-  Status RunInsert(InsertStmt& ins, bool update_session_stats,
-                   engine::QueryContext* inner_qctx = nullptr,
+  Status RunInsert(InsertStmt& ins, engine::QueryContext* qctx,
                    int64_t* affected = nullptr);
-
-  /// Fills a query context with this session's governance limits so the
-  /// executor observes cancellation/deadlines and charges the budget.
-  void ApplyLimits(engine::QueryContext* qctx) {
-    qctx->limits.cancel = cancel_source_;
-    qctx->limits.budget = &budget_;
-  }
 
   /// The database's WAL manager, or null when running without one. The
   /// session uses it only for CHECKPOINT, EXPLAIN's `wal` row and logging
@@ -168,7 +135,9 @@ class Session {
   engine::Executor* executor_;
   std::map<std::string, engine::Value> variables_;
   engine::QueryStats last_stats_;
-  engine::SubqueryScope subquery_scope_;
+  /// Runs a reader-style UDF's query text: exactly one SELECT that assigns
+  /// no variable, under a fresh context of this session.
+  engine::SubqueryFn subquery_;
   bool txn_open_ = false;
   uint64_t txn_id_ = 0;
 

@@ -30,6 +30,20 @@ class EngineTest : public ::testing::Test {
     return t;
   }
 
+  /// Runs a bound query under a fresh statement context.
+  Result<ResultSet> Execute(const Query& q) {
+    QueryContext qctx;
+    return executor_.Execute(q, &qctx);
+  }
+
+  /// Evaluates a FROM-less expression under a fresh statement context.
+  Result<Value> EvalStandalone(const Expr& e,
+                               std::map<std::string, Value>* vars = nullptr) {
+    QueryContext qctx;
+    qctx.variables = vars;
+    return executor_.EvalStandalone(e, &qctx);
+  }
+
   storage::Database db_;
   FunctionRegistry registry_;
   Executor executor_;
@@ -54,34 +68,31 @@ TEST_F(EngineTest, StandaloneExpressionArithmetic) {
                           Lit(Value::Int(4))),
                       Lit(Value::Int(2))),
                   Lit(Value::Int(5)));
-  EXPECT_EQ(executor_.EvalStandalone(*e, nullptr).value().AsInt().value(), 9);
+  EXPECT_EQ(EvalStandalone(*e).value().AsInt().value(), 9);
 }
 
 TEST_F(EngineTest, IntVsFloatSemantics) {
   ExprPtr int_div = Bin(BinaryOp::kDiv, Lit(Value::Int(7)),
                         Lit(Value::Int(2)));
-  EXPECT_EQ(executor_.EvalStandalone(*int_div, nullptr).value().AsInt().value(),
-            3);
+  EXPECT_EQ(EvalStandalone(*int_div).value().AsInt().value(), 3);
   ExprPtr float_div = Bin(BinaryOp::kDiv, Lit(Value::Double(7)),
                           Lit(Value::Int(2)));
-  EXPECT_EQ(executor_.EvalStandalone(*float_div, nullptr)
-                .value().AsDouble().value(),
-            3.5);
+  EXPECT_EQ(EvalStandalone(*float_div).value().AsDouble().value(), 3.5);
   ExprPtr div0 = Bin(BinaryOp::kDiv, Lit(Value::Int(1)), Lit(Value::Int(0)));
-  EXPECT_FALSE(executor_.EvalStandalone(*div0, nullptr).ok());
+  EXPECT_FALSE(EvalStandalone(*div0).ok());
 }
 
 TEST_F(EngineTest, NullPropagation) {
   ExprPtr e = Bin(BinaryOp::kAdd, Lit(Value::Null()), Lit(Value::Int(1)));
-  EXPECT_TRUE(executor_.EvalStandalone(*e, nullptr).value().is_null());
+  EXPECT_TRUE(EvalStandalone(*e).value().is_null());
 }
 
 TEST_F(EngineTest, VariablesResolve) {
   std::map<std::string, Value> vars{{"x", Value::Int(10)}};
   ExprPtr e = Bin(BinaryOp::kMul, Var("x"), Lit(Value::Int(3)));
-  EXPECT_EQ(executor_.EvalStandalone(*e, &vars).value().AsInt().value(), 30);
+  EXPECT_EQ(EvalStandalone(*e, &vars).value().AsInt().value(), 30);
   ExprPtr missing = Var("nope");
-  EXPECT_FALSE(executor_.EvalStandalone(*missing, &vars).ok());
+  EXPECT_FALSE(EvalStandalone(*missing, &vars).ok());
 }
 
 TEST_F(EngineTest, CountStarAndSum) {
@@ -103,7 +114,7 @@ TEST_F(EngineTest, CountStarAndSum) {
     q.items.push_back(std::move(sum));
   }
   ASSERT_TRUE(executor_.Bind(&q).ok());
-  ResultSet rs = executor_.Execute(q, nullptr).value();
+  ResultSet rs = Execute(q).value();
   ASSERT_EQ(rs.rows.size(), 1u);
   EXPECT_EQ(rs.rows[0][0].AsInt().value(), 100);
   EXPECT_EQ(rs.rows[0][1].AsDouble().value(), 4950.0);
@@ -123,7 +134,7 @@ TEST_F(EngineTest, MinMaxAvgAndEmptyTable) {
     q.items.push_back(std::move(item));
   }
   ASSERT_TRUE(executor_.Bind(&q).ok());
-  ResultSet rs = executor_.Execute(q, nullptr).value();
+  ResultSet rs = Execute(q).value();
   EXPECT_EQ(rs.rows[0][0].AsDouble().value(), 0.0);
   EXPECT_EQ(rs.rows[0][1].AsDouble().value(), 9.0);
   EXPECT_EQ(rs.rows[0][2].AsDouble().value(), 4.5);
@@ -137,7 +148,7 @@ TEST_F(EngineTest, MinMaxAvgAndEmptyTable) {
   mn.label = "m";
   qe.items.push_back(std::move(mn));
   ASSERT_TRUE(executor_.Bind(&qe).ok());
-  ResultSet rse = executor_.Execute(qe, nullptr).value();
+  ResultSet rse = Execute(qe).value();
   ASSERT_EQ(rse.rows.size(), 1u);
   EXPECT_TRUE(rse.rows[0][0].is_null());
 }
@@ -153,7 +164,7 @@ TEST_F(EngineTest, WhereFilterAndTop) {
   q.where = Bin(BinaryOp::kGe, Col("id"), Lit(Value::Int(40)));
   q.top = 5;
   ASSERT_TRUE(executor_.Bind(&q).ok());
-  ResultSet rs = executor_.Execute(q, nullptr).value();
+  ResultSet rs = Execute(q).value();
   ASSERT_EQ(rs.rows.size(), 5u);
   EXPECT_EQ(rs.rows[0][0].AsInt().value(), 40);
   EXPECT_EQ(rs.rows[4][0].AsInt().value(), 44);
@@ -178,7 +189,7 @@ TEST_F(EngineTest, GroupByAggregates) {
   }
   q.group_by.push_back(Bin(BinaryOp::kMod, Col("id"), Lit(Value::Int(3))));
   ASSERT_TRUE(executor_.Bind(&q).ok());
-  ResultSet rs = executor_.Execute(q, nullptr).value();
+  ResultSet rs = Execute(q).value();
   ASSERT_EQ(rs.rows.size(), 3u);
   for (const auto& row : rs.rows) {
     EXPECT_EQ(row[1].AsInt().value(), 10);
@@ -198,7 +209,7 @@ TEST_F(EngineTest, ClrBoundaryCostIsCharged) {
   s1.label = "s";
   q1.items.push_back(std::move(s1));
   ASSERT_TRUE(executor_.Bind(&q1).ok());
-  ResultSet r1 = executor_.Execute(q1, nullptr).value();
+  ResultSet r1 = Execute(q1).value();
   EXPECT_EQ(r1.stats.udf_calls, 0);
   double native_cpu = r1.stats.cpu_core_seconds;
 
@@ -214,7 +225,7 @@ TEST_F(EngineTest, ClrBoundaryCostIsCharged) {
   s2.label = "s";
   q2.items.push_back(std::move(s2));
   ASSERT_TRUE(executor_.Bind(&q2).ok());
-  ResultSet r2 = executor_.Execute(q2, nullptr).value();
+  ResultSet r2 = Execute(q2).value();
   EXPECT_EQ(r2.stats.udf_calls, 1000);
   // At least rows * clr_call_ns of extra modeled CPU.
   EXPECT_GT(r2.stats.cpu_core_seconds,
@@ -288,12 +299,12 @@ TEST_F(EngineTest, ParallelAggregateMatchesSerial) {
 
   Query serial_q = make_query();
   ASSERT_TRUE(executor_.Bind(&serial_q).ok());
-  ResultSet serial = executor_.Execute(serial_q, nullptr).value();
+  ResultSet serial = Execute(serial_q).value();
 
   executor_.set_scan_workers(8);
   Query parallel_q = make_query();
   ASSERT_TRUE(executor_.Bind(&parallel_q).ok());
-  ResultSet parallel = executor_.Execute(parallel_q, nullptr).value();
+  ResultSet parallel = Execute(parallel_q).value();
   executor_.set_scan_workers(1);
 
   ASSERT_EQ(serial.rows.size(), 1u);
@@ -344,7 +355,7 @@ TEST_F(EngineTest, ParallelAggregateWithUdfExpression) {
   executor_.set_scan_workers(4);
   Query q = make_query();
   ASSERT_TRUE(executor_.Bind(&q).ok());
-  ResultSet rs = executor_.Execute(q, nullptr).value();
+  ResultSet rs = Execute(q).value();
   executor_.set_scan_workers(1);
   EXPECT_EQ(rs.ScalarResult().value().AsDouble().value(), expect);
   EXPECT_EQ(rs.stats.udf_calls, 5000);
@@ -367,7 +378,7 @@ TEST_F(EngineTest, ParallelFallsBackForGroupByAndUda) {
   q.items.push_back(std::move(cnt));
   q.group_by.push_back(Bin(BinaryOp::kMod, Col("id"), Lit(Value::Int(2))));
   ASSERT_TRUE(executor_.Bind(&q).ok());
-  ResultSet rs = executor_.Execute(q, nullptr).value();
+  ResultSet rs = Execute(q).value();
   executor_.set_scan_workers(1);
   EXPECT_EQ(rs.rows.size(), 2u);
 }
@@ -404,7 +415,7 @@ TEST_F(EngineTest, BatchedAggregateMatchesRowAtATime) {
     executor_.set_batch_rows(batch_rows);
     Query q = make_query();
     EXPECT_TRUE(executor_.Bind(&q).ok());
-    ResultSet rs = executor_.Execute(q, nullptr).value();
+    ResultSet rs = Execute(q).value();
     executor_.set_batch_rows(1024);
     return rs;
   };
@@ -461,7 +472,7 @@ TEST_F(EngineTest, BatchedAggregateWithUdfMatchesRowAtATime) {
     executor_.set_scan_workers(workers);
     Query q = make_query();
     EXPECT_TRUE(executor_.Bind(&q).ok());
-    ResultSet rs = executor_.Execute(q, nullptr).value();
+    ResultSet rs = Execute(q).value();
     executor_.set_batch_rows(1024);
     executor_.set_scan_workers(1);
     return rs;
@@ -508,7 +519,7 @@ TEST_F(EngineTest, BatchedRowModeMatchesRowAtATime) {
     executor_.set_batch_rows(batch_rows);
     Query q = make_query();
     EXPECT_TRUE(executor_.Bind(&q).ok());
-    ResultSet rs = executor_.Execute(q, nullptr).value();
+    ResultSet rs = Execute(q).value();
     executor_.set_batch_rows(1024);
     return rs;
   };
@@ -544,7 +555,7 @@ TEST_F(EngineTest, BatchedFallbacksPreserveSemantics) {
     q.where = Bin(BinaryOp::kGe, Col("id"), Lit(Value::Int(50)));
     q.top = 3;
     EXPECT_TRUE(executor_.Bind(&q).ok());
-    ResultSet rs = executor_.Execute(q, nullptr).value();
+    ResultSet rs = Execute(q).value();
     executor_.set_batch_rows(1024);
     return rs;
   };
@@ -566,7 +577,7 @@ TEST_F(EngineTest, FromLessSelect) {
   item.label = "three";
   q.items.push_back(std::move(item));
   ASSERT_TRUE(executor_.Bind(&q).ok());
-  ResultSet rs = executor_.Execute(q, nullptr).value();
+  ResultSet rs = Execute(q).value();
   EXPECT_EQ(rs.ScalarResult().value().AsInt().value(), 3);
 }
 

@@ -83,6 +83,29 @@ TEST(CancelSource, DisarmPreventsDeadline) {
   EXPECT_TRUE(src.Check().ok());
 }
 
+TEST(CancelSource, DisarmClearsAFiredDeadlineButNotAKill) {
+  // The watchdog can fire a statement's deadline after the statement has
+  // returned; disarming at the statement's end clears that kill, so the
+  // next statement runs.
+  gov::CancelSource src;
+  src.ArmDeadline(std::chrono::steady_clock::now() -
+                  std::chrono::milliseconds(1));
+  EXPECT_TRUE(src.ProbeDeadline());
+  src.DisarmDeadline();
+  EXPECT_TRUE(src.StatusNow().ok());
+
+  // A user or shutdown kill still aborts the next statement.
+  for (gov::KillReason reason :
+       {gov::KillReason::kUser, gov::KillReason::kShutdown}) {
+    src.ArmDeadline(std::chrono::steady_clock::now() +
+                    std::chrono::hours(1));
+    src.Cancel(reason, "killed by test");
+    src.DisarmDeadline();
+    EXPECT_EQ(src.StatusNow().code(), StatusCode::kCancelled);
+    src.Reset();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // MemoryBudget
 // ---------------------------------------------------------------------------
@@ -693,6 +716,95 @@ TEST_F(ServerTest, KillBetweenStatementsRollsBackTheOpenTransaction) {
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs.result_sets.at(0).rows.at(0).at(0).AsInt().value(), 0);
   EXPECT_TRUE(srv.CloseSession(id).ok());
+}
+
+/// Creates `cq` with rows (0, 5.0) and (1, 6.0) through session `id`.
+void MakeConcatTable(server::ArrayServer* srv, int64_t id) {
+  ASSERT_TRUE(srv->Execute(id, "CREATE TABLE cq (id BIGINT, v FLOAT)").ok());
+  ASSERT_TRUE(
+      srv->Execute(id, "INSERT INTO cq VALUES (0, 5.0), (1, 6.0)").ok());
+}
+
+/// Declares the variables ConcatCells reads in session `id`.
+void DeclareConcatVariables(server::ArrayServer* srv, int64_t id, int k) {
+  ASSERT_TRUE(srv->Execute(id, "DECLARE @k BIGINT = " + std::to_string(k) +
+                                   "; DECLARE @l VARBINARY(100) = "
+                                   "IntArray.Vector_1(3); "
+                                   "DECLARE @r VARBINARY(MAX)")
+                  .ok());
+}
+
+/// The three cells of the array ConcatQuery builds in session `id` from the
+/// rows of `cq` that the session's subquery sees with id below its @k.
+std::vector<double> ConcatCells(server::ArrayServer* srv, int64_t id) {
+  server::StatementOutcome out = srv->Execute(
+      id,
+      "SET @r = FloatArrayMax.ConcatQuery(@l, "
+      "'SELECT id, v FROM cq WHERE id < @k'); SELECT @r[0], @r[1], @r[2]");
+  EXPECT_TRUE(out.ok()) << out.status.ToString();
+  std::vector<double> cells;
+  if (!out.ok()) return cells;
+  for (const Value& v : out.result_sets.at(0).rows.at(0)) {
+    cells.push_back(v.AsDouble().value());
+  }
+  return cells;
+}
+
+TEST_F(ServerTest, ConcatQueryReadsItsCallersVariables) {
+  server::ArrayServer srv(&executor_, server::ServerConfig{});
+  int64_t a = srv.OpenSession();
+  MakeConcatTable(&srv, a);
+  DeclareConcatVariables(&srv, a, 2);
+  int64_t b = srv.OpenSession();
+  DeclareConcatVariables(&srv, b, 1);
+  EXPECT_EQ(ConcatCells(&srv, a), (std::vector<double>{5, 6, 0}));
+  EXPECT_EQ(ConcatCells(&srv, b), (std::vector<double>{5, 0, 0}));
+}
+
+TEST_F(ServerTest, ConcatQueryReadsItsCallersTransaction) {
+  server::ArrayServer srv(&executor_, server::ServerConfig{});
+  int64_t a = srv.OpenSession();
+  MakeConcatTable(&srv, a);
+  DeclareConcatVariables(&srv, a, 3);
+  int64_t b = srv.OpenSession();
+  DeclareConcatVariables(&srv, b, 3);
+  ASSERT_TRUE(
+      srv.Execute(a, "BEGIN TRANSACTION; INSERT INTO cq VALUES (2, 7.0)").ok());
+  EXPECT_EQ(ConcatCells(&srv, a), (std::vector<double>{5, 6, 7}));
+  EXPECT_EQ(ConcatCells(&srv, b), (std::vector<double>{5, 6, 0}));
+  ASSERT_TRUE(srv.Execute(a, "ROLLBACK").ok());
+  EXPECT_EQ(ConcatCells(&srv, a), (std::vector<double>{5, 6, 0}));
+}
+
+TEST_F(ServerTest, ConcatQueryOutlivesALaterSession) {
+  server::ArrayServer srv(&executor_, server::ServerConfig{});
+  int64_t a = srv.OpenSession();
+  MakeConcatTable(&srv, a);
+  DeclareConcatVariables(&srv, a, 2);
+  int64_t b = srv.OpenSession();
+  ASSERT_TRUE(srv.CloseSession(b).ok());
+  EXPECT_EQ(ConcatCells(&srv, a), (std::vector<double>{5, 6, 0}));
+}
+
+TEST_F(ServerTest, ConcurrentConcatQueriesReadTheirOwnVariables) {
+  server::ArrayServer srv(&executor_, server::ServerConfig{});
+  int64_t setup = srv.OpenSession();
+  MakeConcatTable(&srv, setup);
+  const std::vector<std::vector<double>> want = {{5, 0, 0}, {5, 6, 0}};
+  std::vector<int64_t> ids;
+  for (int k = 1; k <= 2; ++k) {
+    ids.push_back(srv.OpenSession());
+    DeclareConcatVariables(&srv, ids.back(), k);
+  }
+  std::vector<std::thread> threads;
+  for (size_t s = 0; s < ids.size(); ++s) {
+    threads.emplace_back([&, s] {
+      for (int i = 0; i < 50; ++i) {
+        EXPECT_EQ(ConcatCells(&srv, ids[s]), want[s]) << "session " << s;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
 }
 
 TEST_F(ServerTest, SlowQueryWatchdogKillsRunaways) {

@@ -1,6 +1,6 @@
-// Tests for the observability layer (ISSUE 4): the metrics registry under
-// concurrent increments, deterministic trace stitching, the RAII
-// SubqueryScope, profile-tree determinism across worker counts, the
+// Tests for the observability layer: the metrics registry under
+// concurrent increments, deterministic trace stitching, profile-tree
+// determinism across worker counts, the
 // EXPLAIN ANALYZE golden shape, and counter conservation (profile == stats
 // delta == registry delta). Built both plain and under
 // -DSQLARRAY_SANITIZE=thread (the tsan_obs_suite ctest entry).
@@ -181,58 +181,6 @@ TEST(Trace, ConcurrentLanesRecordIndependently) {
 }
 
 // ---------------------------------------------------------------------------
-// SubqueryScope (RAII redesign of set_subquery_runner)
-// ---------------------------------------------------------------------------
-
-TEST(SubqueryScope, InstallReleaseAndMove) {
-  storage::Database db;
-  engine::FunctionRegistry registry;
-  engine::Executor executor(&db, &registry);
-
-  engine::SubqueryScope scope = executor.InstallSubqueryRunner(
-      [](const std::string&) -> Result<engine::SubqueryResult> {
-        return engine::SubqueryResult{};
-      });
-  EXPECT_TRUE(scope.active());
-
-  // Moving the scope keeps the installation alive and transfers ownership.
-  engine::SubqueryScope moved = std::move(scope);
-  EXPECT_TRUE(moved.active());
-  EXPECT_FALSE(scope.active());  // NOLINT(bugprone-use-after-move)
-
-  // A later install displaces the earlier scope.
-  engine::SubqueryScope second = executor.InstallSubqueryRunner(
-      [](const std::string&) -> Result<engine::SubqueryResult> {
-        return engine::SubqueryResult{};
-      });
-  EXPECT_TRUE(second.active());
-  EXPECT_FALSE(moved.active());
-
-  second.Release();
-  EXPECT_FALSE(second.active());
-  second.Release();  // idempotent
-}
-
-TEST(SubqueryScope, DestructorUninstallsCleanly) {
-  storage::Database db;
-  engine::FunctionRegistry registry;
-  engine::Executor executor(&db, &registry);
-  {
-    engine::SubqueryScope scope = executor.InstallSubqueryRunner(
-        [](const std::string&) -> Result<engine::SubqueryResult> {
-          return engine::SubqueryResult{};
-        });
-    EXPECT_TRUE(scope.active());
-  }
-  // After the scope died a fresh install must work (no dangling pointer).
-  engine::SubqueryScope again = executor.InstallSubqueryRunner(
-      [](const std::string&) -> Result<engine::SubqueryResult> {
-        return engine::SubqueryResult{};
-      });
-  EXPECT_TRUE(again.active());
-}
-
-// ---------------------------------------------------------------------------
 // Profiles end to end
 // ---------------------------------------------------------------------------
 
@@ -377,7 +325,7 @@ TEST_F(ObsQueryTest, CountersConserveAcrossProfileStatsAndRegistry) {
   obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   engine::QueryContext qctx;
   qctx.collect_profile = true;
-  engine::ResultSet rs = executor_.Execute(q, nullptr, &qctx).value();
+  engine::ResultSet rs = executor_.Execute(q, &qctx).value();
   obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
 
   ASSERT_FALSE(qctx.profile.empty());

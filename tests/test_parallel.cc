@@ -77,6 +77,12 @@ class ParallelTest : public ::testing::Test {
     return t;
   }
 
+  /// Runs a bound query under a fresh statement context.
+  Result<ResultSet> Execute(const Query& q) {
+    QueryContext qctx;
+    return executor_.Execute(q, &qctx);
+  }
+
   /// Runs q at each worker count in `workers`, `repeats` times each, and
   /// expects every run byte-identical to the first. When `check_stats` is
   /// set, rows_scanned and the cost accounting must also be bitwise stable
@@ -86,14 +92,14 @@ class ParallelTest : public ::testing::Test {
     Query ref_q = make_query();
     ASSERT_TRUE(executor_.Bind(&ref_q).ok());
     executor_.set_scan_workers(1);
-    ResultSet ref = executor_.Execute(ref_q, nullptr).value();
+    ResultSet ref = Execute(ref_q).value();
     std::string want = Fingerprint(ref);
     for (int workers : {1, 2, 3, 8}) {
       executor_.set_scan_workers(workers);
       for (int repeat = 0; repeat < 3; ++repeat) {
         Query q = make_query();
         ASSERT_TRUE(executor_.Bind(&q).ok());
-        ResultSet rs = executor_.Execute(q, nullptr).value();
+        ResultSet rs = Execute(q).value();
         EXPECT_EQ(Fingerprint(rs), want)
             << "workers=" << workers << " repeat=" << repeat;
         if (check_stats) {
@@ -236,7 +242,7 @@ TEST_F(ParallelTest, TopShortCircuitSkipsTailAtOneWorker) {
   q.top = 5;
   ASSERT_TRUE(executor_.Bind(&q).ok());
   executor_.set_scan_workers(1);
-  ResultSet rs = executor_.Execute(q, nullptr).value();
+  ResultSet rs = Execute(q).value();
   ASSERT_EQ(rs.rows.size(), 5u);
   for (int64_t i = 0; i < 5; ++i) {
     EXPECT_EQ(rs.rows[static_cast<size_t>(i)][0].AsInt().value(), i);
@@ -262,7 +268,7 @@ TEST_F(ParallelTest, TinyTableRunsInline) {
   sum.label = "s";
   q.items.push_back(std::move(sum));
   ASSERT_TRUE(executor_.Bind(&q).ok());
-  ResultSet rs = executor_.Execute(q, nullptr).value();
+  ResultSet rs = Execute(q).value();
   EXPECT_EQ(rs.ScalarResult().value().AsInt().value(), 300 * 299 / 2);
   EXPECT_EQ(rs.stats.rows_scanned, 300);
   EXPECT_EQ(executor_.worker_pool(), nullptr);
@@ -280,7 +286,7 @@ TEST_F(ParallelTest, WorkerPoolPersistsAcrossQueries) {
   ASSERT_TRUE(executor_.Bind(&q).ok());
 
   executor_.set_scan_workers(4);
-  ASSERT_TRUE(executor_.Execute(q, nullptr).ok());
+  ASSERT_TRUE(Execute(q).ok());
   WorkerPool* pool = executor_.worker_pool();
   ASSERT_NE(pool, nullptr);
   int threads_after_first = pool->thread_count();
@@ -288,7 +294,7 @@ TEST_F(ParallelTest, WorkerPoolPersistsAcrossQueries) {
 
   // Reused, not recreated or regrown, on the next queries.
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(executor_.Execute(q, nullptr).ok());
+    ASSERT_TRUE(Execute(q).ok());
   }
   EXPECT_EQ(executor_.worker_pool(), pool);
   EXPECT_EQ(pool->thread_count(), threads_after_first);
@@ -440,8 +446,9 @@ TEST(BufferPoolConcurrencyTest, ParallelQueriesShareOneCache) {
 
   executor.set_scan_workers(8);
   db.ClearCache();
-  ResultSet cold = executor.Execute(q, nullptr).value();
-  ResultSet warm = executor.Execute(q, nullptr).value();
+  QueryContext cold_ctx, warm_ctx;
+  ResultSet cold = executor.Execute(q, &cold_ctx).value();
+  ResultSet warm = executor.Execute(q, &warm_ctx).value();
   // The rerun is served from the shared cache: no new physical reads.
   EXPECT_GT(cold.stats.io.pages_read, 0);
   EXPECT_EQ(warm.stats.io.pages_read, 0);

@@ -279,6 +279,48 @@ TEST_F(SessionTest, ReaderStyleConcatQueryMatchesUda) {
   }
 }
 
+TEST_F(SessionTest, ConcatQueryRunsExactlyOneReadingSelect) {
+  // The subquery runs inside the statement that calls it, so it may only
+  // read: a write, a second statement or an assignment would change the
+  // session under that statement.
+  Run("CREATE TABLE cells3 (id BIGINT, ix BIGINT, v FLOAT)");
+  Run("INSERT INTO cells3 VALUES (1, 0, 5.0), (2, 1, 6.0), (3, 2, 7.0)");
+  Run("DECLARE @l VARBINARY(100) = IntArray.Vector_1(3)");
+  Run("DECLARE @x FLOAT = 1.0");
+  Run("DECLARE @r VARBINARY(MAX)");
+  for (const std::string text :
+       {"DELETE FROM cells3 WHERE id = 1; SELECT ix, v FROM cells3",
+        "DECLARE @y FLOAT",
+        "SELECT ix, v FROM cells3; SELECT ix, v FROM cells3",
+        "SELECT @x = v FROM cells3"}) {
+    auto r = session_.Execute("SET @r = FloatArrayMax.ConcatQuery(@l, '" +
+                              text + "')");
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  auto count = Run("SELECT COUNT(*) FROM cells3");
+  EXPECT_EQ(count[0].ScalarResult().value().AsInt().value(), 3);
+  EXPECT_EQ(session_.GetVariable("x").value().AsDouble().value(), 1.0);
+  EXPECT_FALSE(session_.GetVariable("y").ok());
+}
+
+TEST_F(SessionTest, EveryStatementReportsItsOwnStats) {
+  Run("CREATE TABLE st (id BIGINT, v FLOAT)");
+  Run("INSERT INTO st VALUES (1, 1.0), (2, 2.0), (3, 3.0)");
+  Run("SELECT SUM(v) FROM st");
+  EXPECT_EQ(session_.last_stats().rows_scanned, 3);
+  // The VALUES row calls two hosted functions and scans nothing.
+  Run("INSERT INTO st VALUES "
+      "(4, FloatArray.Item_1(FloatArray.Vector_2(1.0, 2.0), 1))");
+  EXPECT_EQ(session_.last_stats().rows_scanned, 0);
+  EXPECT_EQ(session_.last_stats().udf_calls, 2);
+  Run("SELECT SUM(v) FROM st");
+  EXPECT_EQ(session_.last_stats().rows_scanned, 4);
+  Run("DECLARE @a VARBINARY(100) = FloatArray.Vector_2(1.0, 2.0)");
+  EXPECT_EQ(session_.last_stats().rows_scanned, 0);
+  EXPECT_EQ(session_.last_stats().udf_calls, 1);
+}
+
 TEST_F(SessionTest, SubscriptSugarReadsAndSlices) {
   Run("DECLARE @a VARBINARY(100) = FloatArray.Vector_5(10, 20, 30, 40, 50)");
   auto results = Run("SELECT @a[3]");

@@ -464,7 +464,9 @@ class VecEngineTest : public ::testing::Test {
               int workers) {
     executor_.set_batch_rows(batch);
     executor_.set_scan_workers(workers);
-    Result<ResultSet> r = executor_.Execute(q, vars);
+    QueryContext qctx;
+    qctx.variables = vars;
+    Result<ResultSet> r = executor_.Execute(q, &qctx);
     Outcome o;
     o.ok = r.ok();
     if (!r.ok()) {
@@ -713,7 +715,8 @@ TEST_F(VecEngineTest, BigintWrapAndDivisionByMinusOne) {
     executor_.set_batch_rows(batch);
     executor_.set_scan_workers(1);
     obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
-    Result<ResultSet> r = executor_.Execute(project, nullptr);
+    QueryContext qctx;
+    Result<ResultSet> r = executor_.Execute(project, &qctx);
     obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(after.Delta(before, "vec.rows"), batch > 1 ? kRows : 0);
@@ -737,7 +740,8 @@ TEST_F(VecEngineTest, BigintWrapAndDivisionByMinusOne) {
   }
   bare.items[2].expr->args[0] = Lit(Value::Int(kMax));  // kMax + 1
   ASSERT_TRUE(executor_.Bind(&bare).ok());
-  Result<ResultSet> r = executor_.Execute(bare, nullptr);
+  QueryContext qctx;
+  Result<ResultSet> r = executor_.Execute(bare, &qctx);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const std::vector<int64_t> bare_want = {kMin, 0, kMin, kMax, kMin, kMin};
   for (size_t i = 0; i < bare_want.size(); ++i) {
@@ -815,7 +819,7 @@ TEST_F(VecEngineTest, VecCountersAndProfileMode) {
   obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   QueryContext qctx;
   qctx.collect_profile = true;
-  ASSERT_TRUE(executor_.Execute(q, nullptr, &qctx).ok());
+  ASSERT_TRUE(executor_.Execute(q, &qctx).ok());
   obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
 
   // Fully vectorizable query: every scanned row went through the columnar
@@ -868,7 +872,7 @@ TEST_F(VecEngineTest, ProfileModesForMixedPlans) {
     EXPECT_TRUE(executor_.Bind(&q).ok());
     QueryContext qctx;
     qctx.collect_profile = true;
-    EXPECT_TRUE(executor_.Execute(q, nullptr, &qctx).ok());
+    EXPECT_TRUE(executor_.Execute(q, &qctx).ok());
     std::vector<const obs::ProfileNode*> stack{&qctx.profile.root()};
     while (!stack.empty()) {
       const obs::ProfileNode* n = stack.back();
@@ -958,7 +962,7 @@ TEST_F(VecEngineTest, ProfileModesForMixedPlans) {
   ASSERT_TRUE(executor_.Bind(&uda_q).ok());
   QueryContext uda_ctx;
   uda_ctx.collect_profile = true;
-  ASSERT_TRUE(executor_.Execute(uda_q, nullptr, &uda_ctx).ok());
+  ASSERT_TRUE(executor_.Execute(uda_q, &uda_ctx).ok());
   std::string vec_detail;
   for (const obs::ProfileNode& c : uda_ctx.profile.root().children) {
     if (c.op == "vec") vec_detail = c.detail;
@@ -989,7 +993,7 @@ TEST_F(VecEngineTest, GovernanceCancelAndBudgetInColumnarPath) {
     QueryContext qctx;
     qctx.limits.cancel = std::make_shared<gov::CancelSource>();
     qctx.limits.cancel->Cancel(gov::KillReason::kUser, "test kill");
-    Result<ResultSet> r = executor_.Execute(q, nullptr, &qctx);
+    Result<ResultSet> r = executor_.Execute(q, &qctx);
     ASSERT_FALSE(r.ok());
   }
   // A tiny memory budget trips on the columnar register-file charge.
@@ -998,7 +1002,7 @@ TEST_F(VecEngineTest, GovernanceCancelAndBudgetInColumnarPath) {
     gov::MemoryBudget budget;
     budget.Reset(1024);  // smaller than one 128-row batch
     qctx.limits.budget = &budget;
-    Result<ResultSet> r = executor_.Execute(q, nullptr, &qctx);
+    Result<ResultSet> r = executor_.Execute(q, &qctx);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   }
@@ -1314,8 +1318,9 @@ class CallLaneTest : public VecEngineTest {
     db_.ClearCache();
     QueryContext qctx;
     qctx.collect_profile = true;
+    qctx.variables = vars;
     obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
-    Result<ResultSet> r = ex.Execute(q, vars, &qctx);
+    Result<ResultSet> r = ex.Execute(q, &qctx);
     obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
     Snap s;
     s.ok = r.ok();
@@ -1815,7 +1820,8 @@ TEST_F(CallLaneTest, MalformedBlobFailsAlikeAtEveryWidth) {
       ASSERT_TRUE(executor_.Bind(&q).ok());
       executor_.set_batch_rows(1);
       executor_.set_scan_workers(1);
-      Result<ResultSet> row = executor_.Execute(q, nullptr);
+      QueryContext qctx;
+      Result<ResultSet> row = executor_.Execute(q, &qctx);
       ASSERT_FALSE(row.ok());
       EXPECT_EQ(row.status().code(), c.code) << row.status().ToString();
       for (int w : {1, 2}) {
@@ -1917,7 +1923,7 @@ TEST_F(CallLaneTest, KernelOnlyPlanSurfacesCancelAndBudget) {
       QueryContext qctx;
       qctx.limits.cancel = std::make_shared<gov::CancelSource>();
       qctx.limits.cancel->Cancel(gov::KillReason::kUser, "test kill");
-      Result<ResultSet> r = executor_.Execute(q, nullptr, &qctx);
+      Result<ResultSet> r = executor_.Execute(q, &qctx);
       ASSERT_FALSE(r.ok());
       EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
     }
@@ -1926,7 +1932,7 @@ TEST_F(CallLaneTest, KernelOnlyPlanSurfacesCancelAndBudget) {
       gov::MemoryBudget budget;
       budget.Reset(1024);
       qctx.limits.budget = &budget;
-      Result<ResultSet> r = executor_.Execute(q, nullptr, &qctx);
+      Result<ResultSet> r = executor_.Execute(q, &qctx);
       ASSERT_FALSE(r.ok());
       EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
     }
