@@ -4,13 +4,13 @@
 // in-process (threads calling Execute directly — the bench_server baseline
 // path) and networked (each thread a NetClient over loopback TCP, speaking
 // the length-prefixed frame protocol through NetServer's per-connection
-// handler threads). BENCH_NET_CONNECTIONS concurrent clients (default 8)
+// threads). BENCH_NET_CONNECTIONS concurrent clients (default 8)
 // each run BENCH_NET_OPS statements (default 40): COUNT range filters, hash
 // aggregates, chunk-streamed wide SELECTs, and per-connection INSERTs.
 //
 // Reported per path: p50/p99 statement latency and saturation qps; the
-// delta is the cost of framing + CRC + socket hops + the hand-off to the
-// connection's statement worker. Loopback numbers are a floor for real
+// delta is the cost of framing + CRC + socket hops + the connection
+// thread's wake on each frame. Loopback numbers are a floor for real
 // networks, but catching a serialization regression is the point.
 //
 // --json output carries the standard {"records", "host", "metrics"} shape

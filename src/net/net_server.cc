@@ -1,13 +1,16 @@
 #include "net/net_server.h"
 
 #include <arpa/inet.h>
+#include <linux/sockios.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -43,7 +46,29 @@ struct ServerCounters {
   }
 };
 
+/// The frames the watcher takes out of the socket during a statement:
+/// CANCEL, GOODBYE, and a PING whose echo cannot block the watcher, a
+/// small one onto an empty send queue. A QUERY, and any frame the query
+/// loop answers with an ERROR, stay in the socket.
+bool WatcherTakes(int fd, const FrameHeader& header) {
+  constexpr uint32_t kMaxEchoPayload = 1024;
+  switch (header.type) {
+    case FrameType::kCancel:
+    case FrameType::kGoodbye:
+      return true;
+    case FrameType::kPing: {
+      int queued = 0;
+      return header.payload_len <= kMaxEchoPayload &&
+             ::ioctl(fd, SIOCOUTQ, &queued) == 0 && queued == 0;
+    }
+    default:
+      return false;
+  }
+}
+
 }  // namespace
+
+NetServer::Connection::~Connection() { ::close(fd); }
 
 NetServer::NetServer(server::ArrayServer* server, AuthManager* auth,
                      NetServerConfig config)
@@ -91,13 +116,16 @@ Status NetServer::Start() {
   }
   bound_port_ = ntohs(bound.sin_port);
   listen_fd_.store(fd, std::memory_order_release);
-  running_.store(true, std::memory_order_release);
+  running_.store(true);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
+  watcher_ = std::thread([this] { WatchLoop(); });
   return Status::OK();
 }
 
 void NetServer::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  // Sequentially consistent with RunStatement's check: either a statement
+  // about to start sees the server stopping, or the kill below sees it.
+  if (!running_.exchange(false)) return;
   // Unblock accept() by closing the listener.
   int lfd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
   if (lfd >= 0) {
@@ -105,27 +133,27 @@ void NetServer::Stop() {
     ::close(lfd);
   }
   if (accept_thread_.joinable()) accept_thread_.join();
+  if (watcher_.joinable()) watcher_.join();
 
-  // Unblock every handler's blocking recv; the handlers then run their own
-  // teardown (kill in-flight statement, close session, close socket).
+  // A connection thread inside ArrayServer::Execute reads nothing until its
+  // statement ends, so kill every running statement here; shutting each
+  // socket down then unblocks the threads waiting for a frame, and each
+  // tears its connection down.
   std::vector<std::shared_ptr<Connection>> conns;
+  std::map<uint64_t, std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& [id, c] : connections_) conns.push_back(c);
+    threads = std::move(threads_);
+    threads_.clear();
   }
   for (auto& c : conns) {
-    std::lock_guard<std::mutex> lock(c->write_mu);
-    if (c->fd >= 0) ::shutdown(c->fd, SHUT_RDWR);
+    if (c->statement_running.load()) {
+      (void)server_->KillQuery(c->session_id.load());
+    }
+    ::shutdown(c->fd, SHUT_RDWR);
   }
-  std::map<uint64_t, std::thread> handlers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    handlers = std::move(handler_threads_);
-    handler_threads_.clear();
-  }
-  for (auto& [id, t] : handlers) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& [id, t] : threads) t.join();
 }
 
 int NetServer::open_connections() const {
@@ -149,9 +177,6 @@ void NetServer::AcceptLoop() {
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
-    auto conn = std::make_shared<Connection>();
-    conn->fd = fd;
-    uint64_t id;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (static_cast<int>(connections_.size()) >= config_.max_connections) {
@@ -162,45 +187,34 @@ void NetServer::AcceptLoop() {
         ::close(fd);
         continue;
       }
-      id = next_conn_id_++;
+      auto conn = std::make_shared<Connection>(fd);
+      uint64_t id = next_conn_id_++;
       connections_.emplace(id, conn);
+      // Started under mu_: the watcher joins a thread once its connection
+      // has left connections_, so the thread must be in threads_ by then.
+      threads_.emplace(id, std::thread([this, id, conn] {
+                         HandleConnection(conn.get());
+                         {
+                           std::lock_guard<std::mutex> lock(mu_);
+                           connections_.erase(id);
+                         }
+                         ServerCounters::Get().closed->Add(1);
+                         ServerCounters::Get().open->Set(open_connections());
+                       }));
     }
     ServerCounters::Get().accepted->Add(1);
     ServerCounters::Get().open->Set(open_connections());
-    std::thread handler([this, id, conn] {
-      HandleConnection(conn);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        connections_.erase(id);
-      }
-      ServerCounters::Get().closed->Add(1);
-      ServerCounters::Get().open->Set(open_connections());
-    });
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      handler_threads_.emplace(id, std::move(handler));
-    }
   }
 }
 
-void NetServer::HandleConnection(std::shared_ptr<Connection> conn) {
-  if (Handshake(conn.get())) {
-    while (running_.load(std::memory_order_acquire)) {
+void NetServer::HandleConnection(Connection* conn) {
+  std::unique_lock<std::mutex> read_side(conn->read_mu);
+  if (Handshake(conn)) {
+    while (running_.load(std::memory_order_acquire) &&
+           conn->ending == Ending::kNone) {
       Result<Frame> frame = ReadFrame(conn->fd, config_.max_frame_payload);
       if (!frame.ok()) {
-        if (frame.status().code() != StatusCode::kNotFound) {
-          // Malformed traffic (bad magic, oversized length, CRC damage):
-          // answer with a typed ERROR so a confused-but-honest client
-          // learns why, then drop the connection. The server survives.
-          SendError(conn.get(), frame.status());
-        } else if (conn->query_running.load(std::memory_order_acquire)) {
-          // Disconnect with a statement in flight: the client is gone, so
-          // nobody will consume the result. Kill it; the cooperative
-          // cancellation unwinds the statement and the WAL rolls back any
-          // open transaction.
-          ServerCounters::Get().disconnect_kills->Add(1);
-          (void)server_->KillQuery(conn->session_id);
-        }
+        NoteReadFailure(conn, frame.status());
         break;
       }
       switch (frame->type) {
@@ -208,51 +222,41 @@ void NetServer::HandleConnection(std::shared_ptr<Connection> conn) {
           PayloadReader r(frame->payload);
           Result<std::string> sql = r.GetString();
           if (!sql.ok()) {
-            SendError(conn.get(), sql.status());
-            break;
-          }
-          if (conn->query_running.load(std::memory_order_acquire)) {
-            SendError(conn.get(),
-                      Status::InvalidArgument(
-                          "a statement is already in flight on this "
-                          "connection"));
+            SendError(conn, sql.status());
             break;
           }
           ServerCounters::Get().queries->Add(1);
-          conn->query_running.store(true, std::memory_order_release);
-          SubmitStatement(conn.get(), std::move(sql).value());
+          RunStatement(conn, &read_side, sql.value());
           break;
         }
         case FrameType::kCancel:
+          // Between statements nothing runs: a CANCEL that arrives after
+          // its statement ended has nothing left to kill.
           ServerCounters::Get().cancels->Add(1);
-          (void)server_->KillQuery(conn->session_id);
           break;
-        case FrameType::kPing: {
-          std::lock_guard<std::mutex> lock(conn->write_mu);
-          if (conn->fd >= 0) {
-            (void)WriteFrame(conn->fd, FrameType::kPing, frame->payload);
-          }
+        case FrameType::kPing:
+          (void)WriteFrame(conn->fd, FrameType::kPing, frame->payload);
           break;
-        }
-        case FrameType::kGoodbye: {
-          {
-            std::lock_guard<std::mutex> lock(conn->write_mu);
-            if (conn->fd >= 0) {
-              (void)WriteFrame(conn->fd, FrameType::kGoodbye, {});
-            }
-          }
-          TeardownConnection(conn.get());
-          return;
-        }
+        case FrameType::kGoodbye:
+          conn->ending = Ending::kGoodbye;
+          break;
         default:
-          SendError(conn.get(),
+          SendError(conn,
                     Status::InvalidArgument("unexpected frame type after "
                                             "handshake"));
           break;
       }
     }
+    if (conn->ending == Ending::kGoodbye) {
+      (void)WriteFrame(conn->fd, FrameType::kGoodbye, {});
+    } else if (conn->ending == Ending::kMalformed) {
+      // Malformed traffic (bad magic, oversized length, CRC damage):
+      // answer with a typed ERROR so a confused-but-honest client learns
+      // why, then drop the connection. The server survives.
+      SendError(conn, conn->malformed);
+    }
   }
-  TeardownConnection(conn.get());
+  TeardownConnection(conn);
 }
 
 bool NetServer::Handshake(Connection* conn) {
@@ -287,7 +291,6 @@ bool NetServer::Handshake(Connection* conn) {
     PayloadWriter w;
     w.PutU32(kProtocolVersion);
     w.PutString("sqlarray");
-    std::lock_guard<std::mutex> lock(conn->write_mu);
     if (!WriteFrame(conn->fd, FrameType::kHello, w.buffer()).ok()) {
       return false;
     }
@@ -305,15 +308,11 @@ bool NetServer::Handshake(Connection* conn) {
       return false;
     }
     if (frame->type == FrameType::kPing) {
-      std::lock_guard<std::mutex> lock(conn->write_mu);
-      if (conn->fd >= 0) {
-        (void)WriteFrame(conn->fd, FrameType::kPing, frame->payload);
-      }
+      (void)WriteFrame(conn->fd, FrameType::kPing, frame->payload);
       continue;
     }
     if (frame->type == FrameType::kGoodbye) {
-      std::lock_guard<std::mutex> lock(conn->write_mu);
-      if (conn->fd >= 0) (void)WriteFrame(conn->fd, FrameType::kGoodbye, {});
+      (void)WriteFrame(conn->fd, FrameType::kGoodbye, {});
       return false;
     }
     if (frame->type != FrameType::kAuth) {
@@ -341,82 +340,45 @@ bool NetServer::Handshake(Connection* conn) {
       continue;
     }
     conn->user = user.value();
-    conn->session_id = server_->OpenSession();
+    int64_t session = server_->OpenSession();
+    conn->session_id.store(session);
     PayloadWriter w;
-    w.PutU64(static_cast<uint64_t>(conn->session_id));
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    if (conn->fd < 0 ||
-        !WriteFrame(conn->fd, FrameType::kAuth, w.buffer()).ok()) {
-      return false;
-    }
-    return true;
+    w.PutU64(static_cast<uint64_t>(session));
+    return WriteFrame(conn->fd, FrameType::kAuth, w.buffer()).ok();
   }
   return false;
 }
 
-void NetServer::SubmitStatement(Connection* conn, std::string sql) {
-  {
-    std::lock_guard<std::mutex> lock(conn->worker_mu);
-    conn->next = std::move(sql);
+void NetServer::RunStatement(Connection* conn,
+                             std::unique_lock<std::mutex>* read_side,
+                             std::string_view sql) {
+  conn->statement_running.store(true);
+  server::StatementOutcome outcome;
+  if (running_.load()) {
+    read_side->unlock();
+    outcome = server_->Execute(conn->session_id.load(), sql);
+    // Taken back before the first reply frame: once the client sees it, it
+    // may send its next frame, which is this thread's to read.
+    read_side->lock();
+  } else {
+    // Stop() may have passed this connection already; it kills nothing
+    // that starts after it.
+    outcome = server::StatementOutcome::FromStatus(
+        Status::Cancelled("server stopping"));
   }
-  conn->worker_cv.notify_one();
-  // Only the handler thread starts and joins the worker.
-  if (!conn->worker.joinable()) {
-    conn->worker = std::thread([this, conn] { StatementLoop(conn); });
-  }
-}
-
-void NetServer::StatementLoop(Connection* conn) {
-  std::unique_lock<std::mutex> lock(conn->worker_mu);
-  for (;;) {
-    conn->worker_cv.wait(
-        lock, [conn] { return conn->stopping || conn->next.has_value(); });
-    // A statement still in the slot at teardown never started: drop it.
-    if (conn->stopping) return;
-    std::string sql = std::move(*conn->next);
-    conn->next.reset();
-    lock.unlock();
-    RunStatement(conn, std::move(sql));
-    lock.lock();
-  }
-}
-
-void NetServer::RunStatement(Connection* conn, std::string sql) {
-  server::StatementOutcome outcome = server_->Execute(conn->session_id, sql);
-  // query_running flips false under the write lock, before the statement's
-  // final frame (ERROR or the done-trailer ROWS chunk) hits the socket: the
-  // client may legally send its next QUERY the instant it sees that frame,
-  // and the handler thread must not read the stale "busy" flag.
+  conn->statement_running.store(false);
   if (!outcome.ok()) {
-    ServerCounters::Get().errors_sent->Add(1);
-    std::vector<uint8_t> payload = EncodeError(outcome.status);
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    conn->query_running.store(false, std::memory_order_release);
-    if (conn->fd >= 0) {
-      (void)WriteFrame(conn->fd, FrameType::kError, payload);
-    }
-  } else if (!StreamOutcome(conn, outcome).ok()) {
-    // The client vanished mid-stream (the handler thread notices the
-    // disconnect and tears the connection down), or a value did not encode.
-    // Either way no final frame went out, so nothing cleared the flag. On
-    // success the final frame's send cleared it, and the client may already
-    // have sent its next statement, so it must not be touched again.
-    conn->query_running.store(false, std::memory_order_release);
+    SendError(conn, outcome.status);
+  } else if (Status st = StreamOutcome(conn, outcome); !st.ok()) {
+    // A value that did not encode ends the stream with a typed ERROR; to a
+    // client that vanished mid-stream it goes nowhere.
+    SendError(conn, st);
   }
 }
 
 Status NetServer::StreamOutcome(Connection* conn,
                                 const server::StatementOutcome& outcome) {
   const auto& sets = outcome.result_sets;
-  auto send = [&](const std::vector<uint8_t>& payload,
-                  bool statement_done) -> Status {
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    if (statement_done) {
-      conn->query_running.store(false, std::memory_order_release);
-    }
-    if (conn->fd < 0) return Status::Internal("net: connection closed");
-    return WriteFrame(conn->fd, FrameType::kRows, payload);
-  };
 
   if (sets.empty()) {
     // DDL/DML batches produce no result sets but still need a terminator.
@@ -427,7 +389,7 @@ Status NetServer::StreamOutcome(Connection* conn,
     w.PutBytes({});  // empty row payload
     w.PutU32(0);   // statement produced zero result sets
     AppendStatsTrailer(&w, outcome.stats);
-    return send(w.buffer(), /*statement_done=*/true);
+    return WriteFrame(conn->fd, FrameType::kRows, w.buffer());
   }
 
   for (size_t ri = 0; ri < sets.size(); ++ri) {
@@ -469,7 +431,8 @@ Status NetServer::StreamOutcome(Connection* conn,
         w.PutU32(static_cast<uint32_t>(sets.size()));
         AppendStatsTrailer(&w, outcome.stats);
       }
-      SQLARRAY_RETURN_IF_ERROR(send(w.buffer(), statement_done));
+      SQLARRAY_RETURN_IF_ERROR(
+          WriteFrame(conn->fd, FrameType::kRows, w.buffer()));
       first_chunk = false;
     } while (row < rs.rows.size());
   }
@@ -478,35 +441,83 @@ Status NetServer::StreamOutcome(Connection* conn,
 
 void NetServer::SendError(Connection* conn, const Status& st) {
   ServerCounters::Get().errors_sent->Add(1);
-  std::vector<uint8_t> payload = EncodeError(st);
-  std::lock_guard<std::mutex> lock(conn->write_mu);
-  if (conn->fd >= 0) {
-    (void)WriteFrame(conn->fd, FrameType::kError, payload);
+  (void)WriteFrame(conn->fd, FrameType::kError, EncodeError(st));
+}
+
+void NetServer::NoteReadFailure(Connection* conn, Status st) {
+  if (st.code() == StatusCode::kNotFound) {
+    conn->ending = Ending::kPeerClosed;
+  } else {
+    conn->ending = Ending::kMalformed;
+    conn->malformed = std::move(st);
   }
 }
 
 void NetServer::TeardownConnection(Connection* conn) {
-  if (conn->query_running.load(std::memory_order_acquire)) {
-    (void)server_->KillQuery(conn->session_id);
-  }
-  {
-    std::lock_guard<std::mutex> lock(conn->worker_mu);
-    conn->stopping = true;
-  }
-  conn->worker_cv.notify_one();
-  if (conn->worker.joinable()) conn->worker.join();
-  if (conn->session_id >= 0) {
-    // Idempotent: a GOODBYE teardown racing a disconnect teardown may pass
-    // through here twice.
-    (void)server_->CloseSession(conn->session_id);
-    conn->session_id = -1;
+  // Statements run on the connection thread, so none is running here.
+  int64_t session = conn->session_id.exchange(-1);
+  if (session >= 0) {
+    (void)server_->CloseSession(session);
     auth_->ReleaseSession(conn->user);
-    conn->user.clear();
   }
-  std::lock_guard<std::mutex> lock(conn->write_mu);
-  if (conn->fd >= 0) {
-    ::close(conn->fd);
-    conn->fd = -1;
+  // The client sees EOF now; the descriptor closes with the last reference.
+  ::shutdown(conn->fd, SHUT_RDWR);
+}
+
+void NetServer::WatchLoop() {
+  while (running_.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(kWatchTick);
+    std::vector<std::shared_ptr<Connection>> running;
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (auto& [id, c] : connections_) {
+        if (c->statement_running.load()) running.push_back(c);
+      }
+      for (auto it = threads_.begin(); it != threads_.end();) {
+        if (connections_.count(it->first) == 0) {
+          finished.push_back(std::move(it->second));
+          it = threads_.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+    for (auto& c : running) WatchStatement(c.get());
+    for (auto& t : finished) t.join();
+  }
+}
+
+void NetServer::WatchStatement(Connection* conn) {
+  std::unique_lock<std::mutex> read_side(conn->read_mu, std::try_to_lock);
+  // Held by the connection thread: its statement has ended.
+  if (!read_side.owns_lock() || !conn->statement_running.load()) return;
+  while (conn->ending == Ending::kNone) {
+    Result<std::optional<FrameHeader>> next =
+        PeekBufferedFrame(conn->fd, config_.max_frame_payload);
+    // Wait for a frame still in transit; leave the rest to the connection
+    // thread, which reads it after this statement, in order.
+    if (next.ok() && (!next->has_value() || !WatcherTakes(conn->fd, **next))) {
+      return;
+    }
+    Result<Frame> frame =
+        next.ok() ? ReadFrame(conn->fd, config_.max_frame_payload)
+                  : Result<Frame>(next.status());
+    if (!frame.ok()) {
+      NoteReadFailure(conn, frame.status());
+      if (conn->ending == Ending::kPeerClosed) {
+        // The client is gone, so nobody will consume the result.
+        ServerCounters::Get().disconnect_kills->Add(1);
+      }
+    } else if (frame->type == FrameType::kPing) {
+      (void)WriteFrame(conn->fd, FrameType::kPing, frame->payload);
+      continue;
+    } else if (frame->type == FrameType::kGoodbye) {
+      conn->ending = Ending::kGoodbye;
+    } else {
+      ServerCounters::Get().cancels->Add(1);
+    }
+    (void)server_->KillQuery(conn->session_id.load());
   }
 }
 

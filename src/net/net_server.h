@@ -1,18 +1,27 @@
 // Networked front-end: a socket listener in front of server::ArrayServer.
 //
-// Threading model: one listener thread accepts connections; each connection
-// gets a dedicated handler thread that owns the socket's read side and the
-// connection state machine (HELLO → AUTH → query loop), and one statement
-// worker thread, started on its first QUERY. The handler hands each QUERY
-// to the worker through a one-statement slot (mutex + condition variable)
-// and keeps reading while the statement executes — that is what makes
-// CANCEL frames and client disconnects effective mid-query: both fire
-// ArrayServer::KillQuery, the cooperative cancellation machinery unwinds
-// the statement, and the WAL rolls back whatever transaction the kill left
-// open. The worker lives as long as the connection, so a statement costs a
-// wake-up rather than a thread create + join; teardown stops and joins it.
-// Socket writes are serialized per connection (the worker streams ROWS
-// chunks while the handler may answer PING).
+// Threading model: one listener thread accepts connections, one watcher
+// thread serves the whole server, and each connection gets one thread. The
+// connection thread runs the connection state machine (HELLO → AUTH →
+// query loop) and executes each QUERY itself, so a statement's critical
+// path is client → connection thread → client, the same shape as a PING.
+//
+// The connection's read side is a lock, and every read and write of its
+// socket happens under it. The connection thread holds it at all times
+// except while its statement runs inside ArrayServer::Execute, and takes
+// it back before writing the statement's first reply frame. Each tick the
+// watcher visits the connections whose statement is running and tries to
+// take the read side; holding it, the watcher reads only whole frames that
+// are already buffered, so it never blocks. CANCEL fires
+// ArrayServer::KillQuery, and a PING is echoed when the echo cannot block
+// either; GOODBYE, a vanished client or a malformed frame also kill the
+// statement, and the connection thread sends the ack or the ERROR and
+// tears down once the statement has ended.
+// A QUERY is left in the socket and runs after the current statement, in
+// order. A statement that ends within one tick never meets the watcher.
+// The cooperative cancellation machinery unwinds a killed statement and
+// the WAL rolls back whatever transaction the kill left open. The watcher
+// also joins the threads of closed connections.
 //
 // Admission control, per-session deadlines, memory budgets, KillQuery, and
 // the slow-query watchdog all apply unchanged — the NetServer adds no
@@ -23,13 +32,13 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "common/status.h"
@@ -71,8 +80,8 @@ class NetServer {
   /// (port in use, bad address).
   Status Start();
 
-  /// Stops accepting, kills in-flight statements, unblocks every handler,
-  /// joins all threads, and closes all sessions. Idempotent.
+  /// Stops accepting, kills running statements, unblocks every connection
+  /// thread, joins all threads, and closes all sessions. Idempotent.
   void Stop();
 
   /// The bound TCP port (valid after Start); 0 before.
@@ -81,45 +90,59 @@ class NetServer {
   int open_connections() const;
 
  private:
+  /// How the client ended the connection while a statement ran.
+  enum class Ending { kNone, kGoodbye, kPeerClosed, kMalformed };
+
   struct Connection {
-    int fd = -1;
-    int64_t session_id = -1;
+    explicit Connection(int socket) : fd(socket) {}
+    /// The last reference closes the socket, so a descriptor another
+    /// thread still holds is never reused under it.
+    ~Connection();
+    Connection(const Connection&) = delete;
+    Connection& operator=(const Connection&) = delete;
+
+    const int fd;
+    /// Written by the connection thread; read by the watcher and Stop().
+    std::atomic<int64_t> session_id{-1};
     std::string user;
-    /// Serializes socket writes between the handler thread (PING echo,
-    /// errors) and the statement worker (ROWS streaming).
-    std::mutex write_mu;
-    std::atomic<bool> query_running{false};
-    /// The statement worker's slot: `next` holds a statement the worker
-    /// has not taken yet; `stopping` tells it to exit. Both are guarded by
-    /// worker_mu.
-    std::mutex worker_mu;
-    std::condition_variable worker_cv;
-    std::optional<std::string> next;
-    bool stopping = false;
-    /// Declared after everything the worker uses.
-    std::thread worker;
+    /// The read side: the right to read and write the socket.
+    std::mutex read_mu;
+    /// True from just before the read side is released for a statement
+    /// until it is taken back.
+    std::atomic<bool> statement_running{false};
+    /// Set by whoever read the frame that ends the connection. Guarded by
+    /// read_mu, with `malformed`, the ERROR a kMalformed ending sends.
+    Ending ending = Ending::kNone;
+    Status malformed;
   };
 
   void AcceptLoop();
-  void HandleConnection(std::shared_ptr<Connection> conn);
+  void HandleConnection(Connection* conn);
   /// Runs the HELLO + AUTH prologue. On success the connection has an open
   /// ArrayServer session. Fails closed: any protocol violation gets a
   /// typed ERROR frame and a false return (caller drops the connection).
   bool Handshake(Connection* conn);
-  /// Hands `sql` to the connection's statement worker, starting the worker
-  /// on the first call.
-  void SubmitStatement(Connection* conn, std::string sql);
-  /// The statement worker's body: runs each submitted statement until
-  /// teardown sets `stopping`.
-  void StatementLoop(Connection* conn);
-  /// Executes one QUERY and streams the outcome.
-  void RunStatement(Connection* conn, std::string sql);
+  /// Executes one QUERY with the read side released, then streams the
+  /// outcome with it held again.
+  void RunStatement(Connection* conn, std::unique_lock<std::mutex>* read_side,
+                    std::string_view sql);
   Status StreamOutcome(Connection* conn,
                        const server::StatementOutcome& outcome);
   void SendError(Connection* conn, const Status& st);
-  /// Kills any in-flight statement, stops and joins the worker, closes the
-  /// session (idempotent), releases the auth lease, and closes the socket.
+  /// Records a failed read: a closed peer, or a malformed frame whose
+  /// ERROR goes out before teardown.
+  static void NoteReadFailure(Connection* conn, Status st);
+  /// Closes the session, releases the auth lease, and shuts the socket.
   void TeardownConnection(Connection* conn);
+  /// The watcher's body: each tick, WatchStatement on every connection
+  /// whose statement runs, then joins the threads of closed connections.
+  void WatchLoop();
+  /// Handles the control frames already buffered on a running statement's
+  /// connection, if its read side is free. Never blocks.
+  void WatchStatement(Connection* conn);
+
+  /// The watcher's period, at most ArrayServer's default watchdog interval.
+  static constexpr std::chrono::milliseconds kWatchTick{1};
 
   server::ArrayServer* const server_;
   AuthManager* const auth_;
@@ -129,12 +152,17 @@ class NetServer {
   /// Atomic: Stop() retires the fd while AcceptLoop reads it.
   std::atomic<int> listen_fd_{-1};
   uint16_t bound_port_ = 0;
-  std::thread accept_thread_;
 
-  mutable std::mutex mu_;  ///< guards connections_ and handler_threads_
+  mutable std::mutex mu_;  ///< guards connections_, threads_, next_conn_id_
   std::map<uint64_t, std::shared_ptr<Connection>> connections_;
-  std::map<uint64_t, std::thread> handler_threads_;
+  /// One thread per connection; the watcher joins it once its connection
+  /// has left connections_.
+  std::map<uint64_t, std::thread> threads_;
   uint64_t next_conn_id_ = 1;
+
+  /// Declared after everything the threads use.
+  std::thread accept_thread_;
+  std::thread watcher_;
 };
 
 }  // namespace sqlarray::net

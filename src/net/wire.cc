@@ -1,10 +1,13 @@
 #include "net/wire.h"
 
+#include <sys/ioctl.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 
 #include "common/crc32c.h"
 #include "obs/metrics.h"
@@ -12,8 +15,6 @@
 namespace sqlarray::net {
 
 namespace {
-
-constexpr size_t kHeaderSize = 16;
 
 struct WireCounters {
   obs::Counter* frames_sent;
@@ -35,18 +36,31 @@ struct WireCounters {
   }
 };
 
-/// Writes the whole buffer, restarting on EINTR / short sends.
-Status SendAll(int fd, const uint8_t* data, size_t size) {
-  size_t sent = 0;
-  while (sent < size) {
-    ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
+/// Writes every byte of iov[0..count) with one sendmsg per attempt,
+/// restarting on EINTR. A short send resumes in the iovec, and at the
+/// offset, where the kernel stopped.
+Status SendIovecs(int fd, iovec* iov, size_t count) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::Internal(std::string("net: send failed: ") +
                               std::strerror(errno));
     }
     if (n == 0) return Status::Internal("net: send made no progress");
-    sent += static_cast<size_t>(n);
+    size_t sent = static_cast<size_t>(n);
+    while (count > 0 && sent >= iov->iov_len) {
+      sent -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + sent;
+      iov->iov_len -= sent;
+    }
   }
   return Status::OK();
 }
@@ -284,33 +298,11 @@ Status ReadStatsTrailer(PayloadReader* r, engine::QueryStats* stats) {
 // Framed I/O
 // ---------------------------------------------------------------------------
 
-Status WriteFrame(int fd, FrameType type, std::span<const uint8_t> payload) {
-  if (payload.size() > kMaxFramePayload) {
-    return Status::InvalidArgument("net: frame payload too large");
-  }
-  uint8_t header[kHeaderSize];
-  PutU32At(header, kFrameMagic);
-  header[4] = kProtocolVersion;
-  header[5] = static_cast<uint8_t>(type);
-  header[6] = 0;
-  header[7] = 0;
-  PutU32At(header + 8, static_cast<uint32_t>(payload.size()));
-  PutU32At(header + 12,
-           payload.empty() ? 0 : Crc32c(payload.data(), payload.size()));
-  SQLARRAY_RETURN_IF_ERROR(SendAll(fd, header, kHeaderSize));
-  if (!payload.empty()) {
-    SQLARRAY_RETURN_IF_ERROR(SendAll(fd, payload.data(), payload.size()));
-  }
-  WireCounters& c = WireCounters::Get();
-  c.frames_sent->Add(1);
-  c.bytes_sent->Add(static_cast<int64_t>(kHeaderSize + payload.size()));
-  return Status::OK();
-}
+namespace {
 
-Result<Frame> ReadFrame(int fd, uint32_t max_payload) {
-  uint8_t header[kHeaderSize];
-  bool got_any = false;
-  SQLARRAY_RETURN_IF_ERROR(RecvAll(fd, header, kHeaderSize, &got_any));
+/// Validates a received header: the checks every reader of a frame makes
+/// before it trusts the length.
+Result<FrameHeader> ParseHeader(const uint8_t* header, uint32_t max_payload) {
   if (GetU32At(header) != kFrameMagic) {
     return Status::InvalidArgument("net: bad frame magic");
   }
@@ -325,30 +317,99 @@ Result<Frame> ReadFrame(int fd, uint32_t max_payload) {
   if (header[6] != 0 || header[7] != 0) {
     return Status::InvalidArgument("net: reserved frame flags set");
   }
-  uint32_t len = GetU32At(header + 8);
-  if (len > max_payload) {
+  FrameHeader h;
+  h.type = static_cast<FrameType>(header[5]);
+  h.payload_len = GetU32At(header + 8);
+  h.payload_crc = GetU32At(header + 12);
+  if (h.payload_len > max_payload) {
     return Status::InvalidArgument("net: frame payload length " +
-                                   std::to_string(len) + " exceeds cap " +
+                                   std::to_string(h.payload_len) +
+                                   " exceeds cap " +
                                    std::to_string(max_payload));
   }
-  uint32_t want_crc = GetU32At(header + 12);
-  Frame frame;
-  frame.type = static_cast<FrameType>(header[5]);
-  frame.payload.resize(len);
-  if (len > 0) {
-    SQLARRAY_RETURN_IF_ERROR(
-        RecvAll(fd, frame.payload.data(), len, &got_any));
+  return h;
+}
+
+}  // namespace
+
+Status WriteFrame(int fd, FrameType type, std::span<const uint8_t> payload) {
+  if (payload.size() > kMaxFramePayload) {
+    return Status::InvalidArgument("net: frame payload too large");
   }
-  uint32_t got_crc =
-      len == 0 ? 0 : Crc32c(frame.payload.data(), frame.payload.size());
-  if (got_crc != want_crc) {
+  uint8_t header[kFrameHeaderSize];
+  PutU32At(header, kFrameMagic);
+  header[4] = kProtocolVersion;
+  header[5] = static_cast<uint8_t>(type);
+  header[6] = 0;
+  header[7] = 0;
+  PutU32At(header + 8, static_cast<uint32_t>(payload.size()));
+  PutU32At(header + 12,
+           payload.empty() ? 0 : Crc32c(payload.data(), payload.size()));
+  // Header and payload leave in one sendmsg: with TCP_NODELAY, two sends
+  // would cross the wire as two segments.
+  iovec iov[2] = {{header, kFrameHeaderSize},
+                  {const_cast<uint8_t*>(payload.data()), payload.size()}};
+  SQLARRAY_RETURN_IF_ERROR(SendIovecs(fd, iov, payload.empty() ? 1 : 2));
+  WireCounters& c = WireCounters::Get();
+  c.frames_sent->Add(1);
+  c.bytes_sent->Add(static_cast<int64_t>(kFrameHeaderSize + payload.size()));
+  return Status::OK();
+}
+
+Result<Frame> ReadFrame(int fd, uint32_t max_payload) {
+  uint8_t header[kFrameHeaderSize];
+  bool got_any = false;
+  SQLARRAY_RETURN_IF_ERROR(RecvAll(fd, header, kFrameHeaderSize, &got_any));
+  SQLARRAY_ASSIGN_OR_RETURN(FrameHeader h, ParseHeader(header, max_payload));
+  Frame frame;
+  frame.type = h.type;
+  frame.payload.resize(h.payload_len);
+  if (h.payload_len > 0) {
+    SQLARRAY_RETURN_IF_ERROR(
+        RecvAll(fd, frame.payload.data(), h.payload_len, &got_any));
+  }
+  uint32_t got_crc = h.payload_len == 0
+                         ? 0
+                         : Crc32c(frame.payload.data(), frame.payload.size());
+  if (got_crc != h.payload_crc) {
     WireCounters::Get().crc_errors->Add(1);
     return Status::Corruption("net: frame payload CRC mismatch");
   }
   WireCounters& c = WireCounters::Get();
   c.frames_received->Add(1);
-  c.bytes_received->Add(static_cast<int64_t>(kHeaderSize + len));
+  c.bytes_received->Add(
+      static_cast<int64_t>(kFrameHeaderSize + h.payload_len));
   return frame;
+}
+
+Result<std::optional<FrameHeader>> PeekBufferedFrame(int fd,
+                                                     uint32_t max_payload) {
+  uint8_t header[kFrameHeaderSize];
+  ssize_t n;
+  do {
+    n = ::recv(fd, header, kFrameHeaderSize, MSG_PEEK | MSG_DONTWAIT);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return std::optional<FrameHeader>();
+    }
+    return Status::NotFound(std::string("net: recv failed: ") +
+                            std::strerror(errno));
+  }
+  if (n == 0) return Status::NotFound("connection closed by peer");
+  if (static_cast<size_t>(n) < kFrameHeaderSize) {
+    return std::optional<FrameHeader>();
+  }
+  SQLARRAY_ASSIGN_OR_RETURN(FrameHeader h, ParseHeader(header, max_payload));
+  int buffered = 0;
+  if (::ioctl(fd, FIONREAD, &buffered) != 0) {
+    return Status::NotFound(std::string("net: FIONREAD failed: ") +
+                            std::strerror(errno));
+  }
+  if (static_cast<size_t>(buffered) < kFrameHeaderSize + h.payload_len) {
+    return std::optional<FrameHeader>();
+  }
+  return std::optional<FrameHeader>(h);
 }
 
 std::vector<uint8_t> EncodeError(const Status& st) {

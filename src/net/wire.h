@@ -32,7 +32,9 @@
 //   GOODBYE clean close; server acks with GOODBYE and drops the session.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -46,6 +48,7 @@ namespace sqlarray::net {
 
 inline constexpr uint32_t kFrameMagic = 0x53514157u;
 inline constexpr uint8_t kProtocolVersion = 1;
+inline constexpr size_t kFrameHeaderSize = 16;
 
 /// Hard ceiling on one frame's payload. Large result sets stream as many
 /// ROWS chunks, so a compliant peer never needs a bigger frame; anything
@@ -84,6 +87,13 @@ inline constexpr uint32_t kNoResultSet = 0xFFFFFFFFu;
 struct Frame {
   FrameType type = FrameType::kPing;
   std::vector<uint8_t> payload;
+};
+
+/// The fields of a header that passed validation.
+struct FrameHeader {
+  FrameType type = FrameType::kPing;
+  uint32_t payload_len = 0;
+  uint32_t payload_crc = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -149,11 +159,13 @@ void AppendStatsTrailer(PayloadWriter* w, const engine::QueryStats& stats);
 Status ReadStatsTrailer(PayloadReader* r, engine::QueryStats* stats);
 
 // ---------------------------------------------------------------------------
-// Framed socket I/O. `fd` is a connected stream socket; both helpers handle
+// Framed socket I/O. `fd` is a connected stream socket; the helpers handle
 // partial transfers and EINTR. Writers never raise SIGPIPE.
 // ---------------------------------------------------------------------------
 
-/// Sends one frame (header + payload). Bumps net.frames_sent/net.bytes_sent.
+/// Sends one frame, header and payload, with one sendmsg per attempt; a
+/// short send resumes where it stopped. Bumps
+/// net.frames_sent/net.bytes_sent.
 Status WriteFrame(int fd, FrameType type, std::span<const uint8_t> payload);
 
 /// Reads one frame. Distinguishes clean peer close before any header byte
@@ -161,6 +173,14 @@ Status WriteFrame(int fd, FrameType type, std::span<const uint8_t> payload);
 /// (kInvalidArgument), and payload CRC mismatch (kCorruption). Bumps
 /// net.frames_received/net.bytes_received.
 Result<Frame> ReadFrame(int fd, uint32_t max_payload = kMaxFramePayload);
+
+/// Looks at the next frame without consuming a byte or blocking (a peeked
+/// header plus FIONREAD). Returns its header when the whole frame is
+/// already buffered, so a ReadFrame after it cannot block, and nullopt
+/// when it is not yet. A closed peer is kNotFound and a malformed header
+/// kInvalidArgument, as in ReadFrame.
+Result<std::optional<FrameHeader>> PeekBufferedFrame(
+    int fd, uint32_t max_payload = kMaxFramePayload);
 
 /// Builds the ERROR payload for a status: i32 wire code, i64 retry-after
 /// milliseconds, message string.

@@ -1,21 +1,27 @@
-// Tests for the networked front-end (ISSUE 9): wire-frame encode/decode,
-// salted-hash authentication with lockout and per-user session caps, the
-// NetServer/NetClient round trip (byte-identical result fingerprints vs the
-// in-process ArrayServer path), typed ERROR frames for overload rejection,
-// malformed/truncated/oversized-frame fuzzing, CANCEL mid-query, and
-// mid-query client disconnects triggering KillQuery + WAL rollback. Built
-// both plain and under -DSQLARRAY_SANITIZE=thread (tsan_net_suite).
+// Tests for the networked front-end: wire-frame encode/decode and frames
+// larger than the socket buffers, salted-hash authentication with lockout
+// and per-user session caps, the NetServer/NetClient round trip
+// (byte-identical result fingerprints vs the in-process ArrayServer path),
+// typed ERROR frames for overload rejection, malformed/truncated/
+// oversized-frame fuzzing, control frames during a statement (CANCEL,
+// PING, GOODBYE, pipelined QUERYs), mid-query client disconnects and
+// Stop() triggering KillQuery + WAL rollback, and the release of closed
+// connections' threads. Built plain and in the sanitizer trees
+// (tsan_net_suite, asan_net_suite).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +32,7 @@
 #include "net/auth.h"
 #include "net/net_server.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "server/server.h"
 #include "sql/session.h"
 #include "udfs/register.h"
@@ -109,6 +116,63 @@ TEST(Wire, StatusCodeWireValuesAreFrozen) {
   EXPECT_EQ(StatusCodeToWire(StatusCode::kPermissionDenied), 12);
   EXPECT_EQ(StatusCodeFromWire(7), StatusCode::kResourceExhausted);
   EXPECT_EQ(StatusCodeFromWire(999), StatusCode::kInternal);  // unknown
+}
+
+/// A pattern no run of zeros or repeated bytes can fake.
+std::vector<uint8_t> PatternBytes(size_t n) {
+  std::vector<uint8_t> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<uint8_t>((i * 2654435761u) >> 13);
+  }
+  return out;
+}
+
+TEST(Wire, EmptyFramesAreSixteenBytes) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const std::vector<uint8_t> one = {'p'};
+  ASSERT_TRUE(net::WriteFrame(sv[0], net::FrameType::kPing, {}).ok());
+  ASSERT_TRUE(net::WriteFrame(sv[0], net::FrameType::kGoodbye, {}).ok());
+  ASSERT_TRUE(net::WriteFrame(sv[0], net::FrameType::kPing, one).ok());
+  ::shutdown(sv[0], SHUT_WR);
+  std::vector<uint8_t> wire;
+  uint8_t buf[256];
+  for (ssize_t n; (n = ::recv(sv[1], buf, sizeof(buf), 0)) > 0;) {
+    wire.insert(wire.end(), buf, buf + n);
+  }
+  ::close(sv[0]);
+  ::close(sv[1]);
+  // Two bare headers (payload length and CRC both 0), then one header plus
+  // its one payload byte.
+  ASSERT_EQ(wire.size(), 3 * net::kFrameHeaderSize + 1);
+  EXPECT_EQ(wire[5], static_cast<uint8_t>(net::FrameType::kPing));
+  EXPECT_EQ(wire[16 + 5], static_cast<uint8_t>(net::FrameType::kGoodbye));
+  for (size_t at : {size_t{0}, size_t{16}}) {
+    EXPECT_TRUE(std::all_of(wire.begin() + at + 8, wire.begin() + at + 16,
+                            [](uint8_t b) { return b == 0; }));
+  }
+  EXPECT_EQ(wire[32 + 8], 1);
+  EXPECT_EQ(wire.back(), 'p');
+}
+
+TEST(Wire, FrameLargerThanTheSocketBufferRoundTrips) {
+  // A Unix socket buffers a few hundred kB, so the writer's sendmsg
+  // returns short many times and must resume at the right offset.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const std::vector<uint8_t> payload = PatternBytes(6u << 20);
+  Status sent;
+  std::thread writer([&] {
+    sent = net::WriteFrame(sv[0], net::FrameType::kRows, payload);
+  });
+  Result<net::Frame> got = net::ReadFrame(sv[1]);
+  writer.join();
+  ::close(sv[0]);
+  ::close(sv[1]);
+  ASSERT_TRUE(sent.ok()) << sent.ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->type, net::FrameType::kRows);
+  EXPECT_TRUE(got->payload == payload);
 }
 
 // ---------------------------------------------------------------------------
@@ -256,6 +320,93 @@ class NetTest : public ::testing::Test {
     EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
               0);
     return fd;
+  }
+
+  /// A raw socket past HELLO and AUTH, with a receive timeout so a server
+  /// that never answers fails the test instead of hanging it.
+  int RawAuthed() {
+    int fd = RawConnect();
+    timeval tv{};
+    tv.tv_sec = 10;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    net::PayloadWriter hello;
+    hello.PutU32(net::kProtocolVersion);
+    hello.PutString("raw-client");
+    EXPECT_TRUE(
+        net::WriteFrame(fd, net::FrameType::kHello, hello.buffer()).ok());
+    auto reply = net::ReadFrame(fd);
+    EXPECT_TRUE(reply.ok() && reply->type == net::FrameType::kHello);
+    net::PayloadWriter creds;
+    creds.PutString("alice");
+    creds.PutString("s3cret");
+    EXPECT_TRUE(
+        net::WriteFrame(fd, net::FrameType::kAuth, creds.buffer()).ok());
+    auto authed = net::ReadFrame(fd);
+    EXPECT_TRUE(authed.ok() && authed->type == net::FrameType::kAuth);
+    return fd;
+  }
+
+  static Status SendQuery(int fd, const std::string& sql) {
+    net::PayloadWriter q;
+    q.PutString(sql);
+    return net::WriteFrame(fd, net::FrameType::kQuery, q.buffer());
+  }
+
+  /// Reads one statement's reply on a raw socket: the ERROR's status, or
+  /// the first value of the first row (NULL when there is none).
+  static Result<Value> ReadReply(int fd) {
+    std::optional<Value> first;
+    for (;;) {
+      SQLARRAY_ASSIGN_OR_RETURN(net::Frame f, net::ReadFrame(fd));
+      if (f.type == net::FrameType::kError) return net::DecodeError(f.payload);
+      if (f.type != net::FrameType::kRows) {
+        return Status::InvalidArgument(
+            "frame type " + std::to_string(static_cast<int>(f.type)) +
+            " inside a reply");
+      }
+      net::PayloadReader r(f.payload);
+      SQLARRAY_ASSIGN_OR_RETURN(uint32_t flags, r.GetU32());
+      SQLARRAY_RETURN_IF_ERROR(r.GetU32().status());  // result index
+      if (flags & net::kRowsFirstChunk) {
+        SQLARRAY_ASSIGN_OR_RETURN(uint32_t ncols, r.GetU32());
+        for (uint32_t c = 0; c < ncols; ++c) {
+          SQLARRAY_RETURN_IF_ERROR(r.GetString().status());
+        }
+      }
+      SQLARRAY_ASSIGN_OR_RETURN(uint32_t nrows, r.GetU32());
+      SQLARRAY_ASSIGN_OR_RETURN(std::vector<uint8_t> rows, r.GetBytes());
+      if (!first.has_value() && nrows > 0) {
+        net::PayloadReader rr(rows);
+        SQLARRAY_ASSIGN_OR_RETURN(Value v, net::ReadValue(&rr));
+        first = std::move(v);
+      }
+      if (flags & net::kRowsStatementDone) {
+        return first.has_value() ? *first : Value::Null();
+      }
+    }
+  }
+
+  /// Creates `name (id BIGINT, v BIGINT)` holding ids 0..rows-1, each v 1.
+  void CreateOnes(const std::string& name, int rows) {
+    auto setup = ConnectAuthed();
+    ASSERT_NE(setup, nullptr);
+    ASSERT_TRUE(
+        setup->Execute("CREATE TABLE " + name + " (id BIGINT, v BIGINT)")
+            .ok());
+    std::string values;
+    for (int i = 0; i < rows; ++i) {
+      if (i > 0) values += ", ";
+      values += "(" + std::to_string(i) + ", 1)";
+    }
+    ASSERT_TRUE(
+        setup->Execute("INSERT INTO " + name + " VALUES " + values).ok());
+  }
+
+  int64_t CountRows(const std::string& name) {
+    sql::Session check(&executor_);
+    auto rs = check.Execute("SELECT COUNT(id) FROM " + name);
+    EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+    return rs.ok() ? rs.value().at(0).rows.at(0).at(0).AsInt().value() : -1;
   }
 
   storage::Database db_;
@@ -591,6 +742,198 @@ TEST_F(NetTest, DisconnectInsideTransactionReleasesItsClaims) {
   auto rs = other->Execute("SELECT v FROM t WHERE id = 100");
   ASSERT_TRUE(rs.ok()) << rs.status.ToString();
   EXPECT_EQ(rs.result_sets.at(0).rows.at(0).at(0).AsInt().value(), 2);
+}
+
+TEST_F(NetTest, ReplyLargerThanTheSocketBuffersArrivesIntact) {
+  // One row of an 8 MB max array: one ROWS frame, twice loopback's largest
+  // send buffer.
+  StartStack();
+  auto client = ConnectAuthed();
+  ASSERT_NE(client, nullptr);
+  const std::string q = "SELECT FloatArrayMax.Create(1048576)";
+  int64_t ref_id = srv_->OpenSession();
+  auto ref = srv_->Execute(ref_id, q);
+  ASSERT_TRUE(ref.ok()) << ref.status.ToString();
+  EXPECT_TRUE(srv_->CloseSession(ref_id).ok());
+  const int64_t frames_before =
+      obs::MetricsRegistry::Global().GetCounter("net.frames_sent")->value();
+  auto out = client->Execute(q);
+  ASSERT_TRUE(out.ok()) << out.status.ToString();
+  EXPECT_EQ(
+      obs::MetricsRegistry::Global().GetCounter("net.frames_sent")->value() -
+          frames_before,
+      2);  // the QUERY and the one ROWS frame
+  std::vector<uint8_t> want =
+      ref.result_sets.at(0).rows.at(0).at(0).MaterializeBytes().value();
+  std::vector<uint8_t> got =
+      out.result_sets.at(0).rows.at(0).at(0).MaterializeBytes().value();
+  EXPECT_GE(got.size(), 8u << 20);
+  EXPECT_TRUE(got == want);
+  EXPECT_TRUE(client->Ping().ok());
+}
+
+TEST_F(NetTest, MultiMegabyteInsertLiteralRoundTrips) {
+  // A 2.5 MB blob written as a 5 MB hex literal: the QUERY frame outgrows
+  // the client's send buffer and the server's receive buffer.
+  StartStack();
+  auto client = ConnectAuthed();
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(
+      client->Execute("CREATE TABLE big (id BIGINT, b VARBINARY(MAX))").ok());
+  const std::vector<uint8_t> blob = PatternBytes(5u << 19);
+  static const char kHex[] = "0123456789abcdef";
+  std::string sql = "INSERT INTO big VALUES (1, 0x";
+  sql.reserve(sql.size() + 2 * blob.size() + 2);
+  for (uint8_t b : blob) {
+    sql.push_back(kHex[b >> 4]);
+    sql.push_back(kHex[b & 15]);
+  }
+  sql += ")";
+  ASSERT_GT(sql.size(), 4u << 20);
+  auto ins = client->Execute(sql);
+  ASSERT_TRUE(ins.ok()) << ins.status.ToString();
+  auto out = client->Execute("SELECT b FROM big WHERE id = 1");
+  ASSERT_TRUE(out.ok()) << out.status.ToString();
+  std::vector<uint8_t> got =
+      out.result_sets.at(0).rows.at(0).at(0).MaterializeBytes().value();
+  EXPECT_TRUE(got == blob);
+}
+
+TEST_F(NetTest, PingDuringAStatementIsEchoedBeforeItsReply) {
+  StartStack();
+  CreateOnes("p", 200);
+  int fd = RawAuthed();
+  ASSERT_TRUE(SendQuery(fd, "SELECT SUM(Test.Slow(v)) FROM p").ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  const std::vector<uint8_t> probe = {'h', 'i'};
+  ASSERT_TRUE(net::WriteFrame(fd, net::FrameType::kPing, probe).ok());
+  auto echo = net::ReadFrame(fd);
+  ASSERT_TRUE(echo.ok()) << echo.status().ToString();
+  EXPECT_EQ(echo->type, net::FrameType::kPing);
+  EXPECT_EQ(echo->payload, probe);
+  auto sum = ReadReply(fd);
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  EXPECT_EQ(sum->AsInt().value(), 200);
+  ::close(fd);
+}
+
+TEST_F(NetTest, GoodbyeDuringAStatementKillsItAndIsAcked) {
+  StartStack();
+  CreateOnes("g", 2000);
+  int fd = RawAuthed();
+  // About two seconds of deleting, unless something kills it.
+  ASSERT_TRUE(
+      SendQuery(fd, "BEGIN; DELETE FROM g WHERE Test.Slow(id) >= 0").ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto sent = std::chrono::steady_clock::now();
+  ASSERT_TRUE(net::WriteFrame(fd, net::FrameType::kGoodbye, {}).ok());
+  // The killed statement's ERROR, then the ack.
+  auto killed = ReadReply(fd);
+  EXPECT_EQ(killed.status().code(), StatusCode::kCancelled);
+  auto ack = net::ReadFrame(fd);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_EQ(ack->type, net::FrameType::kGoodbye);
+  EXPECT_LT(std::chrono::steady_clock::now() - sent, std::chrono::seconds(1));
+  ::close(fd);
+  for (int i = 0; i < 400 && srv_->open_sessions() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(srv_->open_sessions(), 0);
+  EXPECT_EQ(auth_->active_sessions("alice"), 0);
+  EXPECT_EQ(CountRows("g"), 2000) << "the BEGIN must roll back";
+}
+
+TEST_F(NetTest, PipelinedQueriesRunInOrderBehindASlowOne) {
+  StartStack();
+  CreateOnes("q", 100);
+  int fd = RawAuthed();
+  // Written back to back: the second and third wait in the socket.
+  ASSERT_TRUE(SendQuery(fd, "SELECT SUM(Test.Slow(v)) FROM q").ok());
+  ASSERT_TRUE(SendQuery(fd, "SELECT 1").ok());
+  ASSERT_TRUE(SendQuery(fd, "SELECT 2").ok());
+  for (int64_t want : {100, 1, 2}) {
+    auto got = ReadReply(fd);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->AsInt().value(), want);
+  }
+  ::close(fd);
+}
+
+TEST_F(NetTest, ResultRowLargerThanAFrameIsATypedError) {
+  // A 17.6 MB array cannot travel in one ROWS frame (16 MiB cap): the
+  // statement ends with an ERROR instead of leaving the client waiting.
+  StartStack();
+  int fd = RawAuthed();
+  ASSERT_TRUE(SendQuery(fd, "SELECT FloatArrayMax.Create(2200000)").ok());
+  auto reply = ReadReply(fd);
+  EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument)
+      << reply.status().ToString();
+  ASSERT_TRUE(SendQuery(fd, "SELECT 7").ok());
+  auto next = ReadReply(fd);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->AsInt().value(), 7);
+  ::close(fd);
+}
+
+TEST_F(NetTest, StopKillsARunningStatement) {
+  StartStack();
+  CreateOnes("s", 2000);
+  auto client = ConnectAuthed();
+  ASSERT_NE(client, nullptr);
+  obs::Counter* kills = obs::MetricsRegistry::Global().GetCounter(
+      "gov.cancelled");
+  const int64_t kills_before = kills->value();
+  server::StatementOutcome out;
+  std::thread runner([&] {
+    out = client->Execute("BEGIN; DELETE FROM s WHERE Test.Slow(id) >= 0");
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  const auto start = std::chrono::steady_clock::now();
+  net_->Stop();
+  const auto took = std::chrono::steady_clock::now() - start;
+  runner.join();
+  // The statement had about two seconds left.
+  EXPECT_LT(took, std::chrono::seconds(1));
+  EXPECT_FALSE(out.ok());
+  EXPECT_GE(kills->value() - kills_before, 1);
+  EXPECT_EQ(srv_->open_sessions(), 0);
+  EXPECT_EQ(CountRows("s"), 2000) << "the BEGIN must roll back";
+}
+
+/// VmSize of this process in kB, from /proc/self/status.
+int64_t VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+  }
+  return -1;
+}
+
+TEST_F(NetTest, ClosedConnectionsReleaseTheirThreads) {
+  // A connection thread's stack stays mapped until the thread is joined,
+  // about 8 MB of address space each: 512 MB over 64 connections if none
+  // is joined. The bound leaves room for a few 64 MB malloc arenas, which
+  // glibc adds when connection threads overlap.
+  StartStack();
+  auto cycle = [&] {
+    auto c = ConnectAuthed();
+    ASSERT_NE(c, nullptr);
+    ASSERT_TRUE(c->Execute("SELECT 1").ok());
+    c->Close();
+  };
+  for (int i = 0; i < 8; ++i) cycle();  // warm the allocator's arenas
+  const int64_t before = VmSizeKb();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 64; ++i) cycle();
+  constexpr int64_t kBoundKb = 256 * 1024;
+  int64_t grew = VmSizeKb() - before;
+  // The watcher joins a closed connection's thread within a tick or two.
+  for (int i = 0; i < 100 && grew >= kBoundKb; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    grew = VmSizeKb() - before;
+  }
+  EXPECT_LT(grew, kBoundKb);
 }
 
 // ---------------------------------------------------------------------------
