@@ -251,8 +251,7 @@ void RunBench() {
 
   std::printf(
       "\nwire overhead: p50 %+.3fms, p99 %+.3fms per statement; qps %.0f -> "
-      "%.0f (loopback floor: framing + CRC32C + 2 socket hops + worker "
-      "handoff)\n",
+      "%.0f (loopback floor: framing + CRC32C + 2 socket hops)\n",
       netres.Percentile(0.5) - inproc.Percentile(0.5),
       netres.Percentile(0.99) - inproc.Percentile(0.99), inproc.Qps(),
       netres.Qps());

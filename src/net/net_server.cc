@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <optional>
 #include <utility>
@@ -45,6 +46,9 @@ struct ServerCounters {
     return c;
   }
 };
+
+/// The watcher's period, at most ArrayServer's default watchdog interval.
+constexpr std::chrono::milliseconds kWatchTick{1};
 
 /// The frames the watcher takes out of the socket during a statement:
 /// CANCEL, GOODBYE, and a PING whose echo cannot block the watcher, a

@@ -32,7 +32,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -140,9 +139,6 @@ class NetServer {
   /// Handles the control frames already buffered on a running statement's
   /// connection, if its read side is free. Never blocks.
   void WatchStatement(Connection* conn);
-
-  /// The watcher's period, at most ArrayServer's default watchdog interval.
-  static constexpr std::chrono::milliseconds kWatchTick{1};
 
   server::ArrayServer* const server_;
   AuthManager* const auth_;
